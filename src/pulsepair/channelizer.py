@@ -21,28 +21,12 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
 DEFAULT_BINS_PER_SEGMENT = 256
-
-
-@dataclass
-class BinMeasurement:
-    """One scored FFT bin of one element's frame."""
-
-    frame_index: int
-    utc_s: float
-    element: str            # "EAST" or "WEST"
-    polarization_tag: str
-    bin_index: int
-    rf_freq_hz: float
-    power: float
-    snr_db: float
-    phase_rad: float
 
 
 def wrap_phase(phi):

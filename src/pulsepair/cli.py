@@ -10,14 +10,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, calib, kvconfig, pipeline, plotting
 from .errors import StageError, UsageError, ValidationError
 from .pairdetect import form_pairs, read_level1_archive, write_level1_archive
 from .phasefilter import second_level_filter, write_metric_diagnostics_csv
 from .sigsim import simulate_frames, simulate_level1_events
-from .skystats import analyze, read_stats_csv, write_stats_csv
+from .skystats import read_stats_csv, write_stats_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,26 +169,12 @@ def cmd_analyze(args) -> int:
     cand_path = args.candidates or os.path.join(args.out, "candidates.csv")
     if not os.path.exists(cand_path):
         raise ValidationError(f"candidates file {cand_path} does not exist")
-    rows = pipeline.read_candidates_csv(cand_path)
-    ra = np.array([r.ra_pointing_hr for r in rows], dtype=float)
-    day = None
-    if manifest.per_day and rows:
-        t0 = min(r.utc_b_s for r in rows)
-        day = np.floor((np.array([r.utc_b_s for r in rows]) - t0)
-                       / calib.SIDEREAL_DAY_S).astype(int)
-    exposure = None
-    if manifest.p_mode == "exposure":
-        level1 = os.path.join(args.out, "level1.csv")
-        if manifest.level1_in:
-            level1 = manifest.level1_in
-        if not os.path.exists(level1):
-            raise ValidationError(
-                "exposure mode needs the level-1 archive next to the "
-                f"candidates ({level1} missing)")
-        exposure = np.array(
-            [e.ra_pointing_hr for e in read_level1_archive(level1)])
-    res = analyze(ra, manifest.bin_edges(), manifest.p_mode,
-                  exposure_ra_hr=exposure, day_index=day)
+    level1 = manifest.level1_in or os.path.join(args.out, "level1.csv")
+    if manifest.p_mode == "exposure" and not os.path.exists(level1):
+        raise ValidationError(
+            "exposure mode needs the level-1 archive next to the "
+            f"candidates ({level1} missing)")
+    res = pipeline.analyze_candidates(manifest, cand_path, level1)
     stats_path = os.path.join(args.out, "stats.csv")
     write_stats_csv(stats_path, res.stats)
     report_path = os.path.join(args.out, "report.txt")

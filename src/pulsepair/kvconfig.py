@@ -49,45 +49,3 @@ def write_kv_file(path, mapping: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(format_kv(mapping))
 
-
-def get_str(kv: dict, key: str, default=None) -> str:
-    if key not in kv:
-        if default is None:
-            raise ValidationError(f"missing required key {key!r}")
-        return default
-    return kv[key]
-
-
-def get_float(kv: dict, key: str, default=None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ValidationError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ValidationError(f"key {key!r}: {kv[key]!r} is not a number") from None
-
-
-def get_int(kv: dict, key: str, default=None) -> int:
-    if key not in kv:
-        if default is None:
-            raise ValidationError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ValidationError(f"key {key!r}: {kv[key]!r} is not an integer") from None
-
-
-def get_bool(kv: dict, key: str, default=None) -> bool:
-    if key not in kv:
-        if default is None:
-            raise ValidationError(f"missing required key {key!r}")
-        return default
-    value = kv[key].lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ValidationError(f"key {key!r}: {kv[key]!r} is not a boolean")

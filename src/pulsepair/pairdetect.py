@@ -7,6 +7,15 @@ excision band.  Events are paired by sorting each block of (2K+1) frames in
 consecutive entries, so a pair's two members are adjacent in frequency-major
 order and at most 2K frames apart.  K = 0 pairs only within single frames.
 
+Events and pairs move between stages as columns, not objects.  An
+EventTable holds one numpy array per archive column; the polarization tag is
+stored as an integer code into the table's sorted `tags`, so sorting on the
+code sorts on the tag string.  A PairTable holds index arrays `a` and `b`
+into its EventTable plus the delta_t_s, delta_f_hz, log10_delta_f_mhz and
+phase_metric_rad columns.  Iterating either table yields PulseEvent or
+PairCandidate rows built from the columns, for tests and inspection; no
+stage iterates them.
+
 The level-1 archive is the package's interchange format: one CSV row per
 event with fixed column order and fixed numeric formats, so identical inputs
 produce byte-identical archives.
@@ -17,7 +26,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +41,17 @@ ARCHIVE_COLUMNS = [
     "snr_east_db", "snr_west_db", "phase_east_rad", "phase_west_rad",
     "polarization_tag", "ra_pointing_hr",
 ]
+# EventTable columns, in PulseEvent field order (pol_code for the tag).
+EVENT_COLUMNS = (
+    "frame_index", "utc_s", "bin_index", "rf_freq_hz", "snr_east_db",
+    "snr_west_db", "phase_east_rad", "phase_west_rad", "pol_code",
+    "ra_pointing_hr",
+)
 
 
 @dataclass
 class PulseEvent:
-    """A dual-element threshold crossing in one FFT bin of one frame."""
+    """Row view of one event: a dual-element crossing in one bin and frame."""
 
     frame_index: int
     utc_s: float
@@ -48,27 +65,125 @@ class PulseEvent:
     ra_pointing_hr: float
 
 
-@dataclass
-class PairCandidate:
-    """Two events joined by the pairing pass.
+class PairCandidate(NamedTuple):
+    """Row view of one pair: indices into the event table plus pair columns.
 
-    event_a precedes event_b in the block sort order, so delta_f_hz
-    (= rf_b - rf_a) is non-negative and delta_t_s is |utc_b - utc_a|.
-    log10_delta_f_mhz is -inf for the degenerate delta_f = 0 case (same bin,
-    different polarization); such pairs never survive the frequency-offset
-    filter.  phase_metric_rad is filled in by the second-level filter.
+    Event a precedes event b in the block sort order, so delta_t_s is
+    |utc_b - utc_a| and delta_f_hz is rf_b - rf_a.  log10_delta_f_mhz is
+    -inf for the degenerate delta_f = 0 case (same bin, different
+    polarization); such pairs never survive the frequency-offset filter.
+    phase_metric_rad is NaN until the second-level filter fills it in.
     """
 
-    event_a: PulseEvent
-    event_b: PulseEvent
+    a: int
+    b: int
     delta_t_s: float
     delta_f_hz: float
     log10_delta_f_mhz: float
-    phase_metric_rad: float | None = None
+    phase_metric_rad: float
+
+
+PAIR_COLUMNS = PairCandidate._fields
+
+
+@dataclass(eq=False)
+class EventTable:
+    """Level-1 events as one numpy array per column (see EVENT_COLUMNS).
+
+    pol_code indexes `tags`, which is sorted and unique, so the code ranks
+    each event's polarization tag in Python string order.
+    """
+
+    frame_index: np.ndarray
+    utc_s: np.ndarray
+    bin_index: np.ndarray
+    rf_freq_hz: np.ndarray
+    snr_east_db: np.ndarray
+    snr_west_db: np.ndarray
+    phase_east_rad: np.ndarray
+    phase_west_rad: np.ndarray
+    pol_code: np.ndarray
+    ra_pointing_hr: np.ndarray
+    tags: tuple = ()
+
+    def __post_init__(self):
+        for name in EVENT_COLUMNS:
+            dtype = np.int64 if name in ("frame_index", "bin_index",
+                                         "pol_code") else float
+            setattr(self, name,
+                    np.ascontiguousarray(getattr(self, name), dtype=dtype))
+        self.tags = tuple(self.tags)
+        if len({getattr(self, n).shape for n in EVENT_COLUMNS}) != 1:
+            raise ValidationError("event columns differ in length")
+
+    def __len__(self) -> int:
+        return self.frame_index.size
+
+    def __iter__(self):
+        cols = [self.polarization_tag.tolist() if n == "pol_code"
+                else getattr(self, n).tolist() for n in EVENT_COLUMNS]
+        return (PulseEvent(*row) for row in zip(*cols))
 
     @property
-    def ra_pointing_hr(self) -> float:
-        return self.event_b.ra_pointing_hr
+    def polarization_tag(self) -> np.ndarray:
+        """Per-event tag strings (an object array)."""
+        return np.asarray(self.tags, dtype=object)[self.pol_code]
+
+    def take(self, idx) -> EventTable:
+        return EventTable(tags=self.tags, **{
+            n: getattr(self, n)[idx] for n in EVENT_COLUMNS})
+
+    @classmethod
+    def concat(cls, tables) -> EventTable:
+        """Rows of every table in order; tag codes are remapped to the union."""
+        tables = list(tables)
+        tags = tuple(sorted(set().union(*(t.tags for t in tables))))
+        cols = {n: [getattr(t, n) for t in tables] for n in EVENT_COLUMNS}
+        cols["pol_code"] = [
+            np.array([tags.index(g) for g in t.tags], dtype=np.int64)[
+                t.pol_code] for t in tables]
+        return cls(tags=tags, **{n: np.concatenate(c) if c else []
+                                 for n, c in cols.items()})
+
+    @classmethod
+    def from_rows(cls, events) -> EventTable:
+        """Columns from PulseEvent rows."""
+        events = list(events)
+        tags = tuple(sorted({e.polarization_tag for e in events}))
+        code = {t: i for i, t in enumerate(tags)}
+        cols = {n: [getattr(e, n) for e in events]
+                for n in EVENT_COLUMNS if n != "pol_code"}
+        return cls(tags=tags, pol_code=[code[e.polarization_tag]
+                                        for e in events], **cols)
+
+
+@dataclass(eq=False)
+class PairTable:
+    """Candidate pairs as columns (see PAIR_COLUMNS); a and b index events."""
+
+    events: EventTable
+    a: np.ndarray
+    b: np.ndarray
+    delta_t_s: np.ndarray
+    delta_f_hz: np.ndarray
+    log10_delta_f_mhz: np.ndarray
+    phase_metric_rad: np.ndarray
+
+    def __len__(self) -> int:
+        return self.a.size
+
+    def __iter__(self):
+        cols = [getattr(self, n).tolist() for n in PAIR_COLUMNS]
+        return map(PairCandidate._make, zip(*cols))
+
+    @property
+    def ra_pointing_hr(self) -> np.ndarray:
+        """A pair is placed at the pointing RA of its later event."""
+        return self.events.ra_pointing_hr[self.b]
+
+    def take(self, idx) -> PairTable:
+        return PairTable(self.events, **{
+            n: getattr(self, n)[idx] for n in PAIR_COLUMNS})
 
 
 @dataclass
@@ -111,7 +226,7 @@ def first_level_filter_frame(frame_index: int, utc_s: float,
                              polarization_tag: str,
                              east_bins, west_bins, rf_freqs_hz,
                              params: FirstLevelFilterParams,
-                             ra_pointing_hr: float) -> list[PulseEvent]:
+                             ra_pointing_hr: float) -> EventTable:
     """Score one dual-element frame and return its surviving events.
 
     Both elements' bins must be the same length as rf_freqs_hz and aligned
@@ -129,78 +244,21 @@ def first_level_filter_frame(frame_index: int, utc_s: float,
         east, params.bins_per_segment, params.include_self)
     _, snr_w, ph_w, scored_w = frame_bin_stats(
         west, params.bins_per_segment, params.include_self)
-    keep = (scored_e & scored_w
-            & (snr_e > params.snr_threshold_db)
-            & (snr_w > params.snr_threshold_db)
-            & params.rf_accepted(rf))
-    out = []
-    for k in np.flatnonzero(keep):
-        out.append(PulseEvent(
-            frame_index=frame_index,
-            utc_s=utc_s,
-            bin_index=int(k),
-            rf_freq_hz=float(rf[k]),
-            snr_east_db=float(snr_e[k]),
-            snr_west_db=float(snr_w[k]),
-            phase_east_rad=float(ph_e[k]),
-            phase_west_rad=float(ph_w[k]),
-            polarization_tag=polarization_tag,
-            ra_pointing_hr=ra_pointing_hr,
-        ))
-    return out
+    keep = np.flatnonzero(scored_e & scored_w
+                          & (snr_e > params.snr_threshold_db)
+                          & (snr_w > params.snr_threshold_db)
+                          & params.rf_accepted(rf))
+    n = keep.size
+    return EventTable(
+        frame_index=np.full(n, frame_index), utc_s=np.full(n, utc_s),
+        bin_index=keep, rf_freq_hz=rf[keep], snr_east_db=snr_e[keep],
+        snr_west_db=snr_w[keep], phase_east_rad=ph_e[keep],
+        phase_west_rad=ph_w[keep], pol_code=np.zeros(n, dtype=np.int64),
+        ra_pointing_hr=np.full(n, ra_pointing_hr), tags=(polarization_tag,))
 
 
-def first_level_filter(east_measurements, west_measurements,
-                       params: FirstLevelFilterParams,
-                       ra_pointing_hr: float = math.nan) -> list[PulseEvent]:
-    """Apply the dual-element threshold to aligned per-bin measurements.
-
-    The two sequences must be the same length and aligned entry-for-entry on
-    (frame_index, bin_index, polarization_tag) with elements EAST and WEST
-    respectively; anything else is a wiring error and is rejected.
-    """
-    east = list(east_measurements)
-    west = list(west_measurements)
-    if len(east) != len(west):
-        raise ValidationError(
-            f"{len(east)} east vs {len(west)} west measurements")
-    out = []
-    for me, mw in zip(east, west):
-        if (me.frame_index != mw.frame_index or me.bin_index != mw.bin_index
-                or me.polarization_tag != mw.polarization_tag):
-            raise ValidationError(
-                f"misaligned measurements: east (frame {me.frame_index}, bin "
-                f"{me.bin_index}, {me.polarization_tag}) vs west (frame "
-                f"{mw.frame_index}, bin {mw.bin_index}, {mw.polarization_tag})")
-        if me.element != "EAST" or mw.element != "WEST":
-            raise ValidationError(
-                f"expected elements EAST/WEST, got {me.element}/{mw.element}")
-        if not (me.snr_db > params.snr_threshold_db
-                and mw.snr_db > params.snr_threshold_db):
-            continue
-        if not bool(params.rf_accepted(me.rf_freq_hz)):
-            continue
-        out.append(PulseEvent(
-            frame_index=me.frame_index,
-            utc_s=me.utc_s,
-            bin_index=me.bin_index,
-            rf_freq_hz=me.rf_freq_hz,
-            snr_east_db=me.snr_db,
-            snr_west_db=mw.snr_db,
-            phase_east_rad=me.phase_rad,
-            phase_west_rad=mw.phase_rad,
-            polarization_tag=me.polarization_tag,
-            ra_pointing_hr=ra_pointing_hr,
-        ))
-    return out
-
-
-def _sort_key(e: PulseEvent):
-    return (e.bin_index, e.frame_index, e.polarization_tag, e.utc_s)
-
-
-def form_pairs(events, pairing_window_frames: int = 0,
-               require_pol_match: bool = False) -> list[PairCandidate]:
+def form_pairs(events: EventTable, pairing_window_frames: int = 0,
+               require_pol_match: bool = False) -> PairTable:
     """Pair events by sorted adjacency within frame blocks.
 
     Frames are grouped into fixed blocks of (2K+1) consecutive frame indices
@@ -209,51 +267,58 @@ def form_pairs(events, pairing_window_frames: int = 0,
     (bin_index, frame_index, polarization_tag, utc_s) and every consecutive
     pair becomes a candidate.  An event can therefore appear in at most two
     candidates (as the later and as the earlier member), matching the
-    fixed-block reading of the pairing window.
+    fixed-block reading of the pairing window.  The sort is one stable
+    lexsort, so equal keys keep their table order.
     """
     if pairing_window_frames < 0:
         raise ValidationError("pairing_window_frames must be >= 0")
-    block_len = 2 * pairing_window_frames + 1
-    groups: dict = {}
-    for e in events:
-        key = (e.frame_index // block_len,
-               e.polarization_tag if require_pol_match else None)
-        groups.setdefault(key, []).append(e)
-    pairs: list[PairCandidate] = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        block = sorted(groups[key], key=_sort_key)
-        for a, b in zip(block, block[1:]):
-            delta_f = b.rf_freq_hz - a.rf_freq_hz
-            if delta_f != 0.0:
-                log_df = math.log10(abs(delta_f) / 1.0e6)
-            else:
-                log_df = -math.inf
-            pairs.append(PairCandidate(
-                event_a=a,
-                event_b=b,
-                delta_t_s=abs(b.utc_s - a.utc_s),
-                delta_f_hz=delta_f,
-                log10_delta_f_mhz=log_df,
-            ))
-    return pairs
+    block = events.frame_index // (2 * pairing_window_frames + 1)
+    pol = events.pol_code
+    keys = [events.utc_s, pol, events.frame_index, events.bin_index]
+    if require_pol_match:
+        keys.append(pol)
+    order = np.lexsort(keys + [block])
+    first, second = order[:-1], order[1:]
+    same = block[first] == block[second]
+    if require_pol_match:
+        same &= pol[first] == pol[second]
+    a, b = first[same], second[same]
+    delta_f = events.rf_freq_hz[b] - events.rf_freq_hz[a]
+    log_df = np.full(a.size, -np.inf)
+    nonzero = np.flatnonzero(delta_f != 0.0)
+    # math.log10 rather than np.log10: the two differ in the last bit for
+    # some inputs, and candidates.csv prints these values.
+    log_df[nonzero] = np.fromiter(
+        map(math.log10, (np.abs(delta_f[nonzero]) / 1.0e6).tolist()),
+        float, nonzero.size)
+    return PairTable(events, a, b, np.abs(events.utc_s[b] - events.utc_s[a]),
+                     delta_f, log_df, np.full(a.size, np.nan))
 
 
-def delta_f_filter(candidate: PairCandidate, log_low: float = -5.1,
-                   log_high: float = 0.3) -> bool:
-    """True when log10(|delta_f| / 1 MHz) lies in the closed window.
+def write_rows(fh, fmt: str, columns) -> None:
+    """Write `fmt % row` for every row of equal-length array columns.
 
-    The default window [-5.1, +0.3] spans 7.9433 Hz to 1.9953 MHz.  A
-    degenerate candidate with delta_f = 0 is rejected outright (its offset
-    is below any window).
+    One %-format pass over .tolist() chunks of 65,536 rows keeps the text
+    identical to per-value f-string formatting and the memory bounded.
     """
-    if log_low > log_high:
-        raise ValidationError("log_low must not exceed log_high")
-    if candidate.delta_f_hz == 0.0:
-        return False
-    return log_low <= candidate.log10_delta_f_mhz <= log_high
+    step = 1 << 16
+    for start in range(0, len(columns[0]), step):
+        chunk = [c[start:start + step].tolist() for c in columns]
+        fh.write("".join([fmt % row for row in zip(*chunk)]))
 
 
-def write_level1_archive(path, events, append: bool = False) -> None:
+def log_df_text(pairs: PairTable) -> np.ndarray:
+    """log10_delta_f_mhz as the CSVs print it: %.6g, or -inf if not finite."""
+    return np.array([f"{x:.6g}" if math.isfinite(x) else "-inf"
+                     for x in pairs.log10_delta_f_mhz.tolist()], dtype=object)
+
+
+_ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"
+                "%.6g,%s,%.6g\n")
+
+
+def write_level1_archive(path, events: EventTable,
+                         append: bool = False) -> None:
     """Write events as a level-1 archive CSV (schema version 1).
 
     Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
@@ -261,7 +326,10 @@ def write_level1_archive(path, events, append: bool = False) -> None:
     the file must already exist with a matching header; rows are added
     without rewriting (resume after partial runs).
     """
-    rows = [_format_row(e) for e in events]
+    used = np.bincount(events.pol_code, minlength=len(events.tags)) > 0
+    for tag, in_use in zip(events.tags, used):
+        if in_use and (not tag or any(c in tag for c in ",\n\r")):
+            raise ValidationError(f"bad polarization_tag {tag!r}")
     if append:
         if not os.path.exists(path):
             raise ValidationError(f"cannot append, {path} does not exist")
@@ -275,33 +343,11 @@ def write_level1_archive(path, events, append: bool = False) -> None:
     with open(path, mode, newline="\n") as fh:
         if mode == "w":
             fh.write(",".join(ARCHIVE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _format_row(e: PulseEvent) -> list[str]:
-    tag = str(e.polarization_tag)
-    if not tag or any(c in tag for c in ",\n\r"):
-        raise ValidationError(f"bad polarization_tag {tag!r}")
-    return [
-        str(ARCHIVE_SCHEMA_VERSION),
-        f"{e.utc_s:.3f}",
-        str(int(e.frame_index)),
-        str(int(e.bin_index)),
-        f"{e.rf_freq_hz:.1f}",
-        f"{e.snr_east_db:.6g}",
-        f"{e.snr_west_db:.6g}",
-        f"{e.phase_east_rad:.6g}",
-        f"{e.phase_west_rad:.6g}",
-        tag,
-        f"{e.ra_pointing_hr:.6g}",
-    ]
-
-
-def archive_precision(e: PulseEvent) -> PulseEvent:
-    """The event as it will read back from an archive (quantized fields)."""
-    row = _format_row(e)
-    return _parse_row(row, line_no=0)
+        write_rows(fh, _ARCHIVE_ROW, [
+            events.utc_s, events.frame_index, events.bin_index,
+            events.rf_freq_hz, events.snr_east_db, events.snr_west_db,
+            events.phase_east_rad, events.phase_west_rad,
+            events.polarization_tag, events.ra_pointing_hr])
 
 
 def _parse_row(row: list[str], line_no: int) -> PulseEvent:
@@ -312,7 +358,7 @@ def _parse_row(row: list[str], line_no: int) -> PulseEvent:
         raise ArchiveFormatError(
             f"unsupported schema_version {row[0]!r}", line_no)
     try:
-        return PulseEvent(
+        event = PulseEvent(
             frame_index=int(row[2]),
             utc_s=float(row[1]),
             bin_index=int(row[3]),
@@ -324,35 +370,75 @@ def _parse_row(row: list[str], line_no: int) -> PulseEvent:
             polarization_tag=row[9],
             ra_pointing_hr=float(row[10]),
         )
-    except ValueError as exc:
+        np.array([event.frame_index, event.bin_index], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
+    return event
 
 
-def read_level1_archive(path) -> list[PulseEvent]:
-    """Read a level-1 archive, validating header, width, and every value."""
-    events: list[PulseEvent] = []
+def _archive_rows(path, fh):
+    """csv reader over fh, positioned after the validated header."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ArchiveFormatError(f"{path}: empty file") from None
+    if header != ARCHIVE_COLUMNS:
+        raise ArchiveFormatError(f"{path}: bad header {header!r}")
+    return reader
+
+
+# A tag this long may have been cut short by the fixed-width field; such
+# archives take the row parser.
+_TAG_WIDTH = 16
+_ARCHIVE_DTYPE = np.dtype([(name, {
+    "schema_version": "U2", "frame_index": np.int64, "bin_index": np.int64,
+    "polarization_tag": f"U{_TAG_WIDTH}"}.get(name, float))
+    for name in ARCHIVE_COLUMNS])
+
+
+def _load_columns(fh) -> EventTable | None:
+    """Parse the rows after the header with np.loadtxt.
+
+    Returns None for anything the row parser might read differently: a row
+    loadtxt rejects, an unknown schema_version, a quoted or over-long tag.
+    Warnings count as failures (an empty body, or integer fields written as
+    floats on numpy versions that still accept them).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(fh, delimiter=",", comments=None,
+                              dtype=_ARCHIVE_DTYPE, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if not (data["schema_version"] == str(ARCHIVE_SCHEMA_VERSION)).all():
+        return None
+    tag_list = data["polarization_tag"].tolist()
+    tags = tuple(sorted(set(tag_list)))
+    if any(len(t) >= _TAG_WIDTH or '"' in t for t in tags):
+        return None
+    code = {t: i for i, t in enumerate(tags)}
+    return EventTable(
+        tags=tags, pol_code=np.fromiter(map(code.__getitem__, tag_list),
+                                        np.int64, len(tag_list)),
+        **{n: data[n] for n in EVENT_COLUMNS if n != "pol_code"})
+
+
+def read_level1_archive(path) -> EventTable:
+    """Read a level-1 archive, validating header, width, and every value.
+
+    np.loadtxt parses a well-formed archive in one pass.  Any other archive
+    goes through the row parser, which returns the same table or raises
+    ArchiveFormatError with the number of the first bad line.  Blank lines
+    are skipped.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ArchiveFormatError(f"{path}: empty file") from None
-        if header != ARCHIVE_COLUMNS:
-            raise ArchiveFormatError(
-                f"{path}: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            events.append(_parse_row(row, line_no))
-    return events
-
-
-def write_bin_measurements_csv(path, measurements) -> None:
-    """Debug dump of raw scored bins (not part of the archive contract)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("frame_index,utc_s,element,polarization_tag,bin_index,"
-                 "rf_freq_hz,power,snr_db,phase_rad\n")
-        for m in measurements:
-            fh.write(f"{m.frame_index},{m.utc_s:.3f},{m.element},"
-                     f"{m.polarization_tag},{m.bin_index},{m.rf_freq_hz:.1f},"
-                     f"{m.power:.6g},{m.snr_db:.6g},{m.phase_rad:.6g}\n")
+        _archive_rows(path, fh)
+        table = _load_columns(fh)
+    if table is not None:
+        return table
+    with open(path, newline="") as fh:
+        rows = enumerate(_archive_rows(path, fh), start=2)
+        return EventTable.from_rows(
+            [_parse_row(row, line_no) for line_no, row in rows if row])

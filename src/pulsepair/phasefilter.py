@@ -14,6 +14,10 @@ instrument delay, leaving m ~ -2 pi delta_f tau_geom, which is tiny near
 transit.  Uncorrelated noise pairs have m uniform on (-pi, pi], so a
 half-width of 0.04 rad keeps a fraction 0.04/pi ~ 1.27% of them.
 
+Every function here works on a whole PairTable (see pairdetect) at once:
+the metric, the delta_f window (delta_f_window, shared by the filter and
+the delay scan) and the verdicts are numpy columns aligned with its pairs.
+
 tune_tau_int scans assumed tau_int values and keeps the one whose surviving
 candidates maximize the in-window detection statistic; it is how the
 pipeline confirms (or discovers) the instrument delay epoch.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .channelizer import wrap_phase
 from .errors import ValidationError
-from .pairdetect import PairCandidate
+from .pairdetect import PairTable, log_df_text, write_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,109 +68,88 @@ class PhaseMetricParams:
             raise ValidationError("tau search range is inverted")
 
 
-def phase_metric(candidate: PairCandidate, tau_int_s: float) -> float:
-    """Differential-phase metric of one candidate, wrapped to (-pi, pi]."""
-    a, b = candidate.event_a, candidate.event_b
-    for e in (a, b):
-        if not (math.isfinite(e.phase_east_rad)
-                and math.isfinite(e.phase_west_rad)):
-            raise ValidationError(
-                f"event at frame {e.frame_index} bin {e.bin_index} has "
-                "non-finite phases; cannot form the metric")
-    diff_b = b.phase_west_rad - b.phase_east_rad
-    diff_a = a.phase_west_rad - a.phase_east_rad
-    return float(wrap_phase(diff_b - diff_a
-                            + TWO_PI * candidate.delta_f_hz * tau_int_s))
-
-
-def _candidate_arrays(candidates):
-    """Pull the metric ingredients into flat arrays once."""
-    n = len(candidates)
-    diff = np.empty(n)
-    delta_f = np.empty(n)
-    log_df = np.empty(n)
-    for i, c in enumerate(candidates):
-        a, b = c.event_a, c.event_b
-        diff[i] = ((b.phase_west_rad - b.phase_east_rad)
-                   - (a.phase_west_rad - a.phase_east_rad))
-        delta_f[i] = c.delta_f_hz
-        log_df[i] = c.log10_delta_f_mhz
-    if n and not (np.isfinite(diff).all()):
+def _phase_differences(pairs: PairTable) -> np.ndarray:
+    """(phi_W - phi_E)(b) - (phi_W - phi_E)(a) for every pair."""
+    ev = pairs.events
+    diff = ((ev.phase_west_rad[pairs.b] - ev.phase_east_rad[pairs.b])
+            - (ev.phase_west_rad[pairs.a] - ev.phase_east_rad[pairs.a]))
+    if not np.isfinite(diff).all():
         raise ValidationError("candidate with non-finite phases")
-    return diff, delta_f, log_df
+    return diff
 
 
-def phase_metrics(candidates, tau_int_s: float) -> np.ndarray:
-    """Vectorized phase_metric over a candidate list."""
-    diff, delta_f, _ = _candidate_arrays(candidates)
-    return wrap_phase(diff + TWO_PI * delta_f * tau_int_s)
+def phase_metrics(pairs: PairTable, tau_int_s: float) -> np.ndarray:
+    """Differential-phase metric of every pair, wrapped to (-pi, pi]."""
+    return wrap_phase(_phase_differences(pairs)
+                      + TWO_PI * pairs.delta_f_hz * tau_int_s)
 
 
-def second_level_filter(candidates, params: PhaseMetricParams,
+def delta_f_window(pairs: PairTable, params: PhaseMetricParams) -> np.ndarray:
+    """True where log10(|delta_f| / 1 MHz) lies in the closed window.
+
+    The default window [-5.1, +0.3] spans 7.9433 Hz to 1.9953 MHz.  A
+    degenerate pair with delta_f = 0 never passes.
+    """
+    log_df = pairs.log10_delta_f_mhz
+    return ((pairs.delta_f_hz != 0.0)
+            & (log_df >= params.log_delta_f_low)
+            & (log_df <= params.log_delta_f_high))
+
+
+_VERDICTS = np.array(["pass", "phase", "delta_f", "delta_f+phase"],
+                     dtype=object)
+
+
+def second_level_filter(candidates: PairTable, params: PhaseMetricParams,
                         explain: bool = False):
     """Keep candidates passing the frequency-offset AND phase windows.
 
-    Both windows are closed.  Every candidate's phase_metric_rad field is
-    filled in as a side effect (diagnostics plots use the rejected ones
-    too).  With explain=True returns (survivors, reasons) where reasons is a
-    list aligned with the input: "pass", "delta_f", "phase", or both.
+    Both windows are closed.  The phase_metric_rad column of `candidates`
+    is filled in for every pair as a side effect (diagnostics plots use the
+    rejected ones too).  Returns the surviving PairTable; with explain=True
+    returns (survivors, reasons) where reasons is a list aligned with the
+    input: "pass", "delta_f", "phase", or "delta_f+phase".
     """
-    candidates = list(candidates)
-    diff, delta_f, log_df = _candidate_arrays(candidates)
-    metric = wrap_phase(diff + TWO_PI * delta_f * params.tau_int_s)
-    df_ok = ((delta_f != 0.0)
-             & (log_df >= params.log_delta_f_low)
-             & (log_df <= params.log_delta_f_high))
+    metric = phase_metrics(candidates, params.tau_int_s)
+    candidates.phase_metric_rad = metric
+    df_ok = delta_f_window(candidates, params)
     ph_ok = np.abs(metric) <= params.filter_halfwidth_rad
-    survivors = []
-    reasons = []
-    for i, c in enumerate(candidates):
-        c.phase_metric_rad = float(metric[i])
-        if df_ok[i] and ph_ok[i]:
-            survivors.append(c)
-            reasons.append("pass")
-        elif not df_ok[i] and not ph_ok[i]:
-            reasons.append("delta_f+phase")
-        elif not df_ok[i]:
-            reasons.append("delta_f")
-        else:
-            reasons.append("phase")
+    survivors = candidates.take(np.flatnonzero(df_ok & ph_ok))
     if explain:
-        return survivors, reasons
+        return survivors, _VERDICTS[2 * ~df_ok + ~ph_ok].tolist()
     return survivors
 
 
-def tune_tau_int(candidates, params: PhaseMetricParams, stat_fn):
+def tune_tau_int(candidates: PairTable, params: PhaseMetricParams, stat_fn):
     """Scan assumed instrument delays; keep the best-scoring one.
 
     For each tau on the grid [tau_search_low_s, tau_search_high_s] (step
     tau_search_step_s) the second-level filter is applied with that tau and
-    `stat_fn(survivors)` is evaluated (typically the peak in-window binomial
-    significance).  Returns (best_tau_s, best_stat, taus, stats).
+    `stat_fn(survivors)` is evaluated on the surviving PairTable (typically
+    the peak in-window binomial significance).  The delta_f window does not
+    depend on tau, so only pairs inside it are scored at each tap.  Returns
+    (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
     (first such tap on equal distance), so a flat plateau of equally good
     delays reports the tap nearest the scan center rather than an
     arbitrary edge.
     """
-    candidates = list(candidates)
-    if not candidates:
+    if not len(candidates):
         raise ValidationError("no candidates to tune against")
     if params.tau_search_low_s is None:
         raise ValidationError("tau search range is not set")
     lo, hi, step = (params.tau_search_low_s, params.tau_search_high_s,
                     params.tau_search_step_s)
     taus = np.arange(lo, hi + 0.5 * step, step)
-    diff, delta_f, log_df = _candidate_arrays(candidates)
-    df_ok = ((delta_f != 0.0)
-             & (log_df >= params.log_delta_f_low)
-             & (log_df <= params.log_delta_f_high))
+    in_window = np.flatnonzero(delta_f_window(candidates, params))
+    diff = _phase_differences(candidates)[in_window]
+    pairs = candidates.take(in_window)
     stats = np.empty(taus.size)
     for j, tau in enumerate(taus):
-        metric = wrap_phase(diff + TWO_PI * delta_f * tau)
-        keep = df_ok & (np.abs(metric) <= params.filter_halfwidth_rad)
-        survivors = [candidates[i] for i in np.flatnonzero(keep)]
-        stats[j] = float(stat_fn(survivors))
+        metric = wrap_phase(diff + TWO_PI * pairs.delta_f_hz * tau)
+        keep = np.abs(metric) <= params.filter_halfwidth_rad
+        stats[j] = float(stat_fn(pairs.take(np.flatnonzero(keep))))
     best = float(np.max(stats))
     tied = np.flatnonzero(stats == best)
     center = 0.5 * (lo + hi)
@@ -174,15 +157,13 @@ def tune_tau_int(candidates, params: PhaseMetricParams, stat_fn):
     return float(taus[pick]), best, taus, stats
 
 
-def write_metric_diagnostics_csv(path, candidates,
+def write_metric_diagnostics_csv(path, candidates: PairTable,
                                  params: PhaseMetricParams) -> None:
     """Dump (delta_f, metric, verdict) per candidate for offline inspection."""
-    survivors, reasons = second_level_filter(candidates, params, explain=True)
-    del survivors
+    _, reasons = second_level_filter(candidates, params, explain=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("delta_f_hz,log10_delta_f_mhz,phase_metric_rad,verdict\n")
-        for c, r in zip(candidates, reasons):
-            log_df = c.log10_delta_f_mhz
-            log_str = f"{log_df:.6g}" if math.isfinite(log_df) else "-inf"
-            fh.write(f"{c.delta_f_hz:.6g},{log_str},"
-                     f"{c.phase_metric_rad:.6g},{r}\n")
+        write_rows(fh, "%.6g,%s,%.6g,%s\n", [
+            candidates.delta_f_hz, log_df_text(candidates),
+            candidates.phase_metric_rad,
+            np.asarray(reasons, dtype=object)])

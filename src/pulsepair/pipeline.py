@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -23,9 +22,10 @@ import numpy as np
 from . import kvconfig
 from .calib import SIDEREAL_DAY_S, lst_hours
 from .errors import ArchiveFormatError, StageError, ValidationError
-from .pairdetect import (FirstLevelFilterParams, PulseEvent,
-                         first_level_filter_frame, form_pairs,
-                         read_level1_archive, write_level1_archive)
+from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
+                         first_level_filter_frame, form_pairs, log_df_text,
+                         read_level1_archive, write_level1_archive,
+                         write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int)
 from .plotting import caption_line, save_stats_figure
@@ -62,23 +62,23 @@ class CandidateRow:
     ra_pointing_hr: float
 
 
-def write_candidates_csv(path, candidates) -> None:
+_CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%s,%.6g,"
+                  "%.6g\n")
+
+
+def write_candidates_csv(path, candidates: PairTable) -> None:
     """Write candidates (typically second-level survivors) as CSV."""
+    ev, a, b = candidates.events, candidates.a, candidates.b
+    tags = np.asarray(ev.tags, dtype=object)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(CANDIDATE_COLUMNS) + "\n")
-        for c in candidates:
-            a, b = c.event_a, c.event_b
-            log_df = (f"{c.log10_delta_f_mhz:.6g}"
-                      if math.isfinite(c.log10_delta_f_mhz) else "-inf")
-            metric = (f"{c.phase_metric_rad:.6g}"
-                      if c.phase_metric_rad is not None else "nan")
-            fh.write(f"{a.utc_s:.3f},{b.utc_s:.3f},"
-                     f"{a.frame_index},{b.frame_index},"
-                     f"{a.bin_index},{b.bin_index},"
-                     f"{a.rf_freq_hz:.1f},{b.rf_freq_hz:.1f},"
-                     f"{a.polarization_tag},{b.polarization_tag},"
-                     f"{c.delta_t_s:.3f},{c.delta_f_hz:.6g},"
-                     f"{log_df},{metric},{c.ra_pointing_hr:.6g}\n")
+        write_rows(fh, _CANDIDATE_ROW, [
+            ev.utc_s[a], ev.utc_s[b], ev.frame_index[a], ev.frame_index[b],
+            ev.bin_index[a], ev.bin_index[b], ev.rf_freq_hz[a],
+            ev.rf_freq_hz[b], tags[ev.pol_code[a]], tags[ev.pol_code[b]],
+            candidates.delta_t_s, candidates.delta_f_hz,
+            log_df_text(candidates), candidates.phase_metric_rad,
+            candidates.ra_pointing_hr])
 
 
 def read_candidates_csv(path) -> list[CandidateRow]:
@@ -406,17 +406,17 @@ def load_frames_npz(path):
                    data["west"][i], rf)
 
 
-def detect_frames(manifest: ExperimentManifest, frames) -> list[PulseEvent]:
+def detect_frames(manifest: ExperimentManifest, frames) -> EventTable:
     """First-level filter a stream of loaded frames into events."""
     config = manifest.config
     params = manifest.first_level()
-    events: list[PulseEvent] = []
+    tables = []
     for (frame_index, utc, pol, east, west, rf) in frames:
         lst = float(lst_hours(utc, config.longitude_deg))
         ra = float(config.pointing_ra(lst))
-        events.extend(first_level_filter_frame(
+        tables.append(first_level_filter_frame(
             frame_index, utc, pol, east, west, rf, params, ra))
-    return events
+    return EventTable.concat(tables)
 
 
 # -- staged runner ----------------------------------------------------------
@@ -433,7 +433,7 @@ class ExperimentResult:
     analysis: AnalysisResult | None = None
 
 
-def _events_from_manifest(manifest: ExperimentManifest) -> list[PulseEvent]:
+def _events_from_manifest(manifest: ExperimentManifest) -> EventTable:
     config = manifest.config
     if manifest.mode == "events":
         return simulate_level1_events(
@@ -524,55 +524,48 @@ def run_experiment(manifest: ExperimentManifest,
     stage = "refilter"
     refilter_hash = manifest.refilter_params_hash()
     level1_hash = sha256_file(paths["level1"])
-    if artifact_current(stage, refilter_hash, level1_hash,
-                        [paths["candidates"]]):
-        mark(stage, refilter_hash, level1_hash, [paths["candidates"]])
+    counts = ("n_events", "n_candidates", "n_survivors")
+    if (artifact_current(stage, refilter_hash, level1_hash,
+                         [paths["candidates"]])
+            and all(f"stage.{stage}.{n}" in prior for n in counts)):
+        for name in counts:
+            setattr(result, name, int(prior[f"stage.{stage}.{name}"]))
         skipped.append(stage)
-        survivors = None
     else:
         try:
             events = read_level1_archive(paths["level1"])
-            result.n_events = len(events)
             pairs = form_pairs(events, manifest.pairing_window_frames,
                                manifest.require_pol_match)
-            result.n_candidates = len(pairs)
             survivors = second_level_filter(pairs, manifest.phase)
+            result.n_events = len(events)
+            result.n_candidates = len(pairs)
             result.n_survivors = len(survivors)
             write_candidates_csv(paths["candidates"], survivors)
         except Exception as exc:
             raise fail(stage, exc) from exc
-        mark(stage, refilter_hash, level1_hash, [paths["candidates"]])
+    mark(stage, refilter_hash, level1_hash, [paths["candidates"]])
+    for name in counts:
+        record[f"stage.{stage}.{name}"] = str(getattr(result, name))
 
     # --- analyze ------------------------------------------------------------
     stage = "analyze"
     analyze_hash = manifest.analyze_params_hash()
-    cand_hash = sha256_file(paths["candidates"])
-    need = not artifact_current(stage, analyze_hash, cand_hash,
+    inputs_hash = sha256_file(paths["candidates"])
+    if manifest.p_mode == "exposure":
+        inputs_hash += "," + level1_hash    # the exposure comes from level-1
+    need = not artifact_current(stage, analyze_hash, inputs_hash,
                                 [paths["stats"], paths["report"]])
     try:
-        rows = read_candidates_csv(paths["candidates"])
-        ra = np.array([r.ra_pointing_hr for r in rows], dtype=float)
-        day = None
-        exposure = None
-        if manifest.per_day and rows:
-            t0 = min(r.utc_b_s for r in rows)
-            day = np.floor((np.array([r.utc_b_s for r in rows]) - t0)
-                           / SIDEREAL_DAY_S).astype(int)
-        if manifest.p_mode == "exposure":
-            level1 = read_level1_archive(paths["level1"])
-            exposure = np.array([e.ra_pointing_hr for e in level1])
-        analysis = analyze(ra, manifest.bin_edges(), manifest.p_mode,
-                           exposure_ra_hr=exposure, day_index=day)
+        analysis = analyze_candidates(manifest, paths["candidates"],
+                                      paths["level1"])
         result.analysis = analysis
         if need:
             write_stats_csv(paths["stats"], analysis.stats)
             _write_report(paths["report"], manifest, analysis)
     except Exception as exc:
         raise fail(stage, exc) from exc
-    if need:
-        mark(stage, analyze_hash, cand_hash, [paths["stats"], paths["report"]])
-    else:
-        mark(stage, analyze_hash, cand_hash, [paths["stats"], paths["report"]])
+    mark(stage, analyze_hash, inputs_hash, [paths["stats"], paths["report"]])
+    if not need:
         skipped.append(stage)
 
     # --- report -------------------------------------------------------------
@@ -595,6 +588,26 @@ def run_experiment(manifest: ExperimentManifest,
     kvconfig.write_kv_file(manifest_path, record)
     result.status = "ok"
     return result
+
+
+def analyze_candidates(manifest: ExperimentManifest, candidates_path,
+                       level1_path) -> AnalysisResult:
+    """The analyze stage: RA-binned statistics of a candidates CSV.
+
+    The level-1 archive is read only in exposure mode, for the exposure.
+    """
+    rows = read_candidates_csv(candidates_path)
+    ra = np.array([r.ra_pointing_hr for r in rows], dtype=float)
+    day = None
+    if manifest.per_day and rows:
+        t0 = min(r.utc_b_s for r in rows)
+        day = np.floor((np.array([r.utc_b_s for r in rows]) - t0)
+                       / SIDEREAL_DAY_S).astype(int)
+    exposure = None
+    if manifest.p_mode == "exposure":
+        exposure = read_level1_archive(level1_path).ra_pointing_hr
+    return analyze(ra, manifest.bin_edges(), manifest.p_mode,
+                   exposure_ra_hr=exposure, day_index=day)
 
 
 def _write_report(path, manifest: ExperimentManifest,
@@ -650,8 +663,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
         pairs = form_pairs(events, manifest.pairing_window_frames,
                            manifest.require_pol_match)
         survivors = second_level_filter(pairs, manifest.phase)
-        ra = np.array([c.ra_pointing_hr for c in survivors], dtype=float)
-        res = analyze(ra, edges, manifest.p_mode)
+        res = analyze(survivors.ra_pointing_hr, edges, manifest.p_mode)
         if res.peak is None:
             max_d, peak_lo = 0.0, float(edges[0])
         else:
@@ -677,12 +689,11 @@ def make_peak_stat_fn(bin_edges, p_mode: str = "uniform"):
     edges = np.asarray(bin_edges, dtype=float)
 
     def stat(survivors) -> float:
-        if not survivors:
+        if not len(survivors):
             return 0.0
-        ra = np.array([c.ra_pointing_hr for c in survivors], dtype=float)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = analyze(ra, edges, p_mode)
+            res = analyze(survivors.ra_pointing_hr, edges, p_mode)
         if res.peak is None:
             return 0.0
         return res.peak.cohens_d

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from pulsepair.calib import lst_hours
-from pulsepair.pairdetect import (FirstLevelFilterParams,
+from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
                                   first_level_filter_frame, form_pairs)
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
 from pulsepair.sigsim import (ObservationConfig, SourceSpec,
@@ -21,15 +21,15 @@ OBS_LON = -79.8398
 def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,
                   mode="freq"):
     """Simulate frames and run the first-level filter on every one."""
-    events = []
+    tables = []
     rf = config.rf_freqs()
     for fe, fw in simulate_frames(config, sources, rfi, n_frames,
                                   start_utc_s=start_utc_s, mode=mode):
         lst = float(lst_hours(fe.utc_s, config.longitude_deg))
-        events.extend(first_level_filter_frame(
+        tables.append(first_level_filter_frame(
             fe.frame_index, fe.utc_s, fe.polarization_tag,
             fe.bins, fw.bins, rf, params, float(config.pointing_ra(lst))))
-    return events
+    return EventTable.concat(tables)
 
 
 def wide_band_params(snr_threshold_db=12.0):
@@ -64,6 +64,6 @@ def scaled_survey_cohens_d(seed, inject):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         survivors = second_level_filter(pairs, PhaseMetricParams())
-        ra = np.array([c.ra_pointing_hr for c in survivors], dtype=float)
-        result = analyze(ra, 3.30 + 0.1 * np.arange(41), "uniform")
+        result = analyze(survivors.ra_pointing_hr,
+                         3.30 + 0.1 * np.arange(41), "uniform")
     return np.array([b.cohens_d for b in result.stats])

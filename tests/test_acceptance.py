@@ -108,7 +108,7 @@ def test_05_differential_phase_discrimination():
     events = detect_events(config, [src], [], 250, params)
     pairs = form_pairs(events)
     m = np.asarray(phase_metrics(pairs, tau_int_s=-144.0e-9 + 2.85e-9))
-    df = np.array([abs(p.delta_f_hz) for p in pairs])
+    df = np.abs(pairs.delta_f_hz)
     sel = (df > 0) & (df <= 2.0e6)
     pass_frac = float(np.mean(np.abs(m[sel]) <= 0.04))
 
@@ -125,9 +125,10 @@ def test_05_differential_phase_discrimination():
         cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1447.5e6,
                                 frame_seconds=0.1, seed=6)
         ev = detect_events(cfg, [], rfi, 25, params)
-        prs = [p for p in form_pairs(ev) if p.delta_f_hz != 0.0]
+        prs = form_pairs(ev)
+        prs = prs.take(np.flatnonzero(prs.delta_f_hz != 0.0))
         mm = np.asarray(phase_metrics(prs, tau_int_s=0.0))
-        frac = float(np.mean(np.abs(mm) <= 0.04)) if prs else 0.0
+        frac = float(np.mean(np.abs(mm) <= 0.04)) if len(prs) else 0.0
         verdicts.append((spacing_khz, frac >= 0.5))
     passing = [s for s, v in verdicts if v]
     failing = [s for s, v in verdicts if not v]
@@ -245,7 +246,7 @@ def test_09_oracle_equivalence_and_filter_monotonicity():
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
     events = simulate_level1_events(config, [], params, 1, 3.30, 3.90)
     assert len(events) >= 10_000
-    pairs = form_pairs(events[:10_000])
+    pairs = form_pairs(events.take(np.arange(10_000)))
     _, base_reasons = second_level_filter(pairs, PhaseMetricParams(),
                                           explain=True)
     base_pass = {i for i, r in enumerate(base_reasons) if r == "pass"}
@@ -281,9 +282,9 @@ def test_10_thread_count_never_changes_bytes(tmp_path):
             mode="events", n_transits=2, window_lo_hr=5.0, window_hi_hr=5.5,
             ra_bin_hr=0.1, threads=threads, out_dir=str(out)))
         assert res.status == "ok"
-        digests.append((sha256_file(out / "stats.csv"),
-                        sha256_file(out / "figure.svg")))
+        digests.append(tuple(sha256_file(out / name) for name in (
+            "level1.csv", "candidates.csv", "stats.csv", "figure.svg")))
     ok = digests[0] == digests[1] == digests[2]
-    _check(10, ok, f"stats.csv + figure.svg sha256 identical across "
-                   f"1/2/8 threads ({digests[0][0][:12]}..., "
-                   f"{digests[0][1][:12]}...)")
+    _check(10, ok, f"level1.csv + candidates.csv + stats.csv + figure.svg "
+                   f"sha256 identical across 1/2/8 threads "
+                   f"({', '.join(d[:12] + '...' for d in digests[0])})")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from pulsepair.errors import ArchiveFormatError, ValidationError
-from pulsepair.pairdetect import (ARCHIVE_COLUMNS, FirstLevelFilterParams,
-                                  PairCandidate, PulseEvent, archive_precision,
-                                  delta_f_filter, first_level_filter_frame,
+from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
+                                  FirstLevelFilterParams, PairTable,
+                                  PulseEvent, first_level_filter_frame,
                                   form_pairs, read_level1_archive,
                                   write_level1_archive)
+from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
 
 
 def _params(**kw):
@@ -33,6 +34,10 @@ def _event(frame=0, utc=0.0, k=0, rf=1410.0e6, pol="LHCP", ra=5.0):
                       polarization_tag=pol, ra_pointing_hr=ra)
 
 
+def _pairs(events, **kw):
+    return form_pairs(EventTable.from_rows(events), **kw)
+
+
 def test_first_level_needs_both_elements():
     rf = 1410.0e6 + np.arange(512) * 100.0
     east = _frame([17])
@@ -40,15 +45,15 @@ def test_first_level_needs_both_elements():
     west_cold = _frame([])
     both = first_level_filter_frame(0, 0.0, "LHCP", east, west_hot, rf,
                                     _params(), 5.0)
-    assert [e.bin_index for e in both] == [17]
-    ev = both[0]
+    assert both.bin_index.tolist() == [17]
+    ev, = both
     assert ev.rf_freq_hz == rf[17]
     assert ev.phase_east_rad == pytest.approx(0.3)
     assert ev.phase_west_rad == pytest.approx(-0.5)
     assert ev.ra_pointing_hr == 5.0
     only_east = first_level_filter_frame(0, 0.0, "LHCP", east, west_cold, rf,
                                          _params(), 5.0)
-    assert only_east == []
+    assert len(only_east) == 0
 
 
 def test_first_level_excision_window():
@@ -58,7 +63,7 @@ def test_first_level_excision_window():
     west = _frame(hot)
     events = first_level_filter_frame(0, 0.0, "LHCP", east, west, rf,
                                       _params(), 5.0)
-    kept = sorted(e.bin_index for e in events)
+    kept = sorted(events.bin_index.tolist())
     assert kept == [2, 300]                    # 1424.1 MHz is inside the notch
 
 
@@ -68,7 +73,7 @@ def test_first_level_band_edges_inclusive():
     events = first_level_filter_frame(
         0, 0.0, "LHCP", bins, bins, rf,
         _params(bins_per_segment=4, snr_threshold_db=0.1), 5.0)
-    kept = sorted(e.rf_freq_hz for e in events)
+    kept = sorted(events.rf_freq_hz.tolist())
     assert kept == [1405.0e6, 1455.0e6]
 
 
@@ -77,84 +82,125 @@ def test_form_pairs_chained_adjacency():
     events = [_event(k=5, rf=1410.0e6),
               _event(k=9, rf=1410.0e6 + 4.0e3),
               _event(k=20, rf=1410.0e6 + 15.0e3)]
-    pairs = form_pairs(events)
+    pairs = _pairs(events)
     assert len(pairs) == 2
-    assert pairs[0].event_a.bin_index == 5 and pairs[0].event_b.bin_index == 9
-    assert pairs[1].event_a.bin_index == 9 and pairs[1].event_b.bin_index == 20
-    assert pairs[0].delta_f_hz == pytest.approx(4.0e3)
-    assert pairs[0].log10_delta_f_mhz == pytest.approx(math.log10(4.0e3 / 1e6))
+    bins = pairs.events.bin_index
+    assert bins[pairs.a].tolist() == [5, 9]
+    assert bins[pairs.b].tolist() == [9, 20]
+    assert pairs.delta_f_hz[0] == pytest.approx(4.0e3)
+    assert pairs.log10_delta_f_mhz[0] == pytest.approx(
+        math.log10(4.0e3 / 1e6))
 
 
 def test_form_pairs_block_boundaries():
     # window K=1 -> blocks of 3 frames: {0,1,2} and {3,4,5}
     events = [_event(frame=2, utc=2.0, k=5),
               _event(frame=3, utc=3.0, k=6, rf=1410.1e6)]
-    assert form_pairs(events, pairing_window_frames=0) == []
-    assert form_pairs(events, pairing_window_frames=1) == []   # 2|3 split
+    assert len(_pairs(events, pairing_window_frames=0)) == 0
+    assert len(_pairs(events, pairing_window_frames=1)) == 0   # 2|3 split
     moved = [_event(frame=1, utc=1.0, k=5),
              _event(frame=2, utc=2.0, k=6, rf=1410.1e6)]
-    pairs = form_pairs(moved, pairing_window_frames=1)
+    pairs = _pairs(moved, pairing_window_frames=1)
     assert len(pairs) == 1
-    assert pairs[0].delta_t_s == pytest.approx(1.0)
+    assert pairs.delta_t_s[0] == pytest.approx(1.0)
 
 
 def test_form_pairs_sort_and_pol():
     # same bin: frame index orders the pair; pol matching splits streams
     events = [_event(frame=1, utc=1.0, k=5, pol="RHCP"),
               _event(frame=0, utc=0.0, k=5, pol="LHCP")]
-    pairs = form_pairs(events, pairing_window_frames=1)
+    pairs = _pairs(events, pairing_window_frames=1)
     assert len(pairs) == 1
-    assert pairs[0].event_a.frame_index == 0
-    assert pairs[0].delta_f_hz == 0.0
-    assert form_pairs(events, pairing_window_frames=1,
-                      require_pol_match=True) == []
+    assert pairs.events.frame_index[pairs.a[0]] == 0
+    assert pairs.delta_f_hz[0] == 0.0
+    assert len(_pairs(events, pairing_window_frames=1,
+                      require_pol_match=True)) == 0
 
 
 def test_delta_f_filter_window():
-    def cand(df_hz):
-        a = _event(k=0, rf=1410.0e6)
-        b = _event(k=1, rf=1410.0e6 + df_hz)
-        return form_pairs([a, b])[0]
-
-    assert not delta_f_filter(cand(0.0))          # co-channel never passes
-    assert not delta_f_filter(cand(7.8))          # below 10^-5.1 MHz
-    assert delta_f_filter(cand(8.0))
-    assert delta_f_filter(cand(1.9e6))
-    assert not delta_f_filter(cand(2.1e6))        # above 10^0.3 MHz
-    assert delta_f_filter(cand(-8.0e3))           # magnitude in the window
+    # one pair per frame, so pair i has frequency offset offsets[i]
+    offsets = [0.0, 7.8, 8.0, 1.9e6, 2.1e6, -8.0e3]
+    events = []
+    for frame, df_hz in enumerate(offsets):
+        events += [_event(frame=frame, k=0, rf=1410.0e6),
+                   _event(frame=frame, k=1, rf=1410.0e6 + df_hz)]
+    pairs = _pairs(events)
+    assert pairs.delta_f_hz.tolist() == pytest.approx(offsets)
+    assert delta_f_window(pairs, PhaseMetricParams()).tolist() == [
+        False,            # co-channel never passes
+        False,            # below 10^-5.1 MHz
+        True, True,
+        False,            # above 10^0.3 MHz
+        True,             # magnitude in the window
+    ]
 
 
 def test_archive_roundtrip(tmp_path):
     events = [_event(frame=3, utc=123.456789, k=7, rf=1412.3456e6, ra=4.25),
               _event(frame=4, utc=124.0, k=9, rf=1412.4e6, pol="RHCP")]
     path = tmp_path / "level1.csv"
-    write_level1_archive(path, events)
+    write_level1_archive(path, EventTable.from_rows(events))
     header = path.read_text().splitlines()[0]
     assert header == ",".join(ARCHIVE_COLUMNS)
-    back = read_level1_archive(path)
-    assert back == [archive_precision(e) for e in events]
+    back = list(read_level1_archive(path))
+    # values come back at archive precision: utc to ms, rf to 0.1 Hz
+    assert back == [
+        _event(frame=3, utc=123.457, k=7, rf=1412345600.0, ra=4.25),
+        _event(frame=4, utc=124.0, k=9, rf=1412.4e6, pol="RHCP")]
     # appending keeps one header and extends the rows
-    write_level1_archive(path, [events[0]], append=True)
+    write_level1_archive(path, EventTable.from_rows(events[:1]), append=True)
     assert len(read_level1_archive(path)) == 3
 
 
 def test_archive_rejects_garbage(tmp_path):
     path = tmp_path / "level1.csv"
-    write_level1_archive(path, [_event()])
-    lines = path.read_text().splitlines()
-    lines.append("1,2,3")                         # wrong column count
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ArchiveFormatError) as err:
-        read_level1_archive(path)
-    assert err.value.line_no == 3
+    write_level1_archive(path, EventTable.from_rows([_event(), _event(k=3)]))
+    header, good, good2 = path.read_text().splitlines()
+    # each bad row sits on line 4, after the header, a good row and a blank
+    # line (blank lines are skipped but still counted)
+    bad_rows = [
+        "1,2,3",                                      # wrong column count
+        good + ",extra",                              # one column too many
+        "#" + good,                                   # comment-like row
+        good.replace(",0,0,", ",3.0,0,", 1),         # float frame_index
+        good.replace(",0,0,", ",99999999999999999999,0,", 1),  # over int64
+        "2" + good[1:],                               # unknown schema_version
+    ]
+    for bad in bad_rows:
+        path.write_text("\n".join([header, good, "", bad, good2]) + "\n")
+        with pytest.raises(ArchiveFormatError) as err:
+            read_level1_archive(path)
+        assert err.value.line_no == 4, bad
+    path.write_text("\n".join([header, good, "", good2]) + "\n")
+    assert len(read_level1_archive(path)) == 2
     path.write_text("not,a,header\n")
     with pytest.raises(ArchiveFormatError):
         read_level1_archive(path)
 
 
+def test_archive_row_parser_reads_the_same_table(tmp_path):
+    # a quoted field is valid CSV that np.loadtxt cannot parse, so this
+    # archive takes the row parser; it must build the same table
+    events = [_event(frame=f, utc=0.25 * f, k=f, rf=1410.0e6 + 4.0e3 * f,
+                     pol=("RHCP", "LHCP")[f % 2], ra=4.0 + 0.25 * f)
+              for f in range(6)]
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, EventTable.from_rows(events))
+    fast = read_level1_archive(path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(",1,1,", ',"1",1,', 1)
+    path.write_text("\n".join(lines) + "\n")
+    slow = read_level1_archive(path)
+    assert list(slow) == list(fast) == [
+        _event(frame=f, utc=0.25 * f, k=f, rf=1410.0e6 + 4.0e3 * f,
+               pol=("RHCP", "LHCP")[f % 2], ra=4.0 + 0.25 * f)
+        for f in range(6)]
+    assert slow.tags == fast.tags == ("LHCP", "RHCP")
+
+
 def test_pair_ra_tracks_later_event():
     a = _event(frame=0, utc=0.0, k=0, ra=4.0)
     b = _event(frame=0, utc=0.0, k=2, rf=1410.1e6, ra=4.3)
-    pair = form_pairs([a, b])[0]
-    assert pair.ra_pointing_hr == 4.3
-    assert isinstance(pair, PairCandidate)
+    pairs = _pairs([a, b])
+    assert isinstance(pairs, PairTable)
+    assert pairs.ra_pointing_hr.tolist() == [4.3]

@@ -5,10 +5,9 @@ import pytest
 
 from pulsepair.channelizer import wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import PulseEvent, form_pairs
-from pulsepair.phasefilter import (PhaseMetricParams, phase_metric,
-                                   phase_metrics, second_level_filter,
-                                   tune_tau_int,
+from pulsepair.pairdetect import EventTable, PulseEvent, form_pairs
+from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
+                                   second_level_filter, tune_tau_int,
                                    write_metric_diagnostics_csv)
 
 TWO_PI = 2.0 * math.pi
@@ -22,9 +21,9 @@ def _event(k, rf, phi_e, phi_w, frame=0, utc=0.0, pol="LHCP", ra=5.0):
 
 
 def _pair(df_hz, diff_a=0.0, diff_b=0.0, f0=1410.0e6):
-    a = _event(0, f0, 0.1, wrap_phase(0.1 + diff_a))
-    b = _event(1, f0 + df_hz, -0.4, wrap_phase(-0.4 + diff_b))
-    return form_pairs([a, b])[0]
+    """Events (a, b) of one pair, for _pairs."""
+    return (_event(0, f0, 0.1, wrap_phase(0.1 + diff_a)),
+            _event(1, f0 + df_hz, -0.4, wrap_phase(-0.4 + diff_b)))
 
 
 def _consistent_pair(df_hz, tau_s, f0=1410.0e6):
@@ -33,9 +32,18 @@ def _consistent_pair(df_hz, tau_s, f0=1410.0e6):
                  diff_b=-TWO_PI * (f0 + df_hz) * tau_s)
 
 
+def _pairs(*pairs):
+    """A PairTable whose i-th pair is pairs[i] (each in its own frame)."""
+    events = []
+    for frame, (a, b) in enumerate(pairs):
+        a.frame_index = b.frame_index = frame
+        events += [a, b]
+    return form_pairs(EventTable.from_rows(events))
+
+
 def test_phase_metric_hand_value():
-    pair = _pair(1.0e5, diff_a=0.7, diff_b=0.9)
-    got = phase_metric(pair, tau_int_s=3.0e-6)
+    pair = _pairs(_pair(1.0e5, diff_a=0.7, diff_b=0.9))
+    got, = phase_metrics(pair, tau_int_s=3.0e-6)
     expect = wrap_phase((0.9 - 0.7) + TWO_PI * 1.0e5 * 3.0e-6)
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -43,50 +51,56 @@ def test_phase_metric_hand_value():
 def test_phase_metric_zeroes_at_true_delay():
     tau = -144.0e-9
     for df in (1.0e3, 5.0e5, 1.9e6):
-        pair = _consistent_pair(df, tau)
-        assert phase_metric(pair, tau_int_s=tau) == pytest.approx(0.0,
-                                                                  abs=1e-9)
+        pair = _pairs(_consistent_pair(df, tau))
+        assert phase_metrics(pair, tau_int_s=tau)[0] == pytest.approx(
+            0.0, abs=1e-9)
         # offsetting the assumed delay moves the metric by 2 pi df dtau
-        off = phase_metric(pair, tau_int_s=tau + 2.0e-9)
+        off, = phase_metrics(pair, tau_int_s=tau + 2.0e-9)
         assert off == pytest.approx(TWO_PI * df * 2.0e-9, rel=1e-6)
 
 
 def test_phase_metrics_vectorized():
-    pairs = [_pair(1.0e4, diff_b=0.3), _pair(2.0e4, diff_b=-0.2)]
+    pairs = _pairs(_pair(1.0e4, diff_b=0.3), _pair(2.0e4, diff_b=-0.2))
     m = phase_metrics(pairs, tau_int_s=0.0)
     assert m.shape == (2,)
-    assert m[0] == pytest.approx(phase_metric(pairs[0], 0.0))
-    assert m[1] == pytest.approx(phase_metric(pairs[1], 0.0))
+    # each entry equals the metric of its pair computed on its own
+    assert m[0] == pytest.approx(phase_metrics(
+        _pairs(_pair(1.0e4, diff_b=0.3)), 0.0)[0])
+    assert m[1] == pytest.approx(phase_metrics(
+        _pairs(_pair(2.0e4, diff_b=-0.2)), 0.0)[0])
+    assert m.tolist() == pytest.approx([0.3, -0.2])
 
 
 def test_phase_metric_rejects_bad_phase():
-    pair = _pair(1.0e4)
-    pair.event_a.phase_east_rad = float("nan")
+    a, b = _pair(1.0e4)
+    a.phase_east_rad = float("nan")
     with pytest.raises(ValidationError):
-        phase_metric(pair, 0.0)
+        phase_metrics(_pairs((a, b)), 0.0)
 
 
 def test_second_level_filter_reasons():
     params = PhaseMetricParams()
-    good = _pair(1.0e4, diff_b=0.02)              # |m| = 0.02 <= 0.04
-    hot = _pair(1.0e4, diff_b=0.30)               # phase fail
-    narrow = _pair(2.0, diff_b=0.0)               # delta f fail
-    both = _pair(2.0, diff_b=0.30)
-    survivors, reasons = second_level_filter([good, hot, narrow, both],
-                                             params, explain=True)
-    assert survivors == [good]
+    pairs = _pairs(
+        _pair(1.0e4, diff_b=0.02),                # good: |m| = 0.02 <= 0.04
+        _pair(1.0e4, diff_b=0.30),                # hot: phase fail
+        _pair(2.0, diff_b=0.0),                   # narrow: delta f fail
+        _pair(2.0, diff_b=0.30))                  # both
+    survivors, reasons = second_level_filter(pairs, params, explain=True)
+    assert list(survivors) == list(pairs)[:1]
     assert reasons == ["pass", "phase", "delta_f", "delta_f+phase"]
     # the metric is recorded on every candidate, survivor or not
-    assert all(p.phase_metric_rad is not None
-               for p in (good, hot, narrow, both))
-    assert hot.phase_metric_rad == pytest.approx(0.30)
+    assert not np.isnan(pairs.phase_metric_rad).any()
+    assert pairs.phase_metric_rad[1] == pytest.approx(0.30)
 
 
 def test_second_level_window_edges():
     params = PhaseMetricParams()
-    assert second_level_filter([_pair(1.0e4, diff_b=0.0399)], params)
-    assert not second_level_filter([_pair(1.0e4, diff_b=0.0401)], params)
-    assert not second_level_filter([_pair(0.0, diff_b=0.0)], params)
+    assert len(second_level_filter(
+        _pairs(_pair(1.0e4, diff_b=0.0399)), params)) == 1
+    assert len(second_level_filter(
+        _pairs(_pair(1.0e4, diff_b=0.0401)), params)) == 0
+    assert len(second_level_filter(
+        _pairs(_pair(0.0, diff_b=0.0)), params)) == 0
 
 
 def test_params_validation():
@@ -106,10 +120,9 @@ def test_tune_tau_recovers_plateau_delay():
     # a truth-centered scan reports it exactly
     tau = -144.0e-9
     rng = np.random.default_rng(5)
-    pairs = []
-    for _ in range(200):
-        df = 10.0 ** rng.uniform(6.0, math.log10(1.99e6))
-        pairs.append(_consistent_pair(df, tau))
+    pairs = _pairs(*(
+        _consistent_pair(10.0 ** rng.uniform(6.0, math.log10(1.99e6)), tau)
+        for _ in range(200)))
     params = PhaseMetricParams(tau_search_low_s=-154.0e-9,
                                tau_search_high_s=-134.0e-9,
                                tau_search_step_s=1.0e-9)
@@ -126,11 +139,11 @@ def test_tune_tau_ties_break_toward_scan_center():
     # one pair at -9 ns with df = 1.9 MHz passes at -10, -8 and -6 ns
     # (|2 pi df dtau| <= 0.04 up to |dtau| = 3.35 ns) and the tie goes to
     # the tap nearest the middle of the scan range, not a plateau edge
-    pair = _consistent_pair(1.9e6, -9.0e-9)
+    pair = _pairs(_consistent_pair(1.9e6, -9.0e-9))
     params = PhaseMetricParams(tau_search_low_s=-10.0e-9,
                                tau_search_high_s=-3.5e-9,
                                tau_search_step_s=2.0e-9)
-    best, stat, taus, stats = tune_tau_int([pair], params,
+    best, stat, taus, stats = tune_tau_int(pair, params,
                                            lambda s: float(len(s)))
     assert stats.tolist() == [1.0, 1.0, 1.0, 0.0]
     assert stat == 1.0
@@ -141,15 +154,15 @@ def test_tune_tau_validation():
     params = PhaseMetricParams(tau_search_low_s=-1e-9, tau_search_high_s=1e-9,
                                tau_search_step_s=1e-10)
     with pytest.raises(ValidationError):
-        tune_tau_int([], params, lambda s: 0.0)
+        tune_tau_int(_pairs(), params, lambda s: 0.0)
     with pytest.raises(ValidationError):
-        tune_tau_int([_pair(1e4)], PhaseMetricParams(), lambda s: 0.0)
+        tune_tau_int(_pairs(_pair(1e4)), PhaseMetricParams(), lambda s: 0.0)
 
 
 def test_metric_diagnostics_csv(tmp_path):
     path = tmp_path / "diag.csv"
-    write_metric_diagnostics_csv(path, [_pair(1.0e4, diff_b=0.02),
-                                        _pair(2.0, diff_b=0.5)],
+    write_metric_diagnostics_csv(path, _pairs(_pair(1.0e4, diff_b=0.02),
+                                              _pair(2.0, diff_b=0.5)),
                                  PhaseMetricParams())
     lines = path.read_text().splitlines()
     assert lines[0] == "delta_f_hz,log10_delta_f_mhz,phase_metric_rad,verdict"

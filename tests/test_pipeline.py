@@ -1,8 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file
+from pulsepair.pairdetect import EventTable, PulseEvent, write_level1_archive
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, CandidateRow,
                                 ExperimentManifest, make_peak_stat_fn,
                                 manifest_from_file, read_candidates_csv,
@@ -216,6 +219,39 @@ def test_run_experiment_resume_and_invalidate(tmp_path):
     res = run_experiment(widened)
     assert res.skipped == ["simulate"]
     assert res.status == "ok"
+
+
+def test_resumed_run_reports_cold_run_counts(tmp_path):
+    cold = run_experiment(_small_manifest(tmp_path))
+    warm = run_experiment(_small_manifest(tmp_path))
+    assert "refilter" in warm.skipped
+    assert cold.n_survivors > 0
+    assert ((warm.n_events, warm.n_candidates, warm.n_survivors)
+            == (cold.n_events, cold.n_candidates, cold.n_survivors))
+
+
+def test_exposure_stats_follow_the_archive(tmp_path):
+    run_experiment(_small_manifest(tmp_path / "sim"))
+    archive = tmp_path / "level1.csv"
+    shutil.copy(tmp_path / "sim" / "level1.csv", archive)
+    m = _small_manifest(tmp_path / "run")
+    m.level1_in = str(archive)
+    m.p_mode = "exposure"
+    run_experiment(m)
+    candidates = sha256_file(tmp_path / "run" / "candidates.csv")
+    stats = sha256_file(tmp_path / "run" / "stats.csv")
+    # lone events in frames of their own form no pairs, so the candidates
+    # stay the same while the exposure in the first RA bin grows
+    write_level1_archive(archive, EventTable.from_rows(
+        PulseEvent(frame_index=10**6 + i, utc_s=0.0, bin_index=0,
+                   rf_freq_hz=1445.0e6, snr_east_db=10.0, snr_west_db=10.0,
+                   phase_east_rad=0.1, phase_west_rad=0.2,
+                   polarization_tag="LHCP", ra_pointing_hr=5.05)
+        for i in range(500)), append=True)
+    res = run_experiment(m)
+    assert sha256_file(tmp_path / "run" / "candidates.csv") == candidates
+    assert "analyze" not in res.skipped
+    assert sha256_file(tmp_path / "run" / "stats.csv") != stats
 
 
 def test_run_experiment_byte_stability_across_threads(tmp_path):

@@ -164,7 +164,7 @@ def test_rfi_duty_cycle_zero_is_silent():
     params = FirstLevelFilterParams(
         snr_threshold_db=12.0, band_low_hz=1445.0e6, band_high_hz=1445.1e6,
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
-    assert detect_events(cfg, [], [quiet], 5, params) == []
+    assert len(detect_events(cfg, [], [quiet], 5, params)) == 0
 
 
 def test_sampler_statistics():
@@ -183,9 +183,9 @@ def test_sampler_statistics():
     n_frames = round(4.0 / 24.0 * SIDEREAL_DAY_S / 0.52)
     lam = 2 * usable * p1 * p1 * n_frames
     assert abs(len(events) - lam) < 5.0 * math.sqrt(lam)
-    snr = np.array([e.snr_east_db for e in events])
+    snr = events.snr_east_db
     assert float(snr.min()) >= 8.5                  # conditioned on crossing
-    ra = np.array([e.ra_pointing_hr for e in events])
+    ra = events.ra_pointing_hr
     assert ra.min() >= 3.30 and ra.max() < 7.30
 
 
@@ -197,7 +197,7 @@ def test_sampler_deterministic_and_threaded():
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
     one = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5, threads=1)
     two = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5, threads=2)
-    assert one == two
+    assert list(one) == list(two)
     assert len(one) > 100
 
 
