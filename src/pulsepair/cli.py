@@ -135,7 +135,8 @@ def cmd_detect(args) -> int:
     if not os.path.exists(frames_path):
         raise ValidationError(f"frames file {frames_path} does not exist")
     events = pipeline.detect_frames(
-        manifest, pipeline.load_frames_npz(frames_path))
+        manifest.config, manifest.first_level(),
+        pipeline.load_frames_npz(frames_path))
     path = os.path.join(args.out, "level1.csv")
     write_level1_archive(path, events)
     print(f"detect: {len(events)} events -> {path}")

@@ -114,6 +114,14 @@ def read_candidates_csv(path) -> list[CandidateRow]:
     return out
 
 
+_FILTER_KEYS = ("snr_threshold_db", "accept_band_low_hz",
+                "accept_band_high_hz", "excision_low_hz", "excision_high_hz")
+_RUN_KEYS = ("mode", "n_transits", "window_lo_hr", "window_hi_hr", "n_frames",
+             "start_utc_s", "ra_bin_hr", "p_mode", "per_day",
+             "pairing_window_frames", "require_pol_match", "fwhm_center_hr",
+             "fwhm_width_hr", "level1_in", "title")
+
+
 @dataclass
 class ExperimentManifest:
     """Full description of one experiment; serializes to key = value text."""
@@ -200,14 +208,9 @@ class ExperimentManifest:
                 kv[f"rfi.{i}.{f.name}"] = _fmt(getattr(r, f.name))
         for f in dc_fields(PhaseMetricParams):
             kv[f"phase.{f.name}"] = _fmt(getattr(self.phase, f.name))
-        for name in ("snr_threshold_db", "accept_band_low_hz",
-                     "accept_band_high_hz", "excision_low_hz",
-                     "excision_high_hz"):
+        for name in _FILTER_KEYS:
             kv[f"filter.{name}"] = _fmt(getattr(self, name))
-        for name in ("mode", "n_transits", "window_lo_hr", "window_hi_hr",
-                     "n_frames", "start_utc_s", "ra_bin_hr", "p_mode",
-                     "per_day", "pairing_window_frames", "require_pol_match",
-                     "fwhm_center_hr", "fwhm_width_hr", "level1_in", "title"):
+        for name in _RUN_KEYS:
             kv[f"run.{name}"] = _fmt(getattr(self, name))
         return kv
 
@@ -236,9 +239,6 @@ class ExperimentManifest:
                     src_kwargs[f.name] = _parse(kv[key], f.name, key)
             sources.append(SourceSpec(**src_kwargs))
             i += 1
-        for i in range(len(sources)):
-            for f in dc_fields(SourceSpec):
-                known.add(f"source.{i}.{f.name}")
         rfi = []
         i = 0
         while f"rfi.{i}.kind" in kv:
@@ -257,17 +257,12 @@ class ExperimentManifest:
             if key in kv:
                 phase_kwargs[f.name] = _parse(kv[key], f.name, key)
         top_kwargs = {}
-        for name in ("snr_threshold_db", "accept_band_low_hz",
-                     "accept_band_high_hz", "excision_low_hz",
-                     "excision_high_hz"):
+        for name in _FILTER_KEYS:
             key = f"filter.{name}"
             known.add(key)
             if key in kv:
                 top_kwargs[name] = _parse(kv[key], name, key)
-        for name in ("mode", "n_transits", "window_lo_hr", "window_hi_hr",
-                     "n_frames", "start_utc_s", "ra_bin_hr", "p_mode",
-                     "per_day", "pairing_window_frames", "require_pol_match",
-                     "fwhm_center_hr", "fwhm_width_hr", "level1_in", "title"):
+        for name in _RUN_KEYS:
             key = f"run.{name}"
             known.add(key)
             if key in kv:
@@ -391,25 +386,29 @@ def save_frames_npz(path, config: ObservationConfig, frame_pairs) -> None:
 
 
 def load_frames_npz(path):
-    """Yield (frame_index, utc_s, pol_tag, east_bins, west_bins, rf_freqs)."""
+    """Read the six members once; yield (index, utc, pol, east, west, rf)."""
+    names = ("frame_index", "utc_s", "polarization_tag", "east", "west",
+             "rf_freqs_hz")
     with np.load(path) as data:
-        required = {"frame_index", "utc_s", "polarization_tag", "east",
-                    "west", "rf_freqs_hz"}
-        missing = required - set(data.files)
+        missing = set(names) - set(data.files)
         if missing:
             raise ValidationError(
                 f"{path}: missing arrays: {', '.join(sorted(missing))}")
-        rf = data["rf_freqs_hz"]
-        for i in range(data["frame_index"].size):
-            yield (int(data["frame_index"][i]), float(data["utc_s"][i]),
-                   str(data["polarization_tag"][i]), data["east"][i],
-                   data["west"][i], rf)
+        index, utc, pols, east, west, rf = (data[name] for name in names)
+    n = index.size
+    shapes = ((n,),) * 3 + ((n, rf.size),) * 2
+    for name, arr, shape in zip(names, (index, utc, pols, east, west), shapes):
+        if arr.shape != shape:
+            raise ValidationError(
+                f"{path}: {name} has shape {arr.shape}, expected {shape}")
+    for i in range(n):
+        yield (int(index[i]), float(utc[i]), str(pols[i]), east[i], west[i],
+               rf)
 
 
-def detect_frames(manifest: ExperimentManifest, frames) -> EventTable:
+def detect_frames(config: ObservationConfig, params: FirstLevelFilterParams,
+                  frames) -> EventTable:
     """First-level filter a stream of loaded frames into events."""
-    config = manifest.config
-    params = manifest.first_level()
     tables = []
     for (frame_index, utc, pol, east, west, rf) in frames:
         lst = float(lst_hours(utc, config.longitude_deg))
@@ -446,7 +445,7 @@ def _events_from_manifest(manifest: ExperimentManifest) -> EventTable:
                              mode=manifest.mode)
     stream = ((fe.frame_index, fe.utc_s, fe.polarization_tag, fe.bins,
                fw.bins, config.rf_freqs()) for fe, fw in frames)
-    return detect_frames(manifest, stream)
+    return detect_frames(config, manifest.first_level(), stream)
 
 
 def run_experiment(manifest: ExperimentManifest,

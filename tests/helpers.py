@@ -7,10 +7,9 @@ import warnings
 
 import numpy as np
 
-from pulsepair.calib import lst_hours
-from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  first_level_filter_frame, form_pairs)
+from pulsepair.pairdetect import FirstLevelFilterParams, form_pairs
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
+from pulsepair.pipeline import detect_frames
 from pulsepair.sigsim import (ObservationConfig, SourceSpec,
                               simulate_frames, simulate_level1_events)
 from pulsepair.skystats import analyze
@@ -21,15 +20,12 @@ OBS_LON = -79.8398
 def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,
                   mode="freq"):
     """Simulate frames and run the first-level filter on every one."""
-    tables = []
     rf = config.rf_freqs()
-    for fe, fw in simulate_frames(config, sources, rfi, n_frames,
-                                  start_utc_s=start_utc_s, mode=mode):
-        lst = float(lst_hours(fe.utc_s, config.longitude_deg))
-        tables.append(first_level_filter_frame(
-            fe.frame_index, fe.utc_s, fe.polarization_tag,
-            fe.bins, fw.bins, rf, params, float(config.pointing_ra(lst))))
-    return EventTable.concat(tables)
+    frames = simulate_frames(config, sources, rfi, n_frames,
+                             start_utc_s=start_utc_s, mode=mode)
+    return detect_frames(config, params, (
+        (fe.frame_index, fe.utc_s, fe.polarization_tag, fe.bins, fw.bins, rf)
+        for fe, fw in frames))
 
 
 def wide_band_params(snr_threshold_db=12.0):

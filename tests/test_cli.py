@@ -72,7 +72,7 @@ def test_seed_override_changes_archive(tmp_path):
     assert a != (tmp_path / "c" / "level1.csv").read_bytes()
 
 
-def test_frames_chain(tmp_path):
+def _frames_config(tmp_path) -> str:
     m = ExperimentManifest(
         config=ObservationConfig(
             band_low_hz=1445.0e6, band_high_hz=1446.0e6,
@@ -82,7 +82,11 @@ def test_frames_chain(tmp_path):
         accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
         mode="freq", n_frames=8)
-    cfg = _write_config(tmp_path / "frames.cfg", m)
+    return _write_config(tmp_path / "frames.cfg", m)
+
+
+def test_frames_chain(tmp_path):
+    cfg = _frames_config(tmp_path)
     out = str(tmp_path / "out")
     assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
     assert (tmp_path / "out" / "frames.npz").exists()
@@ -91,6 +95,22 @@ def test_frames_chain(tmp_path):
     assert len(level1) > 1          # noise crossings at a 5 dB threshold
     assert cli.main(["refilter", "--config", cfg, "--out", out]) == 0
     assert (tmp_path / "out" / "candidates.csv").exists()
+
+
+def test_truncated_frame_store_is_a_validation_error(tmp_path, capsys):
+    cfg = _frames_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    store = tmp_path / "out" / "frames.npz"
+    with np.load(store) as data:
+        members = {name: data[name] for name in data.files}
+    members["east"] = members["east"][:-1]
+    np.savez_compressed(store, **members)
+    capsys.readouterr()
+    assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert str(store) in err and "east" in err
+    assert not (tmp_path / "out" / "level1.csv").exists()
 
 
 def test_calibrate(tmp_path):

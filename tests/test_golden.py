@@ -1,10 +1,12 @@
-"""Byte-identity guard: a tiny survey through the CLI against frozen sha256.
+"""Byte-identity guard: tiny CLI runs against frozen sha256.
 
 The survey is the README quick start (seed 42) cut to one transit over the
 5.2-5.4 h RA window, run simulate -> refilter -> analyze -> report, plus
-tune-tau over -1...+1 ns in 1 ns steps on its archive.  The hashes were
-frozen from the object-per-event implementation; any change to how events
-and pairs are stored must reproduce every byte.
+tune-tau over -1...+1 ns in 1 ns steps on its archive.  The frames chain is
+the README frames.cfg (seed 11) cut to 16 frames, run simulate -> detect ->
+refilter --diagnostics.  The hashes were frozen from earlier implementations;
+any change to how events, pairs or frames are stored or read must reproduce
+every byte.
 """
 import hashlib
 
@@ -47,6 +49,31 @@ GOLDEN = {
         "4a8c55098d4585557aa5b1a14f3899f0cab9cfe16d646913d384e88e89bb5209",
 }
 
+FRAMES_CFG = """\
+config.band_low_hz = 1445000000.0
+config.band_high_hz = 1446000000.0
+config.frame_seconds = 0.001024
+config.seed = 11
+filter.accept_band_low_hz = 1445000000.0
+filter.accept_band_high_hz = 1446000000.0
+filter.excision_low_hz = 1445000000.0
+filter.excision_high_hz = 1445000000.0
+filter.snr_threshold_db = 5.0
+run.mode = freq
+run.n_frames = 16
+"""
+
+FRAMES_GOLDEN = {
+    "frames.npz":
+        "8a794b17036ede686c1f22d14f516f725e395b66dc2bb10fdebeb558b3275085",
+    "level1.csv":
+        "9a8b3b98c39cc171b107316b0937426fc50077cd39ec0bddd95e58cb4918d671",
+    "candidates.csv":
+        "0e31399842339c57f7db0344557a5ac3c51cd0fafd82a1e84fdc738529cf202b",
+    "metric_diagnostics.csv":
+        "727f7681e8840e19d5973ad6dc062a02c965e5bfdb09990626a5c73ddccaedee",
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -67,3 +94,15 @@ def test_tiny_survey_bytes_match_frozen_hashes(tmp_path):
         assert cli.main(argv) == 0, argv
     got = {name: _sha256(out / name) for name in GOLDEN}
     assert got == GOLDEN
+
+
+def test_tiny_frames_bytes_match_frozen_hashes(tmp_path):
+    cfg = tmp_path / "frames.cfg"
+    cfg.write_text(FRAMES_CFG)
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    for argv in (["simulate", *common], ["detect", *common],
+                 ["refilter", *common, "--diagnostics"]):
+        assert cli.main(argv) == 0, argv
+    got = {name: _sha256(out / name) for name in FRAMES_GOLDEN}
+    assert got == FRAMES_GOLDEN

@@ -1,4 +1,5 @@
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file
 from pulsepair.pairdetect import EventTable, PulseEvent, write_level1_archive
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, CandidateRow,
-                                ExperimentManifest, make_peak_stat_fn,
+                                ExperimentManifest, detect_frames,
+                                load_frames_npz, make_peak_stat_fn,
                                 manifest_from_file, read_candidates_csv,
                                 run_experiment, run_null_mc, run_tune_tau,
-                                sha256_file, write_tau_scan_csv)
+                                save_frames_npz, sha256_file,
+                                write_tau_scan_csv)
 from pulsepair.phasefilter import PhaseMetricParams
-from pulsepair.sigsim import ObservationConfig, RfiSpec, SourceSpec
+from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
+                              simulate_frames)
+
+from helpers import detect_events, wide_band_params
 
 
 def _small_manifest(out_dir, seed=0, n_transits=2, threads=1):
@@ -342,3 +348,27 @@ def test_run_tune_tau(tmp_path):
 def test_make_peak_stat_fn_empty():
     fn = make_peak_stat_fn(np.array([3.0, 4.0]))
     assert fn([]) == 0.0
+
+
+def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
+    config = ObservationConfig(
+        band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
+        polarization_tags=("LHCP",), seed=5)
+    params = wide_band_params(snr_threshold_db=5.0)
+    path = tmp_path / "frames.npz"
+    save_frames_npz(path, config, simulate_frames(config, n_frames=16))
+    reads = Counter()
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def counting_getitem(self, key):
+        reads[key] += 1
+        return getitem(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                        counting_getitem)
+    events = detect_frames(config, params, load_frames_npz(path))
+    assert reads == {name: 1 for name in (
+        "frame_index", "utc_s", "polarization_tag", "east", "west",
+        "rf_freqs_hz")}
+    assert len(events) > 0
+    assert list(events) == list(detect_events(config, (), (), 16, params))
