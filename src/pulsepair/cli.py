@@ -12,9 +12,7 @@ import sys
 
 from . import __version__, calib, kvconfig, pipeline, plotting
 from .errors import StageError, UsageError, ValidationError
-from .pairdetect import form_pairs, read_level1_archive, write_level1_archive
-from .phasefilter import second_level_filter, write_metric_diagnostics_csv
-from .sigsim import simulate_frames, simulate_level1_events
+from .pairdetect import write_level1_archive
 from .skystats import read_stats_csv, write_stats_csv
 
 
@@ -106,34 +104,52 @@ def _load_manifest(args) -> pipeline.ExperimentManifest:
     return manifest
 
 
+def _input(path, out: str, name: str, what: str) -> str:
+    """`path` if given, else <out>/<name>; it must exist."""
+    path = path or os.path.join(out, name)
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} {path} does not exist")
+    return path
+
+
+def _archive(args, manifest) -> str:
+    """--level1, else run.level1_in, else <out>/level1.csv; must exist."""
+    return _input(getattr(args, "level1", None) or manifest.level1_in,
+                  args.out, "level1.csv", "archive")
+
+
+def _external(args, manifest) -> bool:
+    """With run.level1_in set, simulate and detect have nothing to write."""
+    path = pipeline.external_archive(manifest)
+    if path is not None:
+        print(f"{args.command}: external archive {path}, nothing written")
+    return path is not None
+
+
 def cmd_simulate(args) -> int:
     manifest = _load_manifest(args)
+    if _external(args, manifest):
+        return 0
     os.makedirs(args.out, exist_ok=True)
     if manifest.mode == "events":
-        events = simulate_level1_events(
-            manifest.config, manifest.sources, manifest.first_level(),
-            manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
-            start_utc_s=manifest.start_utc_s, threads=manifest.threads)
+        events = pipeline.simulate_events(manifest)
         path = os.path.join(args.out, "level1.csv")
         write_level1_archive(path, events)
         print(f"simulate: {len(events)} events -> {path}")
     else:
-        frames = simulate_frames(
-            manifest.config, manifest.sources, manifest.rfi,
-            n_frames=manifest.n_frames, start_utc_s=manifest.start_utc_s,
-            mode=manifest.mode)
         path = os.path.join(args.out, "frames.npz")
-        pipeline.save_frames_npz(path, manifest.config, frames)
+        pipeline.save_frames_npz(path, manifest.config,
+                                 pipeline.session_frames(manifest))
         print(f"simulate: {manifest.n_frames} frames -> {path}")
     return 0
 
 
 def cmd_detect(args) -> int:
     manifest = _load_manifest(args)
+    if _external(args, manifest):
+        return 0
     os.makedirs(args.out, exist_ok=True)
-    frames_path = args.frames or os.path.join(args.out, "frames.npz")
-    if not os.path.exists(frames_path):
-        raise ValidationError(f"frames file {frames_path} does not exist")
+    frames_path = _input(args.frames, args.out, "frames.npz", "frames file")
     events = pipeline.detect_frames(
         manifest.config, manifest.first_level(),
         pipeline.load_frames_npz(frames_path))
@@ -146,20 +162,15 @@ def cmd_detect(args) -> int:
 def cmd_refilter(args) -> int:
     manifest = _load_manifest(args)
     os.makedirs(args.out, exist_ok=True)
-    level1 = args.level1 or os.path.join(args.out, "level1.csv")
-    if not os.path.exists(level1):
-        raise ValidationError(f"archive {level1} does not exist")
-    events = read_level1_archive(level1)
-    pairs = form_pairs(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match)
-    survivors = second_level_filter(pairs, manifest.phase)
+    level1 = _archive(args, manifest)
     path = os.path.join(args.out, "candidates.csv")
-    pipeline.write_candidates_csv(path, survivors)
-    print(f"refilter: {len(events)} events, {len(pairs)} pairs, "
-          f"{len(survivors)} candidates -> {path}")
-    if args.diagnostics:
-        diag = os.path.join(args.out, "metric_diagnostics.csv")
-        write_metric_diagnostics_csv(diag, pairs, manifest.phase)
+    diag = (os.path.join(args.out, "metric_diagnostics.csv")
+            if args.diagnostics else None)
+    n_events, n_pairs, n_survivors = pipeline.refilter(manifest, level1,
+                                                       path, diag)
+    print(f"refilter: {n_events} events, {n_pairs} pairs, "
+          f"{n_survivors} candidates -> {path}")
+    if diag:
         print(f"refilter: diagnostics -> {diag}")
     return 0
 
@@ -167,14 +178,11 @@ def cmd_refilter(args) -> int:
 def cmd_analyze(args) -> int:
     manifest = _load_manifest(args)
     os.makedirs(args.out, exist_ok=True)
-    cand_path = args.candidates or os.path.join(args.out, "candidates.csv")
-    if not os.path.exists(cand_path):
-        raise ValidationError(f"candidates file {cand_path} does not exist")
-    level1 = manifest.level1_in or os.path.join(args.out, "level1.csv")
-    if manifest.p_mode == "exposure" and not os.path.exists(level1):
-        raise ValidationError(
-            "exposure mode needs the level-1 archive next to the "
-            f"candidates ({level1} missing)")
+    cand_path = _input(args.candidates, args.out, "candidates.csv",
+                       "candidates file")
+    level1 = None                   # read only for the exposure
+    if manifest.p_mode == "exposure":
+        level1 = _archive(args, manifest)
     res = pipeline.analyze_candidates(manifest, cand_path, level1)
     stats_path = os.path.join(args.out, "stats.csv")
     write_stats_csv(stats_path, res.stats)
@@ -212,9 +220,7 @@ def cmd_calibrate(args) -> int:
 def cmd_tune_tau(args) -> int:
     manifest = _load_manifest(args)
     os.makedirs(args.out, exist_ok=True)
-    level1 = args.level1 or os.path.join(args.out, "level1.csv")
-    if not os.path.exists(level1):
-        raise ValidationError(f"archive {level1} does not exist")
+    level1 = _archive(args, manifest)
     best_tau, best_stat, taus, stats = pipeline.run_tune_tau(manifest, level1)
     scan_path = os.path.join(args.out, "tau_scan.csv")
     pipeline.write_tau_scan_csv(scan_path, taus, stats)
@@ -250,21 +256,15 @@ def cmd_null_mc(args) -> int:
 
 def cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    stats_path = args.stats or os.path.join(args.out, "stats.csv")
-    if not os.path.exists(stats_path):
-        raise ValidationError(f"stats file {stats_path} does not exist")
+    stats_path = _input(args.stats, args.out, "stats.csv", "stats file")
     stats = read_stats_csv(stats_path)
-    fwhm_center = fwhm_width = None
-    title = "RA-binned pair excess"
-    if args.config:
-        manifest = _load_manifest(args)
-        fwhm_center = manifest.fwhm_center_hr
-        fwhm_width = manifest.fwhm_width_hr
-        title = manifest.title
+    manifest = (_load_manifest(args) if args.config
+                else pipeline.ExperimentManifest())
     if args.format == "svg":
         path = os.path.join(args.out, "figure.svg")
-        plotting.save_stats_figure(path, stats, fwhm_center, fwhm_width,
-                                   title=title)
+        plotting.save_stats_figure(path, stats, manifest.fwhm_center_hr,
+                                   manifest.fwhm_width_hr,
+                                   title=manifest.title)
     else:
         path = os.path.join(args.out, "figure_caption.csv")
         with open(path, "w", newline="\n") as fh:

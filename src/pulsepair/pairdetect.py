@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -317,32 +316,18 @@ _ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"
                 "%.6g,%s,%.6g\n")
 
 
-def write_level1_archive(path, events: EventTable,
-                         append: bool = False) -> None:
+def write_level1_archive(path, events: EventTable) -> None:
     """Write events as a level-1 archive CSV (schema version 1).
 
     Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
-    digits) make the file a function of the data alone.  With append=True
-    the file must already exist with a matching header; rows are added
-    without rewriting (resume after partial runs).
+    digits) make the file a function of the data alone.
     """
     used = np.bincount(events.pol_code, minlength=len(events.tags)) > 0
     for tag, in_use in zip(events.tags, used):
         if in_use and (not tag or any(c in tag for c in ",\n\r")):
             raise ValidationError(f"bad polarization_tag {tag!r}")
-    if append:
-        if not os.path.exists(path):
-            raise ValidationError(f"cannot append, {path} does not exist")
-        with open(path, newline="") as fh:
-            first = fh.readline().strip()
-        if first.split(",") != ARCHIVE_COLUMNS:
-            raise ArchiveFormatError(f"{path}: header mismatch, cannot append")
-        mode = "a"
-    else:
-        mode = "w"
-    with open(path, mode, newline="\n") as fh:
-        if mode == "w":
-            fh.write(",".join(ARCHIVE_COLUMNS) + "\n")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(ARCHIVE_COLUMNS) + "\n")
         write_rows(fh, _ARCHIVE_ROW, [
             events.utc_s, events.frame_index, events.bin_index,
             events.rf_freq_hz, events.snr_east_db, events.snr_west_db,

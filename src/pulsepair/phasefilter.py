@@ -158,12 +158,15 @@ def tune_tau_int(candidates: PairTable, params: PhaseMetricParams, stat_fn):
 
 
 def write_metric_diagnostics_csv(path, candidates: PairTable,
-                                 params: PhaseMetricParams) -> None:
-    """Dump (delta_f, metric, verdict) per candidate for offline inspection."""
-    _, reasons = second_level_filter(candidates, params, explain=True)
+                                 verdicts) -> None:
+    """Dump (delta_f, metric, verdict) per candidate for offline inspection.
+
+    `verdicts` are the reasons second_level_filter(..., explain=True)
+    returned for `candidates`, whose phase_metric_rad that call filled in.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write("delta_f_hz,log10_delta_f_mhz,phase_metric_rad,verdict\n")
         write_rows(fh, "%.6g,%s,%.6g,%s\n", [
             candidates.delta_f_hz, log_df_text(candidates),
             candidates.phase_metric_rad,
-            np.asarray(reasons, dtype=object)])
+            np.asarray(verdicts, dtype=object)])

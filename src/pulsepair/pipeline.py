@@ -1,12 +1,14 @@
 """Staged experiment runner: manifest in, artifacts plus manifest out.
 
 Stages are simulate (or ingest an existing level-1 archive), refilter,
-analyze, report.  Every artifact is written with fixed formats, hashed with
-sha256, and recorded in `manifest.txt` together with a hash of exactly the
-parameters that can change that artifact's bytes; a rerun in the same output
-directory skips any stage whose parameter hash, input hashes, and output
-hashes all still match.  Thread count and output location are deliberately
-excluded from the hashes: they must never change results.
+analyze, report; `simulate_events`, `refilter` and `analyze_candidates` are
+the stage functions that the CLI calls too.  Every artifact is written with
+fixed formats, hashed with sha256, and recorded in `manifest.txt` together
+with a hash of exactly the parameters that can change that artifact's
+bytes; a rerun in the same output directory skips any stage whose parameter
+hash, input hashes, and output hashes all still match.  Thread count and
+output location are deliberately excluded from the hashes: they must never
+change results.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import typing
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
@@ -27,19 +32,11 @@ from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
                          read_level1_archive, write_level1_archive,
                          write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
-                          tune_tau_int)
+                          tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
                      simulate_level1_events)
 from .skystats import AnalysisResult, analyze, write_stats_csv
-
-CANDIDATE_COLUMNS = [
-    "utc_a_s", "utc_b_s", "frame_a", "frame_b", "bin_a", "bin_b",
-    "rf_a_hz", "rf_b_hz", "polarization_a", "polarization_b",
-    "delta_t_s", "delta_f_hz", "log10_delta_f_mhz", "phase_metric_rad",
-    "ra_pointing_hr",
-]
-
 
 @dataclass
 class CandidateRow:
@@ -62,6 +59,7 @@ class CandidateRow:
     ra_pointing_hr: float
 
 
+CANDIDATE_COLUMNS = [f.name for f in dc_fields(CandidateRow)]
 _CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%s,%.6g,"
                   "%.6g\n")
 
@@ -82,6 +80,8 @@ def write_candidates_csv(path, candidates: PairTable) -> None:
 
 
 def read_candidates_csv(path) -> list[CandidateRow]:
+    hints = typing.get_type_hints(CandidateRow)
+    kinds = [hints[name] for name in CANDIDATE_COLUMNS]
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -98,28 +98,15 @@ def read_candidates_csv(path) -> list[CandidateRow]:
                 raise ArchiveFormatError(
                     f"expected {len(CANDIDATE_COLUMNS)} columns", line_no)
             try:
-                out.append(CandidateRow(
-                    utc_a_s=float(row[0]), utc_b_s=float(row[1]),
-                    frame_a=int(row[2]), frame_b=int(row[3]),
-                    bin_a=int(row[4]), bin_b=int(row[5]),
-                    rf_a_hz=float(row[6]), rf_b_hz=float(row[7]),
-                    polarization_a=row[8], polarization_b=row[9],
-                    delta_t_s=float(row[10]), delta_f_hz=float(row[11]),
-                    log10_delta_f_mhz=float(row[12]),
-                    phase_metric_rad=float(row[13]),
-                    ra_pointing_hr=float(row[14]),
-                ))
+                values = [kind(v) for kind, v in zip(kinds, row)]
             except ValueError as exc:
                 raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
+            out.append(CandidateRow(*values))
     return out
 
 
 _FILTER_KEYS = ("snr_threshold_db", "accept_band_low_hz",
                 "accept_band_high_hz", "excision_low_hz", "excision_high_hz")
-_RUN_KEYS = ("mode", "n_transits", "window_lo_hr", "window_hi_hr", "n_frames",
-             "start_utc_s", "ra_bin_hr", "p_mode", "per_day",
-             "pairing_window_frames", "require_pol_match", "fwhm_center_hr",
-             "fwhm_width_hr", "level1_in", "title")
 
 
 @dataclass
@@ -193,87 +180,55 @@ class ExperimentManifest:
     # -- serialization ----------------------------------------------------
 
     def to_kv(self) -> dict:
-        kv: dict[str, str] = {}
-        for f in dc_fields(ObservationConfig):
-            value = getattr(self.config, f.name)
-            if f.name == "polarization_tags":
-                kv["config.polarization_tags"] = ",".join(value)
-            else:
-                kv[f"config.{f.name}"] = _fmt(value)
+        return {prefix + name: _fmt(getattr(obj, name))
+                for prefix, obj, names in self._sections() for name in names}
+
+    def _sections(self):
+        """(key prefix, object, field names) of every serialized section."""
+        yield "config.", self.config, _names(ObservationConfig)
         for i, src in enumerate(self.sources):
-            for f in dc_fields(SourceSpec):
-                kv[f"source.{i}.{f.name}"] = _fmt(getattr(src, f.name))
+            yield f"source.{i}.", src, _names(SourceSpec)
         for i, r in enumerate(self.rfi):
-            for f in dc_fields(RfiSpec):
-                kv[f"rfi.{i}.{f.name}"] = _fmt(getattr(r, f.name))
-        for f in dc_fields(PhaseMetricParams):
-            kv[f"phase.{f.name}"] = _fmt(getattr(self.phase, f.name))
-        for name in _FILTER_KEYS:
-            kv[f"filter.{name}"] = _fmt(getattr(self, name))
-        for name in _RUN_KEYS:
-            kv[f"run.{name}"] = _fmt(getattr(self, name))
-        return kv
+            yield f"rfi.{i}.", r, _names(RfiSpec)
+        yield "phase.", self.phase, _names(PhaseMetricParams)
+        yield "filter.", self, _FILTER_KEYS
+        yield "run.", self, _run_keys()
 
     @classmethod
     def from_kv(cls, kv: dict, source: str = "<config>") -> "ExperimentManifest":
         known = set()
-        cfg_kwargs = {}
-        for f in dc_fields(ObservationConfig):
-            key = f"config.{f.name}"
-            known.add(key)
-            if key not in kv:
-                continue
-            if f.name == "polarization_tags":
-                tags = tuple(t.strip() for t in kv[key].split(",") if t.strip())
-                cfg_kwargs[f.name] = tags
-            else:
-                cfg_kwargs[f.name] = _parse(kv[key], f.name, key)
-        sources = []
-        i = 0
-        while f"source.{i}.name" in kv:
-            src_kwargs = {}
-            for f in dc_fields(SourceSpec):
-                key = f"source.{i}.{f.name}"
+
+        def take(prefix, typ, names=None):
+            hints = typing.get_type_hints(typ)
+            kwargs = {}
+            for name in names or _names(typ):
+                key = prefix + name
                 known.add(key)
                 if key in kv:
-                    src_kwargs[f.name] = _parse(kv[key], f.name, key)
-            sources.append(SourceSpec(**src_kwargs))
-            i += 1
-        rfi = []
-        i = 0
-        while f"rfi.{i}.kind" in kv:
-            rfi_kwargs = {}
-            for f in dc_fields(RfiSpec):
-                key = f"rfi.{i}.{f.name}"
-                known.add(key)
-                if key in kv:
-                    rfi_kwargs[f.name] = _parse(kv[key], f.name, key)
-            rfi.append(RfiSpec(**rfi_kwargs))
-            i += 1
-        phase_kwargs = {}
-        for f in dc_fields(PhaseMetricParams):
-            key = f"phase.{f.name}"
-            known.add(key)
-            if key in kv:
-                phase_kwargs[f.name] = _parse(kv[key], f.name, key)
-        top_kwargs = {}
-        for name in _FILTER_KEYS:
-            key = f"filter.{name}"
-            known.add(key)
-            if key in kv:
-                top_kwargs[name] = _parse(kv[key], name, key)
-        for name in _RUN_KEYS:
-            key = f"run.{name}"
-            known.add(key)
-            if key in kv:
-                top_kwargs[name] = _parse(kv[key], name, key)
+                    kwargs[name] = _parse(kv[key], hints[name], key)
+            return kwargs
+
+        def build(prefix, typ):
+            try:
+                return typ(**take(prefix, typ))
+            except TypeError as exc:        # a required key is missing
+                raise ValidationError(f"{source}: {prefix}*: {exc}") from None
+
+        config = build("config.", ObservationConfig)
+        sources, rfi = [], []
+        while f"source.{len(sources)}.name" in kv:
+            sources.append(build(f"source.{len(sources)}.", SourceSpec))
+        while f"rfi.{len(rfi)}.kind" in kv:
+            rfi.append(build(f"rfi.{len(rfi)}.", RfiSpec))
+        phase = build("phase.", PhaseMetricParams)
+        top = {**take("filter.", cls, _FILTER_KEYS),
+               **take("run.", cls, _run_keys())}
         unknown = set(kv) - known
         if unknown:
             raise ValidationError(
                 f"{source}: unknown keys: {', '.join(sorted(unknown))}")
-        return cls(config=ObservationConfig(**cfg_kwargs), sources=sources,
-                   rfi=rfi, phase=PhaseMetricParams(**phase_kwargs),
-                   **top_kwargs)
+        return cls(config=config, sources=sources, rfi=rfi, phase=phase,
+                   **top)
 
     # -- hashing ----------------------------------------------------------
 
@@ -305,11 +260,15 @@ class ExperimentManifest:
                                   "run.title"))
 
 
-_BOOL_FIELDS = {"segment_include_self", "per_day", "require_pol_match"}
-_INT_FIELDS = {"bins_per_segment", "seed", "n_transits", "n_frames",
-               "pairing_window_frames", "delta_t_frames"}
-_STR_FIELDS = {"mode", "p_mode", "level1_in", "title", "name",
-               "polarization_tag", "kind", "direction"}
+def _names(cls) -> tuple:
+    return tuple(f.name for f in dc_fields(cls))
+
+
+def _run_keys() -> tuple:
+    """The `run.` keys: every manifest field not serialized elsewhere."""
+    other = ("config", "sources", "rfi", "phase", "threads", "out_dir")
+    return tuple(name for name in _names(ExperimentManifest)
+                 if name not in other + _FILTER_KEYS)
 
 
 def _fmt(value) -> str:
@@ -319,25 +278,33 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(value)
     return str(value)
 
 
-def _parse(text: str, field_name: str, key: str):
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+
+def _parse(text: str, hint, key: str):
+    """Parse one value by its field's type: bool, int, float, str, tuple.
+
+    `none` is accepted only for an optional (`X | None`) field.
+    """
+    types = typing.get_args(hint) or (hint,)
     if text == "none":
-        return None
+        if type(None) in types:
+            return None
+        raise ValidationError(f"key {key!r}: none is not allowed")
+    kind = next(t for t in types if t is not type(None))
     try:
-        if field_name in _BOOL_FIELDS:
-            if text.lower() in ("true", "yes", "1"):
-                return True
-            if text.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError("not a boolean")
-        if field_name in _INT_FIELDS:
-            return int(text)
-        if field_name in _STR_FIELDS:
-            return text
-        return float(text)
-    except ValueError:
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        if kind is tuple:
+            return tuple(t.strip() for t in text.split(",") if t.strip())
+        return kind(text)
+    except (KeyError, ValueError):
         raise ValidationError(f"key {key!r}: cannot parse {text!r}") from None
 
 
@@ -389,12 +356,18 @@ def load_frames_npz(path):
     """Read the six members once; yield (index, utc, pol, east, west, rf)."""
     names = ("frame_index", "utc_s", "polarization_tag", "east", "west",
              "rf_freqs_hz")
-    with np.load(path) as data:
-        missing = set(names) - set(data.files)
-        if missing:
-            raise ValidationError(
-                f"{path}: missing arrays: {', '.join(sorted(missing))}")
-        index, utc, pols, east, west, rf = (data[name] for name in names)
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in names if name in data.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, TypeError,
+            ValueError) as exc:
+        raise ValidationError(
+            f"{path}: not a readable frame store: {exc}") from None
+    missing = set(names) - set(arrays)
+    if missing:
+        raise ValidationError(
+            f"{path}: missing arrays: {', '.join(sorted(missing))}")
+    index, utc, pols, east, west, rf = (arrays[name] for name in names)
     n = index.size
     shapes = ((n,),) * 3 + ((n, rf.size),) * 2
     for name, arr, shape in zip(names, (index, utc, pols, east, west), shapes):
@@ -432,20 +405,58 @@ class ExperimentResult:
     analysis: AnalysisResult | None = None
 
 
-def _events_from_manifest(manifest: ExperimentManifest) -> EventTable:
+def session_frames(manifest: ExperimentManifest):
+    """Simulate the frame modes' session: (east, west) FrameSpectrum pairs."""
+    return simulate_frames(manifest.config, manifest.sources, manifest.rfi,
+                           n_frames=manifest.n_frames,
+                           start_utc_s=manifest.start_utc_s,
+                           mode=manifest.mode)
+
+
+def simulate_events(manifest: ExperimentManifest) -> EventTable:
+    """The simulate stage in memory: the session's level-1 events.
+
+    Events mode samples them directly; the frame modes synthesize the
+    frames and first-level filter them.
+    """
     config = manifest.config
     if manifest.mode == "events":
         return simulate_level1_events(
             config, manifest.sources, manifest.first_level(),
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
             start_utc_s=manifest.start_utc_s, threads=manifest.threads)
-    frames = simulate_frames(config, manifest.sources, manifest.rfi,
-                             n_frames=manifest.n_frames,
-                             start_utc_s=manifest.start_utc_s,
-                             mode=manifest.mode)
     stream = ((fe.frame_index, fe.utc_s, fe.polarization_tag, fe.bins,
-               fw.bins, config.rf_freqs()) for fe, fw in frames)
+               fw.bins, config.rf_freqs())
+              for fe, fw in session_frames(manifest))
     return detect_frames(config, manifest.first_level(), stream)
+
+
+def external_archive(manifest: ExperimentManifest) -> str | None:
+    """`run.level1_in`, checked to exist; None when the run simulates."""
+    path = manifest.level1_in
+    if path is not None and not os.path.exists(path):
+        raise ValidationError(f"level1 archive {path} does not exist")
+    return path
+
+
+def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
+             diagnostics_path=None) -> tuple:
+    """The refilter stage: pair an archive and write its level-2 survivors.
+
+    With diagnostics_path, also write every pair's metric and verdict.
+    Returns (n_events, n_pairs, n_survivors).
+    """
+    events = read_level1_archive(level1_path)
+    pairs = form_pairs(events, manifest.pairing_window_frames,
+                       manifest.require_pol_match)
+    if diagnostics_path is None:
+        survivors = second_level_filter(pairs, manifest.phase)
+    else:
+        survivors, verdicts = second_level_filter(pairs, manifest.phase,
+                                                  explain=True)
+        write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts)
+    write_candidates_csv(candidates_path, survivors)
+    return len(events), len(pairs), len(survivors)
 
 
 def run_experiment(manifest: ExperimentManifest,
@@ -502,22 +513,17 @@ def run_experiment(manifest: ExperimentManifest,
     # --- simulate ---------------------------------------------------------
     stage = "simulate"
     sim_hash = manifest.simulate_params_hash()
-    if manifest.level1_in is not None:
-        if not os.path.exists(paths["level1"]):
-            raise ValidationError(
-                f"level1 archive {paths['level1']} does not exist")
-        mark(stage, sim_hash, "external", [paths["level1"]])
+    sim_inputs = "none" if external_archive(manifest) is None else "external"
+    if sim_inputs == "external":
         skipped.append("simulate (external archive)")
-    elif artifact_current(stage, sim_hash, "none", [paths["level1"]]):
-        mark(stage, sim_hash, "none", [paths["level1"]])
+    elif artifact_current(stage, sim_hash, sim_inputs, [paths["level1"]]):
         skipped.append(stage)
     else:
         try:
-            events = _events_from_manifest(manifest)
-            write_level1_archive(paths["level1"], events)
+            write_level1_archive(paths["level1"], simulate_events(manifest))
         except Exception as exc:
             raise fail(stage, exc) from exc
-        mark(stage, sim_hash, "none", [paths["level1"]])
+    mark(stage, sim_hash, sim_inputs, [paths["level1"]])
 
     # --- refilter -----------------------------------------------------------
     stage = "refilter"
@@ -532,14 +538,9 @@ def run_experiment(manifest: ExperimentManifest,
         skipped.append(stage)
     else:
         try:
-            events = read_level1_archive(paths["level1"])
-            pairs = form_pairs(events, manifest.pairing_window_frames,
-                               manifest.require_pol_match)
-            survivors = second_level_filter(pairs, manifest.phase)
-            result.n_events = len(events)
-            result.n_candidates = len(pairs)
-            result.n_survivors = len(survivors)
-            write_candidates_csv(paths["candidates"], survivors)
+            (result.n_events, result.n_candidates,
+             result.n_survivors) = refilter(manifest, paths["level1"],
+                                            paths["candidates"])
         except Exception as exc:
             raise fail(stage, exc) from exc
     mark(stage, refilter_hash, level1_hash, [paths["candidates"]])
@@ -572,7 +573,6 @@ def run_experiment(manifest: ExperimentManifest,
     report_hash = manifest.report_params_hash()
     stats_hash = sha256_file(paths["stats"])
     if artifact_current(stage, report_hash, stats_hash, [paths["figure"]]):
-        mark(stage, report_hash, stats_hash, [paths["figure"]])
         skipped.append(stage)
     else:
         try:
@@ -581,7 +581,7 @@ def run_experiment(manifest: ExperimentManifest,
                               title=manifest.title)
         except Exception as exc:
             raise fail(stage, exc) from exc
-        mark(stage, report_hash, stats_hash, [paths["figure"]])
+    mark(stage, report_hash, stats_hash, [paths["figure"]])
 
     record["status"] = "ok"
     kvconfig.write_kv_file(manifest_path, record)
@@ -651,14 +651,11 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
         raise ValidationError("null-mc runs on the events mode")
     rows = []
     clean = 0
-    params = manifest.first_level()
     edges = manifest.bin_edges()
     for i in range(n_seeds):
         seed = manifest.config.seed + i
-        config = replace(manifest.config, seed=seed)
-        events = simulate_level1_events(
-            config, [], params, manifest.n_transits, manifest.window_lo_hr,
-            manifest.window_hi_hr, threads=manifest.threads)
+        events = simulate_events(replace(
+            manifest, config=replace(manifest.config, seed=seed), sources=[]))
         pairs = form_pairs(events, manifest.pairing_window_frames,
                            manifest.require_pol_match)
         survivors = second_level_filter(pairs, manifest.phase)

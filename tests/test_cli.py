@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulsepair import cli
+from pulsepair import cli, phasefilter, pipeline
 from pulsepair.calib import FWHM_PER_SIGMA, utc_at_lst
 from pulsepair.kvconfig import read_kv_file
 from pulsepair.phasefilter import PhaseMetricParams
@@ -111,6 +111,98 @@ def test_truncated_frame_store_is_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(store) in err and "east" in err
     assert not (tmp_path / "out" / "level1.csv").exists()
+
+
+def test_unreadable_frame_store_is_a_validation_error(tmp_path, capsys):
+    cfg = _frames_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    store = tmp_path / "out" / "frames.npz"
+    whole = store.read_bytes()
+    for broken in (whole[:4000], b""):
+        store.write_bytes(broken)
+        capsys.readouterr()
+        assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
+        assert str(store) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "level1.csv").exists()
+
+
+def test_refilter_diagnostics_filter_once(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    calls = []
+    original = phasefilter.second_level_filter
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli, pipeline, phasefilter):
+        if getattr(module, "second_level_filter", None) is original:
+            monkeypatch.setattr(module, "second_level_filter", counting)
+    assert cli.main(["refilter", "--config", cfg, "--out", out,
+                     "--diagnostics"]) == 0
+    assert len(calls) == 1
+    diag = (tmp_path / "out" / "metric_diagnostics.csv").read_text()
+    assert len(diag.splitlines()) > 1
+
+
+def test_refilter_and_tune_tau_read_level1_in(tmp_path, capsys):
+    m = _events_manifest(phase=PhaseMetricParams(
+        tau_search_low_s=-4e-9, tau_search_high_s=4e-9,
+        tau_search_step_s=4e-9))
+    cfg = _write_config(tmp_path / "exp.cfg", m)
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    assert cli.main(["refilter", "--config", cfg, "--out", str(sim)]) == 0
+    m.level1_in = str(sim / "level1.csv")
+    ext_cfg = _write_config(tmp_path / "ext.cfg", m)
+    out = tmp_path / "out"
+    for command in ("refilter", "tune-tau", "analyze"):
+        assert cli.main([command, "--config", ext_cfg,
+                         "--out", str(out)]) == 0, command
+    assert not (out / "level1.csv").exists()
+    assert ((out / "candidates.csv").read_bytes()
+            == (sim / "candidates.csv").read_bytes())
+    assert (out / "tau_scan.csv").exists()
+    capsys.readouterr()
+
+
+def test_simulate_and_detect_leave_an_external_archive(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    archive = sim / "level1.csv"
+    before = archive.read_bytes()
+    events = _write_config(tmp_path / "events.cfg",
+                           _events_manifest(level1_in=str(archive)))
+    frames = tmp_path / "frames.cfg"      # no run.n_frames at all
+    frames.write_text(f"run.mode = freq\nrun.level1_in = {archive}\n")
+    for name, path in (("events", events), ("frames", str(frames))):
+        for command in ("simulate", "detect"):
+            out = tmp_path / f"{name}-{command}"
+            capsys.readouterr()
+            assert cli.main([command, "--config", path,
+                             "--out", str(out)]) == 0, (name, command)
+            assert "external archive" in capsys.readouterr().out
+            assert not out.exists()
+    assert archive.read_bytes() == before
+    gone = _write_config(tmp_path / "gone.cfg", _events_manifest(
+        level1_in=str(tmp_path / "missing.csv")))
+    assert cli.main(["simulate", "--config", gone]) == 3
+    capsys.readouterr()
+
+
+def test_none_only_for_optional_keys(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for line in ("config.seed = none", "run.window_lo_hr = none",
+                 "run.title = none", "config.polarization_tags = none"):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", out]) == 3, line
+        assert "none is not allowed" in capsys.readouterr().err
 
 
 def test_calibrate(tmp_path):

@@ -147,9 +147,6 @@ def test_archive_roundtrip(tmp_path):
     assert back == [
         _event(frame=3, utc=123.457, k=7, rf=1412345600.0, ra=4.25),
         _event(frame=4, utc=124.0, k=9, rf=1412.4e6, pol="RHCP")]
-    # appending keeps one header and extends the rows
-    write_level1_archive(path, EventTable.from_rows(events[:1]), append=True)
-    assert len(read_level1_archive(path)) == 3
 
 
 def test_archive_rejects_garbage(tmp_path):

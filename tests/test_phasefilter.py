@@ -161,9 +161,10 @@ def test_tune_tau_validation():
 
 def test_metric_diagnostics_csv(tmp_path):
     path = tmp_path / "diag.csv"
-    write_metric_diagnostics_csv(path, _pairs(_pair(1.0e4, diff_b=0.02),
-                                              _pair(2.0, diff_b=0.5)),
-                                 PhaseMetricParams())
+    pairs = _pairs(_pair(1.0e4, diff_b=0.02), _pair(2.0, diff_b=0.5))
+    _, verdicts = second_level_filter(pairs, PhaseMetricParams(),
+                                      explain=True)
+    write_metric_diagnostics_csv(path, pairs, verdicts)
     lines = path.read_text().splitlines()
     assert lines[0] == "delta_f_hz,log10_delta_f_mhz,phase_metric_rad,verdict"
     assert len(lines) == 3

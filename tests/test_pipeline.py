@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file
-from pulsepair.pairdetect import EventTable, PulseEvent, write_level1_archive
+from pulsepair.pairdetect import (EventTable, PulseEvent, read_level1_archive,
+                                  write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, CandidateRow,
                                 ExperimentManifest, detect_frames,
                                 load_frames_npz, make_peak_stat_fn,
@@ -248,12 +250,14 @@ def test_exposure_stats_follow_the_archive(tmp_path):
     stats = sha256_file(tmp_path / "run" / "stats.csv")
     # lone events in frames of their own form no pairs, so the candidates
     # stay the same while the exposure in the first RA bin grows
-    write_level1_archive(archive, EventTable.from_rows(
-        PulseEvent(frame_index=10**6 + i, utc_s=0.0, bin_index=0,
-                   rf_freq_hz=1445.0e6, snr_east_db=10.0, snr_west_db=10.0,
-                   phase_east_rad=0.1, phase_west_rad=0.2,
-                   polarization_tag="LHCP", ra_pointing_hr=5.05)
-        for i in range(500)), append=True)
+    write_level1_archive(archive, EventTable.concat([
+        read_level1_archive(archive), EventTable.from_rows(
+            PulseEvent(frame_index=10**6 + i, utc_s=0.0, bin_index=0,
+                       rf_freq_hz=1445.0e6, snr_east_db=10.0,
+                       snr_west_db=10.0, phase_east_rad=0.1,
+                       phase_west_rad=0.2, polarization_tag="LHCP",
+                       ra_pointing_hr=5.05)
+            for i in range(500))]))
     res = run_experiment(m)
     assert sha256_file(tmp_path / "run" / "candidates.csv") == candidates
     assert "analyze" not in res.skipped
@@ -372,3 +376,55 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
         "rf_freqs_hz")}
     assert len(events) > 0
     assert list(events) == list(detect_events(config, (), (), 16, params))
+
+
+def test_stage_hashes_are_frozen():
+    # frozen from an earlier schema implementation, so manifest.txt files
+    # written by it keep resuming
+    m = _full_manifest()
+    assert m.simulate_params_hash() == (
+        "17f11268cc474a80c6576ccded6005386cad2065e0b5847845d537c5c32783d5")
+    assert m.refilter_params_hash() == (
+        "b5082b9d7e359d4d9e6cb6bffa5ae07c63568d2328fac5231f00c43bc7959884")
+    assert m.analyze_params_hash() == (
+        "a535186c714a24a6ba6c6b9aa1bf9d7162c25fd83fa7c5f798eaa61d829448e7")
+    assert m.report_params_hash() == (
+        "419caca7ab3cce17ff2a253196f853d1e41b45db554b609901a89be4a4a28952")
+
+
+def test_manifest_values_parse_by_field_type():
+    kv = _full_manifest().to_kv()
+    kv.update({"config.hop_seconds": "none", "run.n_frames": "none",
+               "config.polarization_tags": " RHCP, LHCP ,",
+               "run.per_day": "Yes", "source.0.name": "none-like"})
+    m = ExperimentManifest.from_kv(kv)
+    assert m.config.hop_seconds == m.config.frame_seconds   # gapless
+    assert m.n_frames is None and m.per_day is True
+    assert m.config.polarization_tags == ("RHCP", "LHCP")
+    assert m.sources[0].name == "none-like"
+    for key in ("config.seed", "run.window_lo_hr", "run.title",
+                "source.0.ra_hr", "filter.snr_threshold_db"):
+        with pytest.raises(ValidationError, match=key):
+            ExperimentManifest.from_kv({**kv, key: "none"})
+    with pytest.raises(ValidationError, match="run.per_day"):
+        ExperimentManifest.from_kv({**kv, "run.per_day": "maybe"})
+
+
+def test_manifest_missing_required_source_key():
+    kv = _full_manifest().to_kv()
+    del kv["source.0.ra_hr"]
+    with pytest.raises(ValidationError, match="ra_hr"):
+        ExperimentManifest.from_kv(kv)
+
+
+def test_readme_config_reference_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for bullet in section.split("\n* `")[1:]:
+        prefix, _, text = bullet.partition(".*`")
+        bullets[prefix] = text
+    for key in _full_manifest().to_kv():
+        prefix, *_, name = key.split(".")
+        section = {"source": "source.N", "rfi": "rfi.N"}.get(prefix, prefix)
+        assert f"`{name}`" in bullets[section], key
