@@ -19,8 +19,8 @@ the metric, the delta_f window (delta_f_window, shared by the filter and
 the delay scan) and the verdicts are numpy columns aligned with its pairs.
 
 tune_tau_int scans assumed tau_int values and keeps the one whose surviving
-candidates maximize the in-window detection statistic; it is how the
-pipeline confirms (or discovers) the instrument delay epoch.
+candidates maximize the peak in-window Cohen's d; it is how the pipeline
+confirms (or discovers) the instrument delay epoch.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .channelizer import wrap_phase
 from .errors import ValidationError
 from .pairdetect import PairTable, log_df_text, write_rows
+from .skystats import peak_cohens_d, ra_bin_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,14 +121,18 @@ def second_level_filter(candidates: PairTable, params: PhaseMetricParams,
     return survivors
 
 
-def tune_tau_int(candidates: PairTable, params: PhaseMetricParams, stat_fn):
-    """Scan assumed instrument delays; keep the best-scoring one.
+def tune_tau_int(candidates: PairTable, params: PhaseMetricParams,
+                 bin_edges, probs):
+    """Scan assumed instrument delays; keep the one with the largest peak d.
 
-    For each tau on the grid [tau_search_low_s, tau_search_high_s] (step
-    tau_search_step_s) the second-level filter is applied with that tau and
-    `stat_fn(survivors)` is evaluated on the surviving PairTable (typically
-    the peak in-window binomial significance).  The delta_f window does not
-    depend on tau, so only pairs inside it are scored at each tap.  Returns
+    Each tau on the grid [tau_search_low_s, tau_search_high_s] (step
+    tau_search_step_s) scores what analyze(...).peak.cohens_d gives on the
+    pairs passing the second-level filter at that tau, over the RA bins
+    `bin_edges` with null probabilities `probs` (bin_probabilities), or 0
+    if none is in the window.  The RA bins are found once, and only pairs
+    inside both windows that can pass at some tap are scored: the metric
+    is linear in tau, so the arc it sweeps from the first tap to the last,
+    widened by the half-width, must reach a multiple of 2 pi.  Returns
     (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
@@ -142,14 +147,20 @@ def tune_tau_int(candidates: PairTable, params: PhaseMetricParams, stat_fn):
     lo, hi, step = (params.tau_search_low_s, params.tau_search_high_s,
                     params.tau_search_step_s)
     taus = np.arange(lo, hi + 0.5 * step, step)
-    in_window = np.flatnonzero(delta_f_window(candidates, params))
-    diff = _phase_differences(candidates)[in_window]
-    pairs = candidates.take(in_window)
-    stats = np.empty(taus.size)
-    for j, tau in enumerate(taus):
-        metric = wrap_phase(diff + TWO_PI * pairs.delta_f_hz * tau)
-        keep = np.abs(metric) <= params.filter_halfwidth_rad
-        stats[j] = float(stat_fn(pairs.take(np.flatnonzero(keep))))
+    diff = _phase_differences(candidates)
+    bins = ra_bin_index(candidates.ra_pointing_hr, bin_edges)
+    win = delta_f_window(candidates, params) & (bins >= 0)
+    slope = TWO_PI * candidates.delta_f_hz[win]
+    diff, bins = diff[win], bins[win]
+    hw = params.filter_halfwidth_rad
+    reach = hw + 1e-6         # slack for the rounding of wrap_phase and here
+    ends = diff + slope * taus[[0, -1], None]
+    k = np.ceil((ends.min(axis=0) - reach) / TWO_PI)
+    can = k * TWO_PI <= ends.max(axis=0) + reach
+    diff, slope, bins = diff[can], slope[can], bins[can]
+    stats = np.array([
+        peak_cohens_d(bins[np.abs(wrap_phase(diff + slope * tau)) <= hw],
+                      probs)[0] for tau in taus])
     best = float(np.max(stats))
     tied = np.flatnonzero(stats == best)
     center = 0.5 * (lo + hi)

@@ -13,11 +13,9 @@ change results.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import typing
-import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import kvconfig
 from .calib import SIDEREAL_DAY_S, lst_hours
-from .errors import ArchiveFormatError, StageError, ValidationError
+from .errors import StageError, ValidationError
 from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
                          first_level_filter_frame, form_pairs, log_df_text,
                          read_level1_archive, write_level1_archive,
@@ -36,7 +34,9 @@ from .phasefilter import (PhaseMetricParams, second_level_filter,
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
                      simulate_level1_events)
-from .skystats import AnalysisResult, analyze, write_stats_csv
+from .skystats import (AnalysisResult, analyze, bin_probabilities,
+                       peak_cohens_d, ra_bin_index, read_rows_csv,
+                       write_stats_csv)
 
 @dataclass
 class CandidateRow:
@@ -80,29 +80,7 @@ def write_candidates_csv(path, candidates: PairTable) -> None:
 
 
 def read_candidates_csv(path) -> list[CandidateRow]:
-    hints = typing.get_type_hints(CandidateRow)
-    kinds = [hints[name] for name in CANDIDATE_COLUMNS]
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ArchiveFormatError(f"{path}: empty file") from None
-        if header != CANDIDATE_COLUMNS:
-            raise ArchiveFormatError(f"{path}: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CANDIDATE_COLUMNS):
-                raise ArchiveFormatError(
-                    f"expected {len(CANDIDATE_COLUMNS)} columns", line_no)
-            try:
-                values = [kind(v) for kind, v in zip(kinds, row)]
-            except ValueError as exc:
-                raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
-            out.append(CandidateRow(*values))
-    return out
+    return read_rows_csv(path, CandidateRow)
 
 
 _FILTER_KEYS = ("snr_threshold_db", "accept_band_low_hz",
@@ -639,8 +617,8 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 significance_d: float = 3.5):
     """Source-free reruns: the distribution of the peak bin's excess.
 
-    Runs the full events-mode chain (sample, pair, filter, analyze) with all
-    sources removed for seeds seed0 .. seed0+n_seeds-1.  Returns (rows,
+    Runs the events-mode chain (sample, pair, filter, peak_cohens_d) with
+    all sources removed for seeds seed0 .. seed0+n_seeds-1.  Returns (rows,
     fraction_clean) where each row is (seed, n_trials, max_d, peak_ra_low)
     and fraction_clean is the share of seeds whose peak stays below
     `significance_d`.
@@ -659,14 +637,13 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
         pairs = form_pairs(events, manifest.pairing_window_frames,
                            manifest.require_pol_match)
         survivors = second_level_filter(pairs, manifest.phase)
-        res = analyze(survivors.ra_pointing_hr, edges, manifest.p_mode)
-        if res.peak is None:
-            max_d, peak_lo = 0.0, float(edges[0])
-        else:
-            max_d, peak_lo = res.peak.cohens_d, res.peak.ra_low_hr
+        bins = ra_bin_index(survivors.ra_pointing_hr, edges)
+        bins = bins[bins >= 0]
+        max_d, peak = peak_cohens_d(bins, bin_probabilities(
+            edges, manifest.p_mode, events.ra_pointing_hr))
         if max_d < significance_d:
             clean += 1
-        rows.append((seed, res.n_trials, max_d, peak_lo))
+        rows.append((seed, bins.size, max_d, float(edges[peak])))
     return rows, clean / n_seeds
 
 
@@ -677,26 +654,6 @@ def write_null_mc_csv(path, rows) -> None:
             fh.write(f"{seed},{n},{d:.8g},{lo:.6g}\n")
 
 
-def make_peak_stat_fn(bin_edges, p_mode: str = "uniform"):
-    """Scoring callback for tune_tau_int: peak in-window Cohen's d.
-
-    Returns 0 for an empty survivor set (no signal is no evidence).
-    """
-    edges = np.asarray(bin_edges, dtype=float)
-
-    def stat(survivors) -> float:
-        if not len(survivors):
-            return 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = analyze(survivors.ra_pointing_hr, edges, p_mode)
-        if res.peak is None:
-            return 0.0
-        return res.peak.cohens_d
-
-    return stat
-
-
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
@@ -705,12 +662,12 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
     events = read_level1_archive(level1_path)
     pairs = form_pairs(events, manifest.pairing_window_frames,
                        manifest.require_pol_match)
-    stat_fn = make_peak_stat_fn(manifest.bin_edges(), manifest.p_mode)
-    return tune_tau_int(pairs, manifest.phase, stat_fn)
+    edges = manifest.bin_edges()
+    probs = bin_probabilities(edges, manifest.p_mode, events.ra_pointing_hr)
+    return tune_tau_int(pairs, manifest.phase, edges, probs)
 
 
 def write_tau_scan_csv(path, taus, stats) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("tau_int_s,peak_cohens_d\n")
-        for tau, s in zip(taus, stats):
-            fh.write(f"{tau:.12g},{s:.8g}\n")
+        write_rows(fh, "%.12g,%.8g\n", [taus, stats])

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import ArchiveFormatError, ValidationError
-
-STATS_COLUMNS = [
-    "ra_low_hr", "ra_high_hr", "trials_n", "p_bin", "expected_mean",
-    "sigma", "observed_count", "cohens_d", "tail_prob_ge", "tail_prob_gt",
-]
-
 
 @dataclass
 class RABinStats:
@@ -45,6 +40,9 @@ class RABinStats:
     @property
     def center_hr(self) -> float:
         return 0.5 * (self.ra_low_hr + self.ra_high_hr)
+
+
+STATS_COLUMNS = [f.name for f in fields(RABinStats)]
 
 
 @dataclass
@@ -153,6 +151,33 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
                 "would be 0 and the binomial model undefined")
         return counts / total
     raise ValidationError(f"unknown probability mode {mode!r}")
+
+
+def ra_bin_index(ra_hr, bin_edges) -> np.ndarray:
+    """RA bin of each entry; -1 outside the window (not a trial).
+
+    Bin i holds edges[i] <= ra < edges[i+1], the way analyze counts trials.
+    """
+    ra = np.asarray(ra_hr, dtype=float)
+    idx = np.searchsorted(bin_edges, ra, side="right") - 1
+    return np.where((ra >= bin_edges[0]) & (ra < bin_edges[-1]), idx, -1)
+
+
+def peak_cohens_d(bins, probs) -> tuple:
+    """(d, i): the largest Cohen's d over the RA bins, and its first bin.
+
+    `bins` holds the bin of each in-window trial (ra_bin_index >= 0) and
+    `probs` the null per-bin probabilities (bin_probabilities); d equals
+    analyze(...).peak.cohens_d bit for bit.  No trials give (0.0, 0): no
+    signal is no evidence.
+    """
+    n = bins.size
+    if n == 0:
+        return 0.0, 0
+    k = np.bincount(bins, minlength=probs.size)
+    d = (k - n * probs) / np.sqrt(n * probs * (1.0 - probs))
+    i = int(np.argmax(d))
+    return float(d[i]), i
 
 
 def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
@@ -285,6 +310,18 @@ def write_stats_csv(path, stats) -> None:
 
 def read_stats_csv(path) -> list:
     """Read back a stats CSV (round-trips write_stats_csv)."""
+    return read_rows_csv(path, RABinStats)
+
+
+def read_rows_csv(path, cls) -> list:
+    """Read a CSV whose header is the field names of dataclass `cls`.
+
+    Each row becomes one `cls`, each value converted by its field's
+    annotation (int, float or str); every error carries its line number.
+    """
+    names = [f.name for f in fields(cls)]
+    hints = typing.get_type_hints(cls)
+    kinds = [hints[name] for name in names]
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -292,22 +329,17 @@ def read_stats_csv(path) -> list:
             header = next(reader)
         except StopIteration:
             raise ArchiveFormatError(f"{path}: empty file") from None
-        if header != STATS_COLUMNS:
+        if header != names:
             raise ArchiveFormatError(f"{path}: bad header {header!r}")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(STATS_COLUMNS):
+            if len(row) != len(names):
                 raise ArchiveFormatError(
-                    f"expected {len(STATS_COLUMNS)} columns", line_no)
+                    f"expected {len(names)} columns", line_no)
             try:
-                out.append(RABinStats(
-                    ra_low_hr=float(row[0]), ra_high_hr=float(row[1]),
-                    trials_n=int(row[2]), p_bin=float(row[3]),
-                    expected_mean=float(row[4]), sigma=float(row[5]),
-                    observed_count=int(row[6]), cohens_d=float(row[7]),
-                    tail_prob_ge=float(row[8]), tail_prob_gt=float(row[9]),
-                ))
+                values = [kind(v) for kind, v in zip(kinds, row)]
             except ValueError as exc:
                 raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
+            out.append(cls(*values))
     return out

@@ -17,12 +17,12 @@ from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, continuum_snr_db,
 from pulsepair.pairdetect import FirstLevelFilterParams, form_pairs
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int)
-from pulsepair.pipeline import (ExperimentManifest, make_peak_stat_fn,
-                                run_experiment, sha256_file)
+from pulsepair.pipeline import ExperimentManifest, run_experiment, sha256_file
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_correlator_frames,
                               simulate_level1_events)
-from pulsepair.skystats import binomial_tail, cohens_d, false_alarm_tail_check
+from pulsepair.skystats import (bin_probabilities, binomial_tail, cohens_d,
+                                false_alarm_tail_check)
 
 
 def _check(num: int, ok: bool, detail: str) -> None:
@@ -188,7 +188,8 @@ def test_07_instrument_delay_recovery():
                               tau_search_high_s=-134.0e-9,
                               tau_search_step_s=1.0e-9)
     edges = lst0 - 0.2 + 0.1 * np.arange(5)
-    best_tune, _, _, _ = tune_tau_int(pairs, phase, make_peak_stat_fn(edges))
+    best_tune, _, _, _ = tune_tau_int(pairs, phase, edges,
+                                      bin_probabilities(edges))
     tune_err = abs(best_tune - (-144.0e-9))
     ok = scan_err <= step + 1e-15 and tune_err <= 1.0e-9 + 1e-15
     _check(7, ok, f"-144 ns delay: coherent scan err "

@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pulsepair import cli, phasefilter, pipeline
 from pulsepair.calib import FWHM_PER_SIGMA, utc_at_lst
 from pulsepair.kvconfig import read_kv_file
+from pulsepair.pairdetect import form_pairs, read_level1_archive
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
 from pulsepair.sigsim import ObservationConfig
+from pulsepair.skystats import analyze
+
+from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
 
 OBS_LON = -79.8398
 
@@ -257,6 +263,39 @@ def test_null_mc_cli(tmp_path):
     summary = read_kv_file(tmp_path / "out" / "null_summary.txt")
     assert summary["n_seeds"] == "2"
     assert 0.0 <= float(summary["fraction_below"]) <= 1.0
+
+
+def test_tune_tau_and_null_mc_in_exposure_mode(tmp_path):
+    # both commands weight the bins by the level-1 events they hold, as
+    # analyze does; each tap matches the filter plus analyze at that tau
+    cfg = tmp_path / "exposure.cfg"
+    cfg.write_text(SURVEY_CFG + WIDE_TAU_SCAN + "run.p_mode = exposure\n")
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    for argv in (["simulate", *common], ["tune-tau", *common],
+                 ["null-mc", *common, "--n-seeds", "1", "--seed", "7"]):
+        assert cli.main(argv) == 0, argv
+    m = pipeline.manifest_from_file(cfg)
+    events = read_level1_archive(out / "level1.csv")
+    pairs = form_pairs(events)
+    lo, hi, step = (m.phase.tau_search_low_s, m.phase.tau_search_high_s,
+                    m.phase.tau_search_step_s)
+    taus = np.arange(lo, hi + 0.5 * step, step)
+    lines = (out / "tau_scan.csv").read_text().splitlines()[1:]
+    assert len(lines) == taus.size
+    for line, tau in zip(lines, taus):
+        survivors = phasefilter.second_level_filter(
+            pairs, replace(m.phase, tau_int_s=tau))
+        res = analyze(survivors.ra_pointing_hr, m.bin_edges(), "exposure",
+                      exposure_ra_hr=events.ra_pointing_hr)
+        assert line == f"{tau:.12g},{res.peak.cohens_d:.8g}"
+    null = replace(m, config=replace(m.config, seed=7), sources=[])
+    events = pipeline.simulate_events(null)
+    survivors = phasefilter.second_level_filter(form_pairs(events), m.phase)
+    res = analyze(survivors.ra_pointing_hr, m.bin_edges(), "exposure",
+                  exposure_ra_hr=events.ra_pointing_hr)
+    assert (out / "null_mc.csv").read_text().splitlines()[1] == (
+        f"7,{res.n_trials},{res.peak.cohens_d:.8g},{res.peak.ra_low_hr:.6g}")
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 The survey is the README quick start (seed 42) cut to one transit over the
 5.2-5.4 h RA window, run simulate -> refilter -> analyze -> report, plus
-tune-tau over -1...+1 ns in 1 ns steps on its archive.  The frames chain is
-the README frames.cfg (seed 11) cut to 16 frames, run simulate -> detect ->
-refilter --diagnostics.  The hashes were frozen from earlier implementations;
-any change to how events, pairs or frames are stored or read must reproduce
-every byte.
+tune-tau on its archive over -1...+1 ns and over -10...+10 ns in 1 ns steps
+(on the wide grid pairs enter and leave the phase window from tap to tap).
+The frames chain is the README frames.cfg (seed 11) cut to 16 frames, run
+simulate -> detect -> refilter --diagnostics.  The hashes were frozen from
+earlier implementations; any change to how events, pairs or frames are
+stored or read must reproduce every byte.
 """
 import hashlib
 
@@ -32,6 +33,12 @@ phase.tau_search_high_s = 1e-09
 phase.tau_search_step_s = 1e-9
 """
 
+WIDE_TAU_SCAN = """\
+phase.tau_search_low_s = -1e-08
+phase.tau_search_high_s = 1e-08
+phase.tau_search_step_s = 1e-9
+"""
+
 GOLDEN = {
     "level1.csv":
         "fadab8a6f9d63ef9d6c82b1189e2b15651f0673f85ec714d4b48da783f7a6c0e",
@@ -47,6 +54,13 @@ GOLDEN = {
         "a82fd82db2c44fca7c088a3accf6b971d271adb502daecc14a59910fe8a22106",
     "tune_report.txt":
         "4a8c55098d4585557aa5b1a14f3899f0cab9cfe16d646913d384e88e89bb5209",
+}
+
+WIDE_GOLDEN = {
+    "tau_scan.csv":
+        "4f5207fd7a12914388ca5755fcbb129ecb6c9a195a6b9563c0a81329d8caaef6",
+    "tune_report.txt":
+        "b83cdf92d01416cf0d715876be0898d7a4154bc8f2fba65de1cf29778c549212",
 }
 
 FRAMES_CFG = """\
@@ -84,16 +98,23 @@ def test_tiny_survey_bytes_match_frozen_hashes(tmp_path):
     survey.write_text(SURVEY_CFG)
     tune = tmp_path / "tune.cfg"
     tune.write_text(SURVEY_CFG + TAU_SCAN)
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(SURVEY_CFG + WIDE_TAU_SCAN)
     out = tmp_path / "out"
     common = ["--config", str(survey), "--out", str(out), "--threads", "1"]
     for argv in (["simulate", *common], ["refilter", *common],
                  ["analyze", *common],
                  ["report", *common, "--format", "svg"],
                  ["tune-tau", "--config", str(tune), "--out", str(out),
+                  "--level1", str(out / "level1.csv")],
+                 ["tune-tau", "--config", str(wide),
+                  "--out", str(out / "wide"),
                   "--level1", str(out / "level1.csv")]):
         assert cli.main(argv) == 0, argv
     got = {name: _sha256(out / name) for name in GOLDEN}
     assert got == GOLDEN
+    got = {name: _sha256(out / "wide" / name) for name in WIDE_GOLDEN}
+    assert got == WIDE_GOLDEN
 
 
 def test_tiny_frames_bytes_match_frozen_hashes(tmp_path):

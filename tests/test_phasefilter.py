@@ -1,16 +1,23 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pulsepair.channelizer import wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import EventTable, PulseEvent, form_pairs
+from pulsepair.pairdetect import EventTable, PairTable, PulseEvent, form_pairs
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int,
                                    write_metric_diagnostics_csv)
+from pulsepair.skystats import analyze, bin_probabilities
 
 TWO_PI = 2.0 * math.pi
+# two equal RA bins around the test events' 5.0 h: d = sqrt(n) when all n
+# survivors fall in the upper one
+EDGES = np.array([4.5, 5.0, 5.5])
+PROBS = bin_probabilities(EDGES)
 
 
 def _event(k, rf, phi_e, phi_w, frame=0, utc=0.0, pol="LHCP", ra=5.0):
@@ -126,13 +133,12 @@ def test_tune_tau_recovers_plateau_delay():
     params = PhaseMetricParams(tau_search_low_s=-154.0e-9,
                                tau_search_high_s=-134.0e-9,
                                tau_search_step_s=1.0e-9)
-    best, stat, taus, stats = tune_tau_int(pairs, params,
-                                           lambda s: float(len(s)))
+    best, stat, taus, stats = tune_tau_int(pairs, params, EDGES, PROBS)
     assert taus.size == 21
-    assert stat == 200.0
+    assert stat == pytest.approx(math.sqrt(200.0))
     assert best == pytest.approx(tau)
     # everything beyond the pass plateau loses pairs
-    assert stats[0] < 200.0 and stats[-1] < 200.0
+    assert stats[0] < stat and stats[-1] < stat
 
 
 def test_tune_tau_ties_break_toward_scan_center():
@@ -143,8 +149,7 @@ def test_tune_tau_ties_break_toward_scan_center():
     params = PhaseMetricParams(tau_search_low_s=-10.0e-9,
                                tau_search_high_s=-3.5e-9,
                                tau_search_step_s=2.0e-9)
-    best, stat, taus, stats = tune_tau_int(pair, params,
-                                           lambda s: float(len(s)))
+    best, stat, taus, stats = tune_tau_int(pair, params, EDGES, PROBS)
     assert stats.tolist() == [1.0, 1.0, 1.0, 0.0]
     assert stat == 1.0
     assert best == pytest.approx(-6.0e-9)   # scan center is -6.75 ns
@@ -154,9 +159,100 @@ def test_tune_tau_validation():
     params = PhaseMetricParams(tau_search_low_s=-1e-9, tau_search_high_s=1e-9,
                                tau_search_step_s=1e-10)
     with pytest.raises(ValidationError):
-        tune_tau_int(_pairs(), params, lambda s: 0.0)
+        tune_tau_int(_pairs(), params, EDGES, PROBS)
     with pytest.raises(ValidationError):
-        tune_tau_int(_pairs(_pair(1e4)), PhaseMetricParams(), lambda s: 0.0)
+        tune_tau_int(_pairs(_pair(1e4)), PhaseMetricParams(), EDGES, PROBS)
+    # a non-finite phase is an error even on a pair no tap would score
+    a, b = _pair(2.0)
+    a.phase_east_rad = float("nan")
+    with pytest.raises(ValidationError):
+        tune_tau_int(_pairs(_pair(1e4), (a, b)), params, EDGES, PROBS)
+
+
+def _taps(params):
+    return np.arange(params.tau_search_low_s,
+                     params.tau_search_high_s + 0.5 * params.tau_search_step_s,
+                     params.tau_search_step_s)
+
+
+def _reference_scan(pairs, params, edges, p_mode, exposure):
+    """Filter at every tap, then the peak d analyze reports (0 if none)."""
+    taus = _taps(params)
+    stats = []
+    for tau in taus:
+        survivors = second_level_filter(pairs, replace(params, tau_int_s=tau))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = analyze(survivors.ra_pointing_hr, edges, p_mode,
+                          exposure_ra_hr=exposure)
+        stats.append(0.0 if res.peak is None else res.peak.cohens_d)
+    return taus, np.array(stats)
+
+
+def _random_pairs(rng, params, n=3000):
+    """Pairs (a = 2i, b = 2i + 1) over random phases, delta_f and RAs.
+
+    A quarter of the pairs sit at |metric| == half-width exactly at the
+    middle tap (the half-width is dyadic, so the sum can land on it); a
+    quarter have |delta_f| near 2 MHz, whose metric sweeps past +/-pi over
+    a wide scan; a few lie outside the delta_f window.  RAs cover the
+    window, both sides of it and every edge (edges[-1] is outside).
+    """
+    taus = _taps(params)
+    tau_mid = taus[taus.size // 2]
+    hw = params.filter_halfwidth_rad
+    df = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(1.0, 6.3, n)
+    df[: n // 4] = rng.choice([-1.0, 1.0], n // 4) * rng.uniform(
+        1.9e6, 1.9953e6, n // 4)
+    df[n // 4: n // 4 + 20] = rng.choice([0.0, 3.0, 2.5e6], 20)
+    diff = rng.uniform(-math.pi, math.pi, n)
+    edge = np.arange(n // 2, 3 * n // 4)
+    x = TWO_PI * df[edge] * tau_mid
+    first = (rng.choice([-hw, hw], edge.size)
+             + TWO_PI * rng.integers(-1, 2, edge.size) - x)
+    d = first
+    for cand in (np.nextafter(first, np.inf), np.nextafter(first, -np.inf)):
+        d = np.where(np.abs(wrap_phase(d + x)) == hw, d, cand)
+    diff[edge] = d
+    ra = rng.choice(np.concatenate([rng.uniform(4.4, 5.6, 40), EDGES]), n)
+    ra[:100] = rng.uniform(4.45, 5.55, 100)
+    zeros = np.zeros(2 * n)
+    events = EventTable(
+        frame_index=np.arange(2 * n) // 2, utc_s=zeros, bin_index=zeros,
+        rf_freq_hz=np.ravel(np.column_stack([np.full(n, 1.4e9), 1.4e9 + df])),
+        snr_east_db=zeros, snr_west_db=zeros, phase_east_rad=zeros,
+        phase_west_rad=np.ravel(np.column_stack([np.zeros(n), diff])),
+        pol_code=zeros, ra_pointing_hr=np.repeat(ra, 2), tags=("LHCP",))
+    log_df = np.array([math.log10(abs(v) / 1e6) if v else -math.inf
+                       for v in df.tolist()])
+    pairs = PairTable(events, a=2 * np.arange(n), b=2 * np.arange(n) + 1,
+                      delta_t_s=np.zeros(n), delta_f_hz=df,
+                      log10_delta_f_mhz=log_df, phase_metric_rad=np.zeros(n))
+    on_edge = np.abs(phase_metrics(pairs, tau_mid)[edge]) == hw
+    return pairs, int(np.count_nonzero(on_edge))
+
+
+@pytest.mark.parametrize("low, high, step", [
+    (-10.0e-9, 10.0e-9, 1.0e-9),        # arcs shorter than the window
+    (-300.0e-9, 300.0e-9, 3.0e-9),      # 2 MHz arcs sweep past +/-pi
+    (-4.0e-9, -3.5e-9, 1.0e-9),         # a single tap
+])
+def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
+    rng = np.random.default_rng(11)
+    params = PhaseMetricParams(filter_halfwidth_rad=0.0390625,
+                               tau_search_low_s=low, tau_search_high_s=high,
+                               tau_search_step_s=step)
+    pairs, on_edge = _random_pairs(rng, params)
+    assert on_edge >= 700
+    exposure = rng.uniform(4.5, 5.5, 200)
+    for p_mode in ("uniform", "exposure"):
+        probs = bin_probabilities(EDGES, p_mode, exposure)
+        best, stat, taus, stats = tune_tau_int(pairs, params, EDGES, probs)
+        ref_taus, ref_stats = _reference_scan(pairs, params, EDGES, p_mode,
+                                              exposure)
+        assert np.array_equal(taus, ref_taus)
+        assert np.array_equal(stats, ref_stats)
+        assert stat == ref_stats.max() and best in taus
 
 
 def test_metric_diagnostics_csv(tmp_path):

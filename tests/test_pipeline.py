@@ -11,8 +11,8 @@ from pulsepair.pairdetect import (EventTable, PulseEvent, read_level1_archive,
                                   write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, CandidateRow,
                                 ExperimentManifest, detect_frames,
-                                load_frames_npz, make_peak_stat_fn,
-                                manifest_from_file, read_candidates_csv,
+                                load_frames_npz, manifest_from_file,
+                                read_candidates_csv,
                                 run_experiment, run_null_mc, run_tune_tau,
                                 save_frames_npz, sha256_file,
                                 write_tau_scan_csv)
@@ -347,11 +347,6 @@ def test_run_tune_tau(tmp_path):
     lines = scan_path.read_text().splitlines()
     assert lines[0] == "tau_int_s,peak_cohens_d"
     assert len(lines) == 6
-
-
-def test_make_peak_stat_fn_empty():
-    fn = make_peak_stat_fn(np.array([3.0, 4.0]))
-    assert fn([]) == 0.0
 
 
 def test_frame_store_members_are_read_once(tmp_path, monkeypatch):

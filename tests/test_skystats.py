@@ -6,8 +6,8 @@ import pytest
 from pulsepair.errors import ValidationError
 from pulsepair.skystats import (analyze, bin_probabilities, binomial_pmf,
                                 binomial_tail, cohens_d, enumerate_tail,
-                                false_alarm_tail_check, read_stats_csv,
-                                write_stats_csv)
+                                false_alarm_tail_check, peak_cohens_d,
+                                ra_bin_index, read_stats_csv, write_stats_csv)
 
 # closed-form via exact rational arithmetic, frozen
 TAIL_328_GT19 = 2.7860933750065e-4
@@ -96,6 +96,29 @@ def test_analyze_empty_window_warns():
     assert res.n_trials == 0
     assert res.peak is None
     assert res.stats == []
+
+
+def test_peak_cohens_d_matches_analyze():
+    # RAs on every edge, outside the window and NaN bin as analyze counts
+    edges = np.array([3.0, 4.0, 5.0, 6.0, 7.0])
+    ra = np.array([3.0, 3.5, 4.0, 4.5, 4.5, 6.99, 7.0, 2.9, np.nan, 4.5, 6.0])
+    bins = ra_bin_index(ra, edges)
+    assert bins.tolist() == [0, 0, 1, 1, 1, 3, -1, -1, -1, 1, 3]
+    expo = np.array([3.5, 4.5, 4.6, 5.5, 6.5, 6.6, 6.7])
+    for mode in ("uniform", "exposure"):
+        res = analyze(ra, edges, mode, exposure_ra_hr=expo)
+        d, i = peak_cohens_d(bins[bins >= 0],
+                             bin_probabilities(edges, mode, expo))
+        assert d == res.peak.cohens_d
+        assert edges[i] == res.peak.ra_low_hr
+    # a tie goes to the first bin, as analyze's peak does
+    d, i = peak_cohens_d(np.array([0, 3]), bin_probabilities(edges))
+    assert (d, i) == (cohens_d(1, 2, 0.25), 0)
+
+
+def test_peak_cohens_d_empty():
+    probs = bin_probabilities(np.array([3.0, 4.0]))
+    assert peak_cohens_d(np.array([], dtype=np.intp), probs) == (0.0, 0)
 
 
 def test_analyze_per_day():
