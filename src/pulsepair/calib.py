@@ -96,14 +96,6 @@ def pointing_ra_hr(lst_hr, azimuth_deg: float, dec_deg: float,
     return ra
 
 
-def sensitivity_factor(bandwidth_hz: float, integration_s: float,
-                       n_samples: int) -> float:
-    """Radiometer fluctuation factor 1 / sqrt(bandwidth * time * n)."""
-    if bandwidth_hz <= 0 or integration_s <= 0 or n_samples <= 0:
-        raise ValidationError("bandwidth, integration time, and n must be > 0")
-    return 1.0 / math.sqrt(bandwidth_hz * integration_s * n_samples)
-
-
 @dataclass
 class DriftScan:
     """A total-power drift scan: samples of one element's continuum power.

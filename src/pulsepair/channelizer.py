@@ -56,16 +56,14 @@ def phase_rad(z):
     return a
 
 
-def fft_frame(samples, frame_seconds: float, sample_rate_hz: float,
-              pad_policy: str = "none") -> np.ndarray:
+def fft_frame(samples, frame_seconds: float,
+              sample_rate_hz: float) -> np.ndarray:
     """Channelize one frame of complex baseband: FFT(samples) / N.
 
     The sample count must equal round(frame_seconds * sample_rate_hz) and
     match it to better than half a sample; a stream that drifts off the
     frame grid is a configuration error, not something to hide with
-    resampling.  pad_policy "none" accepts any conforming length; "pow2"
-    additionally requires a power-of-two length (for rigs whose FFT demands
-    it) and rejects anything else.
+    resampling.
     """
     x = np.asarray(samples)
     if x.ndim != 1:
@@ -78,12 +76,6 @@ def fft_frame(samples, frame_seconds: float, sample_rate_hz: float,
         raise ValidationError(
             f"got {n} samples for a {frame_seconds} s frame at "
             f"{sample_rate_hz} Hz (expected {expected:.1f})")
-    if pad_policy == "pow2":
-        if n == 0 or (n & (n - 1)) != 0:
-            raise ValidationError(f"pad_policy 'pow2' requires a power-of-two "
-                                  f"length, got {n}")
-    elif pad_policy != "none":
-        raise ValidationError(f"unknown pad_policy {pad_policy!r}")
     if n == 0:
         raise ValidationError("empty frame")
     return np.fft.fft(x) / n

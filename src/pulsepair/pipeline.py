@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 import numpy as np
 
 from . import kvconfig
-from .calib import SIDEREAL_DAY_S, lst_hours
+from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
                          first_level_filter_frame, form_pairs, log_df_text,
@@ -108,7 +108,6 @@ class ExperimentManifest:
     start_utc_s: float = 0.0
     ra_bin_hr: float = 0.1
     p_mode: str = "uniform"
-    per_day: bool = False
     pairing_window_frames: int = 0
     require_pol_match: bool = False
     fwhm_center_hr: float | None = None
@@ -230,8 +229,7 @@ class ExperimentManifest:
 
     def analyze_params_hash(self) -> str:
         return self._hash_subset(("run.ra_bin_hr", "run.p_mode",
-                                  "run.per_day", "run.window_lo_hr",
-                                  "run.window_hi_hr"))
+                                  "run.window_lo_hr", "run.window_hi_hr"))
 
     def report_params_hash(self) -> str:
         return self._hash_subset(("run.fwhm_center_hr", "run.fwhm_width_hr",
@@ -575,16 +573,11 @@ def analyze_candidates(manifest: ExperimentManifest, candidates_path,
     """
     rows = read_candidates_csv(candidates_path)
     ra = np.array([r.ra_pointing_hr for r in rows], dtype=float)
-    day = None
-    if manifest.per_day and rows:
-        t0 = min(r.utc_b_s for r in rows)
-        day = np.floor((np.array([r.utc_b_s for r in rows]) - t0)
-                       / SIDEREAL_DAY_S).astype(int)
     exposure = None
     if manifest.p_mode == "exposure":
         exposure = read_level1_archive(level1_path).ra_pointing_hr
     return analyze(ra, manifest.bin_edges(), manifest.p_mode,
-                   exposure_ra_hr=exposure, day_index=day)
+                   exposure_ra_hr=exposure)
 
 
 def _write_report(path, manifest: ExperimentManifest,

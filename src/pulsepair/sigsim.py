@@ -37,7 +37,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
-from .channelizer import estimator_corrected_crossing_prob, wrap_phase
+from .channelizer import (estimator_corrected_crossing_prob, fft_frame,
+                          wrap_phase)
 from .errors import ValidationError
 from .pairdetect import EventTable, FirstLevelFilterParams, PulseEvent
 
@@ -413,6 +414,7 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
     _validate_sources(config, sources, lst0, duration_hr)
 
     n = config.n_bins
+    band_width = config.band_high_hz - config.band_low_hz
     rf = config.rf_freqs()
     floor = config.noise_floor
     sign = config.phase_sign
@@ -450,8 +452,8 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
                            rf, mode)
 
             if mode == "time":
-                east = np.fft.fft(east) / n
-                west = np.fft.fft(west) / n
+                east = fft_frame(east, config.frame_seconds, band_width)
+                west = fft_frame(west, config.frame_seconds, band_width)
             yield (FrameSpectrum(frame_index, utc, "EAST", pol_tag, east),
                    FrameSpectrum(frame_index, utc, "WEST", pol_tag, west))
 

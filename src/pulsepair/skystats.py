@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ArchiveFormatError, ValidationError
 
@@ -54,24 +53,14 @@ class AnalysisResult:
     n_trials: int
     window_lo_hr: float
     window_hi_hr: float
-    per_day: dict | None = None
 
 
-def _check_np(n: int, p: float) -> None:
+def _check_np(n: int, p) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 < p < 1.0:
+    arr = np.asarray(p)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError(f"p must be inside (0, 1), got {p}")
-
-
-def binomial_pmf(n: int, k: int, p: float) -> float:
-    """Exact P(X = k) for X ~ Binomial(n, p), via log-gamma."""
-    _check_np(n, p)
-    if not 0 <= k <= n:
-        return 0.0
-    logp = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            + k * math.log(p) + (n - k) * math.log1p(-p))
-    return float(math.exp(logp))
 
 
 def binomial_tail(n: int, p: float, k: int, strict: bool = False) -> float:
@@ -91,8 +80,9 @@ def binomial_tail(n: int, p: float, k: int, strict: bool = False) -> float:
         return 0.0
     if lo <= 0:
         return 1.0
-    j = np.arange(lo, n + 1, dtype=float)
-    log_terms = (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    j = np.arange(lo, n + 1)
+    log_terms = (log_fact[n] - log_fact[j] - log_fact[n - j]
                  + j * math.log(p) + (n - j) * math.log1p(-p))
     top = float(np.max(log_terms))
     # Ascending sort accumulates the tiny far-tail terms before the big ones.
@@ -115,10 +105,14 @@ def enumerate_tail(n: int, p: float, k: int, strict: bool = False) -> float:
     return float(np.sum(weights[sel]))
 
 
-def cohens_d(observed: int, n: int, p: float) -> float:
-    """Effect size (observed - n p) / sqrt(n p (1 - p))."""
+def cohens_d(observed, n: int, p):
+    """Effect size (observed - n p) / sqrt(n p (1 - p)).
+
+    `observed` and `p` may be per-bin arrays; every bin is then scored at
+    once, with the same arithmetic as one bin alone.
+    """
     _check_np(n, p)
-    return (observed - n * p) / math.sqrt(n * p * (1.0 - p))
+    return (observed - n * p) / np.sqrt(n * p * (1.0 - p))
 
 
 def bin_probabilities(bin_edges, mode: str = "uniform",
@@ -127,7 +121,8 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
 
     uniform: p_i proportional to bin width (exactly width/window for equal
     coverage).  exposure: p_i proportional to the number of first-level
-    events landing in the bin, for sessions with uneven time on sky.
+    events in the bin, binned by ra_bin_index like the candidates, for
+    sessions with uneven time on sky.
     """
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -140,8 +135,8 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
     if mode == "exposure":
         if exposure_ra_hr is None:
             raise ValidationError("exposure mode needs first-level event RAs")
-        ra = np.asarray(exposure_ra_hr, dtype=float)
-        counts, _ = np.histogram(ra, edges)
+        bins = ra_bin_index(exposure_ra_hr, edges)
+        counts = np.bincount(bins[bins >= 0], minlength=edges.size - 1)
         total = counts.sum()
         if total == 0:
             raise ValidationError("no exposure events inside the window")
@@ -156,7 +151,8 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
 def ra_bin_index(ra_hr, bin_edges) -> np.ndarray:
     """RA bin of each entry; -1 outside the window (not a trial).
 
-    Bin i holds edges[i] <= ra < edges[i+1], the way analyze counts trials.
+    Bin i holds edges[i] <= ra < edges[i+1]: the one binning rule for
+    candidates, exposure events and every scorer.
     """
     ra = np.asarray(ra_hr, dtype=float)
     idx = np.searchsorted(bin_edges, ra, side="right") - 1
@@ -174,20 +170,18 @@ def peak_cohens_d(bins, probs) -> tuple:
     n = bins.size
     if n == 0:
         return 0.0, 0
-    k = np.bincount(bins, minlength=probs.size)
-    d = (k - n * probs) / np.sqrt(n * probs * (1.0 - probs))
+    d = cohens_d(np.bincount(bins, minlength=probs.size), n, probs)
     i = int(np.argmax(d))
     return float(d[i]), i
 
 
 def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
-            exposure_ra_hr=None, day_index=None) -> AnalysisResult:
+            exposure_ra_hr=None) -> AnalysisResult:
     """Bin candidate RAs and score every bin against the binomial null.
 
     Candidates outside [edges[0], edges[-1]) are not trials (the window IS
-    the experiment).  With day_index (one integer per candidate, e.g. the
-    transit number) a per-day breakdown is attached: for each day, that
-    day's candidates are scored alone, giving one d value per (day, bin).
+    the experiment); the peak is the first bin of largest Cohen's d, as
+    peak_cohens_d picks it.
 
     An empty window is not an error: it warns and returns empty stats with
     peak None, so a pipeline run on a quiet sky still completes.
@@ -197,49 +191,31 @@ def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
         raise ValidationError("candidate RAs must be 1-D")
     edges = np.asarray(bin_edges, dtype=float)
     probs = bin_probabilities(edges, p_mode, exposure_ra_hr)
-    inside = (ra >= edges[0]) & (ra < edges[-1])
-    ra_in = ra[inside]
-    n = int(ra_in.size)
+    bins = ra_bin_index(ra, edges)
+    bins = bins[bins >= 0]
+    n = int(bins.size)
     if n == 0:
         warnings.warn("no candidates inside the analysis window",
                       stacklevel=2)
         return AnalysisResult([], None, 0, float(edges[0]), float(edges[-1]))
-    counts, _ = np.histogram(ra_in, edges)
-    stats = _score_bins(counts, n, probs, edges)
-    peak = max(stats, key=lambda s: s.cohens_d)
-    per_day = None
-    if day_index is not None:
-        day = np.asarray(day_index)
-        if day.shape != ra.shape:
-            raise ValidationError("day_index must align with candidate RAs")
-        per_day = {}
-        for d in np.unique(day[inside]):
-            sel = ra_in[day[inside] == d]
-            c_d, _ = np.histogram(sel, edges)
-            per_day[int(d)] = _score_bins(c_d, int(sel.size), probs, edges)
-    return AnalysisResult(stats, peak, n, float(edges[0]), float(edges[-1]),
-                          per_day)
-
-
-def _score_bins(counts, n: int, probs, edges) -> list:
-    out = []
-    for i, k in enumerate(counts):
-        p = float(probs[i])
-        mean = n * p
-        sigma = math.sqrt(n * p * (1.0 - p))
-        out.append(RABinStats(
+    counts = np.bincount(bins, minlength=probs.size)
+    d = cohens_d(counts, n, probs)
+    stats = []
+    for i, (k, p) in enumerate(zip(counts.tolist(), probs.tolist())):
+        stats.append(RABinStats(
             ra_low_hr=float(edges[i]),
             ra_high_hr=float(edges[i + 1]),
             trials_n=n,
             p_bin=p,
-            expected_mean=mean,
-            sigma=sigma,
-            observed_count=int(k),
-            cohens_d=cohens_d(int(k), n, p),
-            tail_prob_ge=binomial_tail(n, p, int(k), strict=False),
-            tail_prob_gt=binomial_tail(n, p, int(k), strict=True),
+            expected_mean=n * p,
+            sigma=math.sqrt(n * p * (1.0 - p)),
+            observed_count=k,
+            cohens_d=float(d[i]),
+            tail_prob_ge=binomial_tail(n, p, k, strict=False),
+            tail_prob_gt=binomial_tail(n, p, k, strict=True),
         ))
-    return out
+    return AnalysisResult(stats, stats[int(np.argmax(d))], n,
+                          float(edges[0]), float(edges[-1]))
 
 
 @dataclass

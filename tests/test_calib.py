@@ -6,8 +6,7 @@ import pytest
 from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, SIDEREAL_DAY_S,
                              continuum_snr_db, fit_gauss_flat, lst_hours,
                              pointing_ra_hr, read_drift_scan_csv,
-                             sensitivity_factor, tau_int_scan, utc_at_lst,
-                             write_fit_report)
+                             tau_int_scan, utc_at_lst, write_fit_report)
 from pulsepair.errors import ValidationError
 from pulsepair.sigsim import simulate_correlator_frames
 
@@ -64,11 +63,6 @@ def test_pointing_ra_azimuth_offset():
         expect, rel=1e-12)
     with pytest.raises(ValidationError):
         pointing_ra_hr(5.0, 186.0, -8.0, LAT)
-
-
-def test_sensitivity_factor_value():
-    assert sensitivity_factor(3.7, 0.27, 1) == pytest.approx(
-        1.0005003753127737, rel=1e-12)
 
 
 def test_drift_scan_validation():

@@ -43,19 +43,6 @@ def test_fft_frame_length_check():
                   sample_rate_hz=1.2e6)  # expects 1200 samples
 
 
-def test_fft_frame_pow2_policy():
-    samples = np.ones(1024, complex)
-    bins = fft_frame(samples, frame_seconds=1024.0 / 1.0e6,
-                     sample_rate_hz=1.0e6, pad_policy="pow2")
-    assert bins.size == 1024
-    with pytest.raises(ValidationError):
-        fft_frame(np.ones(1000, complex), frame_seconds=0.001,
-                  sample_rate_hz=1.0e6, pad_policy="pow2")
-    with pytest.raises(ValidationError):
-        fft_frame(samples, frame_seconds=1024.0 / 1.0e6,
-                  sample_rate_hz=1.0e6, pad_policy="zeropad")
-
-
 def test_frame_bin_stats_segment_mean():
     # one segment of 256 bins, a single hot bin; check the ratio by hand
     power = np.ones(256)

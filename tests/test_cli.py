@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,14 @@ def test_help_and_version(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing the CLI must not
+    # pull scipy in, even where it is installed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pulsepair.cli; assert 'scipy' not in sys.modules"],
+        env=env, check=True)

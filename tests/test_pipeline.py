@@ -116,7 +116,7 @@ def _full_manifest() -> ExperimentManifest:
         excision_low_hz=1445.2e6, excision_high_hz=1445.4e6,
         mode="events", n_transits=2, window_lo_hr=5.0, window_hi_hr=5.5,
         n_frames=4, start_utc_s=0.0, ra_bin_hr=0.1, p_mode="uniform",
-        per_day=False, pairing_window_frames=0, require_pol_match=False,
+        pairing_window_frames=0, require_pol_match=False,
         fwhm_center_hr=5.2, fwhm_width_hr=0.6, level1_in="a.csv", title="t")
 
 
@@ -176,7 +176,6 @@ _MUTATIONS = {
     "run.start_utc_s": "100.0",
     "run.ra_bin_hr": "0.05",
     "run.p_mode": "exposure",
-    "run.per_day": "true",
     "run.pairing_window_frames": "1",
     "run.require_pol_match": "true",
     "run.fwhm_center_hr": "5.3",
@@ -375,14 +374,15 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
 
 def test_stage_hashes_are_frozen():
     # frozen from an earlier schema implementation, so manifest.txt files
-    # written by it keep resuming
+    # written by it keep resuming; the analyze hash moved when run.per_day
+    # left the schema, so such a run redoes analyze once on resume
     m = _full_manifest()
     assert m.simulate_params_hash() == (
         "17f11268cc474a80c6576ccded6005386cad2065e0b5847845d537c5c32783d5")
     assert m.refilter_params_hash() == (
         "b5082b9d7e359d4d9e6cb6bffa5ae07c63568d2328fac5231f00c43bc7959884")
     assert m.analyze_params_hash() == (
-        "a535186c714a24a6ba6c6b9aa1bf9d7162c25fd83fa7c5f798eaa61d829448e7")
+        "6847be0a021f6b43a8135fc296130fdd61f77bb81bf5ef9aee809d62720b6295")
     assert m.report_params_hash() == (
         "419caca7ab3cce17ff2a253196f853d1e41b45db554b609901a89be4a4a28952")
 
@@ -391,18 +391,19 @@ def test_manifest_values_parse_by_field_type():
     kv = _full_manifest().to_kv()
     kv.update({"config.hop_seconds": "none", "run.n_frames": "none",
                "config.polarization_tags": " RHCP, LHCP ,",
-               "run.per_day": "Yes", "source.0.name": "none-like"})
+               "run.require_pol_match": "Yes",
+               "source.0.name": "none-like"})
     m = ExperimentManifest.from_kv(kv)
     assert m.config.hop_seconds == m.config.frame_seconds   # gapless
-    assert m.n_frames is None and m.per_day is True
+    assert m.n_frames is None and m.require_pol_match is True
     assert m.config.polarization_tags == ("RHCP", "LHCP")
     assert m.sources[0].name == "none-like"
     for key in ("config.seed", "run.window_lo_hr", "run.title",
                 "source.0.ra_hr", "filter.snr_threshold_db"):
         with pytest.raises(ValidationError, match=key):
             ExperimentManifest.from_kv({**kv, key: "none"})
-    with pytest.raises(ValidationError, match="run.per_day"):
-        ExperimentManifest.from_kv({**kv, "run.per_day": "maybe"})
+    with pytest.raises(ValidationError, match="run.require_pol_match"):
+        ExperimentManifest.from_kv({**kv, "run.require_pol_match": "maybe"})
 
 
 def test_manifest_missing_required_source_key():

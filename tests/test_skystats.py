@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pulsepair.errors import ValidationError
-from pulsepair.skystats import (analyze, bin_probabilities, binomial_pmf,
-                                binomial_tail, cohens_d, enumerate_tail,
+from pulsepair.skystats import (analyze, bin_probabilities, binomial_tail,
+                                cohens_d, enumerate_tail,
                                 false_alarm_tail_check, peak_cohens_d,
                                 ra_bin_index, read_stats_csv, write_stats_csv)
 
@@ -13,11 +13,6 @@ from pulsepair.skystats import (analyze, bin_probabilities, binomial_pmf,
 TAIL_328_GT19 = 2.7860933750065e-4
 TAIL_246_GE15 = 1.3998858498717e-3
 TAIL_246_GT15 = 4.9768626811394e-4
-
-
-def test_pmf_sums_to_one():
-    total = sum(binomial_pmf(12, k, 0.3) for k in range(13))
-    assert total == pytest.approx(1.0, rel=1e-14)
 
 
 def test_frozen_tail_values():
@@ -72,6 +67,10 @@ def test_bin_probabilities():
     with pytest.raises(ValidationError):
         bin_probabilities(edges, mode="exposure",
                           exposure_ra_hr=np.array([0.5, 0.6]))
+    # an event on the last edge is no trial, as ra_bin_index counts them
+    expo = bin_probabilities(np.array([3.0, 4.0, 5.0]), mode="exposure",
+                             exposure_ra_hr=np.array([3.5, 4.5, 5.0, 5.0]))
+    assert expo.tolist() == [0.5, 0.5]
 
 
 def test_analyze_hand_counts():
@@ -119,16 +118,6 @@ def test_peak_cohens_d_matches_analyze():
 def test_peak_cohens_d_empty():
     probs = bin_probabilities(np.array([3.0, 4.0]))
     assert peak_cohens_d(np.array([], dtype=np.intp), probs) == (0.0, 0)
-
-
-def test_analyze_per_day():
-    edges = np.array([3.0, 4.0, 5.0])
-    ra = np.array([3.5, 3.6, 4.5, 3.5])
-    day = np.array([0, 0, 0, 1])
-    res = analyze(ra, edges, day_index=day)
-    assert set(res.per_day) == {0, 1}
-    assert [b.observed_count for b in res.per_day[0]] == [2, 1]
-    assert [b.observed_count for b in res.per_day[1]] == [1, 0]
 
 
 def test_false_alarm_check_statistics():
