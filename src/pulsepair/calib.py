@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .kvconfig import write_kv_file
 
 # Mean sidereal rate constants. GMST(D) = 18.697374558 + 24.06570982441908 D
 # with D in UT1 days from J2000 (JD 2451545.0); Unix epoch is JD 2440587.5.
@@ -321,9 +322,7 @@ def write_fit_report(path, fit: GaussFlatFit, extra: dict | None = None) -> None
     }
     if extra:
         rows.update({k: str(v) for k, v in extra.items()})
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(rows):
-            fh.write(f"{key} = {rows[key]}\n")
+    write_kv_file(path, rows)
 
 
 def tau_int_scan(east_frames, west_frames, rf_freqs_hz,

@@ -38,24 +38,6 @@ def wrap_phase(phi):
     return arr
 
 
-def phase_rad(z):
-    """Argument of complex value(s), mapped into (-pi, pi].
-
-    numpy's angle() returns [-pi, pi]; the single point -pi (negative real
-    axis approached from below) is folded to +pi so downstream wrapped
-    arithmetic has one representation per angle.  Zero input is rejected:
-    a zero-power bin has no phase.
-    """
-    zarr = np.asarray(z)
-    if np.any(zarr == 0):
-        raise ValidationError("phase of a zero-power bin is undefined")
-    a = np.angle(zarr)
-    a = np.where(a <= -np.pi, a + 2.0 * np.pi, a)
-    if np.isscalar(z) or zarr.ndim == 0:
-        return float(a)
-    return a
-
-
 def fft_frame(samples, frame_seconds: float,
               sample_rate_hz: float) -> np.ndarray:
     """Channelize one frame of complex baseband: FFT(samples) / N.

@@ -30,8 +30,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads (never changes results)")
-    sub.add_argument("--format", choices=("csv", "svg"), default="svg",
-                     help="figure output format for the report stage")
 
 
 def build_parser() -> _Parser:
@@ -86,6 +84,8 @@ def build_parser() -> _Parser:
                         help="render the significance profile figure")
     _add_common(p)
     p.add_argument("--stats", help="stats CSV from analyze")
+    p.add_argument("--format", choices=("csv", "svg"), default="svg",
+                   help="figure output format")
 
     return parser
 
@@ -150,9 +150,8 @@ def cmd_detect(args) -> int:
         return 0
     os.makedirs(args.out, exist_ok=True)
     frames_path = _input(args.frames, args.out, "frames.npz", "frames file")
-    events = pipeline.detect_frames(
-        manifest.config, manifest.first_level(),
-        pipeline.load_frames_npz(frames_path))
+    events = pipeline.detect_frames(manifest.config, manifest.filter,
+                                    pipeline.load_frames_npz(frames_path))
     path = os.path.join(args.out, "level1.csv")
     write_level1_archive(path, events)
     print(f"detect: {len(events)} events -> {path}")

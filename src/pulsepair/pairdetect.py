@@ -187,25 +187,29 @@ class PairTable:
 
 @dataclass
 class FirstLevelFilterParams:
-    """Dual-element SNR threshold plus the accepted RF band.
+    """Every first-level setting: the manifest's `filter.` section.
 
-    Defaults are the survey values: 8.5 dB on both elements, 1405-1455 MHz
-    with 1424-1426 MHz excised.  An excision band lying outside the accepted
-    band simply excises nothing (narrow-band test configurations keep the
-    default excision without effect).
+    A dual-element SNR threshold against the mean power of each bin's
+    segment of `bins_per_segment` bins (the bin itself included when
+    `segment_include_self`), plus the accepted RF band.  Defaults are the
+    survey values: 8.5 dB on both elements, 1405-1455 MHz with 1424-1426
+    MHz excised, 256-bin segments.  An excision band lying outside the
+    accepted band simply excises nothing (narrow-band test configurations
+    keep the default excision without effect).
     """
 
     snr_threshold_db: float = 8.5
-    band_low_hz: float = 1405.0e6
-    band_high_hz: float = 1455.0e6
+    accept_band_low_hz: float = 1405.0e6
+    accept_band_high_hz: float = 1455.0e6
     excision_low_hz: float = 1424.0e6
     excision_high_hz: float = 1426.0e6
     bins_per_segment: int = 256
-    include_self: bool = True
+    segment_include_self: bool = True
 
     def __post_init__(self):
-        if not self.band_high_hz > self.band_low_hz:
-            raise ValidationError("band_high_hz must exceed band_low_hz")
+        if not self.accept_band_high_hz > self.accept_band_low_hz:
+            raise ValidationError(
+                "accept_band_high_hz must exceed accept_band_low_hz")
         if self.excision_high_hz < self.excision_low_hz:
             raise ValidationError("excision_high_hz below excision_low_hz")
         if not math.isfinite(self.snr_threshold_db):
@@ -216,7 +220,8 @@ class FirstLevelFilterParams:
     def rf_accepted(self, rf_hz) -> np.ndarray:
         """Boolean mask: inside the band (inclusive) and not excised."""
         rf = np.asarray(rf_hz, dtype=float)
-        inside = (rf >= self.band_low_hz) & (rf <= self.band_high_hz)
+        inside = ((rf >= self.accept_band_low_hz)
+                  & (rf <= self.accept_band_high_hz))
         excised = (rf >= self.excision_low_hz) & (rf <= self.excision_high_hz)
         return inside & ~excised
 
@@ -240,9 +245,9 @@ def first_level_filter_frame(frame_index: int, utc_s: float,
             f"frame {frame_index}: element/frequency lengths differ "
             f"({east.size}, {west.size}, {rf.size})")
     _, snr_e, ph_e, scored_e = frame_bin_stats(
-        east, params.bins_per_segment, params.include_self)
+        east, params.bins_per_segment, params.segment_include_self)
     _, snr_w, ph_w, scored_w = frame_bin_stats(
-        west, params.bins_per_segment, params.include_self)
+        west, params.bins_per_segment, params.segment_include_self)
     keep = np.flatnonzero(scored_e & scored_w
                           & (snr_e > params.snr_threshold_db)
                           & (snr_w > params.snr_threshold_db)

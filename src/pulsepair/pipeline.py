@@ -83,10 +83,6 @@ def read_candidates_csv(path) -> list[CandidateRow]:
     return read_rows_csv(path, CandidateRow)
 
 
-_FILTER_KEYS = ("snr_threshold_db", "accept_band_low_hz",
-                "accept_band_high_hz", "excision_low_hz", "excision_high_hz")
-
-
 @dataclass
 class ExperimentManifest:
     """Full description of one experiment; serializes to key = value text."""
@@ -95,11 +91,8 @@ class ExperimentManifest:
     sources: list = field(default_factory=list)
     rfi: list = field(default_factory=list)
     phase: PhaseMetricParams = field(default_factory=PhaseMetricParams)
-    snr_threshold_db: float = 8.5
-    accept_band_low_hz: float = 1405.0e6
-    accept_band_high_hz: float = 1455.0e6
-    excision_low_hz: float = 1424.0e6
-    excision_high_hz: float = 1426.0e6
+    filter: FirstLevelFilterParams = field(
+        default_factory=FirstLevelFilterParams)
     mode: str = "events"                 # events | freq | time
     n_transits: int = 1
     window_lo_hr: float = 3.25
@@ -138,17 +131,6 @@ class ExperimentManifest:
             raise ValidationError(
                 "the analysis window must be an integer number of RA bins")
 
-    def first_level(self) -> FirstLevelFilterParams:
-        return FirstLevelFilterParams(
-            snr_threshold_db=self.snr_threshold_db,
-            band_low_hz=self.accept_band_low_hz,
-            band_high_hz=self.accept_band_high_hz,
-            excision_low_hz=self.excision_low_hz,
-            excision_high_hz=self.excision_high_hz,
-            bins_per_segment=self.config.bins_per_segment,
-            include_self=self.config.segment_include_self,
-        )
-
     def bin_edges(self) -> np.ndarray:
         n = int(round((self.window_hi_hr - self.window_lo_hr)
                       / self.ra_bin_hr))
@@ -168,7 +150,7 @@ class ExperimentManifest:
         for i, r in enumerate(self.rfi):
             yield f"rfi.{i}.", r, _names(RfiSpec)
         yield "phase.", self.phase, _names(PhaseMetricParams)
-        yield "filter.", self, _FILTER_KEYS
+        yield "filter.", self.filter, _names(FirstLevelFilterParams)
         yield "run.", self, _run_keys()
 
     @classmethod
@@ -198,14 +180,14 @@ class ExperimentManifest:
         while f"rfi.{len(rfi)}.kind" in kv:
             rfi.append(build(f"rfi.{len(rfi)}.", RfiSpec))
         phase = build("phase.", PhaseMetricParams)
-        top = {**take("filter.", cls, _FILTER_KEYS),
-               **take("run.", cls, _run_keys())}
+        filter_ = build("filter.", FirstLevelFilterParams)
+        top = take("run.", cls, _run_keys())
         unknown = set(kv) - known
         if unknown:
             raise ValidationError(
                 f"{source}: unknown keys: {', '.join(sorted(unknown))}")
         return cls(config=config, sources=sources, rfi=rfi, phase=phase,
-                   **top)
+                   filter=filter_, **top)
 
     # -- hashing ----------------------------------------------------------
 
@@ -242,9 +224,10 @@ def _names(cls) -> tuple:
 
 def _run_keys() -> tuple:
     """The `run.` keys: every manifest field not serialized elsewhere."""
-    other = ("config", "sources", "rfi", "phase", "threads", "out_dir")
+    other = ("config", "sources", "rfi", "phase", "filter", "threads",
+             "out_dir")
     return tuple(name for name in _names(ExperimentManifest)
-                 if name not in other + _FILTER_KEYS)
+                 if name not in other)
 
 
 def _fmt(value) -> str:
@@ -301,27 +284,19 @@ def sha256_file(path) -> str:
 
 # -- frame store (simulate/detect handoff in frame modes) ------------------
 
-def save_frames_npz(path, config: ObservationConfig, frame_pairs) -> None:
-    """Persist channelized frame pairs for the detect stage.
+def save_frames_npz(path, config: ObservationConfig, frames) -> None:
+    """Persist frames for the detect stage.
 
-    frame_pairs is an iterable of (east, west) FrameSpectrum tuples as
-    yielded by simulate_frames.
+    frames is an iterable of (index, utc, pol, east, west, rf) tuples, as
+    simulate_frames yields them and load_frames_npz gives them back.
     """
-    frame_index, utc, pols, east, west = [], [], [], [], []
-    for fe, fw in frame_pairs:
-        if (fe.frame_index != fw.frame_index
-                or fe.polarization_tag != fw.polarization_tag):
-            raise ValidationError("misaligned east/west frame pair")
-        frame_index.append(fe.frame_index)
-        utc.append(fe.utc_s)
-        pols.append(fe.polarization_tag)
-        east.append(fe.bins)
-        west.append(fw.bins)
-    if not frame_index:
+    frames = list(frames)
+    if not frames:
         raise ValidationError("no frames to save")
+    index, utc, pols, east, west, _ = zip(*frames)
     np.savez_compressed(
         path,
-        frame_index=np.asarray(frame_index, dtype=np.int64),
+        frame_index=np.asarray(index, dtype=np.int64),
         utc_s=np.asarray(utc, dtype=float),
         polarization_tag=np.asarray(pols),
         east=np.asarray(east), west=np.asarray(west),
@@ -382,7 +357,7 @@ class ExperimentResult:
 
 
 def session_frames(manifest: ExperimentManifest):
-    """Simulate the frame modes' session: (east, west) FrameSpectrum pairs."""
+    """Simulate the frame modes' session as load_frames_npz's tuples."""
     return simulate_frames(manifest.config, manifest.sources, manifest.rfi,
                            n_frames=manifest.n_frames,
                            start_utc_s=manifest.start_utc_s,
@@ -395,16 +370,13 @@ def simulate_events(manifest: ExperimentManifest) -> EventTable:
     Events mode samples them directly; the frame modes synthesize the
     frames and first-level filter them.
     """
-    config = manifest.config
     if manifest.mode == "events":
         return simulate_level1_events(
-            config, manifest.sources, manifest.first_level(),
+            manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
             start_utc_s=manifest.start_utc_s, threads=manifest.threads)
-    stream = ((fe.frame_index, fe.utc_s, fe.polarization_tag, fe.bins,
-               fw.bins, config.rf_freqs())
-              for fe, fw in session_frames(manifest))
-    return detect_frames(config, manifest.first_level(), stream)
+    return detect_frames(manifest.config, manifest.filter,
+                         session_frames(manifest))
 
 
 def external_archive(manifest: ExperimentManifest) -> str | None:

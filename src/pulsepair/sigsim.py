@@ -77,8 +77,6 @@ class ObservationConfig:
     dec_deg: float = -8.0
     azimuth_deg: float = 180.0
     tau_int_true_s: float = 0.0
-    bins_per_segment: int = 256
-    segment_include_self: bool = True
     polarization_tags: tuple = ("LHCP",)
     noise_floor: float = 1.0
     phase_sign: float = -1.0
@@ -99,8 +97,6 @@ class ObservationConfig:
                 "integer bin count; align the band edges to the bin grid")
         if round(width_bins) < 1:
             raise ValidationError("band narrower than one bin")
-        if self.bins_per_segment < 2:
-            raise ValidationError("bins_per_segment must be >= 2")
         if not self.polarization_tags:
             raise ValidationError("need at least one polarization tag")
         if len(set(self.polarization_tags)) != len(self.polarization_tags):
@@ -219,17 +215,6 @@ class RfiSpec:
             raise ValidationError("duty_cycle outside [0, 1]")
         if self.direction == "common_mode" and self.sidelobe_delay_s != 0.0:
             raise ValidationError("common_mode RFI cannot carry a delay")
-
-
-@dataclass
-class FrameSpectrum:
-    """One element's channelized frame."""
-
-    frame_index: int
-    utc_s: float
-    element: str
-    polarization_tag: str
-    bins: np.ndarray
 
 
 def _hour_angle_hr(lst_hr, ra_hr):
@@ -384,12 +369,13 @@ def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
 def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
                     n_frames: int = 1, start_utc_s: float = 0.0,
                     mode: str = "freq"):
-    """Generate channelized east/west frame pairs for every polarization.
+    """Generate channelized east/west frames for every polarization.
 
-    Yields (east, west) FrameSpectrum tuples, frame-major and
-    polarization-minor.  RNG streams are keyed on (seed, frame,
-    polarization[, source/interferer]) so any frame is reproducible in
-    isolation and resumed or parallel runs produce identical bytes.
+    Yields (frame_index, utc_s, pol_tag, east, west, rf_freqs) tuples, as
+    pipeline.load_frames_npz does, frame-major and polarization-minor.
+    RNG streams are keyed on (seed, frame, polarization[, source/interferer])
+    so any frame is reproducible in isolation and resumed or parallel runs
+    produce identical bytes.
 
     mode="time" samples the band at the Nyquist rate, injects tones in the
     time domain, and channelizes with the package FFT (slow, maximally
@@ -454,8 +440,7 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
             if mode == "time":
                 east = fft_frame(east, config.frame_seconds, band_width)
                 west = fft_frame(west, config.frame_seconds, band_width)
-            yield (FrameSpectrum(frame_index, utc, "EAST", pol_tag, east),
-                   FrameSpectrum(frame_index, utc, "WEST", pol_tag, west))
+            yield frame_index, utc, pol_tag, east, west, rf
 
 
 def simulate_correlator_frames(rf_freqs_hz, n_frames: int, corr_power: float,
@@ -492,16 +477,15 @@ def _usable_bins(config: ObservationConfig,
                  params: FirstLevelFilterParams) -> np.ndarray:
     """Bin indices that can yield events: complete segments, accepted RF."""
     n = config.n_bins
-    m = config.bins_per_segment
+    m = params.bins_per_segment
     scored = np.arange(n) < (n // m) * m
     accepted = params.rf_accepted(config.rf_freqs())
     return np.flatnonzero(scored & accepted)
 
 
 def _sample_transit(config: ObservationConfig, sources, params,
-                    window_lo_hr: float, window_hi_hr: float,
-                    transit: int, n_frames: int, utc_start: float,
-                    usable: np.ndarray, p_single: float, seed: int):
+                    window_lo_hr: float, transit: int, n_frames: int,
+                    utc_start: float, usable: np.ndarray, p_single: float):
     """All level-1 survivor events of one transit (one sidereal pass)."""
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     n_pol = len(config.polarization_tags)
@@ -511,7 +495,7 @@ def _sample_transit(config: ObservationConfig, sources, params,
     tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
 
     # --- noise: dual crossings, uniform over (frame, pol, usable bin) ---
-    rng = np.random.default_rng([seed, 0x4015E, transit])
+    rng = np.random.default_rng([config.seed, 0x4015E, transit])
     lam = n_pol * usable.size * p_single * p_single
     count = int(rng.poisson(lam * n_frames))
     frames = rng.integers(0, n_frames, count)
@@ -539,13 +523,14 @@ def _sample_transit(config: ObservationConfig, sources, params,
     usable_set = np.zeros(config.n_bins, dtype=bool)
     usable_set[usable] = True
     for s_idx, src in enumerate(sources):
-        rng_s = np.random.default_rng([seed, 0x50CE, transit, s_idx])
+        rng_s = np.random.default_rng([config.seed, 0x50CE, transit, s_idx])
         snr_lin = 10.0 ** (src.snr_db / 10.0)
         sigma_phi = 1.0 / math.sqrt(2.0 * snr_lin)
-        # measured SNR of a strong tone: its own power inflates the segment
-        # mean, deflating the ratio by 1 + snr/m.
-        snr_rec_db = 10.0 * math.log10(
-            snr_lin / (1.0 + snr_lin / config.bins_per_segment))
+        # measured SNR of a strong tone: when it counts in its own segment
+        # mean, its power inflates the mean, deflating the ratio by 1 + snr/m.
+        deflate = (1.0 + snr_lin / params.bins_per_segment
+                   if params.segment_include_self else 1.0)
+        snr_rec_db = 10.0 * math.log10(snr_lin / deflate)
         half = src.active_halfwidth_hr
         lst_frames = window_lo_hr + np.arange(n_frames) * hop_hr
         active = np.flatnonzero(
@@ -603,7 +588,6 @@ def _sample_transit(config: ObservationConfig, sources, params,
 def simulate_level1_events(config: ObservationConfig, sources,
                            params: FirstLevelFilterParams, n_transits: int,
                            window_lo_hr: float, window_hi_hr: float,
-                           seed: int | None = None,
                            start_utc_s: float = 0.0,
                            threads: int = 1) -> EventTable:
     """Draw the level-1 survivor population directly (no per-bin synthesis).
@@ -624,8 +608,6 @@ def simulate_level1_events(config: ObservationConfig, sources,
         raise ValidationError("n_transits must be >= 1")
     if not window_hi_hr > window_lo_hr:
         raise ValidationError("window_hi_hr must exceed window_lo_hr")
-    if seed is None:
-        seed = config.seed
     for src in sources:
         if src.snr_db < params.snr_threshold_db + 6.0:
             raise ValidationError(
@@ -638,8 +620,8 @@ def simulate_level1_events(config: ObservationConfig, sources,
     if usable.size == 0:
         raise ValidationError("no usable bins: band and segments misaligned")
     p_single = estimator_corrected_crossing_prob(
-        params.snr_threshold_db, config.bins_per_segment,
-        config.segment_include_self)
+        params.snr_threshold_db, params.bins_per_segment,
+        params.segment_include_self)
     n_frames = int(round(duration_hr / 24.0 * SIDEREAL_DAY_S
                          / config.hop_seconds))
     if n_frames < 1:
@@ -649,8 +631,8 @@ def simulate_level1_events(config: ObservationConfig, sources,
 
     def one(transit: int):
         return _sample_transit(
-            config, sources, params, window_lo_hr, window_hi_hr, transit,
-            n_frames, utc0 + transit * SIDEREAL_DAY_S, usable, p_single, seed)
+            config, sources, params, window_lo_hr, transit, n_frames,
+            utc0 + transit * SIDEREAL_DAY_S, usable, p_single)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -12,6 +12,7 @@ p ~ 0.025 cannot underflow or lose the tail to cancellation.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import typing
 import warnings
@@ -80,7 +81,7 @@ def binomial_tail(n: int, p: float, k: int, strict: bool = False) -> float:
         return 0.0
     if lo <= 0:
         return 1.0
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    log_fact = _log_factorials(n)
     j = np.arange(lo, n + 1)
     log_terms = (log_fact[n] - log_fact[j] - log_fact[n - j]
                  + j * math.log(p) + (n - j) * math.log1p(-p))
@@ -89,6 +90,14 @@ def binomial_tail(n: int, p: float, k: int, strict: bool = False) -> float:
     scaled = np.sort(np.exp(log_terms - top))
     total = top + math.log(float(np.sum(scaled)))
     return float(min(1.0, math.exp(total)))
+
+
+@functools.lru_cache(maxsize=1)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only log(i!) for i = 0..n; one table serves all tails of one n."""
+    table = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def enumerate_tail(n: int, p: float, k: int, strict: bool = False) -> float:

@@ -20,19 +20,15 @@ OBS_LON = -79.8398
 def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,
                   mode="freq"):
     """Simulate frames and run the first-level filter on every one."""
-    rf = config.rf_freqs()
-    frames = simulate_frames(config, sources, rfi, n_frames,
-                             start_utc_s=start_utc_s, mode=mode)
-    return detect_frames(config, params, (
-        (fe.frame_index, fe.utc_s, fe.polarization_tag, fe.bins, fw.bins, rf)
-        for fe, fw in frames))
+    return detect_frames(config, params, simulate_frames(
+        config, sources, rfi, n_frames, start_utc_s=start_utc_s, mode=mode))
 
 
 def wide_band_params(snr_threshold_db=12.0):
     """First-level params for the 2.5 MHz synthetic band (no excision)."""
     return FirstLevelFilterParams(
         snr_threshold_db=snr_threshold_db,
-        band_low_hz=1445.0e6, band_high_hz=1447.5e6,
+        accept_band_low_hz=1445.0e6, accept_band_high_hz=1447.5e6,
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
 
 
@@ -48,8 +44,9 @@ def scaled_survey_cohens_d(seed, inject):
         band_low_hz=1445.0e6, band_high_hz=1446.0e6, frame_seconds=0.52,
         polarization_tags=("LHCP", "RHCP"), seed=seed)
     params = FirstLevelFilterParams(
-        snr_threshold_db=8.5, band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
     sources = []
     if inject:
         sources = [SourceSpec(name="beacon", ra_hr=5.25, dec_deg=-8.0,

@@ -34,7 +34,7 @@ def _check(num: int, ok: bool, detail: str) -> None:
 def _wide_params(threshold_db: float = 12.0) -> FirstLevelFilterParams:
     return FirstLevelFilterParams(
         snr_threshold_db=threshold_db,
-        band_low_hz=1445.0e6, band_high_hz=1447.5e6,
+        accept_band_low_hz=1445.0e6, accept_band_high_hz=1447.5e6,
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
 
 
@@ -243,8 +243,9 @@ def test_09_oracle_equivalence_and_filter_monotonicity():
         band_low_hz=1445.0e6, band_high_hz=1446.0e6, frame_seconds=0.52,
         polarization_tags=("LHCP", "RHCP"), seed=33)
     params = FirstLevelFilterParams(
-        snr_threshold_db=8.0, band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=8.0, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
     events = simulate_level1_events(config, [], params, 1, 3.30, 3.90)
     assert len(events) >= 10_000
     pairs = form_pairs(events.take(np.arange(10_000)))
@@ -278,8 +279,9 @@ def test_10_thread_count_never_changes_bytes(tmp_path):
                 band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                 frame_seconds=0.52, polarization_tags=("LHCP", "RHCP"),
                 seed=0),
-            accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
-            excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
+            filter=FirstLevelFilterParams(
+                accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
+                excision_low_hz=1445.0e6, excision_high_hz=1445.0e6),
             mode="events", n_transits=2, window_lo_hr=5.0, window_hi_hr=5.5,
             ra_bin_hr=0.1, threads=threads, out_dir=str(out)))
         assert res.status == "ok"

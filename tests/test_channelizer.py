@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pulsepair.channelizer import (estimator_corrected_crossing_prob,
-                                   fft_frame, frame_bin_stats, phase_rad,
+                                   fft_frame, frame_bin_stats,
                                    single_element_crossing_prob, snr_db,
                                    wrap_phase)
 from pulsepair.errors import ValidationError
@@ -17,12 +17,6 @@ def test_wrap_phase_interval():
     assert wrap_phase(0.25) == pytest.approx(0.25)
     arr = wrap_phase(np.array([7.0, -7.0]))
     assert np.all(arr > -math.pi) and np.all(arr <= math.pi)
-
-
-def test_phase_rad_rejects_zero():
-    with pytest.raises(ValidationError):
-        phase_rad(0.0 + 0.0j)
-    assert phase_rad(-1.0 + 0.0j) == pytest.approx(math.pi)
 
 
 def test_fft_frame_unit_tone_gain():
@@ -55,6 +49,15 @@ def test_frame_bin_stats_segment_mean():
     _, snr_x, _, _ = frame_bin_stats(bins, bins_per_segment=256,
                                      include_self=False)
     assert snr_x[17] == pytest.approx(10.0 * math.log10(100.0))
+    # phases lie in (-pi, pi]: np.angle puts -1 - 0j at -pi, which folds
+    # to +pi; a zero bin has no phase
+    bins[3] = complex(-1.0, -0.0)
+    bins[4] = 0.0
+    _, _, phase, _ = frame_bin_stats(bins, bins_per_segment=256)
+    assert np.angle(bins[3]) == -math.pi
+    assert phase[3] == math.pi
+    assert np.isnan(phase[4])
+    assert phase[0] == 0.0
 
 
 def test_frame_bin_stats_partial_tail_unscored():

@@ -10,7 +10,8 @@ import pytest
 from pulsepair import cli, phasefilter, pipeline
 from pulsepair.calib import FWHM_PER_SIGMA, utc_at_lst
 from pulsepair.kvconfig import read_kv_file
-from pulsepair.pairdetect import form_pairs, read_level1_archive
+from pulsepair.pairdetect import (FirstLevelFilterParams, form_pairs,
+                                  read_level1_archive)
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
 from pulsepair.sigsim import ObservationConfig
@@ -33,8 +34,9 @@ def _events_manifest(**kwargs):
         config=ObservationConfig(
             band_low_hz=1445.0e6, band_high_hz=1446.0e6, frame_seconds=0.52,
             polarization_tags=("LHCP", "RHCP"), seed=3),
-        accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
+        filter=FirstLevelFilterParams(
+            accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
+            excision_low_hz=1445.0e6, excision_high_hz=1445.0e6),
         mode="events", n_transits=2,
         window_lo_hr=5.0, window_hi_hr=5.5, ra_bin_hr=0.1)
     for key, value in kwargs.items():
@@ -88,9 +90,10 @@ def _frames_config(tmp_path) -> str:
             band_low_hz=1445.0e6, band_high_hz=1446.0e6,
             frame_seconds=0.001024, polarization_tags=("LHCP", "RHCP"),
             seed=11),
-        snr_threshold_db=5.0,
-        accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
+        filter=FirstLevelFilterParams(
+            snr_threshold_db=5.0, accept_band_low_hz=1445.0e6,
+            accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+            excision_high_hz=1445.0e6),
         mode="freq", n_frames=8)
     return _write_config(tmp_path / "frames.cfg", m)
 
@@ -309,6 +312,8 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["simulate"]) == 1             # --config required
     assert cli.main(["simulate", "--config", cfg, "--seed", "-1"]) == 1
     assert cli.main(["simulate", "--config", cfg, "--threads", "x"]) == 1
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                     "--format", "csv"]) == 1    # a report-only flag
     assert cli.main(["calibrate"]) == 1            # --scan required
     capsys.readouterr()
 
@@ -317,6 +322,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("run.not_a_key = 1\n")
     out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", str(bad_cfg), "--out", out]) == 3
+    bad_cfg.write_text("config.bins_per_segment = 128\n")   # now filter.*
     assert cli.main(["simulate", "--config", str(bad_cfg), "--out", out]) == 3
     cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
     assert cli.main(["refilter", "--config", cfg, "--out", out]) == 3

@@ -13,8 +13,8 @@ from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
 
 
 def _params(**kw):
-    base = dict(snr_threshold_db=8.5, band_low_hz=1405.0e6,
-                band_high_hz=1455.0e6, excision_low_hz=1424.0e6,
+    base = dict(snr_threshold_db=8.5, accept_band_low_hz=1405.0e6,
+                accept_band_high_hz=1455.0e6, excision_low_hz=1424.0e6,
                 excision_high_hz=1426.0e6)
     base.update(kw)
     return FirstLevelFilterParams(**base)

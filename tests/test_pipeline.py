@@ -7,7 +7,8 @@ import pytest
 
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file
-from pulsepair.pairdetect import (EventTable, PulseEvent, read_level1_archive,
+from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
+                                  PulseEvent, read_level1_archive,
                                   write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, CandidateRow,
                                 ExperimentManifest, detect_frames,
@@ -29,8 +30,9 @@ def _small_manifest(out_dir, seed=0, n_transits=2, threads=1):
         config=ObservationConfig(
             band_low_hz=1445.0e6, band_high_hz=1446.0e6, frame_seconds=0.52,
             polarization_tags=("LHCP", "RHCP"), seed=seed),
-        accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
+        filter=FirstLevelFilterParams(
+            accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
+            excision_low_hz=1445.0e6, excision_high_hz=1445.0e6),
         mode="events", n_transits=n_transits,
         window_lo_hr=5.0, window_hi_hr=5.5, ra_bin_hr=0.1,
         threads=threads, out_dir=str(out_dir))
@@ -95,8 +97,7 @@ def _full_manifest() -> ExperimentManifest:
             band_low_hz=1445.0e6, band_high_hz=1446.0e6, frame_seconds=0.52,
             hop_seconds=0.52, baseline_m=30.0, latitude_deg=38.433,
             longitude_deg=-79.8398, dec_deg=-8.0, azimuth_deg=180.0,
-            tau_int_true_s=0.0, bins_per_segment=256,
-            segment_include_self=True, polarization_tags=("LHCP", "RHCP"),
+            tau_int_true_s=0.0, polarization_tags=("LHCP", "RHCP"),
             noise_floor=1.0, phase_sign=-1.0, beam_fwhm_ra_deg=9.0, seed=5),
         sources=[SourceSpec(
             name="x", ra_hr=5.25, dec_deg=-8.0, snr_db=45.0,
@@ -111,9 +112,11 @@ def _full_manifest() -> ExperimentManifest:
             tau_int_s=0.0, filter_halfwidth_rad=0.04, log_delta_f_low=-5.1,
             log_delta_f_high=0.3, tau_search_low_s=-8e-9,
             tau_search_high_s=8e-9, tau_search_step_s=4e-9),
-        snr_threshold_db=8.5,
-        accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
-        excision_low_hz=1445.2e6, excision_high_hz=1445.4e6,
+        filter=FirstLevelFilterParams(
+            snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
+            accept_band_high_hz=1446.0e6, excision_low_hz=1445.2e6,
+            excision_high_hz=1445.4e6, bins_per_segment=256,
+            segment_include_self=True),
         mode="events", n_transits=2, window_lo_hr=5.0, window_hi_hr=5.5,
         n_frames=4, start_utc_s=0.0, ra_bin_hr=0.1, p_mode="uniform",
         pairing_window_frames=0, require_pol_match=False,
@@ -132,8 +135,6 @@ _MUTATIONS = {
     "config.dec_deg": "-7.0",
     "config.azimuth_deg": "181.0",
     "config.tau_int_true_s": "-1e-09",
-    "config.bins_per_segment": "128",
-    "config.segment_include_self": "false",
     "config.polarization_tags": "LHCP",
     "config.noise_floor": "2.0",
     "config.phase_sign": "1.0",
@@ -168,6 +169,8 @@ _MUTATIONS = {
     "filter.accept_band_high_hz": "1445900000.0",
     "filter.excision_low_hz": "1445100000.0",
     "filter.excision_high_hz": "1445500000.0",
+    "filter.bins_per_segment": "128",
+    "filter.segment_include_self": "false",
     "run.mode": "freq",
     "run.n_transits": "3",
     "run.window_lo_hr": "4.9",
@@ -372,13 +375,32 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
     assert list(events) == list(detect_events(config, (), (), 16, params))
 
 
+def test_simulated_frames_match_the_frame_store(tmp_path):
+    # simulate_frames yields the tuples load_frames_npz reads back
+    config = ObservationConfig(
+        band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
+        polarization_tags=("LHCP", "RHCP"), seed=5)
+    for mode in ("freq", "time"):
+        path = tmp_path / f"{mode}.npz"
+        made = list(simulate_frames(config, n_frames=3, mode=mode))
+        save_frames_npz(path, config, made)
+        loaded = list(load_frames_npz(path))
+        assert len(made) == len(loaded) == 6
+        for want, got in zip(made, loaded):
+            assert got[:3] == want[:3]
+            assert [type(v) for v in got[:3]] == [int, float, str]
+            for a, b in zip(want[3:], got[3:]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_stage_hashes_are_frozen():
     # frozen from an earlier schema implementation, so manifest.txt files
     # written by it keep resuming; the analyze hash moved when run.per_day
-    # left the schema, so such a run redoes analyze once on resume
+    # left the schema and the simulate hash when the segment keys moved
+    # from config.* to filter.*, so such a run redoes that stage once
     m = _full_manifest()
     assert m.simulate_params_hash() == (
-        "17f11268cc474a80c6576ccded6005386cad2065e0b5847845d537c5c32783d5")
+        "1409e34cde55f531a2b76c7f939efb01ceb79229aad1e01cebec946b82aa2de8")
     assert m.refilter_params_hash() == (
         "b5082b9d7e359d4d9e6cb6bffa5ae07c63568d2328fac5231f00c43bc7959884")
     assert m.analyze_params_hash() == (

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import detect_events, wide_band_params
 from pulsepair.calib import lst_hours
-from pulsepair.channelizer import wrap_phase
+from pulsepair.channelizer import frame_bin_stats, wrap_phase
 from pulsepair.errors import ValidationError
 from pulsepair.pairdetect import FirstLevelFilterParams
 from pulsepair.sigsim import (C_LIGHT_M_S, ObservationConfig, RfiSpec,
@@ -42,20 +42,18 @@ def test_config_validation():
 def test_noise_floor_is_unit():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
                             frame_seconds=0.02, seed=1)   # 2000 bins
-    (east, west), = list(simulate_frames(cfg, n_frames=1))
-    for fr in (east, west):
-        mean = float(np.mean(np.abs(fr.bins) ** 2))
+    (_, _, _, east, west, _), = list(simulate_frames(cfg, n_frames=1))
+    for bins in (east, west):
+        mean = float(np.mean(np.abs(bins) ** 2))
         assert abs(mean - 1.0) < 0.1
-    assert not np.allclose(east.bins, west.bins)     # independent noise
+    assert not np.allclose(east, west)               # independent noise
 
 
 def test_frames_deterministic():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
                             frame_seconds=0.02, seed=7)
-    a = [(e.bins.copy(), w.bins.copy())
-         for e, w in simulate_frames(cfg, n_frames=3)]
-    b = [(e.bins.copy(), w.bins.copy())
-         for e, w in simulate_frames(cfg, n_frames=3)]
+    a = [(f[3].copy(), f[4].copy()) for f in simulate_frames(cfg, n_frames=3)]
+    b = [(f[3].copy(), f[4].copy()) for f in simulate_frames(cfg, n_frames=3)]
     for (ea, wa), (eb, wb) in zip(a, b):
         assert np.array_equal(ea, eb)
         assert np.array_equal(wa, wb)
@@ -64,11 +62,11 @@ def test_frames_deterministic():
 def test_time_mode_matches_freq_mode_levels():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.05e6,
                             frame_seconds=0.02, seed=3)   # 1000 bins
-    (ef, _), = list(simulate_frames(cfg, n_frames=1, mode="freq"))
-    (et, _), = list(simulate_frames(cfg, n_frames=1, mode="time"))
-    assert ef.bins.size == et.bins.size == 1000
-    assert float(np.mean(np.abs(et.bins) ** 2)) == pytest.approx(
-        float(np.mean(np.abs(ef.bins) ** 2)), rel=0.2)
+    ef = next(simulate_frames(cfg, n_frames=1, mode="freq"))[3]
+    et = next(simulate_frames(cfg, n_frames=1, mode="time"))[3]
+    assert ef.size == et.size == 1000
+    assert float(np.mean(np.abs(et) ** 2)) == pytest.approx(
+        float(np.mean(np.abs(ef) ** 2)), rel=0.2)
 
 
 def test_injected_tone_phase_convention():
@@ -129,8 +127,9 @@ def test_rfi_common_mode_vs_sidelobe():
                    rf_freq_hz=1445.05e6, direction="sidelobe",
                    sidelobe_delay_s=100.0e-9)
     params = FirstLevelFilterParams(
-        snr_threshold_db=12.0, band_low_hz=1445.0e6, band_high_hz=1445.1e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=12.0, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1445.1e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
     ev_c = detect_events(cfg, [], [common], 5, params)
     ev_s = detect_events(cfg, [], [side], 5, params)
     assert len(ev_c) == 5 and len(ev_s) == 5
@@ -162,24 +161,32 @@ def test_rfi_duty_cycle_zero_is_silent():
                     rf_freq_hz=1445.05e6, direction="common_mode",
                     duty_cycle=0.0)
     params = FirstLevelFilterParams(
-        snr_threshold_db=12.0, band_low_hz=1445.0e6, band_high_hz=1445.1e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=12.0, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1445.1e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
     assert len(detect_events(cfg, [], [quiet], 5, params)) == 0
 
 
-def test_sampler_statistics():
+@pytest.mark.parametrize("bins_per_segment, include_self",
+                         [(256, True), (64, False)])
+def test_sampler_statistics(bins_per_segment, include_self):
+    # the sampler draws the survivors of the filter's own segment rule
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52,
                             polarization_tags=("LHCP", "RHCP"), seed=2)
     params = FirstLevelFilterParams(
-        snr_threshold_db=8.5, band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6, bins_per_segment=bins_per_segment,
+        segment_include_self=include_self)
     events = simulate_level1_events(cfg, [], params, 1, 3.30, 7.30)
     # expectation: n_pols * n_usable * p1^2 per frame over the window
     from pulsepair.calib import SIDEREAL_DAY_S
     from pulsepair.channelizer import estimator_corrected_crossing_prob
-    p1 = estimator_corrected_crossing_prob(8.5, 256, True)
-    usable = (520_000 // 256) * 256 - 1            # one edge bin excised
+    p1 = estimator_corrected_crossing_prob(
+        8.5, params.bins_per_segment, params.segment_include_self)
+    m = params.bins_per_segment
+    usable = (520_000 // m) * m - 1                # one edge bin excised
     n_frames = round(4.0 / 24.0 * SIDEREAL_DAY_S / 0.52)
     lam = 2 * usable * p1 * p1 * n_frames
     assert abs(len(events) - lam) < 5.0 * math.sqrt(lam)
@@ -189,12 +196,32 @@ def test_sampler_statistics():
     assert ra.min() >= 3.30 and ra.max() < 7.30
 
 
+@pytest.mark.parametrize("include_self", [True, False])
+def test_sampler_injected_snr_follows_segment_rule(include_self):
+    # an injected tone carries the SNR the detector would measure for it
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.52, seed=3)
+    params = FirstLevelFilterParams(
+        accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
+        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
+        segment_include_self=include_self)
+    src = SourceSpec(name="b", ra_hr=5.25, dec_deg=-8.0, snr_db=30.0,
+                     pulse_rate_per_frame=0.05, emission_window_hr=0.1)
+    events = simulate_level1_events(cfg, [src], params, 1, 5.0, 5.5)
+    injected = float(events.snr_east_db.max())     # noise tails stay < 20 dB
+    bins = np.ones(256, complex)
+    bins[17] = math.sqrt(1000.0)                   # 30 dB over a unit floor
+    _, snr, _, _ = frame_bin_stats(bins, 256, include_self)
+    assert injected == pytest.approx(snr[17], abs=0.05)
+
+
 def test_sampler_deterministic_and_threaded():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52, seed=6)
     params = FirstLevelFilterParams(
-        snr_threshold_db=8.5, band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
     one = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5, threads=1)
     two = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5, threads=2)
     assert list(one) == list(two)
@@ -205,8 +232,9 @@ def test_sampler_rejects_weak_sources():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52, seed=6)
     params = FirstLevelFilterParams(
-        snr_threshold_db=8.5, band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+        snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
     weak = SourceSpec(name="w", ra_hr=5.25, dec_deg=-8.0, snr_db=10.0,
                       pulse_rate_per_frame=0.01)
     with pytest.raises(ValidationError):
