@@ -13,7 +13,7 @@ import sys
 from . import __version__, calib, kvconfig, pipeline, plotting
 from .errors import StageError, UsageError, ValidationError
 from .pairdetect import write_level1_archive
-from .skystats import read_stats_csv, write_stats_csv
+from .skystats import read_stats_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,11 +182,9 @@ def cmd_analyze(args) -> int:
     level1 = None                   # read only for the exposure
     if manifest.p_mode == "exposure":
         level1 = _archive(args, manifest)
-    res = pipeline.analyze_candidates(manifest, cand_path, level1)
     stats_path = os.path.join(args.out, "stats.csv")
-    write_stats_csv(stats_path, res.stats)
-    report_path = os.path.join(args.out, "report.txt")
-    pipeline._write_report(report_path, manifest, res)
+    res = pipeline.write_analysis(manifest, cand_path, level1, stats_path,
+                                  os.path.join(args.out, "report.txt"))
     peak = res.peak
     if peak is None:
         print(f"analyze: 0 trials -> {stats_path}")
@@ -256,15 +254,13 @@ def cmd_null_mc(args) -> int:
 def cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     stats_path = _input(args.stats, args.out, "stats.csv", "stats file")
-    stats = read_stats_csv(stats_path)
     manifest = (_load_manifest(args) if args.config
                 else pipeline.ExperimentManifest())
     if args.format == "svg":
         path = os.path.join(args.out, "figure.svg")
-        plotting.save_stats_figure(path, stats, manifest.fwhm_center_hr,
-                                   manifest.fwhm_width_hr,
-                                   title=manifest.title)
+        pipeline.write_figure(manifest, stats_path, path)
     else:
+        stats = read_stats_csv(stats_path)
         path = os.path.join(args.out, "figure_caption.csv")
         with open(path, "w", newline="\n") as fh:
             fh.write("caption\n")

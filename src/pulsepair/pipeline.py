@@ -1,14 +1,16 @@
 """Staged experiment runner: manifest in, artifacts plus manifest out.
 
 Stages are simulate (or ingest an existing level-1 archive), refilter,
-analyze, report; `simulate_events`, `refilter` and `analyze_candidates` are
-the stage functions that the CLI calls too.  Every artifact is written with
-fixed formats, hashed with sha256, and recorded in `manifest.txt` together
-with a hash of exactly the parameters that can change that artifact's
-bytes; a rerun in the same output directory skips any stage whose parameter
-hash, input hashes, and output hashes all still match.  Thread count and
-output location are deliberately excluded from the hashes: they must never
-change results.
+analyze, report.  `run_experiment` runs the same stage functions as the
+CLI subcommands: `simulate_events`, `refilter`, `write_analysis` and
+`write_figure`, so the figure is drawn from `stats.csv` on both paths.
+Every artifact is written with fixed formats, hashed with sha256, and
+recorded in `manifest.txt` together with a hash of exactly the parameters
+that can change that artifact's bytes; a rerun in the same output directory
+skips any stage whose parameter hash, input hashes, and output hashes all
+still match.  A failed stage records `status = failed:<stage>`.  Thread
+count and output location are deliberately excluded from the hashes: they
+must never change results.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
                      simulate_level1_events)
 from .skystats import (AnalysisResult, analyze, bin_probabilities,
                        peak_cohens_d, ra_bin_index, read_rows_csv,
-                       write_stats_csv)
+                       read_stats_csv, write_stats_csv)
 
 @dataclass
 class CandidateRow:
@@ -409,7 +411,14 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
 
 def run_experiment(manifest: ExperimentManifest,
                    resume: bool = True) -> ExperimentResult:
-    """Run simulate -> refilter -> analyze -> report with hash-based resume."""
+    """Run simulate -> refilter -> analyze -> report with hash-based resume.
+
+    Each stage runs the function its CLI subcommand calls.  A stage is
+    skipped when its params hash, its `stage.<name>.inputs` line (one
+    `<file>=<sha256>` per input), its outputs' hashes and its record lines
+    all match the prior manifest.txt.  A failure records
+    `status = failed:<stage>` before it propagates.
+    """
     out = manifest.out_dir
     os.makedirs(out, exist_ok=True)
     manifest_path = os.path.join(out, "manifest.txt")
@@ -426,111 +435,67 @@ def run_experiment(manifest: ExperimentManifest,
         "report": os.path.join(out, "report.txt"),
         "figure": os.path.join(out, "figure.svg"),
     }
+    level1, candidates, stats, report, figure = paths.values()
     skipped: list[str] = []
     result = ExperimentResult("running", out, paths, skipped)
+    counts = ("n_events", "n_candidates", "n_survivors")
 
-    def artifact_current(stage: str, params_hash: str, inputs_hash: str,
-                         outputs: list) -> bool:
-        if not resume or prior.get(f"stage.{stage}.params") != params_hash:
-            return False
-        if prior.get(f"stage.{stage}.inputs") != inputs_hash:
-            return False
-        for p in outputs:
-            name = os.path.basename(p)
-            if not os.path.exists(p):
-                return False
-            if prior.get(f"artifact.{name}") != sha256_file(p):
-                return False
-        return True
+    def refilter_stage():
+        values = refilter(manifest, level1, candidates)
+        for name, value in zip(counts, values):
+            record[f"stage.refilter.{name}"] = str(value)
 
-    def mark(stage: str, params_hash: str, inputs_hash: str,
-             outputs: list) -> None:
-        record[f"stage.{stage}.params"] = params_hash
-        record[f"stage.{stage}.inputs"] = inputs_hash
-        for p in outputs:
-            record[f"artifact.{os.path.basename(p)}"] = sha256_file(p)
+    def analyze_stage():
+        result.analysis = write_analysis(manifest, candidates, level1, stats,
+                                         report)
 
-    def fail(stage: str, exc: Exception):
+    exposure = [level1] if manifest.p_mode == "exposure" else []
+    # (name, params hash, inputs, outputs, record lines, stage function)
+    stages = [
+        ("simulate", manifest.simulate_params_hash(), [], [level1], (),
+         lambda: write_level1_archive(level1, simulate_events(manifest))),
+        ("refilter", manifest.refilter_params_hash(), [level1], [candidates],
+         counts, refilter_stage),
+        ("analyze", manifest.analyze_params_hash(), [candidates] + exposure,
+         [stats, report], (), analyze_stage),
+        ("report", manifest.report_params_hash(), [stats], [figure], (),
+         lambda: write_figure(manifest, stats, figure)),
+    ]
+    stage = "simulate"
+    try:
+        if external_archive(manifest) is not None:
+            skipped.append("simulate (external archive)")
+            del stages[0]
+        for stage, params_hash, inputs, outputs, names, run in stages:
+            lines = [f"stage.{stage}.{name}" for name in names]
+            marks = {f"stage.{stage}.params": params_hash,
+                     f"stage.{stage}.inputs": ",".join(
+                         f"{os.path.basename(p)}={sha256_file(p)}"
+                         for p in inputs) or "none"}
+            if (all(prior.get(k) == v for k, v in marks.items())
+                    and all(k in prior for k in lines)
+                    and all(os.path.exists(p)
+                            and prior.get(f"artifact.{os.path.basename(p)}")
+                            == sha256_file(p) for p in outputs)):
+                skipped.append(stage)
+                record.update((k, prior[k]) for k in lines)
+            else:
+                run()
+            record.update(marks)
+            for p in outputs:
+                record[f"artifact.{os.path.basename(p)}"] = sha256_file(p)
+        stage = "analyze"
+        if result.analysis is None:         # a resumed run still has a peak
+            result.analysis = analyze_candidates(manifest, candidates, level1)
+    except Exception as exc:
         record["status"] = f"failed:{stage}"
         record["error"] = str(exc).replace("\n", " ")
         kvconfig.write_kv_file(manifest_path, record)
         if isinstance(exc, ValidationError):
-            return exc
-        return StageError(stage, str(exc))
-
-    # --- simulate ---------------------------------------------------------
-    stage = "simulate"
-    sim_hash = manifest.simulate_params_hash()
-    sim_inputs = "none" if external_archive(manifest) is None else "external"
-    if sim_inputs == "external":
-        skipped.append("simulate (external archive)")
-    elif artifact_current(stage, sim_hash, sim_inputs, [paths["level1"]]):
-        skipped.append(stage)
-    else:
-        try:
-            write_level1_archive(paths["level1"], simulate_events(manifest))
-        except Exception as exc:
-            raise fail(stage, exc) from exc
-    mark(stage, sim_hash, sim_inputs, [paths["level1"]])
-
-    # --- refilter -----------------------------------------------------------
-    stage = "refilter"
-    refilter_hash = manifest.refilter_params_hash()
-    level1_hash = sha256_file(paths["level1"])
-    counts = ("n_events", "n_candidates", "n_survivors")
-    if (artifact_current(stage, refilter_hash, level1_hash,
-                         [paths["candidates"]])
-            and all(f"stage.{stage}.{n}" in prior for n in counts)):
-        for name in counts:
-            setattr(result, name, int(prior[f"stage.{stage}.{name}"]))
-        skipped.append(stage)
-    else:
-        try:
-            (result.n_events, result.n_candidates,
-             result.n_survivors) = refilter(manifest, paths["level1"],
-                                            paths["candidates"])
-        except Exception as exc:
-            raise fail(stage, exc) from exc
-    mark(stage, refilter_hash, level1_hash, [paths["candidates"]])
+            raise
+        raise StageError(stage, str(exc)) from exc
     for name in counts:
-        record[f"stage.{stage}.{name}"] = str(getattr(result, name))
-
-    # --- analyze ------------------------------------------------------------
-    stage = "analyze"
-    analyze_hash = manifest.analyze_params_hash()
-    inputs_hash = sha256_file(paths["candidates"])
-    if manifest.p_mode == "exposure":
-        inputs_hash += "," + level1_hash    # the exposure comes from level-1
-    need = not artifact_current(stage, analyze_hash, inputs_hash,
-                                [paths["stats"], paths["report"]])
-    try:
-        analysis = analyze_candidates(manifest, paths["candidates"],
-                                      paths["level1"])
-        result.analysis = analysis
-        if need:
-            write_stats_csv(paths["stats"], analysis.stats)
-            _write_report(paths["report"], manifest, analysis)
-    except Exception as exc:
-        raise fail(stage, exc) from exc
-    mark(stage, analyze_hash, inputs_hash, [paths["stats"], paths["report"]])
-    if not need:
-        skipped.append(stage)
-
-    # --- report -------------------------------------------------------------
-    stage = "report"
-    report_hash = manifest.report_params_hash()
-    stats_hash = sha256_file(paths["stats"])
-    if artifact_current(stage, report_hash, stats_hash, [paths["figure"]]):
-        skipped.append(stage)
-    else:
-        try:
-            save_stats_figure(paths["figure"], result.analysis.stats,
-                              manifest.fwhm_center_hr, manifest.fwhm_width_hr,
-                              title=manifest.title)
-        except Exception as exc:
-            raise fail(stage, exc) from exc
-    mark(stage, report_hash, stats_hash, [paths["figure"]])
-
+        setattr(result, name, int(record[f"stage.refilter.{name}"]))
     record["status"] = "ok"
     kvconfig.write_kv_file(manifest_path, record)
     result.status = "ok"
@@ -539,7 +504,7 @@ def run_experiment(manifest: ExperimentManifest,
 
 def analyze_candidates(manifest: ExperimentManifest, candidates_path,
                        level1_path) -> AnalysisResult:
-    """The analyze stage: RA-binned statistics of a candidates CSV.
+    """RA-binned statistics of a candidates CSV, in memory.
 
     The level-1 archive is read only in exposure mode, for the exposure.
     """
@@ -576,6 +541,22 @@ def _write_report(path, manifest: ExperimentManifest,
             "caption": caption_line(peak),
         })
     kvconfig.write_kv_file(path, kv)
+
+
+def write_analysis(manifest: ExperimentManifest, candidates_path, level1_path,
+                   stats_path, report_path) -> AnalysisResult:
+    """The analyze stage: write stats.csv and report.txt of a candidates CSV."""
+    analysis = analyze_candidates(manifest, candidates_path, level1_path)
+    write_stats_csv(stats_path, analysis.stats)
+    _write_report(report_path, manifest, analysis)
+    return analysis
+
+
+def write_figure(manifest: ExperimentManifest, stats_path, figure_path) -> None:
+    """The report stage: draw the significance figure from a stats CSV."""
+    save_stats_figure(figure_path, read_stats_csv(stats_path),
+                      manifest.fwhm_center_hr, manifest.fwhm_width_hr,
+                      title=manifest.title)
 
 
 def run_null_mc(manifest: ExperimentManifest, n_seeds: int,

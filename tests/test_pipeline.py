@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pulsepair import cli
 from pulsepair.errors import ArchiveFormatError, ValidationError
-from pulsepair.kvconfig import read_kv_file
+from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
                                   PulseEvent, read_level1_archive,
                                   write_level1_archive)
@@ -277,11 +278,45 @@ def test_run_experiment_byte_stability_across_threads(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_resume_without_counts_redoes_refilter(tmp_path):
+    cold = run_experiment(_small_manifest(tmp_path))
+    path = tmp_path / "manifest.txt"
+    write_kv_file(path, {k: v for k, v in read_kv_file(path).items()
+                         if not k.startswith("stage.refilter.n_")})
+    warm = run_experiment(_small_manifest(tmp_path))
+    # the candidates come out the same, so analyze and report still resume
+    assert warm.skipped == ["simulate", "analyze", "report"]
+    assert ((warm.n_events, warm.n_candidates, warm.n_survivors)
+            == (cold.n_events, cold.n_candidates, cold.n_survivors))
+
+
+def test_run_experiment_writes_the_cli_chain_bytes(tmp_path):
+    # some bin edges of the default window do not survive stats.csv's %.6g,
+    # so a figure drawn from the in-memory stats would differ from the CLI's
+    m = _small_manifest(tmp_path / "lib", n_transits=1)
+    m.window_lo_hr, m.window_hi_hr = 3.25, 7.25
+    run_experiment(m)
+    cfg = str(tmp_path / "exp.cfg")
+    write_kv_file(cfg, m.to_kv())
+    for command in ("simulate", "refilter", "analyze", "report"):
+        assert cli.main([command, "--config", cfg,
+                         "--out", str(tmp_path / "cli")]) == 0
+    for name in ("level1.csv", "candidates.csv", "stats.csv", "report.txt",
+                 "figure.svg"):
+        assert (sha256_file(tmp_path / "lib" / name)
+                == sha256_file(tmp_path / "cli" / name)), name
+
+
 def test_run_experiment_external_archive_missing(tmp_path):
     m = _small_manifest(tmp_path)
+    assert run_experiment(m).status == "ok"
     m.level1_in = str(tmp_path / "nope.csv")
     with pytest.raises(ValidationError):
         run_experiment(m)
+    # the failure replaces the good run's record
+    record = read_kv_file(tmp_path / "manifest.txt")
+    assert record["status"] == "failed:simulate"
+    assert record["run.level1_in"] == m.level1_in
 
 
 def test_run_experiment_corrupt_archive_fails_refilter(tmp_path):
