@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -299,22 +300,248 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
                      delta_f, log_df, np.full(a.size, np.nan))
 
 
+# write_rows lays each chunk of rows out as one uint8 grid holding a row of
+# text per row, NUL where a row is shorter than the widest, and drops the
+# NULs with one boolean compress.  A column becomes "parts": a per-row byte
+# (a sign or a '.'), a literal, a block of bytes (%s), or a uint32 word of
+# four digits from _WORDS, the ASCII of 0000..9999 in three layouts:
+# zero-padded, leading zeros as NUL (the top word of an integer), and
+# trailing zeros as NUL (the last word of a %g fraction).  A word that holds
+# r < 4 digits is still written as four bytes, its 4 - r spare bytes over
+# the part to its left; parts are written right to left, so that part then
+# writes over them.
+_PAD, _LEAD, _TRAIL = 0, 10000, 20000
+
+
+def _word_tables() -> np.ndarray:
+    digits = (np.arange(10000, dtype=np.int32)[:, None]
+              // np.array([1000, 100, 10, 1], np.int32) % 10
+              + ord("0")).astype(np.uint8)
+    nonzero = digits != ord("0")
+    lead = np.logical_or.accumulate(nonzero, axis=1)
+    lead[:, -1] = True
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([digits, digits * lead, digits * trail]).view(
+        np.uint32).ravel()
+
+
+_WORDS = _word_tables()
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10F = _POW10.astype(float)      # exact: so is every 10**k to 10**22
+_CHUNK_ROWS = 1 << 14               # an archive grid, ~1.6 MB, fits a 2 MB L2
+_MARGIN = 3                         # room for the spare bytes of a first word
+# %d, %s, %.Nf and %.Ng; anything else makes write_rows use % on every row.
+_CONVERSION = re.compile(r"%(\.\d+[fg]|[ds])")
+# Text the grid can hold: ASCII without NUL (padding) or \1 (row marker).
+_NOT_TEXT = re.compile(r"[^\x02-\x7f]")
+
+
+def _parse_format(fmt: str):
+    """(literals, conversions) of fmt, or None if write_rows must use %."""
+    pieces = _CONVERSION.split(fmt)
+    literals, conversions = pieces[::2], pieces[1::2]
+    if any("%" in t or _NOT_TEXT.search(t) for t in literals):
+        return None
+    # %.Nf keeps N <= 18 decimals in int64; %.Ng needs 1 <= N <= 15 for
+    # its digits to be exact in a double
+    if any(c[-1] == "f" and int(c[1:-1]) > 18
+           or c[-1] == "g" and not 1 <= int(c[1:-1]) <= 15
+           for c in conversions):
+        return None
+    return literals, conversions
+
+
+def _words(v, ndigits: int, layout: int) -> list:
+    """Word parts of the `ndigits` low digits of the non-negative int64 v.
+
+    _LEAD writes an integer without leading zeros (and "0" for 0), _TRAIL
+    a fraction without trailing zeros (nothing for 0), _PAD every digit.
+    """
+    parts, zero_below = [], True
+    for g in range(-(-ndigits // 4)):
+        rest = v // 10000           # several times faster than np.divmod
+        low = v - rest * 10000
+        if layout == _LEAD:
+            word = _WORDS[low + _LEAD * (rest == 0)]
+            if g:
+                word *= v != 0
+        else:
+            word = _WORDS[low + layout * zero_below]
+            zero_below = zero_below & (low == 0)
+        parts.append((min(4, ndigits - 4 * g), word))
+        v = rest
+    return parts[::-1]
+
+
+def _sign(neg) -> list:
+    return [(1, neg.view(np.uint8) * np.uint8(ord("-")))] if neg.any() else []
+
+
+def _integer(v) -> list:
+    return _words(v, len(str(int(v.max()))), _LEAD)
+
+
+def _fixed(neg, ipart, fpart, ndec: int, layout: int) -> list:
+    """Parts of [-]ipart.fpart, fpart holding ndec digits; _TRAIL drops its
+    trailing zeros, and the '.' when none are left."""
+    parts = _sign(neg) + _integer(ipart)
+    if ndec:
+        dot = np.uint8(ord("."))
+        if layout == _TRAIL:
+            dot = (fpart != 0).view(np.uint8) * dot
+        parts += [(1, dot)] + _words(fpart, ndec, layout)
+    return parts
+
+
+def _rint(m, bad):
+    """rint(m) as int64, for m = |x| * 10**k formed in one multiplication.
+
+    m then carries one rounding error of at most 2**-53 relative, so it
+    rounds as the exact decimal value of |x| to k decimals does (the way %
+    rounds) unless it lies that close to a tie; such rows, and m of 2**50
+    or more, are flagged in bad.
+    """
+    unsure = ~(m < 2.0 ** 50) | (np.abs(m - np.floor(m) - 0.5)
+                                 <= m * 2.0 ** -51)
+    bad |= unsure
+    return np.rint(np.where(unsure, 0.0, m)).astype(np.int64)
+
+
+def _render_f(x, ndec: int, bad) -> list:
+    """%.{ndec}f of the float64 column x."""
+    m = _rint(np.abs(x) * _POW10F[ndec], bad)
+    ipart = m // _POW10[ndec]
+    return _fixed(np.signbit(x), ipart, m - ipart * _POW10[ndec], ndec, _PAD)
+
+
+def _render_g(x, prec: int, bad) -> list:
+    """%.{prec}g of the float64 column x in positional notation.
+
+    Rows that %g writes with an exponent (decimal exponent below -4 or of
+    prec or more) are flagged in bad, as are nan and inf.
+    """
+    a = np.abs(x)
+    bad |= ~np.isfinite(a)
+    nonzero = np.isfinite(a) & (a > 0)
+    a = np.where(nonzero, a, 1.0)
+    lo, hi, kmax = _POW10F[prec - 1], _POW10F[prec], prec + 3
+    # k decimals bring prec significant digits before the point; where
+    # log10 misses by one, next to a power of ten, m is out of range
+    k = np.clip(prec - 1 - np.floor(np.log10(a)), 0, kmax).astype(np.int64)
+    m = a * _POW10F[k]
+    bad |= (m < lo) | (m >= hi)
+    digits = _rint(m, bad)
+    carry = digits == _POW10[prec]          # 999999.5 -> 1000000
+    digits[carry] = _POW10[prec - 1]
+    k -= carry
+    bad |= k < 0
+    digits[bad | ~nonzero] = 0
+    k = np.maximum(k, 0)
+    ipart = digits // _POW10[k]
+    ndec = int(k.max())
+    return _fixed(np.signbit(x), ipart, (digits - ipart * _POW10[k])
+                  * _POW10[ndec - k], ndec, _TRAIL)
+
+
+def _render_s(col, bad) -> list:
+    """%s of a column of str.
+
+    Rows whose text the grid cannot hold are flagged in bad, and so is
+    every row of a column holding anything but str.
+    """
+    values = col.tolist()
+    if set(map(type, values)) != {str}:
+        bad[:] = True
+        return []
+    distinct = list(set(values))
+    code = {v: i for i, v in enumerate(distinct)}
+    codes = (np.fromiter(map(code.__getitem__, values), np.intp, len(values))
+             if len(distinct) > 1 else np.zeros(len(values), np.intp))
+    ok = np.array([not _NOT_TEXT.search(v) for v in distinct])
+    bad |= ~ok[codes]
+    table = np.zeros((len(distinct), max(map(len, distinct))), np.uint8)
+    for row, v, v_ok in zip(table, distinct, ok):
+        if v_ok:
+            row[:len(v)] = np.frombuffer(v.encode(), np.uint8)
+    return [(table.shape[1], table[codes])]
+
+
+def _render(conv: str, col, bad) -> list:
+    """(width, bytes) parts of one column under one conversion.
+
+    The bytes are a uint32 word (the last four bytes of its width and
+    spare ones before it), per-row uint8 values, a [rows, width] block or
+    one value for every row.
+    """
+    kind = col.dtype.kind
+    if conv == "s":
+        return _render_s(col, bad)
+    if conv == "d" and (kind == "i" or kind == "u" and col.dtype.itemsize < 8):
+        v = col.astype(np.int64)
+        bad |= v == np.iinfo(np.int64).min
+        return _sign(v < 0) + _integer(np.abs(np.where(bad, 0, v)))
+    if conv != "d" and kind in "iuf" and col.dtype.itemsize <= 8:
+        render = _render_f if conv[-1] == "f" else _render_g
+        return render(col.astype(float), int(conv[1:-1]), bad)
+    bad[:] = True
+    return []
+
+
+def _format_chunk(fmt: str, parsed, chunk) -> str:
+    """The text of `fmt % row` for every row of the column chunk."""
+    n = len(chunk[0])
+    bad = np.zeros(n, dtype=bool)
+    if parsed is None or len(parsed[1]) != len(chunk):
+        bad[:] = True
+        text = "\1" * n
+    else:
+        literals, conversions = parsed
+        lit = [(len(t), np.frombuffer(t.encode(), np.uint8))
+               for t in literals]
+        parts = lit[:1]
+        with np.errstate(all="ignore"):
+            for conv, col, after in zip(conversions, chunk, lit[1:]):
+                parts += _render(conv, np.asarray(col), bad) + [after]
+        at = _MARGIN + sum(width for width, _ in parts)
+        grid = np.empty((n, at), np.uint8)
+        for width, value in reversed(parts):
+            if value.dtype == np.uint32:
+                grid[:, at - 4:at].view(np.uint32)[:, 0] = value
+            elif width:
+                grid[:, at - width:at] = value.reshape(-1, width)
+            at -= width
+        grid[:, :_MARGIN] = 0
+        # a flagged row keeps one \1 byte to mark where its text goes
+        grid[bad] = 0
+        grid[bad, 0] = 1
+        text = str(grid[grid != 0], "ascii")
+        if not bad.any():
+            return text
+    pieces, prev = [], 0
+    for row in zip(*[np.asarray(col)[bad].tolist() for col in chunk]):
+        at = text.index("\1", prev)    # split("\1") takes ~1 ms a chunk
+        pieces += [text[prev:at], fmt % row]
+        prev = at + 1
+    return "".join(pieces + [text[prev:]])
+
+
 def write_rows(fh, fmt: str, columns) -> None:
     """Write `fmt % row` for every row of equal-length array columns.
 
-    One %-format pass over .tolist() chunks of 65,536 rows keeps the text
-    identical to per-value f-string formatting and the memory bounded.
+    The text is rendered column by column in numpy, 16,384 rows at a time,
+    for the conversions %d, %s, %.Nf and %.Ng.  A row whose text the numpy
+    kernel cannot show to equal `fmt % row` (a value within rounding error
+    of a tie, nan or inf, a %g value that needs an exponent, a str holding
+    a NUL, \\x01 or non-ASCII character) is formatted with `fmt % row` and
+    spliced back in place, so the bytes are those of `fmt % row` for any
+    input.
     """
-    step = 1 << 16
-    for start in range(0, len(columns[0]), step):
-        chunk = [c[start:start + step].tolist() for c in columns]
-        fh.write("".join([fmt % row for row in zip(*chunk)]))
-
-
-def log_df_text(pairs: PairTable) -> np.ndarray:
-    """log10_delta_f_mhz as the CSVs print it: %.6g, or -inf if not finite."""
-    return np.array([f"{x:.6g}" if math.isfinite(x) else "-inf"
-                     for x in pairs.log10_delta_f_mhz.tolist()], dtype=object)
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("write_rows: columns differ in length")
+    parsed = _parse_format(fmt)
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        fh.write(_format_chunk(
+            fmt, parsed, [c[start:start + _CHUNK_ROWS] for c in columns]))
 
 
 _ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"

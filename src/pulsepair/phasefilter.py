@@ -32,7 +32,7 @@ import numpy as np
 
 from .channelizer import wrap_phase
 from .errors import ValidationError
-from .pairdetect import PairTable, log_df_text, write_rows
+from .pairdetect import PairTable, write_rows
 from .skystats import peak_cohens_d, ra_bin_index
 
 TWO_PI = 2.0 * math.pi
@@ -177,7 +177,7 @@ def write_metric_diagnostics_csv(path, candidates: PairTable,
     """
     with open(path, "w", newline="\n") as fh:
         fh.write("delta_f_hz,log10_delta_f_mhz,phase_metric_rad,verdict\n")
-        write_rows(fh, "%.6g,%s,%.6g,%s\n", [
-            candidates.delta_f_hz, log_df_text(candidates),
+        write_rows(fh, "%.6g,%.6g,%.6g,%s\n", [
+            candidates.delta_f_hz, candidates.log10_delta_f_mhz,
             candidates.phase_metric_rad,
             np.asarray(verdicts, dtype=object)])

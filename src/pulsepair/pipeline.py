@@ -28,7 +28,7 @@ from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
-                         first_level_filter_frame, form_pairs, log_df_text,
+                         first_level_filter_frame, form_pairs,
                          read_level1_archive, write_level1_archive,
                          write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
@@ -62,8 +62,8 @@ class CandidateRow:
 
 
 CANDIDATE_COLUMNS = [f.name for f in dc_fields(CandidateRow)]
-_CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%s,%.6g,"
-                  "%.6g\n")
+_CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%.6g,"
+                  "%.6g,%.6g\n")
 
 
 def write_candidates_csv(path, candidates: PairTable) -> None:
@@ -77,7 +77,7 @@ def write_candidates_csv(path, candidates: PairTable) -> None:
             ev.bin_index[a], ev.bin_index[b], ev.rf_freq_hz[a],
             ev.rf_freq_hz[b], tags[ev.pol_code[a]], tags[ev.pol_code[b]],
             candidates.delta_t_s, candidates.delta_f_hz,
-            log_df_text(candidates), candidates.phase_metric_rad,
+            candidates.log10_delta_f_mhz, candidates.phase_metric_rad,
             candidates.ra_pointing_hr])
 
 

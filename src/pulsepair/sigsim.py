@@ -606,6 +606,10 @@ def simulate_level1_events(config: ObservationConfig, sources,
     """
     if n_transits < 1:
         raise ValidationError("n_transits must be >= 1")
+    if config.beam_fwhm_ra_deg is not None:
+        raise ValidationError(
+            "config.beam_fwhm_ra_deg: the event-level sampler draws an "
+            "untapered beam; use run.mode = freq or time for a beam taper")
     if not window_hi_hr > window_lo_hr:
         raise ValidationError("window_hi_hr must exceed window_lo_hr")
     for src in sources:

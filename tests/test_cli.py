@@ -332,6 +332,18 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_beam_taper_in_events_mode_is_a_validation_error(tmp_path, capsys):
+    # the event-level sampler draws an untapered beam, so the key would
+    # only move the simulate hash
+    m = _events_manifest()
+    m.config = replace(m.config, beam_fwhm_ra_deg=9.0)
+    cfg = _write_config(tmp_path / "exp.cfg", m)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "beam_fwhm_ra_deg" in capsys.readouterr().err
+    assert not (out / "level1.csv").exists()
+
+
 def test_os_error_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "out")
     missing = str(tmp_path / "missing.cfg")

@@ -1,14 +1,17 @@
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 
+from pulsepair import pairdetect, pipeline
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
                                   FirstLevelFilterParams, PairTable,
                                   PulseEvent, first_level_filter_frame,
                                   form_pairs, read_level1_archive,
-                                  write_level1_archive)
+                                  write_level1_archive, write_rows)
 from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
 
 
@@ -201,3 +204,54 @@ def test_pair_ra_tracks_later_event():
     pairs = _pairs([a, b])
     assert isinstance(pairs, PairTable)
     assert pairs.ra_pointing_hr.tolist() == [4.3]
+
+
+# values % rounds by ties or writes with an exponent, and their neighbours
+_HARD_FLOATS = [0.0625, 2.5, 999999.5, 9.999995e-05, 0.0, -0.0, math.nan,
+                math.inf, -math.inf, 1e-4, 1e6, -1e-4, -1e6, 0.5, -0.5,
+                1.2345e-7, 123456789.0]
+_HARD_FLOATS += [math.nextafter(v, d) for v in (1e-4, 1e6, 0.0625, 2.5)
+                 for d in (0.0, math.inf)]
+
+
+def _adversarial_columns(fmt, n, rng):
+    """One column per conversion in fmt, hard values at chunk edges."""
+    chunk = pairdetect._CHUNK_ROWS
+    edges = [i for c in range(0, n, chunk) for i in (c, c + chunk - 1)
+             if i < n] + [n - 1]
+    columns = []
+    for conv in re.findall(r"%(\.\d+[fg]|[ds])", fmt):
+        if conv == "s":
+            tags = np.array(["LHCP", "RHCP", "X", "pol-long-tag", "",
+                             "r\u00e9"], dtype=object)
+            columns.append(tags[rng.integers(0, tags.size, n)])
+            continue
+        if conv == "d":
+            col = rng.integers(-10**12, 10**12, n)
+            col[rng.integers(0, n, n // 8)] = -1
+            hard = [0, -(2**63), 2**63 - 1, -7]
+        else:
+            col = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 7, n)
+            col[::5] = np.round(col[::5], 3)
+            hard = _HARD_FLOATS
+        col[rng.integers(0, n, n // 16)] = rng.choice(hard, n // 16)
+        col[edges] = math.nan if conv != "d" else -(2**63)
+        columns.append(col)
+    return columns
+
+
+@pytest.mark.parametrize("fmt", [
+    pairdetect._ARCHIVE_ROW, pipeline._CANDIDATE_ROW,
+    "%.6g,%.6g,%.6g,%s\n", "%.12g,%.8g\n"],
+    ids=["archive", "candidates", "diagnostics", "tau_scan"])
+def test_write_rows_writes_percent_text(fmt):
+    # every format the package writes, on ties, signed zeros, nan, inf,
+    # values either side of the %g exponent limits, negative ints and tags
+    # of several lengths; rows the numpy kernel leaves to % sit on the
+    # first and last row of every chunk
+    full = _adversarial_columns(fmt, 65537, np.random.default_rng(10))
+    rows = [fmt % row for row in zip(*[c.tolist() for c in full])]
+    for n in (0, 1, 65535, 65536, 65537):
+        fh = io.StringIO()
+        write_rows(fh, fmt, [c[:n] for c in full])
+        assert fh.getvalue() == "".join(rows[:n]), n
