@@ -262,6 +262,27 @@ def first_level_filter_frame(frame_index: int, utc_s: float,
         ra_pointing_hr=np.full(n, ra_pointing_hr), tags=(polarization_tag,))
 
 
+def _packed_key(fields) -> np.ndarray:
+    """One int64 per row that sorts as the rows of `fields` (int64 columns,
+    most significant first) sort lexicographically.
+
+    Each field is shifted to start at zero and takes its span (max - min +
+    1) of the key; a product of spans of 2**63 or more is rejected.
+    """
+    key = np.zeros(fields[0].size, dtype=np.int64)
+    total = 1
+    for field in fields:
+        lo, hi = (int(field.min()), int(field.max())) if field.size else (0, 0)
+        total *= hi - lo + 1
+        if total >= 2 ** 63:
+            raise ValidationError(
+                "form_pairs: the frame, bin and polarization ranges of the "
+                "events are too wide for one int64 sort key")
+        key *= hi - lo + 1
+        key += field - lo
+    return key
+
+
 def form_pairs(events: EventTable, pairing_window_frames: int = 0,
                require_pol_match: bool = False) -> PairTable:
     """Pair events by sorted adjacency within frame blocks.
@@ -272,17 +293,22 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     (bin_index, frame_index, polarization_tag, utc_s) and every consecutive
     pair becomes a candidate.  An event can therefore appear in at most two
     candidates (as the later and as the earlier member), matching the
-    fixed-block reading of the pairing window.  The sort is one stable
-    lexsort, so equal keys keep their table order.
+    fixed-block reading of the pairing window.  The sort is two stable
+    passes, on utc_s and then on the other keys packed into one int64, so
+    equal keys keep their table order; events whose frame and bin ranges
+    are too wide to pack raise ValidationError.
     """
     if pairing_window_frames < 0:
         raise ValidationError("pairing_window_frames must be >= 0")
-    block = events.frame_index // (2 * pairing_window_frames + 1)
+    width = 2 * pairing_window_frames + 1
+    block = events.frame_index // width
     pol = events.pol_code
-    keys = [events.utc_s, pol, events.frame_index, events.bin_index]
+    fields = [block, events.bin_index, events.frame_index - block * width,
+              pol]
     if require_pol_match:
-        keys.append(pol)
-    order = np.lexsort(keys + [block])
+        fields.insert(1, pol)
+    by_utc = np.argsort(events.utc_s, kind="stable")
+    order = by_utc[np.argsort(_packed_key(fields)[by_utc], kind="stable")]
     first, second = order[:-1], order[1:]
     same = block[first] == block[second]
     if require_pol_match:

@@ -376,7 +376,8 @@ def simulate_events(manifest: ExperimentManifest) -> EventTable:
         return simulate_level1_events(
             manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
-            start_utc_s=manifest.start_utc_s, threads=manifest.threads)
+            start_utc_s=manifest.start_utc_s, threads=manifest.threads,
+            rfi=manifest.rfi)
     return detect_frames(manifest.config, manifest.filter,
                          session_frames(manifest))
 

@@ -12,9 +12,11 @@ Three generation paths, from most physical to most scalable:
   SURVIVORS directly from their exact statistics (Poisson dual-crossing
   counts at the estimator-corrected rate, uniform bins and phases,
   threshold-conditioned SNR tails) plus geometry-consistent injected pairs,
-  as an EventTable whose noise columns are drawn as whole arrays.
-  This is what makes multi-transit full-band experiments fit in seconds; it
-  is calibrated against the per-bin path in the test suite.
+  as an EventTable whose noise columns are drawn as whole arrays.  The
+  usable bins are held as [start, stop) runs, so its time and memory scale
+  with the events drawn, not with the band's bin count.  This is what makes
+  multi-transit full-band experiments fit in seconds; it is calibrated
+  against the per-bin path in the test suite.
 
 Noise normalization: the simulator targets a unit per-bin noise floor
 (noise_floor = 1.0) under the package's unit-tone-gain FFT, i.e. time-domain
@@ -30,6 +32,7 @@ can flip it and watch the delay scan land on -tau instead.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +43,7 @@ from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (estimator_corrected_crossing_prob, fft_frame,
                           wrap_phase)
 from .errors import ValidationError
-from .pairdetect import EventTable, FirstLevelFilterParams, PulseEvent
+from .pairdetect import EventTable, FirstLevelFilterParams
 
 C_LIGHT_M_S = 299792458.0
 TWO_PI = 2.0 * math.pi
@@ -473,55 +476,69 @@ def simulate_correlator_frames(rf_freqs_hz, n_frames: int, corr_power: float,
     return east_frames, west_frames
 
 
-def _usable_bins(config: ObservationConfig,
-                 params: FirstLevelFilterParams) -> np.ndarray:
-    """Bin indices that can yield events: complete segments, accepted RF."""
-    n = config.n_bins
-    m = params.bins_per_segment
-    scored = np.arange(n) < (n // m) * m
-    accepted = params.rf_accepted(config.rf_freqs())
-    return np.flatnonzero(scored & accepted)
+def _usable_runs(config: ObservationConfig,
+                 params: FirstLevelFilterParams) -> tuple:
+    """Bins that can yield events (complete segments, accepted RF) as at
+    most two ascending [start, stop) runs.
+
+    Each edge bisects the exact per-bin formula of rf_freqs(), which rises
+    with the bin, so no array of the band's bins is ever built.
+    """
+    top = (config.n_bins // params.bins_per_segment) * params.bins_per_segment
+
+    def first(hit) -> int:
+        """Lowest complete-segment bin whose RF satisfies `hit`, else top."""
+        return bisect.bisect_left(range(top), True, key=lambda k: hit(
+            config.band_low_hz + k / config.frame_seconds))
+
+    lo = first(lambda f: f >= params.accept_band_low_hz)
+    hi = first(lambda f: f > params.accept_band_high_hz)
+    cut_lo = first(lambda f: f >= params.excision_low_hz)
+    cut_hi = first(lambda f: f > params.excision_high_hz)
+    return tuple((start, stop) for start, stop in
+                 ((lo, min(hi, cut_lo)), (max(lo, cut_hi), hi))
+                 if start < stop)
+
+
+def _run_bins(runs, draws):
+    """Bin of each draw in [0, n_usable), the runs laid end to end."""
+    bins = draws + runs[0][0]
+    for (_, stop), (start, _) in zip(runs, runs[1:]):
+        bins += (bins >= stop) * (start - stop)
+    return bins
+
+
+def _in_runs(runs, k: int) -> bool:
+    return any(start <= k < stop for start, stop in runs)
 
 
 def _sample_transit(config: ObservationConfig, sources, params,
                     window_lo_hr: float, transit: int, n_frames: int,
-                    utc_start: float, usable: np.ndarray, p_single: float):
+                    utc_start: float, runs: tuple, p_single: float):
     """All level-1 survivor events of one transit (one sidereal pass)."""
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     n_pol = len(config.polarization_tags)
+    n_usable = sum(stop - start for start, stop in runs)
     r0 = 10.0 ** (params.snr_threshold_db / 10.0)
-    base_frame = transit * n_frames
     tags = tuple(sorted(config.polarization_tags))
     tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
 
     # --- noise: dual crossings, uniform over (frame, pol, usable bin) ---
     rng = np.random.default_rng([config.seed, 0x4015E, transit])
-    lam = n_pol * usable.size * p_single * p_single
+    lam = n_pol * n_usable * p_single * p_single
     count = int(rng.poisson(lam * n_frames))
     frames = rng.integers(0, n_frames, count)
     pols = rng.integers(0, n_pol, count)
-    bins = usable[rng.integers(0, usable.size, count)]
+    bins = _run_bins(runs, rng.integers(0, n_usable, count))
     # SNR ratio conditioned on crossing: r0 + unit exponential, each element.
     snr_e = 10.0 * np.log10(r0 + rng.exponential(1.0, count))
     snr_w = 10.0 * np.log10(r0 + rng.exponential(1.0, count))
     ph_e = rng.uniform(-math.pi, math.pi, count)
     ph_w = rng.uniform(-math.pi, math.pi, count)
-    lst = window_lo_hr + frames * hop_hr
-    noise = EventTable(
-        frame_index=base_frame + frames,
-        utc_s=utc_start + frames * config.hop_seconds,
-        bin_index=bins,
-        rf_freq_hz=config.band_low_hz + bins / config.frame_seconds,
-        snr_east_db=snr_e, snr_west_db=snr_w,
-        phase_east_rad=ph_e, phase_west_rad=ph_w,
-        pol_code=tag_rank[pols],
-        ra_pointing_hr=config.pointing_ra(lst),
-        tags=tags)
+    noise = [frames, bins, tag_rank[pols], snr_e, snr_w, ph_e, ph_w]
 
     # --- injected pairs: geometry-consistent survivors ---
-    injected = []
-    usable_set = np.zeros(config.n_bins, dtype=bool)
-    usable_set[usable] = True
+    injected = []       # one row per component, in the order of `noise`
     for s_idx, src in enumerate(sources):
         rng_s = np.random.default_rng([config.seed, 0x50CE, transit, s_idx])
         snr_lin = 10.0 ** (src.snr_db / 10.0)
@@ -531,6 +548,7 @@ def _sample_transit(config: ObservationConfig, sources, params,
         deflate = (1.0 + snr_lin / params.bins_per_segment
                    if params.segment_include_self else 1.0)
         snr_rec_db = 10.0 * math.log10(snr_lin / deflate)
+        code = tags.index(src.polarization_tag)
         half = src.active_halfwidth_hr
         lst_frames = window_lo_hr + np.arange(n_frames) * hop_hr
         active = np.flatnonzero(
@@ -549,11 +567,10 @@ def _sample_transit(config: ObservationConfig, sources, params,
             dk = max(1, int(round(delta_f * config.frame_seconds)))
             if dk >= config.n_bins:
                 continue
-            k_a = int(usable[rng_s.integers(0, usable.size)])
+            k_a = int(_run_bins(runs, rng_s.integers(0, n_usable)))
             k_b = k_a + dk
-            if k_b >= config.n_bins or not usable_set[k_b]:
+            if not _in_runs(runs, k_b):
                 continue  # pair would land outside the accepted band
-            comp = []
             for (j, k) in ((j_a, k_a), (j_b, k_b)):
                 lst_j = window_lo_hr + j * hop_hr
                 f = config.band_low_hz + k / config.frame_seconds
@@ -565,31 +582,36 @@ def _sample_transit(config: ObservationConfig, sources, params,
                 phi_w = float(wrap_phase(
                     base + config.phase_sign * TWO_PI * f * tau
                     + rng_s.normal(0.0, sigma_phi)))
-                comp.append(PulseEvent(
-                    frame_index=int(base_frame + j),
-                    utc_s=float(utc_start + j * config.hop_seconds),
-                    bin_index=int(k),
-                    rf_freq_hz=float(f),
-                    snr_east_db=snr_rec_db,
-                    snr_west_db=snr_rec_db,
-                    phase_east_rad=phi_e,
-                    phase_west_rad=phi_w,
-                    polarization_tag=src.polarization_tag,
-                    ra_pointing_hr=float(config.pointing_ra(lst_j)),
-                ))
-            injected.extend(comp)
+                injected.append((j, k, code, snr_rec_db, snr_rec_db,
+                                 phi_e, phi_w))
 
-    events = EventTable.concat([noise, EventTable.from_rows(injected)])
-    # stable, so equal (frame, tag, bin) keys keep the draw order
-    return events.take(np.lexsort(
-        (events.bin_index, events.pol_code, events.frame_index)))
+    columns = noise
+    if injected:
+        columns = [np.concatenate((col, np.array(inj, dtype=col.dtype)))
+                   for col, inj in zip(noise, zip(*injected))]
+    # one stable sort on the packed (frame, tag, bin) key, so equal keys keep
+    # the draw order; simulate_level1_events checked that the key fits int64
+    frames, bins, codes = columns[:3]
+    order = np.argsort((frames * n_pol + codes) * config.n_bins + bins,
+                       kind="stable")
+    frames, bins, codes, snr_e, snr_w, ph_e, ph_w = (c[order] for c in columns)
+    return EventTable(
+        frame_index=transit * n_frames + frames,
+        utc_s=utc_start + frames * config.hop_seconds,
+        bin_index=bins,
+        rf_freq_hz=config.band_low_hz + bins / config.frame_seconds,
+        snr_east_db=snr_e, snr_west_db=snr_w,
+        phase_east_rad=ph_e, phase_west_rad=ph_w,
+        pol_code=codes,
+        ra_pointing_hr=config.pointing_ra(window_lo_hr + frames * hop_hr),
+        tags=tags)
 
 
 def simulate_level1_events(config: ObservationConfig, sources,
                            params: FirstLevelFilterParams, n_transits: int,
                            window_lo_hr: float, window_hi_hr: float,
                            start_utc_s: float = 0.0,
-                           threads: int = 1) -> EventTable:
+                           threads: int = 1, rfi=()) -> EventTable:
     """Draw the level-1 survivor population directly (no per-bin synthesis).
 
     Noise events follow the exact survivor statistics of the per-bin path:
@@ -598,11 +620,13 @@ def simulate_level1_events(config: ObservationConfig, sources,
     rate p1, uniform over usable bins, with independent uniform phases and
     threshold-conditioned SNR tails.  Injected sources must be strong
     (>= threshold + 6 dB) so their survival probability is ~1; weak-source
-    studies belong on the per-bin path.
+    studies belong on the per-bin path, and so do a beam taper and
+    interference: a non-empty `rfi` is rejected.
 
     The session covers `n_transits` consecutive sidereal passes over the LST
     window [window_lo_hr, window_hi_hr]; every pass revisits the same RA at
-    the same frame offsets.
+    the same frame offsets.  Time and memory scale with the events drawn,
+    not with the band's bin count: the usable bins are held as runs.
     """
     if n_transits < 1:
         raise ValidationError("n_transits must be >= 1")
@@ -610,6 +634,10 @@ def simulate_level1_events(config: ObservationConfig, sources,
         raise ValidationError(
             "config.beam_fwhm_ra_deg: the event-level sampler draws an "
             "untapered beam; use run.mode = freq or time for a beam taper")
+    if rfi:
+        raise ValidationError(
+            "rfi.N: the event-level sampler draws no interference; use "
+            "run.mode = freq or time for RFI")
     if not window_hi_hr > window_lo_hr:
         raise ValidationError("window_hi_hr must exceed window_lo_hr")
     for src in sources:
@@ -620,8 +648,8 @@ def simulate_level1_events(config: ObservationConfig, sources,
                 "per-bin path")
     duration_hr = window_hi_hr - window_lo_hr
     _validate_sources(config, sources, window_lo_hr % 24.0, duration_hr)
-    usable = _usable_bins(config, params)
-    if usable.size == 0:
+    runs = _usable_runs(config, params)
+    if not runs:
         raise ValidationError("no usable bins: band and segments misaligned")
     p_single = estimator_corrected_crossing_prob(
         params.snr_threshold_db, params.bins_per_segment,
@@ -630,13 +658,18 @@ def simulate_level1_events(config: ObservationConfig, sources,
                          / config.hop_seconds))
     if n_frames < 1:
         raise ValidationError("window shorter than one frame")
+    if n_frames * len(config.polarization_tags) * config.n_bins >= 2 ** 63:
+        raise ValidationError(
+            f"{n_frames} frames x {len(config.polarization_tags)} "
+            f"polarizations x {config.n_bins} bins per transit do not fit "
+            "the sampler's int64 sort key; shorten the window or the band")
     utc0 = utc_at_lst(window_lo_hr % 24.0, config.longitude_deg,
                       near_utc_s=start_utc_s)
 
     def one(transit: int):
         return _sample_transit(
             config, sources, params, window_lo_hr, transit, n_frames,
-            utc0 + transit * SIDEREAL_DAY_S, usable, p_single)
+            utc0 + transit * SIDEREAL_DAY_S, runs, p_single)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

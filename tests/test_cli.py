@@ -14,7 +14,7 @@ from pulsepair.pairdetect import (FirstLevelFilterParams, form_pairs,
                                   read_level1_archive)
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
-from pulsepair.sigsim import ObservationConfig
+from pulsepair.sigsim import ObservationConfig, RfiSpec
 from pulsepair.skystats import analyze
 
 from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
@@ -342,6 +342,21 @@ def test_beam_taper_in_events_mode_is_a_validation_error(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert "beam_fwhm_ra_deg" in capsys.readouterr().err
     assert not (out / "level1.csv").exists()
+
+
+def test_rfi_in_events_mode_is_a_validation_error(tmp_path, capsys):
+    # the event-level sampler draws no interference, so rfi.N.* keys would
+    # only move the simulate hash
+    m = _events_manifest(rfi=[RfiSpec(kind="narrowband_carrier",
+                                      power_rel_noise=1000.0,
+                                      rf_freq_hz=1445.5e6)])
+    cfg = _write_config(tmp_path / "exp.cfg", m)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "rfi" in capsys.readouterr().err
+    assert not (out / "level1.csv").exists()
+    assert cli.main(["null-mc", "--config", cfg, "--out", str(out),
+                     "--n-seeds", "1"]) == 3
 
 
 def test_os_error_exit_codes(tmp_path, capsys):

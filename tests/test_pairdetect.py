@@ -120,6 +120,62 @@ def test_form_pairs_sort_and_pol():
                       require_pol_match=True)) == 0
 
 
+def _lexsort_pairs(events, k, require_pol_match):
+    # the one-lexsort pairing form_pairs used to run, kept as the reference
+    block = events.frame_index // (2 * k + 1)
+    pol = events.pol_code
+    keys = [events.utc_s, pol, events.frame_index, events.bin_index]
+    if require_pol_match:
+        keys.append(pol)
+    order = np.lexsort(keys + [block])
+    first, second = order[:-1], order[1:]
+    same = block[first] == block[second]
+    if require_pol_match:
+        same &= pol[first] == pol[second]
+    return first[same], second[same]
+
+
+def _random_table(rng, n, n_tags):
+    # narrow, partly negative ranges so every sort key ties often; utc_s is
+    # tied across frames and not monotone in frame
+    tags = ("LHCP", "RHCP", "X")[:n_tags]
+    frame = rng.integers(-7, 9, n)
+    return EventTable(
+        frame_index=frame, utc_s=rng.integers(0, 4, n) * 0.25,
+        bin_index=rng.integers(-5, 6, n),
+        rf_freq_hz=1410.0e6 + rng.integers(0, 4, n) * 1.0e3,
+        snr_east_db=np.zeros(n), snr_west_db=np.zeros(n),
+        phase_east_rad=np.zeros(n), phase_west_rad=np.zeros(n),
+        pol_code=rng.integers(0, n_tags, n), ra_pointing_hr=np.zeros(n),
+        tags=tags)
+
+
+@pytest.mark.parametrize("require_pol_match", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_form_pairs_matches_the_lexsort_order(k, require_pol_match):
+    rng = np.random.default_rng(100 * k + require_pol_match)
+    for trial in range(150):
+        events = _random_table(rng, int(rng.integers(0, 60)) if trial
+                               else 0, 1 + trial % 3)
+        pairs = form_pairs(events, k, require_pol_match)
+        a, b = _lexsort_pairs(events, k, require_pol_match)
+        assert pairs.a.tolist() == a.tolist()
+        assert pairs.b.tolist() == b.tolist()
+
+
+def test_form_pairs_rejects_a_sort_key_beyond_int64():
+    top = 2 ** 32 - 1
+    rows = [_event(frame=top, k=2 ** 31 - 2), _event(frame=0, k=5),
+            _event(frame=top, k=0)]
+    # spans 2**32 frames x (2**31 - 1) bins: the key's top row still fits
+    pairs = form_pairs(EventTable.from_rows(rows))
+    assert (pairs.a.tolist(), pairs.b.tolist()) == ([2], [0])
+    for extra in (_event(frame=top, k=2 ** 31 - 1),    # spans reach 2**63
+                  _event(k=-(2 ** 63)), _event(k=2 ** 63 - 1)):
+        with pytest.raises(ValidationError, match="int64"):
+            form_pairs(EventTable.from_rows(rows + [extra]))
+
+
 def test_delta_f_filter_window():
     # one pair per frame, so pair i has frequency offset offsets[i]
     offsets = [0.0, 7.8, 8.0, 1.9e6, 2.1e6, -8.0e3]

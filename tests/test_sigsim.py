@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import detect_events, wide_band_params
-from pulsepair.calib import lst_hours
+from pulsepair import sigsim
+from pulsepair.calib import SIDEREAL_DAY_S, lst_hours
 from pulsepair.channelizer import frame_bin_stats, wrap_phase
 from pulsepair.errors import ValidationError
 from pulsepair.pairdetect import FirstLevelFilterParams
@@ -239,6 +241,122 @@ def test_sampler_rejects_weak_sources():
                       pulse_rate_per_frame=0.01)
     with pytest.raises(ValidationError):
         simulate_level1_events(cfg, [weak], params, 1, 5.0, 5.5)
+
+
+def _mask_usable(config, params):
+    # the full-band mask the sampler used to build, kept as the reference
+    n = config.n_bins
+    top = (n // params.bins_per_segment) * params.bins_per_segment
+    return np.flatnonzero((np.arange(n) < top)
+                          & params.rf_accepted(config.rf_freqs()))
+
+
+def _band(**kw):
+    # 1000 bins of 1 kHz from 1445 MHz, 100-bin segments, nothing excised
+    base = dict(accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
+                excision_low_hz=1400.0e6, excision_high_hz=1401.0e6,
+                bins_per_segment=100)
+    base.update(kw)
+    return FirstLevelFilterParams(**base)
+
+
+_GRID = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                          frame_seconds=0.001)
+
+
+@pytest.mark.parametrize("config, params", [
+    (_GRID, _band()),                                     # excision outside
+    (_GRID, _band(excision_low_hz=1444.5e6,               # low accept edge
+                  excision_high_hz=1445.0e6)),
+    (_GRID, _band(accept_band_low_hz=1445.2e6, excision_low_hz=1445.1e6,
+                  excision_high_hz=1445.2e6)),
+    (_GRID, _band(accept_band_high_hz=1445.5e6,           # high accept edge
+                  excision_low_hz=1445.5e6, excision_high_hz=1446.0e6)),
+    (_GRID, _band(excision_low_hz=1445.7e6, excision_high_hz=1445.999e6)),
+    (_GRID, _band(excision_low_hz=1445.3e6,               # lo = hi on a bin
+                  excision_high_hz=1445.3e6)),
+    (_GRID, _band(excision_low_hz=1445.3005e6,            # lo = hi between
+                  excision_high_hz=1445.3005e6)),
+    (_GRID, _band(accept_band_low_hz=1445.0005e6,         # edges off grid
+                  accept_band_high_hz=1445.9995e6,
+                  excision_low_hz=1445.4003e6, excision_high_hz=1445.5997e6)),
+    (_GRID, _band(bins_per_segment=300)),                 # 100 bins cut
+    (_GRID, _band(bins_per_segment=300, excision_low_hz=1445.85e6,
+                  excision_high_hz=1445.95e6)),
+    (_GRID, _band(accept_band_low_hz=1445.3995e6,         # one usable bin
+                  accept_band_high_hz=1445.4005e6)),
+    (_GRID, _band(excision_low_hz=1445.001e6,             # bin 0 alone
+                  excision_high_hz=1446.0e6)),
+    (ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                       frame_seconds=0.000123),           # 1/fs inexact
+     _band(accept_band_low_hz=1445.0e6 + 17 / 0.000123,
+           accept_band_high_hz=1445.0e6 + 101 / 0.000123,
+           excision_low_hz=1445.0e6 + 40 / 0.000123,
+           excision_high_hz=1445.0e6 + 41 / 0.000123, bins_per_segment=7)),
+])
+def test_usable_runs_match_the_full_band_mask(config, params):
+    runs = sigsim._usable_runs(config, params)
+    want = _mask_usable(config, params)
+    assert want.size > 0
+    got = np.concatenate([np.arange(start, stop) for start, stop in runs])
+    assert got.tolist() == want.tolist()
+    # draws map to the bins the mask gave them
+    draws = np.arange(want.size)
+    assert sigsim._run_bins(runs, draws).tolist() == want.tolist()
+    assert sigsim._run_bins(runs, draws[-1]) == want[-1]
+    # the injected pairs' membership test, at both ends of every run
+    usable = set(want.tolist())
+    for start, stop in runs:
+        for k in (start - 1, start, stop - 1, stop):
+            assert sigsim._in_runs(runs, k) == (k in usable), k
+
+
+def test_usable_runs_at_float_edges():
+    # accept and excision edges on a bin's exact RF or one ulp either side
+    config = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
+                               frame_seconds=0.00301)   # 301 bins
+    rf = config.rf_freqs()
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        edges = [float(rf[k]) + ulp * np.spacing(rf[k]) for k, ulp in zip(
+            rng.integers(0, rf.size, 4), rng.integers(-1, 2, 4))]
+        lo, hi, cut_lo, cut_hi = edges[0], edges[1], *sorted(edges[2:])
+        if not hi > lo:
+            continue
+        params = _band(accept_band_low_hz=lo, accept_band_high_hz=hi,
+                       excision_low_hz=cut_lo, excision_high_hz=cut_hi,
+                       bins_per_segment=int(rng.integers(2, 40)))
+        runs = sigsim._usable_runs(config, params)
+        got = [k for start, stop in runs for k in range(start, stop)]
+        assert got == _mask_usable(config, params).tolist()
+
+
+def test_sampler_memory_scales_with_events_not_bins():
+    # 10**10 bins: a full-band mask alone would need 10 GB
+    cfg = ObservationConfig(frame_seconds=200.0, hop_seconds=1.0, seed=4)
+    assert cfg.n_bins == 10 ** 10
+    window_hr = 4.0 * 24.0 / SIDEREAL_DAY_S                # 4 frames
+    tracemalloc.start()
+    try:
+        events = simulate_level1_events(cfg, [], FirstLevelFilterParams(), 1,
+                                        5.0, 5.0 + window_hr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 1000
+    assert peak < 8 * cfg.n_bins / 1000
+    rf = events.rf_freq_hz
+    assert rf.min() >= 1405.0e6 and rf.max() <= 1455.0e6
+    assert not ((rf >= 1424.0e6) & (rf <= 1426.0e6)).any()
+    assert events.frame_index.tolist() == sorted(events.frame_index.tolist())
+
+
+def test_sampler_rejects_a_sort_key_beyond_int64():
+    # 10**13 bins x ~1.4e6 frames: the packed (frame, tag, bin) key overflows
+    cfg = ObservationConfig(band_low_hz=1.0e9, band_high_hz=2.0e9,
+                            frame_seconds=1.0e4, hop_seconds=0.01)
+    with pytest.raises(ValidationError, match="int64"):
+        simulate_level1_events(cfg, [], FirstLevelFilterParams(), 1, 5.0, 9.0)
 
 
 def test_correlator_frames_phase():
