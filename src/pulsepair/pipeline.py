@@ -35,7 +35,7 @@ from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
-                     simulate_level1_events)
+                     simulate_level1_events, thread_pool)
 from .skystats import (AnalysisResult, analyze, bin_probabilities,
                        peak_cohens_d, ra_bin_index, read_rows_csv,
                        read_stats_csv, write_stats_csv)
@@ -569,18 +569,25 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     fraction_clean) where each row is (seed, n_trials, max_d, peak_ra_low)
     and fraction_clean is the share of seeds whose peak stays below
     `significance_d`.
+
+    With manifest.threads > 1 the seeds run on a pool of up to that many
+    threads, and each seed samples its transits on the thread that runs it,
+    so one seed runs on the calling thread alone.  (Sampling one seed's
+    transits in parallel gains only while every core is free; on a shared
+    host its run time swung twice as widely as the serial run's.)  Rows come
+    in seed order with the same bytes at any thread count; memory grows with
+    the seeds in flight.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")
     if manifest.mode != "events":
         raise ValidationError("null-mc runs on the events mode")
-    rows = []
-    clean = 0
     edges = manifest.bin_edges()
-    for i in range(n_seeds):
-        seed = manifest.config.seed + i
+
+    def one(seed: int):
         events = simulate_events(replace(
-            manifest, config=replace(manifest.config, seed=seed), sources=[]))
+            manifest, config=replace(manifest.config, seed=seed), sources=[],
+            threads=1))
         pairs = form_pairs(events, manifest.pairing_window_frames,
                            manifest.require_pol_match)
         survivors = second_level_filter(pairs, manifest.phase)
@@ -588,9 +595,15 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
         bins = bins[bins >= 0]
         max_d, peak = peak_cohens_d(bins, bin_probabilities(
             edges, manifest.p_mode, events.ra_pointing_hr))
-        if max_d < significance_d:
-            clean += 1
-        rows.append((seed, bins.size, max_d, float(edges[peak])))
+        return (seed, bins.size, max_d, float(edges[peak]))
+
+    seeds = [manifest.config.seed + i for i in range(n_seeds)]
+    if manifest.threads > 1 and n_seeds > 1:
+        with thread_pool(min(manifest.threads, n_seeds)) as pool:
+            rows = list(pool.map(one, seeds))
+    else:
+        rows = [one(seed) for seed in seeds]
+    clean = sum(1 for row in rows if row[2] < significance_d)
     return rows, clean / n_seeds
 
 

@@ -33,7 +33,9 @@ can flip it and watch the delay scan land on -tau instead.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,7 +45,7 @@ from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (estimator_corrected_crossing_prob, fft_frame,
                           wrap_phase)
 from .errors import ValidationError
-from .pairdetect import EventTable, FirstLevelFilterParams
+from .pairdetect import EVENT_COLUMNS, EventTable, FirstLevelFilterParams
 
 C_LIGHT_M_S = 299792458.0
 TWO_PI = 2.0 * math.pi
@@ -512,33 +514,15 @@ def _in_runs(runs, k: int) -> bool:
     return any(start <= k < stop for start, stop in runs)
 
 
-def _sample_transit(config: ObservationConfig, sources, params,
-                    window_lo_hr: float, transit: int, n_frames: int,
-                    utc_start: float, runs: tuple, p_single: float):
-    """All level-1 survivor events of one transit (one sidereal pass)."""
+def _injected_rows(config: ObservationConfig, sources, params,
+                   window_lo_hr: float, transit: int, n_frames: int,
+                   runs: tuple) -> list:
+    """Survivor components of one transit's injected pairs, one (frame,
+    bin, tag code, snr_e, snr_w, phase_e, phase_w) tuple each."""
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
-    n_pol = len(config.polarization_tags)
     n_usable = sum(stop - start for start, stop in runs)
-    r0 = 10.0 ** (params.snr_threshold_db / 10.0)
     tags = tuple(sorted(config.polarization_tags))
-    tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
-
-    # --- noise: dual crossings, uniform over (frame, pol, usable bin) ---
-    rng = np.random.default_rng([config.seed, 0x4015E, transit])
-    lam = n_pol * n_usable * p_single * p_single
-    count = int(rng.poisson(lam * n_frames))
-    frames = rng.integers(0, n_frames, count)
-    pols = rng.integers(0, n_pol, count)
-    bins = _run_bins(runs, rng.integers(0, n_usable, count))
-    # SNR ratio conditioned on crossing: r0 + unit exponential, each element.
-    snr_e = 10.0 * np.log10(r0 + rng.exponential(1.0, count))
-    snr_w = 10.0 * np.log10(r0 + rng.exponential(1.0, count))
-    ph_e = rng.uniform(-math.pi, math.pi, count)
-    ph_w = rng.uniform(-math.pi, math.pi, count)
-    noise = [frames, bins, tag_rank[pols], snr_e, snr_w, ph_e, ph_w]
-
-    # --- injected pairs: geometry-consistent survivors ---
-    injected = []       # one row per component, in the order of `noise`
+    rows = []
     for s_idx, src in enumerate(sources):
         rng_s = np.random.default_rng([config.seed, 0x50CE, transit, s_idx])
         snr_lin = 10.0 ** (src.snr_db / 10.0)
@@ -582,29 +566,99 @@ def _sample_transit(config: ObservationConfig, sources, params,
                 phi_w = float(wrap_phase(
                     base + config.phase_sign * TWO_PI * f * tau
                     + rng_s.normal(0.0, sigma_phi)))
-                injected.append((j, k, code, snr_rec_db, snr_rec_db,
-                                 phi_e, phi_w))
+                rows.append((j, k, code, snr_rec_db, snr_rec_db,
+                             phi_e, phi_w))
+    return rows
 
-    columns = noise
-    if injected:
-        columns = [np.concatenate((col, np.array(inj, dtype=col.dtype)))
-                   for col, inj in zip(noise, zip(*injected))]
+
+def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
+                  transit: int, n_frames: int, utc_start: float, runs: tuple,
+                  rng, count: int, injected: list, out: dict) -> None:
+    """Draw one transit's `count` noise events (dual crossings, uniform over
+    frame, polarization and usable bin) and write them with its `injected`
+    rows, in (frame, tag, bin) order, into `out`, that transit's slices of
+    the event columns.
+
+    The float columns are drawn after the sort, one at a time, and written
+    at once, so a transit's working arrays never outgrow a few columns.
+    """
+    hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
+    n_pol = len(config.polarization_tags)
+    n_usable = sum(stop - start for start, stop in runs)
+    r0 = 10.0 ** (params.snr_threshold_db / 10.0)
+    tags = tuple(sorted(config.polarization_tags))
+    tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
+    extra = [np.array(col) for col in zip(*injected)]
+
+    def with_injected(drawn, i):
+        return np.concatenate((drawn, extra[i])) if injected else drawn
+
+    frames = with_injected(rng.integers(0, n_frames, count), 0)
+    codes = with_injected(tag_rank[rng.integers(0, n_pol, count)], 2)
+    bins = with_injected(_run_bins(runs, rng.integers(0, n_usable, count)), 1)
     # one stable sort on the packed (frame, tag, bin) key, so equal keys keep
     # the draw order; simulate_level1_events checked that the key fits int64
-    frames, bins, codes = columns[:3]
-    order = np.argsort((frames * n_pol + codes) * config.n_bins + bins,
-                       kind="stable")
-    frames, bins, codes, snr_e, snr_w, ph_e, ph_w = (c[order] for c in columns)
-    return EventTable(
-        frame_index=transit * n_frames + frames,
-        utc_s=utc_start + frames * config.hop_seconds,
-        bin_index=bins,
-        rf_freq_hz=config.band_low_hz + bins / config.frame_seconds,
-        snr_east_db=snr_e, snr_west_db=snr_w,
-        phase_east_rad=ph_e, phase_west_rad=ph_w,
-        pol_code=codes,
-        ra_pointing_hr=config.pointing_ra(window_lo_hr + frames * hop_hr),
-        tags=tags)
+    key = frames * n_pol
+    key += codes
+    key *= config.n_bins
+    key += bins
+    order = np.argsort(key, kind="stable")
+    del key
+
+    def put(name, column):
+        # order holds valid indices; with `out`, mode="raise" would gather
+        # through a temporary buffer
+        np.take(column, order, out=out[name], mode="clip")
+
+    frame_index, utc_s, rf = (out["frame_index"], out["utc_s"],
+                              out["rf_freq_hz"])
+    put("frame_index", frames)
+    np.multiply(frame_index, config.hop_seconds, out=utc_s)
+    utc_s += utc_start
+    out["ra_pointing_hr"][...] = config.pointing_ra(
+        window_lo_hr + frame_index * hop_hr)
+    frame_index += transit * n_frames
+    put("bin_index", bins)
+    np.divide(out["bin_index"], config.frame_seconds, out=rf)
+    rf += config.band_low_hz
+    put("pol_code", codes)
+    del frames, bins, codes
+    # SNR ratio conditioned on crossing: r0 + unit exponential, each element.
+    for i, name in ((3, "snr_east_db"), (4, "snr_west_db")):
+        snr = rng.exponential(1.0, count)
+        snr += r0
+        np.log10(snr, out=snr)
+        snr *= 10.0
+        put(name, with_injected(snr, i))
+    for i, name in ((5, "phase_east_rad"), (6, "phase_west_rad")):
+        put(name, with_injected(rng.uniform(-math.pi, math.pi, count), i))
+
+
+def _start_on_own_cpu(slots) -> None:
+    """Pool initializer: move the new worker thread to the next CPU the
+    process may use, then give it back the whole set.
+
+    Some kernels leave a pool's new threads on the CPU that spawned them and
+    do not rebalance while they run: two transits then take turns on one
+    core, as slow as one thread, while the other core idles.  Only where the
+    worker starts is chosen; the scheduler may still move it later.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+        if len(allowed) > 1:
+            os.sched_setaffinity(0, {allowed[next(slots) % len(allowed)]})
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def thread_pool(threads: int) -> ThreadPoolExecutor:
+    """A pool of `threads` workers, each started on its own CPU."""
+    return ThreadPoolExecutor(max_workers=threads,
+                              initializer=_start_on_own_cpu,
+                              initargs=(itertools.count(),))
 
 
 def simulate_level1_events(config: ObservationConfig, sources,
@@ -626,7 +680,11 @@ def simulate_level1_events(config: ObservationConfig, sources,
     The session covers `n_transits` consecutive sidereal passes over the LST
     window [window_lo_hr, window_hi_hr]; every pass revisits the same RA at
     the same frame offsets.  Time and memory scale with the events drawn,
-    not with the band's bin count: the usable bins are held as runs.
+    not with the band's bin count: the usable bins are held as runs.  The
+    event columns are allocated once, and each transit (on a pool of
+    `threads` workers when threads > 1) writes its own slice of them: the
+    bytes never depend on how the workers interleave, and the memory only
+    through each transit's few working columns.
     """
     if n_transits < 1:
         raise ValidationError("n_transits must be >= 1")
@@ -665,15 +723,35 @@ def simulate_level1_events(config: ObservationConfig, sources,
             "the sampler's int64 sort key; shorten the window or the band")
     utc0 = utc_at_lst(window_lo_hr % 24.0, config.longitude_deg,
                       near_utc_s=start_utc_s)
+    # Each transit's event count is its noise stream's first draw plus its
+    # injected rows, so the columns are allocated once and every transit
+    # writes its own slice of them.
+    n_usable = sum(stop - start for start, stop in runs)
+    lam = len(config.polarization_tags) * n_usable * p_single * p_single
+    rngs = [np.random.default_rng([config.seed, 0x4015E, transit])
+            for transit in range(n_transits)]
+    counts = [int(rng.poisson(lam * n_frames)) for rng in rngs]
+    injected = [_injected_rows(config, sources, params, window_lo_hr,
+                               transit, n_frames, runs)
+                for transit in range(n_transits)]
+    edges = list(itertools.accumulate(
+        (count + len(rows) for count, rows in zip(counts, injected)),
+        initial=0))
+    columns = {name: np.empty(edges[-1], dtype=np.int64 if name in (
+        "frame_index", "bin_index", "pol_code") else float)
+        for name in EVENT_COLUMNS}
 
     def one(transit: int):
-        return _sample_transit(
-            config, sources, params, window_lo_hr, transit, n_frames,
-            utc0 + transit * SIDEREAL_DAY_S, runs, p_single)
+        part = slice(edges[transit], edges[transit + 1])
+        _fill_transit(config, params, window_lo_hr, transit, n_frames,
+                      utc0 + transit * SIDEREAL_DAY_S, runs, rngs[transit],
+                      counts[transit], injected[transit],
+                      {name: col[part] for name, col in columns.items()})
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_transit = list(pool.map(one, range(n_transits)))
+        with thread_pool(threads) as pool:
+            list(pool.map(one, range(n_transits)))
     else:
-        per_transit = [one(t) for t in range(n_transits)]
-    return EventTable.concat(per_transit)
+        for transit in range(n_transits):
+            one(transit)
+    return EventTable(tags=tuple(sorted(config.polarization_tags)), **columns)

@@ -1,10 +1,13 @@
 import shutil
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import pulsepair.pipeline
+import pulsepair.sigsim
 from pulsepair import cli
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
@@ -366,6 +369,34 @@ def test_run_null_mc_deterministic(tmp_path):
     m.n_frames = 4
     with pytest.raises(ValidationError):
         run_null_mc(m, 1)
+
+
+def test_run_null_mc_same_rows_at_any_thread_count(tmp_path):
+    serial = run_null_mc(_small_manifest(tmp_path, seed=40), 3)
+    for threads in (2, 3, 8):
+        assert run_null_mc(_small_manifest(tmp_path, seed=40,
+                                           threads=threads), 3) == serial
+
+
+def test_run_null_mc_threads_run_seeds_not_transits(tmp_path, monkeypatch):
+    # transits of one seed are never sampled in parallel: one seed runs on
+    # the calling thread, and several share a pool of seeds
+    def no_transit_pool(*args, **kwargs):
+        raise AssertionError("transit pool started")
+
+    pools = []
+
+    def seed_pool(threads):
+        pools.append(threads)
+        return ThreadPoolExecutor(max_workers=threads)
+
+    monkeypatch.setattr(pulsepair.sigsim, "ThreadPoolExecutor",
+                        no_transit_pool)
+    monkeypatch.setattr(pulsepair.pipeline, "thread_pool", seed_pool)
+    rows, _ = run_null_mc(_small_manifest(tmp_path, threads=2), 1)
+    assert len(rows) == 1 and pools == []
+    rows, _ = run_null_mc(_small_manifest(tmp_path, threads=4), 3)
+    assert [r[0] for r in rows] == [0, 1, 2] and pools == [3]
 
 
 def test_run_tune_tau(tmp_path):

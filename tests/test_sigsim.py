@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,7 @@ from pulsepair import sigsim
 from pulsepair.calib import SIDEREAL_DAY_S, lst_hours
 from pulsepair.channelizer import frame_bin_stats, wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import FirstLevelFilterParams
+from pulsepair.pairdetect import EVENT_COLUMNS, FirstLevelFilterParams
 from pulsepair.sigsim import (C_LIGHT_M_S, ObservationConfig, RfiSpec,
                               SourceSpec, geometric_delay,
                               simulate_correlator_frames, simulate_frames,
@@ -349,6 +353,87 @@ def test_sampler_memory_scales_with_events_not_bins():
     assert rf.min() >= 1405.0e6 and rf.max() <= 1455.0e6
     assert not ((rf >= 1424.0e6) & (rf <= 1426.0e6)).any()
     assert events.frame_index.tolist() == sorted(events.frame_index.tolist())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampler_holds_the_output_once(threads):
+    # the transits write into one set of columns: no per-transit tables and
+    # no concatenated copy, whatever the threads do
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.52, seed=6)
+    params = _band(snr_threshold_db=7.0)
+    tracemalloc.start()
+    try:
+        events = simulate_level1_events(cfg, [], params, 2, 5.0, 5.5,
+                                        threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 100_000
+    output = sum(getattr(events, name).nbytes for name in EVENT_COLUMNS)
+    assert peak < 2 * output
+
+
+def test_sampler_threads_keep_transits_in_order():
+    # two tags, injected pairs in every transit: each transit is one block
+    # of rows in (frame, tag, bin) order, the same at any thread count
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.52, seed=2,
+                            polarization_tags=("RHCP", "LHCP"))
+    params = _band(snr_threshold_db=8.5, bins_per_segment=64,
+                   segment_include_self=False,
+                   excision_low_hz=1445.3e6, excision_high_hz=1445.4e6)
+    sources = [SourceSpec(name=name, ra_hr=ra, dec_deg=dec, snr_db=30.0,
+                          pulse_rate_per_frame=0.08, emission_window_hr=0.1,
+                          polarization_tag=tag)
+               for name, ra, dec, tag in (("b", 5.25, -8.0, "LHCP"),
+                                          ("c", 5.30, 10.0, "RHCP"))]
+    one = simulate_level1_events(cfg, sources, params, 3, 5.0, 5.5,
+                                 threads=1)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # more thread switches while they write
+    try:
+        three = simulate_level1_events(cfg, sources, params, 3, 5.0, 5.5,
+                                       threads=3)
+    finally:
+        sys.setswitchinterval(switch)
+    assert one.tags == three.tags == ("LHCP", "RHCP")
+    for name in EVENT_COLUMNS:
+        assert np.array_equal(getattr(one, name), getattr(three, name)), name
+    injected = one.snr_east_db > 20.0              # noise tails stay < 20 dB
+    assert set(one.pol_code[injected].tolist()) == {0, 1}
+    n_frames = round(0.5 / 24.0 * SIDEREAL_DAY_S / 0.52)
+    transit = one.frame_index // n_frames
+    assert set(transit[injected].tolist()) == {0, 1, 2}
+    key = list(zip(transit.tolist(), one.frame_index.tolist(),
+                   one.pol_code.tolist(), one.bin_index.tolist()))
+    assert key == sorted(key)
+    in_transit = one.frame_index - transit * n_frames
+    utc0 = one.utc_s[0] - in_transit[0] * cfg.hop_seconds
+    assert np.allclose(one.utc_s, utc0 + transit * SIDEREAL_DAY_S
+                       + in_transit * cfg.hop_seconds, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_pool_workers_keep_every_cpu(monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    seen = []
+
+    def worker():
+        sigsim._start_on_own_cpu(itertools.count())
+        seen.append(os.sched_getaffinity(0))
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join()
+    assert seen == [allowed]
+
+    def refuse(pid, cpus):
+        raise PermissionError("affinity not allowed")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    sigsim._start_on_own_cpu(itertools.count())      # a hint, never an error
 
 
 def test_sampler_rejects_a_sort_key_beyond_int64():
