@@ -12,7 +12,7 @@ against a uniform-arrival binomial model.
 Modules
 -------
 channelizer   FFT framing, segment-relative SNR, phase extraction
-pairdetect    first-level filtering, pairing, the level-1 archive format
+pairdetect    first-level filtering, pairing, the level-1 archive, CSV I/O
 phasefilter   differential-phase metric and second-level filtering
 sigsim        synthetic observations (time, per-bin, and event-level paths)
 skystats      RA-binned binomial statistics and false-alarm checks

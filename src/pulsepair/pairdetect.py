@@ -12,9 +12,12 @@ EventTable holds one numpy array per archive column; the polarization tag is
 stored as an integer code into the table's sorted `tags`, so sorting on the
 code sorts on the tag string.  A PairTable holds index arrays `a` and `b`
 into its EventTable plus the delta_t_s, delta_f_hz, log10_delta_f_mhz and
-phase_metric_rad columns.  Iterating either table yields PulseEvent or
-PairCandidate rows built from the columns, for tests and inspection; no
-stage iterates them.
+phase_metric_rad columns.  Iterating a PairTable yields PairCandidate
+rows built from the columns, for inspection; no stage iterates them.
+
+The package writes its CSV rows with write_rows, and reads the ones it
+reads back (the archive, candidates.csv, stats.csv) as columns with
+read_columns.
 
 The level-1 archive is the package's interchange format: one CSV row per
 event with fixed column order and fixed numeric formats, so identical inputs
@@ -36,33 +39,18 @@ from .channelizer import frame_bin_stats
 from .errors import ArchiveFormatError, ValidationError
 
 ARCHIVE_SCHEMA_VERSION = 1
-ARCHIVE_COLUMNS = [
-    "schema_version", "utc_s", "frame_index", "bin_index", "rf_freq_hz",
-    "snr_east_db", "snr_west_db", "phase_east_rad", "phase_west_rad",
-    "polarization_tag", "ra_pointing_hr",
-]
-# EventTable columns, in PulseEvent field order (pol_code for the tag).
+ARCHIVE_COLUMNS = {
+    "schema_version": int, "utc_s": float, "frame_index": int,
+    "bin_index": int, "rf_freq_hz": float, "snr_east_db": float,
+    "snr_west_db": float, "phase_east_rad": float, "phase_west_rad": float,
+    "polarization_tag": str, "ra_pointing_hr": float,
+}
+# EventTable columns (pol_code codes the polarization tag).
 EVENT_COLUMNS = (
     "frame_index", "utc_s", "bin_index", "rf_freq_hz", "snr_east_db",
     "snr_west_db", "phase_east_rad", "phase_west_rad", "pol_code",
     "ra_pointing_hr",
 )
-
-
-@dataclass
-class PulseEvent:
-    """Row view of one event: a dual-element crossing in one bin and frame."""
-
-    frame_index: int
-    utc_s: float
-    bin_index: int
-    rf_freq_hz: float
-    snr_east_db: float
-    snr_west_db: float
-    phase_east_rad: float
-    phase_west_rad: float
-    polarization_tag: str
-    ra_pointing_hr: float
 
 
 class PairCandidate(NamedTuple):
@@ -119,11 +107,6 @@ class EventTable:
     def __len__(self) -> int:
         return self.frame_index.size
 
-    def __iter__(self):
-        cols = [self.polarization_tag.tolist() if n == "pol_code"
-                else getattr(self, n).tolist() for n in EVENT_COLUMNS]
-        return (PulseEvent(*row) for row in zip(*cols))
-
     @property
     def polarization_tag(self) -> np.ndarray:
         """Per-event tag strings (an object array)."""
@@ -144,17 +127,6 @@ class EventTable:
                 t.pol_code] for t in tables]
         return cls(tags=tags, **{n: np.concatenate(c) if c else []
                                  for n, c in cols.items()})
-
-    @classmethod
-    def from_rows(cls, events) -> EventTable:
-        """Columns from PulseEvent rows."""
-        events = list(events)
-        tags = tuple(sorted({e.polarization_tag for e in events}))
-        code = {t: i for i, t in enumerate(tags)}
-        cols = {n: [getattr(e, n) for e in events]
-                for n in EVENT_COLUMNS if n != "pol_code"}
-        return cls(tags=tags, pol_code=[code[e.polarization_tag]
-                                        for e in events], **cols)
 
 
 @dataclass(eq=False)
@@ -593,95 +565,96 @@ def write_level1_archive(path, events: EventTable) -> None:
             events.polarization_tag, events.ra_pointing_hr])
 
 
-def _parse_row(row: list[str], line_no: int) -> PulseEvent:
-    if len(row) != len(ARCHIVE_COLUMNS):
-        raise ArchiveFormatError(
-            f"expected {len(ARCHIVE_COLUMNS)} columns, got {len(row)}", line_no)
-    if row[0] != str(ARCHIVE_SCHEMA_VERSION):
-        raise ArchiveFormatError(
-            f"unsupported schema_version {row[0]!r}", line_no)
-    try:
-        event = PulseEvent(
-            frame_index=int(row[2]),
-            utc_s=float(row[1]),
-            bin_index=int(row[3]),
-            rf_freq_hz=float(row[4]),
-            snr_east_db=float(row[5]),
-            snr_west_db=float(row[6]),
-            phase_east_rad=float(row[7]),
-            phase_west_rad=float(row[8]),
-            polarization_tag=row[9],
-            ra_pointing_hr=float(row[10]),
-        )
-        np.array([event.frame_index, event.bin_index], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
-    return event
+# A str value this long may have been cut short by np.loadtxt's fixed-width
+# field; such files take read_columns' row path.
+_STR_WIDTH = 16
+_DTYPES = {int: np.int64, float: np.float64, str: f"U{_STR_WIDTH}"}
 
 
-def _archive_rows(path, fh):
-    """csv reader over fh, positioned after the validated header."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ArchiveFormatError(f"{path}: empty file") from None
-    if header != ARCHIVE_COLUMNS:
-        raise ArchiveFormatError(f"{path}: bad header {header!r}")
-    return reader
+def read_columns(path, columns: dict) -> dict:
+    """Read a CSV such as write_rows writes: one array per column.
 
-
-# A tag this long may have been cut short by the fixed-width field; such
-# archives take the row parser.
-_TAG_WIDTH = 16
-_ARCHIVE_DTYPE = np.dtype([(name, {
-    "schema_version": "U2", "frame_index": np.int64, "bin_index": np.int64,
-    "polarization_tag": f"U{_TAG_WIDTH}"}.get(name, float))
-    for name in ARCHIVE_COLUMNS])
-
-
-def _load_columns(fh) -> EventTable | None:
-    """Parse the rows after the header with np.loadtxt.
-
-    Returns None for anything the row parser might read differently: a row
-    loadtxt rejects, an unknown schema_version, a quoted or over-long tag.
-    Warnings count as failures (an empty body, or integer fields written as
-    floats on numpy versions that still accept them).
+    `columns` maps each header name, in order, to int, float or str, read
+    as int64, float64 and fixed-width str arrays.  A schema_version column
+    must hold ARCHIVE_SCHEMA_VERSION.  np.loadtxt parses the body in one
+    pass.  A file it might read differently (a row it rejects, a str value
+    holding '"' or _STR_WIDTH characters, an unknown schema_version, or a
+    warning, as for an empty body) is read row by row by the csv module
+    instead, which returns the same columns or raises ArchiveFormatError
+    with the number of the first bad line.  Blank lines are skipped.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(fh, delimiter=",", comments=None,
-                              dtype=_ARCHIVE_DTYPE, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    if not (data["schema_version"] == str(ARCHIVE_SCHEMA_VERSION)).all():
-        return None
-    tag_list = data["polarization_tag"].tolist()
-    tags = tuple(sorted(set(tag_list)))
-    if any(len(t) >= _TAG_WIDTH or '"' in t for t in tags):
-        return None
-    code = {t: i for i, t in enumerate(tags)}
-    return EventTable(
-        tags=tags, pol_code=np.fromiter(map(code.__getitem__, tag_list),
-                                        np.int64, len(tag_list)),
-        **{n: data[n] for n in EVENT_COLUMNS if n != "pol_code"})
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise ArchiveFormatError(f"{path}: empty file") from None
+        if header != list(columns):
+            raise ArchiveFormatError(f"{path}: bad header {header!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  dtype=[(name, _DTYPES[kind])
+                                         for name, kind in columns.items()])
+        except (ValueError, Warning):
+            return _read_rows(path, columns)
+    cols = {name: np.ascontiguousarray(data[name]) for name in columns}
+    del data
+    for name, kind in columns.items():
+        if kind is str:
+            text = cols[name].view(np.uint32).reshape(-1, _STR_WIDTH)
+            if text[:, -1].any() or (text == ord('"')).any():
+                return _read_rows(path, columns)
+    if np.any(cols.get("schema_version", ARCHIVE_SCHEMA_VERSION)
+              != ARCHIVE_SCHEMA_VERSION):
+        return _read_rows(path, columns)
+    return cols
+
+
+def _read_rows(path, columns: dict) -> dict:
+    """read_columns' row path: the csv module and one conversion a value."""
+    kinds = list(columns.values())
+    values = [[] for _ in kinds]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(kinds):
+                raise ArchiveFormatError(
+                    f"expected {len(kinds)} columns, got {len(row)}", line_no)
+            try:
+                row = [kind(text) for kind, text in zip(kinds, row)]
+                np.array([v for v in row if type(v) is int], dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
+            version = dict(zip(columns, row)).get("schema_version",
+                                                  ARCHIVE_SCHEMA_VERSION)
+            if version != ARCHIVE_SCHEMA_VERSION:
+                raise ArchiveFormatError(
+                    f"unsupported schema_version {version!r}", line_no)
+            for col, value in zip(values, row):
+                col.append(value)
+    return {name: np.array(col, dtype=f"U{max([_STR_WIDTH, *map(len, col)])}"
+                           if kind is str else _DTYPES[kind])
+            for (name, kind), col in zip(columns.items(), values)}
 
 
 def read_level1_archive(path) -> EventTable:
-    """Read a level-1 archive, validating header, width, and every value.
-
-    np.loadtxt parses a well-formed archive in one pass.  Any other archive
-    goes through the row parser, which returns the same table or raises
-    ArchiveFormatError with the number of the first bad line.  Blank lines
-    are skipped.
-    """
-    with open(path, newline="") as fh:
-        _archive_rows(path, fh)
-        table = _load_columns(fh)
-    if table is not None:
-        return table
-    with open(path, newline="") as fh:
-        rows = enumerate(_archive_rows(path, fh), start=2)
-        return EventTable.from_rows(
-            [_parse_row(row, line_no) for line_no, row in rows if row])
+    """Read a level-1 archive with read_columns, which validates its
+    header, width and every value."""
+    cols = read_columns(path, ARCHIVE_COLUMNS)
+    del cols["schema_version"]
+    tag = cols.pop("polarization_tag")
+    # a few distinct tags, found by dropping one tag a pass and coded with
+    # one mask each: faster than np.unique's sort
+    tags, rest = [], tag
+    while rest.size:
+        tags.append(str(rest[0]))
+        rest = rest[rest != rest[0]]
+    tags.sort()
+    code = np.zeros(tag.size, dtype=np.int64)
+    for i, t in enumerate(tags):
+        code[tag == t] = i
+    return EventTable(tags=tags, pol_code=code, **cols)

@@ -29,39 +29,25 @@ from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
                          first_level_filter_frame, form_pairs,
-                         read_level1_archive, write_level1_archive,
-                         write_rows)
+                         read_columns, read_level1_archive,
+                         write_level1_archive, write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
                      simulate_level1_events, thread_pool)
 from .skystats import (AnalysisResult, analyze, bin_probabilities,
-                       peak_cohens_d, ra_bin_index, read_rows_csv,
-                       read_stats_csv, write_stats_csv)
+                       peak_cohens_d, ra_bin_index, read_stats_csv,
+                       write_stats_csv)
 
-@dataclass
-class CandidateRow:
-    """One row of candidates.csv (enough to re-run the statistics)."""
-
-    utc_a_s: float
-    utc_b_s: float
-    frame_a: int
-    frame_b: int
-    bin_a: int
-    bin_b: int
-    rf_a_hz: float
-    rf_b_hz: float
-    polarization_a: str
-    polarization_b: str
-    delta_t_s: float
-    delta_f_hz: float
-    log10_delta_f_mhz: float
-    phase_metric_rad: float
-    ra_pointing_hr: float
-
-
-CANDIDATE_COLUMNS = [f.name for f in dc_fields(CandidateRow)]
+# candidates.csv: enough of each pair to re-run the statistics
+CANDIDATE_COLUMNS = {
+    "utc_a_s": float, "utc_b_s": float, "frame_a": int, "frame_b": int,
+    "bin_a": int, "bin_b": int, "rf_a_hz": float, "rf_b_hz": float,
+    "polarization_a": str, "polarization_b": str, "delta_t_s": float,
+    "delta_f_hz": float, "log10_delta_f_mhz": float,
+    "phase_metric_rad": float, "ra_pointing_hr": float,
+}
 _CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%.6g,"
                   "%.6g,%.6g\n")
 
@@ -81,8 +67,9 @@ def write_candidates_csv(path, candidates: PairTable) -> None:
             candidates.ra_pointing_hr])
 
 
-def read_candidates_csv(path) -> list[CandidateRow]:
-    return read_rows_csv(path, CandidateRow)
+def read_candidates_csv(path) -> dict:
+    """The columns of a candidates CSV, by name."""
+    return read_columns(path, CANDIDATE_COLUMNS)
 
 
 @dataclass
@@ -509,8 +496,7 @@ def analyze_candidates(manifest: ExperimentManifest, candidates_path,
 
     The level-1 archive is read only in exposure mode, for the exposure.
     """
-    rows = read_candidates_csv(candidates_path)
-    ra = np.array([r.ra_pointing_hr for r in rows], dtype=float)
+    ra = read_candidates_csv(candidates_path)["ra_pointing_hr"]
     exposure = None
     if manifest.p_mode == "exposure":
         exposure = read_level1_archive(level1_path).ra_pointing_hr
@@ -610,8 +596,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
 def write_null_mc_csv(path, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("seed,n_trials,max_cohens_d,peak_ra_low_hr\n")
-        for (seed, n, d, lo) in rows:
-            fh.write(f"{seed},{n},{d:.8g},{lo:.6g}\n")
+        write_rows(fh, "%d,%d,%.8g,%.6g\n", list(zip(*rows)))
 
 
 def run_tune_tau(manifest: ExperimentManifest, level1_path):

@@ -11,16 +11,16 @@ p ~ 0.025 cannot underflow or lose the tail to cancellation.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import typing
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchiveFormatError, ValidationError
+from .errors import ValidationError
+from .pairdetect import read_columns, write_rows
 
 @dataclass
 class RABinStats:
@@ -42,7 +42,8 @@ class RABinStats:
         return 0.5 * (self.ra_low_hr + self.ra_high_hr)
 
 
-STATS_COLUMNS = [f.name for f in fields(RABinStats)]
+# stats.csv: name -> type of each RABinStats field, in field order
+STATS_COLUMNS = typing.get_type_hints(RABinStats)
 
 
 @dataclass
@@ -286,45 +287,12 @@ def write_stats_csv(path, stats) -> None:
     """Write per-bin stats with the fixed column set and formats."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(STATS_COLUMNS) + "\n")
-        for s in stats:
-            fh.write(f"{s.ra_low_hr:.6g},{s.ra_high_hr:.6g},{s.trials_n},"
-                     f"{s.p_bin:.8g},{s.expected_mean:.8g},{s.sigma:.8g},"
-                     f"{s.observed_count},{s.cohens_d:.8g},"
-                     f"{s.tail_prob_ge:.8g},{s.tail_prob_gt:.8g}\n")
+        write_rows(fh, "%.6g,%.6g,%d,%.8g,%.8g,%.8g,%d,%.8g,%.8g,%.8g\n",
+                   [[getattr(s, name) for s in stats]
+                    for name in STATS_COLUMNS])
 
 
 def read_stats_csv(path) -> list:
     """Read back a stats CSV (round-trips write_stats_csv)."""
-    return read_rows_csv(path, RABinStats)
-
-
-def read_rows_csv(path, cls) -> list:
-    """Read a CSV whose header is the field names of dataclass `cls`.
-
-    Each row becomes one `cls`, each value converted by its field's
-    annotation (int, float or str); every error carries its line number.
-    """
-    names = [f.name for f in fields(cls)]
-    hints = typing.get_type_hints(cls)
-    kinds = [hints[name] for name in names]
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ArchiveFormatError(f"{path}: empty file") from None
-        if header != names:
-            raise ArchiveFormatError(f"{path}: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ArchiveFormatError(
-                    f"expected {len(names)} columns", line_no)
-            try:
-                values = [kind(v) for kind, v in zip(kinds, row)]
-            except ValueError as exc:
-                raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
-            out.append(cls(*values))
-    return out
+    cols = read_columns(path, STATS_COLUMNS).values()
+    return [RABinStats(*row) for row in zip(*(c.tolist() for c in cols))]

@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 
-from pulsepair.pairdetect import FirstLevelFilterParams, form_pairs
+from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
+                                  FirstLevelFilterParams, form_pairs)
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
 from pulsepair.pipeline import detect_frames
 from pulsepair.sigsim import (ObservationConfig, SourceSpec,
@@ -15,6 +16,31 @@ from pulsepair.sigsim import (ObservationConfig, SourceSpec,
 from pulsepair.skystats import analyze
 
 OBS_LON = -79.8398
+
+
+def event_table(frame=0, utc=0.0, k=0, rf=1410.0e6, pol="LHCP", ra=5.0,
+                phase_e=0.1, phase_w=0.2, snr=10.0):
+    """An EventTable from per-event column values.
+
+    Each argument is a sequence (one value per event) or a scalar, which
+    fills every row; all scalars give one event.  Both elements share `snr`.
+    """
+    frame, utc, k, rf, pol, ra, phase_e, phase_w, snr = (
+        c.copy() for c in np.broadcast_arrays(*map(np.atleast_1d, (
+            frame, utc, k, rf, pol, ra, phase_e, phase_w, snr))))
+    tags = sorted(set(pol.tolist()))
+    return EventTable(
+        frame_index=frame, utc_s=utc, bin_index=k, rf_freq_hz=rf,
+        snr_east_db=snr, snr_west_db=snr, phase_east_rad=phase_e,
+        phase_west_rad=phase_w,
+        pol_code=[tags.index(p) for p in pol.tolist()], ra_pointing_hr=ra,
+        tags=tags)
+
+
+def event_columns(events):
+    """Every column of an EventTable as a list, and its tags, for ==."""
+    return ({name: getattr(events, name).tolist() for name in EVENT_COLUMNS},
+            events.tags)
 
 
 def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,

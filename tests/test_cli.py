@@ -73,6 +73,23 @@ def test_events_chain(tmp_path):
     assert cli.main(["analyze", "--config", cfg2, "--out", out]) == 0
 
 
+def test_quiet_sky_chain(tmp_path):
+    # no pair passes a 1e-9 rad phase window: every stage still completes
+    cfg = _write_config(tmp_path / "exp.cfg", _events_manifest(
+        phase=PhaseMetricParams(filter_halfwidth_rad=1e-9)))
+    out = tmp_path / "out"
+    common = ["--config", cfg, "--out", str(out)]
+    assert cli.main(["simulate", *common]) == 0
+    assert cli.main(["refilter", *common]) == 0
+    with pytest.warns(UserWarning, match="no candidates"):
+        assert cli.main(["analyze", *common]) == 0
+    assert cli.main(["report", *common]) == 0
+    assert len((out / "candidates.csv").read_text().splitlines()) == 1
+    assert len((out / "stats.csv").read_text().splitlines()) == 1
+    assert read_kv_file(out / "report.txt")["peak"] == "none"
+    assert "<svg" in (out / "figure.svg").read_text()
+
+
 def test_seed_override_changes_archive(tmp_path):
     cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
     out_a, out_b, out_c = (str(tmp_path / d) for d in ("a", "b", "c"))

@@ -4,8 +4,11 @@ The survey is the README quick start (seed 42) cut to one transit over the
 5.2-5.4 h RA window, run simulate -> refilter -> analyze -> report, plus
 tune-tau on its archive over -1...+1 ns and over -10...+10 ns in 1 ns steps
 (on the wide grid pairs enter and leave the phase window from tap to tap).
-The frames chain is the README frames.cfg (seed 11) cut to 16 frames, run
-simulate -> detect -> refilter --diagnostics.  The hashes were frozen from
+The same survey also runs null-mc (1 seed, one thread) and, with
+run.p_mode = exposure, simulate -> refilter -> analyze, which reads the
+archive back for the exposure.  The frames chain is the README frames.cfg
+(seed 11) cut to 16 frames, run simulate -> detect -> refilter
+--diagnostics.  The hashes were frozen from
 earlier implementations; any change to how events, pairs or frames are
 stored or read must reproduce every byte.
 """
@@ -63,6 +66,16 @@ WIDE_GOLDEN = {
         "b83cdf92d01416cf0d715876be0898d7a4154bc8f2fba65de1cf29778c549212",
 }
 
+NULL_MC_GOLDEN = {
+    "null_mc.csv":
+        "3a5a50a7a19dd5a95cd1aaecb6dba868b3ef1f7233f2400103c4f9016b55e2a7",
+}
+
+EXPOSURE_GOLDEN = {
+    "stats.csv":
+        "839b5ac71eb19a490eaa37dae5db817fc1c3ca1cf3859e74a425fa6dbdae8e76",
+}
+
 FRAMES_CFG = """\
 config.band_low_hz = 1445000000.0
 config.band_high_hz = 1446000000.0
@@ -115,6 +128,24 @@ def test_tiny_survey_bytes_match_frozen_hashes(tmp_path):
     assert got == GOLDEN
     got = {name: _sha256(out / "wide" / name) for name in WIDE_GOLDEN}
     assert got == WIDE_GOLDEN
+
+
+def test_tiny_survey_null_mc_and_exposure_bytes(tmp_path):
+    survey = tmp_path / "survey.cfg"
+    survey.write_text(SURVEY_CFG)
+    exposure = tmp_path / "exposure.cfg"
+    exposure.write_text(SURVEY_CFG + "run.p_mode = exposure\n")
+    null_out, exposure_out = tmp_path / "null", tmp_path / "exposure"
+    assert cli.main(["null-mc", "--config", str(survey), "--out",
+                     str(null_out), "--n-seeds", "1", "--threads", "1"]) == 0
+    common = ["--config", str(exposure), "--out", str(exposure_out),
+              "--threads", "1"]
+    for command in ("simulate", "refilter", "analyze"):
+        assert cli.main([command, *common]) == 0, command
+    got = {name: _sha256(null_out / name) for name in NULL_MC_GOLDEN}
+    assert got == NULL_MC_GOLDEN
+    got = {name: _sha256(exposure_out / name) for name in EXPOSURE_GOLDEN}
+    assert got == EXPOSURE_GOLDEN
 
 
 def test_tiny_frames_bytes_match_frozen_hashes(tmp_path):

@@ -5,14 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from pulsepair import pairdetect, pipeline
+from pulsepair import pairdetect, pipeline, skystats
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
                                   FirstLevelFilterParams, PairTable,
-                                  PulseEvent, first_level_filter_frame,
-                                  form_pairs, read_level1_archive,
-                                  write_level1_archive, write_rows)
+                                  first_level_filter_frame, form_pairs,
+                                  read_level1_archive, write_level1_archive,
+                                  write_rows)
 from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
+
+from helpers import event_columns, event_table
 
 
 def _params(**kw):
@@ -30,17 +32,6 @@ def _frame(hot, n=512, amp=40.0, phase=0.3):
     return bins
 
 
-def _event(frame=0, utc=0.0, k=0, rf=1410.0e6, pol="LHCP", ra=5.0):
-    return PulseEvent(frame_index=frame, utc_s=utc, bin_index=k,
-                      rf_freq_hz=rf, snr_east_db=10.0, snr_west_db=10.0,
-                      phase_east_rad=0.1, phase_west_rad=0.2,
-                      polarization_tag=pol, ra_pointing_hr=ra)
-
-
-def _pairs(events, **kw):
-    return form_pairs(EventTable.from_rows(events), **kw)
-
-
 def test_first_level_needs_both_elements():
     rf = 1410.0e6 + np.arange(512) * 100.0
     east = _frame([17])
@@ -49,11 +40,10 @@ def test_first_level_needs_both_elements():
     both = first_level_filter_frame(0, 0.0, "LHCP", east, west_hot, rf,
                                     _params(), 5.0)
     assert both.bin_index.tolist() == [17]
-    ev, = both
-    assert ev.rf_freq_hz == rf[17]
-    assert ev.phase_east_rad == pytest.approx(0.3)
-    assert ev.phase_west_rad == pytest.approx(-0.5)
-    assert ev.ra_pointing_hr == 5.0
+    assert both.rf_freq_hz.tolist() == [rf[17]]
+    assert both.phase_east_rad.tolist() == pytest.approx([0.3])
+    assert both.phase_west_rad.tolist() == pytest.approx([-0.5])
+    assert both.ra_pointing_hr.tolist() == [5.0]
     only_east = first_level_filter_frame(0, 0.0, "LHCP", east, west_cold, rf,
                                          _params(), 5.0)
     assert len(only_east) == 0
@@ -82,10 +72,9 @@ def test_first_level_band_edges_inclusive():
 
 def test_form_pairs_chained_adjacency():
     # three events in one frame, sorted by bin: two chained candidates
-    events = [_event(k=5, rf=1410.0e6),
-              _event(k=9, rf=1410.0e6 + 4.0e3),
-              _event(k=20, rf=1410.0e6 + 15.0e3)]
-    pairs = _pairs(events)
+    events = event_table(k=[5, 9, 20],
+                         rf=[1410.0e6, 1410.0e6 + 4.0e3, 1410.0e6 + 15.0e3])
+    pairs = form_pairs(events)
     assert len(pairs) == 2
     bins = pairs.events.bin_index
     assert bins[pairs.a].tolist() == [5, 9]
@@ -97,27 +86,27 @@ def test_form_pairs_chained_adjacency():
 
 def test_form_pairs_block_boundaries():
     # window K=1 -> blocks of 3 frames: {0,1,2} and {3,4,5}
-    events = [_event(frame=2, utc=2.0, k=5),
-              _event(frame=3, utc=3.0, k=6, rf=1410.1e6)]
-    assert len(_pairs(events, pairing_window_frames=0)) == 0
-    assert len(_pairs(events, pairing_window_frames=1)) == 0   # 2|3 split
-    moved = [_event(frame=1, utc=1.0, k=5),
-             _event(frame=2, utc=2.0, k=6, rf=1410.1e6)]
-    pairs = _pairs(moved, pairing_window_frames=1)
+    events = event_table(frame=[2, 3], utc=[2.0, 3.0], k=[5, 6],
+                         rf=[1410.0e6, 1410.1e6])
+    assert len(form_pairs(events, pairing_window_frames=0)) == 0
+    assert len(form_pairs(events, pairing_window_frames=1)) == 0  # 2|3 split
+    moved = event_table(frame=[1, 2], utc=[1.0, 2.0], k=[5, 6],
+                        rf=[1410.0e6, 1410.1e6])
+    pairs = form_pairs(moved, pairing_window_frames=1)
     assert len(pairs) == 1
     assert pairs.delta_t_s[0] == pytest.approx(1.0)
 
 
 def test_form_pairs_sort_and_pol():
     # same bin: frame index orders the pair; pol matching splits streams
-    events = [_event(frame=1, utc=1.0, k=5, pol="RHCP"),
-              _event(frame=0, utc=0.0, k=5, pol="LHCP")]
-    pairs = _pairs(events, pairing_window_frames=1)
+    events = event_table(frame=[1, 0], utc=[1.0, 0.0], k=5,
+                         pol=["RHCP", "LHCP"])
+    pairs = form_pairs(events, pairing_window_frames=1)
     assert len(pairs) == 1
     assert pairs.events.frame_index[pairs.a[0]] == 0
     assert pairs.delta_f_hz[0] == 0.0
-    assert len(_pairs(events, pairing_window_frames=1,
-                      require_pol_match=True)) == 0
+    assert len(form_pairs(events, pairing_window_frames=1,
+                          require_pol_match=True)) == 0
 
 
 def _lexsort_pairs(events, k, require_pol_match):
@@ -165,25 +154,22 @@ def test_form_pairs_matches_the_lexsort_order(k, require_pol_match):
 
 def test_form_pairs_rejects_a_sort_key_beyond_int64():
     top = 2 ** 32 - 1
-    rows = [_event(frame=top, k=2 ** 31 - 2), _event(frame=0, k=5),
-            _event(frame=top, k=0)]
+    frames, bins = [top, 0, top], [2 ** 31 - 2, 5, 0]
     # spans 2**32 frames x (2**31 - 1) bins: the key's top row still fits
-    pairs = form_pairs(EventTable.from_rows(rows))
+    pairs = form_pairs(event_table(frame=frames, k=bins))
     assert (pairs.a.tolist(), pairs.b.tolist()) == ([2], [0])
-    for extra in (_event(frame=top, k=2 ** 31 - 1),    # spans reach 2**63
-                  _event(k=-(2 ** 63)), _event(k=2 ** 63 - 1)):
+    for frame, k in ((top, 2 ** 31 - 1),               # spans reach 2**63
+                     (0, -(2 ** 63)), (0, 2 ** 63 - 1)):
         with pytest.raises(ValidationError, match="int64"):
-            form_pairs(EventTable.from_rows(rows + [extra]))
+            form_pairs(event_table(frame=frames + [frame], k=bins + [k]))
 
 
 def test_delta_f_filter_window():
     # one pair per frame, so pair i has frequency offset offsets[i]
     offsets = [0.0, 7.8, 8.0, 1.9e6, 2.1e6, -8.0e3]
-    events = []
-    for frame, df_hz in enumerate(offsets):
-        events += [_event(frame=frame, k=0, rf=1410.0e6),
-                   _event(frame=frame, k=1, rf=1410.0e6 + df_hz)]
-    pairs = _pairs(events)
+    pairs = form_pairs(event_table(
+        frame=np.repeat(np.arange(len(offsets)), 2), k=[0, 1] * len(offsets),
+        rf=[rf for df_hz in offsets for rf in (1410.0e6, 1410.0e6 + df_hz)]))
     assert pairs.delta_f_hz.tolist() == pytest.approx(offsets)
     assert delta_f_window(pairs, PhaseMetricParams()).tolist() == [
         False,            # co-channel never passes
@@ -195,22 +181,23 @@ def test_delta_f_filter_window():
 
 
 def test_archive_roundtrip(tmp_path):
-    events = [_event(frame=3, utc=123.456789, k=7, rf=1412.3456e6, ra=4.25),
-              _event(frame=4, utc=124.0, k=9, rf=1412.4e6, pol="RHCP")]
+    events = event_table(frame=[3, 4], utc=[123.456789, 124.0], k=[7, 9],
+                         rf=[1412.3456e6, 1412.4e6], pol=["LHCP", "RHCP"],
+                         ra=[4.25, 5.0])
     path = tmp_path / "level1.csv"
-    write_level1_archive(path, EventTable.from_rows(events))
+    write_level1_archive(path, events)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(ARCHIVE_COLUMNS)
-    back = list(read_level1_archive(path))
     # values come back at archive precision: utc to ms, rf to 0.1 Hz
-    assert back == [
-        _event(frame=3, utc=123.457, k=7, rf=1412345600.0, ra=4.25),
-        _event(frame=4, utc=124.0, k=9, rf=1412.4e6, pol="RHCP")]
+    assert event_columns(read_level1_archive(path)) == event_columns(
+        event_table(frame=[3, 4], utc=[123.457, 124.0], k=[7, 9],
+                    rf=[1412345600.0, 1412.4e6], pol=["LHCP", "RHCP"],
+                    ra=[4.25, 5.0]))
 
 
 def test_archive_rejects_garbage(tmp_path):
     path = tmp_path / "level1.csv"
-    write_level1_archive(path, EventTable.from_rows([_event(), _event(k=3)]))
+    write_level1_archive(path, event_table(k=[0, 3]))
     header, good, good2 = path.read_text().splitlines()
     # each bad row sits on line 4, after the header, a good row and a blank
     # line (blank lines are skipped but still counted)
@@ -234,30 +221,80 @@ def test_archive_rejects_garbage(tmp_path):
         read_level1_archive(path)
 
 
-def test_archive_row_parser_reads_the_same_table(tmp_path):
-    # a quoted field is valid CSV that np.loadtxt cannot parse, so this
-    # archive takes the row parser; it must build the same table
-    events = [_event(frame=f, utc=0.25 * f, k=f, rf=1410.0e6 + 4.0e3 * f,
-                     pol=("RHCP", "LHCP")[f % 2], ra=4.0 + 0.25 * f)
-              for f in range(6)]
-    path = tmp_path / "level1.csv"
-    write_level1_archive(path, EventTable.from_rows(events))
-    fast = read_level1_archive(path)
+def _write_level1(path):
+    f = np.arange(6)
+    write_level1_archive(path, event_table(
+        frame=f, utc=0.25 * f, k=f, rf=1410.0e6 + 4.0e3 * f,
+        pol=["RHCP", "LHCP"] * 3, ra=4.0 + 0.25 * f))
+    return ARCHIVE_COLUMNS
+
+
+def _write_candidates(path):
+    f = np.arange(6)
+    pairs = form_pairs(event_table(frame=f // 2, utc=0.5 * f, k=f,
+                                   rf=1410.0e6 + 4.0e3 * f,
+                                   pol=["RHCP", "LHCP"] * 3))
+    pairs.phase_metric_rad[:] = [0.01, -0.02, 0.03]
+    pipeline.write_candidates_csv(path, pairs)
+    return pipeline.CANDIDATE_COLUMNS
+
+
+def _write_stats(path):
+    skystats.write_stats_csv(path, skystats.analyze(
+        np.array([3.5, 3.6, 4.5]), np.array([3.0, 4.0, 5.0])).stats)
+    return skystats.STATS_COLUMNS
+
+
+@pytest.mark.parametrize("write, quoted", [
+    (_write_level1, "polarization_tag"), (_write_candidates, "frame_a"),
+    (_write_stats, "cohens_d")], ids=["level1", "candidates", "stats"])
+def test_both_read_paths_give_the_same_columns(tmp_path, monkeypatch, write,
+                                               quoted):
+    path = tmp_path / "table.csv"
+    columns = write(path)
+    read_rows, row_path = pairdetect._read_rows, []
+
+    def counting_read_rows(*args):
+        row_path.append(args)
+        return read_rows(*args)
+
+    monkeypatch.setattr(pairdetect, "_read_rows", counting_read_rows)
+    fast = pairdetect.read_columns(path, columns)
+    assert not row_path
+    # a quoted number is valid CSV that np.loadtxt rejects, and a quoted
+    # str keeps its quotes there, so either sends the file to the row path
     lines = path.read_text().splitlines()
-    lines[2] = lines[2].replace(",1,1,", ',"1",1,', 1)
+    at = list(columns).index(quoted)
+    fields = lines[2].split(",")
+    fields[at] = f'"{fields[at]}"'
+    lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    slow = read_level1_archive(path)
-    assert list(slow) == list(fast) == [
-        _event(frame=f, utc=0.25 * f, k=f, rf=1410.0e6 + 4.0e3 * f,
-               pol=("RHCP", "LHCP")[f % 2], ra=4.0 + 0.25 * f)
-        for f in range(6)]
-    assert slow.tags == fast.tags == ("LHCP", "RHCP")
+    slow = pairdetect.read_columns(path, columns)
+    assert len(row_path) == 1
+    assert list(slow) == list(fast) == list(columns)
+    for name in columns:
+        assert slow[name].dtype == fast[name].dtype, name
+        assert slow[name].tolist() == fast[name].tolist(), name
+    assert len(fast[quoted]) >= 2
+    # a header alone gives zero-length columns of the same types
+    path.write_text(lines[0] + "\n")
+    empty = pairdetect.read_columns(path, columns)
+    assert ({name: (c.dtype, c.size) for name, c in empty.items()}
+            == {name: (c.dtype, 0) for name, c in fast.items()})
+
+
+def test_archive_keeps_a_tag_as_long_as_the_str_field(tmp_path):
+    # np.loadtxt would cut such a tag to the field width: the row path
+    # reads it whole
+    tags = ["LHCP", "x" * pairdetect._STR_WIDTH, "y" * 40]
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, event_table(k=[0, 1, 2], pol=tags))
+    assert read_level1_archive(path).polarization_tag.tolist() == tags
 
 
 def test_pair_ra_tracks_later_event():
-    a = _event(frame=0, utc=0.0, k=0, ra=4.0)
-    b = _event(frame=0, utc=0.0, k=2, rf=1410.1e6, ra=4.3)
-    pairs = _pairs([a, b])
+    pairs = form_pairs(event_table(k=[0, 2], rf=[1410.0e6, 1410.1e6],
+                                   ra=[4.0, 4.3]))
     assert isinstance(pairs, PairTable)
     assert pairs.ra_pointing_hr.tolist() == [4.3]
 

@@ -7,11 +7,13 @@ import pytest
 
 from pulsepair.channelizer import wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import EventTable, PairTable, PulseEvent, form_pairs
+from pulsepair.pairdetect import EventTable, PairTable, form_pairs
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int,
                                    write_metric_diagnostics_csv)
 from pulsepair.skystats import analyze, bin_probabilities
+
+from helpers import event_table
 
 TWO_PI = 2.0 * math.pi
 # two equal RA bins around the test events' 5.0 h: d = sqrt(n) when all n
@@ -20,17 +22,11 @@ EDGES = np.array([4.5, 5.0, 5.5])
 PROBS = bin_probabilities(EDGES)
 
 
-def _event(k, rf, phi_e, phi_w, frame=0, utc=0.0, pol="LHCP", ra=5.0):
-    return PulseEvent(frame_index=frame, utc_s=utc, bin_index=k,
-                      rf_freq_hz=rf, snr_east_db=20.0, snr_west_db=20.0,
-                      phase_east_rad=phi_e, phase_west_rad=phi_w,
-                      polarization_tag=pol, ra_pointing_hr=ra)
-
-
 def _pair(df_hz, diff_a=0.0, diff_b=0.0, f0=1410.0e6):
-    """Events (a, b) of one pair, for _pairs."""
-    return (_event(0, f0, 0.1, wrap_phase(0.1 + diff_a)),
-            _event(1, f0 + df_hz, -0.4, wrap_phase(-0.4 + diff_b)))
+    """Events (a, b) of one pair, as event_table arguments, for _pairs."""
+    return (dict(k=0, rf=f0, phase_e=0.1, phase_w=wrap_phase(0.1 + diff_a)),
+            dict(k=1, rf=f0 + df_hz, phase_e=-0.4,
+                 phase_w=wrap_phase(-0.4 + diff_b)))
 
 
 def _consistent_pair(df_hz, tau_s, f0=1410.0e6):
@@ -41,11 +37,11 @@ def _consistent_pair(df_hz, tau_s, f0=1410.0e6):
 
 def _pairs(*pairs):
     """A PairTable whose i-th pair is pairs[i] (each in its own frame)."""
-    events = []
-    for frame, (a, b) in enumerate(pairs):
-        a.frame_index = b.frame_index = frame
-        events += [a, b]
-    return form_pairs(EventTable.from_rows(events))
+    events = [dict(e, frame=frame) for frame, pair in enumerate(pairs)
+              for e in pair]
+    return form_pairs(event_table(snr=20.0, **{
+        name: [e[name] for e in events]
+        for name in ("frame", "k", "rf", "phase_e", "phase_w")}))
 
 
 def test_phase_metric_hand_value():
@@ -80,7 +76,7 @@ def test_phase_metrics_vectorized():
 
 def test_phase_metric_rejects_bad_phase():
     a, b = _pair(1.0e4)
-    a.phase_east_rad = float("nan")
+    a["phase_e"] = float("nan")
     with pytest.raises(ValidationError):
         phase_metrics(_pairs((a, b)), 0.0)
 
@@ -164,7 +160,7 @@ def test_tune_tau_validation():
         tune_tau_int(_pairs(_pair(1e4)), PhaseMetricParams(), EDGES, PROBS)
     # a non-finite phase is an error even on a pair no tap would score
     a, b = _pair(2.0)
-    a.phase_east_rad = float("nan")
+    a["phase_e"] = float("nan")
     with pytest.raises(ValidationError):
         tune_tau_int(_pairs(_pair(1e4), (a, b)), params, EDGES, PROBS)
 

@@ -12,10 +12,9 @@ from pulsepair import cli
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  PulseEvent, read_level1_archive,
-                                  write_level1_archive)
-from pulsepair.pipeline import (CANDIDATE_COLUMNS, CandidateRow,
-                                ExperimentManifest, detect_frames,
+                                  read_level1_archive, write_level1_archive)
+from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
+                                detect_frames,
                                 load_frames_npz, manifest_from_file,
                                 read_candidates_csv,
                                 run_experiment, run_null_mc, run_tune_tau,
@@ -25,7 +24,8 @@ from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames)
 
-from helpers import detect_events, wide_band_params
+from helpers import (detect_events, event_columns, event_table,
+                     wide_band_params)
 
 
 def _small_manifest(out_dir, seed=0, n_transits=2, threads=1):
@@ -257,13 +257,8 @@ def test_exposure_stats_follow_the_archive(tmp_path):
     # lone events in frames of their own form no pairs, so the candidates
     # stay the same while the exposure in the first RA bin grows
     write_level1_archive(archive, EventTable.concat([
-        read_level1_archive(archive), EventTable.from_rows(
-            PulseEvent(frame_index=10**6 + i, utc_s=0.0, bin_index=0,
-                       rf_freq_hz=1445.0e6, snr_east_db=10.0,
-                       snr_west_db=10.0, phase_east_rad=0.1,
-                       phase_west_rad=0.2, polarization_tag="LHCP",
-                       ra_pointing_hr=5.05)
-            for i in range(500))]))
+        read_level1_archive(archive),
+        event_table(frame=10**6 + np.arange(500), rf=1445.0e6, ra=5.05)]))
     res = run_experiment(m)
     assert sha256_file(tmp_path / "run" / "candidates.csv") == candidates
     assert "analyze" not in res.skipped
@@ -335,16 +330,19 @@ def test_run_experiment_corrupt_archive_fails_refilter(tmp_path):
 
 def test_candidates_csv_reader(tmp_path):
     res = run_experiment(_small_manifest(tmp_path))
-    rows = read_candidates_csv(tmp_path / "candidates.csv")
-    assert len(rows) == res.n_survivors
+    cols = read_candidates_csv(tmp_path / "candidates.csv")
+    assert list(cols) == list(CANDIDATE_COLUMNS)
+    assert {len(c) for c in cols.values()} == {res.n_survivors}
+    assert cols["frame_a"].dtype == np.int64
+    assert set(cols["polarization_a"].tolist()) <= {"LHCP", "RHCP"}
     phase = PhaseMetricParams()
-    for r in rows:
-        assert isinstance(r, CandidateRow)
-        assert abs(r.phase_metric_rad) <= phase.filter_halfwidth_rad
-        assert (phase.log_delta_f_low <= r.log10_delta_f_mhz
-                <= phase.log_delta_f_high)
-        assert 5.0 <= r.ra_pointing_hr < 5.5
-        assert r.utc_b_s >= r.utc_a_s
+    assert (np.abs(cols["phase_metric_rad"])
+            <= phase.filter_halfwidth_rad).all()
+    assert ((phase.log_delta_f_low <= cols["log10_delta_f_mhz"])
+            & (cols["log10_delta_f_mhz"] <= phase.log_delta_f_high)).all()
+    assert ((5.0 <= cols["ra_pointing_hr"])
+            & (cols["ra_pointing_hr"] < 5.5)).all()
+    assert (cols["utc_b_s"] >= cols["utc_a_s"]).all()
 
 
 def test_candidates_csv_reader_errors(tmp_path):
@@ -356,6 +354,14 @@ def test_candidates_csv_reader_errors(tmp_path):
     with pytest.raises(ArchiveFormatError) as err:
         read_candidates_csv(path)
     assert err.value.line_no == 2
+    # an integer beyond int64 is rejected at its line
+    good = "1.0,2.0,3,4,5,6,7.0,8.0,LHCP,RHCP,1.0,8.0,-5.0,0.01,5.1"
+    path.write_text("\n".join([",".join(CANDIDATE_COLUMNS), good,
+                               good.replace(",3,", "," + "9" * 20 + ",", 1)])
+                    + "\n")
+    with pytest.raises(ArchiveFormatError) as err:
+        read_candidates_csv(path)
+    assert err.value.line_no == 3
 
 
 def test_run_null_mc_deterministic(tmp_path):
@@ -438,7 +444,8 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
         "frame_index", "utc_s", "polarization_tag", "east", "west",
         "rf_freqs_hz")}
     assert len(events) > 0
-    assert list(events) == list(detect_events(config, (), (), 16, params))
+    assert event_columns(events) == event_columns(
+        detect_events(config, (), (), 16, params))
 
 
 def test_simulated_frames_match_the_frame_store(tmp_path):
