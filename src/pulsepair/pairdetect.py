@@ -21,14 +21,20 @@ read_columns.
 
 The level-1 archive is the package's interchange format: one CSV row per
 event with fixed column order and fixed numeric formats, so identical inputs
-produce byte-identical archives.
+produce byte-identical archives.  write_level1_archive also leaves a binary
+column sidecar beside it, a cache keyed to the archive's sha256 that
+read_level1_archive loads in place of parsing the text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import math
+import os
 import re
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,12 +51,13 @@ ARCHIVE_COLUMNS = {
     "snr_west_db": float, "phase_east_rad": float, "phase_west_rad": float,
     "polarization_tag": str, "ra_pointing_hr": float,
 }
-# EventTable columns (pol_code codes the polarization tag).
+# EventTable columns (pol_code codes the polarization tag); the int64 ones.
 EVENT_COLUMNS = (
     "frame_index", "utc_s", "bin_index", "rf_freq_hz", "snr_east_db",
     "snr_west_db", "phase_east_rad", "phase_west_rad", "pol_code",
     "ra_pointing_hr",
 )
+_INT_COLUMNS = ("frame_index", "bin_index", "pol_code")
 
 
 class PairCandidate(NamedTuple):
@@ -96,8 +103,7 @@ class EventTable:
 
     def __post_init__(self):
         for name in EVENT_COLUMNS:
-            dtype = np.int64 if name in ("frame_index", "bin_index",
-                                         "pol_code") else float
+            dtype = np.int64 if name in _INT_COLUMNS else float
             setattr(self, name,
                     np.ascontiguousarray(getattr(self, name), dtype=dtype))
         self.tags = tuple(self.tags)
@@ -290,10 +296,13 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     log_df = np.full(a.size, -np.inf)
     nonzero = np.flatnonzero(delta_f != 0.0)
     # math.log10 rather than np.log10: the two differ in the last bit for
-    # some inputs, and candidates.csv prints these values.
-    log_df[nonzero] = np.fromiter(
-        map(math.log10, (np.abs(delta_f[nonzero]) / 1.0e6).tolist()),
-        float, nonzero.size)
+    # some inputs, and candidates.csv prints these values.  A chunk at a
+    # time, so that few Python floats exist at once.
+    for start in range(0, nonzero.size, _CHUNK_ROWS):
+        rows = nonzero[start:start + _CHUNK_ROWS]
+        log_df[rows] = np.fromiter(
+            map(math.log10, (np.abs(delta_f[rows]) / 1.0e6).tolist()),
+            float, rows.size)
     return PairTable(events, a, b, np.abs(events.utc_s[b] - events.utc_s[a]),
                      delta_f, log_df, np.full(a.size, np.nan))
 
@@ -405,15 +414,17 @@ def _rint(m, bad):
     return np.rint(np.where(unsure, 0.0, m)).astype(np.int64)
 
 
-def _render_f(x, ndec: int, bad) -> list:
-    """%.{ndec}f of the float64 column x."""
+def _render_f(x, ndec: int, bad) -> tuple:
+    """%.{ndec}f of the float64 column x, and its read-back values."""
     m = _rint(np.abs(x) * _POW10F[ndec], bad)
     ipart = m // _POW10[ndec]
-    return _fixed(np.signbit(x), ipart, m - ipart * _POW10[ndec], ndec, _PAD)
+    return (_fixed(np.signbit(x), ipart, m - ipart * _POW10[ndec], ndec,
+                   _PAD), np.copysign(m / _POW10F[ndec], x))
 
 
-def _render_g(x, prec: int, bad) -> list:
-    """%.{prec}g of the float64 column x in positional notation.
+def _render_g(x, prec: int, bad) -> tuple:
+    """%.{prec}g of the float64 column x in positional notation, and its
+    read-back values.
 
     Rows that %g writes with an exponent (decimal exponent below -4 or of
     prec or more) are flagged in bad, as are nan and inf.
@@ -437,8 +448,9 @@ def _render_g(x, prec: int, bad) -> list:
     k = np.maximum(k, 0)
     ipart = digits // _POW10[k]
     ndec = int(k.max())
-    return _fixed(np.signbit(x), ipart, (digits - ipart * _POW10[k])
-                  * _POW10[ndec - k], ndec, _TRAIL)
+    return (_fixed(np.signbit(x), ipart, (digits - ipart * _POW10[k])
+                   * _POW10[ndec - k], ndec, _TRAIL),
+            np.copysign(digits / _POW10F[k], x))
 
 
 def _render_s(col, bad) -> list:
@@ -464,29 +476,39 @@ def _render_s(col, bad) -> list:
     return [(table.shape[1], table[codes])]
 
 
-def _render(conv: str, col, bad) -> list:
-    """(width, bytes) parts of one column under one conversion.
+def _render(conv: str, col, bad) -> tuple:
+    """(parts, back) of one column under one conversion.
 
-    The bytes are a uint32 word (the last four bytes of its width and
-    spare ones before it), per-row uint8 values, a [rows, width] block or
-    one value for every row.
+    The parts are (width, bytes): the bytes are a uint32 word (the last
+    four bytes of its width and spare ones before it), per-row uint8
+    values, a [rows, width] block or one value for every row.  For %f and
+    %g, back holds the float64 values that parsing the text gives back:
+    copysign(m / 10**k, x) for the digits m and the k decimals written.
+    That is one correctly rounded division of two exact numbers (Clinger's
+    fast path: m < 2**53, k <= 22), so it is what strtod returns on every
+    row not flagged in bad.  back is None for %d, %s and a column the
+    kernel leaves to %.
     """
     kind = col.dtype.kind
     if conv == "s":
-        return _render_s(col, bad)
+        return _render_s(col, bad), None
     if conv == "d" and (kind == "i" or kind == "u" and col.dtype.itemsize < 8):
         v = col.astype(np.int64)
         bad |= v == np.iinfo(np.int64).min
-        return _sign(v < 0) + _integer(np.abs(np.where(bad, 0, v)))
+        return _sign(v < 0) + _integer(np.abs(np.where(bad, 0, v))), None
     if conv != "d" and kind in "iuf" and col.dtype.itemsize <= 8:
         render = _render_f if conv[-1] == "f" else _render_g
         return render(col.astype(float), int(conv[1:-1]), bad)
     bad[:] = True
-    return []
+    return [], None
 
 
-def _format_chunk(fmt: str, parsed, chunk) -> str:
-    """The text of `fmt % row` for every row of the column chunk."""
+def _format_chunk(fmt: str, parsed, chunk, back=None) -> str:
+    """The text of `fmt % row` for every row of the column chunk.
+
+    With a list `back`, also append to it, for each %f and %g conversion,
+    the float64 values that parsing its fields gives back.
+    """
     n = len(chunk[0])
     bad = np.zeros(n, dtype=bool)
     if parsed is None or len(parsed[1]) != len(chunk):
@@ -496,10 +518,12 @@ def _format_chunk(fmt: str, parsed, chunk) -> str:
         literals, conversions = parsed
         lit = [(len(t), np.frombuffer(t.encode(), np.uint8))
                for t in literals]
-        parts = lit[:1]
+        parts, values = lit[:1], []
         with np.errstate(all="ignore"):
             for conv, col, after in zip(conversions, chunk, lit[1:]):
-                parts += _render(conv, np.asarray(col), bad) + [after]
+                col_parts, value = _render(conv, np.asarray(col), bad)
+                parts += col_parts + [after]
+                values.append(value)
         at = _MARGIN + sum(width for width, _ in parts)
         grid = np.empty((n, at), np.uint8)
         for width, value in reversed(parts):
@@ -513,6 +537,13 @@ def _format_chunk(fmt: str, parsed, chunk) -> str:
         grid[bad] = 0
         grid[bad, 0] = 1
         text = str(grid[grid != 0], "ascii")
+        for conv, col, value in zip(conversions, chunk, values):
+            if back is not None and conv[-1] in "fg":
+                # a flagged row is written by %: read back from its text
+                value = np.empty(n) if value is None else value
+                value[bad] = [float(f"%{conv}" % v)
+                              for v in np.asarray(col)[bad].tolist()]
+                back.append(value)
         if not bad.any():
             return text
     pieces, prev = [], 0
@@ -523,7 +554,7 @@ def _format_chunk(fmt: str, parsed, chunk) -> str:
     return "".join(pieces + [text[prev:]])
 
 
-def write_rows(fh, fmt: str, columns) -> None:
+def write_rows(fh, fmt: str, columns, read_back: bool = False):
     """Write `fmt % row` for every row of equal-length array columns.
 
     The text is rendered column by column in numpy, 16,384 rows at a time,
@@ -533,36 +564,149 @@ def write_rows(fh, fmt: str, columns) -> None:
     a NUL, \\x01 or non-ASCII character) is formatted with `fmt % row` and
     spliced back in place, so the bytes are those of `fmt % row` for any
     input.
+
+    With read_back, return one float64 array per %f and %g conversion:
+    the values that parsing the written fields gives back, bit for bit
+    (the kernel's digits for most rows, float() of the text for the rows
+    % writes).  fmt must then hold only those four conversions.
     """
     if len({len(c) for c in columns}) > 1:
         raise ValueError("write_rows: columns differ in length")
     parsed = _parse_format(fmt)
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+    if read_back and parsed is None:
+        raise ValueError(f"write_rows: cannot read back {fmt!r}")
+    n = len(columns[0])
+    backs = ([np.empty(n) for c in parsed[1] if c[-1] in "fg"]
+             if read_back else None)
+    for start in range(0, n, _CHUNK_ROWS):
+        back = [] if read_back else None
         fh.write(_format_chunk(
-            fmt, parsed, [c[start:start + _CHUNK_ROWS] for c in columns]))
+            fmt, parsed, [c[start:start + _CHUNK_ROWS] for c in columns],
+            back))
+        for out, value in zip(backs or (), back or ()):
+            out[start:start + value.size] = value
+    return backs
 
 
 _ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"
                 "%.6g,%s,%.6g\n")
 
 
+# <archive>.cols, the column sidecar: the _SIDECAR header (magic, format
+# version, rows, the archive's sha256 in hex, the length of the tag text),
+# the tags in use joined by "\n", then each EVENT_COLUMNS column as
+# _SIDECAR_DTYPES.
+_SIDECAR = struct.Struct("<8sIQ64sI")
+_SIDECAR_MAGIC, _SIDECAR_VERSION = b"PPL1COLS", 1
+_SIDECAR_DTYPES = {name: "<i8" if name in _INT_COLUMNS else "<f8"
+                   for name in EVENT_COLUMNS}
+# Tags the CSV path reads back as written: printable ASCII without '"'
+# (the csv module unquotes a field that starts with one).
+_PLAIN_TAG = re.compile(r'[ !#-~]+')
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".cols"
+
+
+def sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class _HashedText:
+    """A text file's write(), also feeding the written (ASCII) bytes to a
+    sha256, so that the file need not be read back to be hashed."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.fh.write(text)
+        self.sha256.update(text.encode())
+
+
 def write_level1_archive(path, events: EventTable) -> None:
-    """Write events as a level-1 archive CSV (schema version 1).
+    """Write events as a level-1 archive CSV (schema version 1), and its
+    column sidecar.
 
     Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
-    digits) make the file a function of the data alone.
+    digits) make the file a function of the data alone.  The sidecar,
+    <path>.cols, holds the columns and tags that parsing the CSV text
+    gives back, keyed to the text's sha256 (see read_level1_archive); the
+    float columns come from write_rows' read-back.  It is a cache: when a
+    tag in use is not printable ASCII or holds '"', none is written and a
+    stale one is removed.
     """
     used = np.bincount(events.pol_code, minlength=len(events.tags)) > 0
-    for tag, in_use in zip(events.tags, used):
-        if in_use and (not tag or any(c in tag for c in ",\n\r")):
+    in_use = [tag for tag, u in zip(events.tags, used) if u]
+    for tag in in_use:
+        if not tag or any(c in tag for c in ",\n\r"):
             raise ValidationError(f"bad polarization_tag {tag!r}")
+    tags = sorted(set(in_use))
+    plain = all(map(_PLAIN_TAG.fullmatch, tags))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(ARCHIVE_COLUMNS) + "\n")
-        write_rows(fh, _ARCHIVE_ROW, [
-            events.utc_s, events.frame_index, events.bin_index,
-            events.rf_freq_hz, events.snr_east_db, events.snr_west_db,
-            events.phase_east_rad, events.phase_west_rad,
-            events.polarization_tag, events.ra_pointing_hr])
+        out = _HashedText(fh) if plain else fh
+        out.write(",".join(ARCHIVE_COLUMNS) + "\n")
+        back = write_rows(out, _ARCHIVE_ROW, [
+            getattr(events, name) for name in list(ARCHIVE_COLUMNS)[1:]],
+            read_back=plain)
+    sidecar = _sidecar_path(path)
+    if not plain:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar)
+        return
+    cols = {name: getattr(events, name) for name in EVENT_COLUMNS}
+    cols.update(zip([name for name, kind in ARCHIVE_COLUMNS.items()
+                     if kind is float], back))
+    code = {tag: i for i, tag in enumerate(tags)}
+    cols["pol_code"] = np.array([code.get(tag, 0) for tag in events.tags],
+                                dtype=np.int64)[events.pol_code]
+    text = "\n".join(tags).encode()
+    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_SIDECAR.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION,
+                                   len(events),
+                                   out.sha256.hexdigest().encode(),
+                                   len(text)) + text)
+            for name, dtype in _SIDECAR_DTYPES.items():
+                fh.write(np.ascontiguousarray(cols[name], dtype))
+        os.replace(tmp, sidecar)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _read_sidecar(path) -> EventTable | None:
+    """The events of path's sidecar, or None unless the sidecar is in this
+    format, holds as many column bytes as its row count needs, and is keyed
+    to the sha256 of path's bytes."""
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            magic, version, rows, sha, size = _SIDECAR.unpack(
+                fh.read(_SIDECAR.size))
+            text = fh.read(size)
+            nbytes = 8 * len(EVENT_COLUMNS) * rows
+            if ((magic, version) != (_SIDECAR_MAGIC, _SIDECAR_VERSION)
+                    or len(text) != size
+                    or os.fstat(fh.fileno()).st_size != fh.tell() + nbytes
+                    or sha != sha256_file(path).encode()):
+                return None
+            data = np.empty(nbytes, np.uint8)
+            if fh.readinto(data) != nbytes:
+                return None
+            tags = text.decode("ascii").split("\n") if text else []
+    except (OSError, ValueError, struct.error):
+        return None
+    n = 8 * rows
+    return EventTable(tags=tags, **{
+        name: data[i * n:(i + 1) * n].view(dtype)
+        for i, (name, dtype) in enumerate(_SIDECAR_DTYPES.items())})
 
 
 # A str value this long may have been cut short by np.loadtxt's fixed-width
@@ -642,8 +786,16 @@ def _read_rows(path, columns: dict) -> dict:
 
 
 def read_level1_archive(path) -> EventTable:
-    """Read a level-1 archive with read_columns, which validates its
-    header, width and every value."""
+    """Read a level-1 archive; it writes no file.
+
+    The events come from the archive's sidecar when write_level1_archive
+    left one keyed to the archive's bytes.  Otherwise (no sidecar; a
+    stale, cut or foreign one; an archive from elsewhere) they come from
+    read_columns, which validates the header, width and every value.
+    """
+    events = _read_sidecar(path)
+    if events is not None:
+        return events
     cols = read_columns(path, ARCHIVE_COLUMNS)
     del cols["schema_version"]
     tag = cols.pop("polarization_tag")

@@ -29,7 +29,7 @@ from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
                          first_level_filter_frame, form_pairs,
-                         read_columns, read_level1_archive,
+                         read_columns, read_level1_archive, sha256_file,
                          write_level1_archive, write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
@@ -261,14 +261,6 @@ def manifest_from_file(path, overrides: dict | None = None) -> ExperimentManifes
     if overrides:
         kv.update(overrides)
     return ExperimentManifest.from_kv(kv, source=str(path))
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 # -- frame store (simulate/detect handoff in frame modes) ------------------

@@ -6,7 +6,9 @@ tune-tau on its archive over -1...+1 ns and over -10...+10 ns in 1 ns steps
 (on the wide grid pairs enter and leave the phase window from tap to tap).
 The same survey also runs null-mc (1 seed, one thread) and, with
 run.p_mode = exposure, simulate -> refilter -> analyze, which reads the
-archive back for the exposure.  The frames chain is the README frames.cfg
+archive back for the exposure.  Refilter and the exposure-mode analyze run
+again with the archive's column sidecar deleted, so that both read paths
+give the golden bytes.  The frames chain is the README frames.cfg
 (seed 11) cut to 16 frames, run simulate -> detect -> refilter
 --diagnostics.  The hashes were frozen from
 earlier implementations; any change to how events, pairs or frames are
@@ -128,6 +130,9 @@ def test_tiny_survey_bytes_match_frozen_hashes(tmp_path):
     assert got == GOLDEN
     got = {name: _sha256(out / "wide" / name) for name in WIDE_GOLDEN}
     assert got == WIDE_GOLDEN
+    (out / "level1.csv.cols").unlink()
+    assert cli.main(["refilter", *common]) == 0
+    assert _sha256(out / "candidates.csv") == GOLDEN["candidates.csv"]
 
 
 def test_tiny_survey_null_mc_and_exposure_bytes(tmp_path):
@@ -144,6 +149,11 @@ def test_tiny_survey_null_mc_and_exposure_bytes(tmp_path):
         assert cli.main([command, *common]) == 0, command
     got = {name: _sha256(null_out / name) for name in NULL_MC_GOLDEN}
     assert got == NULL_MC_GOLDEN
+    got = {name: _sha256(exposure_out / name) for name in EXPOSURE_GOLDEN}
+    assert got == EXPOSURE_GOLDEN
+    (exposure_out / "level1.csv.cols").unlink()
+    for command in ("refilter", "analyze"):
+        assert cli.main([command, *common]) == 0, command
     got = {name: _sha256(exposure_out / name) for name in EXPOSURE_GOLDEN}
     assert got == EXPOSURE_GOLDEN
 

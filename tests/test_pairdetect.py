@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from pulsepair import pairdetect, pipeline, skystats
 from pulsepair.errors import ArchiveFormatError, ValidationError
-from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
+from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams, PairTable,
                                   first_level_filter_frame, form_pairs,
                                   read_level1_archive, write_level1_archive,
@@ -15,6 +16,7 @@ from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
 from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
 
 from helpers import event_columns, event_table
+from test_golden import SURVEY_CFG
 
 
 def _params(**kw):
@@ -152,6 +154,23 @@ def test_form_pairs_matches_the_lexsort_order(k, require_pol_match):
         assert pairs.b.tolist() == b.tolist()
 
 
+def test_form_pairs_log10_matches_math_log10_across_chunks():
+    # more than two chunks of pairs, some of them of the same bin (zero
+    # delta_f, log10 -inf), filled bit for bit as math.log10 fills them
+    n = 2 * pairdetect._CHUNK_ROWS + 1000
+    rng = np.random.default_rng(7)
+    k = np.sort(rng.integers(0, n // 2, n))
+    pairs = form_pairs(event_table(
+        k=k, rf=1.4e9 + k * 3.7 + rng.integers(0, 3, n) * 0.1,
+        pol=rng.choice(["LHCP", "RHCP"], n)))
+    assert len(pairs) == n - 1
+    mhz = np.abs(pairs.delta_f_hz) / 1.0e6
+    assert (mhz == 0.0).any()
+    want = np.array([math.log10(v) if v else -math.inf for v in mhz.tolist()])
+    assert np.array_equal(pairs.log10_delta_f_mhz.view(np.int64),
+                          want.view(np.int64))
+
+
 def test_form_pairs_rejects_a_sort_key_beyond_int64():
     top = 2 ** 32 - 1
     frames, bins = [top, 0, top], [2 ** 31 - 2, 5, 0]
@@ -214,6 +233,8 @@ def test_archive_rejects_garbage(tmp_path):
         with pytest.raises(ArchiveFormatError) as err:
             read_level1_archive(path)
         assert err.value.line_no == 4, bad
+    # the sidecar write_level1_archive left is stale after each rewrite
+    assert (tmp_path / "level1.csv.cols").exists()
     path.write_text("\n".join([header, good, "", good2]) + "\n")
     assert len(read_level1_archive(path)) == 2
     path.write_text("not,a,header\n")
@@ -290,6 +311,104 @@ def test_archive_keeps_a_tag_as_long_as_the_str_field(tmp_path):
     path = tmp_path / "level1.csv"
     write_level1_archive(path, event_table(k=[0, 1, 2], pol=tags))
     assert read_level1_archive(path).polarization_tag.tolist() == tags
+
+
+def _assert_same_events(got, want):
+    assert got.tags == want.tags
+    for name in EVENT_COLUMNS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
+
+
+def _read_through_csv(path):
+    """read_level1_archive's CSV path: read_columns plus tag coding."""
+    os.remove(f"{path}.cols")
+    return read_level1_archive(path)
+
+
+def _read_from_sidecar(path, monkeypatch):
+    """read_level1_archive with read_columns out of reach."""
+    with monkeypatch.context() as m:
+        m.setattr(pairdetect, "read_columns", None)
+        return read_level1_archive(path)
+
+
+def _tiny_survey_events():
+    kv = dict(line.split(" = ") for line in SURVEY_CFG.splitlines())
+    return pipeline.simulate_events(pipeline.ExperimentManifest.from_kv(kv))
+
+
+_TIE = 0.0625          # %.3f and %.1f of a tie, and a value one ulp away
+_SIDECAR_CASES = {
+    "signed-zeros": lambda: event_table(
+        utc=[-0.0, 0.0, -1e-4], rf=-0.0, phase_e=-0.0,
+        phase_w=[-0.0, -1e-9, -1e-7], ra=[-0.0, 0.0, -0.0], snr=-0.0),
+    "ties": lambda: event_table(
+        utc=[_TIE, math.nextafter(_TIE, 1.0), math.nextafter(_TIE, 0.0),
+             2.5e-3], rf=[0.25, math.nextafter(0.25, 1.0), 1412.35e6, 0.05],
+        phase_e=[0.5, 999999.5, 9.999995e-05, 1.2345675]),
+    "exponents": lambda: event_table(
+        phase_e=[3e-7, -1.2345e-5, 0.1], phase_w=1e-4, ra=[1e6, 5.0, 1e-5],
+        snr=[123456789.0, 1e6, math.nextafter(1e-4, 0.0)]),
+    "nan-inf": lambda: event_table(
+        utc=[math.nan, math.inf, 1.0], phase_e=[math.nan, -math.inf, 0.2],
+        phase_w=math.inf, snr=[-math.inf, math.nan, 9.0], ra=math.nan),
+    "unused-tag": lambda: EventTable(tags=("RHCP", "unused", "LHCP"),
+                                     pol_code=[2, 0, 2, 0],
+                                     **{n: np.arange(4) for n in EVENT_COLUMNS
+                                        if n != "pol_code"}),
+    "long-tags": lambda: event_table(k=[0, 1, 2],
+                                     pol=["LHCP", "x" * 16, "y" * 40]),
+    "empty": lambda: event_table().take(np.arange(0)),
+    "tiny-survey": _tiny_survey_events,
+}
+
+
+@pytest.mark.parametrize("case", list(_SIDECAR_CASES))
+def test_sidecar_and_csv_paths_give_the_same_events(tmp_path, monkeypatch,
+                                                    case):
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, _SIDECAR_CASES[case]())
+    assert (tmp_path / "level1.csv.cols").exists()
+    _assert_same_events(_read_from_sidecar(path, monkeypatch), _read_through_csv(path))
+
+
+def test_a_bad_sidecar_is_never_served(tmp_path):
+    path, other = tmp_path / "level1.csv", tmp_path / "other.csv"
+    sidecar = tmp_path / "level1.csv.cols"
+    write_level1_archive(other, event_table(k=[5, 6], ra=[1.0, 2.0]))
+    write_level1_archive(path, event_table(k=[0, 3], ra=[3.0, 4.0]))
+    text, cols = path.read_text(), sidecar.read_bytes()
+    want = read_level1_archive(path)
+    # nothing is written when no sidecar exists: no read-through cache
+    sidecar.unlink()
+    listing = sorted(os.listdir(tmp_path))
+    _assert_same_events(read_level1_archive(path), want)
+    assert sorted(os.listdir(tmp_path)) == listing
+    rng = np.random.default_rng(3)
+    # (archive text, sidecar bytes)
+    bad = {
+        "edited": (text.replace(",3,", ",4,"), cols),
+        "foreign": (text, (tmp_path / "other.csv.cols").read_bytes()),
+        "truncated": (text, cols[:-1]),
+        "header only": (text, cols[:pairdetect._SIDECAR.size]),
+        "cut header": (text, cols[:20]),
+        "random": (text, rng.bytes(len(cols))),
+        "random, same magic": (text, cols[:8] + rng.bytes(len(cols) - 8)),
+    }
+    for name, (archive, content) in bad.items():
+        path.write_text(archive)
+        sidecar.write_bytes(content)
+        got = read_level1_archive(path)
+        _assert_same_events(got, _read_through_csv(path))
+        assert got.bin_index.tolist() == ([0, 4] if name == "edited"
+                                          else [0, 3]), name
+    # a tag the CSV path might not read back as written: no sidecar, and
+    # a stale one is removed
+    sidecar.write_bytes(cols)
+    write_level1_archive(path, event_table(pol='"q"'))
+    assert not sidecar.exists()
 
 
 def test_pair_ra_tracks_later_event():
