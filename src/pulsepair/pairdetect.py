@@ -51,13 +51,15 @@ ARCHIVE_COLUMNS = {
     "snr_west_db": float, "phase_east_rad": float, "phase_west_rad": float,
     "polarization_tag": str, "ra_pointing_hr": float,
 }
-# EventTable columns (pol_code codes the polarization tag); the int64 ones.
-EVENT_COLUMNS = (
-    "frame_index", "utc_s", "bin_index", "rf_freq_hz", "snr_east_db",
-    "snr_west_db", "phase_east_rad", "phase_west_rad", "pol_code",
-    "ra_pointing_hr",
-)
-_INT_COLUMNS = ("frame_index", "bin_index", "pol_code")
+# EventTable columns and their dtypes (pol_code codes the polarization tag).
+EVENT_DTYPES = {
+    "frame_index": np.int64, "utc_s": np.float64, "bin_index": np.int64,
+    "rf_freq_hz": np.float64, "snr_east_db": np.float64,
+    "snr_west_db": np.float64, "phase_east_rad": np.float64,
+    "phase_west_rad": np.float64, "pol_code": np.int64,
+    "ra_pointing_hr": np.float64,
+}
+EVENT_COLUMNS = tuple(EVENT_DTYPES)
 
 
 class PairCandidate(NamedTuple):
@@ -102,8 +104,7 @@ class EventTable:
     tags: tuple = ()
 
     def __post_init__(self):
-        for name in EVENT_COLUMNS:
-            dtype = np.int64 if name in _INT_COLUMNS else float
+        for name, dtype in EVENT_DTYPES.items():
             setattr(self, name,
                     np.ascontiguousarray(getattr(self, name), dtype=dtype))
         self.tags = tuple(self.tags)
@@ -337,25 +338,10 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10F = _POW10.astype(float)      # exact: so is every 10**k to 10**22
 _CHUNK_ROWS = 1 << 14               # an archive grid, ~1.6 MB, fits a 2 MB L2
 _MARGIN = 3                         # room for the spare bytes of a first word
-# %d, %s, %.Nf and %.Ng; anything else makes write_rows use % on every row.
+# %d, %s, %.Nf and %.Ng: the conversions write_rows renders.
 _CONVERSION = re.compile(r"%(\.\d+[fg]|[ds])")
 # Text the grid can hold: ASCII without NUL (padding) or \1 (row marker).
 _NOT_TEXT = re.compile(r"[^\x02-\x7f]")
-
-
-def _parse_format(fmt: str):
-    """(literals, conversions) of fmt, or None if write_rows must use %."""
-    pieces = _CONVERSION.split(fmt)
-    literals, conversions = pieces[::2], pieces[1::2]
-    if any("%" in t or _NOT_TEXT.search(t) for t in literals):
-        return None
-    # %.Nf keeps N <= 18 decimals in int64; %.Ng needs 1 <= N <= 15 for
-    # its digits to be exact in a double
-    if any(c[-1] == "f" and int(c[1:-1]) > 18
-           or c[-1] == "g" and not 1 <= int(c[1:-1]) <= 15
-           for c in conversions):
-        return None
-    return literals, conversions
 
 
 def _words(v, ndigits: int, layout: int) -> list:
@@ -503,25 +489,36 @@ def _render(conv: str, col, bad) -> tuple:
     return [], None
 
 
-def _format_chunk(fmt: str, parsed, chunk, back=None) -> str:
-    """The text of `fmt % row` for every row of the column chunk.
+def _chunks(fmt: str, columns, read_back: bool = False):
+    """Yield (text, backs) for each _CHUNK_ROWS rows of the columns.
 
-    With a list `back`, also append to it, for each %f and %g conversion,
-    the float64 values that parsing its fields gives back.
+    text is `fmt % row` for every row.  With read_back, backs holds one
+    float64 array per %f and %g conversion: the values that parsing its
+    fields gives back, bit for bit (the kernel's digits for most rows,
+    float() of the text for the rows % writes); else it is empty.
     """
-    n = len(chunk[0])
-    bad = np.zeros(n, dtype=bool)
-    if parsed is None or len(parsed[1]) != len(chunk):
-        bad[:] = True
-        text = "\1" * n
-    else:
-        literals, conversions = parsed
-        lit = [(len(t), np.frombuffer(t.encode(), np.uint8))
-               for t in literals]
+    pieces = _CONVERSION.split(fmt)
+    literals, conversions = pieces[::2], pieces[1::2]
+    # %.Nf keeps N <= 18 decimals in int64; %.Ng needs 1 <= N <= 15 for
+    # its digits to be exact in a double
+    if (any("%" in t or _NOT_TEXT.search(t) for t in literals)
+            or any(c[-1] == "f" and int(c[1:-1]) > 18
+                   or c[-1] == "g" and not 1 <= int(c[1:-1]) <= 15
+                   for c in conversions)
+            or len(conversions) != len(columns)):
+        raise ValueError(
+            f"write_rows: cannot render {len(columns)} columns as {fmt!r}")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("write_rows: columns differ in length")
+    lit = [(len(t), np.frombuffer(t.encode(), np.uint8)) for t in literals]
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns]
+        n = len(chunk[0])
+        bad = np.zeros(n, dtype=bool)
         parts, values = lit[:1], []
         with np.errstate(all="ignore"):
             for conv, col, after in zip(conversions, chunk, lit[1:]):
-                col_parts, value = _render(conv, np.asarray(col), bad)
+                col_parts, value = _render(conv, col, bad)
                 parts += col_parts + [after]
                 values.append(value)
         at = _MARGIN + sum(width for width, _ in parts)
@@ -537,55 +534,37 @@ def _format_chunk(fmt: str, parsed, chunk, back=None) -> str:
         grid[bad] = 0
         grid[bad, 0] = 1
         text = str(grid[grid != 0], "ascii")
+        backs = []
         for conv, col, value in zip(conversions, chunk, values):
-            if back is not None and conv[-1] in "fg":
+            if read_back and conv[-1] in "fg":
                 # a flagged row is written by %: read back from its text
                 value = np.empty(n) if value is None else value
-                value[bad] = [float(f"%{conv}" % v)
-                              for v in np.asarray(col)[bad].tolist()]
-                back.append(value)
-        if not bad.any():
-            return text
-    pieces, prev = [], 0
-    for row in zip(*[np.asarray(col)[bad].tolist() for col in chunk]):
-        at = text.index("\1", prev)    # split("\1") takes ~1 ms a chunk
-        pieces += [text[prev:at], fmt % row]
-        prev = at + 1
-    return "".join(pieces + [text[prev:]])
+                value[bad] = [float(f"%{conv}" % v) for v in col[bad].tolist()]
+                backs.append(value)
+        if bad.any():
+            pieces, prev = [], 0
+            for row in zip(*[col[bad].tolist() for col in chunk]):
+                at = text.index("\1", prev)  # split("\1") takes ~1 ms a chunk
+                pieces += [text[prev:at], fmt % row]
+                prev = at + 1
+            text = "".join(pieces + [text[prev:]])
+        yield text, backs
 
 
-def write_rows(fh, fmt: str, columns, read_back: bool = False):
+def write_rows(fh, fmt: str, columns) -> None:
     """Write `fmt % row` for every row of equal-length array columns.
 
-    The text is rendered column by column in numpy, 16,384 rows at a time,
-    for the conversions %d, %s, %.Nf and %.Ng.  A row whose text the numpy
-    kernel cannot show to equal `fmt % row` (a value within rounding error
-    of a tie, nan or inf, a %g value that needs an exponent, a str holding
-    a NUL, \\x01 or non-ASCII character) is formatted with `fmt % row` and
-    spliced back in place, so the bytes are those of `fmt % row` for any
-    input.
-
-    With read_back, return one float64 array per %f and %g conversion:
-    the values that parsing the written fields gives back, bit for bit
-    (the kernel's digits for most rows, float() of the text for the rows
-    % writes).  fmt must then hold only those four conversions.
+    The text is rendered column by column in numpy, 16,384 rows at a time.
+    fmt may hold only the conversions %d, %s, %.Nf (N <= 18) and %.Ng
+    (1 <= N <= 15), one per column; any other format raises ValueError.
+    A row whose text the numpy kernel cannot show to equal `fmt % row` (a
+    value within rounding error of a tie, nan or inf, a %g value that
+    needs an exponent, a str holding a NUL, \\x01 or non-ASCII character)
+    is formatted with `fmt % row` and spliced back in place, so the bytes
+    are those of `fmt % row` for any input.
     """
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError("write_rows: columns differ in length")
-    parsed = _parse_format(fmt)
-    if read_back and parsed is None:
-        raise ValueError(f"write_rows: cannot read back {fmt!r}")
-    n = len(columns[0])
-    backs = ([np.empty(n) for c in parsed[1] if c[-1] in "fg"]
-             if read_back else None)
-    for start in range(0, n, _CHUNK_ROWS):
-        back = [] if read_back else None
-        fh.write(_format_chunk(
-            fmt, parsed, [c[start:start + _CHUNK_ROWS] for c in columns],
-            back))
-        for out, value in zip(backs or (), back or ()):
-            out[start:start + value.size] = value
-    return backs
+    for text, _ in _chunks(fmt, columns):
+        fh.write(text)
 
 
 _ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"
@@ -598,11 +577,12 @@ _ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"
 # _SIDECAR_DTYPES.
 _SIDECAR = struct.Struct("<8sIQ64sI")
 _SIDECAR_MAGIC, _SIDECAR_VERSION = b"PPL1COLS", 1
-_SIDECAR_DTYPES = {name: "<i8" if name in _INT_COLUMNS else "<f8"
-                   for name in EVENT_COLUMNS}
-# Tags the CSV path reads back as written: printable ASCII without '"'
-# (the csv module unquotes a field that starts with one).
-_PLAIN_TAG = re.compile(r'[ !#-~]+')
+_SIDECAR_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
+                   for name, dtype in EVENT_DTYPES.items()}
+# A polarization tag the archive may hold: printable ASCII without ','
+# (the delimiter) or '"' (the csv module unquotes a field that starts with
+# one), so that the CSV path reads every tag back as written.
+_TAG = re.compile(r'[ !#-+\--~]+')
 
 
 def _sidecar_path(path) -> str:
@@ -617,64 +597,64 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-class _HashedText:
-    """A text file's write(), also feeding the written (ASCII) bytes to a
-    sha256, so that the file need not be read back to be hashed."""
-
-    def __init__(self, fh):
-        self.fh, self.sha256 = fh, hashlib.sha256()
-
-    def write(self, text: str) -> None:
-        self.fh.write(text)
-        self.sha256.update(text.encode())
-
-
 def write_level1_archive(path, events: EventTable) -> None:
     """Write events as a level-1 archive CSV (schema version 1), and its
     column sidecar.
 
     Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
-    digits) make the file a function of the data alone.  The sidecar,
+    digits) make the file a function of the data alone.  Every tag in use
+    must be non-empty printable ASCII without ',' or '"'; else
+    ValidationError is raised before any file is opened.  The sidecar,
     <path>.cols, holds the columns and tags that parsing the CSV text
-    gives back, keyed to the text's sha256 (see read_level1_archive); the
-    float columns come from write_rows' read-back.  It is a cache: when a
-    tag in use is not printable ASCII or holds '"', none is written and a
-    stale one is removed.
+    gives back, keyed to the text's sha256 (see read_level1_archive).
+    Both are written in one pass: each chunk's text goes to the CSV and
+    the sha256, and its read-back float columns to their offsets in the
+    sidecar.  The header carrying the digest goes in last, and the new
+    sidecar replaces the old one once the CSV is closed.
     """
     used = np.bincount(events.pol_code, minlength=len(events.tags)) > 0
-    in_use = [tag for tag, u in zip(events.tags, used) if u]
-    for tag in in_use:
-        if not tag or any(c in tag for c in ",\n\r"):
-            raise ValidationError(f"bad polarization_tag {tag!r}")
-    tags = sorted(set(in_use))
-    plain = all(map(_PLAIN_TAG.fullmatch, tags))
-    with open(path, "w", newline="\n") as fh:
-        out = _HashedText(fh) if plain else fh
-        out.write(",".join(ARCHIVE_COLUMNS) + "\n")
-        back = write_rows(out, _ARCHIVE_ROW, [
-            getattr(events, name) for name in list(ARCHIVE_COLUMNS)[1:]],
-            read_back=plain)
-    sidecar = _sidecar_path(path)
-    if not plain:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(sidecar)
-        return
-    cols = {name: getattr(events, name) for name in EVENT_COLUMNS}
-    cols.update(zip([name for name, kind in ARCHIVE_COLUMNS.items()
-                     if kind is float], back))
+    tags = sorted({tag for tag, u in zip(events.tags, used) if u})
+    for tag in tags:
+        if not _TAG.fullmatch(tag):
+            raise ValidationError(
+                f"bad polarization_tag {tag!r}: a tag must be non-empty "
+                "printable ASCII without ',' or '\"'")
     code = {tag: i for i, tag in enumerate(tags)}
-    cols["pol_code"] = np.array([code.get(tag, 0) for tag in events.tags],
+    ints = {name: getattr(events, name)
+            for name, dtype in EVENT_DTYPES.items() if dtype is np.int64}
+    ints["pol_code"] = np.array([code.get(tag, 0) for tag in events.tags],
                                 dtype=np.int64)[events.pol_code]
+    floats = [name for name, kind in ARCHIVE_COLUMNS.items() if kind is float]
     text = "\n".join(tags).encode()
+    offset = {name: _SIDECAR.size + len(text) + 8 * len(events) * i
+              for i, name in enumerate(EVENT_COLUMNS)}
+    sha256 = hashlib.sha256()
+    sidecar = _sidecar_path(path)
     tmp = f"{sidecar}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_SIDECAR.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION,
-                                   len(events),
-                                   out.sha256.hexdigest().encode(),
-                                   len(text)) + text)
-            for name, dtype in _SIDECAR_DTYPES.items():
-                fh.write(np.ascontiguousarray(cols[name], dtype))
+        with open(tmp, "wb") as side:
+            with open(path, "w", newline="\n") as fh:
+                header = ",".join(ARCHIVE_COLUMNS) + "\n"
+                fh.write(header)
+                sha256.update(header.encode())
+                chunks = _chunks(_ARCHIVE_ROW, [
+                    getattr(events, name)
+                    for name in list(ARCHIVE_COLUMNS)[1:]], read_back=True)
+                for i, (rows, backs) in enumerate(chunks):
+                    fh.write(rows)
+                    sha256.update(rows.encode())
+                    for name, back in zip(floats, backs):
+                        side.seek(offset[name] + 8 * _CHUNK_ROWS * i)
+                        side.write(np.ascontiguousarray(
+                            back, _SIDECAR_DTYPES[name]))
+            for name, col in ints.items():
+                side.seek(offset[name])
+                side.write(np.ascontiguousarray(col, _SIDECAR_DTYPES[name]))
+            side.seek(0)
+            side.write(_SIDECAR.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION,
+                                     len(events),
+                                     sha256.hexdigest().encode(),
+                                     len(text)) + text)
         os.replace(tmp, sidecar)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -45,7 +45,7 @@ from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (estimator_corrected_crossing_prob, fft_frame,
                           wrap_phase)
 from .errors import ValidationError
-from .pairdetect import EVENT_COLUMNS, EventTable, FirstLevelFilterParams
+from .pairdetect import EVENT_DTYPES, EventTable, FirstLevelFilterParams
 
 C_LIGHT_M_S = 299792458.0
 TWO_PI = 2.0 * math.pi
@@ -737,9 +737,8 @@ def simulate_level1_events(config: ObservationConfig, sources,
     edges = list(itertools.accumulate(
         (count + len(rows) for count, rows in zip(counts, injected)),
         initial=0))
-    columns = {name: np.empty(edges[-1], dtype=np.int64 if name in (
-        "frame_index", "bin_index", "pol_code") else float)
-        for name in EVENT_COLUMNS}
+    columns = {name: np.empty(edges[-1], dtype)
+               for name, dtype in EVENT_DTYPES.items()}
 
     def one(transit: int):
         part = slice(edges[transit], edges[transit + 1])

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,7 @@ _SIDECAR_CASES = {
                                         if n != "pol_code"}),
     "long-tags": lambda: event_table(k=[0, 1, 2],
                                      pol=["LHCP", "x" * 16, "y" * 40]),
+    "odd-tags": lambda: event_table(k=[0, 1, 2], pol=[" X", "x'y", "#c"]),
     "empty": lambda: event_table().take(np.arange(0)),
     "tiny-survey": _tiny_survey_events,
 }
@@ -404,11 +406,18 @@ def test_a_bad_sidecar_is_never_served(tmp_path):
         _assert_same_events(got, _read_through_csv(path))
         assert got.bin_index.tolist() == ([0, 4] if name == "edited"
                                           else [0, 3]), name
-    # a tag the CSV path might not read back as written: no sidecar, and
-    # a stale one is removed
-    sidecar.write_bytes(cols)
-    write_level1_archive(path, event_table(pol='"q"'))
-    assert not sidecar.exists()
+
+
+@pytest.mark.parametrize("tag", ['"q"', "a,b", "", "tab\tx", "r\u00e9"])
+def test_a_bad_tag_is_rejected_before_any_file_is_written(tmp_path, tag):
+    # a tag the CSV path might not read back as written
+    path, sidecar = tmp_path / "level1.csv", tmp_path / "level1.csv.cols"
+    write_level1_archive(path, event_table(k=[0, 3]))
+    text, cols = path.read_bytes(), sidecar.read_bytes()
+    with pytest.raises(ValidationError, match="polarization_tag"):
+        write_level1_archive(path, event_table(k=[0, 3], pol=["LHCP", tag]))
+    assert (path.read_bytes(), sidecar.read_bytes()) == (text, cols)
+    assert sorted(os.listdir(tmp_path)) == ["level1.csv", "level1.csv.cols"]
 
 
 def test_pair_ra_tracks_later_event():
@@ -467,3 +476,35 @@ def test_write_rows_writes_percent_text(fmt):
         fh = io.StringIO()
         write_rows(fh, fmt, [c[:n] for c in full])
         assert fh.getvalue() == "".join(rows[:n]), n
+
+
+@pytest.mark.parametrize("fmt, columns", [
+    ("%5.1f\n", [[1.0]]), ("%x\n", [[1]]), ("%d,%d\n", [[1]]),
+    ("%d\n", [[1], [2]])])
+def test_write_rows_rejects_a_format_it_does_not_render(fmt, columns):
+    with pytest.raises(ValueError):
+        write_rows(io.StringIO(), fmt, columns)
+
+
+def _archive_write_peak(path, n):
+    """tracemalloc's peak while write_level1_archive writes n events."""
+    rng = np.random.default_rng(5)
+    events = EventTable(tags=("LHCP",), pol_code=np.zeros(n, np.int64), **{
+        name: rng.integers(0, 10**6, n) if dtype is np.int64
+        else rng.uniform(-100.0, 100.0, n)
+        for name, dtype in pairdetect.EVENT_DTYPES.items()
+        if name != "pol_code"})
+    tracemalloc.start()
+    try:
+        write_level1_archive(path, events)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_archive_writer_holds_no_whole_archive_read_back(tmp_path):
+    # the text and the sidecar's float columns go out a chunk at a time:
+    # what grows with the rows is the tag and pol_code columns, ~20 B a row
+    small = _archive_write_peak(tmp_path / "small.csv", 100_000)
+    large = _archive_write_peak(tmp_path / "large.csv", 300_000)
+    assert (large - small) / 200_000 < 28
