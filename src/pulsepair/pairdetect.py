@@ -585,6 +585,15 @@ _SIDECAR_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
 _TAG = re.compile(r'[ !#-+\--~]+')
 
 
+def check_tags(tags) -> None:
+    """Raise ValidationError unless every tag can be held in an archive."""
+    for tag in tags:
+        if not _TAG.fullmatch(tag):
+            raise ValidationError(
+                f"bad polarization_tag {tag!r}: a tag must be non-empty "
+                "printable ASCII without ',' or '\"'")
+
+
 def _sidecar_path(path) -> str:
     return os.fspath(path) + ".cols"
 
@@ -614,11 +623,7 @@ def write_level1_archive(path, events: EventTable) -> None:
     """
     used = np.bincount(events.pol_code, minlength=len(events.tags)) > 0
     tags = sorted({tag for tag, u in zip(events.tags, used) if u})
-    for tag in tags:
-        if not _TAG.fullmatch(tag):
-            raise ValidationError(
-                f"bad polarization_tag {tag!r}: a tag must be non-empty "
-                "printable ASCII without ',' or '\"'")
+    check_tags(tags)
     code = {tag: i for i, tag in enumerate(tags)}
     ints = {name: getattr(events, name)
             for name, dtype in EVENT_DTYPES.items() if dtype is np.int64}
@@ -640,13 +645,15 @@ def write_level1_archive(path, events: EventTable) -> None:
                 chunks = _chunks(_ARCHIVE_ROW, [
                     getattr(events, name)
                     for name in list(ARCHIVE_COLUMNS)[1:]], read_back=True)
-                for i, (rows, backs) in enumerate(chunks):
+                start = 0
+                for rows, backs in chunks:
                     fh.write(rows)
                     sha256.update(rows.encode())
                     for name, back in zip(floats, backs):
-                        side.seek(offset[name] + 8 * _CHUNK_ROWS * i)
+                        side.seek(offset[name] + 8 * start)
                         side.write(np.ascontiguousarray(
                             back, _SIDECAR_DTYPES[name]))
+                    start += len(backs[0])
             for name, col in ints.items():
                 side.seek(offset[name])
                 side.write(np.ascontiguousarray(col, _SIDECAR_DTYPES[name]))

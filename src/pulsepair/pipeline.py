@@ -429,13 +429,6 @@ def run_experiment(manifest: ExperimentManifest,
         result.analysis = write_analysis(manifest, candidates, level1, stats,
                                          report)
 
-    digests = {}         # path -> sha256, until a stage rewrites the path
-
-    def digest(path) -> str:
-        if path not in digests:
-            digests[path] = sha256_file(path)
-        return digests[path]
-
     exposure = [level1] if manifest.p_mode == "exposure" else []
     # (name, params hash, inputs, outputs, record lines, stage function)
     stages = [
@@ -457,22 +450,20 @@ def run_experiment(manifest: ExperimentManifest,
             lines = [f"stage.{stage}.{name}" for name in names]
             marks = {f"stage.{stage}.params": params_hash,
                      f"stage.{stage}.inputs": ",".join(
-                         f"{os.path.basename(p)}={digest(p)}"
+                         f"{os.path.basename(p)}={sha256_file(p)}"
                          for p in inputs) or "none"}
             if (all(prior.get(k) == v for k, v in marks.items())
                     and all(k in prior for k in lines)
                     and all(os.path.exists(p)
                             and prior.get(f"artifact.{os.path.basename(p)}")
-                            == digest(p) for p in outputs)):
+                            == sha256_file(p) for p in outputs)):
                 skipped.append(stage)
                 record.update((k, prior[k]) for k in lines)
             else:
                 run()
-                for p in outputs:
-                    digests.pop(p, None)
             record.update(marks)
             for p in outputs:
-                record[f"artifact.{os.path.basename(p)}"] = digest(p)
+                record[f"artifact.{os.path.basename(p)}"] = sha256_file(p)
         stage = "analyze"
         if result.analysis is None:         # a resumed run still has a peak
             result.analysis = analyze_candidates(manifest, candidates, level1)

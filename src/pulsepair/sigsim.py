@@ -45,7 +45,8 @@ from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (estimator_corrected_crossing_prob, fft_frame,
                           wrap_phase)
 from .errors import ValidationError
-from .pairdetect import EVENT_DTYPES, EventTable, FirstLevelFilterParams
+from .pairdetect import (EVENT_DTYPES, EventTable, FirstLevelFilterParams,
+                         check_tags)
 
 C_LIGHT_M_S = 299792458.0
 TWO_PI = 2.0 * math.pi
@@ -106,6 +107,7 @@ class ObservationConfig:
             raise ValidationError("need at least one polarization tag")
         if len(set(self.polarization_tags)) != len(self.polarization_tags):
             raise ValidationError("duplicate polarization tags")
+        check_tags(self.polarization_tags)
         if self.noise_floor <= 0:
             raise ValidationError("noise_floor must be > 0")
         if self.phase_sign not in (-1.0, 1.0):

@@ -347,6 +347,14 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert cli.main(["report", "--config", cfg, "--out", out]) == 3
     assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
     capsys.readouterr()
+    # a bad tag fails at config load, before anything is simulated
+    bad_cfg.write_text(open(cfg).read().replace("= LHCP,RHCP",
+                                                "= LHCP,r\u00e9"))
+    fresh = tmp_path / "fresh"
+    assert cli.main(["simulate", "--config", str(bad_cfg),
+                     "--out", str(fresh)]) == 3
+    assert "polarization_tag" in capsys.readouterr().err
+    assert not fresh.exists()
 
 
 def test_beam_taper_in_events_mode_is_a_validation_error(tmp_path, capsys):

@@ -223,24 +223,6 @@ def test_run_experiment_artifacts(tmp_path):
     assert res.analysis is not None and len(res.analysis.stats) == 5
 
 
-def test_run_experiment_hashes_each_file_once(tmp_path, monkeypatch):
-    calls = Counter()
-
-    def counting_sha256_file(path):
-        calls[Path(path).name] += 1
-        return sha256_file(path)
-
-    monkeypatch.setattr(pulsepair.pipeline, "sha256_file",
-                        counting_sha256_file)
-    once = {name: 1 for name in ("level1.csv", "candidates.csv", "stats.csv",
-                                 "report.txt", "figure.svg")}
-    for skipped in (0, 4):          # a cold run, then a resumed one
-        calls.clear()
-        res = run_experiment(_small_manifest(tmp_path, n_transits=1))
-        assert len(res.skipped) == skipped
-        assert calls == once, skipped
-
-
 def test_run_experiment_resume_and_invalidate(tmp_path):
     run_experiment(_small_manifest(tmp_path))
     again = run_experiment(_small_manifest(tmp_path))

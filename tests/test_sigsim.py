@@ -45,6 +45,12 @@ def test_config_validation():
     assert rf[1] - rf[0] == pytest.approx(2.0)       # 1/frame_seconds
 
 
+@pytest.mark.parametrize("tag", ['"q"', "a,b", "", "tab\tx", "r\u00e9"])
+def test_a_bad_tag_fails_at_config_load(tag):
+    with pytest.raises(ValidationError, match="polarization_tag"):
+        ObservationConfig(polarization_tags=("LHCP", tag))
+
+
 def test_noise_floor_is_unit():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
                             frame_seconds=0.02, seed=1)   # 2000 bins
