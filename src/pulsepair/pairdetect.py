@@ -11,9 +11,11 @@ Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
 stored as an integer code into the table's sorted `tags`, so sorting on the
 code sorts on the tag string.  A PairTable holds index arrays `a` and `b`
-into its EventTable plus the delta_t_s, delta_f_hz, log10_delta_f_mhz and
-phase_metric_rad columns.  Iterating a PairTable yields PairCandidate
-rows built from the columns, for inspection; no stage iterates them.
+into its EventTable plus the delta_t_s, delta_f_hz and phase_metric_rad
+columns; its log10_delta_f_mhz is computed from delta_f_hz when first read,
+so pairing and filtering never take a per-pair logarithm.  Iterating a
+PairTable yields PairCandidate rows built from the columns, for inspection;
+no stage iterates them.
 
 The package writes its CSV rows with write_rows, and reads the ones it
 reads back (the archive, candidates.csv, stats.csv) as columns with
@@ -36,7 +38,7 @@ import os
 import re
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -67,8 +69,9 @@ class PairCandidate(NamedTuple):
 
     Event a precedes event b in the block sort order, so delta_t_s is
     |utc_b - utc_a| and delta_f_hz is rf_b - rf_a.  log10_delta_f_mhz is
-    -inf for the degenerate delta_f = 0 case (same bin, different
-    polarization); such pairs never survive the frequency-offset filter.
+    math.log10(|delta_f_hz| / 1e6), or -inf for the degenerate delta_f = 0
+    case (same bin, different polarization); such pairs never survive the
+    frequency-offset filter.
     phase_metric_rad is NaN until the second-level filter fills it in.
     """
 
@@ -81,6 +84,8 @@ class PairCandidate(NamedTuple):
 
 
 PAIR_COLUMNS = PairCandidate._fields
+_STORED_PAIR_COLUMNS = tuple(n for n in PAIR_COLUMNS
+                             if n != "log10_delta_f_mhz")
 
 
 @dataclass(eq=False)
@@ -138,15 +143,20 @@ class EventTable:
 
 @dataclass(eq=False)
 class PairTable:
-    """Candidate pairs as columns (see PAIR_COLUMNS); a and b index events."""
+    """Candidate pairs as columns (see PAIR_COLUMNS); a and b index events.
+
+    log10_delta_f_mhz is not stored: it is computed from delta_f_hz on
+    first read and kept.
+    """
 
     events: EventTable
     a: np.ndarray
     b: np.ndarray
     delta_t_s: np.ndarray
     delta_f_hz: np.ndarray
-    log10_delta_f_mhz: np.ndarray
     phase_metric_rad: np.ndarray
+    _log10_delta_f_mhz: np.ndarray | None = field(
+        default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.a.size
@@ -160,9 +170,29 @@ class PairTable:
         """A pair is placed at the pointing RA of its later event."""
         return self.events.ra_pointing_hr[self.b]
 
+    @property
+    def log10_delta_f_mhz(self) -> np.ndarray:
+        """math.log10(|delta_f_hz| / 1e6) per pair, -inf where delta_f is 0.
+
+        math.log10 rather than np.log10: the two differ in the last bit for
+        some inputs, and candidates.csv prints these values.  A chunk at a
+        time, so that few Python floats exist at once.
+        """
+        if self._log10_delta_f_mhz is None:
+            delta_f = self.delta_f_hz
+            log_df = np.full(delta_f.size, -np.inf)
+            nonzero = np.flatnonzero(delta_f != 0.0)
+            for start in range(0, nonzero.size, _CHUNK_ROWS):
+                rows = nonzero[start:start + _CHUNK_ROWS]
+                log_df[rows] = np.fromiter(
+                    map(math.log10, (np.abs(delta_f[rows]) / 1.0e6).tolist()),
+                    float, rows.size)
+            self._log10_delta_f_mhz = log_df
+        return self._log10_delta_f_mhz
+
     def take(self, idx) -> PairTable:
         return PairTable(self.events, **{
-            n: getattr(self, n)[idx] for n in PAIR_COLUMNS})
+            n: getattr(self, n)[idx] for n in _STORED_PAIR_COLUMNS})
 
 
 @dataclass
@@ -246,19 +276,23 @@ def _packed_key(fields) -> np.ndarray:
     most significant first) sort lexicographically.
 
     Each field is shifted to start at zero and takes its span (max - min +
-    1) of the key; a product of spans of 2**63 or more is rejected.
+    1) of the key; a field of span 1 adds nothing and is skipped.  A product
+    of spans of 2**63 or more is rejected.
     """
     key = np.zeros(fields[0].size, dtype=np.int64)
     total = 1
-    for field in fields:
-        lo, hi = (int(field.min()), int(field.max())) if field.size else (0, 0)
+    for column in fields:
+        lo, hi = ((int(column.min()), int(column.max())) if column.size
+                  else (0, 0))
+        if hi == lo:
+            continue
         total *= hi - lo + 1
         if total >= 2 ** 63:
             raise ValidationError(
                 "form_pairs: the frame, bin and polarization ranges of the "
                 "events are too wide for one int64 sort key")
         key *= hi - lo + 1
-        key += field - lo
+        key += column - lo
     return key
 
 
@@ -280,10 +314,12 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     if pairing_window_frames < 0:
         raise ValidationError("pairing_window_frames must be >= 0")
     width = 2 * pairing_window_frames + 1
-    block = events.frame_index // width
+    # at K = 0 a block is one frame, and the frame within it is always 0
+    block = events.frame_index // width if width > 1 else events.frame_index
     pol = events.pol_code
-    fields = [block, events.bin_index, events.frame_index - block * width,
-              pol]
+    fields = [block, events.bin_index, pol]
+    if width > 1:
+        fields.insert(2, events.frame_index - block * width)
     if require_pol_match:
         fields.insert(1, pol)
     by_utc = np.argsort(events.utc_s, kind="stable")
@@ -293,19 +329,9 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     if require_pol_match:
         same &= pol[first] == pol[second]
     a, b = first[same], second[same]
-    delta_f = events.rf_freq_hz[b] - events.rf_freq_hz[a]
-    log_df = np.full(a.size, -np.inf)
-    nonzero = np.flatnonzero(delta_f != 0.0)
-    # math.log10 rather than np.log10: the two differ in the last bit for
-    # some inputs, and candidates.csv prints these values.  A chunk at a
-    # time, so that few Python floats exist at once.
-    for start in range(0, nonzero.size, _CHUNK_ROWS):
-        rows = nonzero[start:start + _CHUNK_ROWS]
-        log_df[rows] = np.fromiter(
-            map(math.log10, (np.abs(delta_f[rows]) / 1.0e6).tolist()),
-            float, rows.size)
     return PairTable(events, a, b, np.abs(events.utc_s[b] - events.utc_s[a]),
-                     delta_f, log_df, np.full(a.size, np.nan))
+                     events.rf_freq_hz[b] - events.rf_freq_hz[a],
+                     np.full(a.size, np.nan))
 
 
 # write_rows lays each chunk of rows out as one uint8 grid holding a row of

@@ -26,6 +26,7 @@ confirms (or discovers) the instrument delay epoch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +86,41 @@ def phase_metrics(pairs: PairTable, tau_int_s: float) -> np.ndarray:
                       + TWO_PI * pairs.delta_f_hz * tau_int_s)
 
 
+def _pow10(x: float) -> float:
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
+
+
 def delta_f_window(pairs: PairTable, params: PhaseMetricParams) -> np.ndarray:
     """True where log10(|delta_f| / 1 MHz) lies in the closed window.
 
     The default window [-5.1, +0.3] spans 7.9433 Hz to 1.9953 MHz.  A
     degenerate pair with delta_f = 0 never passes.
+
+    |delta_f| / 1 MHz is compared with 10**low and 10**high; math.log10 of
+    it decides only the rows within a relative 1e-9 of an edge, so every
+    verdict is the one math.log10 gives.  (Near a normal-float edge each
+    logarithm is within a few ulp of the true value, far inside the 4e-10
+    that 1e-9 moves it.)  An edge that is not a normal float sends every
+    row to math.log10.
     """
-    log_df = pairs.log10_delta_f_mhz
-    return ((pairs.delta_f_hz != 0.0)
-            & (log_df >= params.log_delta_f_low)
-            & (log_df <= params.log_delta_f_high))
+    lo, hi = params.log_delta_f_low, params.log_delta_f_high
+    mhz = np.abs(pairs.delta_f_hz) / 1.0e6
+    e_lo, e_hi = _pow10(lo), _pow10(hi)
+    if all(sys.float_info.min <= e < math.inf for e in (e_lo, e_hi)):
+        ok = mhz > e_lo * (1.0 + 1e-9)
+        ok &= mhz < e_hi * (1.0 - 1e-9)
+        unsure = mhz >= e_lo * (1.0 - 1e-9)
+        unsure &= mhz <= e_hi * (1.0 + 1e-9)
+        unsure &= ~ok
+    else:
+        ok = np.zeros(mhz.size, dtype=bool)
+        unsure = mhz != 0.0
+    rows = np.flatnonzero(unsure)
+    ok[rows] = [lo <= math.log10(v) <= hi for v in mhz[rows].tolist()]
+    return ok
 
 
 _VERDICTS = np.array(["pass", "phase", "delta_f", "delta_f+phase"],

@@ -573,6 +573,23 @@ def _injected_rows(config: ObservationConfig, sources, params,
     return rows
 
 
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """np.argsort(key, kind="stable"), from numpy's default (SIMD, unstable)
+    sort: each run of equal sorted keys is put back in index order, with one
+    lexsort over the rows of all such runs."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    tie = sorted_key[1:] == sorted_key[:-1]
+    if tie.any():
+        in_run = np.zeros(key.size, dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        rows = np.flatnonzero(in_run)
+        runs = order[rows]
+        order[rows] = runs[np.lexsort((runs, sorted_key[rows]))]
+    return order
+
+
 def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
                   transit: int, n_frames: int, utc_start: float, runs: tuple,
                   rng, count: int, injected: list, out: dict) -> None:
@@ -598,13 +615,13 @@ def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
     frames = with_injected(rng.integers(0, n_frames, count), 0)
     codes = with_injected(tag_rank[rng.integers(0, n_pol, count)], 2)
     bins = with_injected(_run_bins(runs, rng.integers(0, n_usable, count)), 1)
-    # one stable sort on the packed (frame, tag, bin) key, so equal keys keep
-    # the draw order; simulate_level1_events checked that the key fits int64
+    # one sort on the packed (frame, tag, bin) key, equal keys in draw order;
+    # simulate_level1_events checked that the key fits int64
     key = frames * n_pol
     key += codes
     key *= config.n_bins
     key += bins
-    order = np.argsort(key, kind="stable")
+    order = _stable_argsort(key)
     del key
 
     def put(name, column):
@@ -617,8 +634,8 @@ def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
     put("frame_index", frames)
     np.multiply(frame_index, config.hop_seconds, out=utc_s)
     utc_s += utc_start
-    out["ra_pointing_hr"][...] = config.pointing_ra(
-        window_lo_hr + frame_index * hop_hr)
+    np.take(config.pointing_ra(window_lo_hr + np.arange(n_frames) * hop_hr),
+            frame_index, out=out["ra_pointing_hr"], mode="clip")
     frame_index += transit * n_frames
     put("bin_index", bins)
     np.divide(out["bin_index"], config.frame_seconds, out=rf)

@@ -170,6 +170,49 @@ def test_form_pairs_log10_matches_math_log10_across_chunks():
     want = np.array([math.log10(v) if v else -math.inf for v in mhz.tolist()])
     assert np.array_equal(pairs.log10_delta_f_mhz.view(np.int64),
                           want.view(np.int64))
+    # the rows that take() keeps compute their own, zero delta_f included
+    idx = np.flatnonzero(rng.random(len(pairs)) < 0.3)
+    assert (mhz[idx] == 0.0).any()
+    assert np.array_equal(pairs.take(idx).log10_delta_f_mhz.view(np.int64),
+                          want[idx].view(np.int64))
+
+
+def _pairs_with_delta_f(delta_f_hz) -> PairTable:
+    n = len(delta_f_hz)
+    zeros = np.zeros(n, dtype=np.int64)
+    return PairTable(event_table(), zeros, zeros, np.zeros(n),
+                     np.asarray(delta_f_hz, dtype=float), np.zeros(n))
+
+
+@pytest.mark.parametrize("low, high", [
+    (-5.1, 0.3),              # the default window
+    (-3.0, -3.0),             # one point: 1 kHz
+    (-400.0, 400.0),          # edges that are not normal floats
+])
+def test_delta_f_window_is_the_math_log10_verdict(low, high):
+    # |delta_f| walked 16 ulp either way from each edge, in Hz and in MHz
+    # terms, with both signs, and three extreme magnitudes
+    centers = []
+    for edge in (low, high):
+        with np.errstate(over="ignore"):
+            centers += [1e6 * np.float64(10.0) ** edge,
+                        np.float64(10.0) ** (edge + 6.0)]
+    walked = []
+    for center in filter(lambda c: 0.0 < c < math.inf, centers):
+        for direction in (math.inf, -math.inf):
+            v = center
+            for _ in range(17):
+                walked.append(v)
+                v = np.nextafter(v, direction)
+    df = np.array(walked + [0.0, 1e-300, 1e300])
+    df = np.concatenate([df, -df])
+    params = PhaseMetricParams(log_delta_f_low=low, log_delta_f_high=high)
+    want = [v != 0.0 and low <= math.log10(abs(v) / 1e6) <= high
+            for v in df.tolist()]
+    got = delta_f_window(_pairs_with_delta_f(df), params)
+    assert got.tolist() == want
+    if low == -5.1:
+        assert 0 < sum(want) < len(want)
 
 
 def test_form_pairs_rejects_a_sort_key_beyond_int64():

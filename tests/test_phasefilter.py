@@ -219,11 +219,9 @@ def _random_pairs(rng, params, n=3000):
         snr_east_db=zeros, snr_west_db=zeros, phase_east_rad=zeros,
         phase_west_rad=np.ravel(np.column_stack([np.zeros(n), diff])),
         pol_code=zeros, ra_pointing_hr=np.repeat(ra, 2), tags=("LHCP",))
-    log_df = np.array([math.log10(abs(v) / 1e6) if v else -math.inf
-                       for v in df.tolist()])
     pairs = PairTable(events, a=2 * np.arange(n), b=2 * np.arange(n) + 1,
                       delta_t_s=np.zeros(n), delta_f_hz=df,
-                      log10_delta_f_mhz=log_df, phase_metric_rad=np.zeros(n))
+                      phase_metric_rad=np.zeros(n))
     on_edge = np.abs(phase_metrics(pairs, tau_mid)[edge]) == hw
     return pairs, int(np.count_nonzero(on_edge))
 

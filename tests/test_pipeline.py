@@ -1,5 +1,7 @@
+import math
 import shutil
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from collections import Counter
 
@@ -12,13 +14,14 @@ from pulsepair import cli
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  read_level1_archive, write_level1_archive)
+                                  form_pairs, read_level1_archive,
+                                  write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 detect_frames,
                                 load_frames_npz, manifest_from_file,
                                 read_candidates_csv,
                                 run_experiment, run_null_mc, run_tune_tau,
-                                save_frames_npz, sha256_file,
+                                save_frames_npz, sha256_file, simulate_events,
                                 write_tau_scan_csv)
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
@@ -403,6 +406,29 @@ def test_run_null_mc_threads_run_seeds_not_transits(tmp_path, monkeypatch):
     assert len(rows) == 1 and pools == []
     rows, _ = run_null_mc(_small_manifest(tmp_path, threads=4), 3)
     assert [r[0] for r in rows] == [0, 1, 2] and pools == [3]
+
+
+def test_run_null_mc_takes_no_per_pair_log10(tmp_path, monkeypatch):
+    # math.log10 runs only for the pairs whose |delta_f| lies within a
+    # relative 1e-9 of a window edge, not once per pair
+    m = _small_manifest(tmp_path)
+    pairs = form_pairs(simulate_events(replace(m, sources=[])),
+                       m.pairing_window_frames, m.require_pol_match)
+    mhz = np.abs(pairs.delta_f_hz) / 1e6
+    edges = 10.0 ** np.array([m.phase.log_delta_f_low,
+                              m.phase.log_delta_f_high])
+    near = np.count_nonzero(np.abs(mhz[:, None] - edges) <= 1e-9 * edges)
+    assert np.count_nonzero(mhz) > 1000
+    calls = []
+    log10 = math.log10
+
+    def counted(x):
+        calls.append(x)
+        return log10(x)
+
+    monkeypatch.setattr(math, "log10", counted)
+    run_null_mc(m, 1)
+    assert len(calls) <= near
 
 
 def test_run_tune_tau(tmp_path):

@@ -452,6 +452,32 @@ def test_sampler_rejects_a_sort_key_beyond_int64():
         simulate_level1_events(cfg, [], FirstLevelFilterParams(), 1, 5.0, 9.0)
 
 
+@pytest.mark.parametrize("case", [
+    "all equal", "empty", "one row", "ties at the ends", "random"])
+def test_sampler_sort_is_the_stable_argsort(case):
+    rng = np.random.default_rng(15)
+    if case == "all equal":
+        key = np.full(5000, 7, dtype=np.int64)
+    elif case == "empty":
+        key = np.zeros(0, dtype=np.int64)
+    elif case == "one row":
+        key = np.array([3], dtype=np.int64)
+    elif case == "ties at the ends":
+        # the smallest and the largest key each drawn several times, at
+        # the first and the last position among others
+        key = rng.integers(10, 1000, 3000)
+        key[[0, 5, 2999]] = 0
+        key[[1, 17, 2998]] = 2 ** 62
+    else:
+        # a transit's worth of packed keys, with 2,000 rows forced to repeat
+        # another row's key
+        key = rng.integers(0, 2 ** 40, 424_000)
+        key[rng.choice(key.size, 2000, replace=False)] = key[
+            rng.choice(key.size, 2000, replace=False)]
+    assert np.array_equal(sigsim._stable_argsort(key),
+                          np.argsort(key, kind="stable"))
+
+
 def test_correlator_frames_phase():
     rf = 1405.0e6 + np.arange(64) * 1.0e5
     east, west = simulate_correlator_frames(rf, 400, corr_power=100.0,
