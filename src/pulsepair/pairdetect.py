@@ -6,6 +6,13 @@ excision band.  Events are paired by sorting each block of (2K+1) frames in
 (bin_index, frame_index, polarization_tag, utc_s) order and joining
 consecutive entries, so a pair's two members are adjacent in frequency-major
 order and at most 2K frames apart.  K = 0 pairs only within single frames.
+Given each event's transit, a block also never spans two transits.
+
+Pairing is local to a block, so the stages pair with pair_chunks: it cuts a
+table whose rows are in block order at block edges into runs of about
+16,384 events and yields each run's pairs in turn.  A stage that filters or
+scans each chunk as it comes holds the event table plus one chunk, not every
+pair of the session.
 
 Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
@@ -194,6 +201,14 @@ class PairTable:
         return PairTable(self.events, **{
             n: getattr(self, n)[idx] for n in _STORED_PAIR_COLUMNS})
 
+    @classmethod
+    def concat(cls, events: EventTable, tables) -> PairTable:
+        """Rows of every table in order; each table indexes `events`."""
+        tables = list(tables)
+        return cls(events, **{
+            n: np.concatenate([getattr(t, n) for t in tables])
+            for n in _STORED_PAIR_COLUMNS})
+
 
 @dataclass
 class FirstLevelFilterParams:
@@ -296,8 +311,15 @@ def _packed_key(fields) -> np.ndarray:
     return key
 
 
+def _block_width(pairing_window_frames: int) -> int:
+    if pairing_window_frames < 0:
+        raise ValidationError("pairing_window_frames must be >= 0")
+    return 2 * pairing_window_frames + 1
+
+
 def form_pairs(events: EventTable, pairing_window_frames: int = 0,
-               require_pol_match: bool = False) -> PairTable:
+               require_pol_match: bool = False,
+               transit_of=None) -> PairTable:
     """Pair events by sorted adjacency within frame blocks.
 
     Frames are grouped into fixed blocks of (2K+1) consecutive frame indices
@@ -306,14 +328,15 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     (bin_index, frame_index, polarization_tag, utc_s) and every consecutive
     pair becomes a candidate.  An event can therefore appear in at most two
     candidates (as the later and as the earlier member), matching the
-    fixed-block reading of the pairing window.  The sort is two stable
-    passes, on utc_s and then on the other keys packed into one int64, so
-    equal keys keep their table order; events whose frame and bin ranges
-    are too wide to pack raise ValidationError.
+    fixed-block reading of the pairing window.  `transit_of`, when given,
+    maps utc_s values to transit indices, and the transit leads the block
+    key, so that a block never spans the gap between two transits.  The
+    sort is two stable passes, on utc_s and then on the other keys packed
+    into one int64, so equal keys keep their table order; events whose
+    transit, frame and bin ranges are too wide to pack raise
+    ValidationError.
     """
-    if pairing_window_frames < 0:
-        raise ValidationError("pairing_window_frames must be >= 0")
-    width = 2 * pairing_window_frames + 1
+    width = _block_width(pairing_window_frames)
     # at K = 0 a block is one frame, and the frame within it is always 0
     block = events.frame_index // width if width > 1 else events.frame_index
     pol = events.pol_code
@@ -322,16 +345,78 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
         fields.insert(2, events.frame_index - block * width)
     if require_pol_match:
         fields.insert(1, pol)
+    if transit_of is not None:
+        transit = transit_of(events.utc_s)
+        fields.insert(0, transit)
     by_utc = np.argsort(events.utc_s, kind="stable")
     order = by_utc[np.argsort(_packed_key(fields)[by_utc], kind="stable")]
     first, second = order[:-1], order[1:]
     same = block[first] == block[second]
+    if transit_of is not None:
+        same &= transit[first] == transit[second]
     if require_pol_match:
         same &= pol[first] == pol[second]
     a, b = first[same], second[same]
     return PairTable(events, a, b, np.abs(events.utc_s[b] - events.utc_s[a]),
                      events.rf_freq_hz[b] - events.rf_freq_hz[a],
                      np.full(a.size, np.nan))
+
+
+def _block_cuts(events: EventTable, width: int, transit_of) -> list | None:
+    """Row offsets [0, ..., len(events)] that cut the table at block edges
+    into ranges of at least _CHUNK_ROWS rows (the last may be shorter), or
+    None when the rows are not in block order.
+
+    Rows are in block order when their (transit, block) keys never
+    decrease.  The rows are scanned _CHUNK_ROWS at a time, so the scan
+    holds no whole-table temporary.
+    """
+    n = len(events)
+    cuts = [0]
+    for start in range(1, n, _CHUNK_ROWS):
+        # step[i] compares row start + i with the row before it
+        rows = slice(start - 1, min(start + _CHUNK_ROWS, n))
+        block = events.frame_index[rows]
+        step = np.diff(block // width if width > 1 else block)
+        if transit_of is not None:
+            new_transit = np.diff(transit_of(events.utc_s[rows]))
+            if new_transit.min() < 0:
+                return None
+            step[new_transit > 0] = 1
+        if step.min() < 0:
+            return None
+        # the first edge at least _CHUNK_ROWS rows after the last cut
+        skip = max(cuts[-1] + _CHUNK_ROWS - start, 0)
+        edge = np.flatnonzero(step[skip:])[:1]
+        if edge.size:
+            cuts.append(start + skip + int(edge[0]))
+    cuts.append(n)
+    return cuts
+
+
+def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
+                require_pol_match: bool = False, transit_of=None):
+    """Yield the pairs form_pairs gives for `events`, a chunk at a time.
+
+    form_pairs joins only rows of one block, and sorts on the block first.
+    So when the rows are in block order, the table's pairs are the pairs of
+    consecutive row ranges cut at block edges, in the same order.  Each
+    range holds about _CHUNK_ROWS rows; its PairTable indexes `events` as a
+    whole.  Rows out of block order (a foreign archive) are paired as one
+    table.  A stage that filters each chunk as it comes holds the event
+    table plus one chunk, not every pair of the session.
+    """
+    cuts = _block_cuts(events, _block_width(pairing_window_frames),
+                       transit_of)
+    if cuts is None:
+        yield form_pairs(events, pairing_window_frames, require_pol_match,
+                         transit_of)
+        return
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = form_pairs(events.take(slice(lo, hi)), pairing_window_frames,
+                          require_pol_match, transit_of)
+        yield PairTable(events, part.a + lo, part.b + lo, part.delta_t_s,
+                        part.delta_f_hz, part.phase_metric_rad)
 
 
 # write_rows lays each chunk of rows out as one uint8 grid holding a row of
@@ -362,7 +447,8 @@ def _word_tables() -> np.ndarray:
 _WORDS = _word_tables()
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10F = _POW10.astype(float)      # exact: so is every 10**k to 10**22
-_CHUNK_ROWS = 1 << 14               # an archive grid, ~1.6 MB, fits a 2 MB L2
+# rows of an archive grid (~1.6 MB, fits a 2 MB L2), and events a pair chunk
+_CHUNK_ROWS = 1 << 14
 _MARGIN = 3                         # room for the spare bytes of a first word
 # %d, %s, %.Nf and %.Ng: the conversions write_rows renders.
 _CONVERSION = re.compile(r"%(\.\d+[fg]|[ds])")

@@ -14,9 +14,10 @@ instrument delay, leaving m ~ -2 pi delta_f tau_geom, which is tiny near
 transit.  Uncorrelated noise pairs have m uniform on (-pi, pi], so a
 half-width of 0.04 rad keeps a fraction 0.04/pi ~ 1.27% of them.
 
-Every function here works on a whole PairTable (see pairdetect) at once:
-the metric, the delta_f window (delta_f_window, shared by the filter and
-the delay scan) and the verdicts are numpy columns aligned with its pairs.
+Every function here works on a PairTable (see pairdetect) at once, be it a
+whole table's pairs or one chunk of them: the metric, the delta_f window
+(delta_f_window, shared by the filter and the delay scan) and the verdicts
+are numpy columns aligned with its pairs.
 
 tune_tau_int scans assumed tau_int values and keeps the one whose surviving
 candidates maximize the peak in-window Cohen's d; it is how the pipeline
@@ -147,43 +148,60 @@ def second_level_filter(candidates: PairTable, params: PhaseMetricParams,
     return survivors
 
 
-def tune_tau_int(candidates: PairTable, params: PhaseMetricParams,
-                 bin_edges, probs):
+def _scannable(pairs: PairTable, params: PhaseMetricParams, taus,
+               bin_edges) -> tuple:
+    """(diff, slope, bins) of the pairs that can pass at some tap.
+
+    A pair is kept when it is in the delta_f window and in an RA bin, and
+    when its metric, linear in tau, comes within the half-width of a
+    multiple of 2 pi on the arc it sweeps from the first tap to the last.
+    diff is its phase difference, slope 2 pi delta_f and bins its RA bin.
+    """
+    diff = _phase_differences(pairs)
+    bins = ra_bin_index(pairs.ra_pointing_hr, bin_edges)
+    win = delta_f_window(pairs, params) & (bins >= 0)
+    slope = TWO_PI * pairs.delta_f_hz[win]
+    diff, bins = diff[win], bins[win]
+    # slack for the rounding of wrap_phase and here
+    reach = params.filter_halfwidth_rad + 1e-6
+    ends = diff + slope * taus[[0, -1], None]
+    k = np.ceil((ends.min(axis=0) - reach) / TWO_PI)
+    can = k * TWO_PI <= ends.max(axis=0) + reach
+    return diff[can], slope[can], bins[can]
+
+
+def tune_tau_int(candidates, params: PhaseMetricParams, bin_edges, probs):
     """Scan assumed instrument delays; keep the one with the largest peak d.
 
     Each tau on the grid [tau_search_low_s, tau_search_high_s] (step
     tau_search_step_s) scores what analyze(...).peak.cohens_d gives on the
     pairs passing the second-level filter at that tau, over the RA bins
     `bin_edges` with null probabilities `probs` (bin_probabilities), or 0
-    if none is in the window.  The RA bins are found once, and only pairs
-    inside both windows that can pass at some tap are scored: the metric
-    is linear in tau, so the arc it sweeps from the first tap to the last,
-    widened by the half-width, must reach a multiple of 2 pi.  Returns
-    (best_tau_s, best_stat, taus, stats).
+    if none is in the window.  `candidates` is a PairTable, or an iterable
+    of PairTables such as pairdetect.pair_chunks yields; of each, only the
+    pairs that can pass at some tap are kept (see _scannable), and the
+    taps are scored on those.  Returns (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
     (first such tap on equal distance), so a flat plateau of equally good
     delays reports the tap nearest the scan center rather than an
     arbitrary edge.
     """
-    if not len(candidates):
-        raise ValidationError("no candidates to tune against")
+    if isinstance(candidates, PairTable):
+        candidates = [candidates]
     if params.tau_search_low_s is None:
         raise ValidationError("tau search range is not set")
     lo, hi, step = (params.tau_search_low_s, params.tau_search_high_s,
                     params.tau_search_step_s)
     taus = np.arange(lo, hi + 0.5 * step, step)
-    diff = _phase_differences(candidates)
-    bins = ra_bin_index(candidates.ra_pointing_hr, bin_edges)
-    win = delta_f_window(candidates, params) & (bins >= 0)
-    slope = TWO_PI * candidates.delta_f_hz[win]
-    diff, bins = diff[win], bins[win]
+    n_pairs, kept = 0, []
+    for pairs in candidates:
+        n_pairs += len(pairs)
+        kept.append(_scannable(pairs, params, taus, bin_edges))
+    if not n_pairs:
+        raise ValidationError("no candidates to tune against")
+    diff, slope, bins = (np.concatenate(c) for c in zip(*kept))
     hw = params.filter_halfwidth_rad
-    reach = hw + 1e-6         # slack for the rounding of wrap_phase and here
-    ends = diff + slope * taus[[0, -1], None]
-    k = np.ceil((ends.min(axis=0) - reach) / TWO_PI)
-    can = k * TWO_PI <= ends.max(axis=0) + reach
-    diff, slope, bins = diff[can], slope[can], bins[can]
     stats = np.array([
         peak_cohens_d(bins[np.abs(wrap_phase(diff + slope * tau)) <= hw],
                       probs)[0] for tau in taus])
@@ -194,15 +212,19 @@ def tune_tau_int(candidates: PairTable, params: PhaseMetricParams,
     return float(taus[pick]), best, taus, stats
 
 
-def write_metric_diagnostics_csv(path, candidates: PairTable,
-                                 verdicts) -> None:
+def write_metric_diagnostics_csv(path, candidates: PairTable, verdicts,
+                                 append: bool = False) -> None:
     """Dump (delta_f, metric, verdict) per candidate for offline inspection.
 
     `verdicts` are the reasons second_level_filter(..., explain=True)
     returned for `candidates`, whose phase_metric_rad that call filled in.
+    With append, the rows go on at the end of the file, without a header,
+    so a table's chunks can be written one after another.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write("delta_f_hz,log10_delta_f_mhz,phase_metric_rad,verdict\n")
+    with open(path, "a" if append else "w", newline="\n") as fh:
+        if not append:
+            fh.write("delta_f_hz,log10_delta_f_mhz,phase_metric_rad,"
+                     "verdict\n")
         write_rows(fh, "%.6g,%.6g,%.6g,%s\n", [
             candidates.delta_f_hz, candidates.log10_delta_f_mhz,
             candidates.phase_metric_rad,

@@ -28,14 +28,14 @@ from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
-                         first_level_filter_frame, form_pairs,
+                         first_level_filter_frame, pair_chunks,
                          read_columns, read_level1_archive, sha256_file,
                          write_level1_archive, write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
-                     simulate_level1_events, thread_pool)
+                     simulate_level1_events, thread_pool, transit_index)
 from .skystats import (AnalysisResult, analyze, bin_probabilities,
                        peak_cohens_d, ra_bin_index, read_stats_csv,
                        write_stats_csv)
@@ -369,6 +369,44 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
     return path
 
 
+def session_pairs(manifest: ExperimentManifest, events: EventTable):
+    """The session's pairs, a chunk at a time (pairdetect.pair_chunks).
+
+    In events mode each event's transit (sigsim.transit_index) leads its
+    block key, so no pair joins two transits.  A frame-mode session is one
+    run of consecutive frames and needs no transit.
+    """
+    transit_of = None
+    if manifest.mode == "events":
+        def transit_of(utc_s):
+            return transit_index(utc_s, manifest.config,
+                                 manifest.window_lo_hr, manifest.window_hi_hr,
+                                 manifest.start_utc_s)
+    return pair_chunks(events, manifest.pairing_window_frames,
+                       manifest.require_pol_match, transit_of)
+
+
+def session_survivors(manifest: ExperimentManifest, events: EventTable,
+                      diagnostics_path=None) -> tuple:
+    """Pair and level-2 filter the session one chunk at a time.
+
+    With diagnostics_path, also write every pair's metric and verdict, a
+    chunk's rows after the one before.  Returns (n_pairs, survivors).
+    """
+    n_pairs, kept = 0, []
+    for i, pairs in enumerate(session_pairs(manifest, events)):
+        n_pairs += len(pairs)
+        if diagnostics_path is None:
+            survivors = second_level_filter(pairs, manifest.phase)
+        else:
+            survivors, verdicts = second_level_filter(pairs, manifest.phase,
+                                                      explain=True)
+            write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts,
+                                         append=i > 0)
+        kept.append(survivors)
+    return n_pairs, PairTable.concat(events, kept)
+
+
 def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
              diagnostics_path=None) -> tuple:
     """The refilter stage: pair an archive and write its level-2 survivors.
@@ -377,16 +415,9 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
     Returns (n_events, n_pairs, n_survivors).
     """
     events = read_level1_archive(level1_path)
-    pairs = form_pairs(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match)
-    if diagnostics_path is None:
-        survivors = second_level_filter(pairs, manifest.phase)
-    else:
-        survivors, verdicts = second_level_filter(pairs, manifest.phase,
-                                                  explain=True)
-        write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts)
+    n_pairs, survivors = session_survivors(manifest, events, diagnostics_path)
     write_candidates_csv(candidates_path, survivors)
-    return len(events), len(pairs), len(survivors)
+    return len(events), n_pairs, len(survivors)
 
 
 def run_experiment(manifest: ExperimentManifest,
@@ -542,10 +573,11 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 significance_d: float = 3.5):
     """Source-free reruns: the distribution of the peak bin's excess.
 
-    Runs the events-mode chain (sample, pair, filter, peak_cohens_d) with
-    all sources removed for seeds seed0 .. seed0+n_seeds-1.  Returns (rows,
-    fraction_clean) where each row is (seed, n_trials, max_d, peak_ra_low)
-    and fraction_clean is the share of seeds whose peak stays below
+    Runs the events-mode chain (sample, then pair and filter a chunk at a
+    time as refilter does, then peak_cohens_d) with all sources removed
+    for seeds seed0 .. seed0+n_seeds-1.  Returns (rows, fraction_clean)
+    where each row is (seed, n_trials, max_d, peak_ra_low) and
+    fraction_clean is the share of seeds whose peak stays below
     `significance_d`.
 
     With manifest.threads > 1 the seeds run on a pool of up to that many
@@ -554,7 +586,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     transits in parallel gains only while every core is free; on a shared
     host its run time swung twice as widely as the serial run's.)  Rows come
     in seed order with the same bytes at any thread count; memory grows with
-    the seeds in flight.
+    the seeds in flight, each holding its event table plus one chunk.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")
@@ -566,9 +598,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
         events = simulate_events(replace(
             manifest, config=replace(manifest.config, seed=seed), sources=[],
             threads=1))
-        pairs = form_pairs(events, manifest.pairing_window_frames,
-                           manifest.require_pol_match)
-        survivors = second_level_filter(pairs, manifest.phase)
+        _, survivors = session_survivors(manifest, events)
         bins = ra_bin_index(survivors.ra_pointing_hr, edges)
         bins = bins[bins >= 0]
         max_d, peak = peak_cohens_d(bins, bin_probabilities(
@@ -594,14 +624,15 @@ def write_null_mc_csv(path, rows) -> None:
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
+    tune_tau_int keeps, of each chunk of pairs, only those that can pass
+    at some tap, so the scan holds the event table plus one chunk.
     Returns (best_tau_s, best_stat, taus, stats).
     """
     events = read_level1_archive(level1_path)
-    pairs = form_pairs(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match)
     edges = manifest.bin_edges()
     probs = bin_probabilities(edges, manifest.p_mode, events.ra_pointing_hr)
-    return tune_tau_int(pairs, manifest.phase, edges, probs)
+    return tune_tau_int(session_pairs(manifest, events), manifest.phase,
+                        edges, probs)
 
 
 def write_tau_scan_csv(path, taus, stats) -> None:

@@ -680,6 +680,31 @@ def thread_pool(threads: int) -> ThreadPoolExecutor:
                               initargs=(itertools.count(),))
 
 
+def _window_anchor(config: ObservationConfig, window_lo_hr: float,
+                   start_utc_s: float) -> float:
+    """utc0: the first time from start_utc_s on at which the LST is
+    window_lo_hr.  Transit t's window opens at utc0 + t * SIDEREAL_DAY_S."""
+    return utc_at_lst(window_lo_hr % 24.0, config.longitude_deg,
+                      near_utc_s=start_utc_s)
+
+
+def transit_index(utc_s, config: ObservationConfig, window_lo_hr: float,
+                  window_hi_hr: float, start_utc_s: float = 0.0) -> np.ndarray:
+    """Each event's transit: floor((utc - utc0) / SIDEREAL_DAY_S), as int64.
+
+    utc0 is the window anchor simulate_level1_events uses.  The floor is
+    taken half the gap between two windows early, so an event is given the
+    transit whose window centre is nearest: the archive's millisecond
+    rounding puts some events of a transit's first frame a hair before its
+    window opens.
+    """
+    duration_s = (window_hi_hr - window_lo_hr) / 24.0 * SIDEREAL_DAY_S
+    t = np.subtract(utc_s, _window_anchor(config, window_lo_hr, start_utc_s)
+                    - 0.5 * (SIDEREAL_DAY_S - duration_s))
+    t /= SIDEREAL_DAY_S
+    return np.floor(t, out=t).astype(np.int64)
+
+
 def simulate_level1_events(config: ObservationConfig, sources,
                            params: FirstLevelFilterParams, n_transits: int,
                            window_lo_hr: float, window_hi_hr: float,
@@ -740,8 +765,7 @@ def simulate_level1_events(config: ObservationConfig, sources,
             f"{n_frames} frames x {len(config.polarization_tags)} "
             f"polarizations x {config.n_bins} bins per transit do not fit "
             "the sampler's int64 sort key; shorten the window or the band")
-    utc0 = utc_at_lst(window_lo_hr % 24.0, config.longitude_deg,
-                      near_utc_s=start_utc_s)
+    utc0 = _window_anchor(config, window_lo_hr, start_utc_s)
     # Each transit's event count is its noise stream's first draw plus its
     # injected rows, so the columns are allocated once and every transit
     # writes its own slice of them.

@@ -155,6 +155,79 @@ def test_form_pairs_matches_the_lexsort_order(k, require_pol_match):
         assert pairs.b.tolist() == b.tolist()
 
 
+def _block_ordered_table(rng, n):
+    # frames in order, repeated often; a step of 7 frames (a block edge at
+    # every K <= 3) lands right on, just after and just before chunk edges,
+    # and the rows of a frame come in random bin, tag and utc order
+    chunk = pairdetect._CHUNK_ROWS
+    step = rng.choice([0, 0, 0, 1, 2], n)
+    step[[chunk, 2 * chunk + 1, 3 * chunk - 1, 4 * chunk]] = 7
+    frame = np.cumsum(step)
+    return EventTable(
+        frame_index=frame, utc_s=frame + rng.integers(0, 2, n) * 0.5,
+        bin_index=rng.integers(0, 40, n),
+        rf_freq_hz=1410.0e6 + rng.integers(0, 40, n) * 1.0e3,
+        snr_east_db=np.zeros(n), snr_west_db=np.zeros(n),
+        phase_east_rad=np.zeros(n), phase_west_rad=np.zeros(n),
+        pol_code=rng.integers(0, 2, n), ra_pointing_hr=np.zeros(n),
+        tags=("LHCP", "RHCP"))
+
+
+def _assert_same_pairs(got: PairTable, want: PairTable):
+    assert got.events is want.events
+    for name in pairdetect.PAIR_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), name
+
+
+def _transit_of(utc_s):
+    # transits of 1000 frames: not a whole number of blocks at K = 1 or 3
+    return (utc_s // 1000.0).astype(np.int64)
+
+
+@pytest.mark.parametrize("require_pol_match", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_pair_chunks_are_the_pairs_of_the_whole_table(k, require_pol_match):
+    rng = np.random.default_rng(10 * k + require_pol_match)
+    n = 4 * pairdetect._CHUNK_ROWS + 3000
+    events = _block_ordered_table(rng, n)
+    cuts = pairdetect._block_cuts(events, 2 * k + 1, None)
+    assert len(cuts) >= 6 and pairdetect._CHUNK_ROWS in cuts
+    for transit_of in (None, _transit_of):
+        chunks = list(pairdetect.pair_chunks(events, k, require_pol_match,
+                                             transit_of))
+        assert len(chunks) == len(cuts) - 1
+        _assert_same_pairs(
+            PairTable.concat(events, chunks),
+            form_pairs(events, k, require_pol_match, transit_of))
+    # rows out of block order are paired as one table
+    shuffled = events.take(rng.permutation(n))
+    chunks = list(pairdetect.pair_chunks(shuffled, k, require_pol_match))
+    assert len(chunks) == 1
+    _assert_same_pairs(chunks[0],
+                       form_pairs(shuffled, k, require_pol_match))
+
+
+def test_pair_chunks_need_transits_in_order():
+    # frames in order but the transit steps back: one table
+    events = event_table(frame=np.arange(6), utc=[0, 1, 2, 0, 1, 2])
+    chunks = list(pairdetect.pair_chunks(
+        events, 0, transit_of=lambda utc: (utc == 2).astype(np.int64)))
+    assert len(chunks) == 1
+    assert pairdetect._block_cuts(events, 1, lambda u: -u.astype(int)) is None
+    empty = event_table().take([])
+    assert list(map(len, pairdetect.pair_chunks(empty))) == [0]
+
+
+def test_transit_leads_the_block_key():
+    # frames 0-2 form one block at K = 1, but frame 2 opens a new transit
+    events = event_table(frame=[0, 1, 2, 2], utc=[0.0, 1.0, 2.0, 2.0],
+                         k=[0, 1, 2, 3])
+    assert len(form_pairs(events, 1)) == 3
+    pairs = form_pairs(events, 1, transit_of=lambda u: (u >= 2).astype(int))
+    assert (pairs.a.tolist(), pairs.b.tolist()) == ([0, 2], [1, 3])
+
+
 def test_form_pairs_log10_matches_math_log10_across_chunks():
     # more than two chunks of pairs, some of them of the same bin (zero
     # delta_f, log10 -inf), filled bit for bit as math.log10 fills them

@@ -1,5 +1,6 @@
 import math
 import shutil
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -10,22 +11,26 @@ import pytest
 
 import pulsepair.pipeline
 import pulsepair.sigsim
-from pulsepair import cli
+from pulsepair import cli, pairdetect
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
+from pulsepair.calib import SIDEREAL_DAY_S
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  form_pairs, read_level1_archive,
+                                  PairTable, form_pairs, read_level1_archive,
                                   write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 detect_frames,
                                 load_frames_npz, manifest_from_file,
-                                read_candidates_csv,
+                                read_candidates_csv, refilter,
                                 run_experiment, run_null_mc, run_tune_tau,
-                                save_frames_npz, sha256_file, simulate_events,
+                                save_frames_npz, session_pairs, sha256_file,
+                                simulate_events, write_candidates_csv,
                                 write_tau_scan_csv)
-from pulsepair.phasefilter import PhaseMetricParams
+from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
+                                   tune_tau_int, write_metric_diagnostics_csv)
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
-                              simulate_frames)
+                              simulate_frames, transit_index)
+from pulsepair.skystats import bin_probabilities, peak_cohens_d, ra_bin_index
 
 from helpers import (detect_events, event_columns, event_table,
                      wide_band_params)
@@ -447,6 +452,105 @@ def test_run_tune_tau(tmp_path):
     lines = scan_path.read_text().splitlines()
     assert lines[0] == "tau_int_s,peak_cohens_d"
     assert len(lines) == 6
+
+
+def _wide_manifest(out_dir, band_mhz, window_hr, **kwargs):
+    """_small_manifest over a wider band and window: more events."""
+    m = _small_manifest(out_dir, **kwargs)
+    top = 1445.0e6 + band_mhz * 1.0e6
+    m.config = replace(m.config, band_high_hz=top)
+    m.filter = replace(m.filter, accept_band_high_hz=top)
+    m.window_hi_hr = m.window_lo_hr + window_hr
+    m.phase = PhaseMetricParams(tau_search_low_s=-5e-9,
+                                tau_search_high_s=5e-9,
+                                tau_search_step_s=1e-9)
+    return m
+
+
+def _transit_of(m):
+    def transit_of(utc_s):
+        return transit_index(utc_s, m.config, m.window_lo_hr, m.window_hi_hr,
+                             m.start_utc_s)
+    return transit_of
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_no_pair_joins_two_transits(tmp_path, k):
+    # 3,452 frames a transit, not a multiple of 2K + 1: a frame block spans
+    # the gap between the transits unless the transit leads the block key
+    m = _wide_manifest(tmp_path, 4, 0.5, seed=3)
+    m.pairing_window_frames = k
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, simulate_events(m))
+    events = read_level1_archive(path)
+    hop = m.config.hop_seconds
+    n_frames = round(0.5 / 24.0 * SIDEREAL_DAY_S / hop)
+    assert n_frames == 3452 and n_frames % (2 * k + 1)
+    # the transit of every archived event, its first frames' utc_s rounded
+    assert np.array_equal(transit_index(events.utc_s, m.config, 5.0, 5.5),
+                          events.frame_index // n_frames)
+    assert (form_pairs(events, k).delta_t_s > (2 * k + 1) * hop).any()
+    pairs = PairTable.concat(events, session_pairs(m, events))
+    assert pairs.delta_t_s.max() <= (2 * k + 1) * hop
+
+
+@pytest.fixture(scope="module")
+def season(tmp_path_factory):
+    """A 2-transit archive of 211,142 events: 13 pair chunks."""
+    out = tmp_path_factory.mktemp("season")
+    m = _wide_manifest(out, 6, 4.0)
+    write_level1_archive(out / "level1.csv", simulate_events(m))
+    return m, out / "level1.csv"
+
+
+@pytest.mark.parametrize("k, pol_match", [(0, False), (1, True), (3, False)])
+def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
+                                              pol_match):
+    m, path = season
+    m = replace(m, pairing_window_frames=k, require_pol_match=pol_match)
+    events = read_level1_archive(path)
+    assert len(events) >= 4 * pairdetect._CHUNK_ROWS
+    pairs = form_pairs(events, k, pol_match, _transit_of(m))
+    survivors, verdicts = second_level_filter(pairs, m.phase, explain=True)
+    write_candidates_csv(tmp_path / "want.csv", survivors)
+    write_metric_diagnostics_csv(tmp_path / "want_diag.csv", pairs, verdicts)
+    assert refilter(m, path, tmp_path / "got.csv", tmp_path / "got_diag.csv"
+                    ) == (len(events), len(pairs), len(survivors))
+    for name in ("", "_diag"):
+        assert ((tmp_path / f"got{name}.csv").read_bytes()
+                == (tmp_path / f"want{name}.csv").read_bytes())
+    edges = m.bin_edges()
+    want = tune_tau_int(pairs, m.phase, edges, bin_probabilities(edges))
+    got = run_tune_tau(m, path)
+    assert got[:2] == want[:2]
+    assert np.array_equal(got[3], want[3]) and np.array_equal(got[2], want[2])
+    # null-mc samples the session afresh: the same events, sources and all
+    null = simulate_events(m)
+    survivors = second_level_filter(
+        form_pairs(null, k, pol_match, _transit_of(m)), m.phase)
+    bins = ra_bin_index(survivors.ra_pointing_hr, edges)
+    bins = bins[bins >= 0]
+    max_d, peak = peak_cohens_d(bins, bin_probabilities(edges))
+    assert run_null_mc(m, 1)[0] == [(m.config.seed, bins.size, max_d,
+                                     float(edges[peak]))]
+
+
+def test_refilter_and_tune_tau_hold_the_events_plus_one_chunk(season,
+                                                              tmp_path):
+    # without the chunks, the pairs (~0.9 per event, 40 B each) and the
+    # whole-table sort exceed the event table's 80 B a row by half
+    m, path = season
+    table_bytes = 8 * len(pairdetect.EVENT_COLUMNS) * len(
+        read_level1_archive(path))
+    for stage in (lambda: refilter(m, path, tmp_path / "candidates.csv"),
+                  lambda: run_tune_tau(m, path)):
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table_bytes < 0.25 * table_bytes
 
 
 def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
