@@ -98,6 +98,8 @@ def _load_manifest(args) -> pipeline.ExperimentManifest:
         if args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
         overrides["config.seed"] = str(args.seed)
+    if args.threads < 1:
+        raise UsageError("--threads must be a positive integer")
     manifest = pipeline.manifest_from_file(args.config, overrides)
     manifest.threads = args.threads
     manifest.out_dir = args.out

@@ -19,8 +19,8 @@ EventTable holds one numpy array per archive column; the polarization tag is
 stored as an integer code into the table's sorted `tags`, so sorting on the
 code sorts on the tag string.  A PairTable holds index arrays `a` and `b`
 into its EventTable plus the delta_t_s, delta_f_hz and phase_metric_rad
-columns; its log10_delta_f_mhz is computed from delta_f_hz when first read,
-so pairing and filtering never take a per-pair logarithm.  Iterating a
+columns; its log10_delta_f_mhz is computed from delta_f_hz when read, so
+pairing and filtering never take a per-pair logarithm.  Iterating a
 PairTable yields PairCandidate rows built from the columns, for inspection;
 no stage iterates them.
 
@@ -45,8 +45,8 @@ import os
 import re
 import struct
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class PairTable:
     """Candidate pairs as columns (see PAIR_COLUMNS); a and b index events.
 
     log10_delta_f_mhz is not stored: it is computed from delta_f_hz on
-    first read and kept.
+    each read.
     """
 
     events: EventTable
@@ -162,8 +162,6 @@ class PairTable:
     delta_t_s: np.ndarray
     delta_f_hz: np.ndarray
     phase_metric_rad: np.ndarray
-    _log10_delta_f_mhz: np.ndarray | None = field(
-        default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.a.size
@@ -185,17 +183,15 @@ class PairTable:
         some inputs, and candidates.csv prints these values.  A chunk at a
         time, so that few Python floats exist at once.
         """
-        if self._log10_delta_f_mhz is None:
-            delta_f = self.delta_f_hz
-            log_df = np.full(delta_f.size, -np.inf)
-            nonzero = np.flatnonzero(delta_f != 0.0)
-            for start in range(0, nonzero.size, _CHUNK_ROWS):
-                rows = nonzero[start:start + _CHUNK_ROWS]
-                log_df[rows] = np.fromiter(
-                    map(math.log10, (np.abs(delta_f[rows]) / 1.0e6).tolist()),
-                    float, rows.size)
-            self._log10_delta_f_mhz = log_df
-        return self._log10_delta_f_mhz
+        delta_f = self.delta_f_hz
+        log_df = np.full(delta_f.size, -np.inf)
+        nonzero = np.flatnonzero(delta_f != 0.0)
+        for start in range(0, nonzero.size, _CHUNK_ROWS):
+            rows = nonzero[start:start + _CHUNK_ROWS]
+            log_df[rows] = np.fromiter(
+                map(math.log10, (np.abs(delta_f[rows]) / 1.0e6).tolist()),
+                float, rows.size)
+        return log_df
 
     def take(self, idx) -> PairTable:
         return PairTable(self.events, **{
@@ -692,7 +688,7 @@ _SIDECAR_MAGIC, _SIDECAR_VERSION = b"PPL1COLS", 1
 _SIDECAR_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
                    for name, dtype in EVENT_DTYPES.items()}
 # A polarization tag the archive may hold: printable ASCII without ','
-# (the delimiter) or '"' (the csv module unquotes a field that starts with
+# (the delimiter) or '"' (read_columns unquotes a field that starts with
 # one), so that the CSV path reads every tag back as written.
 _TAG = re.compile(r'[ !#-+\--~]+')
 
@@ -808,23 +804,19 @@ def _read_sidecar(path) -> EventTable | None:
         for i, (name, dtype) in enumerate(_SIDECAR_DTYPES.items())})
 
 
-# A str value this long may have been cut short by np.loadtxt's fixed-width
-# field; such files take read_columns' row path.
-_STR_WIDTH = 16
-_DTYPES = {int: np.int64, float: np.float64, str: f"U{_STR_WIDTH}"}
+_DTYPES = {int: np.int64, float: np.float64, str: object}
 
 
 def read_columns(path, columns: dict) -> dict:
     """Read a CSV such as write_rows writes: one array per column.
 
     `columns` maps each header name, in order, to int, float or str, read
-    as int64, float64 and fixed-width str arrays.  A schema_version column
-    must hold ARCHIVE_SCHEMA_VERSION.  np.loadtxt parses the body in one
-    pass.  A file it might read differently (a row it rejects, a str value
-    holding '"' or _STR_WIDTH characters, an unknown schema_version, or a
-    warning, as for an empty body) is read row by row by the csv module
-    instead, which returns the same columns or raises ArchiveFormatError
-    with the number of the first bad line.  Blank lines are skipped.
+    as int64, float64 and object arrays of str.  np.loadtxt parses the
+    body in one pass: fields may be quoted with '"', blank lines are
+    skipped, and a number must be an ASCII numeral without '_'.  A
+    schema_version column must hold ARCHIVE_SCHEMA_VERSION.  A file that
+    breaks a rule raises ArchiveFormatError, with the number of the first
+    bad line where _raise_at_bad_line finds one.
     """
     with open(path, newline="") as fh:
         try:
@@ -835,53 +827,57 @@ def read_columns(path, columns: dict) -> dict:
             raise ArchiveFormatError(f"{path}: bad header {header!r}")
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("error")
+                # a header alone warns, and gives zero-length columns
+                warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  quotechar='"',
                                   dtype=[(name, _DTYPES[kind])
                                          for name, kind in columns.items()])
-        except (ValueError, Warning):
-            return _read_rows(path, columns)
+        except ValueError as exc:
+            _raise_at_bad_line(path, columns, str(exc))
     cols = {name: np.ascontiguousarray(data[name]) for name in columns}
     del data
-    for name, kind in columns.items():
-        if kind is str:
-            text = cols[name].view(np.uint32).reshape(-1, _STR_WIDTH)
-            if text[:, -1].any() or (text == ord('"')).any():
-                return _read_rows(path, columns)
     if np.any(cols.get("schema_version", ARCHIVE_SCHEMA_VERSION)
               != ARCHIVE_SCHEMA_VERSION):
-        return _read_rows(path, columns)
+        _raise_at_bad_line(path, columns, "unsupported schema_version")
     return cols
 
 
-def _read_rows(path, columns: dict) -> dict:
-    """read_columns' row path: the csv module and one conversion a value."""
+def _raise_at_bad_line(path, columns: dict, error: str) -> NoReturn:
+    """Raise ArchiveFormatError for the first line of path's body that
+    read_columns rejects, walked row by row with the csv module: a wrong
+    column count, a value that is no int64 or float numeral, or an unknown
+    schema_version.  With no such line, raise `error` without a line."""
     kinds = list(columns.values())
-    values = [[] for _ in kinds]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # the last line of the row: a quoted field may hold a newline
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != len(kinds):
                 raise ArchiveFormatError(
                     f"expected {len(kinds)} columns, got {len(row)}", line_no)
             try:
-                row = [kind(text) for kind, text in zip(kinds, row)]
-                np.array([v for v in row if type(v) is int], dtype=np.int64)
+                row = [_value(kind, text) for kind, text in zip(kinds, row)]
             except (ValueError, OverflowError) as exc:
                 raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
             version = dict(zip(columns, row)).get("schema_version",
                                                   ARCHIVE_SCHEMA_VERSION)
             if version != ARCHIVE_SCHEMA_VERSION:
                 raise ArchiveFormatError(
-                    f"unsupported schema_version {version!r}", line_no)
-            for col, value in zip(values, row):
-                col.append(value)
-    return {name: np.array(col, dtype=f"U{max([_STR_WIDTH, *map(len, col)])}"
-                           if kind is str else _DTYPES[kind])
-            for (name, kind), col in zip(columns.items(), values)}
+                    f"unsupported schema_version {version}", line_no)
+    raise ArchiveFormatError(f"{path}: {error}")
+
+
+def _value(kind, text: str):
+    """text as a value of kind, by np.loadtxt's rules: a number is an
+    ASCII numeral without '_', and an int fits int64."""
+    if kind is not str and (not text.isascii() or "_" in text):
+        raise ValueError(f"not an ASCII numeral without '_': {text!r}")
+    return np.int64(text) if kind is int else kind(text)
 
 
 def read_level1_archive(path) -> EventTable:
@@ -890,7 +886,8 @@ def read_level1_archive(path) -> EventTable:
     The events come from the archive's sidecar when write_level1_archive
     left one keyed to the archive's bytes.  Otherwise (no sidecar; a
     stale, cut or foreign one; an archive from elsewhere) they come from
-    read_columns, which validates the header, width and every value.
+    read_columns, which validates the header, width and every value; the
+    tags it reads as str objects are coded into pol_code.
     """
     events = _read_sidecar(path)
     if events is not None:

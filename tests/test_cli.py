@@ -355,6 +355,11 @@ def test_validation_exit_codes(tmp_path, capsys):
                      "--out", str(fresh)]) == 3
     assert "polarization_tag" in capsys.readouterr().err
     assert not fresh.exists()
+    # a thread count below 1 is a usage error, as a negative seed is
+    for threads in ("0", "-4"):
+        assert cli.main(["null-mc", "--config", cfg, "--out", out,
+                         "--n-seeds", "1", "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err
 
 
 def test_beam_taper_in_events_mode_is_a_validation_error(tmp_path, capsys):

@@ -343,6 +343,8 @@ def test_archive_rejects_garbage(tmp_path):
         "#" + good,                                   # comment-like row
         good.replace(",0,0,", ",3.0,0,", 1),         # float frame_index
         good.replace(",0,0,", ",99999999999999999999,0,", 1),  # over int64
+        good.replace(",0,0,", ",1_000,0,", 1),       # a digit separator
+        good.replace(",0,0,", ",\u0661,0,", 1),     # a non-ASCII digit
         "2" + good[1:],                               # unknown schema_version
     ]
     for bad in bad_rows:
@@ -350,6 +352,13 @@ def test_archive_rejects_garbage(tmp_path):
         with pytest.raises(ArchiveFormatError) as err:
             read_level1_archive(path)
         assert err.value.line_no == 4, bad
+    # a quoted field may span two lines, and later lines keep their numbers
+    split = good.replace(",LHCP,", ',"LH\nCP",')
+    assert split != good
+    path.write_text("\n".join([header, split, good2[:-2]]) + "\n")
+    with pytest.raises(ArchiveFormatError) as err:
+        read_level1_archive(path)
+    assert err.value.line_no == 4
     # the sidecar write_level1_archive left is stale after each rewrite
     assert (tmp_path / "level1.csv.cols").exists()
     path.write_text("\n".join([header, good, "", good2]) + "\n")
@@ -383,48 +392,62 @@ def _write_stats(path):
     return skystats.STATS_COLUMNS
 
 
-@pytest.mark.parametrize("write, quoted", [
-    (_write_level1, "polarization_tag"), (_write_candidates, "frame_a"),
-    (_write_stats, "cohens_d")], ids=["level1", "candidates", "stats"])
-def test_both_read_paths_give_the_same_columns(tmp_path, monkeypatch, write,
-                                               quoted):
+def _edit_line_2(path, columns, name, edit):
+    """Rewrite the `name` field of path's line 2 as edit(field)."""
+    lines = path.read_text().splitlines()
+    at = list(columns).index(name)
+    fields = lines[1].split(",")
+    fields[at] = edit(fields[at])
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tolist() == want[name].tolist(), name
+
+
+@pytest.mark.parametrize("write, number, text", [
+    (_write_level1, "frame_index", "polarization_tag"),
+    (_write_candidates, "frame_a", "polarization_a"),
+    (_write_stats, "cohens_d", None)], ids=["level1", "candidates", "stats"])
+def test_read_columns_reads_quotes_and_long_text_in_one_pass(
+        tmp_path, monkeypatch, write, number, text):
     path = tmp_path / "table.csv"
     columns = write(path)
-    read_rows, row_path = pairdetect._read_rows, []
-
-    def counting_read_rows(*args):
-        row_path.append(args)
-        return read_rows(*args)
-
-    monkeypatch.setattr(pairdetect, "_read_rows", counting_read_rows)
-    fast = pairdetect.read_columns(path, columns)
-    assert not row_path
-    # a quoted number is valid CSV that np.loadtxt rejects, and a quoted
-    # str keeps its quotes there, so either sends the file to the row path
-    lines = path.read_text().splitlines()
-    at = list(columns).index(quoted)
-    fields = lines[2].split(",")
-    fields[at] = f'"{fields[at]}"'
-    lines[2] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    slow = pairdetect.read_columns(path, columns)
-    assert len(row_path) == 1
-    assert list(slow) == list(fast) == list(columns)
-    for name in columns:
-        assert slow[name].dtype == fast[name].dtype, name
-        assert slow[name].tolist() == fast[name].tolist(), name
-    assert len(fast[quoted]) >= 2
+    monkeypatch.setattr(pairdetect, "_raise_at_bad_line", None)
+    plain = pairdetect.read_columns(path, columns)
+    assert list(plain) == list(columns)
+    assert {c.dtype for c in plain.values()} <= {
+        np.dtype(np.int64), np.dtype(np.float64), np.dtype(object)}
+    assert len(plain[number]) >= 2
+    header = path.read_text().splitlines()[0]
+    # a quoted number and a quoted str read as the plain ones
+    _edit_line_2(path, columns, number, lambda v: f'"{v}"')
+    _assert_same_columns(pairdetect.read_columns(path, columns), plain)
+    if text:
+        write(path)
+        _edit_line_2(path, columns, text, lambda v: f'"{v}"')
+        _assert_same_columns(pairdetect.read_columns(path, columns), plain)
+        # text of any length reads whole
+        write(path)
+        _edit_line_2(path, columns, text, lambda v: "y" * 40)
+        got = pairdetect.read_columns(path, columns)
+        assert got[text][0] == "y" * 40
+        got[text][0] = plain[text][0]
+        _assert_same_columns(got, plain)
     # a header alone gives zero-length columns of the same types
-    path.write_text(lines[0] + "\n")
+    path.write_text(header + "\n")
     empty = pairdetect.read_columns(path, columns)
     assert ({name: (c.dtype, c.size) for name, c in empty.items()}
-            == {name: (c.dtype, 0) for name, c in fast.items()})
+            == {name: (c.dtype, 0) for name, c in plain.items()})
 
 
 def test_archive_keeps_a_tag_as_long_as_the_str_field(tmp_path):
-    # np.loadtxt would cut such a tag to the field width: the row path
-    # reads it whole
-    tags = ["LHCP", "x" * pairdetect._STR_WIDTH, "y" * 40]
+    # text columns have no fixed width: 16 characters and more read whole
+    tags = ["LHCP", "x" * 16, "y" * 40]
     path = tmp_path / "level1.csv"
     write_level1_archive(path, event_table(k=[0, 1, 2], pol=tags))
     assert read_level1_archive(path).polarization_tag.tolist() == tags
