@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,11 @@ J2000_JD = 2451545.0
 SIDEREAL_DAY_S = 86400.0 * 24.0 / GMST_RATE_HR_PER_DAY  # 86164.0905 s
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+# fit_gauss_flat stops after FIT_MAX_ITER steps, or once no parameter moves
+# by more than FIT_RTOL of itself
+FIT_MAX_ITER = 200
+FIT_RTOL = 1e-9
 
 
 def lst_hours(utc_s, longitude_deg: float):
@@ -51,13 +56,9 @@ def lst_hours(utc_s, longitude_deg: float):
     return lst
 
 
-def utc_at_lst(lst_hr: float, longitude_deg: float, near_utc_s: float = 0.0,
-               day_offset: int = 0) -> float:
-    """Earliest Unix time >= `near_utc_s` at which the LST equals `lst_hr`.
-
-    `day_offset` shifts the answer by whole sidereal days (useful for
-    "same LST, next transit").
-    """
+def utc_at_lst(lst_hr: float, longitude_deg: float,
+               near_utc_s: float = 0.0) -> float:
+    """Earliest Unix time >= `near_utc_s` at which the LST equals `lst_hr`."""
     if not 0.0 <= lst_hr < 24.0:
         raise ValidationError(f"lst_hr {lst_hr} outside [0, 24)")
     # Invert gmst + lon/15 = lst (mod 24) for utc.
@@ -68,7 +69,7 @@ def utc_at_lst(lst_hr: float, longitude_deg: float, near_utc_s: float = 0.0,
         utc += math.ceil((near_utc_s - 1e-6 - utc) / SIDEREAL_DAY_S) * SIDEREAL_DAY_S
     while utc - SIDEREAL_DAY_S >= near_utc_s - 1e-6:
         utc -= SIDEREAL_DAY_S
-    return utc + day_offset * SIDEREAL_DAY_S
+    return utc
 
 
 def pointing_ra_hr(lst_hr, azimuth_deg: float, dec_deg: float,
@@ -102,14 +103,12 @@ class DriftScan:
     """A total-power drift scan: samples of one element's continuum power.
 
     utc_s must be strictly increasing. Power is in arbitrary linear units.
+    The longitude maps each sample's UTC to the meridian's RA.
     """
 
     utc_s: np.ndarray
     power: np.ndarray
-    source_name: str = ""
-    dec_deg: float = -8.0
     longitude_deg: float = -79.8398
-    latitude_deg: float = 38.433
 
     def __post_init__(self):
         self.utc_s = np.asarray(self.utc_s, dtype=float)
@@ -188,17 +187,17 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([floor0, amp0, center0, sigma0])
 
 
-def fit_gauss_flat(scan: DriftScan, max_iter: int = 200,
-                   rtol: float = 1e-9) -> GaussFlatFit:
+def fit_gauss_flat(scan: DriftScan) -> GaussFlatFit:
     """Fit a Gaussian on a flat floor to a drift scan.
 
     Damped Gauss-Newton with Levenberg-style diagonal damping and a
     deterministic initial guess (floor = median, amplitude = max - median,
     center = argmax, sigma from half-max crossings).  Convergence when the
-    largest relative parameter step falls below `rtol`; `converged` is False
-    if `max_iter` is exhausted first.  Raises ValidationError for scans that
-    cannot constrain the model: too few samples, no peak above the floor, or
-    a fitted width wider than the scan itself.
+    largest relative parameter step falls below FIT_RTOL; `converged` is
+    False if FIT_MAX_ITER iterations are exhausted first.  Raises
+    ValidationError for scans that cannot constrain the model: too few
+    samples, no peak above the floor, or a fitted width wider than the scan
+    itself.
     """
     x = scan.ra_hr()
     y = scan.power.astype(float)
@@ -216,7 +215,7 @@ def fit_gauss_flat(scan: DriftScan, max_iter: int = 200,
     cost = float(resid @ resid)
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, FIT_MAX_ITER + 1):
         floor, amp, center, sigma = theta
         z = (x - center) / sigma
         g = np.exp(-0.5 * z * z)
@@ -251,7 +250,7 @@ def fit_gauss_flat(scan: DriftScan, max_iter: int = 200,
         rel_step = float(np.max(np.abs(delta) / (np.abs(theta) + 1e-12)))
         theta, resid, cost = trial, trial_resid, trial_cost
         lam = max(lam / 3.0, 1e-12)
-        if rel_step < rtol:
+        if rel_step < FIT_RTOL:
             converged = True
             break
 
@@ -283,7 +282,7 @@ def continuum_snr_db(fit: GaussFlatFit) -> float:
     return 10.0 * math.log10((fit.floor + fit.amplitude) / fit.floor)
 
 
-def read_drift_scan_csv(path, **scan_kwargs) -> DriftScan:
+def read_drift_scan_csv(path, longitude_deg: float = -79.8398) -> DriftScan:
     """Load a two-column CSV (utc_s, power) into a DriftScan.
 
     A single non-numeric header row is tolerated and skipped.
@@ -304,7 +303,7 @@ def read_drift_scan_csv(path, **scan_kwargs) -> DriftScan:
                 raise ValidationError(f"{path}: line {i}: non-numeric row") from None
     if not utc:
         raise ValidationError(f"{path}: no data rows")
-    return DriftScan(np.array(utc), np.array(power), **scan_kwargs)
+    return DriftScan(np.array(utc), np.array(power), longitude_deg)
 
 
 def write_fit_report(path, fit: GaussFlatFit, extra: dict | None = None) -> None:

@@ -59,15 +59,17 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--candidates", help="candidates CSV from refilter")
 
+    # calibrate reads no manifest, so it takes none of the common flags
+    # but --out
     p = subs.add_parser("calibrate",
                         help="fit a drift scan (Gaussian + flat floor)")
-    _add_common(p)
     p.add_argument("--scan", required=True,
                    help="two-column CSV of utc_s, power")
-    p.add_argument("--source-name", default="")
-    p.add_argument("--dec-deg", type=float, default=-8.0)
-    p.add_argument("--longitude-deg", type=float, default=-79.8398)
-    p.add_argument("--latitude-deg", type=float, default=38.433)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--source-name", default="",
+                   help="label for the report")
+    p.add_argument("--longitude-deg", type=float, default=-79.8398,
+                   help="observatory longitude, maps UTC to RA")
 
     p = subs.add_parser("tune-tau",
                         help="scan assumed instrument delays for the best fit")
@@ -200,9 +202,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_calibrate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    scan = calib.read_drift_scan_csv(
-        args.scan, source_name=args.source_name, dec_deg=args.dec_deg,
-        longitude_deg=args.longitude_deg, latitude_deg=args.latitude_deg)
+    scan = calib.read_drift_scan_csv(args.scan, args.longitude_deg)
     fit = calib.fit_gauss_flat(scan)
     snr = calib.continuum_snr_db(fit)
     path = os.path.join(args.out, "calib_report.txt")

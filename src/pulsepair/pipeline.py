@@ -289,7 +289,8 @@ def load_frames_npz(path):
     names = ("frame_index", "utc_s", "polarization_tag", "east", "west",
              "rf_freqs_hz")
     try:
-        with np.load(path) as data:
+        # np.load(path) would leave its file open when the zip is corrupt
+        with open(path, "rb") as fh, np.load(fh) as data:
             arrays = {name: data[name] for name in names if name in data.files}
     except (zipfile.BadZipFile, zlib.error, EOFError, TypeError,
             ValueError) as exc:
@@ -339,6 +340,10 @@ class ExperimentResult:
 
 def session_frames(manifest: ExperimentManifest):
     """Simulate the frame modes' session as load_frames_npz's tuples."""
+    if manifest.n_transits != 1:
+        raise ValidationError(
+            "run.n_transits: a frame-mode session is run.n_frames consecutive "
+            "frames; use run.mode = events for several transits")
     return simulate_frames(manifest.config, manifest.sources, manifest.rfi,
                            n_frames=manifest.n_frames,
                            start_utc_s=manifest.start_utc_s,
@@ -352,6 +357,10 @@ def simulate_events(manifest: ExperimentManifest) -> EventTable:
     frames and first-level filter them.
     """
     if manifest.mode == "events":
+        if manifest.n_frames is not None:
+            raise ValidationError(
+                "run.n_frames: the event-level sampler takes its frames from "
+                "the RA window; use run.window_lo_hr and run.window_hi_hr")
         return simulate_level1_events(
             manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,

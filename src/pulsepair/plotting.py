@@ -16,6 +16,7 @@ MARGIN_L = 70
 MARGIN_R = 24
 MARGIN_T = 46
 MARGIN_B = 56
+SIGNIFICANCE_D = 3.5        # the dashed threshold line
 
 
 def format_prob(p: float) -> str:
@@ -43,10 +44,8 @@ def _empty_svg(message: str) -> str:
         f'warning: {message}</text>\n</svg>\n')
 
 
-def plot_stats_svg(stats, fwhm_center_hr: float | None = None,
-                   fwhm_width_hr: float | None = None,
-                   title: str = "RA-binned pair excess",
-                   significance_d: float = 3.5) -> str:
+def save_stats_figure(path, stats, fwhm_center_hr: float | None,
+                      fwhm_width_hr: float | None, title: str) -> None:
     """Render per-bin Cohen's d vs RA, with optional beam FWHM shading.
 
     Empty stats render a warning figure rather than failing: a quiet sky is
@@ -54,7 +53,10 @@ def plot_stats_svg(stats, fwhm_center_hr: float | None = None,
     """
     stats = list(stats)
     if not stats:
-        return _empty_svg("empty stats; no candidates in the analysis window")
+        with open(path, "w", newline="\n") as fh:
+            fh.write(_empty_svg(
+                "empty stats; no candidates in the analysis window"))
+        return
     x_lo = min(s.ra_low_hr for s in stats)
     x_hi = max(s.ra_high_hr for s in stats)
     d_vals = [s.cohens_d for s in stats]
@@ -93,14 +95,14 @@ def plot_stats_svg(stats, fwhm_center_hr: float | None = None,
         parts.append(f'<text x="{MARGIN_L - 8}" y="{y + 4:.2f}" '
                      f'text-anchor="end" font-family="monospace" '
                      f'font-size="12" fill="#333333">{d}</text>')
-    y_sig = py(significance_d)
+    y_sig = py(SIGNIFICANCE_D)
     parts.append(f'<line x1="{MARGIN_L}" y1="{y_sig:.2f}" '
                  f'x2="{WIDTH - MARGIN_R}" y2="{y_sig:.2f}" '
                  f'stroke="#bb3333" stroke-width="1" '
                  f'stroke-dasharray="6 4"/>')
     parts.append(f'<text x="{WIDTH - MARGIN_R - 4}" y="{y_sig - 5:.2f}" '
                  f'text-anchor="end" font-family="monospace" font-size="11" '
-                 f'fill="#bb3333">d = {significance_d:g}</text>')
+                 f'fill="#bb3333">d = {SIGNIFICANCE_D:g}</text>')
     # X ticks every 0.5 hr for narrow windows, 1 hr otherwise.
     step = 0.5 if (x_hi - x_lo) <= 8.0 else 1.0
     tick = math.ceil(x_lo / step) * step
@@ -139,14 +141,5 @@ def plot_stats_svg(stats, fwhm_center_hr: float | None = None,
                  f'font-family="monospace" font-size="13" fill="#111111">'
                  f'{caption_line(peak)}</text>')
     parts.append('</svg>')
-    return "\n".join(parts) + "\n"
-
-
-def save_stats_figure(path, stats, fwhm_center_hr: float | None = None,
-                      fwhm_width_hr: float | None = None,
-                      title: str = "RA-binned pair excess",
-                      significance_d: float = 3.5) -> None:
-    svg = plot_stats_svg(stats, fwhm_center_hr, fwhm_width_hr, title,
-                         significance_d)
     with open(path, "w", newline="\n") as fh:
-        fh.write(svg)
+        fh.write("\n".join(parts) + "\n")

@@ -18,10 +18,11 @@ Three generation paths, from most physical to most scalable:
   multi-transit full-band experiments fit in seconds; it is calibrated
   against the per-bin path in the test suite.
 
-Noise normalization: the simulator targets a unit per-bin noise floor
-(noise_floor = 1.0) under the package's unit-tone-gain FFT, i.e. time-domain
-per-sample variance equals the frame length.  Every SNR is relative to the
-local estimate of that floor.
+Noise normalization: the per-bin noise floor is the unit of power, 1.0
+under the package's unit-tone-gain FFT, i.e. time-domain per-sample variance
+equals the frame length.  Every SNR is a ratio to that floor and every
+phase an angle, so a scale on all powers alike would change no output; no
+setting scales them.
 
 Inter-element phase convention: a plane wave with total delay tau (geometry
 plus instrument) reaches the west element late, so
@@ -84,7 +85,6 @@ class ObservationConfig:
     azimuth_deg: float = 180.0
     tau_int_true_s: float = 0.0
     polarization_tags: tuple = ("LHCP",)
-    noise_floor: float = 1.0
     phase_sign: float = -1.0
     beam_fwhm_ra_deg: float | None = None
     seed: int = 0
@@ -108,8 +108,6 @@ class ObservationConfig:
         if len(set(self.polarization_tags)) != len(self.polarization_tags):
             raise ValidationError("duplicate polarization tags")
         check_tags(self.polarization_tags)
-        if self.noise_floor <= 0:
-            raise ValidationError("noise_floor must be > 0")
         if self.phase_sign not in (-1.0, 1.0):
             raise ValidationError("phase_sign must be -1.0 or +1.0")
         if not -90.0 <= self.latitude_deg <= 90.0:
@@ -153,8 +151,7 @@ class SourceSpec:
     delta_t_frames frames after the first.  snr_db is the per-element bin
     SNR of one component against the noise floor.  Pairs are emitted at
     pulse_rate_per_frame (Poisson) while the source is inside its emission
-    window: within emission_window_hr/2 of its RA in hour angle, or within
-    transit_halfwidth_hr when no window is given.
+    window: within transit_halfwidth_hr of its RA in hour angle.
     """
 
     name: str
@@ -166,7 +163,6 @@ class SourceSpec:
     delta_f_high_hz: float = 2000.0
     delta_t_frames: int = 0
     polarization_tag: str = "LHCP"
-    emission_window_hr: float | None = None
     transit_halfwidth_hr: float = 2.0
 
     def __post_init__(self):
@@ -180,48 +176,35 @@ class SourceSpec:
             raise ValidationError("need 0 < delta_f_low_hz <= delta_f_high_hz")
         if self.delta_t_frames < 0:
             raise ValidationError("delta_t_frames must be >= 0")
-        if self.emission_window_hr is not None and self.emission_window_hr <= 0:
-            raise ValidationError("emission_window_hr must be > 0")
         if self.transit_halfwidth_hr <= 0:
             raise ValidationError("transit_halfwidth_hr must be > 0")
-
-    @property
-    def active_halfwidth_hr(self) -> float:
-        if self.emission_window_hr is not None:
-            return 0.5 * self.emission_window_hr
-        return self.transit_halfwidth_hr
 
 
 @dataclass
 class RfiSpec:
     """Terrestrial interference added to both elements.
 
-    common_mode arrives with zero inter-element delay (shared-LO leakage and
-    the like); sidelobe arrives with the fixed delay sidelobe_delay_s of a
-    transmitter far off axis.  narrowband_carrier is one bin-centered
-    carrier with a fresh random phase each frame; broadband_flat raises the
-    whole band's noise floor while active.  duty_cycle gates frames at
-    random.
+    It reaches the west element sidelobe_delay_s after the east one: the
+    path difference of a transmitter far off axis, or zero for common-mode
+    interference (shared-LO leakage and the like).  narrowband_carrier is
+    one bin-centered carrier at rf_freq_hz with a fresh random phase each
+    frame; broadband_flat raises the whole band's noise floor while active.
+    duty_cycle gates frames at random.
     """
 
     kind: str
     power_rel_noise: float
     rf_freq_hz: float = 0.0
-    direction: str = "common_mode"
     sidelobe_delay_s: float = 0.0
     duty_cycle: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("narrowband_carrier", "broadband_flat"):
             raise ValidationError(f"unknown RFI kind {self.kind!r}")
-        if self.direction not in ("common_mode", "sidelobe"):
-            raise ValidationError(f"unknown RFI direction {self.direction!r}")
         if self.power_rel_noise <= 0:
             raise ValidationError("power_rel_noise must be > 0")
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise ValidationError("duty_cycle outside [0, 1]")
-        if self.direction == "common_mode" and self.sidelobe_delay_s != 0.0:
-            raise ValidationError("common_mode RFI cannot carry a delay")
 
 
 def _hour_angle_hr(lst_hr, ra_hr):
@@ -259,7 +242,7 @@ def _validate_sources(config: ObservationConfig, sources, lst_start_hr: float,
         if duration_hr >= 24.0:
             continue  # a full sidereal day covers every RA
         ha0 = float(_hour_angle_hr(lst_start_hr, src.ra_hr))
-        half = src.active_halfwidth_hr
+        half = src.transit_halfwidth_hr
         if ha0 < -half:
             hours_until_open = -half - ha0
         elif ha0 > half:
@@ -316,14 +299,14 @@ def _tones_for_frame(config: ObservationConfig, sources, frame_index: int,
         tau_tot = (geometric_delay(config.baseline_m, src.dec_deg,
                                    ha_now_hr * math.pi / 12.0)
                    + config.tau_int_true_s)
-        amp = math.sqrt((10.0 ** (src.snr_db / 10.0)) * config.noise_floor
+        amp = math.sqrt(10.0 ** (src.snr_db / 10.0)
                         * float(_beam_power_weight(config, ha_now_hr)))
         for origin in sorted({frame_index, frame_index - src.delta_t_frames}):
             if origin < 0:
                 continue
             ha_origin = float(_hour_angle_hr(
                 lst_hr - (frame_index - origin) * hop_hr, src.ra_hr))
-            if abs(ha_origin) > src.active_halfwidth_hr:
+            if abs(ha_origin) > src.transit_halfwidth_hr:
                 continue
             for (k_a, k_b, ph_a, ph_b) in _source_draws(
                     config, src, s_idx, origin, pol_idx):
@@ -349,7 +332,7 @@ def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
             k = int(round((r.rf_freq_hz - config.band_low_hz)
                           * config.frame_seconds))
             k = min(max(k, 0), n - 1)
-            amp = math.sqrt(r.power_rel_noise * config.noise_floor)
+            amp = math.sqrt(r.power_rel_noise)
             ph = float(rng.uniform(-math.pi, math.pi))
             shift = sign * TWO_PI * rf[k] * r.sidelobe_delay_s
             if mode == "freq":
@@ -360,13 +343,13 @@ def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
                 east += amp * np.exp(1j * (TWO_PI * k * t / n + ph))
                 west += amp * np.exp(1j * (TWO_PI * k * t / n + ph + shift))
         else:  # broadband_flat
-            scale = math.sqrt(r.power_rel_noise * config.noise_floor / 2.0)
+            scale = math.sqrt(r.power_rel_noise / 2.0)
             if mode == "freq":
                 g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
                 east += g
                 west += g * np.exp(1j * sign * TWO_PI * rf * r.sidelobe_delay_s)
             else:
-                # common_mode only (validated); identical samples both sides
+                # zero delay only (validated); identical samples both sides
                 gt = (rng.standard_normal(n)
                       + 1j * rng.standard_normal(n)) * (scale * math.sqrt(n))
                 east += gt
@@ -386,7 +369,7 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
 
     mode="time" samples the band at the Nyquist rate, injects tones in the
     time domain, and channelizes with the package FFT (slow, maximally
-    faithful); mode="freq" synthesizes bins directly.  Sidelobe broadband
+    faithful); mode="freq" synthesizes bins directly.  Delayed broadband
     RFI needs per-bin phase slopes and is only supported in freq mode.
     """
     if mode not in ("freq", "time"):
@@ -399,9 +382,9 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
                 raise ValidationError(
                     f"RFI carrier {r.rf_freq_hz} Hz outside the band")
         if (mode == "time" and r.kind == "broadband_flat"
-                and r.direction == "sidelobe"):
+                and r.sidelobe_delay_s != 0.0):
             raise ValidationError(
-                "sidelobe broadband RFI is only supported in freq mode")
+                "delayed broadband RFI is only supported in freq mode")
     lst0 = float(lst_hours(start_utc_s, config.longitude_deg))
     duration_hr = n_frames * config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     _validate_sources(config, sources, lst0, duration_hr)
@@ -409,18 +392,15 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
     n = config.n_bins
     band_width = config.band_high_hz - config.band_low_hz
     rf = config.rf_freqs()
-    floor = config.noise_floor
     sign = config.phase_sign
+    # unit noise floor per bin; a time-mode frame's FFT sums n samples
+    scale = math.sqrt((1 if mode == "freq" else n) / 2.0)
     for frame_index in range(n_frames):
         utc = start_utc_s + frame_index * config.hop_seconds
         lst = float(lst_hours(utc, config.longitude_deg))
         for pol_idx, pol_tag in enumerate(config.polarization_tags):
             rng = np.random.default_rng(
                 [config.seed, 0x5EED, frame_index, pol_idx])
-            if mode == "freq":
-                scale = math.sqrt(floor / 2.0)
-            else:
-                scale = math.sqrt(floor * n / 2.0)
             east = (rng.standard_normal(n)
                     + 1j * rng.standard_normal(n)) * scale
             west = (rng.standard_normal(n)
@@ -535,7 +515,7 @@ def _injected_rows(config: ObservationConfig, sources, params,
                    if params.segment_include_self else 1.0)
         snr_rec_db = 10.0 * math.log10(snr_lin / deflate)
         code = tags.index(src.polarization_tag)
-        half = src.active_halfwidth_hr
+        half = src.transit_halfwidth_hr
         lst_frames = window_lo_hr + np.arange(n_frames) * hop_hr
         active = np.flatnonzero(
             np.abs(_hour_angle_hr(lst_frames, src.ra_hr)) <= half)

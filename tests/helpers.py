@@ -77,7 +77,7 @@ def scaled_survey_cohens_d(seed, inject):
     if inject:
         sources = [SourceSpec(name="beacon", ra_hr=5.25, dec_deg=-8.0,
                               snr_db=45.0, pulse_rate_per_frame=0.0058,
-                              emission_window_hr=0.1)]
+                              transit_halfwidth_hr=0.05)]
     events = simulate_level1_events(config, sources, params, 6, 3.30, 7.30)
     pairs = form_pairs(events)
     with warnings.catch_warnings():

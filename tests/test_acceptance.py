@@ -117,11 +117,10 @@ def test_05_differential_phase_discrimination():
     verdicts = []
     for spacing_khz in (8.0, 16.0, 32.0, 48.0, 96.0, 192.0):
         rfi = [RfiSpec(kind="narrowband_carrier", power_rel_noise=1.0e6,
-                       rf_freq_hz=1445.3e6, direction="sidelobe",
-                       sidelobe_delay_s=100.0e-9),
+                       rf_freq_hz=1445.3e6, sidelobe_delay_s=100.0e-9),
                RfiSpec(kind="narrowband_carrier", power_rel_noise=1.0e6,
                        rf_freq_hz=1445.3e6 + spacing_khz * 1e3,
-                       direction="sidelobe", sidelobe_delay_s=100.0e-9)]
+                       sidelobe_delay_s=100.0e-9)]
         cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1447.5e6,
                                 frame_seconds=0.1, seed=6)
         ev = detect_events(cfg, [], rfi, 25, params)
@@ -205,10 +204,10 @@ def test_08_drift_scan_fit_recovery():
         n = 20_000
         utc0 = utc_at_lst(5.25, OBS_LON, near_utc_s=1.7e9)
         utc = utc0 + np.linspace(-1.5, 1.5, n) * 3600.0
-        ra = DriftScan(utc_s=utc, power=np.ones(n), source_name="cal").ra_hr()
+        ra = DriftScan(utc_s=utc, power=np.ones(n)).ra_hr()
         truth = 1.0 + amp * np.exp(-0.5 * ((ra - 5.25) / sigma_hr) ** 2)
         noise = np.random.default_rng(seed).normal(0.0, 0.01, n)
-        scan = DriftScan(utc_s=utc, power=truth + noise, source_name="cal")
+        scan = DriftScan(utc_s=utc, power=truth + noise)
         fit = fit_gauss_flat(scan)
         worst = max(abs(fit.fwhm_ra_deg - fwhm_deg) / fwhm_deg,
                     abs(fit.amplitude - amp) / amp,

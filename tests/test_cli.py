@@ -14,7 +14,7 @@ from pulsepair.pairdetect import (FirstLevelFilterParams, form_pairs,
                                   read_level1_archive)
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
-from pulsepair.sigsim import ObservationConfig, RfiSpec
+from pulsepair.sigsim import ObservationConfig, RfiSpec, SourceSpec
 from pulsepair.skystats import analyze
 
 from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
@@ -332,6 +332,8 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
                      "--format", "csv"]) == 1    # a report-only flag
     assert cli.main(["calibrate"]) == 1            # --scan required
+    # calibrate reads no config, so it takes no --config, --seed or --threads
+    assert cli.main(["calibrate", "--scan", "scan.csv", "--seed", "1"]) == 1
     capsys.readouterr()
 
 
@@ -348,8 +350,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
     capsys.readouterr()
     # a bad tag fails at config load, before anything is simulated
-    bad_cfg.write_text(open(cfg).read().replace("= LHCP,RHCP",
-                                                "= LHCP,r\u00e9"))
+    bad_cfg.write_text(Path(cfg).read_text().replace("= LHCP,RHCP",
+                                                     "= LHCP,r\u00e9"))
     fresh = tmp_path / "fresh"
     assert cli.main(["simulate", "--config", str(bad_cfg),
                      "--out", str(fresh)]) == 3
@@ -360,6 +362,43 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert cli.main(["null-mc", "--config", cfg, "--out", out,
                          "--n-seeds", "1", "--threads", threads]) == 1
         assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("config.noise_floor", "1.0"), ("source.0.emission_window_hr", "0.1"),
+    ("rfi.0.direction", "sidelobe")])
+def test_a_removed_key_is_a_validation_error(tmp_path, capsys, key, value):
+    # noise_floor scaled every voltage alike, so no SNR or phase saw it;
+    # an emission window was twice transit_halfwidth_hr; a direction only
+    # restated whether sidelobe_delay_s is zero
+    m = _events_manifest(
+        sources=[SourceSpec(name="s", ra_hr=5.25, dec_deg=-8.0, snr_db=45.0,
+                            pulse_rate_per_frame=0.01)],
+        rfi=[RfiSpec(kind="narrowband_carrier", power_rel_noise=1000.0,
+                     rf_freq_hz=1445.5e6)])
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(Path(_write_config(tmp_path / "exp.cfg", m)).read_text()
+                   + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"unknown keys: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_keys_a_mode_ignores_are_validation_errors(tmp_path, capsys):
+    # events mode takes its frames from the RA window; a frame-mode session
+    # is one run of consecutive frames, never several transits
+    events = _write_config(tmp_path / "events.cfg",
+                           _events_manifest(n_frames=8))
+    frames = tmp_path / "frames.cfg"
+    frames.write_text(Path(_frames_config(tmp_path)).read_text().replace(
+        "run.n_transits = 1", "run.n_transits = 2"))
+    for cfg, key in ((events, "run.n_frames"), (frames, "run.n_transits")):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        assert f"validation error: {key}: " in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 def test_beam_taper_in_events_mode_is_a_validation_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pulsepair.sigsim
 from pulsepair import cli, pairdetect
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
-from pulsepair.calib import SIDEREAL_DAY_S
+from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
                                   PairTable, form_pairs, read_level1_archive,
                                   write_level1_archive)
@@ -110,16 +110,15 @@ def _full_manifest() -> ExperimentManifest:
             hop_seconds=0.52, baseline_m=30.0, latitude_deg=38.433,
             longitude_deg=-79.8398, dec_deg=-8.0, azimuth_deg=180.0,
             tau_int_true_s=0.0, polarization_tags=("LHCP", "RHCP"),
-            noise_floor=1.0, phase_sign=-1.0, beam_fwhm_ra_deg=9.0, seed=5),
+            phase_sign=-1.0, beam_fwhm_ra_deg=9.0, seed=5),
         sources=[SourceSpec(
             name="x", ra_hr=5.25, dec_deg=-8.0, snr_db=45.0,
             pulse_rate_per_frame=0.0058, delta_f_low_hz=20.0,
             delta_f_high_hz=2000.0, delta_t_frames=0,
-            polarization_tag="LHCP", emission_window_hr=0.1,
-            transit_halfwidth_hr=2.0)],
+            polarization_tag="LHCP", transit_halfwidth_hr=2.0)],
         rfi=[RfiSpec(kind="narrowband_carrier", power_rel_noise=1.0e6,
-                     rf_freq_hz=1445.3e6, direction="sidelobe",
-                     sidelobe_delay_s=0.0, duty_cycle=1.0)],
+                     rf_freq_hz=1445.3e6, sidelobe_delay_s=0.0,
+                     duty_cycle=1.0)],
         phase=PhaseMetricParams(
             tau_int_s=0.0, filter_halfwidth_rad=0.04, log_delta_f_low=-5.1,
             log_delta_f_high=0.3, tau_search_low_s=-8e-9,
@@ -145,10 +144,9 @@ _MUTATIONS = {
     "config.latitude_deg": "38.0",
     "config.longitude_deg": "-79.0",
     "config.dec_deg": "-7.0",
-    "config.azimuth_deg": "181.0",
+    "config.azimuth_deg": "179.0",
     "config.tau_int_true_s": "-1e-09",
     "config.polarization_tags": "LHCP",
-    "config.noise_floor": "2.0",
     "config.phase_sign": "1.0",
     "config.beam_fwhm_ra_deg": "10.0",
     "config.seed": "6",
@@ -161,12 +159,10 @@ _MUTATIONS = {
     "source.0.delta_f_high_hz": "3000.0",
     "source.0.delta_t_frames": "1",
     "source.0.polarization_tag": "RHCP",
-    "source.0.emission_window_hr": "0.2",
     "source.0.transit_halfwidth_hr": "1.5",
     "rfi.0.kind": "broadband_flat",
     "rfi.0.power_rel_noise": "2000000.0",
     "rfi.0.rf_freq_hz": "1445400000.0",
-    "rfi.0.direction": "common_mode",
     "rfi.0.sidelobe_delay_s": "1e-07",
     "rfi.0.duty_cycle": "0.5",
     "phase.tau_int_s": "1e-09",
@@ -188,7 +184,7 @@ _MUTATIONS = {
     "run.window_lo_hr": "4.9",
     "run.window_hi_hr": "5.6",
     "run.n_frames": "8",
-    "run.start_utc_s": "100.0",
+    "run.start_utc_s": "100000.0",
     "run.ra_bin_hr": "0.05",
     "run.p_mode": "exposure",
     "run.pairing_window_frames": "1",
@@ -215,6 +211,81 @@ def test_every_config_key_moves_a_stage_hash():
         mutated = dict(kv)
         mutated[key] = new_value
         assert all_hashes(ExperimentManifest.from_kv(mutated)) != base_hashes, key
+
+
+# simulate-stage keys that leave the level-1 bytes alone by construction
+_INERT_IN_SIMULATE = {
+    "source.0.name": "a label; it only names the source in messages",
+    "run.level1_in": "an external archive replaces the simulate stage",
+}
+_INERT_IN_FRAME_MODES = dict.fromkeys(
+    ("run.window_lo_hr", "run.window_hi_hr"),
+    "bins the analysis; the frames start at run.start_utc_s")
+
+
+def _tiny_manifest(mode) -> ExperimentManifest:
+    """A session of the mode small enough to simulate once per key, in
+    which every simulate-stage key can reach the level-1 bytes.
+
+    The beam points 1 deg off due south, so latitude and declination reach
+    the pointing RA.
+    """
+    full = replace(_full_manifest(), level1_in=None)
+    config = replace(full.config, azimuth_deg=181.0, beam_fwhm_ra_deg=None)
+    if mode == "events":
+        # one 0.2 h transit, the source on for half of it
+        return replace(full, config=config, rfi=[], n_transits=1,
+                       n_frames=None, window_lo_hr=5.2, window_hi_hr=5.4,
+                       sources=[replace(full.sources[0],
+                                        transit_halfwidth_hr=0.05,
+                                        pulse_rate_per_frame=0.5)])
+    # 4 frames of 1,024 bins, 1.75 h past the source's transit, so that a
+    # narrower emission window misses them; pair offsets of one or two bins,
+    # so either delta_f bound moves some; a carrier outside the excised
+    # band; and noise crossings all over the band at 5 dB
+    return replace(
+        full, mode=mode, n_transits=1, n_frames=4,
+        config=replace(config, frame_seconds=0.001024, hop_seconds=0.001024),
+        start_utc_s=utc_at_lst(7.0, config.longitude_deg),
+        sources=[replace(full.sources[0], pulse_rate_per_frame=2.0,
+                         delta_f_low_hz=1000.0)],
+        rfi=[replace(full.rfi[0], rf_freq_hz=1445.6e6)],
+        filter=replace(full.filter, snr_threshold_db=5.0))
+
+
+@pytest.mark.parametrize("mode", ["events", "freq", "time"])
+def test_every_simulate_key_changes_level1_bytes_or_is_rejected(tmp_path,
+                                                                 mode):
+    # a key that moves the simulate hash but not the archive would make a
+    # config claim what the run did not do
+    full = _full_manifest()
+    full_kv = full.to_kv()
+    simulate_keys = [
+        key for key, value in _MUTATIONS.items()
+        if ExperimentManifest.from_kv({**full_kv, key: value})
+        .simulate_params_hash() != full.simulate_params_hash()]
+    inert = dict(_INERT_IN_SIMULATE)
+    if mode != "events":
+        inert.update(_INERT_IN_FRAME_MODES)
+    mutations = {**_MUTATIONS,
+                 "run.mode": "time" if mode == "freq" else "freq"}
+    path = tmp_path / "level1.csv"
+
+    def level1(m):
+        write_level1_archive(path, simulate_events(m))
+        return path.read_bytes()
+
+    base = _tiny_manifest(mode)
+    kv = base.to_kv()
+    ref = level1(base)
+    for key in simulate_keys:
+        assert kv.get(key) != mutations[key], key
+        try:
+            moved = level1(ExperimentManifest.from_kv(
+                {**kv, key: mutations[key]})) != ref
+        except ValidationError:
+            moved = True
+        assert moved == (key not in inert), key
 
 
 def test_run_experiment_artifacts(tmp_path):
@@ -600,10 +671,12 @@ def test_stage_hashes_are_frozen():
     # frozen from an earlier schema implementation, so manifest.txt files
     # written by it keep resuming; the analyze hash moved when run.per_day
     # left the schema and the simulate hash when the segment keys moved
-    # from config.* to filter.*, so such a run redoes that stage once
+    # from config.* to filter.*, and again when config.noise_floor,
+    # source.N.emission_window_hr and rfi.N.direction left it, so such a run
+    # redoes that stage once
     m = _full_manifest()
     assert m.simulate_params_hash() == (
-        "1409e34cde55f531a2b76c7f939efb01ceb79229aad1e01cebec946b82aa2de8")
+        "43eb90195fce1560d25e3330669a1bb7476eb20ccbdce440ed27bf4ceb754f2d")
     assert m.refilter_params_hash() == (
         "b5082b9d7e359d4d9e6cb6bffa5ae07c63568d2328fac5231f00c43bc7959884")
     assert m.analyze_params_hash() == (

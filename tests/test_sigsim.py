@@ -129,7 +129,7 @@ def test_source_validation():
         list(simulate_frames(cfg, [SourceSpec(name="x", ra_hr=lst0 + 12.0,
                                               dec_deg=-8.0, snr_db=30.0,
                                               pulse_rate_per_frame=0.1,
-                                              emission_window_hr=0.1)],
+                                              transit_halfwidth_hr=0.05)],
                              n_frames=4))
 
 
@@ -137,10 +137,9 @@ def test_rfi_common_mode_vs_sidelobe():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
                             frame_seconds=0.02, seed=4)
     common = RfiSpec(kind="narrowband_carrier", power_rel_noise=1.0e6,
-                     rf_freq_hz=1445.05e6, direction="common_mode")
+                     rf_freq_hz=1445.05e6)
     side = RfiSpec(kind="narrowband_carrier", power_rel_noise=1.0e6,
-                   rf_freq_hz=1445.05e6, direction="sidelobe",
-                   sidelobe_delay_s=100.0e-9)
+                   rf_freq_hz=1445.05e6, sidelobe_delay_s=100.0e-9)
     params = FirstLevelFilterParams(
         snr_threshold_db=12.0, accept_band_low_hz=1445.0e6,
         accept_band_high_hz=1445.1e6, excision_low_hz=1445.0e6,
@@ -158,22 +157,23 @@ def test_rfi_common_mode_vs_sidelobe():
 def test_rfi_validation():
     with pytest.raises(ValidationError):
         RfiSpec(kind="narrowband_carrier", power_rel_noise=10.0,
-                rf_freq_hz=1445.0e6, direction="common_mode",
-                sidelobe_delay_s=5.0e-9)   # a common-mode source has no delay
+                rf_freq_hz=1445.0e6, duty_cycle=1.5)   # outside [0, 1]
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
                             frame_seconds=0.02)
     flat = RfiSpec(kind="broadband_flat", power_rel_noise=10.0,
-                   direction="sidelobe", sidelobe_delay_s=100.0e-9)
+                   sidelobe_delay_s=100.0e-9)
     with pytest.raises(ValidationError):   # needs per-bin slopes: freq only
         list(simulate_frames(cfg, [], [flat], n_frames=1, mode="time"))
+    flat.sidelobe_delay_s = 0.0              # zero delay: time mode too
+    assert len(list(simulate_frames(cfg, [], [flat], n_frames=1,
+                                    mode="time"))) == 1
 
 
 def test_rfi_duty_cycle_zero_is_silent():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1445.1e6,
                             frame_seconds=0.02, seed=5)
     quiet = RfiSpec(kind="narrowband_carrier", power_rel_noise=1.0e6,
-                    rf_freq_hz=1445.05e6, direction="common_mode",
-                    duty_cycle=0.0)
+                    rf_freq_hz=1445.05e6, duty_cycle=0.0)
     params = FirstLevelFilterParams(
         snr_threshold_db=12.0, accept_band_low_hz=1445.0e6,
         accept_band_high_hz=1445.1e6, excision_low_hz=1445.0e6,
@@ -220,7 +220,7 @@ def test_sampler_injected_snr_follows_segment_rule(include_self):
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6,
         segment_include_self=include_self)
     src = SourceSpec(name="b", ra_hr=5.25, dec_deg=-8.0, snr_db=30.0,
-                     pulse_rate_per_frame=0.05, emission_window_hr=0.1)
+                     pulse_rate_per_frame=0.05, transit_halfwidth_hr=0.05)
     events = simulate_level1_events(cfg, [src], params, 1, 5.0, 5.5)
     injected = float(events.snr_east_db.max())     # noise tails stay < 20 dB
     bins = np.ones(256, complex)
@@ -392,7 +392,7 @@ def test_sampler_threads_keep_transits_in_order():
                    segment_include_self=False,
                    excision_low_hz=1445.3e6, excision_high_hz=1445.4e6)
     sources = [SourceSpec(name=name, ra_hr=ra, dec_deg=dec, snr_db=30.0,
-                          pulse_rate_per_frame=0.08, emission_window_hr=0.1,
+                          pulse_rate_per_frame=0.08, transit_halfwidth_hr=0.05,
                           polarization_tag=tag)
                for name, ra, dec, tag in (("b", 5.25, -8.0, "LHCP"),
                                           ("c", 5.30, 10.0, "RHCP"))]
