@@ -9,7 +9,8 @@ the problem is tiny (4 parameters, hundreds of samples) and a fixed,
 dependency-free implementation keeps reruns byte-identical.
 
 The instrument-delay calibration `tau_int_scan` implements a coherent lag
-search over the cross spectrum of a broadband correlated calibration source.
+search over the cross spectrum of a broadband correlated calibration source:
+in simulation, sigsim.simulate_frames with a delayed broadband_flat RfiSpec.
 """
 
 from __future__ import annotations
@@ -340,6 +341,8 @@ def tau_int_scan(east_frames, west_frames, rf_freqs_hz,
 
     Assumes the west element lags the east one by the physical delay
     (phase(W) - phase(E) = -2 pi f tau); this matches the simulator default.
+    The calibrator is a broadband_flat emitter reaching the west element
+    sidelobe_delay_s late: simulate_frames(mode="freq") draws its frames.
     """
     lo, hi = tap_range_s
     if not (hi > lo) or tap_step_s <= 0:

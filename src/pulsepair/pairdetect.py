@@ -894,15 +894,6 @@ def read_level1_archive(path) -> EventTable:
         return events
     cols = read_columns(path, ARCHIVE_COLUMNS)
     del cols["schema_version"]
-    tag = cols.pop("polarization_tag")
-    # a few distinct tags, found by dropping one tag a pass and coded with
-    # one mask each: faster than np.unique's sort
-    tags, rest = [], tag
-    while rest.size:
-        tags.append(str(rest[0]))
-        rest = rest[rest != rest[0]]
-    tags.sort()
-    code = np.zeros(tag.size, dtype=np.int64)
-    for i, t in enumerate(tags):
-        code[tag == t] = i
-    return EventTable(tags=tags, pol_code=code, **cols)
+    tags, code = np.unique(cols.pop("polarization_tag").astype(str),
+                           return_inverse=True)
+    return EventTable(tags=tags.tolist(), pol_code=code, **cols)

@@ -170,16 +170,16 @@ def _scannable(pairs: PairTable, params: PhaseMetricParams, taus,
     return diff[can], slope[can], bins[can]
 
 
-def tune_tau_int(candidates, params: PhaseMetricParams, bin_edges, probs):
+def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     """Scan assumed instrument delays; keep the one with the largest peak d.
 
     Each tau on the grid [tau_search_low_s, tau_search_high_s] (step
     tau_search_step_s) scores what analyze(...).peak.cohens_d gives on the
     pairs passing the second-level filter at that tau, over the RA bins
     `bin_edges` with null probabilities `probs` (bin_probabilities), or 0
-    if none is in the window.  `candidates` is a PairTable, or an iterable
-    of PairTables such as pairdetect.pair_chunks yields; of each, only the
-    pairs that can pass at some tap are kept (see _scannable), and the
+    if none is in the window.  `chunks` is an iterable of PairTables, such
+    as pairdetect.pair_chunks yields ([pairs] for one table); of each, only
+    the pairs that can pass at some tap are kept (see _scannable), and the
     taps are scored on those.  Returns (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
@@ -187,15 +187,13 @@ def tune_tau_int(candidates, params: PhaseMetricParams, bin_edges, probs):
     delays reports the tap nearest the scan center rather than an
     arbitrary edge.
     """
-    if isinstance(candidates, PairTable):
-        candidates = [candidates]
     if params.tau_search_low_s is None:
         raise ValidationError("tau search range is not set")
     lo, hi, step = (params.tau_search_low_s, params.tau_search_high_s,
                     params.tau_search_step_s)
     taus = np.arange(lo, hi + 0.5 * step, step)
     n_pairs, kept = 0, []
-    for pairs in candidates:
+    for pairs in chunks:
         n_pairs += len(pairs)
         kept.append(_scannable(pairs, params, taus, bin_edges))
     if not n_pairs:

@@ -195,8 +195,11 @@ class ExperimentManifest:
                                   "run.level1_in"))
 
     def refilter_params_hash(self) -> str:
+        # the geometry keys fix each event's transit (session_pairs)
         return self._hash_subset(("phase.", "run.pairing_window_frames",
-                                  "run.require_pol_match"))
+                                  "run.require_pol_match", "run.mode",
+                                  "config.longitude_deg", "run.window_lo_hr",
+                                  "run.window_hi_hr", "run.start_utc_s"))
 
     def analyze_params_hash(self) -> str:
         return self._hash_subset(("run.ra_bin_hr", "run.p_mode",
@@ -344,6 +347,9 @@ def session_frames(manifest: ExperimentManifest):
         raise ValidationError(
             "run.n_transits: a frame-mode session is run.n_frames consecutive "
             "frames; use run.mode = events for several transits")
+    if manifest.n_frames is None:
+        raise ValidationError(
+            "run.n_frames: a frame-mode session needs run.n_frames >= 1")
     return simulate_frames(manifest.config, manifest.sources, manifest.rfi,
                            n_frames=manifest.n_frames,
                            start_utc_s=manifest.start_utc_s,

@@ -189,7 +189,8 @@ class RfiSpec:
     interference (shared-LO leakage and the like).  narrowband_carrier is
     one bin-centered carrier at rf_freq_hz with a fresh random phase each
     frame; broadband_flat raises the whole band's noise floor while active.
-    duty_cycle gates frames at random.
+    duty_cycle gates frames at random.  A delayed broadband_flat emitter is
+    also the correlated calibrator of calib.tau_int_scan.
     """
 
     kind: str
@@ -317,6 +318,19 @@ def _tones_for_frame(config: ObservationConfig, sources, frame_index: int,
     return tones
 
 
+def _add_tone(east, west, k: int, amp: float, ph: float, shift: float,
+              mode: str) -> None:
+    """Add in place a bin-centred tone of bin k and amplitude amp to both
+    elements: phase ph in the east, ph + shift in the west.  In freq mode
+    it lands in bin k; in time mode it is a carrier over every sample."""
+    idx, base = k, ph
+    if mode == "time":
+        n = east.size
+        idx, base = slice(None), TWO_PI * k * np.arange(n) / n + ph
+    east[idx] += amp * np.exp(1j * base)
+    west[idx] += amp * np.exp(1j * (base + shift))
+
+
 def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
                    pol_idx: int, east, west, rf: np.ndarray,
                    mode: str) -> None:
@@ -332,16 +346,9 @@ def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
             k = int(round((r.rf_freq_hz - config.band_low_hz)
                           * config.frame_seconds))
             k = min(max(k, 0), n - 1)
-            amp = math.sqrt(r.power_rel_noise)
-            ph = float(rng.uniform(-math.pi, math.pi))
-            shift = sign * TWO_PI * rf[k] * r.sidelobe_delay_s
-            if mode == "freq":
-                east[k] += amp * np.exp(1j * ph)
-                west[k] += amp * np.exp(1j * (ph + shift))
-            else:
-                t = np.arange(n)
-                east += amp * np.exp(1j * (TWO_PI * k * t / n + ph))
-                west += amp * np.exp(1j * (TWO_PI * k * t / n + ph + shift))
+            _add_tone(east, west, k, math.sqrt(r.power_rel_noise),
+                      float(rng.uniform(-math.pi, math.pi)),
+                      sign * TWO_PI * rf[k] * r.sidelobe_delay_s, mode)
         else:  # broadband_flat
             scale = math.sqrt(r.power_rel_noise / 2.0)
             if mode == "freq":
@@ -406,21 +413,10 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
             west = (rng.standard_normal(n)
                     + 1j * rng.standard_normal(n)) * scale
 
-            tones = _tones_for_frame(config, sources, frame_index, pol_idx,
-                                     pol_tag, lst)
-            if mode == "freq":
-                for (k, amp, ph, tau) in tones:
-                    east[k] += amp * np.exp(1j * ph)
-                    west[k] += amp * np.exp(
-                        1j * (ph + sign * TWO_PI * rf[k] * tau))
-            else:
-                t = np.arange(n)
-                for (k, amp, ph, tau) in tones:
-                    carrier = TWO_PI * k * t / n
-                    east += amp * np.exp(1j * (carrier + ph))
-                    west += amp * np.exp(
-                        1j * (carrier + ph + sign * TWO_PI * rf[k] * tau))
-
+            for (k, amp, ph, tau) in _tones_for_frame(
+                    config, sources, frame_index, pol_idx, pol_tag, lst):
+                _add_tone(east, west, k, amp, ph,
+                          sign * TWO_PI * rf[k] * tau, mode)
             _rfi_for_frame(config, rfi, frame_index, pol_idx, east, west,
                            rf, mode)
 
@@ -428,36 +424,6 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
                 east = fft_frame(east, config.frame_seconds, band_width)
                 west = fft_frame(west, config.frame_seconds, band_width)
             yield frame_index, utc, pol_tag, east, west, rf
-
-
-def simulate_correlator_frames(rf_freqs_hz, n_frames: int, corr_power: float,
-                               true_delay_s: float, noise_power: float = 1.0,
-                               seed: int = 0, phase_sign: float = -1.0):
-    """Frames of a broadband correlated calibrator for delay scans.
-
-    Each bin holds a common complex-Gaussian signal of power `corr_power`
-    seen by both elements (the west copy rotated by the delay) plus
-    independent noise of power `noise_power` per element.  Returns
-    (east_frames, west_frames) as two lists of arrays.
-    """
-    if n_frames < 1:
-        raise ValidationError("n_frames must be >= 1")
-    if corr_power < 0 or noise_power < 0:
-        raise ValidationError("powers must be >= 0")
-    rf = np.asarray(rf_freqs_hz, dtype=float)
-    rot = np.exp(1j * phase_sign * TWO_PI * rf * true_delay_s)
-    east_frames, west_frames = [], []
-    for i in range(n_frames):
-        rng = np.random.default_rng([seed, 0xC0, i])
-        s = ((rng.standard_normal(rf.size) + 1j * rng.standard_normal(rf.size))
-             * math.sqrt(corr_power / 2.0))
-        ne = ((rng.standard_normal(rf.size) + 1j * rng.standard_normal(rf.size))
-              * math.sqrt(noise_power / 2.0))
-        nw = ((rng.standard_normal(rf.size) + 1j * rng.standard_normal(rf.size))
-              * math.sqrt(noise_power / 2.0))
-        east_frames.append(s + ne)
-        west_frames.append(s * rot + nw)
-    return east_frames, west_frames
 
 
 def _usable_runs(config: ObservationConfig,

@@ -11,7 +11,7 @@ from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams, form_pairs)
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
 from pulsepair.pipeline import detect_frames
-from pulsepair.sigsim import (ObservationConfig, SourceSpec,
+from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames, simulate_level1_events)
 from pulsepair.skystats import analyze
 
@@ -48,6 +48,22 @@ def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,
     """Simulate frames and run the first-level filter on every one."""
     return detect_frames(config, params, simulate_frames(
         config, sources, rfi, n_frames, start_utc_s=start_utc_s, mode=mode))
+
+
+def calibrator_frames(n_frames, power, delay_s, seed, band_hz=50.0e6,
+                      n_bins=2048):
+    """Freq-mode frames of a band from 1405 MHz that holds a broadband_flat
+    emitter of `power` over unit noise, reaching the west element delay_s
+    late; power 0 leaves noise alone.  Returns (east frames, west frames,
+    bin RFs)."""
+    config = ObservationConfig(band_low_hz=1405.0e6,
+                               band_high_hz=1405.0e6 + band_hz,
+                               frame_seconds=n_bins / band_hz, seed=seed)
+    rfi = [RfiSpec(kind="broadband_flat", power_rel_noise=power,
+                   sidelobe_delay_s=delay_s)] if power else []
+    frames = list(simulate_frames(config, rfi=rfi, n_frames=n_frames))
+    return ([f[3] for f in frames], [f[4] for f in frames],
+            config.rf_freqs())
 
 
 def wide_band_params(snr_threshold_db=12.0):

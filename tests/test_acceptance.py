@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from helpers import OBS_LON, detect_events, scaled_survey_cohens_d
+from helpers import (OBS_LON, calibrator_frames, detect_events,
+                     scaled_survey_cohens_d)
 from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, continuum_snr_db,
                              fit_gauss_flat, lst_hours, tau_int_scan,
                              utc_at_lst)
@@ -19,7 +20,6 @@ from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int)
 from pulsepair.pipeline import ExperimentManifest, run_experiment, sha256_file
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
-                              simulate_correlator_frames,
                               simulate_level1_events)
 from pulsepair.skystats import (bin_probabilities, binomial_tail, cohens_d,
                                 false_alarm_tail_check)
@@ -163,10 +163,8 @@ def test_06_injection_recovery_and_null_rate():
 
 
 def test_07_instrument_delay_recovery():
-    # coherent broadband scan, 4 ns taps over +/-512 ns
-    rf = 1405.0e6 + np.arange(2048) * (50.0e6 / 2048)
-    east, west = simulate_correlator_frames(rf, 128, corr_power=0.5,
-                                            true_delay_s=-144.0e-9, seed=7)
+    # coherent scan of a delayed broadband emitter, 4 ns taps over +/-512 ns
+    east, west, rf = calibrator_frames(128, 0.5, -144.0e-9, seed=7)
     best_scan, step = tau_int_scan(east, west, rf,
                                    tap_range_s=(-512.0e-9, 512.0e-9),
                                    tap_step_s=4.0e-9)
@@ -187,7 +185,7 @@ def test_07_instrument_delay_recovery():
                               tau_search_high_s=-134.0e-9,
                               tau_search_step_s=1.0e-9)
     edges = lst0 - 0.2 + 0.1 * np.arange(5)
-    best_tune, _, _, _ = tune_tau_int(pairs, phase, edges,
+    best_tune, _, _, _ = tune_tau_int([pairs], phase, edges,
                                       bin_probabilities(edges))
     tune_err = abs(best_tune - (-144.0e-9))
     ok = scan_err <= step + 1e-15 and tune_err <= 1.0e-9 + 1e-15

@@ -7,8 +7,8 @@ from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, SIDEREAL_DAY_S,
                              continuum_snr_db, fit_gauss_flat, lst_hours,
                              pointing_ra_hr, read_drift_scan_csv,
                              tau_int_scan, utc_at_lst, write_fit_report)
+from helpers import calibrator_frames
 from pulsepair.errors import ValidationError
-from pulsepair.sigsim import simulate_correlator_frames
 
 LON = -79.8398
 LAT = 38.433
@@ -137,9 +137,7 @@ def test_drift_scan_csv(tmp_path):
 
 
 def test_tau_int_scan_recovers_delay():
-    rf = 1405.0e6 + np.arange(2048) * (50.0e6 / 2048)
-    east, west = simulate_correlator_frames(rf, 64, corr_power=0.5,
-                                            true_delay_s=-96.0e-9, seed=3)
+    east, west, rf = calibrator_frames(64, 0.5, -96.0e-9, seed=3)
     best, step = tau_int_scan(east, west, rf,
                               tap_range_s=(-512.0e-9, 512.0e-9),
                               tap_step_s=4.0e-9)
@@ -148,9 +146,7 @@ def test_tau_int_scan_recovers_delay():
 
 
 def test_tau_int_scan_rejects_pure_noise():
-    rf = 1405.0e6 + np.arange(2048) * (50.0e6 / 2048)
-    east, west = simulate_correlator_frames(rf, 64, corr_power=0.0,
-                                            true_delay_s=0.0, seed=4)
+    east, west, rf = calibrator_frames(64, 0.0, 0.0, seed=4)
     with pytest.raises(ValidationError):
         tau_int_scan(east, west, rf, tap_range_s=(-512.0e-9, 512.0e-9),
                      tap_step_s=4.0e-9)

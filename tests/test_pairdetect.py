@@ -453,6 +453,20 @@ def test_archive_keeps_a_tag_as_long_as_the_str_field(tmp_path):
     assert read_level1_archive(path).polarization_tag.tolist() == tags
 
 
+def test_a_text_archive_codes_a_thousand_tags(tmp_path):
+    # without its sidecar the archive's tags are read as text: they come
+    # back sorted, and each row's code is its tag's rank
+    rng = np.random.default_rng(4)
+    pol = [f"T{i}" for i in rng.integers(0, 1000, 3000)]
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, event_table(k=np.arange(3000), pol=pol))
+    events = _read_through_csv(path)
+    assert events.tags == tuple(sorted(set(pol)))
+    assert len(events.tags) > 900
+    assert events.polarization_tag.tolist() == pol
+    assert events.pol_code.tolist() == [events.tags.index(p) for p in pol]
+
+
 def _assert_same_events(got, want):
     assert got.tags == want.tags
     for name in EVENT_COLUMNS:

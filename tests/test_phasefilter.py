@@ -129,7 +129,7 @@ def test_tune_tau_recovers_plateau_delay():
     params = PhaseMetricParams(tau_search_low_s=-154.0e-9,
                                tau_search_high_s=-134.0e-9,
                                tau_search_step_s=1.0e-9)
-    best, stat, taus, stats = tune_tau_int(pairs, params, EDGES, PROBS)
+    best, stat, taus, stats = tune_tau_int([pairs], params, EDGES, PROBS)
     assert taus.size == 21
     assert stat == pytest.approx(math.sqrt(200.0))
     assert best == pytest.approx(tau)
@@ -145,7 +145,7 @@ def test_tune_tau_ties_break_toward_scan_center():
     params = PhaseMetricParams(tau_search_low_s=-10.0e-9,
                                tau_search_high_s=-3.5e-9,
                                tau_search_step_s=2.0e-9)
-    best, stat, taus, stats = tune_tau_int(pair, params, EDGES, PROBS)
+    best, stat, taus, stats = tune_tau_int([pair], params, EDGES, PROBS)
     assert stats.tolist() == [1.0, 1.0, 1.0, 0.0]
     assert stat == 1.0
     assert best == pytest.approx(-6.0e-9)   # scan center is -6.75 ns
@@ -155,14 +155,15 @@ def test_tune_tau_validation():
     params = PhaseMetricParams(tau_search_low_s=-1e-9, tau_search_high_s=1e-9,
                                tau_search_step_s=1e-10)
     with pytest.raises(ValidationError):
-        tune_tau_int(_pairs(), params, EDGES, PROBS)
+        tune_tau_int([_pairs()], params, EDGES, PROBS)
     with pytest.raises(ValidationError):
-        tune_tau_int(_pairs(_pair(1e4)), PhaseMetricParams(), EDGES, PROBS)
+        tune_tau_int([_pairs(_pair(1e4))], PhaseMetricParams(), EDGES,
+                     PROBS)
     # a non-finite phase is an error even on a pair no tap would score
     a, b = _pair(2.0)
     a["phase_e"] = float("nan")
     with pytest.raises(ValidationError):
-        tune_tau_int(_pairs(_pair(1e4), (a, b)), params, EDGES, PROBS)
+        tune_tau_int([_pairs(_pair(1e4), (a, b))], params, EDGES, PROBS)
 
 
 def _taps(params):
@@ -241,7 +242,7 @@ def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
     exposure = rng.uniform(4.5, 5.5, 200)
     for p_mode in ("uniform", "exposure"):
         probs = bin_probabilities(EDGES, p_mode, exposure)
-        best, stat, taus, stats = tune_tau_int(pairs, params, EDGES, probs)
+        best, stat, taus, stats = tune_tau_int([pairs], params, EDGES, probs)
         ref_taus, ref_stats = _reference_scan(pairs, params, EDGES, p_mode,
                                               exposure)
         assert np.array_equal(taus, ref_taus)

@@ -213,6 +213,32 @@ def test_every_config_key_moves_a_stage_hash():
         assert all_hashes(ExperimentManifest.from_kv(mutated)) != base_hashes, key
 
 
+def test_every_key_that_changes_refilter_moves_its_hash(tmp_path):
+    # a resumed run skips refilter when its hash holds; on an external
+    # archive, a key that changes refilter's bytes or counts unhashed would
+    # serve stale candidates.  In events mode the transit leads the block
+    # key, so with a pairing window a freq-mode rerun pairs across transits.
+    archive, candidates = tmp_path / "level1.csv", tmp_path / "candidates.csv"
+    base = replace(_full_manifest(), level1_in=str(archive),
+                   pairing_window_frames=1)
+    dense = replace(base.filter, snr_threshold_db=7.0,
+                    accept_band_high_hz=1445.1e6)
+    write_level1_archive(archive, simulate_events(replace(
+        base, config=replace(base.config, beam_fwhm_ra_deg=None), rfi=[],
+        filter=dense, n_frames=None, level1_in=None)))
+
+    def refiltered(m):
+        return refilter(m, archive, candidates), candidates.read_bytes()
+
+    ref = refiltered(base)
+    kv = base.to_kv()
+    mutations = {**_MUTATIONS, "run.pairing_window_frames": "0"}
+    for key, value in mutations.items():
+        m = ExperimentManifest.from_kv({**kv, key: value})
+        if m.refilter_params_hash() == base.refilter_params_hash():
+            assert refiltered(m) == ref, key
+
+
 # simulate-stage keys that leave the level-1 bytes alone by construction
 _INERT_IN_SIMULATE = {
     "source.0.name": "a label; it only names the source in messages",
@@ -591,7 +617,7 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
         assert ((tmp_path / f"got{name}.csv").read_bytes()
                 == (tmp_path / f"want{name}.csv").read_bytes())
     edges = m.bin_edges()
-    want = tune_tau_int(pairs, m.phase, edges, bin_probabilities(edges))
+    want = tune_tau_int([pairs], m.phase, edges, bin_probabilities(edges))
     got = run_tune_tau(m, path)
     assert got[:2] == want[:2]
     assert np.array_equal(got[3], want[3]) and np.array_equal(got[2], want[2])
@@ -672,17 +698,25 @@ def test_stage_hashes_are_frozen():
     # written by it keep resuming; the analyze hash moved when run.per_day
     # left the schema and the simulate hash when the segment keys moved
     # from config.* to filter.*, and again when config.noise_floor,
-    # source.N.emission_window_hr and rfi.N.direction left it, so such a run
-    # redoes that stage once
+    # source.N.emission_window_hr and rfi.N.direction left it, and the
+    # refilter hash when it took in the keys that fix each event's transit,
+    # so such a run redoes that stage once
     m = _full_manifest()
     assert m.simulate_params_hash() == (
         "43eb90195fce1560d25e3330669a1bb7476eb20ccbdce440ed27bf4ceb754f2d")
     assert m.refilter_params_hash() == (
-        "b5082b9d7e359d4d9e6cb6bffa5ae07c63568d2328fac5231f00c43bc7959884")
+        "8d3af3a69e63cf4170c857d72c50ded055ca0ed1f86fd8565ef65838204c51d0")
     assert m.analyze_params_hash() == (
         "6847be0a021f6b43a8135fc296130fdd61f77bb81bf5ef9aee809d62720b6295")
     assert m.report_params_hash() == (
         "419caca7ab3cce17ff2a253196f853d1e41b45db554b609901a89be4a4a28952")
+
+
+def test_frame_mode_simulation_needs_n_frames():
+    # run.level1_in lifts the manifest's own n_frames check, but a library
+    # caller may still simulate such a manifest
+    with pytest.raises(ValidationError, match="run.n_frames"):
+        simulate_events(ExperimentManifest(mode="freq", level1_in="a.csv"))
 
 
 def test_manifest_values_parse_by_field_type():

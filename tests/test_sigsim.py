@@ -8,15 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import detect_events, event_columns, wide_band_params
+from helpers import (calibrator_frames, detect_events, event_columns,
+                     wide_band_params)
 from pulsepair import sigsim
 from pulsepair.calib import SIDEREAL_DAY_S, lst_hours
 from pulsepair.channelizer import frame_bin_stats, wrap_phase
 from pulsepair.errors import ValidationError
 from pulsepair.pairdetect import EVENT_COLUMNS, FirstLevelFilterParams
 from pulsepair.sigsim import (C_LIGHT_M_S, ObservationConfig, RfiSpec,
-                              SourceSpec, geometric_delay,
-                              simulate_correlator_frames, simulate_frames,
+                              SourceSpec, geometric_delay, simulate_frames,
                               simulate_level1_events)
 
 TWO_PI = 2.0 * math.pi
@@ -479,10 +479,10 @@ def test_sampler_sort_is_the_stable_argsort(case):
 
 
 def test_correlator_frames_phase():
-    rf = 1405.0e6 + np.arange(64) * 1.0e5
-    east, west = simulate_correlator_frames(rf, 400, corr_power=100.0,
-                                            true_delay_s=50.0e-9,
-                                            noise_power=1e-6, seed=9)
+    # a delayed broadband interferer 1e8 over unit noise: each bin's cross
+    # phase is the delay's alone
+    east, west, rf = calibrator_frames(400, 1.0e8, 50.0e-9, seed=9,
+                                       band_hz=6.4e6, n_bins=64)
     cross = np.zeros(64, complex)
     for e, w in zip(east, west):
         cross += e * np.conj(w)
