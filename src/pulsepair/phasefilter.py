@@ -180,13 +180,18 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     if none is in the window.  `chunks` is an iterable of PairTables, such
     as pairdetect.pair_chunks yields ([pairs] for one table); of each, only
     the pairs that can pass at some tap are kept (see _scannable), and the
-    taps are scored on those.  Returns (best_tau_s, best_stat, taus, stats).
+    taps are scored on those.  Each chunk is dropped before the next is
+    asked for, so chunks made from one transit at a time hold one transit.
+    Returns (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
     (first such tap on equal distance), so a flat plateau of equally good
     delays reports the tap nearest the scan center rather than an
     arbitrary edge.
     """
+    if isinstance(chunks, PairTable):
+        raise TypeError("tune_tau_int takes an iterable of PairTable chunks "
+                        "([pairs] for one table), not a PairTable")
     if params.tau_search_low_s is None:
         raise ValidationError("tau search range is not set")
     lo, hi, step = (params.tau_search_low_s, params.tau_search_high_s,
@@ -196,6 +201,7 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     for pairs in chunks:
         n_pairs += len(pairs)
         kept.append(_scannable(pairs, params, taus, bin_edges))
+        del pairs
     if not n_pairs:
         raise ValidationError("no candidates to tune against")
     diff, slope, bins = (np.concatenate(c) for c in zip(*kept))

@@ -27,8 +27,8 @@ import numpy as np
 from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
-from .pairdetect import (EventTable, FirstLevelFilterParams, PairTable,
-                         first_level_filter_frame, pair_chunks,
+from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
+                         PairTable, first_level_filter_frame, pair_chunks,
                          read_columns, read_level1_archive, sha256_file,
                          write_level1_archive, write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
@@ -37,8 +37,8 @@ from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
                      simulate_level1_events, thread_pool, transit_index)
 from .skystats import (AnalysisResult, analyze, bin_probabilities,
-                       peak_cohens_d, ra_bin_index, read_stats_csv,
-                       write_stats_csv)
+                       exposure_counts, peak_cohens_d, ra_bin_index,
+                       read_stats_csv, write_stats_csv)
 
 # candidates.csv: enough of each pair to re-run the statistics
 CANDIDATE_COLUMNS = {
@@ -52,12 +52,18 @@ _CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%.6g,"
                   "%.6g,%.6g\n")
 
 
-def write_candidates_csv(path, candidates: PairTable) -> None:
-    """Write candidates (typically second-level survivors) as CSV."""
+def write_candidates_csv(path, candidates: PairTable,
+                         append: bool = False) -> None:
+    """Write candidates (typically second-level survivors) as CSV.
+
+    With append, the rows go on at the end of the file, without a header,
+    so a session's transits can be written one after another.
+    """
     ev, a, b = candidates.events, candidates.a, candidates.b
     tags = np.asarray(ev.tags, dtype=object)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CANDIDATE_COLUMNS) + "\n")
+    with open(path, "a" if append else "w", newline="\n") as fh:
+        if not append:
+            fh.write(",".join(CANDIDATE_COLUMNS) + "\n")
         write_rows(fh, _CANDIDATE_ROW, [
             ev.utc_s[a], ev.utc_s[b], ev.frame_index[a], ev.frame_index[b],
             ev.bin_index[a], ev.bin_index[b], ev.rf_freq_hz[a],
@@ -356,11 +362,12 @@ def session_frames(manifest: ExperimentManifest):
                            mode=manifest.mode)
 
 
-def simulate_events(manifest: ExperimentManifest) -> EventTable:
+def simulate_events(manifest: ExperimentManifest) -> EventStream:
     """The simulate stage in memory: the session's level-1 events.
 
-    Events mode samples them directly; the frame modes synthesize the
-    frames and first-level filter them.
+    Events mode samples them directly, one transit at a time as the stream
+    is consumed; the frame modes synthesize the frames and first-level
+    filter them into a one-part stream.
     """
     if manifest.mode == "events":
         if manifest.n_frames is not None:
@@ -372,8 +379,8 @@ def simulate_events(manifest: ExperimentManifest) -> EventTable:
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
             start_utc_s=manifest.start_utc_s, threads=manifest.threads,
             rfi=manifest.rfi)
-    return detect_frames(manifest.config, manifest.filter,
-                         session_frames(manifest))
+    return EventStream.of(detect_frames(manifest.config, manifest.filter,
+                                        session_frames(manifest)))
 
 
 def external_archive(manifest: ExperimentManifest) -> str | None:
@@ -384,29 +391,44 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
     return path
 
 
-def session_pairs(manifest: ExperimentManifest, events: EventTable):
-    """The session's pairs, a chunk at a time (pairdetect.pair_chunks).
+def session_transit_of(manifest: ExperimentManifest):
+    """utc_s -> transit (sigsim.transit_index) in events mode, else None.
 
-    In events mode each event's transit (sigsim.transit_index) leads its
-    block key, so no pair joins two transits.  A frame-mode session is one
-    run of consecutive frames and needs no transit.
+    A frame-mode session is one run of consecutive frames and needs no
+    transit.
     """
-    transit_of = None
-    if manifest.mode == "events":
-        def transit_of(utc_s):
-            return transit_index(utc_s, manifest.config,
-                                 manifest.window_lo_hr, manifest.window_hi_hr,
-                                 manifest.start_utc_s)
+    if manifest.mode != "events":
+        return None
+
+    def transit_of(utc_s):
+        return transit_index(utc_s, manifest.config, manifest.window_lo_hr,
+                             manifest.window_hi_hr, manifest.start_utc_s)
+    return transit_of
+
+
+def read_session(manifest: ExperimentManifest, level1_path):
+    """An archive's events, one transit at a time (read_level1_archive)."""
+    return read_level1_archive(level1_path, session_transit_of(manifest))
+
+
+def session_pairs(manifest: ExperimentManifest, events: EventTable):
+    """The pairs of `events`, a chunk at a time (pairdetect.pair_chunks).
+
+    In events mode each event's transit leads its block key, so no pair
+    joins two transits, and `events` may be one transit of the session.
+    """
     return pair_chunks(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match, transit_of)
+                       manifest.require_pol_match,
+                       session_transit_of(manifest))
 
 
 def session_survivors(manifest: ExperimentManifest, events: EventTable,
-                      diagnostics_path=None) -> tuple:
-    """Pair and level-2 filter the session one chunk at a time.
+                      diagnostics_path=None, append: bool = False) -> tuple:
+    """Pair and level-2 filter `events` (one transit) a chunk at a time.
 
     With diagnostics_path, also write every pair's metric and verdict, a
-    chunk's rows after the one before.  Returns (n_pairs, survivors).
+    chunk's rows after the one before, and after the file's rows with
+    append.  Returns (n_pairs, survivors).
     """
     n_pairs, kept = 0, []
     for i, pairs in enumerate(session_pairs(manifest, events)):
@@ -417,7 +439,7 @@ def session_survivors(manifest: ExperimentManifest, events: EventTable,
             survivors, verdicts = second_level_filter(pairs, manifest.phase,
                                                       explain=True)
             write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts,
-                                         append=i > 0)
+                                         append=append or i > 0)
         kept.append(survivors)
     return n_pairs, PairTable.concat(events, kept)
 
@@ -426,13 +448,38 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
              diagnostics_path=None) -> tuple:
     """The refilter stage: pair an archive and write its level-2 survivors.
 
-    With diagnostics_path, also write every pair's metric and verdict.
+    The archive is read, paired and filtered one transit at a time, and
+    each transit's survivors go on at the end of candidates_path.  With
+    diagnostics_path, also write every pair's metric and verdict.
     Returns (n_events, n_pairs, n_survivors).
     """
-    events = read_level1_archive(level1_path)
-    n_pairs, survivors = session_survivors(manifest, events, diagnostics_path)
-    write_candidates_csv(candidates_path, survivors)
-    return len(events), n_pairs, len(survivors)
+    n_events = n_pairs = n_survivors = 0
+    append = False
+    # a plain loop: enumerate would hold the last transit while the next
+    # is read
+    for events in read_session(manifest, level1_path):
+        transit_pairs, survivors = session_survivors(
+            manifest, events, diagnostics_path, append)
+        write_candidates_csv(candidates_path, survivors, append)
+        n_events += len(events)
+        n_pairs += transit_pairs
+        n_survivors += len(survivors)
+        append = True
+        del events, survivors       # before the next transit is read
+    return n_events, n_pairs, n_survivors
+
+
+def session_exposure(manifest: ExperimentManifest, transits):
+    """The per-bin exposure counts of the session's transits in exposure
+    mode (skystats.exposure_counts, summed), else None."""
+    if manifest.p_mode != "exposure":
+        return None
+    edges = manifest.bin_edges()
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for events in transits:
+        counts += exposure_counts(events.ra_pointing_hr, edges)
+        del events                  # before the next transit is read
+    return counts
 
 
 def run_experiment(manifest: ExperimentManifest,
@@ -532,14 +579,15 @@ def analyze_candidates(manifest: ExperimentManifest, candidates_path,
                        level1_path) -> AnalysisResult:
     """RA-binned statistics of a candidates CSV, in memory.
 
-    The level-1 archive is read only in exposure mode, for the exposure.
+    The level-1 archive is read, a transit at a time, only in exposure
+    mode, for the exposure.
     """
     ra = read_candidates_csv(candidates_path)["ra_pointing_hr"]
     exposure = None
     if manifest.p_mode == "exposure":
-        exposure = read_level1_archive(level1_path).ra_pointing_hr
-    return analyze(ra, manifest.bin_edges(), manifest.p_mode,
-                   exposure_ra_hr=exposure)
+        exposure = session_exposure(manifest,
+                                    read_session(manifest, level1_path))
+    return analyze(ra, manifest.bin_edges(), manifest.p_mode, exposure)
 
 
 def _write_report(path, manifest: ExperimentManifest,
@@ -588,12 +636,12 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 significance_d: float = 3.5):
     """Source-free reruns: the distribution of the peak bin's excess.
 
-    Runs the events-mode chain (sample, then pair and filter a chunk at a
-    time as refilter does, then peak_cohens_d) with all sources removed
-    for seeds seed0 .. seed0+n_seeds-1.  Returns (rows, fraction_clean)
-    where each row is (seed, n_trials, max_d, peak_ra_low) and
-    fraction_clean is the share of seeds whose peak stays below
-    `significance_d`.
+    Runs the events-mode chain (sample a transit, pair and filter it a
+    chunk at a time as refilter does, then the next transit; then
+    peak_cohens_d) with all sources removed for seeds seed0 ..
+    seed0+n_seeds-1.  Returns (rows, fraction_clean) where each row is
+    (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the share of
+    seeds whose peak stays below `significance_d`.
 
     With manifest.threads > 1 the seeds run on a pool of up to that many
     threads, and each seed samples its transits on the thread that runs it,
@@ -601,7 +649,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     transits in parallel gains only while every core is free; on a shared
     host its run time swung twice as widely as the serial run's.)  Rows come
     in seed order with the same bytes at any thread count; memory grows with
-    the seeds in flight, each holding its event table plus one chunk.
+    the seeds in flight, each holding one transit plus one chunk.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")
@@ -610,14 +658,21 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     edges = manifest.bin_edges()
 
     def one(seed: int):
-        events = simulate_events(replace(
-            manifest, config=replace(manifest.config, seed=seed), sources=[],
-            threads=1))
-        _, survivors = session_survivors(manifest, events)
-        bins = ra_bin_index(survivors.ra_pointing_hr, edges)
-        bins = bins[bins >= 0]
+        counts = (np.zeros(edges.size - 1, dtype=np.int64)
+                  if manifest.p_mode == "exposure" else None)
+        bins = []
+        for events in simulate_events(replace(
+                manifest, config=replace(manifest.config, seed=seed),
+                sources=[], threads=1)):
+            if counts is not None:
+                counts += exposure_counts(events.ra_pointing_hr, edges)
+            _, survivors = session_survivors(manifest, events)
+            b = ra_bin_index(survivors.ra_pointing_hr, edges)
+            bins.append(b[b >= 0])
+            del events, survivors   # before the next transit is sampled
+        bins = np.concatenate(bins)
         max_d, peak = peak_cohens_d(bins, bin_probabilities(
-            edges, manifest.p_mode, events.ra_pointing_hr))
+            edges, manifest.p_mode, counts))
         return (seed, bins.size, max_d, float(edges[peak]))
 
     seeds = [manifest.config.seed + i for i in range(n_seeds)]
@@ -639,15 +694,22 @@ def write_null_mc_csv(path, rows) -> None:
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
+    The archive is read and paired one transit at a time, and
     tune_tau_int keeps, of each chunk of pairs, only those that can pass
-    at some tap, so the scan holds the event table plus one chunk.
+    at some tap, so the scan holds one transit plus one chunk.  In
+    exposure mode the archive is read once more, first, for the exposure.
     Returns (best_tau_s, best_stat, taus, stats).
     """
-    events = read_level1_archive(level1_path)
     edges = manifest.bin_edges()
-    probs = bin_probabilities(edges, manifest.p_mode, events.ra_pointing_hr)
-    return tune_tau_int(session_pairs(manifest, events), manifest.phase,
-                        edges, probs)
+    probs = bin_probabilities(edges, manifest.p_mode, session_exposure(
+        manifest, read_session(manifest, level1_path)))
+
+    def chunks():
+        for events in read_session(manifest, level1_path):
+            yield from session_pairs(manifest, events)
+            del events              # before the next transit is read
+
+    return tune_tau_int(chunks(), manifest.phase, edges, probs)
 
 
 def write_tau_scan_csv(path, taus, stats) -> None:

@@ -12,11 +12,12 @@ Three generation paths, from most physical to most scalable:
   SURVIVORS directly from their exact statistics (Poisson dual-crossing
   counts at the estimator-corrected rate, uniform bins and phases,
   threshold-conditioned SNR tails) plus geometry-consistent injected pairs,
-  as an EventTable whose noise columns are drawn as whole arrays.  The
-  usable bins are held as [start, stop) runs, so its time and memory scale
-  with the events drawn, not with the band's bin count.  This is what makes
-  multi-transit full-band experiments fit in seconds; it is calibrated
-  against the per-bin path in the test suite.
+  as an EventStream of one EventTable per transit, drawn as it is
+  consumed, whose noise columns are drawn as whole arrays.  The usable
+  bins are held as [start, stop) runs, so its time scales with the events
+  drawn, not with the band's bin count, and its memory with one transit's
+  events.  This is what makes multi-transit full-band experiments fit in
+  seconds; it is calibrated against the per-bin path in the test suite.
 
 Noise normalization: the per-bin noise floor is the unit of power, 1.0
 under the package's unit-tone-gain FFT, i.e. time-domain per-sample variance
@@ -34,6 +35,7 @@ can flip it and watch the delay scan land on -tau instead.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import os
@@ -46,8 +48,8 @@ from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (estimator_corrected_crossing_prob, fft_frame,
                           wrap_phase)
 from .errors import ValidationError
-from .pairdetect import (EVENT_DTYPES, EventTable, FirstLevelFilterParams,
-                         check_tags)
+from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
+                         check_tags, empty_event_columns)
 
 C_LIGHT_M_S = 299792458.0
 TWO_PI = 2.0 * math.pi
@@ -188,9 +190,10 @@ class RfiSpec:
     path difference of a transmitter far off axis, or zero for common-mode
     interference (shared-LO leakage and the like).  narrowband_carrier is
     one bin-centered carrier at rf_freq_hz with a fresh random phase each
-    frame; broadband_flat raises the whole band's noise floor while active.
-    duty_cycle gates frames at random.  A delayed broadband_flat emitter is
-    also the correlated calibrator of calib.tau_int_scan.
+    frame; broadband_flat raises the whole band's noise floor while active,
+    has no carrier, and so takes no rf_freq_hz.  duty_cycle gates frames at
+    random.  A delayed broadband_flat emitter is also the correlated
+    calibrator of calib.tau_int_scan.
     """
 
     kind: str
@@ -204,6 +207,10 @@ class RfiSpec:
             raise ValidationError(f"unknown RFI kind {self.kind!r}")
         if self.power_rel_noise <= 0:
             raise ValidationError("power_rel_noise must be > 0")
+        if self.kind == "broadband_flat" and self.rf_freq_hz != 0.0:
+            raise ValidationError(
+                "rf_freq_hz: a broadband_flat interferer has no carrier; "
+                "leave rf_freq_hz at 0")
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise ValidationError("duty_cycle outside [0, 1]")
 
@@ -536,16 +543,17 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return order
 
 
-def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
+def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
                   transit: int, n_frames: int, utc_start: float, runs: tuple,
-                  rng, count: int, injected: list, out: dict) -> None:
+                  rng, count: int, injected: list) -> dict:
     """Draw one transit's `count` noise events (dual crossings, uniform over
-    frame, polarization and usable bin) and write them with its `injected`
-    rows, in (frame, tag, bin) order, into `out`, that transit's slices of
-    the event columns.
+    frame, polarization and usable bin) and return them with its `injected`
+    rows, in (frame, tag, bin) order, as event columns by name.
 
-    The float columns are drawn after the sort, one at a time, and written
-    at once, so a transit's working arrays never outgrow a few columns.
+    The frame, tag and bin of each event are packed into one sort key as
+    they are drawn, and unpacked from the sorted key into their columns;
+    the float columns are drawn after the sort, one at a time.  So a
+    transit's working arrays never outgrow a few columns beside its own.
     """
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     n_pol = len(config.polarization_tags)
@@ -558,17 +566,15 @@ def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
     def with_injected(drawn, i):
         return np.concatenate((drawn, extra[i])) if injected else drawn
 
-    frames = with_injected(rng.integers(0, n_frames, count), 0)
-    codes = with_injected(tag_rank[rng.integers(0, n_pol, count)], 2)
-    bins = with_injected(_run_bins(runs, rng.integers(0, n_usable, count)), 1)
-    # one sort on the packed (frame, tag, bin) key, equal keys in draw order;
-    # simulate_level1_events checked that the key fits int64
-    key = frames * n_pol
-    key += codes
+    # one sort on the packed (frame, tag, bin) key, equal keys in draw
+    # order; simulate_level1_events checked that the key fits int64
+    key = with_injected(rng.integers(0, n_frames, count), 0)
+    key *= n_pol
+    key += with_injected(tag_rank[rng.integers(0, n_pol, count)], 2)
     key *= config.n_bins
-    key += bins
+    key += with_injected(_run_bins(runs, rng.integers(0, n_usable, count)), 1)
     order = _stable_argsort(key)
-    del key
+    out = empty_event_columns(order.size)
 
     def put(name, column):
         # order holds valid indices; with `out`, mode="raise" would gather
@@ -577,17 +583,17 @@ def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
 
     frame_index, utc_s, rf = (out["frame_index"], out["utc_s"],
                               out["rf_freq_hz"])
-    put("frame_index", frames)
+    put("frame_index", key)
+    del key
+    np.divmod(frame_index, config.n_bins, out=(frame_index, out["bin_index"]))
+    np.divmod(frame_index, n_pol, out=(frame_index, out["pol_code"]))
     np.multiply(frame_index, config.hop_seconds, out=utc_s)
     utc_s += utc_start
     np.take(config.pointing_ra(window_lo_hr + np.arange(n_frames) * hop_hr),
             frame_index, out=out["ra_pointing_hr"], mode="clip")
     frame_index += transit * n_frames
-    put("bin_index", bins)
     np.divide(out["bin_index"], config.frame_seconds, out=rf)
     rf += config.band_low_hz
-    put("pol_code", codes)
-    del frames, bins, codes
     # SNR ratio conditioned on crossing: r0 + unit exponential, each element.
     for i, name in ((3, "snr_east_db"), (4, "snr_west_db")):
         snr = rng.exponential(1.0, count)
@@ -597,6 +603,7 @@ def _fill_transit(config: ObservationConfig, params, window_lo_hr: float,
         put(name, with_injected(snr, i))
     for i, name in ((5, "phase_east_rad"), (6, "phase_west_rad")):
         put(name, with_injected(rng.uniform(-math.pi, math.pi, count), i))
+    return out
 
 
 def _start_on_own_cpu(slots) -> None:
@@ -655,7 +662,7 @@ def simulate_level1_events(config: ObservationConfig, sources,
                            params: FirstLevelFilterParams, n_transits: int,
                            window_lo_hr: float, window_hi_hr: float,
                            start_utc_s: float = 0.0,
-                           threads: int = 1, rfi=()) -> EventTable:
+                           threads: int = 1, rfi=()) -> EventStream:
     """Draw the level-1 survivor population directly (no per-bin synthesis).
 
     Noise events follow the exact survivor statistics of the per-bin path:
@@ -671,10 +678,12 @@ def simulate_level1_events(config: ObservationConfig, sources,
     window [window_lo_hr, window_hi_hr]; every pass revisits the same RA at
     the same frame offsets.  Time and memory scale with the events drawn,
     not with the band's bin count: the usable bins are held as runs.  The
-    event columns are allocated once, and each transit (on a pool of
-    `threads` workers when threads > 1) writes its own slice of them: the
-    bytes never depend on how the workers interleave, and the memory only
-    through each transit's few working columns.
+    session comes back as an EventStream of one EventTable per transit:
+    each transit's row count is known before any is drawn, and a transit
+    is drawn only when the stream is iterated, on a pool of `threads`
+    workers when threads > 1, at most `threads` transits at once.  A
+    transit's bytes depend only on its own seeded streams, never on how
+    the workers interleave.
     """
     if n_transits < 1:
         raise ValidationError("n_transits must be >= 1")
@@ -713,8 +722,7 @@ def simulate_level1_events(config: ObservationConfig, sources,
             "the sampler's int64 sort key; shorten the window or the band")
     utc0 = _window_anchor(config, window_lo_hr, start_utc_s)
     # Each transit's event count is its noise stream's first draw plus its
-    # injected rows, so the columns are allocated once and every transit
-    # writes its own slice of them.
+    # injected rows, so every transit's length is known up front.
     n_usable = sum(stop - start for start, stop in runs)
     lam = len(config.polarization_tags) * n_usable * p_single * p_single
     rngs = [np.random.default_rng([config.seed, 0x4015E, transit])
@@ -723,23 +731,31 @@ def simulate_level1_events(config: ObservationConfig, sources,
     injected = [_injected_rows(config, sources, params, window_lo_hr,
                                transit, n_frames, runs)
                 for transit in range(n_transits)]
-    edges = list(itertools.accumulate(
-        (count + len(rows) for count, rows in zip(counts, injected)),
-        initial=0))
-    columns = {name: np.empty(edges[-1], dtype)
-               for name, dtype in EVENT_DTYPES.items()}
+    lengths = [count + len(rows) for count, rows in zip(counts, injected)]
+    tags = tuple(sorted(config.polarization_tags))
 
-    def one(transit: int):
-        part = slice(edges[transit], edges[transit + 1])
-        _fill_transit(config, params, window_lo_hr, transit, n_frames,
-                      utc0 + transit * SIDEREAL_DAY_S, runs, rngs[transit],
-                      counts[transit], injected[transit],
-                      {name: col[part] for name, col in columns.items()})
+    def one(transit: int) -> EventTable:
+        return EventTable(tags=tags, **_draw_transit(
+            config, params, window_lo_hr, transit, n_frames,
+            utc0 + transit * SIDEREAL_DAY_S, runs, rngs[transit],
+            counts[transit], injected[transit]))
 
-    if threads > 1:
-        with thread_pool(threads) as pool:
-            list(pool.map(one, range(n_transits)))
-    else:
-        for transit in range(n_transits):
-            one(transit)
-    return EventTable(tags=tuple(sorted(config.polarization_tags)), **columns)
+    return EventStream(tags, lengths, _in_order(one, n_transits, threads))
+
+
+def _in_order(make, n: int, threads: int):
+    """Yield make(0), ..., make(n - 1), made on a pool of `threads` workers
+    when threads > 1 while the consumer holds an earlier one, at most
+    `threads` of them made or held at once."""
+    if threads <= 1:
+        for i in range(n):
+            yield make(i)
+        return
+    with thread_pool(threads) as pool:
+        pending = collections.deque()
+        for i in range(n):
+            pending.append(pool.submit(make, i))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()

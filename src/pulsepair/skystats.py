@@ -101,20 +101,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def enumerate_tail(n: int, p: float, k: int, strict: bool = False) -> float:
-    """Brute-force tail by enumerating all 2**n outcomes (oracle, n <= 20)."""
-    _check_np(n, p)
-    if n > 20:
-        raise ValidationError("enumeration oracle is limited to n <= 20")
-    masks = np.arange(1 << n, dtype=np.uint32)
-    ones = np.zeros(masks.size, dtype=np.int64)
-    for b in range(n):
-        ones += (masks >> np.uint32(b)) & np.uint32(1)
-    weights = (p ** ones) * ((1.0 - p) ** (n - ones))
-    sel = ones > k if strict else ones >= k
-    return float(np.sum(weights[sel]))
-
-
 def cohens_d(observed, n: int, p):
     """Effect size (observed - n p) / sqrt(n p (1 - p)).
 
@@ -125,14 +111,22 @@ def cohens_d(observed, n: int, p):
     return (observed - n * p) / np.sqrt(n * p * (1.0 - p))
 
 
+def exposure_counts(ra_hr, bin_edges) -> np.ndarray:
+    """First-level events per RA bin (ra_bin_index), as int64: the exposure
+    of bin_probabilities.  Counts of a session's parts add up to the
+    session's."""
+    bins = ra_bin_index(ra_hr, bin_edges)
+    return np.bincount(bins[bins >= 0], minlength=len(bin_edges) - 1)
+
+
 def bin_probabilities(bin_edges, mode: str = "uniform",
-                      exposure_ra_hr=None) -> np.ndarray:
+                      exposure=None) -> np.ndarray:
     """Null per-bin probabilities for the RA bins defined by `bin_edges`.
 
     uniform: p_i proportional to bin width (exactly width/window for equal
-    coverage).  exposure: p_i proportional to the number of first-level
-    events in the bin, binned by ra_bin_index like the candidates, for
-    sessions with uneven time on sky.
+    coverage).  exposure: p_i proportional to `exposure`, the number of
+    first-level events in each bin (exposure_counts), for sessions with
+    uneven time on sky.
     """
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -143,10 +137,12 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
         widths = np.diff(edges)
         return widths / (edges[-1] - edges[0])
     if mode == "exposure":
-        if exposure_ra_hr is None:
-            raise ValidationError("exposure mode needs first-level event RAs")
-        bins = ra_bin_index(exposure_ra_hr, edges)
-        counts = np.bincount(bins[bins >= 0], minlength=edges.size - 1)
+        if exposure is None:
+            raise ValidationError("exposure mode needs first-level event "
+                                  "counts")
+        counts = np.asarray(exposure)
+        if counts.shape != (edges.size - 1,):
+            raise ValidationError("exposure needs one count per RA bin")
         total = counts.sum()
         if total == 0:
             raise ValidationError("no exposure events inside the window")
@@ -186,21 +182,23 @@ def peak_cohens_d(bins, probs) -> tuple:
 
 
 def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
-            exposure_ra_hr=None) -> AnalysisResult:
+            exposure=None) -> AnalysisResult:
     """Bin candidate RAs and score every bin against the binomial null.
 
     Candidates outside [edges[0], edges[-1]) are not trials (the window IS
     the experiment); the peak is the first bin of largest Cohen's d, as
     peak_cohens_d picks it.
 
-    An empty window is not an error: it warns and returns empty stats with
-    peak None, so a pipeline run on a quiet sky still completes.
+    `exposure` is the per-bin first-level event counts p_mode "exposure"
+    needs (see bin_probabilities).  An empty window is not an error: it
+    warns and returns empty stats with peak None, so a pipeline run on a
+    quiet sky still completes.
     """
     ra = np.asarray(candidate_ra_hr, dtype=float)
     if ra.ndim != 1:
         raise ValidationError("candidate RAs must be 1-D")
     edges = np.asarray(bin_edges, dtype=float)
-    probs = bin_probabilities(edges, p_mode, exposure_ra_hr)
+    probs = bin_probabilities(edges, p_mode, exposure)
     bins = ra_bin_index(ra, edges)
     bins = bins[bins >= 0]
     n = int(bins.size)
@@ -226,61 +224,6 @@ def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
         ))
     return AnalysisResult(stats, stats[int(np.argmax(d))], n,
                           float(edges[0]), float(edges[-1]))
-
-
-@dataclass
-class FalseAlarmCheck:
-    """Monte Carlo vs analytic single-element crossing rates."""
-
-    empirical_rate: float
-    predicted_ideal: float
-    predicted_corrected: float
-    n_trials: int
-    n_crossings: int
-    low_stats_warning: bool
-
-
-def false_alarm_tail_check(threshold_db: float, n_trials: int, seed: int = 0,
-                           bins_per_segment: int = 256,
-                           include_self: bool = True) -> FalseAlarmCheck:
-    """Empirical noise crossing rate vs exp(-r0) and the corrected form.
-
-    Draws unit-mean exponential segment powers and counts bins whose power
-    exceeds r0 times their own segment's mean estimate.  Sets
-    low_stats_warning when fewer than 100 crossings are expected, in which
-    case the empirical rate is too noisy to compare at the percent level.
-    """
-    from .channelizer import (estimator_corrected_crossing_prob,
-                              single_element_crossing_prob)
-    if n_trials < bins_per_segment:
-        raise ValidationError("n_trials smaller than one segment")
-    r0 = 10.0 ** (threshold_db / 10.0)
-    m = bins_per_segment
-    n_seg = n_trials // m
-    rng = np.random.default_rng(seed)
-    crossings = 0
-    chunk = max(1, min(n_seg, 2_000_000 // m))
-    done = 0
-    while done < n_seg:
-        take = min(chunk, n_seg - done)
-        powers = rng.exponential(1.0, size=(take, m))
-        if include_self:
-            mean = powers.mean(axis=1, keepdims=True)
-        else:
-            mean = (powers.sum(axis=1, keepdims=True) - powers) / (m - 1)
-        crossings += int(np.count_nonzero(powers > r0 * mean))
-        done += take
-    n_used = n_seg * m
-    predicted = single_element_crossing_prob(threshold_db)
-    corrected = estimator_corrected_crossing_prob(threshold_db, m, include_self)
-    return FalseAlarmCheck(
-        empirical_rate=crossings / n_used,
-        predicted_ideal=predicted,
-        predicted_corrected=corrected,
-        n_trials=n_used,
-        n_crossings=crossings,
-        low_stats_warning=(n_used * corrected) < 100.0,
-    )
 
 
 def write_stats_csv(path, stats) -> None:

@@ -4,16 +4,21 @@ Kept deliberately small: anything a test asserts against should be visible
 in the test itself, not buried here.
 """
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
+from pulsepair.channelizer import (estimator_corrected_crossing_prob,
+                                   single_element_crossing_prob)
+from pulsepair.errors import ValidationError
 from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
-                                  FirstLevelFilterParams, form_pairs)
+                                  FirstLevelFilterParams, form_pairs,
+                                  read_level1_archive)
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
 from pulsepair.pipeline import detect_frames
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames, simulate_level1_events)
-from pulsepair.skystats import analyze
+from pulsepair.skystats import _check_np, analyze
 
 OBS_LON = -79.8398
 
@@ -35,6 +40,13 @@ def event_table(frame=0, utc=0.0, k=0, rf=1410.0e6, pol="LHCP", ra=5.0,
         phase_west_rad=phase_w,
         pol_code=[tags.index(p) for p in pol.tolist()], ra_pointing_hr=ra,
         tags=tags)
+
+
+def archive_events(path):
+    """A level-1 archive's events as one table (read_level1_archive without
+    a transit map yields exactly one)."""
+    (events,) = read_level1_archive(path)
+    return events
 
 
 def event_columns(events):
@@ -94,7 +106,8 @@ def scaled_survey_cohens_d(seed, inject):
         sources = [SourceSpec(name="beacon", ra_hr=5.25, dec_deg=-8.0,
                               snr_db=45.0, pulse_rate_per_frame=0.0058,
                               transit_halfwidth_hr=0.05)]
-    events = simulate_level1_events(config, sources, params, 6, 3.30, 7.30)
+    events = EventTable.concat(
+        simulate_level1_events(config, sources, params, 6, 3.30, 7.30))
     pairs = form_pairs(events)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -102,3 +115,71 @@ def scaled_survey_cohens_d(seed, inject):
         result = analyze(survivors.ra_pointing_hr,
                          3.30 + 0.1 * np.arange(41), "uniform")
     return np.array([b.cohens_d for b in result.stats])
+
+
+def enumerate_tail(n: int, p: float, k: int, strict: bool = False) -> float:
+    """Brute-force tail by enumerating all 2**n outcomes (oracle, n <= 20)."""
+    _check_np(n, p)
+    if n > 20:
+        raise ValidationError("enumeration oracle is limited to n <= 20")
+    masks = np.arange(1 << n, dtype=np.uint32)
+    ones = np.zeros(masks.size, dtype=np.int64)
+    for b in range(n):
+        ones += (masks >> np.uint32(b)) & np.uint32(1)
+    weights = (p ** ones) * ((1.0 - p) ** (n - ones))
+    sel = ones > k if strict else ones >= k
+    return float(np.sum(weights[sel]))
+
+
+@dataclass
+class FalseAlarmCheck:
+    """Monte Carlo vs analytic single-element crossing rates."""
+
+    empirical_rate: float
+    predicted_ideal: float
+    predicted_corrected: float
+    n_trials: int
+    n_crossings: int
+    low_stats_warning: bool
+
+
+def false_alarm_tail_check(threshold_db: float, n_trials: int, seed: int = 0,
+                           bins_per_segment: int = 256,
+                           include_self: bool = True) -> FalseAlarmCheck:
+    """Empirical noise crossing rate vs exp(-r0) and the corrected form.
+
+    Draws unit-mean exponential segment powers and counts bins whose power
+    exceeds r0 times their own segment's mean estimate.  Sets
+    low_stats_warning when fewer than 100 crossings are expected, in which
+    case the empirical rate is too noisy to compare at the percent level.
+    """
+    if n_trials < bins_per_segment:
+        raise ValidationError("n_trials smaller than one segment")
+    r0 = 10.0 ** (threshold_db / 10.0)
+    m = bins_per_segment
+    n_seg = n_trials // m
+    rng = np.random.default_rng(seed)
+    crossings = 0
+    chunk = max(1, min(n_seg, 2_000_000 // m))
+    done = 0
+    while done < n_seg:
+        take = min(chunk, n_seg - done)
+        powers = rng.exponential(1.0, size=(take, m))
+        if include_self:
+            mean = powers.mean(axis=1, keepdims=True)
+        else:
+            mean = (powers.sum(axis=1, keepdims=True) - powers) / (m - 1)
+        crossings += int(np.count_nonzero(powers > r0 * mean))
+        done += take
+    n_used = n_seg * m
+    predicted = single_element_crossing_prob(threshold_db)
+    corrected = estimator_corrected_crossing_prob(threshold_db, m,
+                                                  include_self)
+    return FalseAlarmCheck(
+        empirical_rate=crossings / n_used,
+        predicted_ideal=predicted,
+        predicted_corrected=corrected,
+        n_trials=n_used,
+        n_crossings=crossings,
+        low_stats_warning=(n_used * corrected) < 100.0,
+    )

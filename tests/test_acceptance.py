@@ -11,18 +11,17 @@ import time
 import numpy as np
 
 from helpers import (OBS_LON, calibrator_frames, detect_events,
-                     scaled_survey_cohens_d)
+                     false_alarm_tail_check, scaled_survey_cohens_d)
 from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, continuum_snr_db,
                              fit_gauss_flat, lst_hours, tau_int_scan,
                              utc_at_lst)
-from pulsepair.pairdetect import FirstLevelFilterParams, form_pairs
+from pulsepair.pairdetect import EventTable, FirstLevelFilterParams, form_pairs
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int)
 from pulsepair.pipeline import ExperimentManifest, run_experiment, sha256_file
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_level1_events)
-from pulsepair.skystats import (bin_probabilities, binomial_tail, cohens_d,
-                                false_alarm_tail_check)
+from pulsepair.skystats import bin_probabilities, binomial_tail, cohens_d
 
 
 def _check(num: int, ok: bool, detail: str) -> None:
@@ -243,7 +242,8 @@ def test_09_oracle_equivalence_and_filter_monotonicity():
         snr_threshold_db=8.0, accept_band_low_hz=1445.0e6,
         accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
         excision_high_hz=1445.0e6)
-    events = simulate_level1_events(config, [], params, 1, 3.30, 3.90)
+    events = EventTable.concat(
+        simulate_level1_events(config, [], params, 1, 3.30, 3.90))
     assert len(events) >= 10_000
     pairs = form_pairs(events.take(np.arange(10_000)))
     _, base_reasons = second_level_filter(pairs, PhaseMetricParams(),

@@ -10,13 +10,14 @@ import pytest
 from pulsepair import cli, phasefilter, pipeline
 from pulsepair.calib import FWHM_PER_SIGMA, utc_at_lst
 from pulsepair.kvconfig import read_kv_file
-from pulsepair.pairdetect import (FirstLevelFilterParams, form_pairs,
-                                  read_level1_archive)
+from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
+                                  form_pairs)
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
 from pulsepair.sigsim import ObservationConfig, RfiSpec, SourceSpec
-from pulsepair.skystats import analyze
+from pulsepair.skystats import analyze, exposure_counts
 
+from helpers import archive_events
 from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
 
 OBS_LON = -79.8398
@@ -164,18 +165,21 @@ def test_refilter_diagnostics_filter_once(tmp_path, monkeypatch):
     calls = []
     original = phasefilter.second_level_filter
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(pairs, *args, **kwargs):
+        calls.append(len(pairs))
+        return original(pairs, *args, **kwargs)
 
     for module in (cli, pipeline, phasefilter):
         if getattr(module, "second_level_filter", None) is original:
             monkeypatch.setattr(module, "second_level_filter", counting)
     assert cli.main(["refilter", "--config", cfg, "--out", out,
                      "--diagnostics"]) == 0
-    assert len(calls) == 1
+    # one call per chunk, and each of the two transits is one chunk here:
+    # every pair is filtered once, diagnostics and all
+    assert len(calls) == 2
     diag = (tmp_path / "out" / "metric_diagnostics.csv").read_text()
     assert len(diag.splitlines()) > 1
+    assert sum(calls) == len(diag.splitlines()) - 1
 
 
 def test_refilter_and_tune_tau_read_level1_in(tmp_path, capsys):
@@ -300,7 +304,7 @@ def test_tune_tau_and_null_mc_in_exposure_mode(tmp_path):
                  ["null-mc", *common, "--n-seeds", "1", "--seed", "7"]):
         assert cli.main(argv) == 0, argv
     m = pipeline.manifest_from_file(cfg)
-    events = read_level1_archive(out / "level1.csv")
+    events = archive_events(out / "level1.csv")
     pairs = form_pairs(events)
     lo, hi, step = (m.phase.tau_search_low_s, m.phase.tau_search_high_s,
                     m.phase.tau_search_step_s)
@@ -311,13 +315,13 @@ def test_tune_tau_and_null_mc_in_exposure_mode(tmp_path):
         survivors = phasefilter.second_level_filter(
             pairs, replace(m.phase, tau_int_s=tau))
         res = analyze(survivors.ra_pointing_hr, m.bin_edges(), "exposure",
-                      exposure_ra_hr=events.ra_pointing_hr)
+                      exposure_counts(events.ra_pointing_hr, m.bin_edges()))
         assert line == f"{tau:.12g},{res.peak.cohens_d:.8g}"
     null = replace(m, config=replace(m.config, seed=7), sources=[])
-    events = pipeline.simulate_events(null)
+    events = EventTable.concat(pipeline.simulate_events(null))
     survivors = phasefilter.second_level_filter(form_pairs(events), m.phase)
     res = analyze(survivors.ra_pointing_hr, m.bin_edges(), "exposure",
-                  exposure_ra_hr=events.ra_pointing_hr)
+                  exposure_counts(events.ra_pointing_hr, m.bin_edges()))
     assert (out / "null_mc.csv").read_text().splitlines()[1] == (
         f"7,{res.n_trials},{res.peak.cohens_d:.8g},{res.peak.ra_low_hr:.6g}")
 
@@ -356,6 +360,15 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(bad_cfg),
                      "--out", str(fresh)]) == 3
     assert "polarization_tag" in capsys.readouterr().err
+    assert not fresh.exists()
+    # a broadband_flat interferer has no carrier to set
+    bad_cfg.write_text(Path(_frames_config(tmp_path)).read_text()
+                       + "rfi.0.kind = broadband_flat\n"
+                       "rfi.0.power_rel_noise = 10.0\n"
+                       "rfi.0.rf_freq_hz = 1445500000.0\n")
+    assert cli.main(["simulate", "--config", str(bad_cfg),
+                     "--out", str(fresh)]) == 3
+    assert "rf_freq_hz" in capsys.readouterr().err
     assert not fresh.exists()
     # a thread count below 1 is a usage error, as a negative seed is
     for threads in ("0", "-4"):

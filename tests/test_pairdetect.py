@@ -12,11 +12,10 @@ from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams, PairTable,
                                   first_level_filter_frame, form_pairs,
-                                  read_level1_archive, write_level1_archive,
-                                  write_rows)
+                                  write_level1_archive, write_rows)
 from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
 
-from helpers import event_columns, event_table
+from helpers import archive_events, event_columns, event_table
 from test_golden import SURVEY_CFG
 
 
@@ -325,7 +324,7 @@ def test_archive_roundtrip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(ARCHIVE_COLUMNS)
     # values come back at archive precision: utc to ms, rf to 0.1 Hz
-    assert event_columns(read_level1_archive(path)) == event_columns(
+    assert event_columns(archive_events(path)) == event_columns(
         event_table(frame=[3, 4], utc=[123.457, 124.0], k=[7, 9],
                     rf=[1412345600.0, 1412.4e6], pol=["LHCP", "RHCP"],
                     ra=[4.25, 5.0]))
@@ -350,22 +349,22 @@ def test_archive_rejects_garbage(tmp_path):
     for bad in bad_rows:
         path.write_text("\n".join([header, good, "", bad, good2]) + "\n")
         with pytest.raises(ArchiveFormatError) as err:
-            read_level1_archive(path)
+            archive_events(path)
         assert err.value.line_no == 4, bad
     # a quoted field may span two lines, and later lines keep their numbers
     split = good.replace(",LHCP,", ',"LH\nCP",')
     assert split != good
     path.write_text("\n".join([header, split, good2[:-2]]) + "\n")
     with pytest.raises(ArchiveFormatError) as err:
-        read_level1_archive(path)
+        archive_events(path)
     assert err.value.line_no == 4
     # the sidecar write_level1_archive left is stale after each rewrite
     assert (tmp_path / "level1.csv.cols").exists()
     path.write_text("\n".join([header, good, "", good2]) + "\n")
-    assert len(read_level1_archive(path)) == 2
+    assert len(archive_events(path)) == 2
     path.write_text("not,a,header\n")
     with pytest.raises(ArchiveFormatError):
-        read_level1_archive(path)
+        archive_events(path)
 
 
 def _write_level1(path):
@@ -450,7 +449,7 @@ def test_archive_keeps_a_tag_as_long_as_the_str_field(tmp_path):
     tags = ["LHCP", "x" * 16, "y" * 40]
     path = tmp_path / "level1.csv"
     write_level1_archive(path, event_table(k=[0, 1, 2], pol=tags))
-    assert read_level1_archive(path).polarization_tag.tolist() == tags
+    assert archive_events(path).polarization_tag.tolist() == tags
 
 
 def test_a_text_archive_codes_a_thousand_tags(tmp_path):
@@ -478,14 +477,14 @@ def _assert_same_events(got, want):
 def _read_through_csv(path):
     """read_level1_archive's CSV path: read_columns plus tag coding."""
     os.remove(f"{path}.cols")
-    return read_level1_archive(path)
+    return archive_events(path)
 
 
 def _read_from_sidecar(path, monkeypatch):
     """read_level1_archive with read_columns out of reach."""
     with monkeypatch.context() as m:
         m.setattr(pairdetect, "read_columns", None)
-        return read_level1_archive(path)
+        return archive_events(path)
 
 
 def _tiny_survey_events():
@@ -535,11 +534,11 @@ def test_a_bad_sidecar_is_never_served(tmp_path):
     write_level1_archive(other, event_table(k=[5, 6], ra=[1.0, 2.0]))
     write_level1_archive(path, event_table(k=[0, 3], ra=[3.0, 4.0]))
     text, cols = path.read_text(), sidecar.read_bytes()
-    want = read_level1_archive(path)
+    want = archive_events(path)
     # nothing is written when no sidecar exists: no read-through cache
     sidecar.unlink()
     listing = sorted(os.listdir(tmp_path))
-    _assert_same_events(read_level1_archive(path), want)
+    _assert_same_events(archive_events(path), want)
     assert sorted(os.listdir(tmp_path)) == listing
     rng = np.random.default_rng(3)
     # (archive text, sidecar bytes)
@@ -555,7 +554,7 @@ def test_a_bad_sidecar_is_never_served(tmp_path):
     for name, (archive, content) in bad.items():
         path.write_text(archive)
         sidecar.write_bytes(content)
-        got = read_level1_archive(path)
+        got = archive_events(path)
         _assert_same_events(got, _read_through_csv(path))
         assert got.bin_index.tolist() == ([0, 4] if name == "edited"
                                           else [0, 3]), name

@@ -11,7 +11,7 @@ from pulsepair.pairdetect import EventTable, PairTable, form_pairs
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int,
                                    write_metric_diagnostics_csv)
-from pulsepair.skystats import analyze, bin_probabilities
+from pulsepair.skystats import analyze, bin_probabilities, exposure_counts
 
 from helpers import event_table
 
@@ -166,6 +166,15 @@ def test_tune_tau_validation():
         tune_tau_int([_pairs(_pair(1e4), (a, b))], params, EDGES, PROBS)
 
 
+def test_tune_tau_takes_chunks_not_a_bare_table():
+    # a PairTable iterates rows, so it would be walked as row "chunks"
+    params = PhaseMetricParams(tau_search_low_s=-1e-9, tau_search_high_s=1e-9)
+    pairs = _pairs(_pair(2.0))
+    with pytest.raises(TypeError, match=r"\[pairs\] for one table"):
+        tune_tau_int(pairs, params, EDGES, PROBS)
+    assert tune_tau_int([pairs], params, EDGES, PROBS)[2].size == 3
+
+
 def _taps(params):
     return np.arange(params.tau_search_low_s,
                      params.tau_search_high_s + 0.5 * params.tau_search_step_s,
@@ -181,7 +190,7 @@ def _reference_scan(pairs, params, edges, p_mode, exposure):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = analyze(survivors.ra_pointing_hr, edges, p_mode,
-                          exposure_ra_hr=exposure)
+                          exposure=exposure)
         stats.append(0.0 if res.peak is None else res.peak.cohens_d)
     return taus, np.array(stats)
 
@@ -239,7 +248,7 @@ def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
                                tau_search_step_s=step)
     pairs, on_edge = _random_pairs(rng, params)
     assert on_edge >= 700
-    exposure = rng.uniform(4.5, 5.5, 200)
+    exposure = exposure_counts(rng.uniform(4.5, 5.5, 200), EDGES)
     for p_mode in ("uniform", "exposure"):
         probs = bin_probabilities(EDGES, p_mode, exposure)
         best, stat, taus, stats = tune_tau_int([pairs], params, EDGES, probs)

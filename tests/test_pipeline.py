@@ -16,8 +16,7 @@ from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  PairTable, form_pairs, read_level1_archive,
-                                  write_level1_archive)
+                                  PairTable, form_pairs, write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 detect_frames,
                                 load_frames_npz, manifest_from_file,
@@ -32,8 +31,8 @@ from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames, transit_index)
 from pulsepair.skystats import bin_probabilities, peak_cohens_d, ra_bin_index
 
-from helpers import (detect_events, event_columns, event_table,
-                     wide_band_params)
+from helpers import (archive_events, detect_events, event_columns,
+                     event_table, wide_band_params)
 
 
 def _small_manifest(out_dir, seed=0, n_transits=2, threads=1):
@@ -194,6 +193,14 @@ _MUTATIONS = {
     "run.level1_in": "b.csv",
     "run.title": "t2",
 }
+# keys whose mutation stays valid only with another key's: a broadband_flat
+# interferer has no carrier, so it takes no rf_freq_hz
+_COMPANIONS = {"rfi.0.kind": {"rfi.0.rf_freq_hz": "0.0"}}
+
+
+def _mutated(kv, key, value) -> dict:
+    """kv with `key` set to `value`, and the keys that move with it."""
+    return {**kv, key: value, **_COMPANIONS.get(key, {})}
 
 
 def test_every_config_key_moves_a_stage_hash():
@@ -208,8 +215,7 @@ def test_every_config_key_moves_a_stage_hash():
     assert set(kv) == set(_MUTATIONS)
     for key, new_value in _MUTATIONS.items():
         assert kv[key] != new_value, f"{key}: mutation equals current value"
-        mutated = dict(kv)
-        mutated[key] = new_value
+        mutated = _mutated(kv, key, new_value)
         assert all_hashes(ExperimentManifest.from_kv(mutated)) != base_hashes, key
 
 
@@ -234,7 +240,7 @@ def test_every_key_that_changes_refilter_moves_its_hash(tmp_path):
     kv = base.to_kv()
     mutations = {**_MUTATIONS, "run.pairing_window_frames": "0"}
     for key, value in mutations.items():
-        m = ExperimentManifest.from_kv({**kv, key: value})
+        m = ExperimentManifest.from_kv(_mutated(kv, key, value))
         if m.refilter_params_hash() == base.refilter_params_hash():
             assert refiltered(m) == ref, key
 
@@ -288,7 +294,7 @@ def test_every_simulate_key_changes_level1_bytes_or_is_rejected(tmp_path,
     full_kv = full.to_kv()
     simulate_keys = [
         key for key, value in _MUTATIONS.items()
-        if ExperimentManifest.from_kv({**full_kv, key: value})
+        if ExperimentManifest.from_kv(_mutated(full_kv, key, value))
         .simulate_params_hash() != full.simulate_params_hash()]
     inert = dict(_INERT_IN_SIMULATE)
     if mode != "events":
@@ -308,7 +314,7 @@ def test_every_simulate_key_changes_level1_bytes_or_is_rejected(tmp_path,
         assert kv.get(key) != mutations[key], key
         try:
             moved = level1(ExperimentManifest.from_kv(
-                {**kv, key: mutations[key]})) != ref
+                _mutated(kv, key, mutations[key]))) != ref
         except ValidationError:
             moved = True
         assert moved == (key not in inert), key
@@ -362,7 +368,7 @@ def test_exposure_stats_follow_the_archive(tmp_path):
     # lone events in frames of their own form no pairs, so the candidates
     # stay the same while the exposure in the first RA bin grows
     write_level1_archive(archive, EventTable.concat([
-        read_level1_archive(archive),
+        archive_events(archive),
         event_table(frame=10**6 + np.arange(500), rf=1445.0e6, ra=5.05)]))
     res = run_experiment(m)
     assert sha256_file(tmp_path / "run" / "candidates.csv") == candidates
@@ -514,8 +520,8 @@ def test_run_null_mc_takes_no_per_pair_log10(tmp_path, monkeypatch):
     # math.log10 runs only for the pairs whose |delta_f| lies within a
     # relative 1e-9 of a window edge, not once per pair
     m = _small_manifest(tmp_path)
-    pairs = form_pairs(simulate_events(replace(m, sources=[])),
-                       m.pairing_window_frames, m.require_pol_match)
+    null = EventTable.concat(simulate_events(replace(m, sources=[])))
+    pairs = form_pairs(null, m.pairing_window_frames, m.require_pol_match)
     mhz = np.abs(pairs.delta_f_hz) / 1e6
     edges = 10.0 ** np.array([m.phase.log_delta_f_low,
                               m.phase.log_delta_f_high])
@@ -579,7 +585,7 @@ def test_no_pair_joins_two_transits(tmp_path, k):
     m.pairing_window_frames = k
     path = tmp_path / "level1.csv"
     write_level1_archive(path, simulate_events(m))
-    events = read_level1_archive(path)
+    events = archive_events(path)
     hop = m.config.hop_seconds
     n_frames = round(0.5 / 24.0 * SIDEREAL_DAY_S / hop)
     assert n_frames == 3452 and n_frames % (2 * k + 1)
@@ -605,7 +611,7 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
                                               pol_match):
     m, path = season
     m = replace(m, pairing_window_frames=k, require_pol_match=pol_match)
-    events = read_level1_archive(path)
+    events = archive_events(path)
     assert len(events) >= 4 * pairdetect._CHUNK_ROWS
     pairs = form_pairs(events, k, pol_match, _transit_of(m))
     survivors, verdicts = second_level_filter(pairs, m.phase, explain=True)
@@ -622,7 +628,7 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
     assert got[:2] == want[:2]
     assert np.array_equal(got[3], want[3]) and np.array_equal(got[2], want[2])
     # null-mc samples the session afresh: the same events, sources and all
-    null = simulate_events(m)
+    null = EventTable.concat(simulate_events(m))
     survivors = second_level_filter(
         form_pairs(null, k, pol_match, _transit_of(m)), m.phase)
     bins = ra_bin_index(survivors.ra_pointing_hr, edges)
@@ -638,7 +644,7 @@ def test_refilter_and_tune_tau_hold_the_events_plus_one_chunk(season,
     # whole-table sort exceed the event table's 80 B a row by half
     m, path = season
     table_bytes = 8 * len(pairdetect.EVENT_COLUMNS) * len(
-        read_level1_archive(path))
+        archive_events(path))
     for stage in (lambda: refilter(m, path, tmp_path / "candidates.csv"),
                   lambda: run_tune_tau(m, path)):
         tracemalloc.start()

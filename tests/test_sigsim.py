@@ -14,7 +14,8 @@ from pulsepair import sigsim
 from pulsepair.calib import SIDEREAL_DAY_S, lst_hours
 from pulsepair.channelizer import frame_bin_stats, wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import EVENT_COLUMNS, FirstLevelFilterParams
+from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
+                                  FirstLevelFilterParams)
 from pulsepair.sigsim import (C_LIGHT_M_S, ObservationConfig, RfiSpec,
                               SourceSpec, geometric_delay, simulate_frames,
                               simulate_level1_events)
@@ -193,7 +194,8 @@ def test_sampler_statistics(bins_per_segment, include_self):
         accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
         excision_high_hz=1445.0e6, bins_per_segment=bins_per_segment,
         segment_include_self=include_self)
-    events = simulate_level1_events(cfg, [], params, 1, 3.30, 7.30)
+    events = EventTable.concat(
+        simulate_level1_events(cfg, [], params, 1, 3.30, 7.30))
     # expectation: n_pols * n_usable * p1^2 per frame over the window
     from pulsepair.calib import SIDEREAL_DAY_S
     from pulsepair.channelizer import estimator_corrected_crossing_prob
@@ -221,7 +223,8 @@ def test_sampler_injected_snr_follows_segment_rule(include_self):
         segment_include_self=include_self)
     src = SourceSpec(name="b", ra_hr=5.25, dec_deg=-8.0, snr_db=30.0,
                      pulse_rate_per_frame=0.05, transit_halfwidth_hr=0.05)
-    events = simulate_level1_events(cfg, [src], params, 1, 5.0, 5.5)
+    events = EventTable.concat(
+        simulate_level1_events(cfg, [src], params, 1, 5.0, 5.5))
     injected = float(events.snr_east_db.max())     # noise tails stay < 20 dB
     bins = np.ones(256, complex)
     bins[17] = math.sqrt(1000.0)                   # 30 dB over a unit floor
@@ -236,8 +239,8 @@ def test_sampler_deterministic_and_threaded():
         snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
         accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
         excision_high_hz=1445.0e6)
-    one = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5, threads=1)
-    two = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5, threads=2)
+    one, two = (EventTable.concat(simulate_level1_events(
+        cfg, [], params, 3, 5.0, 5.5, threads=threads)) for threads in (1, 2))
     assert event_columns(one) == event_columns(two)
     assert len(one) > 100
 
@@ -350,8 +353,8 @@ def test_sampler_memory_scales_with_events_not_bins():
     window_hr = 4.0 * 24.0 / SIDEREAL_DAY_S                # 4 frames
     tracemalloc.start()
     try:
-        events = simulate_level1_events(cfg, [], FirstLevelFilterParams(), 1,
-                                        5.0, 5.0 + window_hr)
+        events = EventTable.concat(simulate_level1_events(
+            cfg, [], FirstLevelFilterParams(), 1, 5.0, 5.0 + window_hr))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,21 +368,28 @@ def test_sampler_memory_scales_with_events_not_bins():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_holds_the_output_once(threads):
-    # the transits write into one set of columns: no per-transit tables and
-    # no concatenated copy, whatever the threads do
+    # each transit is drawn into its own columns, with no copy, and only
+    # when the stream is consumed: at most `threads` transits are drawn or
+    # held at once, each with its sort's working columns, whatever the
+    # threads do
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52, seed=6)
     params = _band(snr_threshold_db=7.0)
     tracemalloc.start()
     try:
-        events = simulate_level1_events(cfg, [], params, 2, 5.0, 5.5,
+        stream = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5,
                                         threads=threads)
+        sizes = []
+        for events in stream:
+            sizes.append(sum(getattr(events, name).nbytes
+                             for name in EVENT_COLUMNS))
+            del events
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(events) > 100_000
-    output = sum(getattr(events, name).nbytes for name in EVENT_COLUMNS)
-    assert peak < 2 * output
+    assert len(stream) > 150_000
+    assert sizes == [8 * len(EVENT_COLUMNS) * n for n in stream.lengths]
+    assert peak < 2 * threads * max(sizes)
 
 
 def test_sampler_threads_keep_transits_in_order():
@@ -396,13 +406,13 @@ def test_sampler_threads_keep_transits_in_order():
                           polarization_tag=tag)
                for name, ra, dec, tag in (("b", 5.25, -8.0, "LHCP"),
                                           ("c", 5.30, 10.0, "RHCP"))]
-    one = simulate_level1_events(cfg, sources, params, 3, 5.0, 5.5,
-                                 threads=1)
+    one = EventTable.concat(simulate_level1_events(cfg, sources, params, 3,
+                                                   5.0, 5.5, threads=1))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)      # more thread switches while they write
     try:
-        three = simulate_level1_events(cfg, sources, params, 3, 5.0, 5.5,
-                                       threads=3)
+        three = EventTable.concat(simulate_level1_events(
+            cfg, sources, params, 3, 5.0, 5.5, threads=3))
     finally:
         sys.setswitchinterval(switch)
     assert one.tags == three.tags == ("LHCP", "RHCP")

@@ -5,9 +5,10 @@ import pytest
 
 from pulsepair.errors import ValidationError
 from pulsepair.skystats import (analyze, bin_probabilities, binomial_tail,
-                                cohens_d, enumerate_tail,
-                                false_alarm_tail_check, peak_cohens_d,
+                                cohens_d, exposure_counts, peak_cohens_d,
                                 ra_bin_index, read_stats_csv, write_stats_csv)
+
+from helpers import enumerate_tail, false_alarm_tail_check
 
 # closed-form via exact rational arithmetic, frozen
 TAIL_328_GT19 = 2.7860933750065e-4
@@ -61,15 +62,16 @@ def test_bin_probabilities():
     edges = np.array([0.0, 1.0, 3.0, 4.0])
     p = bin_probabilities(edges)
     assert p == pytest.approx([0.25, 0.5, 0.25])
-    expo = bin_probabilities(edges, mode="exposure",
-                             exposure_ra_hr=np.array([0.5, 1.5, 1.6, 3.5]))
+    expo = bin_probabilities(edges, mode="exposure", exposure=exposure_counts(
+        np.array([0.5, 1.5, 1.6, 3.5]), edges))
     assert expo == pytest.approx([0.25, 0.5, 0.25])
     with pytest.raises(ValidationError):
-        bin_probabilities(edges, mode="exposure",
-                          exposure_ra_hr=np.array([0.5, 0.6]))
+        bin_probabilities(edges, mode="exposure", exposure=exposure_counts(
+            np.array([0.5, 0.6]), edges))
     # an event on the last edge is no trial, as ra_bin_index counts them
-    expo = bin_probabilities(np.array([3.0, 4.0, 5.0]), mode="exposure",
-                             exposure_ra_hr=np.array([3.5, 4.5, 5.0, 5.0]))
+    edges = np.array([3.0, 4.0, 5.0])
+    expo = bin_probabilities(edges, mode="exposure", exposure=exposure_counts(
+        np.array([3.5, 4.5, 5.0, 5.0]), edges))
     assert expo.tolist() == [0.5, 0.5]
 
 
@@ -103,9 +105,10 @@ def test_peak_cohens_d_matches_analyze():
     ra = np.array([3.0, 3.5, 4.0, 4.5, 4.5, 6.99, 7.0, 2.9, np.nan, 4.5, 6.0])
     bins = ra_bin_index(ra, edges)
     assert bins.tolist() == [0, 0, 1, 1, 1, 3, -1, -1, -1, 1, 3]
-    expo = np.array([3.5, 4.5, 4.6, 5.5, 6.5, 6.6, 6.7])
+    expo = exposure_counts(np.array([3.5, 4.5, 4.6, 5.5, 6.5, 6.6, 6.7]),
+                           edges)
     for mode in ("uniform", "exposure"):
-        res = analyze(ra, edges, mode, exposure_ra_hr=expo)
+        res = analyze(ra, edges, mode, exposure=expo)
         d, i = peak_cohens_d(bins[bins >= 0],
                              bin_probabilities(edges, mode, expo))
         assert d == res.peak.cohens_d
