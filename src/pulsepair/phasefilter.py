@@ -21,7 +21,11 @@ are numpy columns aligned with its pairs.
 
 tune_tau_int scans assumed tau_int values and keeps the one whose surviving
 candidates maximize the peak in-window Cohen's d; it is how the pipeline
-confirms (or discovers) the instrument delay epoch.
+confirms (or discovers) the instrument delay epoch.  The metric of a pair
+is linear in tau_int before the wrap, so the scan finds, once per pair,
+the runs of taps at which it passes, rather than filtering every pair at
+every tap; taps within rounding of a run's edge get the filter's own test,
+so each verdict is the one second_level_filter gives.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .channelizer import wrap_phase
 from .errors import ValidationError
 from .pairdetect import PairTable, write_rows
-from .skystats import peak_cohens_d, ra_bin_index
+from .skystats import cohens_d, ra_bin_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,26 +152,94 @@ def second_level_filter(candidates: PairTable, params: PhaseMetricParams,
     return survivors
 
 
-def _scannable(pairs: PairTable, params: PhaseMetricParams, taus,
-               bin_edges) -> tuple:
-    """(diff, slope, bins) of the pairs that can pass at some tap.
+# The band around each edge of a pass run in which tune_tau_int tests
+# taps one by one is _BAND times max|diff| + max|slope| max|tau| + hw +
+# 2 pi radians wide on each side, the maxima over a chunk's pairs: that
+# sum bounds every value the metric and the run edges are computed from,
+# and their rounding (in diff + slope * tau, in wrap_phase, and in the
+# edges' own arithmetic) is a few ulp of it, ~2**-50 of it, far inside
+# the band.  So every tap outside a band has the verdict the exact test
+# gives.
+_BAND = 2.0 ** -40
+# (pair, tap) entries tested at once, so a wide band holds bounded memory
+_BAND_TAPS = 1 << 20
 
-    A pair is kept when it is in the delta_f window and in an RA bin, and
-    when its metric, linear in tau, comes within the half-width of a
-    multiple of 2 pi on the arc it sweeps from the first tap to the last.
-    diff is its phase difference, slope 2 pi delta_f and bins its RA bin.
+
+def _ranges(starts, counts) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each
+    i in turn, as one array."""
+    ends = np.cumsum(counts)
+    return (np.repeat(starts - (ends - counts), counts)
+            + np.arange(ends[-1] if ends.size else 0))
+
+
+def _tally_chunk(pairs: PairTable, params: PhaseMetricParams, taus,
+                 bin_edges, table) -> None:
+    """Add the pairs of one chunk passing at each tap to `table`.
+
+    `table` is (taps + 1) x bins, int64, and holds the differences along
+    the taps of the pass counts: a run [j0, j1) of taps at which a pair
+    of RA bin b passes adds +1 at (j0, b) and -1 at (j1, b).  Only the
+    pairs in the delta_f window and in an RA bin count.  The metric of a
+    pair is linear in tau, so for each multiple 2 pi k its arc reaches it
+    passes on the run of taps with |diff + slope tau - 2 pi k| <= hw.
+    The taps within a rounding band (_BAND) of a run's edges are decided
+    by the exact test abs(wrap_phase(diff + slope * tau)) <= hw, as the
+    per-tap filter decides them, and so are all the taps of a pair whose
+    arc wraps more often than there are taps, or whose band reaches
+    +/-pi, where two wraps' runs could meet.
     """
     diff = _phase_differences(pairs)
-    bins = ra_bin_index(pairs.ra_pointing_hr, bin_edges)
-    win = delta_f_window(pairs, params) & (bins >= 0)
-    slope = TWO_PI * pairs.delta_f_hz[win]
-    diff, bins = diff[win], bins[win]
-    # slack for the rounding of wrap_phase and here
-    reach = params.filter_halfwidth_rad + 1e-6
+    win = np.flatnonzero(delta_f_window(pairs, params))
+    diff, slope = diff[win], TWO_PI * pairs.delta_f_hz[win]
+    n, hw = taus.size, params.filter_halfwidth_rad
     ends = diff + slope * taus[[0, -1], None]
-    k = np.ceil((ends.min(axis=0) - reach) / TWO_PI)
-    can = k * TWO_PI <= ends.max(axis=0) + reach
-    return diff[can], slope[can], bins[can]
+    band = _BAND * (np.abs(diff).max(initial=0.0) + np.abs(slope).max(
+        initial=0.0) * np.abs(taus[[0, -1]]).max() + hw + TWO_PI)
+    reach = hw + 2.0 * band
+    k0 = np.ceil((ends.min(axis=0) - reach) / TWO_PI)
+    k1 = np.floor((ends.max(axis=0) + reach) / TWO_PI)
+    # the pairs that can pass at some tap, of those in an RA bin
+    near = np.flatnonzero(k0 <= k1)
+    bins = ra_bin_index(pairs.take(win[near]).ra_pointing_hr, bin_edges)
+    near, bins = near[bins >= 0], bins[bins >= 0]
+    diff, slope, k0, k1 = (x[near] for x in (diff, slope, k0, k1))
+    every = ~(k1 - k0 < n) | (reach + band >= math.pi)
+    # one run per (pair, k); its taps are [j0, c0) band, [c0, c1) sure
+    # pass, [c1, j1) band, with j0 <= c0 <= c1 <= j1
+    ok = np.flatnonzero(~every)
+    runs = (k1[ok] - k0[ok] + 1.0).astype(np.int64)
+    pair = np.repeat(ok, runs)
+    centre = TWO_PI * _ranges(k0[ok], runs) - diff[pair]
+    s = slope[pair]
+    outer = np.sign(s) * (hw + band)
+    inner = np.sign(s) * (hw - band)
+    j0 = np.searchsorted(taus, (centre - outer) / s, "left")
+    c0 = np.searchsorted(taus, (centre - inner) / s, "left")
+    c1 = np.maximum(c0, np.searchsorted(taus, (centre + inner) / s, "right"))
+    j1 = np.searchsorted(taus, (centre + outer) / s, "right")
+    width = table.shape[1]
+    plus, minus = [c0 * width + bins[pair]], [c1 * width + bins[pair]]
+    # the band taps, and every tap of the pairs in `every`
+    whole = np.flatnonzero(every)
+    seg_pair = np.concatenate([pair, pair, whole])
+    seg_lo = np.concatenate([j0, c1, np.zeros(whole.size, dtype=np.int64)])
+    seg_n = np.concatenate([c0, j1, np.full(whole.size, n)]) - seg_lo
+    seg = np.flatnonzero(seg_n)
+    seg_pair, seg_lo, seg_n = seg_pair[seg], seg_lo[seg], seg_n[seg]
+    per = max(1, _BAND_TAPS // n)       # segments: each is at most n taps
+    for i in range(0, seg_pair.size, per):
+        count = seg_n[i:i + per]
+        p = np.repeat(seg_pair[i:i + per], count)
+        tap = _ranges(seg_lo[i:i + per], count)
+        hit = np.abs(wrap_phase(diff[p] + slope[p] * taus[tap])) <= hw
+        p, tap = p[hit], tap[hit]
+        plus.append(tap * width + bins[p])
+        minus.append((tap + 1) * width + bins[p])
+    size = table.size
+    table += (np.bincount(np.concatenate(plus), minlength=size)
+              - np.bincount(np.concatenate(minus), minlength=size)
+              ).reshape(table.shape)
 
 
 def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
@@ -177,11 +249,17 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     tau_search_step_s) scores what analyze(...).peak.cohens_d gives on the
     pairs passing the second-level filter at that tau, over the RA bins
     `bin_edges` with null probabilities `probs` (bin_probabilities), or 0
-    if none is in the window.  `chunks` is an iterable of PairTables, such
-    as pairdetect.pair_chunks yields ([pairs] for one table); of each, only
-    the pairs that can pass at some tap are kept (see _scannable), and the
-    taps are scored on those.  Each chunk is dropped before the next is
+    if none is in the window.  `probs` may also be a function of no
+    arguments that gives them; it is called after the last chunk, so a
+    caller can sum the exposure over the chunks it yields.
+
+    `chunks` is an iterable of PairTables, such as pairdetect.pair_chunks
+    yields ([pairs] for one table).  Of each chunk, the runs of taps at
+    which each pair passes are added to a taps x bins table of pass
+    counts (see _tally_chunk), and the chunk is dropped before the next is
     asked for, so chunks made from one transit at a time hold one transit.
+    Every verdict is the one the per-tap filter gives, and every score is
+    peak_cohens_d's arithmetic on the counts.
     Returns (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
@@ -197,18 +275,19 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     lo, hi, step = (params.tau_search_low_s, params.tau_search_high_s,
                     params.tau_search_step_s)
     taus = np.arange(lo, hi + 0.5 * step, step)
-    n_pairs, kept = 0, []
+    table = np.zeros((taus.size + 1, len(bin_edges) - 1), dtype=np.int64)
+    n_pairs = 0
     for pairs in chunks:
         n_pairs += len(pairs)
-        kept.append(_scannable(pairs, params, taus, bin_edges))
+        _tally_chunk(pairs, params, taus, bin_edges, table)
         del pairs
     if not n_pairs:
         raise ValidationError("no candidates to tune against")
-    diff, slope, bins = (np.concatenate(c) for c in zip(*kept))
-    hw = params.filter_halfwidth_rad
-    stats = np.array([
-        peak_cohens_d(bins[np.abs(wrap_phase(diff + slope * tau)) <= hw],
-                      probs)[0] for tau in taus])
+    if callable(probs):
+        probs = probs()
+    counts = np.cumsum(table[:-1], axis=0)
+    stats = np.array([cohens_d(c, int(m), probs).max() if m else 0.0
+                      for c, m in zip(counts, counts.sum(axis=1))])
     best = float(np.max(stats))
     tied = np.flatnonzero(stats == best)
     center = 0.5 * (lo + hi)

@@ -694,22 +694,26 @@ def write_null_mc_csv(path, rows) -> None:
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
-    The archive is read and paired one transit at a time, and
-    tune_tau_int keeps, of each chunk of pairs, only those that can pass
-    at some tap, so the scan holds one transit plus one chunk.  In
-    exposure mode the archive is read once more, first, for the exposure.
+    The archive is read once, and paired one transit at a time, and
+    tune_tau_int adds each chunk of pairs to its pass counts before the
+    next is asked for, so the scan holds one transit plus one chunk.  In
+    exposure mode each transit's exposure counts are summed as it is read,
+    and the probabilities are made from them after the last chunk.
     Returns (best_tau_s, best_stat, taus, stats).
     """
     edges = manifest.bin_edges()
-    probs = bin_probabilities(edges, manifest.p_mode, session_exposure(
-        manifest, read_session(manifest, level1_path)))
+    exposure = (np.zeros(edges.size - 1, dtype=np.int64)
+                if manifest.p_mode == "exposure" else None)
 
     def chunks():
         for events in read_session(manifest, level1_path):
+            if exposure is not None:
+                exposure[:] += exposure_counts(events.ra_pointing_hr, edges)
             yield from session_pairs(manifest, events)
             del events              # before the next transit is read
 
-    return tune_tau_int(chunks(), manifest.phase, edges, probs)
+    return tune_tau_int(chunks(), manifest.phase, edges, lambda: (
+        bin_probabilities(edges, manifest.p_mode, exposure)))
 
 
 def write_tau_scan_csv(path, taus, stats) -> None:

@@ -198,14 +198,13 @@ def _reference_scan(pairs, params, edges, p_mode, exposure):
 def _random_pairs(rng, params, n=3000):
     """Pairs (a = 2i, b = 2i + 1) over random phases, delta_f and RAs.
 
-    A quarter of the pairs sit at |metric| == half-width exactly at the
-    middle tap (the half-width is dyadic, so the sum can land on it); a
-    quarter have |delta_f| near 2 MHz, whose metric sweeps past +/-pi over
-    a wide scan; a few lie outside the delta_f window.  RAs cover the
+    A quarter of the pairs sit at |metric| == half-width exactly at a
+    random tap each (the half-width is dyadic, so the sum can land on it);
+    a quarter have |delta_f| near 2 MHz, whose metric sweeps past +/-pi
+    over a wide scan; a few lie outside the delta_f window.  RAs cover the
     window, both sides of it and every edge (edges[-1] is outside).
+    Returns the pairs and how many sit on the half-width at their tap.
     """
-    taus = _taps(params)
-    tau_mid = taus[taus.size // 2]
     hw = params.filter_halfwidth_rad
     df = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(1.0, 6.3, n)
     df[: n // 4] = rng.choice([-1.0, 1.0], n // 4) * rng.uniform(
@@ -213,7 +212,7 @@ def _random_pairs(rng, params, n=3000):
     df[n // 4: n // 4 + 20] = rng.choice([0.0, 3.0, 2.5e6], 20)
     diff = rng.uniform(-math.pi, math.pi, n)
     edge = np.arange(n // 2, 3 * n // 4)
-    x = TWO_PI * df[edge] * tau_mid
+    x = TWO_PI * df[edge] * rng.choice(_taps(params), edge.size)
     first = (rng.choice([-hw, hw], edge.size)
              + TWO_PI * rng.integers(-1, 2, edge.size) - x)
     d = first
@@ -232,7 +231,7 @@ def _random_pairs(rng, params, n=3000):
     pairs = PairTable(events, a=2 * np.arange(n), b=2 * np.arange(n) + 1,
                       delta_t_s=np.zeros(n), delta_f_hz=df,
                       phase_metric_rad=np.zeros(n))
-    on_edge = np.abs(phase_metrics(pairs, tau_mid)[edge]) == hw
+    on_edge = np.abs(wrap_phase(diff[edge] + x)) == hw
     return pairs, int(np.count_nonzero(on_edge))
 
 
@@ -240,6 +239,11 @@ def _random_pairs(rng, params, n=3000):
     (-10.0e-9, 10.0e-9, 1.0e-9),        # arcs shorter than the window
     (-300.0e-9, 300.0e-9, 3.0e-9),      # 2 MHz arcs sweep past +/-pi
     (-4.0e-9, -3.5e-9, 1.0e-9),         # a single tap
+    # a 1e-15 s step: the rounding band of a 10 Hz pair spans 100+ taps
+    (-20.0e-15, 20.0e-15, 1.0e-15),
+    (-1.0e-6, 1.0e-6, 1.0e-8),          # 2 MHz arcs wrap 4 times
+    # 2 MHz arcs wrap 12 times over 4 taps: each tap is tested alone
+    (-3.0e-6, 3.0e-6, 2.0e-6),
 ])
 def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
     rng = np.random.default_rng(11)
@@ -249,6 +253,9 @@ def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
     pairs, on_edge = _random_pairs(rng, params)
     assert on_edge >= 700
     exposure = exposure_counts(rng.uniform(4.5, 5.5, 200), EDGES)
+    # the same pairs in chunks, the first of them empty
+    chunks = [pairs.take(rows) for rows in
+              np.array_split(np.arange(len(pairs)), [0, 700, 701, 2400])]
     for p_mode in ("uniform", "exposure"):
         probs = bin_probabilities(EDGES, p_mode, exposure)
         best, stat, taus, stats = tune_tau_int([pairs], params, EDGES, probs)
@@ -257,6 +264,23 @@ def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
         assert np.array_equal(taus, ref_taus)
         assert np.array_equal(stats, ref_stats)
         assert stat == ref_stats.max() and best in taus
+        got = tune_tau_int(chunks, params, EDGES, lambda: probs)
+        assert got[:2] == (best, stat) and np.array_equal(got[3], stats)
+
+
+@pytest.mark.parametrize("halfwidth", [math.pi - 1e-12, math.pi, 4.0])
+def test_tune_tau_counts_each_tap_once_where_wraps_meet(halfwidth):
+    # within rounding of +/-pi the runs of two wraps meet; from pi on
+    # every pair passes at every tap
+    params = PhaseMetricParams(filter_halfwidth_rad=halfwidth,
+                               tau_search_low_s=-300.0e-9,
+                               tau_search_high_s=300.0e-9,
+                               tau_search_step_s=3.0e-9)
+    pairs, on_edge = _random_pairs(np.random.default_rng(3), params)
+    assert on_edge > 0 or halfwidth > math.pi
+    _, _, _, stats = tune_tau_int([pairs], params, EDGES, PROBS)
+    assert np.array_equal(
+        stats, _reference_scan(pairs, params, EDGES, "uniform", None)[1])
 
 
 def test_metric_diagnostics_csv(tmp_path):

@@ -20,16 +20,18 @@ from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 detect_frames,
                                 load_frames_npz, manifest_from_file,
-                                read_candidates_csv, refilter,
+                                read_candidates_csv, read_session, refilter,
                                 run_experiment, run_null_mc, run_tune_tau,
-                                save_frames_npz, session_pairs, sha256_file,
+                                save_frames_npz, session_exposure,
+                                session_pairs, sha256_file,
                                 simulate_events, write_candidates_csv,
                                 write_tau_scan_csv)
 from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
                                    tune_tau_int, write_metric_diagnostics_csv)
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames, transit_index)
-from pulsepair.skystats import bin_probabilities, peak_cohens_d, ra_bin_index
+from pulsepair.skystats import (bin_probabilities, exposure_counts,
+                               peak_cohens_d, ra_bin_index)
 
 from helpers import (archive_events, detect_events, event_columns,
                      event_table, wide_band_params)
@@ -557,6 +559,35 @@ def test_run_tune_tau(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("p_mode", ["uniform", "exposure"])
+def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
+    m = _small_manifest(tmp_path)
+    run_experiment(m)
+    m = replace(m, p_mode=p_mode, phase=PhaseMetricParams(
+        tau_search_low_s=-8e-9, tau_search_high_s=8e-9,
+        tau_search_step_s=4e-9))
+    path = tmp_path / "level1.csv"
+    # the exposure read in a pass of its own, then the pairs
+    edges = m.bin_edges()
+    want = tune_tau_int(
+        (pairs for events in read_session(m, path)
+         for pairs in session_pairs(m, events)),
+        m.phase, edges, bin_probabilities(
+            edges, p_mode, session_exposure(m, read_session(m, path))))
+    hashed = []
+    sha256 = pairdetect.sha256_file
+
+    def counted(name):
+        hashed.append(name)
+        return sha256(name)
+
+    monkeypatch.setattr(pairdetect, "sha256_file", counted)
+    got = run_tune_tau(m, path)
+    assert hashed == [path]
+    assert got[:2] == want[:2]
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+
 def _wide_manifest(out_dir, band_mhz, window_hr, **kwargs):
     """_small_manifest over a wider band and window: more events."""
     m = _small_manifest(out_dir, **kwargs)
@@ -623,10 +654,14 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
         assert ((tmp_path / f"got{name}.csv").read_bytes()
                 == (tmp_path / f"want{name}.csv").read_bytes())
     edges = m.bin_edges()
-    want = tune_tau_int([pairs], m.phase, edges, bin_probabilities(edges))
-    got = run_tune_tau(m, path)
-    assert got[:2] == want[:2]
-    assert np.array_equal(got[3], want[3]) and np.array_equal(got[2], want[2])
+    exposure = exposure_counts(events.ra_pointing_hr, edges)
+    for p_mode in ("uniform", "exposure"):
+        want = tune_tau_int([pairs], m.phase, edges,
+                            bin_probabilities(edges, p_mode, exposure))
+        got = run_tune_tau(replace(m, p_mode=p_mode), path)
+        assert got[:2] == want[:2]
+        assert (np.array_equal(got[3], want[3])
+                and np.array_equal(got[2], want[2]))
     # null-mc samples the session afresh: the same events, sources and all
     null = EventTable.concat(simulate_events(m))
     survivors = second_level_filter(
