@@ -6,17 +6,17 @@ excision band.  Events are paired by sorting each block of (2K+1) frames in
 (bin_index, frame_index, polarization_tag, utc_s) order and joining
 consecutive entries, so a pair's two members are adjacent in frequency-major
 order and at most 2K frames apart.  K = 0 pairs only within single frames.
-Given each event's transit, a block also never spans two transits.
 
-Pairing is local to a block, so the stages pair with pair_chunks: it cuts a
-table whose rows are in block order at block edges into runs of about
-16,384 events and yields each run's pairs in turn.  No block spans two
-transits, so a session is paired one transit at a time: an EventStream
-knows each transit's row count and the tags up front and makes the
-transits' EventTables one after another, write_level1_archive writes them
-as they come, and read_level1_archive yields an archive's transits one at
-a time.  A stage that filters or scans each chunk as it comes holds one
-transit plus one chunk, not the session's events or every pair of it.
+A session is paired one transit at a time, so no pair joins two transits:
+an EventStream knows each transit's row count and the tags up front and
+makes the transits' EventTables one after another, write_level1_archive
+writes them as they come, and read_level1_archive, the one place that
+finds each event's transit, yields an archive's transits one at a time.
+Pairing is local to a block, so the stages pair a transit with
+pair_chunks: it cuts a table whose rows are in block order at block edges
+into runs of about 16,384 events and yields each run's pairs in turn.  A
+stage that filters or scans each chunk as it comes holds one transit plus
+one chunk, not the session's events or every pair of it.
 
 Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
@@ -369,8 +369,7 @@ def _block_width(pairing_window_frames: int) -> int:
 
 
 def form_pairs(events: EventTable, pairing_window_frames: int = 0,
-               require_pol_match: bool = False,
-               transit_of=None) -> PairTable:
+               require_pol_match: bool = False) -> PairTable:
     """Pair events by sorted adjacency within frame blocks.
 
     Frames are grouped into fixed blocks of (2K+1) consecutive frame indices
@@ -379,13 +378,11 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     (bin_index, frame_index, polarization_tag, utc_s) and every consecutive
     pair becomes a candidate.  An event can therefore appear in at most two
     candidates (as the later and as the earlier member), matching the
-    fixed-block reading of the pairing window.  `transit_of`, when given,
-    maps utc_s values to transit indices, and the transit leads the block
-    key, so that a block never spans the gap between two transits.  The
+    fixed-block reading of the pairing window.  `events` is one transit, as
+    read_level1_archive yields them, so no pair joins two transits.  The
     sort is two stable passes, on utc_s and then on the other keys packed
     into one int64, so equal keys keep their table order; events whose
-    transit, frame and bin ranges are too wide to pack raise
-    ValidationError.
+    frame and bin ranges are too wide to pack raise ValidationError.
     """
     width = _block_width(pairing_window_frames)
     # at K = 0 a block is one frame, and the frame within it is always 0
@@ -396,15 +393,10 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
         fields.insert(2, events.frame_index - block * width)
     if require_pol_match:
         fields.insert(1, pol)
-    if transit_of is not None:
-        transit = transit_of(events.utc_s)
-        fields.insert(0, transit)
     by_utc = np.argsort(events.utc_s, kind="stable")
     order = by_utc[np.argsort(_packed_key(fields)[by_utc], kind="stable")]
     first, second = order[:-1], order[1:]
     same = block[first] == block[second]
-    if transit_of is not None:
-        same &= transit[first] == transit[second]
     if require_pol_match:
         same &= pol[first] == pol[second]
     a, b = first[same], second[same]
@@ -413,27 +405,21 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
                      np.full(a.size, np.nan))
 
 
-def _block_cuts(events: EventTable, width: int, transit_of) -> list | None:
+def _block_cuts(events: EventTable, width: int) -> list | None:
     """Row offsets [0, ..., len(events)] that cut the table at block edges
     into ranges of at least _CHUNK_ROWS rows (the last may be shorter), or
     None when the rows are not in block order.
 
-    Rows are in block order when their (transit, block) keys never
-    decrease.  The rows are scanned _CHUNK_ROWS at a time, so the scan
-    holds no whole-table temporary.
+    Rows are in block order when their blocks never decrease.  The rows
+    are scanned _CHUNK_ROWS at a time, so the scan holds no whole-table
+    temporary.
     """
     n = len(events)
     cuts = [0]
     for start in range(1, n, _CHUNK_ROWS):
         # step[i] compares row start + i with the row before it
-        rows = slice(start - 1, min(start + _CHUNK_ROWS, n))
-        block = events.frame_index[rows]
+        block = events.frame_index[start - 1:start + _CHUNK_ROWS]
         step = np.diff(block // width if width > 1 else block)
-        if transit_of is not None:
-            new_transit = np.diff(transit_of(events.utc_s[rows]))
-            if new_transit.min() < 0:
-                return None
-            step[new_transit > 0] = 1
         if step.min() < 0:
             return None
         # the first edge at least _CHUNK_ROWS rows after the last cut
@@ -446,7 +432,7 @@ def _block_cuts(events: EventTable, width: int, transit_of) -> list | None:
 
 
 def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
-                require_pol_match: bool = False, transit_of=None):
+                require_pol_match: bool = False):
     """Yield the pairs form_pairs gives for `events`, a chunk at a time.
 
     form_pairs joins only rows of one block, and sorts on the block first.
@@ -455,17 +441,16 @@ def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
     range holds about _CHUNK_ROWS rows; its PairTable indexes `events` as a
     whole.  Rows out of block order (a foreign archive) are paired as one
     table.  A stage that filters each chunk as it comes holds `events` (one
-    transit, as the stages pass it) plus one chunk, not all of its pairs.
+    transit, as read_level1_archive yields them) plus one chunk, not all
+    of its pairs.
     """
-    cuts = _block_cuts(events, _block_width(pairing_window_frames),
-                       transit_of)
+    cuts = _block_cuts(events, _block_width(pairing_window_frames))
     if cuts is None:
-        yield form_pairs(events, pairing_window_frames, require_pol_match,
-                         transit_of)
+        yield form_pairs(events, pairing_window_frames, require_pol_match)
         return
     for lo, hi in zip(cuts, cuts[1:]):
         part = form_pairs(events.take(slice(lo, hi)), pairing_window_frames,
-                          require_pol_match, transit_of)
+                          require_pol_match)
         yield PairTable(events, part.a + lo, part.b + lo, part.delta_t_s,
                         part.delta_f_hz, part.phase_metric_rad)
 
@@ -905,9 +890,9 @@ def _open_sidecar(path):
     return None
 
 
-def _transit_cuts(read_utc, n: int, transit_of) -> list:
-    """Row offsets [0, ..., n] at which the rows' transit changes, or
-    [0, n] when transit_of is None or the transit ever decreases.
+def _transit_cuts(read_utc, n: int, transit_of) -> list | None:
+    """Row offsets [0, ..., n] at which the rows' transit changes ([0, n]
+    when transit_of is None), or None when the transit ever decreases.
 
     read_utc(lo, hi) gives rows lo..hi of the utc_s column; it is asked
     for _CHUNK_ROWS rows at a time.
@@ -919,10 +904,23 @@ def _transit_cuts(read_utc, n: int, transit_of) -> list:
         transit = transit_of(read_utc(lo, min(lo + _CHUNK_ROWS, n)))
         step = np.diff(transit, prepend=transit[:1] if last is None else last)
         if step.min() < 0:
-            return [0, n]
+            return None
         cuts += (lo + np.flatnonzero(step)).tolist()
         last = transit[-1:]
     return cuts + [n]
+
+
+def _split_transits(events: EventTable, transit_of) -> Iterator[EventTable]:
+    """Yield `events` one transit at a time, in ascending transit order,
+    each transit's rows in table order (a stable sort on the transit); the
+    whole table without transit_of.  An empty table is yielded as one."""
+    if transit_of is None:
+        yield events
+        return
+    transit = transit_of(events.utc_s)
+    order = np.argsort(transit, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(transit[order])) + 1):
+        yield events.take(rows)
 
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
@@ -1002,24 +1000,26 @@ def _value(kind, text: str):
 
 
 def read_level1_archive(path, transit_of=None) -> Iterator[EventTable]:
-    """Yield a level-1 archive's events, one transit at a time; it writes
-    no file.
+    """Yield a level-1 archive's events, one transit at a time in ascending
+    transit order; it writes no file.
 
-    The events come from the archive's sidecar when write_level1_archive
-    left one keyed to the archive's bytes.  With `transit_of` (utc_s to
-    transit, as form_pairs takes it), the rows are cut where their transit
-    changes, found in one pass over the sidecar's utc_s column, and each
-    transit's rows are read from the sidecar as they are asked for, so a
-    consumer that drops each transit before the next holds one.  Without
-    transit_of, or when the transit of the rows ever decreases, the events
-    come as one table.  Otherwise (no sidecar; a stale, cut or foreign
-    one; an archive from elsewhere) they come as one table from
+    `transit_of` maps utc_s values to transit indices; without it the
+    events come as one table.  The events come from the archive's sidecar
+    when write_level1_archive left one keyed to the archive's bytes.  The
+    rows are then cut where their transit changes, found in one pass over
+    the sidecar's utc_s column, and each transit's rows are read from the
+    sidecar as they are asked for, so a consumer that drops each transit
+    before the next holds one.  Otherwise (no sidecar; a stale, cut or
+    foreign one; an archive from elsewhere) the events are read whole by
     read_columns, which validates the header, width and every value; the
-    tags it reads as str objects are coded into pol_code.
+    tags it reads as str objects are coded into pol_code.  A table read
+    whole, as is a sidecar's whose transit ever decreases, is split by a
+    stable sort on the transit, so each transit keeps its rows in archive
+    order.  An archive without rows yields one empty table.
     """
     found = _open_sidecar(path)
     if found is None:
-        yield _parse_level1_archive(path)
+        yield from _split_transits(_parse_level1_archive(path), transit_of)
         return
     fh, rows, tags = found
     with fh:
@@ -1043,6 +1043,9 @@ def read_level1_archive(path, transit_of=None) -> Iterator[EventTable]:
             return read("utc_s", lo, np.empty(hi - lo))
 
         cuts = _transit_cuts(utc, rows, transit_of)
+        if cuts is None:
+            yield from _split_transits(transit(0, rows), transit_of)
+            return
         for lo, hi in zip(cuts, cuts[1:]):
             yield transit(lo, hi)
 

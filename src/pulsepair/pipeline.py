@@ -21,6 +21,7 @@ import typing
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -108,8 +109,9 @@ class ExperimentManifest:
     def __post_init__(self):
         if self.mode not in ("events", "freq", "time"):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if not self.window_hi_hr > self.window_lo_hr:
-            raise ValidationError("window_hi_hr must exceed window_lo_hr")
+        if not 0.0 < self.window_hi_hr - self.window_lo_hr <= 24.0:
+            raise ValidationError("window_hi_hr must exceed window_lo_hr, "
+                                  "by at most 24 h (one transit)")
         if self.ra_bin_hr <= 0:
             raise ValidationError("ra_bin_hr must be > 0")
         if self.p_mode not in ("uniform", "exposure"):
@@ -201,7 +203,7 @@ class ExperimentManifest:
                                   "run.level1_in"))
 
     def refilter_params_hash(self) -> str:
-        # the geometry keys fix each event's transit (session_pairs)
+        # the geometry keys fix each event's transit (read_session)
         return self._hash_subset(("phase.", "run.pairing_window_frames",
                                   "run.require_pol_match", "run.mode",
                                   "config.longitude_deg", "run.window_lo_hr",
@@ -391,35 +393,26 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
     return path
 
 
-def session_transit_of(manifest: ExperimentManifest):
-    """utc_s -> transit (sigsim.transit_index) in events mode, else None.
-
-    A frame-mode session is one run of consecutive frames and needs no
-    transit.
-    """
-    if manifest.mode != "events":
-        return None
-
-    def transit_of(utc_s):
-        return transit_index(utc_s, manifest.config, manifest.window_lo_hr,
-                             manifest.window_hi_hr, manifest.start_utc_s)
-    return transit_of
-
-
 def read_session(manifest: ExperimentManifest, level1_path):
-    """An archive's events, one transit at a time (read_level1_archive)."""
-    return read_level1_archive(level1_path, session_transit_of(manifest))
+    """An archive's events, one table per transit (read_level1_archive).
+
+    In events mode each event's transit is sigsim.transit_index's; a
+    frame-mode session is one run of consecutive frames, one table.
+    """
+    transit_of = None
+    if manifest.mode == "events":
+        transit_of = partial(transit_index, config=manifest.config,
+                             window_lo_hr=manifest.window_lo_hr,
+                             window_hi_hr=manifest.window_hi_hr,
+                             start_utc_s=manifest.start_utc_s)
+    return read_level1_archive(level1_path, transit_of)
 
 
 def session_pairs(manifest: ExperimentManifest, events: EventTable):
-    """The pairs of `events`, a chunk at a time (pairdetect.pair_chunks).
-
-    In events mode each event's transit leads its block key, so no pair
-    joins two transits, and `events` may be one transit of the session.
-    """
+    """The pairs of `events` (one transit), a chunk at a time
+    (pairdetect.pair_chunks)."""
     return pair_chunks(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match,
-                       session_transit_of(manifest))
+                       manifest.require_pol_match)
 
 
 def session_survivors(manifest: ExperimentManifest, events: EventTable,

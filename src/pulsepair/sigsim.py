@@ -695,8 +695,9 @@ def simulate_level1_events(config: ObservationConfig, sources,
         raise ValidationError(
             "rfi.N: the event-level sampler draws no interference; use "
             "run.mode = freq or time for RFI")
-    if not window_hi_hr > window_lo_hr:
-        raise ValidationError("window_hi_hr must exceed window_lo_hr")
+    if not 0.0 < window_hi_hr - window_lo_hr <= 24.0:
+        raise ValidationError("window_hi_hr must exceed window_lo_hr, by at "
+                              "most 24 h (one transit)")
     for src in sources:
         if src.snr_db < params.snr_threshold_db + 6.0:
             raise ValidationError(

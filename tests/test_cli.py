@@ -361,6 +361,15 @@ def test_validation_exit_codes(tmp_path, capsys):
                      "--out", str(fresh)]) == 3
     assert "polarization_tag" in capsys.readouterr().err
     assert not fresh.exists()
+    # a window over 24 h spans more than one transit
+    long_window = Path(cfg).read_text().replace("run.window_hi_hr = 5.5",
+                                                "run.window_hi_hr = 30.0")
+    assert long_window != Path(cfg).read_text()
+    bad_cfg.write_text(long_window)
+    assert cli.main(["simulate", "--config", str(bad_cfg),
+                     "--out", str(fresh)]) == 3
+    assert "window_hi_hr" in capsys.readouterr().err
+    assert not fresh.exists()
     # a broadband_flat interferer has no carrier to set
     bad_cfg.write_text(Path(_frames_config(tmp_path)).read_text()
                        + "rfi.0.kind = broadband_flat\n"

@@ -179,26 +179,18 @@ def _assert_same_pairs(got: PairTable, want: PairTable):
                               equal_nan=True), name
 
 
-def _transit_of(utc_s):
-    # transits of 1000 frames: not a whole number of blocks at K = 1 or 3
-    return (utc_s // 1000.0).astype(np.int64)
-
-
 @pytest.mark.parametrize("require_pol_match", [False, True])
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_pair_chunks_are_the_pairs_of_the_whole_table(k, require_pol_match):
     rng = np.random.default_rng(10 * k + require_pol_match)
     n = 4 * pairdetect._CHUNK_ROWS + 3000
     events = _block_ordered_table(rng, n)
-    cuts = pairdetect._block_cuts(events, 2 * k + 1, None)
+    cuts = pairdetect._block_cuts(events, 2 * k + 1)
     assert len(cuts) >= 6 and pairdetect._CHUNK_ROWS in cuts
-    for transit_of in (None, _transit_of):
-        chunks = list(pairdetect.pair_chunks(events, k, require_pol_match,
-                                             transit_of))
-        assert len(chunks) == len(cuts) - 1
-        _assert_same_pairs(
-            PairTable.concat(events, chunks),
-            form_pairs(events, k, require_pol_match, transit_of))
+    chunks = list(pairdetect.pair_chunks(events, k, require_pol_match))
+    assert len(chunks) == len(cuts) - 1
+    _assert_same_pairs(PairTable.concat(events, chunks),
+                       form_pairs(events, k, require_pol_match))
     # rows out of block order are paired as one table
     shuffled = events.take(rng.permutation(n))
     chunks = list(pairdetect.pair_chunks(shuffled, k, require_pol_match))
@@ -207,24 +199,13 @@ def test_pair_chunks_are_the_pairs_of_the_whole_table(k, require_pol_match):
                        form_pairs(shuffled, k, require_pol_match))
 
 
-def test_pair_chunks_need_transits_in_order():
-    # frames in order but the transit steps back: one table
-    events = event_table(frame=np.arange(6), utc=[0, 1, 2, 0, 1, 2])
-    chunks = list(pairdetect.pair_chunks(
-        events, 0, transit_of=lambda utc: (utc == 2).astype(np.int64)))
-    assert len(chunks) == 1
-    assert pairdetect._block_cuts(events, 1, lambda u: -u.astype(int)) is None
+def test_pair_chunks_need_blocks_in_order():
+    # frames that step back: one table
+    events = event_table(frame=[0, 1, 2, 0, 1, 2])
+    assert len(list(pairdetect.pair_chunks(events, 0))) == 1
+    assert pairdetect._block_cuts(events, 1) is None
     empty = event_table().take([])
     assert list(map(len, pairdetect.pair_chunks(empty))) == [0]
-
-
-def test_transit_leads_the_block_key():
-    # frames 0-2 form one block at K = 1, but frame 2 opens a new transit
-    events = event_table(frame=[0, 1, 2, 2], utc=[0.0, 1.0, 2.0, 2.0],
-                         k=[0, 1, 2, 3])
-    assert len(form_pairs(events, 1)) == 3
-    pairs = form_pairs(events, 1, transit_of=lambda u: (u >= 2).astype(int))
-    assert (pairs.a.tolist(), pairs.b.tolist()) == ([0, 2], [1, 3])
 
 
 def test_form_pairs_log10_matches_math_log10_across_chunks():

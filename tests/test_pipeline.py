@@ -24,7 +24,8 @@ from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 run_experiment, run_null_mc, run_tune_tau,
                                 save_frames_npz, session_exposure,
                                 session_pairs, sha256_file,
-                                simulate_events, write_candidates_csv,
+                                simulate_events, write_analysis,
+                                write_candidates_csv, write_figure,
                                 write_tau_scan_csv)
 from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
                                    tune_tau_int, write_metric_diagnostics_csv)
@@ -224,8 +225,9 @@ def test_every_config_key_moves_a_stage_hash():
 def test_every_key_that_changes_refilter_moves_its_hash(tmp_path):
     # a resumed run skips refilter when its hash holds; on an external
     # archive, a key that changes refilter's bytes or counts unhashed would
-    # serve stale candidates.  In events mode the transit leads the block
-    # key, so with a pairing window a freq-mode rerun pairs across transits.
+    # serve stale candidates.  In events mode read_session splits the
+    # archive by transit, so with a pairing window a freq-mode rerun, read
+    # as one table, pairs across transits.
     archive, candidates = tmp_path / "level1.csv", tmp_path / "candidates.csv"
     base = replace(_full_manifest(), level1_in=str(archive),
                    pairing_window_frames=1)
@@ -245,6 +247,43 @@ def test_every_key_that_changes_refilter_moves_its_hash(tmp_path):
         m = ExperimentManifest.from_kv(_mutated(kv, key, value))
         if m.refilter_params_hash() == base.refilter_params_hash():
             assert refiltered(m) == ref, key
+
+
+def test_every_key_that_changes_analyze_or_report_moves_their_hash(tmp_path):
+    # analyze and report are skipped on a resume when their hashes hold: a
+    # key that moves stats.csv, report.txt or figure.svg unhashed would
+    # serve stale output, and a hashed key that moves none of them would
+    # redo the stages for nothing
+    archive, candidates = tmp_path / "level1.csv", tmp_path / "candidates.csv"
+    outputs = [tmp_path / name for name in ("stats.csv", "report.txt",
+                                            "figure.svg")]
+    # a 0.2 h beam band inside the 5.0-5.5 h window, so that each fwhm
+    # mutation moves its clipped edges
+    base = replace(_full_manifest(), level1_in=str(archive),
+                   fwhm_width_hr=0.2)
+    write_level1_archive(archive, simulate_events(replace(
+        base, config=replace(base.config, beam_fwhm_ra_deg=None), rfi=[],
+        n_frames=None, level1_in=None)))
+    refilter(base, archive, candidates)
+
+    def hashes(m):
+        return m.analyze_params_hash(), m.report_params_hash()
+
+    def outputs_of(m):
+        write_analysis(m, candidates, archive, *outputs[:2])
+        write_figure(m, outputs[0], outputs[2])
+        return [path.read_bytes() for path in outputs]
+
+    ref = outputs_of(base)
+    assert b"peak.sigma" in outputs[1].read_bytes()
+    kv = base.to_kv()
+    for key, value in _MUTATIONS.items():
+        m = ExperimentManifest.from_kv(_mutated(kv, key, value))
+        try:
+            moved = outputs_of(m) != ref
+        except ValidationError:
+            moved = True
+        assert moved == (hashes(m) != hashes(base)), key
 
 
 # simulate-stage keys that leave the level-1 bytes alone by construction
@@ -601,17 +640,19 @@ def _wide_manifest(out_dir, band_mhz, window_hr, **kwargs):
     return m
 
 
-def _transit_of(m):
-    def transit_of(utc_s):
-        return transit_index(utc_s, m.config, m.window_lo_hr, m.window_hi_hr,
-                             m.start_utc_s)
-    return transit_of
+def _transits(m, events):
+    """events' rows of each transit of m's session, a table each, in table
+    order (sigsim.transit_index, independent of the reader)."""
+    transit = transit_index(events.utc_s, m.config, m.window_lo_hr,
+                            m.window_hi_hr, m.start_utc_s)
+    return [events.take(np.flatnonzero(transit == t))
+            for t in range(m.n_transits)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_no_pair_joins_two_transits(tmp_path, k):
     # 3,452 frames a transit, not a multiple of 2K + 1: a frame block spans
-    # the gap between the transits unless the transit leads the block key
+    # the gap between the transits unless each transit pairs on its own
     m = _wide_manifest(tmp_path, 4, 0.5, seed=3)
     m.pairing_window_frames = k
     path = tmp_path / "level1.csv"
@@ -624,8 +665,24 @@ def test_no_pair_joins_two_transits(tmp_path, k):
     assert np.array_equal(transit_index(events.utc_s, m.config, 5.0, 5.5),
                           events.frame_index // n_frames)
     assert (form_pairs(events, k).delta_t_s > (2 * k + 1) * hop).any()
-    pairs = PairTable.concat(events, session_pairs(m, events))
-    assert pairs.delta_t_s.max() <= (2 * k + 1) * hop
+    transits = list(read_session(m, path))
+    assert len(transits) == 2
+    for events in transits:
+        pairs = PairTable.concat(events, session_pairs(m, events))
+        assert pairs.delta_t_s.max() <= (2 * k + 1) * hop
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_transits", [1, 3])
+def test_every_sampled_part_is_one_transit(tmp_path, n_transits, threads):
+    # null-mc pairs each sampled part on its own, never reading a transit
+    m = _small_manifest(tmp_path, n_transits=n_transits, threads=threads)
+    parts = list(simulate_events(m))
+    assert len(parts) == n_transits
+    for i, events in enumerate(parts):
+        transit = transit_index(events.utc_s, m.config, m.window_lo_hr,
+                                m.window_hi_hr, m.start_utc_s)
+        assert len(events) > 0 and (transit == i).all()
 
 
 @pytest.fixture(scope="module")
@@ -644,19 +701,26 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
     m = replace(m, pairing_window_frames=k, require_pol_match=pol_match)
     events = archive_events(path)
     assert len(events) >= 4 * pairdetect._CHUNK_ROWS
-    pairs = form_pairs(events, k, pol_match, _transit_of(m))
-    survivors, verdicts = second_level_filter(pairs, m.phase, explain=True)
-    write_candidates_csv(tmp_path / "want.csv", survivors)
-    write_metric_diagnostics_csv(tmp_path / "want_diag.csv", pairs, verdicts)
+    # the reference pairs each transit's table whole
+    pairs = [form_pairs(t, k, pol_match) for t in _transits(m, events)]
+    n_pairs = n_survivors = 0
+    for i, transit_pairs in enumerate(pairs):
+        survivors, verdicts = second_level_filter(transit_pairs, m.phase,
+                                                  explain=True)
+        write_candidates_csv(tmp_path / "want.csv", survivors, i > 0)
+        write_metric_diagnostics_csv(tmp_path / "want_diag.csv",
+                                     transit_pairs, verdicts, i > 0)
+        n_pairs += len(transit_pairs)
+        n_survivors += len(survivors)
     assert refilter(m, path, tmp_path / "got.csv", tmp_path / "got_diag.csv"
-                    ) == (len(events), len(pairs), len(survivors))
+                    ) == (len(events), n_pairs, n_survivors)
     for name in ("", "_diag"):
         assert ((tmp_path / f"got{name}.csv").read_bytes()
                 == (tmp_path / f"want{name}.csv").read_bytes())
     edges = m.bin_edges()
     exposure = exposure_counts(events.ra_pointing_hr, edges)
     for p_mode in ("uniform", "exposure"):
-        want = tune_tau_int([pairs], m.phase, edges,
+        want = tune_tau_int(pairs, m.phase, edges,
                             bin_probabilities(edges, p_mode, exposure))
         got = run_tune_tau(replace(m, p_mode=p_mode), path)
         assert got[:2] == want[:2]
@@ -664,10 +728,12 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
                 and np.array_equal(got[2], want[2]))
     # null-mc samples the session afresh: the same events, sources and all
     null = EventTable.concat(simulate_events(m))
-    survivors = second_level_filter(
-        form_pairs(null, k, pol_match, _transit_of(m)), m.phase)
-    bins = ra_bin_index(survivors.ra_pointing_hr, edges)
-    bins = bins[bins >= 0]
+    bins = []
+    for t in _transits(m, null):
+        b = ra_bin_index(second_level_filter(
+            form_pairs(t, k, pol_match), m.phase).ra_pointing_hr, edges)
+        bins.append(b[b >= 0])
+    bins = np.concatenate(bins)
     max_d, peak = peak_cohens_d(bins, bin_probabilities(edges))
     assert run_null_mc(m, 1)[0] == [(m.config.seed, bins.size, max_d,
                                      float(edges[peak]))]

@@ -256,6 +256,9 @@ def test_sampler_rejects_weak_sources():
                       pulse_rate_per_frame=0.01)
     with pytest.raises(ValidationError):
         simulate_level1_events(cfg, [weak], params, 1, 5.0, 5.5)
+    # a window over 24 h: a transit's part would hold rows of three
+    with pytest.raises(ValidationError, match="window_hi_hr"):
+        simulate_level1_events(cfg, [], params, 2, 5.0, 30.0)
 
 
 def _mask_usable(config, params):

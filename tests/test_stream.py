@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from pulsepair import cli, pairdetect, pipeline
-from pulsepair.pairdetect import read_level1_archive, write_level1_archive
+from pulsepair.pairdetect import write_level1_archive
+from pulsepair.sigsim import transit_index
 
-from helpers import archive_events
+from helpers import archive_events, event_columns
 from test_golden import SURVEY_CFG, TAU_SCAN
 
 PINNED = {
@@ -129,9 +130,22 @@ def test_the_same_bytes_at_any_thread_count(tmp_path, threads):
             == {name: PINNED[3, 0][name] for name in names})
 
 
-def test_an_archive_out_of_transit_order_goes_through_as_one_table(tmp_path):
-    # rows shuffled and no sidecar: the transit of the rows decreases, so
-    # the archive is paired as one table, with the ordered archive's pairs
+def _assert_split_by_transit(m, path, whole):
+    """read_session yields whole's rows (path's, in archive order) one
+    transit at a time, in ascending transit order, each transit's rows in
+    archive order."""
+    transit = transit_index(whole.utc_s, m.config, m.window_lo_hr,
+                            m.window_hi_hr, m.start_utc_s)
+    got = list(pipeline.read_session(m, path))
+    assert len(got) == m.n_transits == len(np.unique(transit))
+    for t, events in enumerate(got):
+        assert (event_columns(events)
+                == event_columns(whole.take(np.flatnonzero(transit == t))))
+
+
+def test_an_archive_out_of_transit_order_is_split_by_transit(tmp_path):
+    # rows shuffled and no sidecar: the archive is read whole and split by
+    # transit, so each transit pairs as the ordered archive's does
     cfg = _config(tmp_path / "survey.cfg", 3, 0)
     ordered = tmp_path / "ordered"
     assert cli.main(["simulate", "--config", cfg, "--out", str(ordered)]) == 0
@@ -140,7 +154,7 @@ def test_an_archive_out_of_transit_order_goes_through_as_one_table(tmp_path):
     perm = np.random.default_rng(0).permutation(len(rows))
     shuffled.write_text(header + "".join(rows[i] for i in perm))
     m = pipeline.manifest_from_file(cfg)
-    assert len(list(pipeline.read_session(m, shuffled))) == 1
+    _assert_split_by_transit(m, shuffled, archive_events(shuffled))
     for k in (0, 1):
         cfg = _config(tmp_path / f"k{k}.cfg", 3, k)
         out = tmp_path / f"k{k}"
@@ -149,6 +163,39 @@ def test_an_archive_out_of_transit_order_goes_through_as_one_table(tmp_path):
         assert (_sha256(out / "candidates.csv")
                 == PINNED[3, k]["candidates.csv"])
     assert not (tmp_path / "level1.csv.cols").exists()
+
+
+def test_a_sidecar_whose_transits_step_back_is_split_by_transit(tmp_path):
+    # the rows of transit 2 first: the cut scan finds the transit stepping
+    # back, and the sidecar's table is split as a text archive's is
+    cfg = _config(tmp_path / "survey.cfg", 3, 0)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    m = pipeline.manifest_from_file(cfg)
+    events = archive_events(out / "level1.csv")
+    late = transit_index(events.utc_s, m.config, m.window_lo_hr,
+                         m.window_hi_hr, m.start_utc_s) == 2
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, events.take(np.concatenate(
+        [np.flatnonzero(late), np.flatnonzero(~late)])))
+    assert (tmp_path / "level1.csv.cols").exists()
+    _assert_split_by_transit(m, path, archive_events(path))
+    assert cli.main(["refilter", "--config", cfg, "--out", str(out),
+                     "--level1", str(path)]) == 0
+    assert _sha256(out / "candidates.csv") == PINNED[3, 0]["candidates.csv"]
+
+
+def test_an_archive_without_rows_is_one_empty_table(tmp_path):
+    cfg = _config(tmp_path / "survey.cfg", 3, 0)
+    path = tmp_path / "level1.csv"
+    path.write_text(",".join(pairdetect.ARCHIVE_COLUMNS) + "\n")
+    m = pipeline.manifest_from_file(cfg)
+    assert [len(events) for events in pipeline.read_session(m, path)] == [0]
+    out = tmp_path / "out"
+    assert cli.main(["refilter", "--config", cfg, "--out", str(out),
+                     "--level1", str(path)]) == 0
+    assert ((out / "candidates.csv").read_text()
+            == ",".join(pipeline.CANDIDATE_COLUMNS) + "\n")
 
 
 def test_an_unused_tag_is_left_out_of_the_sidecar(tmp_path):
@@ -217,8 +264,7 @@ def test_a_reader_stopped_early_closes_its_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pairdetect, "open", spy, raising=False)
     m = pipeline.manifest_from_file(cfg)
-    transits = read_level1_archive(out / "level1.csv",
-                                   pipeline.session_transit_of(m))
+    transits = pipeline.read_session(m, out / "level1.csv")
     assert len(next(transits)) > 0
     sidecar = [fh for fh in opened if fh.name.endswith(".cols")]
     assert len(sidecar) == 1 and not sidecar[0].closed
