@@ -14,19 +14,19 @@ writes them as they come, and read_level1_archive, the one place that
 finds each event's transit, yields an archive's transits one at a time.
 Pairing is local to a block, so the stages pair a transit with
 pair_chunks: it cuts a table whose rows are in block order at block edges
-into runs of about 16,384 events and yields each run's pairs in turn.  A
-stage that filters or scans each chunk as it comes holds one transit plus
-one chunk, not the session's events or every pair of it.
+into runs of about 16,384 events and yields each run's pairs in turn.  One
+scan, _cuts, finds these block edges and the reader's transit edges.  A
+stage that takes each chunk as it comes holds one transit and one chunk.
 
 Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
-stored as an integer code into the table's sorted `tags`, so sorting on the
-code sorts on the tag string.  A PairTable holds index arrays `a` and `b`
-into its EventTable plus the delta_t_s, delta_f_hz and phase_metric_rad
-columns; its log10_delta_f_mhz is computed from delta_f_hz when read, so
-pairing and filtering never take a per-pair logarithm.  Iterating a
-PairTable yields PairCandidate rows built from the columns, for inspection;
-no stage iterates them.
+stored as an integer code into the table's sorted, unique `tags` (checked
+when the table is made), so sorting on the code sorts on the tag string.
+A PairTable holds index arrays `a` and `b` into its EventTable plus the
+delta_t_s, delta_f_hz and phase_metric_rad columns; its log10_delta_f_mhz
+is computed from delta_f_hz when read, so pairing and filtering never take
+a per-pair logarithm.  Iterating a PairTable yields PairCandidate rows
+built from the columns, for inspection; no stage iterates them.
 
 The package writes its CSV rows with write_rows, and reads the ones it
 reads back (the archive, candidates.csv, stats.csv) as columns with
@@ -105,7 +105,8 @@ class EventTable:
     """Level-1 events as one numpy array per column (see EVENT_COLUMNS).
 
     pol_code indexes `tags`, which is sorted and unique, so the code ranks
-    each event's polarization tag in Python string order.
+    each event's polarization tag in Python string order; a table that
+    breaks this raises ValidationError.
     """
 
     frame_index: np.ndarray
@@ -127,6 +128,12 @@ class EventTable:
         self.tags = tuple(self.tags)
         if len({getattr(self, n).shape for n in EVENT_COLUMNS}) != 1:
             raise ValidationError("event columns differ in length")
+        if list(self.tags) != sorted(set(self.tags)):
+            raise ValidationError(
+                f"event tags {self.tags!r} are not sorted and unique")
+        if len(self) and not (0 <= self.pol_code.min()
+                              and self.pol_code.max() < len(self.tags)):
+            raise ValidationError("pol_code does not index the event tags")
 
     def __len__(self) -> int:
         return self.frame_index.size
@@ -172,8 +179,8 @@ class EventStream:
     """A session's events as consecutive EventTables (parts), made one at a
     time as they are consumed, such as one per transit.
 
-    `lengths` holds each part's row count and `tags` (sorted and unique)
-    every tag a part may hold, both known before the first part is made.
+    `lengths` holds each part's row count and `tags` every part's tags
+    (used or not), both known before the first part is made.
     A stream iterates once.  A consumer that holds one part at a time must
     drop it before it asks for the next.
     """
@@ -197,10 +204,8 @@ class EventStream:
 
     @classmethod
     def of(cls, table: EventTable) -> EventStream:
-        """The one-part stream of `table`, with the tags it holds."""
-        used = np.bincount(table.pol_code, minlength=len(table.tags)) > 0
-        return cls(sorted(tag for tag, u in zip(table.tags, used) if u),
-                   (len(table),), iter([table]))
+        """The one-part stream of `table`, with all of the table's tags."""
+        return cls(table.tags, (len(table),), iter([table]))
 
 
 @dataclass(eq=False)
@@ -405,30 +410,27 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
                      np.full(a.size, np.nan))
 
 
-def _block_cuts(events: EventTable, width: int) -> list | None:
-    """Row offsets [0, ..., len(events)] that cut the table at block edges
-    into ranges of at least _CHUNK_ROWS rows (the last may be shorter), or
-    None when the rows are not in block order.
+def _cuts(key_of, n: int, min_rows: int = 1) -> list | None:
+    """Row offsets [0, ..., n] that cut rows 0..n where their key changes,
+    each cut at least min_rows rows after the one before (so a range may
+    hold more than one key, and the last may be shorter), or None when the
+    key ever decreases.
 
-    Rows are in block order when their blocks never decrease.  The rows
-    are scanned _CHUNK_ROWS at a time, so the scan holds no whole-table
-    temporary.
+    key_of(lo, hi) gives the keys of rows lo..hi; it is asked for
+    _CHUNK_ROWS rows at a time, so the scan holds no whole-table temporary.
     """
-    n = len(events)
-    cuts = [0]
-    for start in range(1, n, _CHUNK_ROWS):
-        # step[i] compares row start + i with the row before it
-        block = events.frame_index[start - 1:start + _CHUNK_ROWS]
-        step = np.diff(block // width if width > 1 else block)
+    cuts, last = [0], None
+    for lo in range(0, n, _CHUNK_ROWS):
+        key = key_of(lo, min(lo + _CHUNK_ROWS, n))
+        # step[i] compares row lo + i with the row before it
+        step = np.diff(key, prepend=key[:1] if last is None else last)
         if step.min() < 0:
             return None
-        # the first edge at least _CHUNK_ROWS rows after the last cut
-        skip = max(cuts[-1] + _CHUNK_ROWS - start, 0)
-        edge = np.flatnonzero(step[skip:])[:1]
-        if edge.size:
-            cuts.append(start + skip + int(edge[0]))
-    cuts.append(n)
-    return cuts
+        edges = lo + np.flatnonzero(step)
+        while (at := np.searchsorted(edges, cuts[-1] + min_rows)) < edges.size:
+            cuts.append(int(edges[at]))
+        last = key[-1:]
+    return cuts + [n]
 
 
 def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
@@ -444,10 +446,12 @@ def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
     transit, as read_level1_archive yields them) plus one chunk, not all
     of its pairs.
     """
-    cuts = _block_cuts(events, _block_width(pairing_window_frames))
-    if cuts is None:
-        yield form_pairs(events, pairing_window_frames, require_pol_match)
-        return
+    width = _block_width(pairing_window_frames)
+    frame = events.frame_index
+    # a block is one frame at K = 0, keyed by the frame itself: no division
+    cuts = _cuts(lambda lo, hi: (frame[lo:hi] // width if width > 1
+                                 else frame[lo:hi]),
+                 len(events), _CHUNK_ROWS) or [0, len(events)]
     for lo, hi in zip(cuts, cuts[1:]):
         part = form_pairs(events.take(slice(lo, hi)), pairing_window_frames,
                           require_pol_match)
@@ -760,13 +764,15 @@ def write_level1_archive(path, events) -> None:
 
     `events` is an EventTable or an EventStream; a stream's parts are
     written in turn as they are made, so the writer holds one part plus
-    one chunk of rows.  Fixed formats (utc to ms, rf to 0.1 Hz,
-    SNR/phase/RA to 6 significant digits) make the file a function of the
-    data alone.  Every tag the events may hold (a table's tags in use, a
-    stream's tags) must be non-empty printable ASCII without ',' or '"';
-    else ValidationError is raised before any file is opened.  The sidecar,
-    <path>.cols, holds the columns and the tags in use that parsing the CSV
-    text gives back, keyed to the text's sha256 (see read_level1_archive).
+    one chunk of rows, and a part whose tags are not the stream's raises
+    ValueError, as does a row count other than the stream declared.
+    Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
+    digits) make the file a function of the data alone.  Every tag of the
+    events (a table's or a stream's tags, used or not) must be non-empty
+    printable ASCII without ',' or '"'; else ValidationError is raised
+    before any file is opened.  The sidecar, <path>.cols, holds the
+    columns and the tags in use that parsing the CSV text gives back,
+    keyed to the text's sha256 (see read_level1_archive).
     Both are written in one pass: each chunk's text goes to the CSV and
     the sha256, its read-back float columns, and then each part's int
     columns, to their offsets in the sidecar.  The header carrying the
@@ -778,7 +784,6 @@ def write_level1_archive(path, events) -> None:
     tags = list(stream.tags)
     check_tags(tags)
     n = len(stream)
-    code = {tag: i for i, tag in enumerate(tags)}
     used = np.zeros(len(tags), dtype=bool)
     floats = [name for name, kind in ARCHIVE_COLUMNS.items() if kind is float]
     # the offsets of a sidecar of every tag; _keep_used_tags moves the
@@ -797,24 +802,21 @@ def write_level1_archive(path, events) -> None:
                 sha256.update(header)
                 start = 0
                 for part in stream:
-                    rank = np.array([code.get(tag, 0) for tag in part.tags],
-                                    dtype=np.int64)
-                    codes = (part.pol_code
-                             if np.array_equal(rank, np.arange(rank.size))
-                             else rank[part.pol_code])
-                    used[codes] = True
-                    ints = {"frame_index": part.frame_index,
-                            "bin_index": part.bin_index, "pol_code": codes}
-                    for name, col in ints.items():
+                    if part.tags != stream.tags:
+                        raise ValueError(
+                            f"write_level1_archive: a part has the tags "
+                            f"{part.tags!r}, the stream {stream.tags!r}")
+                    used[part.pol_code] = True
+                    for name in ("frame_index", "bin_index", "pol_code"):
                         side.seek(offset[name] + 8 * start)
                         side.write(np.ascontiguousarray(
-                            col, _SIDECAR_DTYPES[name]))
+                            getattr(part, name), _SIDECAR_DTYPES[name]))
                     chunks = _chunks(_ARCHIVE_ROW, [
                         getattr(part, name)
                         for name in list(ARCHIVE_COLUMNS)[1:]],
                         read_back=True)
                     # the next part is made only once this one is dropped
-                    del part, rank, codes, ints, col
+                    del part
                     for rows, backs in chunks:
                         rows = rows.encode()
                         fh.write(rows)
@@ -888,26 +890,6 @@ def _open_sidecar(path):
         pass
     fh.close()
     return None
-
-
-def _transit_cuts(read_utc, n: int, transit_of) -> list | None:
-    """Row offsets [0, ..., n] at which the rows' transit changes ([0, n]
-    when transit_of is None), or None when the transit ever decreases.
-
-    read_utc(lo, hi) gives rows lo..hi of the utc_s column; it is asked
-    for _CHUNK_ROWS rows at a time.
-    """
-    if transit_of is None:
-        return [0, n]
-    cuts, last = [0], None
-    for lo in range(0, n, _CHUNK_ROWS):
-        transit = transit_of(read_utc(lo, min(lo + _CHUNK_ROWS, n)))
-        step = np.diff(transit, prepend=transit[:1] if last is None else last)
-        if step.min() < 0:
-            return None
-        cuts += (lo + np.flatnonzero(step)).tolist()
-        last = transit[-1:]
-    return cuts + [n]
 
 
 def _split_transits(events: EventTable, transit_of) -> Iterator[EventTable]:
@@ -1039,10 +1021,10 @@ def read_level1_archive(path, transit_of=None) -> Iterator[EventTable]:
             return EventTable(tags=tags, **{
                 name: read(name, lo, col) for name, col in columns.items()})
 
-        def utc(lo: int, hi: int) -> np.ndarray:
-            return read("utc_s", lo, np.empty(hi - lo))
+        def transit_key(lo: int, hi: int) -> np.ndarray:
+            return transit_of(read("utc_s", lo, np.empty(hi - lo)))
 
-        cuts = _transit_cuts(utc, rows, transit_of)
+        cuts = [0, rows] if transit_of is None else _cuts(transit_key, rows)
         if cuts is None:
             yield from _split_transits(transit(0, rows), transit_of)
             return

@@ -408,13 +408,6 @@ def read_session(manifest: ExperimentManifest, level1_path):
     return read_level1_archive(level1_path, transit_of)
 
 
-def session_pairs(manifest: ExperimentManifest, events: EventTable):
-    """The pairs of `events` (one transit), a chunk at a time
-    (pairdetect.pair_chunks)."""
-    return pair_chunks(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match)
-
-
 def session_survivors(manifest: ExperimentManifest, events: EventTable,
                       diagnostics_path=None, append: bool = False) -> tuple:
     """Pair and level-2 filter `events` (one transit) a chunk at a time.
@@ -424,7 +417,9 @@ def session_survivors(manifest: ExperimentManifest, events: EventTable,
     append.  Returns (n_pairs, survivors).
     """
     n_pairs, kept = 0, []
-    for i, pairs in enumerate(session_pairs(manifest, events)):
+    for i, pairs in enumerate(pair_chunks(events,
+                                          manifest.pairing_window_frames,
+                                          manifest.require_pol_match)):
         n_pairs += len(pairs)
         if diagnostics_path is None:
             survivors = second_level_filter(pairs, manifest.phase)
@@ -702,7 +697,8 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
         for events in read_session(manifest, level1_path):
             if exposure is not None:
                 exposure[:] += exposure_counts(events.ra_pointing_hr, edges)
-            yield from session_pairs(manifest, events)
+            yield from pair_chunks(events, manifest.pairing_window_frames,
+                                   manifest.require_pol_match)
             del events              # before the next transit is read
 
     return tune_tau_int(chunks(), manifest.phase, edges, lambda: (

@@ -9,7 +9,8 @@ import pytest
 
 from pulsepair import pairdetect, pipeline, skystats
 from pulsepair.errors import ArchiveFormatError, ValidationError
-from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EVENT_COLUMNS, EventTable,
+from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EVENT_COLUMNS,
+                                  EventStream, EventTable,
                                   FirstLevelFilterParams, PairTable,
                                   first_level_filter_frame, form_pairs,
                                   write_level1_archive, write_rows)
@@ -185,7 +186,9 @@ def test_pair_chunks_are_the_pairs_of_the_whole_table(k, require_pol_match):
     rng = np.random.default_rng(10 * k + require_pol_match)
     n = 4 * pairdetect._CHUNK_ROWS + 3000
     events = _block_ordered_table(rng, n)
-    cuts = pairdetect._block_cuts(events, 2 * k + 1)
+    cuts = pairdetect._cuts(
+        lambda lo, hi: events.frame_index[lo:hi] // (2 * k + 1), n,
+        pairdetect._CHUNK_ROWS)
     assert len(cuts) >= 6 and pairdetect._CHUNK_ROWS in cuts
     chunks = list(pairdetect.pair_chunks(events, k, require_pol_match))
     assert len(chunks) == len(cuts) - 1
@@ -203,9 +206,83 @@ def test_pair_chunks_need_blocks_in_order():
     # frames that step back: one table
     events = event_table(frame=[0, 1, 2, 0, 1, 2])
     assert len(list(pairdetect.pair_chunks(events, 0))) == 1
-    assert pairdetect._block_cuts(events, 1) is None
+    assert pairdetect._cuts(lambda lo, hi: events.frame_index[lo:hi],
+                            len(events)) is None
     empty = event_table().take([])
     assert list(map(len, pairdetect.pair_chunks(empty))) == [0]
+
+
+def _diff_cuts(key, min_rows):
+    """What _cuts gives, from one np.diff over the whole key."""
+    step = np.diff(key)
+    if (step < 0).any():
+        return None
+    cuts = [0]
+    for edge in (np.flatnonzero(step) + 1).tolist():
+        if edge >= cuts[-1] + min_rows:
+            cuts.append(edge)
+    return cuts + [key.size]
+
+
+def _scan(key, min_rows=1):
+    """_cuts over the array key, checking that it asks for one chunk of
+    rows at a time."""
+    def key_of(lo, hi):
+        assert 0 <= lo < hi <= min(lo + pairdetect._CHUNK_ROWS, key.size)
+        return key[lo:hi]
+    return pairdetect._cuts(key_of, key.size, min_rows)
+
+
+@pytest.mark.parametrize("min_rows", [1, pairdetect._CHUNK_ROWS])
+def test_cuts_match_a_whole_array_diff(min_rows):
+    chunk = pairdetect._CHUNK_ROWS
+    rng = np.random.default_rng(min_rows)
+    for n in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
+        # rare and frequent changes, by steps of 1 to 3
+        for p in (0.001, 0.3):
+            key = np.cumsum((rng.random(n) < p) * rng.integers(1, 4, n))
+            assert _scan(key, min_rows) == _diff_cuts(key, min_rows)
+    # one change just before, at and just after the first chunk edge
+    for row in (chunk - 1, chunk, chunk + 1):
+        key = (np.arange(2 * chunk) >= row).astype(np.int64)
+        cuts = _scan(key, min_rows)
+        assert cuts == _diff_cuts(key, min_rows)
+        assert cuts == ([0, 2 * chunk] if row < min_rows
+                        else [0, row, 2 * chunk])
+
+
+def test_cuts_of_no_rows_and_of_a_key_that_decreases():
+    chunk = pairdetect._CHUNK_ROWS
+    assert _scan(np.arange(0)) == [0, 0]
+    for row in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+        key = np.arange(3 * chunk)
+        key[row:] -= 2
+        for min_rows in (1, chunk):
+            assert _scan(key, min_rows) is None
+            assert _diff_cuts(key, min_rows) is None
+
+
+@pytest.mark.parametrize("tags, pol_code", [
+    (("RHCP", "LHCP"), [0, 1]),        # not sorted
+    (("LHCP", "LHCP"), [0, 1]),        # not unique
+    (("LHCP", "RHCP"), [-1, 0]),       # a code below the tags
+    (("LHCP", "RHCP"), [0, 2]),        # a code past the tags
+])
+def test_an_event_table_enforces_its_tag_contract(tags, pol_code):
+    columns = {n: np.zeros(2) for n in EVENT_COLUMNS if n != "pol_code"}
+    with pytest.raises(ValidationError):
+        EventTable(tags=tags, pol_code=pol_code, **columns)
+
+
+@pytest.mark.parametrize("stream_tags", [("LHCP",), ("LHCP", "RHCP", "X")])
+def test_a_part_with_other_tags_than_its_stream_is_not_written(tmp_path,
+                                                               stream_tags):
+    part = event_table(k=[0, 1], pol=["LHCP", "RHCP"])
+    stream = EventStream(stream_tags, (len(part),), iter([part]))
+    with pytest.raises(ValueError, match="tags"):
+        write_level1_archive(tmp_path / "level1.csv", stream)
+    assert not [name for name in os.listdir(tmp_path)
+                if name.endswith((".cols", ".tmp"))]
 
 
 def test_form_pairs_log10_matches_math_log10_across_chunks():
@@ -488,8 +565,8 @@ _SIDECAR_CASES = {
     "nan-inf": lambda: event_table(
         utc=[math.nan, math.inf, 1.0], phase_e=[math.nan, -math.inf, 0.2],
         phase_w=math.inf, snr=[-math.inf, math.nan, 9.0], ra=math.nan),
-    "unused-tag": lambda: EventTable(tags=("RHCP", "unused", "LHCP"),
-                                     pol_code=[2, 0, 2, 0],
+    "unused-tag": lambda: EventTable(tags=("LHCP", "RHCP", "unused"),
+                                     pol_code=[0, 1, 0, 1],
                                      **{n: np.arange(4) for n in EVENT_COLUMNS
                                         if n != "pol_code"}),
     "long-tags": lambda: event_table(k=[0, 1, 2],

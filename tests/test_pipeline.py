@@ -16,14 +16,15 @@ from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  PairTable, form_pairs, write_level1_archive)
+                                  PairTable, form_pairs, pair_chunks,
+                                  write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 detect_frames,
                                 load_frames_npz, manifest_from_file,
                                 read_candidates_csv, read_session, refilter,
                                 run_experiment, run_null_mc, run_tune_tau,
                                 save_frames_npz, session_exposure,
-                                session_pairs, sha256_file,
+                                sha256_file,
                                 simulate_events, write_analysis,
                                 write_candidates_csv, write_figure,
                                 write_tau_scan_csv)
@@ -610,7 +611,8 @@ def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
     edges = m.bin_edges()
     want = tune_tau_int(
         (pairs for events in read_session(m, path)
-         for pairs in session_pairs(m, events)),
+         for pairs in pair_chunks(events, m.pairing_window_frames,
+                                  m.require_pol_match)),
         m.phase, edges, bin_probabilities(
             edges, p_mode, session_exposure(m, read_session(m, path))))
     hashed = []
@@ -668,7 +670,8 @@ def test_no_pair_joins_two_transits(tmp_path, k):
     transits = list(read_session(m, path))
     assert len(transits) == 2
     for events in transits:
-        pairs = PairTable.concat(events, session_pairs(m, events))
+        pairs = PairTable.concat(events, pair_chunks(
+            events, m.pairing_window_frames, m.require_pol_match))
         assert pairs.delta_t_s.max() <= (2 * k + 1) * hop
 
 
