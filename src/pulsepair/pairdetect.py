@@ -34,10 +34,11 @@ read_columns.
 
 The level-1 archive is the package's interchange format: one CSV row per
 event with fixed column order and fixed numeric formats, so identical inputs
-produce byte-identical archives.  write_level1_archive also leaves a binary
-column sidecar beside it, a cache keyed to the archive's sha256 that
-read_level1_archive reads, a transit at a time, in place of parsing the
-text.
+produce byte-identical archives.  When every tag it declares is used,
+write_level1_archive also leaves a binary column sidecar beside it, a
+cache keyed to the archive's sha256 that read_level1_archive reads, a
+transit at a time, in place of parsing the text; the tags in use are
+always those the text gives.
 """
 
 from __future__ import annotations
@@ -641,13 +642,13 @@ def _render(conv: str, col, bad) -> tuple:
     return [], None
 
 
-def _chunks(fmt: str, columns, read_back: bool = False):
+def _chunks(fmt: str, columns):
     """Yield (text, backs) for each _CHUNK_ROWS rows of the columns.
 
-    text is `fmt % row` for every row.  With read_back, backs holds one
-    float64 array per %f and %g conversion: the values that parsing its
-    fields gives back, bit for bit (the kernel's digits for most rows,
-    float() of the text for the rows % writes); else it is empty.
+    text is `fmt % row` for every row, and backs holds one float64 array
+    per %f and %g conversion: the values that parsing its fields gives
+    back, bit for bit (the kernel's digits for most rows, float() of the
+    text for the rows % writes).
     """
     pieces = _CONVERSION.split(fmt)
     literals, conversions = pieces[::2], pieces[1::2]
@@ -688,7 +689,7 @@ def _chunks(fmt: str, columns, read_back: bool = False):
         text = str(grid[grid != 0], "ascii")
         backs = []
         for conv, col, value in zip(conversions, chunk, values):
-            if read_back and conv[-1] in "fg":
+            if conv[-1] in "fg":
                 # a flagged row is written by %: read back from its text
                 value = np.empty(n) if value is None else value
                 value[bad] = [float(f"%{conv}" % v) for v in col[bad].tolist()]
@@ -760,7 +761,7 @@ def sha256_file(path) -> str:
 
 def write_level1_archive(path, events) -> None:
     """Write events as a level-1 archive CSV (schema version 1), and its
-    column sidecar.
+    column sidecar when every tag of the events is used.
 
     `events` is an EventTable or an EventStream; a stream's parts are
     written in turn as they are made, so the writer holds one part plus
@@ -771,13 +772,16 @@ def write_level1_archive(path, events) -> None:
     events (a table's or a stream's tags, used or not) must be non-empty
     printable ASCII without ',' or '"'; else ValidationError is raised
     before any file is opened.  The sidecar, <path>.cols, holds the
-    columns and the tags in use that parsing the CSV text gives back,
-    keyed to the text's sha256 (see read_level1_archive).
-    Both are written in one pass: each chunk's text goes to the CSV and
-    the sha256, its read-back float columns, and then each part's int
-    columns, to their offsets in the sidecar.  The header carrying the
-    digest goes in last, and the new sidecar replaces the old one once the
-    CSV is closed.
+    columns and tags that parsing the CSV text gives back, keyed to the
+    text's sha256 (see read_level1_archive).  The text's tags are the tags
+    in use, so when some tag has no event no sidecar is kept (and an old
+    one is removed): the archive is then read from its text.
+    Both are written in one pass to temporary files beside them: each
+    chunk's text goes to the CSV and the sha256, its read-back float
+    columns, and then each part's int columns, to their offsets in the
+    sidecar, and the header carrying the digest goes in last.  Only once
+    every row is written do they replace the old files, so a write that
+    raises leaves the old archive and sidecar as they were.
     """
     stream = (events if isinstance(events, EventStream)
               else EventStream.of(events))
@@ -786,85 +790,61 @@ def write_level1_archive(path, events) -> None:
     n = len(stream)
     used = np.zeros(len(tags), dtype=bool)
     floats = [name for name, kind in ARCHIVE_COLUMNS.items() if kind is float]
-    # the offsets of a sidecar of every tag; _keep_used_tags moves the
-    # columns if a tag is never used
     text = "\n".join(tags).encode()
     offset = {name: _SIDECAR.size + len(text) + 8 * n * i
               for i, name in enumerate(EVENT_COLUMNS)}
     sha256 = hashlib.sha256()
     sidecar = _sidecar_path(path)
-    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    tmp, side_tmp = (f"{name}.{os.getpid()}.tmp"
+                     for name in (os.fspath(path), sidecar))
     try:
-        with open(tmp, "w+b") as side:
-            with open(path, "wb") as fh:
-                header = (",".join(ARCHIVE_COLUMNS) + "\n").encode()
-                fh.write(header)
-                sha256.update(header)
-                start = 0
-                for part in stream:
-                    if part.tags != stream.tags:
-                        raise ValueError(
-                            f"write_level1_archive: a part has the tags "
-                            f"{part.tags!r}, the stream {stream.tags!r}")
-                    used[part.pol_code] = True
-                    for name in ("frame_index", "bin_index", "pol_code"):
+        with open(side_tmp, "w+b") as side, open(tmp, "wb") as fh:
+            header = (",".join(ARCHIVE_COLUMNS) + "\n").encode()
+            fh.write(header)
+            sha256.update(header)
+            start = 0
+            for part in stream:
+                if part.tags != stream.tags:
+                    raise ValueError(
+                        f"write_level1_archive: a part has the tags "
+                        f"{part.tags!r}, the stream {stream.tags!r}")
+                used[part.pol_code] = True
+                for name in ("frame_index", "bin_index", "pol_code"):
+                    side.seek(offset[name] + 8 * start)
+                    side.write(np.ascontiguousarray(
+                        getattr(part, name), _SIDECAR_DTYPES[name]))
+                chunks = _chunks(_ARCHIVE_ROW, [
+                    getattr(part, name) for name in list(ARCHIVE_COLUMNS)[1:]])
+                # the next part is made only once this one is dropped
+                del part
+                for rows, backs in chunks:
+                    rows = rows.encode()
+                    fh.write(rows)
+                    sha256.update(rows)
+                    for name, back in zip(floats, backs):
                         side.seek(offset[name] + 8 * start)
                         side.write(np.ascontiguousarray(
-                            getattr(part, name), _SIDECAR_DTYPES[name]))
-                    chunks = _chunks(_ARCHIVE_ROW, [
-                        getattr(part, name)
-                        for name in list(ARCHIVE_COLUMNS)[1:]],
-                        read_back=True)
-                    # the next part is made only once this one is dropped
-                    del part
-                    for rows, backs in chunks:
-                        rows = rows.encode()
-                        fh.write(rows)
-                        sha256.update(rows)
-                        for name, back in zip(floats, backs):
-                            side.seek(offset[name] + 8 * start)
-                            side.write(np.ascontiguousarray(
-                                back, _SIDECAR_DTYPES[name]))
-                        start += len(backs[0])
+                            back, _SIDECAR_DTYPES[name]))
+                    start += len(backs[0])
             if start != n:
                 raise ValueError(f"write_level1_archive: the stream declared "
                                  f"{n} rows and made {start}")
-            if not used.all():
-                text = _keep_used_tags(side, tags, used, n)
             side.seek(0)
             side.write(_SIDECAR.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, n,
                                      sha256.hexdigest().encode(),
                                      len(text)) + text)
-        os.replace(tmp, sidecar)
+        os.replace(tmp, path)
+        if used.all():
+            os.replace(side_tmp, sidecar)
+        else:
+            os.remove(side_tmp)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(sidecar)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for name in (tmp, side_tmp):
+            with contextlib.suppress(OSError):
+                os.remove(name)
         raise
-
-
-def _keep_used_tags(side, tags, used, n: int) -> bytes:
-    """Turn the sidecar file `side`, whose n rows were written after the
-    text of every tag in `tags`, into one of the `used` tags alone, and
-    return their text.
-
-    The text is shorter, so each column moves toward the start, a chunk
-    at a time, and pol_code is recoded to the used tags' ranks.
-    """
-    text = "\n".join(t for t, u in zip(tags, used) if u).encode()
-    start = _SIDECAR.size + len("\n".join(tags).encode())
-    shift = start - _SIDECAR.size - len(text)
-    rank = np.cumsum(used) - 1
-    for i, (name, dtype) in enumerate(_SIDECAR_DTYPES.items()):
-        for lo in range(0, n, _CHUNK_ROWS):
-            side.seek(start + 8 * (i * n + lo))
-            block = np.empty(min(_CHUNK_ROWS, n - lo), dtype)
-            side.readinto(block)
-            if name == "pol_code":
-                block = rank[block].astype(dtype)
-            side.seek(start - shift + 8 * (i * n + lo))
-            side.write(block)
-    side.truncate(start - shift + 8 * len(EVENT_COLUMNS) * n)
-    return text
 
 
 def _open_sidecar(path):

@@ -281,8 +281,26 @@ def test_a_part_with_other_tags_than_its_stream_is_not_written(tmp_path,
     stream = EventStream(stream_tags, (len(part),), iter([part]))
     with pytest.raises(ValueError, match="tags"):
         write_level1_archive(tmp_path / "level1.csv", stream)
-    assert not [name for name in os.listdir(tmp_path)
-                if name.endswith((".cols", ".tmp"))]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("fault", ["other tags", "fewer rows"])
+def test_a_write_that_raises_leaves_the_old_archive(tmp_path, fault):
+    # the first part is written before the fault shows: neither file is
+    # replaced until every row is in
+    path, sidecar = tmp_path / "level1.csv", tmp_path / "level1.csv.cols"
+    write_level1_archive(path, event_table(k=[0, 3]))
+    old = (path.read_bytes(), sidecar.read_bytes())
+    first = event_table(k=[0, 1], pol=["LHCP", "RHCP"])
+    if fault == "other tags":
+        stream = EventStream(first.tags, (2, 1),
+                             iter([first, event_table(k=5, pol="X")]))
+    else:
+        stream = EventStream(first.tags, (2, 3), iter([first, first]))
+    with pytest.raises(ValueError):
+        write_level1_archive(path, stream)
+    assert (path.read_bytes(), sidecar.read_bytes()) == old
+    assert sorted(os.listdir(tmp_path)) == ["level1.csv", "level1.csv.cols"]
 
 
 def test_form_pairs_log10_matches_math_log10_across_chunks():
@@ -581,7 +599,19 @@ _SIDECAR_CASES = {
 def test_sidecar_and_csv_paths_give_the_same_events(tmp_path, monkeypatch,
                                                     case):
     path = tmp_path / "level1.csv"
-    write_level1_archive(path, _SIDECAR_CASES[case]())
+    events = _SIDECAR_CASES[case]()
+    write_level1_archive(path, events)
+    if case in ("unused-tag", "empty"):
+        # a declared tag no event uses: no sidecar, and the text gives the
+        # table's rows with the tags in use
+        assert not (tmp_path / "level1.csv.cols").exists()
+        pol = events.polarization_tag.tolist()
+        used = sorted(set(pol))
+        _assert_same_events(archive_events(path), EventTable(
+            tags=used, pol_code=[used.index(p) for p in pol],
+            **{n: getattr(events, n) for n in EVENT_COLUMNS
+               if n != "pol_code"}))
+        return
     assert (tmp_path / "level1.csv.cols").exists()
     _assert_same_events(_read_from_sidecar(path, monkeypatch), _read_through_csv(path))
 

@@ -79,14 +79,22 @@ PINNED = {
     },
 }
 
-# two tags in the config, one in use: the sidecar's tag text is "LHCP"
+# two tags in the config, one in use: no sidecar is written
 UNUSED_TAG = {
     "level1.csv":
         "eee82feead6e5d279a30de6c121d1ce0dd615dd9719534cfd1fb137a918bb206",
-    "level1.csv.cols":
-        "e425ba84792b1cd2dc93a205e283a4b342651ede16fb56dd4856cbe131132667",
     "candidates.csv":
         "63fbe7b7502d233898085a22fc890bd1ed686cb386881f3131cccb0889e59a63",
+}
+
+# two tags in the config, both in use: the sidecar holds both
+TWO_TAGS = {
+    "level1.csv":
+        "2ed6e91adacf507fbb843d5469d7806a0ab2b96c3c0df74a9b6ace9eb8fc05b5",
+    "level1.csv.cols":
+        "9ab53a23773e781347711c42f86a264798ece1f78b56b400e3c01921efd22a9e",
+    "candidates.csv":
+        "aec7a7d9b43f9b435975887b7ca64b004db09845ccf5c7fd1f7c5c76e68ecc0e",
 }
 
 
@@ -198,37 +206,58 @@ def test_an_archive_without_rows_is_one_empty_table(tmp_path):
             == ",".join(pipeline.CANDIDATE_COLUMNS) + "\n")
 
 
-def test_an_unused_tag_is_left_out_of_the_sidecar(tmp_path):
+def test_an_archive_with_an_unused_tag_has_no_sidecar(tmp_path):
     # at 30 dB no noise event is drawn, and the source is LHCP: RHCP is
-    # never used, and the sidecar is written for LHCP alone, its columns
-    # moved up by the dropped text
+    # never used, so no sidecar is kept (an old one is removed) and the
+    # archive is read from its text, which gives the tags in use
     cfg = tmp_path / "unused.cfg"
     cfg.write_text(SURVEY_CFG.replace("run.n_transits = 1",
                                       "run.n_transits = 2")
                    + "config.polarization_tags = LHCP,RHCP\n"
                    "filter.snr_threshold_db = 30.0\n")
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "level1.csv.cols").write_bytes(b"an old sidecar")
     common = ["--config", str(cfg), "--out", str(out)]
     for command in ("simulate", "refilter"):
         assert cli.main([command, *common]) == 0, command
     assert {name: _sha256(out / name) for name in UNUSED_TAG} == UNUSED_TAG
+    assert not (out / "level1.csv.cols").exists()
     events = archive_events(out / "level1.csv")
     assert events.tags == ("LHCP",) and len(events) > 0
-    (out / "level1.csv.cols").unlink()
-    assert archive_events(out / "level1.csv").tags == ("LHCP",)
+
+
+def test_a_two_tag_sidecar_keeps_both_tags(tmp_path, monkeypatch):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(SURVEY_CFG + "config.polarization_tags = LHCP,RHCP\n")
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    for command in ("simulate", "refilter"):
+        assert cli.main([command, *common]) == 0, command
+    assert {name: _sha256(out / name) for name in TWO_TAGS} == TWO_TAGS
+    # read from the sidecar alone
+    monkeypatch.setattr(pairdetect, "read_columns", None)
+    events = archive_events(out / "level1.csv")
+    assert events.tags == ("LHCP", "RHCP")
+    assert np.bincount(events.pol_code).tolist() == [21081, 21345]
 
 
 def _peaks(tmp_path, n_transits):
-    """tracemalloc's peak of simulate, refilter, run_tune_tau and
-    run_null_mc on the survey of n_transits 0.2 h transits."""
+    """tracemalloc's peak of simulate, refilter, exposure-mode
+    analyze_candidates, run_tune_tau and run_null_mc on the survey of
+    n_transits 0.2 h transits."""
     cfg = _config(tmp_path / f"survey{n_transits}.cfg", n_transits, 0)
     m = pipeline.manifest_from_file(cfg)
+    exposure = pipeline.manifest_from_file(
+        _config(tmp_path / f"exposure{n_transits}.cfg", n_transits, 1))
     path = tmp_path / f"level1_{n_transits}.csv"
     stages = {
         "simulate": lambda: write_level1_archive(
             path, pipeline.simulate_events(m)),
         "refilter": lambda: pipeline.refilter(
             m, path, tmp_path / "candidates.csv"),
+        "analyze": lambda: pipeline.analyze_candidates(
+            exposure, tmp_path / "candidates.csv", path),
         "tune-tau": lambda: pipeline.run_tune_tau(m, path),
         "null-mc": lambda: pipeline.run_null_mc(m, 1),
     }
