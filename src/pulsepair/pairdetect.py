@@ -9,14 +9,16 @@ order and at most 2K frames apart.  K = 0 pairs only within single frames.
 
 A session is paired one transit at a time, so no pair joins two transits:
 an EventStream knows each transit's row count and the tags up front and
-makes the transits' EventTables one after another, write_level1_archive
-writes them as they come, and read_level1_archive, the one place that
-finds each event's transit, yields an archive's transits one at a time.
-Pairing is local to a block, so the stages pair a transit with
-pair_chunks: it cuts a table whose rows are in block order at block edges
-into runs of about 16,384 events and yields each run's pairs in turn.  One
-scan, _cuts, finds these block edges and the reader's transit edges.  A
-stage that takes each chunk as it comes holds one transit and one chunk.
+makes the transits' EventTables one after another, and
+write_level1_archive writes them as they come.  Pairing is local to a
+block, so pair_chunks cuts a table whose rows are in block order at block
+edges into runs of about 16,384 events and yields each run's pairs in
+turn.  read_level1_archive, the one place that finds each event's transit,
+cuts an archive with a sidecar at its transit edges and then where
+pair_chunks would, and yields one such pair chunk at a time.  One scan,
+_cuts, finds both kinds of edge, on one block key, _block_key.  A stage
+that takes each chunk as it comes holds one chunk; one that reads a text
+archive, or samples a session, holds one transit and one chunk.
 
 Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
@@ -37,8 +39,8 @@ event with fixed column order and fixed numeric formats, so identical inputs
 produce byte-identical archives.  When every tag it declares is used,
 write_level1_archive also leaves a binary column sidecar beside it, a
 cache keyed to the archive's sha256 that read_level1_archive reads, a
-transit at a time, in place of parsing the text; the tags in use are
-always those the text gives.
+chunk at a time, in place of parsing the text; the tags in use are always
+those the text gives.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def empty_event_columns(n: int) -> dict:
     numpy asks for huge pages for an allocation of a transit's size, so
     filling one block takes far fewer page faults than filling ten
     separate columns: reading the seed-42 survey archive a transit at a
-    time takes 2,316 minor faults against 17,519.
+    time took 2,316 minor faults against 17,519.
     """
     block = np.empty((len(EVENT_DTYPES), n), np.int64)
     return {name: row.view(dtype)
@@ -374,6 +376,14 @@ def _block_width(pairing_window_frames: int) -> int:
     return 2 * pairing_window_frames + 1
 
 
+def _block_key(frame_index, pairing_window_frames: int) -> np.ndarray:
+    """The frame block of each frame index, frame // (2K+1), that pairing
+    sorts on first; at K = 0 a block is one frame, keyed by the frame
+    itself, with no division."""
+    width = _block_width(pairing_window_frames)
+    return frame_index // width if width > 1 else frame_index
+
+
 def form_pairs(events: EventTable, pairing_window_frames: int = 0,
                require_pol_match: bool = False) -> PairTable:
     """Pair events by sorted adjacency within frame blocks.
@@ -384,15 +394,15 @@ def form_pairs(events: EventTable, pairing_window_frames: int = 0,
     (bin_index, frame_index, polarization_tag, utc_s) and every consecutive
     pair becomes a candidate.  An event can therefore appear in at most two
     candidates (as the later and as the earlier member), matching the
-    fixed-block reading of the pairing window.  `events` is one transit, as
-    read_level1_archive yields them, so no pair joins two transits.  The
-    sort is two stable passes, on utc_s and then on the other keys packed
-    into one int64, so equal keys keep their table order; events whose
-    frame and bin ranges are too wide to pack raise ValidationError.
+    fixed-block reading of the pairing window.  `events` is one transit, or
+    a chunk of one, as read_level1_archive yields them, so no pair joins
+    two transits.  The sort is two stable passes, on utc_s and then on the
+    other keys packed into one int64, so equal keys keep their table
+    order; events whose frame and bin ranges are too wide to pack raise
+    ValidationError.
     """
     width = _block_width(pairing_window_frames)
-    # at K = 0 a block is one frame, and the frame within it is always 0
-    block = events.frame_index // width if width > 1 else events.frame_index
+    block = _block_key(events.frame_index, pairing_window_frames)
     pol = events.pol_code
     fields = [block, events.bin_index, pol]
     if width > 1:
@@ -440,18 +450,18 @@ def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
 
     form_pairs joins only rows of one block, and sorts on the block first.
     So when the rows are in block order, the table's pairs are the pairs of
-    consecutive row ranges cut at block edges, in the same order.  Each
-    range holds about _CHUNK_ROWS rows; its PairTable indexes `events` as a
-    whole.  Rows out of block order (a foreign archive) are paired as one
-    table.  A stage that filters each chunk as it comes holds `events` (one
-    transit, as read_level1_archive yields them) plus one chunk, not all
-    of its pairs.
+    consecutive row ranges cut at block edges, in the same order: each
+    range ends at the first block edge at least _CHUNK_ROWS rows after its
+    start, and its PairTable indexes `events` as a whole.  Rows out of
+    block order (a foreign archive) are paired as one table.
+    read_level1_archive cuts a sidecar's transits by this rule, so a chunk
+    it yields is one range here; a table it reads whole (one transit) is
+    cut here, and a stage that filters each chunk as it comes holds
+    `events` plus one chunk, not all of its pairs.
     """
-    width = _block_width(pairing_window_frames)
     frame = events.frame_index
-    # a block is one frame at K = 0, keyed by the frame itself: no division
-    cuts = _cuts(lambda lo, hi: (frame[lo:hi] // width if width > 1
-                                 else frame[lo:hi]),
+    cuts = _cuts(lambda lo, hi: _block_key(frame[lo:hi],
+                                           pairing_window_frames),
                  len(events), _CHUNK_ROWS) or [0, len(events)]
     for lo, hi in zip(cuts, cuts[1:]):
         part = form_pairs(events.take(slice(lo, hi)), pairing_window_frames,
@@ -961,23 +971,28 @@ def _value(kind, text: str):
     return np.int64(text) if kind is int else kind(text)
 
 
-def read_level1_archive(path, transit_of=None) -> Iterator[EventTable]:
-    """Yield a level-1 archive's events, one transit at a time in ascending
-    transit order; it writes no file.
+def read_level1_archive(path, transit_of=None,
+                        pairing_window_frames=None) -> Iterator[EventTable]:
+    """Yield a level-1 archive's events a transit, or a pair chunk of one,
+    at a time, in ascending transit order; it writes no file.
 
     `transit_of` maps utc_s values to transit indices; without it the
-    events come as one table.  The events come from the archive's sidecar
+    events are one transit.  The events come from the archive's sidecar
     when write_level1_archive left one keyed to the archive's bytes.  The
     rows are then cut where their transit changes, found in one pass over
-    the sidecar's utc_s column, and each transit's rows are read from the
-    sidecar as they are asked for, so a consumer that drops each transit
-    before the next holds one.  Otherwise (no sidecar; a stale, cut or
-    foreign one; an archive from elsewhere) the events are read whole by
-    read_columns, which validates the header, width and every value; the
-    tags it reads as str objects are coded into pol_code.  A table read
-    whole, as is a sidecar's whose transit ever decreases, is split by a
-    stable sort on the transit, so each transit keeps its rows in archive
-    order.  An archive without rows yields one empty table.
+    the sidecar's utc_s column.  With pairing_window_frames K, each
+    transit is cut again as pair_chunks cuts it, at the first frame-block
+    edge at least _CHUNK_ROWS rows after the last cut, found in a pass
+    over its frame_index column; a transit whose blocks step back is not
+    cut.  Each range's rows are read from the sidecar as they are asked
+    for, so a consumer that drops each table before the next holds one
+    pair chunk.  Otherwise (no sidecar; a stale, cut or foreign one; an
+    archive from elsewhere) the events are read whole by read_columns,
+    which validates the header, width and every value; the tags it reads
+    as str objects are coded into pol_code.  A table read whole, as is a
+    sidecar's whose transit ever decreases, is split by a stable sort on
+    the transit, so each transit keeps its rows in archive order and is
+    yielded whole.  An archive without rows yields one empty table.
     """
     found = _open_sidecar(path)
     if found is None:
@@ -994,22 +1009,33 @@ def read_level1_archive(path, transit_of=None) -> Iterator[EventTable]:
                 raise ArchiveFormatError(f"{path}: its sidecar was cut short")
             return out
 
-        def transit(lo: int, hi: int) -> EventTable:
-            # a function, so that no name here holds a transit that the
+        def table(lo: int, hi: int) -> EventTable:
+            # a function, so that no name here holds a table that the
             # consumer dropped while the next one is read
             columns = empty_event_columns(hi - lo)
             return EventTable(tags=tags, **{
                 name: read(name, lo, col) for name, col in columns.items()})
 
+        def chunk_cuts(lo: int, hi: int) -> list:
+            # cuts of rows lo..hi (one transit), relative to lo
+            if pairing_window_frames is None:
+                return [0, hi - lo]
+            return _cuts(lambda a, b: _block_key(
+                read("frame_index", lo + a, np.empty(b - a, np.int64)),
+                pairing_window_frames), hi - lo, _CHUNK_ROWS) or [0, hi - lo]
+
         def transit_key(lo: int, hi: int) -> np.ndarray:
             return transit_of(read("utc_s", lo, np.empty(hi - lo)))
 
-        cuts = [0, rows] if transit_of is None else _cuts(transit_key, rows)
-        if cuts is None:
-            yield from _split_transits(transit(0, rows), transit_of)
+        transits = ([0, rows] if transit_of is None
+                    else _cuts(transit_key, rows))
+        if transits is None:
+            yield from _split_transits(table(0, rows), transit_of)
             return
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield transit(lo, hi)
+        for lo, hi in zip(transits, transits[1:]):
+            cuts = chunk_cuts(lo, hi)
+            for a, b in zip(cuts, cuts[1:]):
+                yield table(lo + a, lo + b)
 
 
 def _parse_level1_archive(path) -> EventTable:

@@ -53,25 +53,32 @@ _CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%.6g,"
                   "%.6g,%.6g\n")
 
 
-def write_candidates_csv(path, candidates: PairTable,
-                         append: bool = False) -> None:
-    """Write candidates (typically second-level survivors) as CSV.
-
-    With append, the rows go on at the end of the file, without a header,
-    so a session's transits can be written one after another.
-    """
+def _candidate_columns(candidates: PairTable) -> list:
+    """The CANDIDATE_COLUMNS of candidates, in order; they hold none of
+    the events."""
     ev, a, b = candidates.events, candidates.a, candidates.b
     tags = np.asarray(ev.tags, dtype=object)
-    with open(path, "a" if append else "w", newline="\n") as fh:
-        if not append:
-            fh.write(",".join(CANDIDATE_COLUMNS) + "\n")
-        write_rows(fh, _CANDIDATE_ROW, [
-            ev.utc_s[a], ev.utc_s[b], ev.frame_index[a], ev.frame_index[b],
+    return [ev.utc_s[a], ev.utc_s[b], ev.frame_index[a], ev.frame_index[b],
             ev.bin_index[a], ev.bin_index[b], ev.rf_freq_hz[a],
             ev.rf_freq_hz[b], tags[ev.pol_code[a]], tags[ev.pol_code[b]],
             candidates.delta_t_s, candidates.delta_f_hz,
             candidates.log10_delta_f_mhz, candidates.phase_metric_rad,
-            candidates.ra_pointing_hr])
+            candidates.ra_pointing_hr]
+
+
+def write_candidates_csv(path, candidates, append: bool = False) -> None:
+    """Write candidates (typically second-level survivors) as CSV.
+
+    `candidates` is a PairTable or its _candidate_columns.  With append,
+    the rows go on at the end of the file, without a header, so a
+    session's candidates can be written a batch at a time.
+    """
+    if isinstance(candidates, PairTable):
+        candidates = _candidate_columns(candidates)
+    with open(path, "a" if append else "w", newline="\n") as fh:
+        if not append:
+            fh.write(",".join(CANDIDATE_COLUMNS) + "\n")
+        write_rows(fh, _CANDIDATE_ROW, candidates)
 
 
 def read_candidates_csv(path) -> dict:
@@ -394,10 +401,13 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
 
 
 def read_session(manifest: ExperimentManifest, level1_path):
-    """An archive's events, one table per transit (read_level1_archive).
+    """An archive's events, a pair chunk of a transit at a time (a whole
+    transit from a text archive), by read_level1_archive.
 
     In events mode each event's transit is sigsim.transit_index's; a
-    frame-mode session is one run of consecutive frames, one table.
+    frame-mode session is one run of consecutive frames, one transit.  The
+    chunks are cut at the blocks of run.pairing_window_frames, as
+    pair_chunks cuts them, so each pairs as one chunk.
     """
     transit_of = None
     if manifest.mode == "events":
@@ -405,12 +415,14 @@ def read_session(manifest: ExperimentManifest, level1_path):
                              window_lo_hr=manifest.window_lo_hr,
                              window_hi_hr=manifest.window_hi_hr,
                              start_utc_s=manifest.start_utc_s)
-    return read_level1_archive(level1_path, transit_of)
+    return read_level1_archive(level1_path, transit_of,
+                               manifest.pairing_window_frames)
 
 
 def session_survivors(manifest: ExperimentManifest, events: EventTable,
                       diagnostics_path=None, append: bool = False) -> tuple:
-    """Pair and level-2 filter `events` (one transit) a chunk at a time.
+    """Pair and level-2 filter `events` (one transit, or a chunk of one)
+    a chunk at a time.
 
     With diagnostics_path, also write every pair's metric and verdict, a
     chunk's rows after the one before, and after the file's rows with
@@ -432,41 +444,62 @@ def session_survivors(manifest: ExperimentManifest, events: EventTable,
     return n_pairs, PairTable.concat(events, kept)
 
 
+# survivors refilter holds before it writes them: a write per chunk costs
+# time, and rendering a batch takes ~0.8 kB a row of temporaries, so a
+# batch of this many costs about what a pair chunk does
+_HELD_CANDIDATES = 1 << 12
+
+
+def _joined(held: list) -> list:
+    """One column list of _candidate_columns lists, rows in turn."""
+    return [np.concatenate(column) for column in zip(*held)]
+
+
 def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
              diagnostics_path=None) -> tuple:
     """The refilter stage: pair an archive and write its level-2 survivors.
 
-    The archive is read, paired and filtered one transit at a time, and
-    each transit's survivors go on at the end of candidates_path.  With
-    diagnostics_path, also write every pair's metric and verdict.
+    The archive is read, paired and filtered one chunk at a time
+    (read_session).  Each chunk's survivors are kept as their
+    _candidate_columns, which hold none of its events, and written to
+    candidates_path together: once, at the end, or whenever
+    _HELD_CANDIDATES of them are held.  With diagnostics_path, also write
+    every pair's metric and verdict, a chunk at a time.
     Returns (n_events, n_pairs, n_survivors).
     """
-    n_events = n_pairs = n_survivors = 0
-    append = False
-    # a plain loop: enumerate would hold the last transit while the next
-    # is read
+    n_events = n_pairs = n_survivors = n_held = 0
+    held, append = [], False
+    # a plain loop: enumerate would hold the last chunk while the next is
+    # read
     for events in read_session(manifest, level1_path):
-        transit_pairs, survivors = session_survivors(
-            manifest, events, diagnostics_path, append)
-        write_candidates_csv(candidates_path, survivors, append)
+        # diagnostics rows go on after the first chunk's
+        chunk_pairs, survivors = session_survivors(
+            manifest, events, diagnostics_path, n_events > 0)
+        held.append(_candidate_columns(survivors))
         n_events += len(events)
-        n_pairs += transit_pairs
-        n_survivors += len(survivors)
-        append = True
-        del events, survivors       # before the next transit is read
-    return n_events, n_pairs, n_survivors
+        n_pairs += chunk_pairs
+        n_held += len(survivors)
+        del events, survivors       # before a write or the next chunk
+        if n_held >= _HELD_CANDIDATES:
+            write_candidates_csv(candidates_path, _joined(held), append)
+            n_survivors += n_held
+            held, n_held, append = [], 0, True
+    if held:
+        write_candidates_csv(candidates_path, _joined(held), append)
+    return n_events, n_pairs, n_survivors + n_held
 
 
-def session_exposure(manifest: ExperimentManifest, transits):
-    """The per-bin exposure counts of the session's transits in exposure
-    mode (skystats.exposure_counts, summed), else None."""
+def session_exposure(manifest: ExperimentManifest, tables):
+    """The per-bin exposure counts of the session's tables (such as
+    read_session's chunks) in exposure mode (skystats.exposure_counts,
+    summed), else None."""
     if manifest.p_mode != "exposure":
         return None
     edges = manifest.bin_edges()
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for events in transits:
+    for events in tables:
         counts += exposure_counts(events.ra_pointing_hr, edges)
-        del events                  # before the next transit is read
+        del events                  # before the next table is read
     return counts
 
 
@@ -567,7 +600,7 @@ def analyze_candidates(manifest: ExperimentManifest, candidates_path,
                        level1_path) -> AnalysisResult:
     """RA-binned statistics of a candidates CSV, in memory.
 
-    The level-1 archive is read, a transit at a time, only in exposure
+    The level-1 archive is read, a chunk at a time, only in exposure
     mode, for the exposure.
     """
     ra = read_candidates_csv(candidates_path)["ra_pointing_hr"]
@@ -682,11 +715,12 @@ def write_null_mc_csv(path, rows) -> None:
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
-    The archive is read once, and paired one transit at a time, and
-    tune_tau_int adds each chunk of pairs to its pass counts before the
-    next is asked for, so the scan holds one transit plus one chunk.  In
-    exposure mode each transit's exposure counts are summed as it is read,
-    and the probabilities are made from them after the last chunk.
+    The archive is read once, a chunk at a time (read_session), and
+    tune_tau_int adds each chunk's pairs to its pass counts before the
+    next chunk is read, so the scan holds one chunk (one transit and one
+    chunk of its pairs from a text archive).  In exposure mode each
+    chunk's exposure counts are summed as it is read, and the
+    probabilities are made from them after the last chunk.
     Returns (best_tau_s, best_stat, taus, stats).
     """
     edges = manifest.bin_edges()
@@ -699,7 +733,7 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
                 exposure[:] += exposure_counts(events.ra_pointing_hr, edges)
             yield from pair_chunks(events, manifest.pairing_window_frames,
                                    manifest.require_pol_match)
-            del events              # before the next transit is read
+            del events              # before the next chunk is read
 
     return tune_tau_int(chunks(), manifest.phase, edges, lambda: (
         bin_probabilities(edges, manifest.p_mode, exposure)))

@@ -648,6 +648,97 @@ def test_a_bad_sidecar_is_never_served(tmp_path):
                                           else [0, 3]), name
 
 
+def _transit_of(utc):
+    """The transit of a utc_s: one per 1,000 s."""
+    return (np.asarray(utc) // 1000.0).astype(np.int64)
+
+
+def _session(lengths, seed=8):
+    """Two tags over one transit per length, each transit's rows in frame
+    order with a few events a frame, whose frames step by 0 to 3."""
+    rng = np.random.default_rng(seed)
+    parts, first = [], 0
+    for t, n in enumerate(lengths):
+        frame = first + np.cumsum(rng.choice([0, 0, 0, 1, 3], n))
+        first = int(frame[-1]) + 5
+        parts.append(event_table(
+            frame=frame, utc=1000.0 * t + 0.01 * (frame - frame[:1]),
+            k=rng.integers(0, 4096, n),
+            rf=1410.0e6 + rng.integers(0, 4096, n) * 100.0,
+            pol=rng.choice(["LHCP", "RHCP"], n),
+            phase_e=rng.uniform(-3.0, 3.0, n),
+            phase_w=rng.uniform(-3.0, 3.0, n), ra=rng.uniform(5.0, 5.4, n),
+            snr=rng.uniform(9.0, 20.0, n)))
+    return EventTable.concat(parts)
+
+
+def _chunks_by_transit(path, k, monkeypatch):
+    """read_level1_archive's sidecar tables of path at pairing window k,
+    grouped by transit: a list of tables per transit, in order."""
+    with monkeypatch.context() as m:
+        m.setattr(pairdetect, "read_columns", None)
+        tables = list(pairdetect.read_level1_archive(path, _transit_of, k))
+    transits = [np.unique(_transit_of(t.utc_s)).tolist() for t in tables]
+    if transits == [[]]:                # an archive without rows
+        return [tables]
+    # each table lies in one transit, and the transits come in order
+    assert all(len(t) == 1 for t in transits)
+    transits = [t for (t,) in transits]
+    assert transits == sorted(transits)
+    return [[table for table, t in zip(tables, transits) if t == j]
+            for j in sorted(set(transits))]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_the_reader_yields_each_transit_in_pair_chunks(tmp_path,
+                                                       monkeypatch, k):
+    chunk = pairdetect._CHUNK_ROWS
+    # a transit of several chunks, one shorter than one chunk, another
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, _session([3 * chunk + 500, 700, chunk + 9]))
+    grouped = _chunks_by_transit(path, k, monkeypatch)
+    assert [len(c) for c in grouped][:2] == [4, 1]
+    os.remove(f"{path}.cols")
+    text = list(pairdetect.read_level1_archive(path, _transit_of, k))
+    assert len(text) == len(grouped) == 3
+    for chunks, transit in zip(grouped, text):
+        # the chunks of a transit are its rows, every column bit for bit
+        _assert_same_events(EventTable.concat(chunks), transit)
+        # and cut where pair_chunks cuts it: each starts at a block edge,
+        # the first edge at least _CHUNK_ROWS rows after the last cut
+        block = pairdetect._block_key(transit.frame_index, k)
+        cuts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
+        assert cuts == pairdetect._cuts(lambda lo, hi: block[lo:hi],
+                                        len(transit), chunk)
+        assert all(block[lo - 1] < block[lo] for lo in cuts[1:-1])
+        assert len(list(pairdetect.pair_chunks(transit, k))) == len(chunks)
+    # an archive without rows, with a sidecar, is one empty table
+    empty = EventTable(tags=(), **{n: [] for n in EVENT_COLUMNS})
+    write_level1_archive(path, empty)
+    assert (tmp_path / "level1.csv.cols").exists()
+    (only,), = _chunks_by_transit(path, k, monkeypatch)
+    _assert_same_events(only, empty)
+
+
+def test_a_transit_whose_blocks_step_back_is_yielded_whole(tmp_path,
+                                                          monkeypatch):
+    chunk = pairdetect._CHUNK_ROWS
+    events = _session([2 * chunk + 100, 3 * chunk])
+    # transit 1's two halves swapped: its frames step back once
+    n0, n1 = 2 * chunk + 100, 3 * chunk
+    rows = np.arange(n0 + n1)
+    rows[n0:] = np.roll(rows[n0:], n1 // 2)
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, events.take(rows))
+    grouped = _chunks_by_transit(path, 1, monkeypatch)
+    assert [len(c) for c in grouped] == [3, 1]
+    assert len(grouped[1][0]) == n1
+    os.remove(f"{path}.cols")
+    text = list(pairdetect.read_level1_archive(path, _transit_of, 1))
+    for chunks, transit in zip(grouped, text):
+        _assert_same_events(EventTable.concat(chunks), transit)
+
+
 @pytest.mark.parametrize("tag", ['"q"', "a,b", "", "tab\tx", "r\u00e9"])
 def test_a_bad_tag_is_rejected_before_any_file_is_written(tmp_path, tag):
     # a tag the CSV path might not read back as written

@@ -5,15 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pulsepair import phasefilter
 from pulsepair.channelizer import wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import EventTable, PairTable, form_pairs
+from pulsepair.pairdetect import EventTable, PairTable, form_pairs, pair_chunks
+from pulsepair.pipeline import ExperimentManifest, simulate_events
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int,
                                    write_metric_diagnostics_csv)
 from pulsepair.skystats import analyze, bin_probabilities, exposure_counts
 
 from helpers import event_table
+from test_golden import SURVEY_CFG
 
 TWO_PI = 2.0 * math.pi
 # two equal RA bins around the test events' 5.0 h: d = sqrt(n) when all n
@@ -72,6 +75,23 @@ def test_phase_metrics_vectorized():
     assert m[1] == pytest.approx(phase_metrics(
         _pairs(_pair(2.0e4, diff_b=-0.2)), 0.0)[0])
     assert m.tolist() == pytest.approx([0.3, -0.2])
+
+
+def test_phase_differences_are_the_four_gather_values_bit_for_bit():
+    # the tiny survey's transit in pair chunks at K = 1: the second chunk's
+    # pairs index rows far into the transit
+    kv = dict(line.split(" = ") for line in SURVEY_CFG.splitlines())
+    (events,) = simulate_events(ExperimentManifest.from_kv(kv))
+    chunks = list(pair_chunks(events, 1))
+    assert len(chunks) == 2 and chunks[1].a.min() > 16000
+    for pairs in chunks:
+        west, east = events.phase_west_rad, events.phase_east_rad
+        a, b = pairs.a, pairs.b
+        want = (west[b] - east[b]) - (west[a] - east[a])
+        got = phasefilter._phase_differences(pairs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert phasefilter._phase_differences(form_pairs(
+        event_table().take([]))).size == 0
 
 
 def test_phase_metric_rejects_bad_phase():

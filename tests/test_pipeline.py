@@ -19,7 +19,7 @@ from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
                                   PairTable, form_pairs, pair_chunks,
                                   write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
-                                detect_frames,
+                                analyze_candidates, detect_frames,
                                 load_frames_npz, manifest_from_file,
                                 read_candidates_csv, read_session, refilter,
                                 run_experiment, run_null_mc, run_tune_tau,
@@ -742,14 +742,40 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
                                      float(edges[peak]))]
 
 
-def test_refilter_and_tune_tau_hold_the_events_plus_one_chunk(season,
-                                                              tmp_path):
-    # without the chunks, the pairs (~0.9 per event, 40 B each) and the
-    # whole-table sort exceed the event table's 80 B a row by half
+def test_refilter_writes_its_survivors_in_few_batches(season, tmp_path,
+                                                       monkeypatch):
+    # one write for the season's survivors, not one a chunk; with fewer
+    # held before a write, several writes of the same bytes
+    m, path = season
+    writes = []
+    write = pulsepair.pipeline.write_candidates_csv
+
+    def counted(path, columns, append):
+        writes.append(len(columns[0]))
+        write(path, columns, append)
+
+    monkeypatch.setattr(pulsepair.pipeline, "write_candidates_csv", counted)
+    want = refilter(m, path, tmp_path / "want.csv")
+    assert writes == [want[2]]
+    writes.clear()
+    monkeypatch.setattr(pulsepair.pipeline, "_HELD_CANDIDATES", 100)
+    assert refilter(m, path, tmp_path / "got.csv") == want
+    assert len(writes) > 2 and min(writes[:-1]) >= 100
+    assert sum(writes) == want[2]
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+def test_refilter_analyze_and_tune_tau_hold_one_chunk(season, tmp_path):
+    # the reader yields ~16,400-event pair chunks (1.3 MB of columns):
+    # holding a whole transit (~8.4 MB) or the pairs of one breaks the bound
     m, path = season
     table_bytes = 8 * len(pairdetect.EVENT_COLUMNS) * len(
         archive_events(path))
-    for stage in (lambda: refilter(m, path, tmp_path / "candidates.csv"),
+    candidates = tmp_path / "candidates.csv"
+    exposure = replace(m, p_mode="exposure")
+    for stage in (lambda: refilter(m, path, candidates),
+                  lambda: analyze_candidates(exposure, candidates, path),
                   lambda: run_tune_tau(m, path)):
         tracemalloc.start()
         try:
@@ -757,7 +783,7 @@ def test_refilter_and_tune_tau_hold_the_events_plus_one_chunk(season,
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - table_bytes < 0.25 * table_bytes
+        assert peak < 0.25 * table_bytes
 
 
 def test_frame_store_members_are_read_once(tmp_path, monkeypatch):

@@ -122,8 +122,17 @@ def test_streamed_stages_write_the_frozen_bytes(tmp_path, n_transits, k):
     assert cli.main(["null-mc", *common, "--n-seeds", "2"]) == 0
     got = {name: _sha256(out / name) for name in PINNED[n_transits, k]}
     assert got == PINNED[n_transits, k]
-    assert len(list(pipeline.read_session(
-        pipeline.manifest_from_file(cfg), out / "level1.csv"))) == n_transits
+    # the reader yields pair chunks: each in one transit, the transits in
+    # ascending order, every transit in turn
+    m = pipeline.manifest_from_file(cfg)
+    transits = [np.unique(transit_index(
+        events.utc_s, m.config, m.window_lo_hr, m.window_hi_hr,
+        m.start_utc_s)).tolist()
+        for events in pipeline.read_session(m, out / "level1.csv")]
+    assert all(len(t) == 1 for t in transits)
+    transits = [t for (t,) in transits]
+    assert transits == sorted(transits)
+    assert set(transits) == set(range(n_transits))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
