@@ -11,14 +11,15 @@ A session is paired one transit at a time, so no pair joins two transits:
 an EventStream knows each transit's row count and the tags up front and
 makes the transits' EventTables one after another, and
 write_level1_archive writes them as they come.  Pairing is local to a
-block, so pair_chunks cuts a table whose rows are in block order at block
-edges into runs of about 16,384 events and yields each run's pairs in
-turn.  read_level1_archive, the one place that finds each event's transit,
-cuts an archive with a sidecar at its transit edges and then where
-pair_chunks would, and yields one such pair chunk at a time.  One scan,
-_cuts, finds both kinds of edge, on one block key, _block_key.  A stage
-that takes each chunk as it comes holds one chunk; one that reads a text
-archive, or samples a session, holds one transit and one chunk.
+block, so chunk_events cuts a table at every transit edge and at the
+first block edge at least 16,384 rows after the last cut, once its rows
+are in (transit, block) order, and each such pair chunk is paired in
+turn.  One cutter, _chunk_cuts, built on one scan (_cuts) and one block
+key (_block_key), finds those edges in a table and in an archive's
+sidecar as read_level1_archive streams it, so every archive yields the
+same chunks.
+A stage that takes each chunk as it comes holds one chunk; one that reads
+a text archive, or samples a session, holds the table or one transit too.
 
 Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
@@ -260,14 +261,6 @@ class PairTable:
         return PairTable(self.events, **{
             n: getattr(self, n)[idx] for n in _STORED_PAIR_COLUMNS})
 
-    @classmethod
-    def concat(cls, events: EventTable, tables) -> PairTable:
-        """Rows of every table in order; each table indexes `events`."""
-        tables = list(tables)
-        return cls(events, **{
-            n: np.concatenate([getattr(t, n) for t in tables])
-            for n in _STORED_PAIR_COLUMNS})
-
 
 @dataclass
 class FirstLevelFilterParams:
@@ -444,30 +437,58 @@ def _cuts(key_of, n: int, min_rows: int = 1) -> list | None:
     return cuts + [n]
 
 
-def pair_chunks(events: EventTable, pairing_window_frames: int = 0,
-                require_pol_match: bool = False):
-    """Yield the pairs form_pairs gives for `events`, a chunk at a time.
+def _chunk_cuts(transit_key, frame_key, n: int,
+                pairing_window_frames) -> list | None:
+    """The _cuts of rows 0..n into pair chunks, or None when they are out
+    of (transit, block) order: at every change of transit_key(lo, hi) (if
+    given), and with pairing window K at the first block edge of
+    frame_key(lo, hi) at least _CHUNK_ROWS rows after the last cut."""
+    transits = [0, n] if transit_key is None else _cuts(transit_key, n)
+    if transits is None or pairing_window_frames is None:
+        return transits
+    cuts = [0]
+    for lo, hi in zip(transits, transits[1:]):
+        blocks = _cuts(lambda a, b: _block_key(frame_key(lo + a, lo + b),
+                                               pairing_window_frames),
+                       hi - lo, _CHUNK_ROWS)
+        if blocks is None:
+            return None
+        cuts += [lo + cut for cut in blocks[1:]]
+    return cuts
 
-    form_pairs joins only rows of one block, and sorts on the block first.
-    So when the rows are in block order, the table's pairs are the pairs of
-    consecutive row ranges cut at block edges, in the same order: each
-    range ends at the first block edge at least _CHUNK_ROWS rows after its
-    start, and its PairTable indexes `events` as a whole.  Rows out of
-    block order (a foreign archive) are paired as one table.
-    read_level1_archive cuts a sidecar's transits by this rule, so a chunk
-    it yields is one range here; a table it reads whole (one transit) is
-    cut here, and a stage that filters each chunk as it comes holds
-    `events` plus one chunk, not all of its pairs.
+
+def chunk_events(events: EventTable, transit_of=None,
+                 pairing_window_frames=None) -> Iterator[EventTable]:
+    """Yield `events` in pair chunks (_chunk_cuts) in (transit, block)
+    order; `transit_of` maps utc_s values to transit indices, and without
+    it the events are one transit.
+
+    Rows out of that order are first stable-sorted by it (np.lexsort), so
+    each block keeps its rows in table order.  form_pairs joins only rows
+    of one block and its sorts are stable, so the chunks' pairs are those
+    of each transit's table, in order.  Without transit_of and K the table
+    is one chunk as it is; a table without rows is one empty chunk.
     """
-    frame = events.frame_index
-    cuts = _cuts(lambda lo, hi: _block_key(frame[lo:hi],
-                                           pairing_window_frames),
-                 len(events), _CHUNK_ROWS) or [0, len(events)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        part = form_pairs(events.take(slice(lo, hi)), pairing_window_frames,
-                          require_pol_match)
-        yield PairTable(events, part.a + lo, part.b + lo, part.delta_t_s,
-                        part.delta_f_hz, part.phase_metric_rad)
+    transit = None if transit_of is None else transit_of(events.utc_s)
+
+    def cuts():
+        return _chunk_cuts(
+            None if transit is None else lambda lo, hi: transit[lo:hi],
+            lambda lo, hi: events.frame_index[lo:hi], len(events),
+            pairing_window_frames)
+
+    found = cuts()
+    if found is None:
+        keys = [] if transit is None else [transit]
+        if pairing_window_frames is not None:
+            keys.insert(0, _block_key(events.frame_index,
+                                      pairing_window_frames))
+        order = np.lexsort(keys)
+        events = events.take(order)
+        transit = None if transit is None else transit[order]
+        found = cuts()
+    for lo, hi in zip(found, found[1:]):
+        yield events.take(slice(lo, hi))
 
 
 # write_rows lays each chunk of rows out as one uint8 grid holding a row of
@@ -882,19 +903,6 @@ def _open_sidecar(path):
     return None
 
 
-def _split_transits(events: EventTable, transit_of) -> Iterator[EventTable]:
-    """Yield `events` one transit at a time, in ascending transit order,
-    each transit's rows in table order (a stable sort on the transit); the
-    whole table without transit_of.  An empty table is yielded as one."""
-    if transit_of is None:
-        yield events
-        return
-    transit = transit_of(events.utc_s)
-    order = np.argsort(transit, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(transit[order])) + 1):
-        yield events.take(rows)
-
-
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 
 
@@ -973,30 +981,26 @@ def _value(kind, text: str):
 
 def read_level1_archive(path, transit_of=None,
                         pairing_window_frames=None) -> Iterator[EventTable]:
-    """Yield a level-1 archive's events a transit, or a pair chunk of one,
-    at a time, in ascending transit order; it writes no file.
+    """Yield a level-1 archive's events one pair chunk at a time, as
+    chunk_events(events, transit_of, pairing_window_frames) cuts them; it
+    writes no file.
 
-    `transit_of` maps utc_s values to transit indices; without it the
-    events are one transit.  The events come from the archive's sidecar
-    when write_level1_archive left one keyed to the archive's bytes.  The
-    rows are then cut where their transit changes, found in one pass over
-    the sidecar's utc_s column.  With pairing_window_frames K, each
-    transit is cut again as pair_chunks cuts it, at the first frame-block
-    edge at least _CHUNK_ROWS rows after the last cut, found in a pass
-    over its frame_index column; a transit whose blocks step back is not
-    cut.  Each range's rows are read from the sidecar as they are asked
-    for, so a consumer that drops each table before the next holds one
-    pair chunk.  Otherwise (no sidecar; a stale, cut or foreign one; an
-    archive from elsewhere) the events are read whole by read_columns,
-    which validates the header, width and every value; the tags it reads
-    as str objects are coded into pol_code.  A table read whole, as is a
-    sidecar's whose transit ever decreases, is split by a stable sort on
-    the transit, so each transit keeps its rows in archive order and is
-    yielded whole.  An archive without rows yields one empty table.
+    The events come from the archive's sidecar when write_level1_archive
+    left one keyed to the archive's bytes.  _chunk_cuts then finds the
+    cuts in one pass over its utc_s and frame_index columns, and each
+    chunk's rows are read as they are asked for, so a consumer that drops
+    each table before the next holds one pair chunk.  Otherwise (no
+    sidecar; a stale, cut or foreign one; an archive from elsewhere) the
+    events are read whole by read_columns, which validates the header,
+    width and every value; the tags it reads as str objects are coded into
+    pol_code.  A table read whole, as is a sidecar's whose rows step back,
+    is sorted and cut by chunk_events.  An archive without rows yields one
+    empty table.
     """
     found = _open_sidecar(path)
     if found is None:
-        yield from _split_transits(_parse_level1_archive(path), transit_of)
+        yield from chunk_events(_parse_level1_archive(path), transit_of,
+                                pairing_window_frames)
         return
     fh, rows, tags = found
     with fh:
@@ -1016,26 +1020,18 @@ def read_level1_archive(path, transit_of=None,
             return EventTable(tags=tags, **{
                 name: read(name, lo, col) for name, col in columns.items()})
 
-        def chunk_cuts(lo: int, hi: int) -> list:
-            # cuts of rows lo..hi (one transit), relative to lo
-            if pairing_window_frames is None:
-                return [0, hi - lo]
-            return _cuts(lambda a, b: _block_key(
-                read("frame_index", lo + a, np.empty(b - a, np.int64)),
-                pairing_window_frames), hi - lo, _CHUNK_ROWS) or [0, hi - lo]
-
-        def transit_key(lo: int, hi: int) -> np.ndarray:
-            return transit_of(read("utc_s", lo, np.empty(hi - lo)))
-
-        transits = ([0, rows] if transit_of is None
-                    else _cuts(transit_key, rows))
-        if transits is None:
-            yield from _split_transits(table(0, rows), transit_of)
+        cuts = _chunk_cuts(
+            None if transit_of is None else lambda lo, hi: transit_of(
+                read("utc_s", lo, np.empty(hi - lo))),
+            lambda lo, hi: read("frame_index", lo,
+                                np.empty(hi - lo, np.int64)),
+            rows, pairing_window_frames)
+        if cuts is None:
+            yield from chunk_events(table(0, rows), transit_of,
+                                    pairing_window_frames)
             return
-        for lo, hi in zip(transits, transits[1:]):
-            cuts = chunk_cuts(lo, hi)
-            for a, b in zip(cuts, cuts[1:]):
-                yield table(lo + a, lo + b)
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield table(lo, hi)
 
 
 def _parse_level1_archive(path) -> EventTable:

@@ -78,15 +78,13 @@ class PhaseMetricParams:
 def _phase_differences(pairs: PairTable) -> np.ndarray:
     """(phi_W - phi_E)(b) - (phi_W - phi_E)(a) for every pair.
 
-    phi_W - phi_E is taken once per event, over the rows the pairs span
-    (one chunk's, when the pairs index a whole transit), and gathered at b
-    and at a: the same two subtractions per pair as four gathers give.
+    phi_W - phi_E is taken once per event of the pairs' table (one pair
+    chunk) and gathered at b and at a: the same two subtractions per pair
+    as four gathers give.
     """
-    ev, a, b = pairs.events, pairs.a, pairs.b
-    lo = int(min(a.min(), b.min())) if a.size else 0
-    hi = int(max(a.max(), b.max())) + 1 if a.size else 0
-    phase = ev.phase_west_rad[lo:hi] - ev.phase_east_rad[lo:hi]
-    diff = phase[b - lo] - phase[a - lo]
+    ev = pairs.events
+    phase = ev.phase_west_rad - ev.phase_east_rad
+    diff = phase[pairs.b] - phase[pairs.a]
     if not np.isfinite(diff).all():
         raise ValidationError("candidate with non-finite phases")
     return diff
@@ -260,12 +258,12 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     arguments that gives them; it is called after the last chunk, so a
     caller can sum the exposure over the chunks it yields.
 
-    `chunks` is an iterable of PairTables, such as pairdetect.pair_chunks
-    yields ([pairs] for one table).  Of each chunk, the runs of taps at
-    which each pair passes are added to a taps x bins table of pass
-    counts (see _tally_chunk), and the chunk is dropped before the next is
-    asked for, so chunks made as read_session reads the archive hold one
-    chunk of events.
+    `chunks` is an iterable of PairTables ([pairs] for one table), such
+    as (form_pairs(c, K) for c in chunk_events(events, None, K)) gives.
+    Of each chunk, the runs of taps at which each pair passes are added to
+    a taps x bins table of pass counts (see _tally_chunk), and the chunk
+    is dropped before the next is asked for, so chunks made as
+    read_session reads the archive hold one chunk of events.
     Every verdict is the one the per-tap filter gives, and every score is
     peak_cohens_d's arithmetic on the counts.
     Returns (best_tau_s, best_stat, taus, stats).

@@ -29,9 +29,9 @@ from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
-                         PairTable, first_level_filter_frame, pair_chunks,
-                         read_columns, read_level1_archive, sha256_file,
-                         write_level1_archive, write_rows)
+                         PairTable, chunk_events, first_level_filter_frame,
+                         form_pairs, read_columns, read_level1_archive,
+                         sha256_file, write_level1_archive, write_rows)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
@@ -401,13 +401,13 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
 
 
 def read_session(manifest: ExperimentManifest, level1_path):
-    """An archive's events, a pair chunk of a transit at a time (a whole
-    transit from a text archive), by read_level1_archive.
+    """An archive's events, a pair chunk at a time in (transit, block)
+    order, from any archive, by read_level1_archive.
 
     In events mode each event's transit is sigsim.transit_index's; a
     frame-mode session is one run of consecutive frames, one transit.  The
-    chunks are cut at the blocks of run.pairing_window_frames, as
-    pair_chunks cuts them, so each pairs as one chunk.
+    chunks are cut at the blocks of run.pairing_window_frames
+    (pairdetect.chunk_events), so each pairs on its own.
     """
     transit_of = None
     if manifest.mode == "events":
@@ -421,27 +421,19 @@ def read_session(manifest: ExperimentManifest, level1_path):
 
 def session_survivors(manifest: ExperimentManifest, events: EventTable,
                       diagnostics_path=None, append: bool = False) -> tuple:
-    """Pair and level-2 filter `events` (one transit, or a chunk of one)
-    a chunk at a time.
+    """Pair and level-2 filter `events`, one pair chunk (chunk_events).
 
-    With diagnostics_path, also write every pair's metric and verdict, a
-    chunk's rows after the one before, and after the file's rows with
-    append.  Returns (n_pairs, survivors).
+    With diagnostics_path, also write every pair's metric and verdict,
+    after the file's rows with append.  Returns (n_pairs, survivors).
     """
-    n_pairs, kept = 0, []
-    for i, pairs in enumerate(pair_chunks(events,
-                                          manifest.pairing_window_frames,
-                                          manifest.require_pol_match)):
-        n_pairs += len(pairs)
-        if diagnostics_path is None:
-            survivors = second_level_filter(pairs, manifest.phase)
-        else:
-            survivors, verdicts = second_level_filter(pairs, manifest.phase,
-                                                      explain=True)
-            write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts,
-                                         append=append or i > 0)
-        kept.append(survivors)
-    return n_pairs, PairTable.concat(events, kept)
+    pairs = form_pairs(events, manifest.pairing_window_frames,
+                       manifest.require_pol_match)
+    if diagnostics_path is None:
+        return len(pairs), second_level_filter(pairs, manifest.phase)
+    survivors, verdicts = second_level_filter(pairs, manifest.phase,
+                                              explain=True)
+    write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts, append)
+    return len(pairs), survivors
 
 
 # survivors refilter holds before it writes them: a write per chunk costs
@@ -657,8 +649,8 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 significance_d: float = 3.5):
     """Source-free reruns: the distribution of the peak bin's excess.
 
-    Runs the events-mode chain (sample a transit, pair and filter it a
-    chunk at a time as refilter does, then the next transit; then
+    Runs the events-mode chain (sample a transit, pair and filter each of
+    its chunk_events as refilter does, then the next transit; then
     peak_cohens_d) with all sources removed for seeds seed0 ..
     seed0+n_seeds-1.  Returns (rows, fraction_clean) where each row is
     (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the share of
@@ -687,10 +679,12 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 sources=[], threads=1)):
             if counts is not None:
                 counts += exposure_counts(events.ra_pointing_hr, edges)
-            _, survivors = session_survivors(manifest, events)
-            b = ra_bin_index(survivors.ra_pointing_hr, edges)
-            bins.append(b[b >= 0])
-            del events, survivors   # before the next transit is sampled
+            for chunk in chunk_events(events, None,
+                                      manifest.pairing_window_frames):
+                _, survivors = session_survivors(manifest, chunk)
+                b = ra_bin_index(survivors.ra_pointing_hr, edges)
+                bins.append(b[b >= 0])
+            del events, chunk, survivors  # before the next transit is sampled
         bins = np.concatenate(bins)
         max_d, peak = peak_cohens_d(bins, bin_probabilities(
             edges, manifest.p_mode, counts))
@@ -717,10 +711,10 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
 
     The archive is read once, a chunk at a time (read_session), and
     tune_tau_int adds each chunk's pairs to its pass counts before the
-    next chunk is read, so the scan holds one chunk (one transit and one
-    chunk of its pairs from a text archive).  In exposure mode each
-    chunk's exposure counts are summed as it is read, and the
-    probabilities are made from them after the last chunk.
+    next chunk is read, so the scan holds one chunk (and the whole table
+    from a text archive).  In exposure mode each chunk's exposure counts
+    are summed as it is read, and the probabilities are made from them
+    after the last chunk.
     Returns (best_tau_s, best_stat, taus, stats).
     """
     edges = manifest.bin_edges()
@@ -731,8 +725,8 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
         for events in read_session(manifest, level1_path):
             if exposure is not None:
                 exposure[:] += exposure_counts(events.ra_pointing_hr, edges)
-            yield from pair_chunks(events, manifest.pairing_window_frames,
-                                   manifest.require_pol_match)
+            yield form_pairs(events, manifest.pairing_window_frames,
+                             manifest.require_pol_match)
             del events              # before the next chunk is read
 
     return tune_tau_int(chunks(), manifest.phase, edges, lambda: (

@@ -124,9 +124,11 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
     """Null per-bin probabilities for the RA bins defined by `bin_edges`.
 
     uniform: p_i proportional to bin width (exactly width/window for equal
-    coverage).  exposure: p_i proportional to `exposure`, the number of
-    first-level events in each bin (exposure_counts), for sessions with
-    uneven time on sky.
+    coverage), and exactly 1/n_bins for every bin when the widths agree to
+    a relative 1e-9, so that equal counts in equal bins score the same d
+    and a tie is never decided by float noise in the widths.  exposure:
+    p_i proportional to `exposure`, the number of first-level events in
+    each bin (exposure_counts), for sessions with uneven time on sky.
     """
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -135,6 +137,8 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
         raise ValidationError("bin edges must be strictly increasing")
     if mode == "uniform":
         widths = np.diff(edges)
+        if np.ptp(widths) <= 1e-9 * widths.max():
+            return np.full(widths.size, 1.0 / widths.size)
         return widths / (edges[-1] - edges[0])
     if mode == "exposure":
         if exposure is None:

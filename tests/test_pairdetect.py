@@ -173,43 +173,72 @@ def _block_ordered_table(rng, n):
         tags=("LHCP", "RHCP"))
 
 
-def _assert_same_pairs(got: PairTable, want: PairTable):
-    assert got.events is want.events
-    for name in pairdetect.PAIR_COLUMNS:
-        assert np.array_equal(getattr(got, name), getattr(want, name),
-                              equal_nan=True), name
+def _value_rows(pairs: PairTable) -> dict:
+    """Each pair as the values of its two events and its own columns, so
+    that pairs of tables whose rows differ in order can be compared."""
+    rows = {name: getattr(pairs, name) for name in ("delta_t_s",
+                                                    "delta_f_hz")}
+    for end in ("a", "b"):
+        at = getattr(pairs, end)
+        rows.update({f"{name}_{end}": getattr(pairs.events, name)[at]
+                     for name in EVENT_COLUMNS})
+    return rows
 
 
 @pytest.mark.parametrize("require_pol_match", [False, True])
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_pair_chunks_are_the_pairs_of_the_whole_table(k, require_pol_match):
+    # chunk_events of a permuted table: each chunk's pairs, in turn, are
+    # the pairs form_pairs gives for the whole table
     rng = np.random.default_rng(10 * k + require_pol_match)
     n = 4 * pairdetect._CHUNK_ROWS + 3000
-    events = _block_ordered_table(rng, n)
-    cuts = pairdetect._cuts(
-        lambda lo, hi: events.frame_index[lo:hi] // (2 * k + 1), n,
-        pairdetect._CHUNK_ROWS)
-    assert len(cuts) >= 6 and pairdetect._CHUNK_ROWS in cuts
-    chunks = list(pairdetect.pair_chunks(events, k, require_pol_match))
-    assert len(chunks) == len(cuts) - 1
-    _assert_same_pairs(PairTable.concat(events, chunks),
-                       form_pairs(events, k, require_pol_match))
-    # rows out of block order are paired as one table
-    shuffled = events.take(rng.permutation(n))
-    chunks = list(pairdetect.pair_chunks(shuffled, k, require_pol_match))
-    assert len(chunks) == 1
-    _assert_same_pairs(chunks[0],
-                       form_pairs(shuffled, k, require_pol_match))
+    events = _block_ordered_table(rng, n).take(rng.permutation(n))
+    chunks = list(pairdetect.chunk_events(events, None, k))
+    want = _value_rows(form_pairs(events, k, require_pol_match))
+    got = [_value_rows(form_pairs(c, k, require_pol_match)) for c in chunks]
+    for name, column in want.items():
+        assert np.array_equal(np.concatenate([g[name] for g in got]),
+                              column), name
+    # the chunks are the rows in block order, cut at the first block edge
+    # at least _CHUNK_ROWS rows after the last cut
+    block = pairdetect._block_key(events.frame_index, k)
+    order = np.argsort(block, kind="stable")
+    _assert_same_events(EventTable.concat(chunks), events.take(order))
+    cuts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
+    assert len(cuts) >= 6
+    assert cuts == _diff_cuts(block[order], pairdetect._CHUNK_ROWS)
 
 
 def test_pair_chunks_need_blocks_in_order():
-    # frames that step back: one table
-    events = event_table(frame=[0, 1, 2, 0, 1, 2])
-    assert len(list(pairdetect.pair_chunks(events, 0))) == 1
-    assert pairdetect._cuts(lambda lo, hi: events.frame_index[lo:hi],
-                            len(events)) is None
+    # frames that step back: _chunk_cuts finds no cuts, so chunk_events
+    # first sorts the rows by block, each block's rows in table order
+    events = event_table(frame=[0, 1, 2, 0, 1, 2], k=[0, 1, 2, 3, 4, 5],
+                         utc=[1000.0] * 3 + [0.0] * 3)
+
+    def frames(lo, hi):
+        return events.frame_index[lo:hi]
+
+    def transits(lo, hi):
+        return _transit_of(events.utc_s[lo:hi])
+
+    assert pairdetect._chunk_cuts(None, frames, 6, 0) is None
+    assert pairdetect._chunk_cuts(None, frames, 6, None) == [0, 6]
+    (chunk,) = pairdetect.chunk_events(events, None, 0)
+    assert chunk.bin_index.tolist() == [0, 3, 1, 4, 2, 5]
+    # transits that step back (utc 1000 s, then 0 s): sorted by transit
+    # first, and cut where it changes
+    assert pairdetect._chunk_cuts(transits, frames, 6, None) is None
+    for k in (None, 0, 1):
+        assert [c.bin_index.tolist() for c in pairdetect.chunk_events(
+            events, _transit_of, k)] == [[3, 4, 5], [0, 1, 2]]
+    # neither transits nor blocks: the table as it is
+    (whole,) = pairdetect.chunk_events(events)
+    assert whole.bin_index.tolist() == list(range(6))
     empty = event_table().take([])
-    assert list(map(len, pairdetect.pair_chunks(empty))) == [0]
+    for k in (None, 0):
+        assert pairdetect._chunk_cuts(transits, frames, 0, k) == [0, 0]
+        assert list(map(len, pairdetect.chunk_events(
+            empty, _transit_of, k))) == [0]
 
 
 def _diff_cuts(key, min_rows):
@@ -672,21 +701,31 @@ def _session(lengths, seed=8):
     return EventTable.concat(parts)
 
 
-def _chunks_by_transit(path, k, monkeypatch):
-    """read_level1_archive's sidecar tables of path at pairing window k,
-    grouped by transit: a list of tables per transit, in order."""
-    with monkeypatch.context() as m:
-        m.setattr(pairdetect, "read_columns", None)
-        tables = list(pairdetect.read_level1_archive(path, _transit_of, k))
-    transits = [np.unique(_transit_of(t.utc_s)).tolist() for t in tables]
-    if transits == [[]]:                # an archive without rows
-        return [tables]
-    # each table lies in one transit, and the transits come in order
-    assert all(len(t) == 1 for t in transits)
-    transits = [t for (t,) in transits]
-    assert transits == sorted(transits)
-    return [[table for table, t in zip(tables, transits) if t == j]
-            for j in sorted(set(transits))]
+def _archive_shapes(path, events):
+    """Write `events` to path in each archive shape in turn, yielding the
+    shape's name once it is written: rows in order with a sidecar,
+    transits that step back and blocks that step back with a sidecar, and
+    every row shuffled with no sidecar."""
+    chunk = pairdetect._CHUNK_ROWS
+    transit = _transit_of(events.utc_s)
+    rows = np.arange(len(events))
+    first = np.flatnonzero(transit == transit[0])
+    # transit 0's two halves swapped: its frames step back once
+    halves = rows.copy()
+    halves[first] = np.roll(first, first.size // 2)
+    assert first.size > 2 * chunk
+    shapes = {
+        "in order": rows,
+        "transits step back": np.concatenate([rows[transit == transit[-1]],
+                                              rows[transit != transit[-1]]]),
+        "blocks step back": halves,
+        "shuffled text": np.random.default_rng(4).permutation(rows),
+    }
+    for shape, order in shapes.items():
+        write_level1_archive(path, events.take(order))
+        if shape == "shuffled text":
+            os.remove(f"{path}.cols")
+        yield shape
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -695,48 +734,49 @@ def test_the_reader_yields_each_transit_in_pair_chunks(tmp_path,
     chunk = pairdetect._CHUNK_ROWS
     # a transit of several chunks, one shorter than one chunk, another
     path = tmp_path / "level1.csv"
-    write_level1_archive(path, _session([3 * chunk + 500, 700, chunk + 9]))
-    grouped = _chunks_by_transit(path, k, monkeypatch)
-    assert [len(c) for c in grouped][:2] == [4, 1]
-    os.remove(f"{path}.cols")
-    text = list(pairdetect.read_level1_archive(path, _transit_of, k))
-    assert len(text) == len(grouped) == 3
-    for chunks, transit in zip(grouped, text):
-        # the chunks of a transit are its rows, every column bit for bit
-        _assert_same_events(EventTable.concat(chunks), transit)
-        # and cut where pair_chunks cuts it: each starts at a block edge,
-        # the first edge at least _CHUNK_ROWS rows after the last cut
-        block = pairdetect._block_key(transit.frame_index, k)
-        cuts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
-        assert cuts == pairdetect._cuts(lambda lo, hi: block[lo:hi],
-                                        len(transit), chunk)
-        assert all(block[lo - 1] < block[lo] for lo in cuts[1:-1])
-        assert len(list(pairdetect.pair_chunks(transit, k))) == len(chunks)
+    events = _session([3 * chunk + 500, 700, chunk + 9])
+    for shape in _archive_shapes(path, events):
+        sidecar = shape != "shuffled text"
+        assert os.path.exists(f"{path}.cols") == sidecar
+        with monkeypatch.context() as m:
+            if sidecar:
+                m.setattr(pairdetect, "read_columns", None)
+            chunks = list(pairdetect.read_level1_archive(path, _transit_of,
+                                                         k))
+        # the chunks are the archive's rows in (transit, block) order, each
+        # block's rows in archive order, every column bit for bit
+        rows = archive_events(path)
+        transit = _transit_of(rows.utc_s)
+        block = pairdetect._block_key(rows.frame_index, k)
+        order = np.lexsort((block, transit))
+        _assert_same_events(EventTable.concat(chunks), rows.take(order))
+        transit, block = transit[order], block[order]
+        # each chunk lies in one transit; a transit's chunks are cut at the
+        # first block edge at least _CHUNK_ROWS rows after the last cut
+        cuts = np.cumsum([0] + [len(c) for c in chunks])
+        assert all(transit[lo] == transit[hi - 1]
+                   for lo, hi in zip(cuts, cuts[1:]))
+        edges = [0] + (np.flatnonzero(np.diff(transit)) + 1).tolist()
+        want = []
+        for lo, hi in zip(edges, edges[1:] + [len(rows)]):
+            want += [lo + c for c in _diff_cuts(block[lo:hi], chunk)[:-1]]
+        assert cuts.tolist() == want + [len(rows)], shape
+        assert [np.sum(transit[cuts[:-1]] == t) for t in (0, 1)] == [4, 1]
+        if sidecar:
+            # the text alone gives the same chunks
+            os.remove(f"{path}.cols")
+            text = list(pairdetect.read_level1_archive(path, _transit_of, k))
+            assert len(text) == len(chunks)
+            for got, table in zip(chunks, text):
+                _assert_same_events(got, table)
     # an archive without rows, with a sidecar, is one empty table
     empty = EventTable(tags=(), **{n: [] for n in EVENT_COLUMNS})
     write_level1_archive(path, empty)
     assert (tmp_path / "level1.csv.cols").exists()
-    (only,), = _chunks_by_transit(path, k, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(pairdetect, "read_columns", None)
+        (only,) = pairdetect.read_level1_archive(path, _transit_of, k)
     _assert_same_events(only, empty)
-
-
-def test_a_transit_whose_blocks_step_back_is_yielded_whole(tmp_path,
-                                                          monkeypatch):
-    chunk = pairdetect._CHUNK_ROWS
-    events = _session([2 * chunk + 100, 3 * chunk])
-    # transit 1's two halves swapped: its frames step back once
-    n0, n1 = 2 * chunk + 100, 3 * chunk
-    rows = np.arange(n0 + n1)
-    rows[n0:] = np.roll(rows[n0:], n1 // 2)
-    path = tmp_path / "level1.csv"
-    write_level1_archive(path, events.take(rows))
-    grouped = _chunks_by_transit(path, 1, monkeypatch)
-    assert [len(c) for c in grouped] == [3, 1]
-    assert len(grouped[1][0]) == n1
-    os.remove(f"{path}.cols")
-    text = list(pairdetect.read_level1_archive(path, _transit_of, 1))
-    for chunks, transit in zip(grouped, text):
-        _assert_same_events(EventTable.concat(chunks), transit)
 
 
 @pytest.mark.parametrize("tag", ['"q"', "a,b", "", "tab\tx", "r\u00e9"])

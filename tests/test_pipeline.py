@@ -16,8 +16,7 @@ from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  PairTable, form_pairs, pair_chunks,
-                                  write_level1_archive)
+                                  form_pairs, write_level1_archive)
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 analyze_candidates, detect_frames,
                                 load_frames_npz, manifest_from_file,
@@ -610,9 +609,8 @@ def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
     # the exposure read in a pass of its own, then the pairs
     edges = m.bin_edges()
     want = tune_tau_int(
-        (pairs for events in read_session(m, path)
-         for pairs in pair_chunks(events, m.pairing_window_frames,
-                                  m.require_pol_match)),
+        (form_pairs(events, m.pairing_window_frames, m.require_pol_match)
+         for events in read_session(m, path)),
         m.phase, edges, bin_probabilities(
             edges, p_mode, session_exposure(m, read_session(m, path))))
     hashed = []
@@ -670,8 +668,8 @@ def test_no_pair_joins_two_transits(tmp_path, k):
     transits = list(read_session(m, path))
     assert len(transits) == 2
     for events in transits:
-        pairs = PairTable.concat(events, pair_chunks(
-            events, m.pairing_window_frames, m.require_pol_match))
+        pairs = form_pairs(events, m.pairing_window_frames,
+                           m.require_pol_match)
         assert pairs.delta_t_s.max() <= (2 * k + 1) * hop
 
 

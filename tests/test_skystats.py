@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pulsepair import cli
 from pulsepair.errors import ValidationError
+from pulsepair.plotting import caption_line
 from pulsepair.skystats import (analyze, bin_probabilities, binomial_tail,
                                 cohens_d, exposure_counts, peak_cohens_d,
                                 ra_bin_index, read_stats_csv, write_stats_csv)
@@ -116,6 +118,40 @@ def test_peak_cohens_d_matches_analyze():
     # a tie goes to the first bin, as analyze's peak does
     d, i = peak_cohens_d(np.array([0, 3]), bin_probabilities(edges))
     assert (d, i) == (cohens_d(1, 2, 0.25), 0)
+
+
+# 40 bins of 0.1 h over 3.25-7.25 h, as ExperimentManifest.bin_edges makes
+# the quick start's: their float widths differ in the last bits
+EDGES_40 = 3.25 + 0.1 * np.arange(41)
+
+
+def test_equal_bins_get_bit_identical_probabilities():
+    assert len(set(np.diff(EDGES_40).tolist())) > 1
+    assert bin_probabilities(EDGES_40).tolist() == [1.0 / 40] * 40
+    # widths that differ by more than a relative 1e-9 keep their share
+    edges = np.array([0.0, 1.0, 2.0 + 1e-6])
+    assert bin_probabilities(edges).tolist() == (np.diff(edges)
+                                                 / edges[-1]).tolist()
+
+
+@pytest.mark.parametrize("tied", [list(range(40)), [8, 9], [16, 39]])
+def test_a_tied_maximum_count_goes_to_the_first_tied_bin(tmp_path, tied):
+    # bins 8 and 16 have the widest float widths and bin 9 the narrowest:
+    # width / span would rank them by float noise
+    counts = np.full(40, 3)
+    counts[tied] = 7
+    ra = np.repeat(EDGES_40[:-1] + 0.05, counts)
+    first = tied[0]
+    res = analyze(ra, EDGES_40)
+    assert res.peak is res.stats[first]
+    bins = ra_bin_index(ra, EDGES_40)
+    assert peak_cohens_d(bins, bin_probabilities(EDGES_40))[1] == first
+    stats = tmp_path / "stats.csv"
+    write_stats_csv(stats, res.stats)
+    assert cli.main(["report", "--stats", str(stats), "--out", str(tmp_path),
+                     "--format", "csv"]) == 0
+    assert ((tmp_path / "figure_caption.csv").read_text()
+            == f'caption\n"{caption_line(res.stats[first])}"\n')
 
 
 def test_peak_cohens_d_empty():

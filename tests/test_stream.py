@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pulsepair import cli, pairdetect, pipeline
-from pulsepair.pairdetect import write_level1_archive
+from pulsepair.pairdetect import EventTable, write_level1_archive
 from pulsepair.sigsim import transit_index
 
 from helpers import archive_events, event_columns
@@ -147,59 +147,65 @@ def test_the_same_bytes_at_any_thread_count(tmp_path, threads):
             == {name: PINNED[3, 0][name] for name in names})
 
 
-def _assert_split_by_transit(m, path, whole):
-    """read_session yields whole's rows (path's, in archive order) one
-    transit at a time, in ascending transit order, each transit's rows in
-    archive order."""
-    transit = transit_index(whole.utc_s, m.config, m.window_lo_hr,
+def _assert_in_pair_chunks(m, path, rows):
+    """read_session yields rows (path's, in archive order) in pair chunks:
+    each chunk in one transit, and all of them the rows stable-sorted by
+    (transit, block)."""
+    transit = transit_index(rows.utc_s, m.config, m.window_lo_hr,
                             m.window_hi_hr, m.start_utc_s)
+    block = pairdetect._block_key(rows.frame_index, m.pairing_window_frames)
     got = list(pipeline.read_session(m, path))
-    assert len(got) == m.n_transits == len(np.unique(transit))
-    for t, events in enumerate(got):
-        assert (event_columns(events)
-                == event_columns(whole.take(np.flatnonzero(transit == t))))
+    assert all(np.ptp(transit_index(
+        events.utc_s, m.config, m.window_lo_hr, m.window_hi_hr,
+        m.start_utc_s)) == 0 for events in got)
+    assert (event_columns(EventTable.concat(got))
+            == event_columns(rows.take(np.lexsort((block, transit)))))
 
 
 def test_an_archive_out_of_transit_order_is_split_by_transit(tmp_path):
-    # rows shuffled and no sidecar: the archive is read whole and split by
-    # transit, so each transit pairs as the ordered archive's does
+    # every reordered archive is read in the in-order archive's pair
+    # chunks, so it gives its candidates, diagnostics and tau scan: the
+    # rows shuffled with no sidecar, a sidecar whose transit 2 comes first,
+    # and one whose transit 1 has its halves swapped, so frames step back
     cfg = _config(tmp_path / "survey.cfg", 3, 0)
     ordered = tmp_path / "ordered"
     assert cli.main(["simulate", "--config", cfg, "--out", str(ordered)]) == 0
-    header, *rows = (ordered / "level1.csv").read_text().splitlines(True)
-    shuffled = tmp_path / "level1.csv"
-    perm = np.random.default_rng(0).permutation(len(rows))
-    shuffled.write_text(header + "".join(rows[i] for i in perm))
     m = pipeline.manifest_from_file(cfg)
-    _assert_split_by_transit(m, shuffled, archive_events(shuffled))
+    header, *lines = (ordered / "level1.csv").read_text().splitlines(True)
+    perm = np.random.default_rng(0).permutation(len(lines))
+    (tmp_path / "shuffled").mkdir()
+    (tmp_path / "shuffled" / "level1.csv").write_text(
+        header + "".join(lines[i] for i in perm))
+    events = archive_events(ordered / "level1.csv")
+    transit = transit_index(events.utc_s, m.config, m.window_lo_hr,
+                            m.window_hi_hr, m.start_utc_s)
+    one = np.flatnonzero(transit == 1)
+    halves = np.arange(len(events))
+    halves[one] = np.roll(one, one.size // 2)
+    for name, rows in (("transits", np.argsort(transit != 2, kind="stable")),
+                       ("blocks", halves)):
+        (tmp_path / name).mkdir()
+        write_level1_archive(tmp_path / name / "level1.csv",
+                             events.take(rows))
+        assert (tmp_path / name / "level1.csv.cols").exists()
+    assert not (tmp_path / "shuffled" / "level1.csv.cols").exists()
     for k in (0, 1):
         cfg = _config(tmp_path / f"k{k}.cfg", 3, k)
-        out = tmp_path / f"k{k}"
-        assert cli.main(["refilter", "--config", cfg, "--out", str(out),
-                         "--level1", str(shuffled)]) == 0
-        assert (_sha256(out / "candidates.csv")
-                == PINNED[3, k]["candidates.csv"])
-    assert not (tmp_path / "level1.csv.cols").exists()
-
-
-def test_a_sidecar_whose_transits_step_back_is_split_by_transit(tmp_path):
-    # the rows of transit 2 first: the cut scan finds the transit stepping
-    # back, and the sidecar's table is split as a text archive's is
-    cfg = _config(tmp_path / "survey.cfg", 3, 0)
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    m = pipeline.manifest_from_file(cfg)
-    events = archive_events(out / "level1.csv")
-    late = transit_index(events.utc_s, m.config, m.window_lo_hr,
-                         m.window_hi_hr, m.start_utc_s) == 2
-    path = tmp_path / "level1.csv"
-    write_level1_archive(path, events.take(np.concatenate(
-        [np.flatnonzero(late), np.flatnonzero(~late)])))
-    assert (tmp_path / "level1.csv.cols").exists()
-    _assert_split_by_transit(m, path, archive_events(path))
-    assert cli.main(["refilter", "--config", cfg, "--out", str(out),
-                     "--level1", str(path)]) == 0
-    assert _sha256(out / "candidates.csv") == PINNED[3, 0]["candidates.csv"]
+        m = pipeline.manifest_from_file(cfg)
+        got = {}
+        for name in ("ordered", "shuffled", "transits", "blocks"):
+            path, out = tmp_path / name / "level1.csv", tmp_path / f"{name}{k}"
+            _assert_in_pair_chunks(m, path, archive_events(path))
+            common = ["--config", cfg, "--out", str(out), "--level1",
+                      str(path)]
+            assert cli.main(["refilter", *common, "--diagnostics"]) == 0
+            assert cli.main(["tune-tau", *common]) == 0
+            got[name] = {file: _sha256(out / file) for file in (
+                "candidates.csv", "tau_scan.csv", "metric_diagnostics.csv")}
+        assert got["ordered"]["candidates.csv"] == PINNED[3, k][
+            "candidates.csv"]
+        assert got["ordered"]["tau_scan.csv"] == PINNED[3, k]["tau_scan.csv"]
+        assert all(hashes == got["ordered"] for hashes in got.values()), k
 
 
 def test_an_archive_without_rows_is_one_empty_table(tmp_path):
