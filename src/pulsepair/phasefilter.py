@@ -39,7 +39,7 @@ import numpy as np
 from .channelizer import wrap_phase
 from .errors import ValidationError
 from .pairdetect import PairTable, write_rows
-from .skystats import cohens_d, ra_bin_index
+from .skystats import peak_cohens_d, ra_bin_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -251,12 +251,13 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     """Scan assumed instrument delays; keep the one with the largest peak d.
 
     Each tau on the grid [tau_search_low_s, tau_search_high_s] (step
-    tau_search_step_s) scores what analyze(...).peak.cohens_d gives on the
-    pairs passing the second-level filter at that tau, over the RA bins
-    `bin_edges` with null probabilities `probs` (bin_probabilities), or 0
-    if none is in the window.  `probs` may also be a function of no
-    arguments that gives them; it is called after the last chunk, so a
-    caller can sum the exposure over the chunks it yields.
+    tau_search_step_s) scores peak_cohens_d(counts, probs)[0], the d of
+    analyze(...).peak, where counts are the pairs passing the second-level
+    filter at that tau in each RA bin of `bin_edges` and `probs` the null
+    probabilities (bin_probabilities); no pair in the window scores 0.
+    `probs` may also be a function of no arguments that gives them; it is
+    called after the last chunk, so a caller can sum the exposure over the
+    chunks it yields (pipeline.session_exposure).
 
     `chunks` is an iterable of PairTables ([pairs] for one table), such
     as (form_pairs(c, K) for c in chunk_events(events, None, K)) gives.
@@ -264,8 +265,7 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     a taps x bins table of pass counts (see _tally_chunk), and the chunk
     is dropped before the next is asked for, so chunks made as
     read_session reads the archive hold one chunk of events.
-    Every verdict is the one the per-tap filter gives, and every score is
-    peak_cohens_d's arithmetic on the counts.
+    Every verdict is the one the per-tap filter gives.
     Returns (best_tau_s, best_stat, taus, stats).
 
     Ties are broken toward the smallest |tau - center of the search range|
@@ -291,9 +291,8 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
         raise ValidationError("no candidates to tune against")
     if callable(probs):
         probs = probs()
-    counts = np.cumsum(table[:-1], axis=0)
-    stats = np.array([cohens_d(c, int(m), probs).max() if m else 0.0
-                      for c, m in zip(counts, counts.sum(axis=1))])
+    stats = np.array([peak_cohens_d(counts, probs)[0]
+                      for counts in np.cumsum(table[:-1], axis=0)])
     best = float(np.max(stats))
     tied = np.flatnonzero(stats == best)
     center = 0.5 * (lo + hi)

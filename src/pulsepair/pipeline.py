@@ -37,9 +37,9 @@ from .phasefilter import (PhaseMetricParams, second_level_filter,
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
                      simulate_level1_events, thread_pool, transit_index)
-from .skystats import (AnalysisResult, analyze, bin_probabilities,
-                       exposure_counts, peak_cohens_d, ra_bin_index,
-                       read_stats_csv, write_stats_csv)
+from .skystats import (AnalysisResult, analyze, bin_counts,
+                       bin_probabilities, peak_cohens_d, read_stats_csv,
+                       write_stats_csv)
 
 # candidates.csv: enough of each pair to re-run the statistics
 CANDIDATE_COLUMNS = {
@@ -481,18 +481,22 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
     return n_events, n_pairs, n_survivors + n_held
 
 
-def session_exposure(manifest: ExperimentManifest, tables):
-    """The per-bin exposure counts of the session's tables (such as
-    read_session's chunks) in exposure mode (skystats.exposure_counts,
-    summed), else None."""
+def session_exposure(manifest: ExperimentManifest, tables) -> tuple:
+    """(exposure, tables): in exposure mode, the per-bin counts (bin_counts)
+    of the events of `tables`, such as read_session's chunks, summed as
+    the passed-through tables go by, else None.  One read of the session
+    gives both its exposure and its events."""
     if manifest.p_mode != "exposure":
-        return None
+        return None, tables
     edges = manifest.bin_edges()
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for events in tables:
-        counts += exposure_counts(events.ra_pointing_hr, edges)
-        del events                  # before the next table is read
-    return counts
+    exposure = np.zeros(edges.size - 1, dtype=np.int64)
+
+    def counted():
+        for events in tables:
+            exposure[:] += bin_counts(events.ra_pointing_hr, edges)
+            yield events
+            del events              # before the next table is read
+    return exposure, counted()
 
 
 def run_experiment(manifest: ExperimentManifest,
@@ -596,10 +600,11 @@ def analyze_candidates(manifest: ExperimentManifest, candidates_path,
     mode, for the exposure.
     """
     ra = read_candidates_csv(candidates_path)["ra_pointing_hr"]
-    exposure = None
-    if manifest.p_mode == "exposure":
-        exposure = session_exposure(manifest,
-                                    read_session(manifest, level1_path))
+    exposure, tables = session_exposure(manifest,
+                                        read_session(manifest, level1_path))
+    if exposure is not None:
+        for events in tables:
+            del events              # before the next chunk is read
     return analyze(ra, manifest.bin_edges(), manifest.p_mode, exposure)
 
 
@@ -649,10 +654,11 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 significance_d: float = 3.5):
     """Source-free reruns: the distribution of the peak bin's excess.
 
-    Runs the events-mode chain (sample a transit, pair and filter each of
-    its chunk_events as refilter does, then the next transit; then
-    peak_cohens_d) with all sources removed for seeds seed0 ..
-    seed0+n_seeds-1.  Returns (rows, fraction_clean) where each row is
+    Runs the events-mode chain (sample a transit, its exposure summed by
+    session_exposure; pair and filter each of its chunk_events as refilter
+    does, adding the survivors' bin_counts to the trials; then the next
+    transit; then peak_cohens_d) with all sources removed for seeds seed0
+    .. seed0+n_seeds-1.  Returns (rows, fraction_clean) where each row is
     (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the share of
     seeds whose peak stays below `significance_d`.
 
@@ -671,24 +677,19 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     edges = manifest.bin_edges()
 
     def one(seed: int):
-        counts = (np.zeros(edges.size - 1, dtype=np.int64)
-                  if manifest.p_mode == "exposure" else None)
-        bins = []
-        for events in simulate_events(replace(
-                manifest, config=replace(manifest.config, seed=seed),
-                sources=[], threads=1)):
-            if counts is not None:
-                counts += exposure_counts(events.ra_pointing_hr, edges)
+        exposure, transits = session_exposure(manifest, simulate_events(
+            replace(manifest, config=replace(manifest.config, seed=seed),
+                    sources=[], threads=1)))
+        trials = np.zeros(edges.size - 1, dtype=np.int64)
+        for events in transits:
             for chunk in chunk_events(events, None,
                                       manifest.pairing_window_frames):
                 _, survivors = session_survivors(manifest, chunk)
-                b = ra_bin_index(survivors.ra_pointing_hr, edges)
-                bins.append(b[b >= 0])
+                trials += bin_counts(survivors.ra_pointing_hr, edges)
             del events, chunk, survivors  # before the next transit is sampled
-        bins = np.concatenate(bins)
-        max_d, peak = peak_cohens_d(bins, bin_probabilities(
-            edges, manifest.p_mode, counts))
-        return (seed, bins.size, max_d, float(edges[peak]))
+        max_d, peak = peak_cohens_d(trials, bin_probabilities(
+            edges, manifest.p_mode, exposure))
+        return (seed, int(trials.sum()), max_d, float(edges[peak]))
 
     seeds = [manifest.config.seed + i for i in range(n_seeds)]
     if manifest.threads > 1 and n_seeds > 1:
@@ -712,19 +713,17 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
     The archive is read once, a chunk at a time (read_session), and
     tune_tau_int adds each chunk's pairs to its pass counts before the
     next chunk is read, so the scan holds one chunk (and the whole table
-    from a text archive).  In exposure mode each chunk's exposure counts
-    are summed as it is read, and the probabilities are made from them
-    after the last chunk.
+    from a text archive).  In exposure mode session_exposure adds each
+    chunk's exposure counts as it goes by, and the probabilities are made
+    from them after the last chunk.
     Returns (best_tau_s, best_stat, taus, stats).
     """
     edges = manifest.bin_edges()
-    exposure = (np.zeros(edges.size - 1, dtype=np.int64)
-                if manifest.p_mode == "exposure" else None)
+    exposure, tables = session_exposure(manifest,
+                                        read_session(manifest, level1_path))
 
     def chunks():
-        for events in read_session(manifest, level1_path):
-            if exposure is not None:
-                exposure[:] += exposure_counts(events.ra_pointing_hr, edges)
+        for events in tables:
             yield form_pairs(events, manifest.pairing_window_frames,
                              manifest.require_pol_match)
             del events              # before the next chunk is read

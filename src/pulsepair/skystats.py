@@ -111,9 +111,10 @@ def cohens_d(observed, n: int, p):
     return (observed - n * p) / np.sqrt(n * p * (1.0 - p))
 
 
-def exposure_counts(ra_hr, bin_edges) -> np.ndarray:
-    """First-level events per RA bin (ra_bin_index), as int64: the exposure
-    of bin_probabilities.  Counts of a session's parts add up to the
+def bin_counts(ra_hr, bin_edges) -> np.ndarray:
+    """In-window entries per RA bin (ra_bin_index), as int64: candidates,
+    as analyze's trials, or first-level events, as the exposure of
+    bin_probabilities.  Counts of a session's parts add up to the
     session's."""
     bins = ra_bin_index(ra_hr, bin_edges)
     return np.bincount(bins[bins >= 0], minlength=len(bin_edges) - 1)
@@ -128,7 +129,7 @@ def bin_probabilities(bin_edges, mode: str = "uniform",
     a relative 1e-9, so that equal counts in equal bins score the same d
     and a tie is never decided by float noise in the widths.  exposure:
     p_i proportional to `exposure`, the number of first-level events in
-    each bin (exposure_counts), for sessions with uneven time on sky.
+    each bin (bin_counts), for sessions with uneven time on sky.
     """
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -169,18 +170,20 @@ def ra_bin_index(ra_hr, bin_edges) -> np.ndarray:
     return np.where((ra >= bin_edges[0]) & (ra < bin_edges[-1]), idx, -1)
 
 
-def peak_cohens_d(bins, probs) -> tuple:
-    """(d, i): the largest Cohen's d over the RA bins, and its first bin.
+def peak_cohens_d(counts, probs) -> tuple:
+    """(d, i): the largest Cohen's d over the RA bins, and its first bin,
+    the peak of analyze, null-mc and the delay scan alike.
 
-    `bins` holds the bin of each in-window trial (ra_bin_index >= 0) and
-    `probs` the null per-bin probabilities (bin_probabilities); d equals
-    analyze(...).peak.cohens_d bit for bit.  No trials give (0.0, 0): no
-    signal is no evidence.
+    `counts` holds each bin's in-window trials (bin_counts; n is their
+    sum), `probs` the null per-bin probabilities (bin_probabilities).  No
+    trials give (0.0, 0): no signal is no evidence.  No tie is decided by
+    float noise: equal bins get bit-identical p (1/n_bins exactly, or c /
+    total for equal exposure counts c), so equal counts get equal d.
     """
-    n = bins.size
+    n = int(counts.sum())
     if n == 0:
         return 0.0, 0
-    d = cohens_d(np.bincount(bins, minlength=probs.size), n, probs)
+    d = cohens_d(counts, n, probs)
     i = int(np.argmax(d))
     return float(d[i]), i
 
@@ -203,14 +206,12 @@ def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
         raise ValidationError("candidate RAs must be 1-D")
     edges = np.asarray(bin_edges, dtype=float)
     probs = bin_probabilities(edges, p_mode, exposure)
-    bins = ra_bin_index(ra, edges)
-    bins = bins[bins >= 0]
-    n = int(bins.size)
+    counts = bin_counts(ra, edges)
+    n = int(counts.sum())
     if n == 0:
         warnings.warn("no candidates inside the analysis window",
                       stacklevel=2)
         return AnalysisResult([], None, 0, float(edges[0]), float(edges[-1]))
-    counts = np.bincount(bins, minlength=probs.size)
     d = cohens_d(counts, n, probs)
     stats = []
     for i, (k, p) in enumerate(zip(counts.tolist(), probs.tolist())):
@@ -226,7 +227,7 @@ def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
             tail_prob_ge=binomial_tail(n, p, k, strict=False),
             tail_prob_gt=binomial_tail(n, p, k, strict=True),
         ))
-    return AnalysisResult(stats, stats[int(np.argmax(d))], n,
+    return AnalysisResult(stats, stats[peak_cohens_d(counts, probs)[1]], n,
                           float(edges[0]), float(edges[-1]))
 
 

@@ -15,7 +15,7 @@ from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
 from pulsepair.sigsim import ObservationConfig, RfiSpec, SourceSpec
-from pulsepair.skystats import analyze, exposure_counts
+from pulsepair.skystats import analyze, bin_counts
 
 from helpers import archive_events
 from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
@@ -315,13 +315,13 @@ def test_tune_tau_and_null_mc_in_exposure_mode(tmp_path):
         survivors = phasefilter.second_level_filter(
             pairs, replace(m.phase, tau_int_s=tau))
         res = analyze(survivors.ra_pointing_hr, m.bin_edges(), "exposure",
-                      exposure_counts(events.ra_pointing_hr, m.bin_edges()))
+                      bin_counts(events.ra_pointing_hr, m.bin_edges()))
         assert line == f"{tau:.12g},{res.peak.cohens_d:.8g}"
     null = replace(m, config=replace(m.config, seed=7), sources=[])
     events = EventTable.concat(pipeline.simulate_events(null))
     survivors = phasefilter.second_level_filter(form_pairs(events), m.phase)
     res = analyze(survivors.ra_pointing_hr, m.bin_edges(), "exposure",
-                  exposure_counts(events.ra_pointing_hr, m.bin_edges()))
+                  bin_counts(events.ra_pointing_hr, m.bin_edges()))
     assert (out / "null_mc.csv").read_text().splitlines()[1] == (
         f"7,{res.n_trials},{res.peak.cohens_d:.8g},{res.peak.ra_low_hr:.6g}")
 

@@ -14,7 +14,7 @@ from pulsepair.pipeline import ExperimentManifest, simulate_events
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int,
                                    write_metric_diagnostics_csv)
-from pulsepair.skystats import analyze, bin_probabilities, exposure_counts
+from pulsepair.skystats import analyze, bin_counts, bin_probabilities
 
 from helpers import event_table
 from test_golden import SURVEY_CFG
@@ -272,7 +272,7 @@ def test_tune_tau_matches_per_tap_filter_and_analyze(low, high, step):
                                tau_search_step_s=step)
     pairs, on_edge = _random_pairs(rng, params)
     assert on_edge >= 700
-    exposure = exposure_counts(rng.uniform(4.5, 5.5, 200), EDGES)
+    exposure = bin_counts(rng.uniform(4.5, 5.5, 200), EDGES)
     # the same pairs in chunks, the first of them empty
     chunks = [pairs.take(rows) for rows in
               np.array_split(np.arange(len(pairs)), [0, 700, 701, 2400])]

@@ -1,6 +1,7 @@
 import math
 import shutil
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -31,8 +32,7 @@ from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
                                    tune_tau_int, write_metric_diagnostics_csv)
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames, transit_index)
-from pulsepair.skystats import (bin_probabilities, exposure_counts,
-                               peak_cohens_d, ra_bin_index)
+from pulsepair.skystats import bin_counts, bin_probabilities, peak_cohens_d
 
 from helpers import (archive_events, detect_events, event_columns,
                      event_table, wide_band_params)
@@ -608,11 +608,14 @@ def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
     path = tmp_path / "level1.csv"
     # the exposure read in a pass of its own, then the pairs
     edges = m.bin_edges()
+    exposure, tables = session_exposure(m, read_session(m, path))
+    for events in tables:
+        pass
+    assert (exposure is None) == (p_mode == "uniform")
     want = tune_tau_int(
         (form_pairs(events, m.pairing_window_frames, m.require_pol_match)
          for events in read_session(m, path)),
-        m.phase, edges, bin_probabilities(
-            edges, p_mode, session_exposure(m, read_session(m, path))))
+        m.phase, edges, bin_probabilities(edges, p_mode, exposure))
     hashed = []
     sha256 = pairdetect.sha256_file
 
@@ -719,7 +722,7 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
         assert ((tmp_path / f"got{name}.csv").read_bytes()
                 == (tmp_path / f"want{name}.csv").read_bytes())
     edges = m.bin_edges()
-    exposure = exposure_counts(events.ra_pointing_hr, edges)
+    exposure = bin_counts(events.ra_pointing_hr, edges)
     for p_mode in ("uniform", "exposure"):
         want = tune_tau_int(pairs, m.phase, edges,
                             bin_probabilities(edges, p_mode, exposure))
@@ -729,14 +732,11 @@ def test_chunked_stages_match_the_whole_table(season, tmp_path, k,
                 and np.array_equal(got[2], want[2]))
     # null-mc samples the session afresh: the same events, sources and all
     null = EventTable.concat(simulate_events(m))
-    bins = []
-    for t in _transits(m, null):
-        b = ra_bin_index(second_level_filter(
-            form_pairs(t, k, pol_match), m.phase).ra_pointing_hr, edges)
-        bins.append(b[b >= 0])
-    bins = np.concatenate(bins)
-    max_d, peak = peak_cohens_d(bins, bin_probabilities(edges))
-    assert run_null_mc(m, 1)[0] == [(m.config.seed, bins.size, max_d,
+    trials = sum(bin_counts(second_level_filter(
+        form_pairs(t, k, pol_match), m.phase).ra_pointing_hr, edges)
+        for t in _transits(m, null))
+    max_d, peak = peak_cohens_d(trials, bin_probabilities(edges))
+    assert run_null_mc(m, 1)[0] == [(m.config.seed, trials.sum(), max_d,
                                      float(edges[peak]))]
 
 
@@ -765,23 +765,60 @@ def test_refilter_writes_its_survivors_in_few_batches(season, tmp_path,
 
 
 def test_refilter_analyze_and_tune_tau_hold_one_chunk(season, tmp_path):
-    # the reader yields ~16,400-event pair chunks (1.3 MB of columns):
-    # holding a whole transit (~8.4 MB) or the pairs of one breaks the bound
+    # the reader yields pair chunks of ~_CHUNK_ROWS events, and each stage
+    # peaks at 1.6-1.9 times one chunk's columns: one that still holds the
+    # last chunk while it reads the next peaks at ~2.25, and one that holds
+    # a whole transit (~6.4 chunks) or its pairs higher still
     m, path = season
-    table_bytes = 8 * len(pairdetect.EVENT_COLUMNS) * len(
-        archive_events(path))
+    chunk_bytes = 8 * len(pairdetect.EVENT_COLUMNS) * pairdetect._CHUNK_ROWS
     candidates = tmp_path / "candidates.csv"
     exposure = replace(m, p_mode="exposure")
     for stage in (lambda: refilter(m, path, candidates),
                   lambda: analyze_candidates(exposure, candidates, path),
-                  lambda: run_tune_tau(m, path)):
+                  lambda: run_tune_tau(m, path),
+                  lambda: run_tune_tau(exposure, path)):
         tracemalloc.start()
         try:
             stage()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * table_bytes
+        assert peak < 2.1 * chunk_bytes
+
+
+def test_chunked_stages_drop_each_table_before_the_next(season, tmp_path,
+                                                        monkeypatch):
+    # a name still bound to the last chunk (or transit) while the next is
+    # read keeps two alive at once, even where the peak above misses it
+    m, path = season
+    live = []
+
+    def tracked(source):
+        def tables(*args):
+            parts, refs = iter(source(*args)), []
+            while True:
+                live.append(sum(ref() is not None for ref in refs))
+                table = next(parts, None)
+                if table is None:
+                    return
+                refs.append(weakref.ref(table))
+                yield table
+                del table
+        return tables
+
+    for name in ("read_session", "simulate_events"):
+        monkeypatch.setattr(pulsepair.pipeline, name,
+                            tracked(getattr(pulsepair.pipeline, name)))
+    candidates = tmp_path / "candidates.csv"
+    exposure = replace(m, p_mode="exposure")
+    for stage in (lambda: refilter(m, path, candidates),
+                  lambda: analyze_candidates(exposure, candidates, path),
+                  lambda: run_tune_tau(m, path),
+                  lambda: run_tune_tau(exposure, path),
+                  lambda: run_null_mc(exposure, 1)):
+        live.clear()
+        stage()
+        assert len(live) > 2 and not any(live)
 
 
 def test_frame_store_members_are_read_once(tmp_path, monkeypatch):

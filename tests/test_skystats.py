@@ -6,8 +6,8 @@ import pytest
 from pulsepair import cli
 from pulsepair.errors import ValidationError
 from pulsepair.plotting import caption_line
-from pulsepair.skystats import (analyze, bin_probabilities, binomial_tail,
-                                cohens_d, exposure_counts, peak_cohens_d,
+from pulsepair.skystats import (analyze, bin_counts, bin_probabilities,
+                                binomial_tail, cohens_d, peak_cohens_d,
                                 ra_bin_index, read_stats_csv, write_stats_csv)
 
 from helpers import enumerate_tail, false_alarm_tail_check
@@ -64,15 +64,15 @@ def test_bin_probabilities():
     edges = np.array([0.0, 1.0, 3.0, 4.0])
     p = bin_probabilities(edges)
     assert p == pytest.approx([0.25, 0.5, 0.25])
-    expo = bin_probabilities(edges, mode="exposure", exposure=exposure_counts(
+    expo = bin_probabilities(edges, mode="exposure", exposure=bin_counts(
         np.array([0.5, 1.5, 1.6, 3.5]), edges))
     assert expo == pytest.approx([0.25, 0.5, 0.25])
     with pytest.raises(ValidationError):
-        bin_probabilities(edges, mode="exposure", exposure=exposure_counts(
+        bin_probabilities(edges, mode="exposure", exposure=bin_counts(
             np.array([0.5, 0.6]), edges))
     # an event on the last edge is no trial, as ra_bin_index counts them
     edges = np.array([3.0, 4.0, 5.0])
-    expo = bin_probabilities(edges, mode="exposure", exposure=exposure_counts(
+    expo = bin_probabilities(edges, mode="exposure", exposure=bin_counts(
         np.array([3.5, 4.5, 5.0, 5.0]), edges))
     assert expo.tolist() == [0.5, 0.5]
 
@@ -107,16 +107,17 @@ def test_peak_cohens_d_matches_analyze():
     ra = np.array([3.0, 3.5, 4.0, 4.5, 4.5, 6.99, 7.0, 2.9, np.nan, 4.5, 6.0])
     bins = ra_bin_index(ra, edges)
     assert bins.tolist() == [0, 0, 1, 1, 1, 3, -1, -1, -1, 1, 3]
-    expo = exposure_counts(np.array([3.5, 4.5, 4.6, 5.5, 6.5, 6.6, 6.7]),
-                           edges)
+    counts = bin_counts(ra, edges)
+    assert counts.tolist() == [2, 4, 0, 2]
+    expo = bin_counts(np.array([3.5, 4.5, 4.6, 5.5, 6.5, 6.6, 6.7]), edges)
     for mode in ("uniform", "exposure"):
         res = analyze(ra, edges, mode, exposure=expo)
-        d, i = peak_cohens_d(bins[bins >= 0],
-                             bin_probabilities(edges, mode, expo))
+        assert [s.observed_count for s in res.stats] == counts.tolist()
+        d, i = peak_cohens_d(counts, bin_probabilities(edges, mode, expo))
         assert d == res.peak.cohens_d
         assert edges[i] == res.peak.ra_low_hr
     # a tie goes to the first bin, as analyze's peak does
-    d, i = peak_cohens_d(np.array([0, 3]), bin_probabilities(edges))
+    d, i = peak_cohens_d(np.array([1, 0, 0, 1]), bin_probabilities(edges))
     assert (d, i) == (cohens_d(1, 2, 0.25), 0)
 
 
@@ -137,26 +138,31 @@ def test_equal_bins_get_bit_identical_probabilities():
 @pytest.mark.parametrize("tied", [list(range(40)), [8, 9], [16, 39]])
 def test_a_tied_maximum_count_goes_to_the_first_tied_bin(tmp_path, tied):
     # bins 8 and 16 have the widest float widths and bin 9 the narrowest:
-    # width / span would rank them by float noise
+    # width / span would rank them by float noise.  In exposure mode the
+    # tied bins share an exposure count and the others have more
     counts = np.full(40, 3)
     counts[tied] = 7
     ra = np.repeat(EDGES_40[:-1] + 0.05, counts)
+    exposure = np.full(40, 1013)
+    exposure[tied] = 997
     first = tied[0]
-    res = analyze(ra, EDGES_40)
-    assert res.peak is res.stats[first]
-    bins = ra_bin_index(ra, EDGES_40)
-    assert peak_cohens_d(bins, bin_probabilities(EDGES_40))[1] == first
-    stats = tmp_path / "stats.csv"
-    write_stats_csv(stats, res.stats)
-    assert cli.main(["report", "--stats", str(stats), "--out", str(tmp_path),
-                     "--format", "csv"]) == 0
-    assert ((tmp_path / "figure_caption.csv").read_text()
-            == f'caption\n"{caption_line(res.stats[first])}"\n')
+    for p_mode in ("uniform", "exposure"):
+        probs = bin_probabilities(EDGES_40, p_mode, exposure)
+        assert len(set(probs[tied].tolist())) == 1
+        res = analyze(ra, EDGES_40, p_mode, exposure)
+        assert res.peak is res.stats[first]
+        assert peak_cohens_d(bin_counts(ra, EDGES_40), probs)[1] == first
+        stats = tmp_path / "stats.csv"
+        write_stats_csv(stats, res.stats)
+        assert cli.main(["report", "--stats", str(stats), "--out",
+                         str(tmp_path), "--format", "csv"]) == 0
+        assert ((tmp_path / "figure_caption.csv").read_text()
+                == f'caption\n"{caption_line(res.stats[first])}"\n')
 
 
 def test_peak_cohens_d_empty():
     probs = bin_probabilities(np.array([3.0, 4.0]))
-    assert peak_cohens_d(np.array([], dtype=np.intp), probs) == (0.0, 0)
+    assert peak_cohens_d(np.zeros(1, dtype=np.int64), probs) == (0.0, 0)
 
 
 def test_false_alarm_check_statistics():
