@@ -13,7 +13,7 @@ import sys
 from . import __version__, calib, kvconfig, pipeline, plotting
 from .errors import StageError, UsageError, ValidationError
 from .pairdetect import write_level1_archive
-from .skystats import read_stats_csv
+from .skystats import peak_bin, read_stats_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,8 +267,7 @@ def cmd_report(args) -> int:
         with open(path, "w", newline="\n") as fh:
             fh.write("caption\n")
             if stats:
-                peak = max(stats, key=lambda s: s.cohens_d)
-                fh.write(f"\"{plotting.caption_line(peak)}\"\n")
+                fh.write(f"\"{plotting.caption_line(peak_bin(stats))}\"\n")
     print(f"report: -> {path}")
     return 0
 
@@ -299,10 +298,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except StageError as exc:
-        print(f"stage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StageError, OSError) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return 2
 

@@ -407,7 +407,7 @@ def read_session(manifest: ExperimentManifest, level1_path):
     In events mode each event's transit is sigsim.transit_index's; a
     frame-mode session is one run of consecutive frames, one transit.  The
     chunks are cut at the blocks of run.pairing_window_frames
-    (pairdetect.chunk_events), so each pairs on its own.
+    (pairdetect.chunk_events), so each pairs on its own (session_pairs).
     """
     transit_of = None
     if manifest.mode == "events":
@@ -419,21 +419,22 @@ def read_session(manifest: ExperimentManifest, level1_path):
                                manifest.pairing_window_frames)
 
 
-def session_survivors(manifest: ExperimentManifest, events: EventTable,
-                      diagnostics_path=None, append: bool = False) -> tuple:
-    """Pair and level-2 filter `events`, one pair chunk (chunk_events).
+def sample_session(manifest: ExperimentManifest):
+    """read_session's twin for a sampled session: each part (transit) of
+    simulate_events, cut as read_session cuts it (chunk_events)."""
+    for part in simulate_events(manifest):
+        yield from chunk_events(part, None, manifest.pairing_window_frames)
+        del part                    # before the next part is sampled
 
-    With diagnostics_path, also write every pair's metric and verdict,
-    after the file's rows with append.  Returns (n_pairs, survivors).
-    """
-    pairs = form_pairs(events, manifest.pairing_window_frames,
-                       manifest.require_pol_match)
-    if diagnostics_path is None:
-        return len(pairs), second_level_filter(pairs, manifest.phase)
-    survivors, verdicts = second_level_filter(pairs, manifest.phase,
-                                              explain=True)
-    write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts, append)
-    return len(pairs), survivors
+
+def session_pairs(manifest: ExperimentManifest, tables):
+    """form_pairs of each pair chunk of `tables` (read_session or
+    sample_session), in turn.  A PairTable holds its chunk: drop it before
+    asking for the next."""
+    for events in tables:
+        yield form_pairs(events, manifest.pairing_window_frames,
+                         manifest.require_pol_match)
+        del events                  # before the next chunk is read
 
 
 # survivors refilter holds before it writes them: a write per chunk costs
@@ -452,9 +453,9 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
     """The refilter stage: pair an archive and write its level-2 survivors.
 
     The archive is read, paired and filtered one chunk at a time
-    (read_session).  Each chunk's survivors are kept as their
-    _candidate_columns, which hold none of its events, and written to
-    candidates_path together: once, at the end, or whenever
+    (session_pairs of read_session).  Each chunk's survivors are kept as
+    their _candidate_columns, which hold none of its events, and written
+    to candidates_path together: once, at the end, or whenever
     _HELD_CANDIDATES of them are held.  With diagnostics_path, also write
     every pair's metric and verdict, a chunk at a time.
     Returns (n_events, n_pairs, n_survivors).
@@ -463,15 +464,21 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
     held, append = [], False
     # a plain loop: enumerate would hold the last chunk while the next is
     # read
-    for events in read_session(manifest, level1_path):
-        # diagnostics rows go on after the first chunk's
-        chunk_pairs, survivors = session_survivors(
-            manifest, events, diagnostics_path, n_events > 0)
+    for pairs in session_pairs(manifest, read_session(manifest,
+                                                      level1_path)):
+        if diagnostics_path is None:
+            survivors = second_level_filter(pairs, manifest.phase)
+        else:               # rows go on after the first chunk's
+            survivors, verdicts = second_level_filter(pairs, manifest.phase,
+                                                      explain=True)
+            write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts,
+                                         n_events > 0)
+            del verdicts
         held.append(_candidate_columns(survivors))
-        n_events += len(events)
-        n_pairs += chunk_pairs
+        n_events += len(pairs.events)
+        n_pairs += len(pairs)
         n_held += len(survivors)
-        del events, survivors       # before a write or the next chunk
+        del pairs, survivors        # before a write or the next chunk
         if n_held >= _HELD_CANDIDATES:
             write_candidates_csv(candidates_path, _joined(held), append)
             n_survivors += n_held
@@ -499,8 +506,7 @@ def session_exposure(manifest: ExperimentManifest, tables) -> tuple:
     return exposure, counted()
 
 
-def run_experiment(manifest: ExperimentManifest,
-                   resume: bool = True) -> ExperimentResult:
+def run_experiment(manifest: ExperimentManifest) -> ExperimentResult:
     """Run simulate -> refilter -> analyze -> report with hash-based resume.
 
     Each stage runs the function its CLI subcommand calls.  A stage is
@@ -513,7 +519,7 @@ def run_experiment(manifest: ExperimentManifest,
     os.makedirs(out, exist_ok=True)
     manifest_path = os.path.join(out, "manifest.txt")
     prior = {}
-    if resume and os.path.exists(manifest_path):
+    if os.path.exists(manifest_path):
         prior = kvconfig.read_kv_file(manifest_path)
     record = manifest.to_kv()
     record["run.threads"] = str(manifest.threads)
@@ -654,13 +660,12 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
                 significance_d: float = 3.5):
     """Source-free reruns: the distribution of the peak bin's excess.
 
-    Runs the events-mode chain (sample a transit, its exposure summed by
-    session_exposure; pair and filter each of its chunk_events as refilter
-    does, adding the survivors' bin_counts to the trials; then the next
-    transit; then peak_cohens_d) with all sources removed for seeds seed0
-    .. seed0+n_seeds-1.  Returns (rows, fraction_clean) where each row is
-    (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the share of
-    seeds whose peak stays below `significance_d`.
+    Runs refilter's chain on a sampled session with no sources, for seeds
+    seed0 .. seed0+n_seeds-1: session_pairs of sample_session, each chunk's
+    survivors' bin_counts summed into trials, and their peak_cohens_d (with
+    session_exposure's exposure).  Returns (rows, fraction_clean) where each
+    row is (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the
+    share of seeds whose peak stays below `significance_d`.
 
     With manifest.threads > 1 the seeds run on a pool of up to that many
     threads, and each seed samples its transits on the thread that runs it,
@@ -677,16 +682,14 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     edges = manifest.bin_edges()
 
     def one(seed: int):
-        exposure, transits = session_exposure(manifest, simulate_events(
-            replace(manifest, config=replace(manifest.config, seed=seed),
-                    sources=[], threads=1)))
+        seeded = replace(manifest, config=replace(manifest.config, seed=seed),
+                         sources=[], threads=1)
+        exposure, tables = session_exposure(seeded, sample_session(seeded))
         trials = np.zeros(edges.size - 1, dtype=np.int64)
-        for events in transits:
-            for chunk in chunk_events(events, None,
-                                      manifest.pairing_window_frames):
-                _, survivors = session_survivors(manifest, chunk)
-                trials += bin_counts(survivors.ra_pointing_hr, edges)
-            del events, chunk, survivors  # before the next transit is sampled
+        for pairs in session_pairs(seeded, tables):
+            survivors = second_level_filter(pairs, seeded.phase)
+            trials += bin_counts(survivors.ra_pointing_hr, edges)
+            del pairs, survivors    # before the next chunk is sampled
         max_d, peak = peak_cohens_d(trials, bin_probabilities(
             edges, manifest.p_mode, exposure))
         return (seed, int(trials.sum()), max_d, float(edges[peak]))
@@ -711,25 +714,19 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
     The archive is read once, a chunk at a time (read_session), and
-    tune_tau_int adds each chunk's pairs to its pass counts before the
-    next chunk is read, so the scan holds one chunk (and the whole table
-    from a text archive).  In exposure mode session_exposure adds each
-    chunk's exposure counts as it goes by, and the probabilities are made
-    from them after the last chunk.
+    tune_tau_int adds each chunk's pairs (session_pairs) to its pass counts
+    before the next chunk is read, so the scan holds one chunk (and the
+    whole table from a text archive).  In exposure mode session_exposure
+    adds each chunk's exposure counts as it goes by, and the probabilities
+    are made from them after the last chunk.
     Returns (best_tau_s, best_stat, taus, stats).
     """
     edges = manifest.bin_edges()
     exposure, tables = session_exposure(manifest,
                                         read_session(manifest, level1_path))
-
-    def chunks():
-        for events in tables:
-            yield form_pairs(events, manifest.pairing_window_frames,
-                             manifest.require_pol_match)
-            del events              # before the next chunk is read
-
-    return tune_tau_int(chunks(), manifest.phase, edges, lambda: (
-        bin_probabilities(edges, manifest.p_mode, exposure)))
+    return tune_tau_int(session_pairs(manifest, tables), manifest.phase,
+                        edges, lambda: bin_probabilities(
+                            edges, manifest.p_mode, exposure))
 
 
 def write_tau_scan_csv(path, taus, stats) -> None:

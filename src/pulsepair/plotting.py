@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .skystats import peak_bin
+
 WIDTH = 800
 HEIGHT = 480
 MARGIN_L = 70
@@ -32,6 +34,12 @@ def caption_line(peak) -> str:
     return (f"Binomial cumulative probability: ({peak.trials_n} trials, "
             f"{peak.expected_mean:.1f} mean, count > mean, at "
             f"{peak.cohens_d:.1f} s.d.) = {format_prob(peak.tail_prob_gt)}")
+
+
+def _xml_text(text: str) -> str:
+    """text with &, < and > escaped for an SVG text element (as
+    xml.sax.saxutils.escape does; importing that costs ~7 MB of RSS)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _empty_svg(message: str) -> str:
@@ -128,7 +136,7 @@ def save_stats_figure(path, stats, fwhm_center_hr: float | None,
                      f'cy="{py(s.cohens_d):.2f}" r="3.5" fill="#1f4e9c"/>')
     parts.append(f'<text x="{MARGIN_L}" y="{MARGIN_T - 18}" '
                  f'font-family="monospace" font-size="15" fill="#111111">'
-                 f'{title}</text>')
+                 f'{_xml_text(title)}</text>')
     parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" '
                  f'text-anchor="middle" font-family="monospace" '
                  f'font-size="12" fill="#333333">'
@@ -136,10 +144,9 @@ def save_stats_figure(path, stats, fwhm_center_hr: float | None,
     parts.append(f'<text x="16" y="{HEIGHT // 2}" font-family="monospace" '
                  f'font-size="12" fill="#333333" transform="rotate(-90 16 '
                  f'{HEIGHT // 2})" text-anchor="middle">excess (s.d.)</text>')
-    peak = max(stats, key=lambda s: s.cohens_d)
     parts.append(f'<text x="{MARGIN_L}" y="{HEIGHT - MARGIN_B + 40}" '
                  f'font-family="monospace" font-size="13" fill="#111111">'
-                 f'{caption_line(peak)}</text>')
+                 f'{caption_line(peak_bin(stats))}</text>')
     parts.append('</svg>')
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -188,13 +188,24 @@ def peak_cohens_d(counts, probs) -> tuple:
     return float(d[i]), i
 
 
+def peak_bin(stats) -> RABinStats | None:
+    """The peak of a stats list, as analyze picks it: the bin that
+    peak_cohens_d picks from its observed counts and p; None for no bins.
+    So report.txt, the figure and its caption all name one bin."""
+    if not stats:
+        return None
+    counts = np.array([s.observed_count for s in stats], dtype=np.int64)
+    probs = np.array([s.p_bin for s in stats], dtype=float)
+    return stats[peak_cohens_d(counts, probs)[1]]
+
+
 def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
             exposure=None) -> AnalysisResult:
     """Bin candidate RAs and score every bin against the binomial null.
 
     Candidates outside [edges[0], edges[-1]) are not trials (the window IS
-    the experiment); the peak is the first bin of largest Cohen's d, as
-    peak_cohens_d picks it.
+    the experiment); the peak is peak_bin's, the first bin of largest
+    Cohen's d, as peak_cohens_d picks it.
 
     `exposure` is the per-bin first-level event counts p_mode "exposure"
     needs (see bin_probabilities).  An empty window is not an error: it
@@ -227,8 +238,8 @@ def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
             tail_prob_ge=binomial_tail(n, p, k, strict=False),
             tail_prob_gt=binomial_tail(n, p, k, strict=True),
         ))
-    return AnalysisResult(stats, stats[peak_cohens_d(counts, probs)[1]], n,
-                          float(edges[0]), float(edges[-1]))
+    return AnalysisResult(stats, peak_bin(stats), n, float(edges[0]),
+                          float(edges[-1]))
 
 
 def write_stats_csv(path, stats) -> None:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
 from pulsepair.sigsim import ObservationConfig, RfiSpec, SourceSpec
-from pulsepair.skystats import analyze, bin_counts
+from pulsepair.skystats import analyze, bin_counts, write_stats_csv
 
 from helpers import archive_events
 from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
@@ -72,6 +73,20 @@ def test_events_chain(tmp_path):
     cfg2 = _write_config(tmp_path / "exp2.cfg",
                          _events_manifest(p_mode="exposure"))
     assert cli.main(["analyze", "--config", cfg2, "--out", out]) == 0
+
+
+def test_figure_title_is_escaped(tmp_path):
+    # a title with XML markup characters still gives a well-formed figure
+    title = "Pairs <5.25 h> & RA"
+    cfg = _write_config(tmp_path / "exp.cfg", _events_manifest(title=title))
+    stats = tmp_path / "stats.csv"
+    write_stats_csv(stats, analyze(np.array([5.05, 5.15, 5.15]),
+                                   np.array([5.0, 5.1, 5.2])).stats)
+    assert cli.main(["report", "--config", cfg, "--stats", str(stats),
+                     "--out", str(tmp_path)]) == 0
+    texts = ET.parse(tmp_path / "figure.svg").getroot().iter(
+        "{http://www.w3.org/2000/svg}text")
+    assert title in [t.text for t in texts]
 
 
 def test_quiet_sky_chain(tmp_path):

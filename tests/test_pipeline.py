@@ -23,8 +23,8 @@ from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
                                 load_frames_npz, manifest_from_file,
                                 read_candidates_csv, read_session, refilter,
                                 run_experiment, run_null_mc, run_tune_tau,
-                                save_frames_npz, session_exposure,
-                                sha256_file,
+                                sample_session, save_frames_npz,
+                                session_exposure, sha256_file,
                                 simulate_events, write_analysis,
                                 write_candidates_csv, write_figure,
                                 write_tau_scan_csv)
@@ -689,13 +689,52 @@ def test_every_sampled_part_is_one_transit(tmp_path, n_transits, threads):
         assert len(events) > 0 and (transit == i).all()
 
 
+# the archive's text format of each float column (write_level1_archive)
+_ARCHIVE_FLOATS = {
+    "utc_s": "%.3f", "rf_freq_hz": "%.1f", "snr_east_db": "%.6g",
+    "snr_west_db": "%.6g", "phase_east_rad": "%.6g",
+    "phase_west_rad": "%.6g", "ra_pointing_hr": "%.6g",
+}
+
+
+def _assert_cut_alike(m, path):
+    """sample_session(m) and read_session of its archive at path give the
+    same chunks of the same events, but for the archive's text rounding."""
+    sampled = list(sample_session(m))
+    read = list(read_session(m, path))
+    assert len(sampled) == len(read)
+    for got, want in zip(sampled, read):
+        assert len(got) == len(want)
+        for name in ("frame_index", "bin_index", "pol_code"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name, fmt in _ARCHIVE_FLOATS.items():
+            rounded = [float(fmt % v) for v in getattr(got, name).tolist()]
+            assert getattr(want, name).tolist() == rounded
+    return len(read)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, k):
+    # null-mc pairs sample_session's chunks, refilter read_session's
+    m = replace(_small_manifest(tmp_path), pairing_window_frames=k)
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, simulate_events(m))
+    assert _assert_cut_alike(m, path) == m.n_transits
+
+
 @pytest.fixture(scope="module")
 def season(tmp_path_factory):
-    """A 2-transit archive of 211,142 events: 13 pair chunks."""
+    """A 2-transit archive of 211,142 events: 14 pair chunks at K = 0."""
     out = tmp_path_factory.mktemp("season")
     m = _wide_manifest(out, 6, 4.0)
     write_level1_archive(out / "level1.csv", simulate_events(m))
     return m, out / "level1.csv"
+
+
+def test_a_sampled_season_is_cut_as_its_archive_is(season):
+    # transits of several chunks each: the cuts inside a transit agree too
+    m, path = season
+    assert _assert_cut_alike(m, path) == 14
 
 
 @pytest.mark.parametrize("k, pol_match", [(0, False), (1, True), (3, False)])

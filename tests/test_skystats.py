@@ -1,9 +1,12 @@
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from pulsepair import cli
+from pulsepair.kvconfig import read_kv_file
+from pulsepair.pipeline import ExperimentManifest, _write_report
 from pulsepair.errors import ValidationError
 from pulsepair.plotting import caption_line
 from pulsepair.skystats import (analyze, bin_counts, bin_probabilities,
@@ -154,10 +157,19 @@ def test_a_tied_maximum_count_goes_to_the_first_tied_bin(tmp_path, tied):
         assert peak_cohens_d(bin_counts(ra, EDGES_40), probs)[1] == first
         stats = tmp_path / "stats.csv"
         write_stats_csv(stats, res.stats)
-        assert cli.main(["report", "--stats", str(stats), "--out",
-                         str(tmp_path), "--format", "csv"]) == 0
+        report = tmp_path / "report.txt"
+        _write_report(report, ExperimentManifest(p_mode=p_mode), res)
+        caption = read_kv_file(report)["caption"]
+        assert caption == caption_line(res.stats[first])
+        for fmt in ("csv", "svg"):
+            assert cli.main(["report", "--stats", str(stats), "--out",
+                             str(tmp_path), "--format", fmt]) == 0
         assert ((tmp_path / "figure_caption.csv").read_text()
-                == f'caption\n"{caption_line(res.stats[first])}"\n')
+                == f'caption\n"{caption}"\n')
+        # the figure's last line of text is its caption
+        texts = ET.parse(tmp_path / "figure.svg").getroot().iter(
+            "{http://www.w3.org/2000/svg}text")
+        assert list(texts)[-1].text == caption
 
 
 def test_peak_cohens_d_empty():
