@@ -29,7 +29,8 @@ def _add_common(sub):
                      help="override the config seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (never changes results)")
+                     help="null-mc seeds run at once; every other stage "
+                     "runs on one thread (never changes results)")
 
 
 def build_parser() -> _Parser:

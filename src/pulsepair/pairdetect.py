@@ -321,12 +321,12 @@ def first_level_filter_frame(frame_index: int, utc_s: float,
         raise ValidationError(
             f"frame {frame_index}: element/frequency lengths differ "
             f"({east.size}, {west.size}, {rf.size})")
-    _, snr_e, ph_e, scored_e = frame_bin_stats(
+    # an unscored bin's snr is -inf, below any (finite) threshold
+    _, snr_e, ph_e, _ = frame_bin_stats(
         east, params.bins_per_segment, params.segment_include_self)
-    _, snr_w, ph_w, scored_w = frame_bin_stats(
+    _, snr_w, ph_w, _ = frame_bin_stats(
         west, params.bins_per_segment, params.segment_include_self)
-    keep = np.flatnonzero(scored_e & scored_w
-                          & (snr_e > params.snr_threshold_db)
+    keep = np.flatnonzero((snr_e > params.snr_threshold_db)
                           & (snr_w > params.snr_threshold_db)
                           & params.rf_accepted(rf))
     n = keep.size

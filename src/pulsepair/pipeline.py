@@ -386,8 +386,7 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
         return simulate_level1_events(
             manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
-            start_utc_s=manifest.start_utc_s, threads=manifest.threads,
-            rfi=manifest.rfi)
+            start_utc_s=manifest.start_utc_s, rfi=manifest.rfi)
     return EventStream.of(detect_frames(manifest.config, manifest.filter,
                                         session_frames(manifest)))
 
@@ -668,12 +667,10 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     share of seeds whose peak stays below `significance_d`.
 
     With manifest.threads > 1 the seeds run on a pool of up to that many
-    threads, and each seed samples its transits on the thread that runs it,
-    so one seed runs on the calling thread alone.  (Sampling one seed's
-    transits in parallel gains only while every core is free; on a shared
-    host its run time swung twice as widely as the serial run's.)  Rows come
-    in seed order with the same bytes at any thread count; memory grows with
-    the seeds in flight, each holding one transit plus one chunk.
+    threads; the sampler draws each seed's transits on the thread that runs
+    it, so one seed runs on the calling thread alone.  Rows come in seed
+    order with the same bytes at any thread count; memory grows with the
+    seeds in flight, each holding one transit plus one chunk.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")
@@ -683,7 +680,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
 
     def one(seed: int):
         seeded = replace(manifest, config=replace(manifest.config, seed=seed),
-                         sources=[], threads=1)
+                         sources=[])
         exposure, tables = session_exposure(seeded, sample_session(seeded))
         trials = np.zeros(edges.size - 1, dtype=np.int64)
         for pairs in session_pairs(seeded, tables):

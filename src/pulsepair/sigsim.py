@@ -12,12 +12,13 @@ Three generation paths, from most physical to most scalable:
   SURVIVORS directly from their exact statistics (Poisson dual-crossing
   counts at the estimator-corrected rate, uniform bins and phases,
   threshold-conditioned SNR tails) plus geometry-consistent injected pairs,
-  as an EventStream of one EventTable per transit, drawn as it is
-  consumed, whose noise columns are drawn as whole arrays.  The usable
-  bins are held as [start, stop) runs, so its time scales with the events
-  drawn, not with the band's bin count, and its memory with one transit's
-  events.  This is what makes multi-transit full-band experiments fit in
-  seconds; it is calibrated against the per-bin path in the test suite.
+  as an EventStream of one EventTable per transit, drawn on the consumer's
+  thread as it is consumed, whose noise columns are drawn as whole arrays.
+  The usable bins are held as [start, stop) runs, so its time scales with
+  the events drawn, not with the band's bin count, and its memory with one
+  transit's events.  This is what makes multi-transit full-band
+  experiments fit in seconds; it is calibrated against the per-bin path in
+  the test suite.
 
 Noise normalization: the per-bin noise floor is the unit of power, 1.0
 under the package's unit-tone-gain FFT, i.e. time-domain per-sample variance
@@ -35,7 +36,6 @@ can flip it and watch the delay scan land on -tau instead.
 from __future__ import annotations
 
 import bisect
-import collections
 import itertools
 import math
 import os
@@ -611,9 +611,10 @@ def _start_on_own_cpu(slots) -> None:
     process may use, then give it back the whole set.
 
     Some kernels leave a pool's new threads on the CPU that spawned them and
-    do not rebalance while they run: two transits then take turns on one
-    core, as slow as one thread, while the other core idles.  Only where the
-    worker starts is chosen; the scheduler may still move it later.
+    do not rebalance while they run: two null-mc seeds then take turns on
+    one core, as slow as one thread, while the other core idles.  Only
+    where the worker starts is chosen; the scheduler may still move it
+    later.
     """
     if not hasattr(os, "sched_setaffinity"):
         return
@@ -627,7 +628,8 @@ def _start_on_own_cpu(slots) -> None:
 
 
 def thread_pool(threads: int) -> ThreadPoolExecutor:
-    """A pool of `threads` workers, each started on its own CPU."""
+    """A pool of `threads` workers, each started on its own CPU: null-mc's
+    seed pool."""
     return ThreadPoolExecutor(max_workers=threads,
                               initializer=_start_on_own_cpu,
                               initargs=(itertools.count(),))
@@ -662,7 +664,7 @@ def simulate_level1_events(config: ObservationConfig, sources,
                            params: FirstLevelFilterParams, n_transits: int,
                            window_lo_hr: float, window_hi_hr: float,
                            start_utc_s: float = 0.0,
-                           threads: int = 1, rfi=()) -> EventStream:
+                           rfi=()) -> EventStream:
     """Draw the level-1 survivor population directly (no per-bin synthesis).
 
     Noise events follow the exact survivor statistics of the per-bin path:
@@ -680,10 +682,9 @@ def simulate_level1_events(config: ObservationConfig, sources,
     not with the band's bin count: the usable bins are held as runs.  The
     session comes back as an EventStream of one EventTable per transit:
     each transit's row count is known before any is drawn, and a transit
-    is drawn only when the stream is iterated, on a pool of `threads`
-    workers when threads > 1, at most `threads` transits at once.  A
-    transit's bytes depend only on its own seeded streams, never on how
-    the workers interleave.
+    is drawn only when the stream is iterated, on the consumer's thread, so
+    the session holds one transit at a time.  A transit's bytes depend only
+    on its own seeded streams.
     """
     if n_transits < 1:
         raise ValidationError("n_transits must be >= 1")
@@ -741,22 +742,4 @@ def simulate_level1_events(config: ObservationConfig, sources,
             utc0 + transit * SIDEREAL_DAY_S, runs, rngs[transit],
             counts[transit], injected[transit]))
 
-    return EventStream(tags, lengths, _in_order(one, n_transits, threads))
-
-
-def _in_order(make, n: int, threads: int):
-    """Yield make(0), ..., make(n - 1), made on a pool of `threads` workers
-    when threads > 1 while the consumer holds an earlier one, at most
-    `threads` of them made or held at once."""
-    if threads <= 1:
-        for i in range(n):
-            yield make(i)
-        return
-    with thread_pool(threads) as pool:
-        pending = collections.deque()
-        for i in range(n):
-            pending.append(pool.submit(make, i))
-            if len(pending) == threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    return EventStream(tags, lengths, map(one, range(n_transits)))

@@ -10,7 +10,10 @@ archive back for the exposure.  Refilter and the exposure-mode analyze run
 again with the archive's column sidecar deleted, so that both read paths
 give the golden bytes.  The frames chain is the README frames.cfg
 (seed 11) cut to 16 frames, run simulate -> detect -> refilter
---diagnostics.  The hashes were frozen from
+--diagnostics; every pair of it fails the phase cut, so it runs again at
+64 frames with a source transiting at the start (the LST at
+start_utc_s = 0 is 1.359 h), whose pairs give candidate rows.  The hashes
+were frozen from
 earlier implementations; any change to how events, pairs or frames are
 stored or read must reproduce every byte.
 """
@@ -103,6 +106,23 @@ FRAMES_GOLDEN = {
         "727f7681e8840e19d5973ad6dc062a02c965e5bfdb09990626a5c73ddccaedee",
 }
 
+FRAMES_SOURCE_CFG = FRAMES_CFG.replace("n_frames = 16", "n_frames = 64") + """\
+source.0.name = burst
+source.0.ra_hr = 1.36
+source.0.dec_deg = -8.0
+source.0.snr_db = 20.0
+source.0.pulse_rate_per_frame = 0.5
+"""
+
+FRAMES_SOURCE_GOLDEN = {
+    "level1.csv":
+        "f6df9944379034ec1db68d845cafa0096b00ac69667762ee66c2e1b8047cfcc5",
+    "candidates.csv":
+        "6bcb26fa1959a1f6c0d7ef81433e026d8470b64c53f34bcae425422717ac1151",
+    "metric_diagnostics.csv":
+        "fc1b3eaeccc5e8aff1c2f36a708a71bf927c32127d70a4a3e7069cd6f59c4c8d",
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -159,12 +179,17 @@ def test_tiny_survey_null_mc_and_exposure_bytes(tmp_path):
 
 
 def test_tiny_frames_bytes_match_frozen_hashes(tmp_path):
-    cfg = tmp_path / "frames.cfg"
-    cfg.write_text(FRAMES_CFG)
-    out = tmp_path / "out"
-    common = ["--config", str(cfg), "--out", str(out)]
-    for argv in (["simulate", *common], ["detect", *common],
-                 ["refilter", *common, "--diagnostics"]):
-        assert cli.main(argv) == 0, argv
-    got = {name: _sha256(out / name) for name in FRAMES_GOLDEN}
-    assert got == FRAMES_GOLDEN
+    for case, text, golden in (("frames", FRAMES_CFG, FRAMES_GOLDEN),
+                               ("source", FRAMES_SOURCE_CFG,
+                                FRAMES_SOURCE_GOLDEN)):
+        cfg = tmp_path / f"{case}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / case
+        common = ["--config", str(cfg), "--out", str(out)]
+        for argv in (["simulate", *common], ["detect", *common],
+                     ["refilter", *common, "--diagnostics"]):
+            assert cli.main(argv) == 0, argv
+        got = {name: _sha256(out / name) for name in golden}
+        assert got == golden
+    with open(out / "candidates.csv") as fh:
+        assert len(fh.readlines()) > 1     # the source's pairs pass

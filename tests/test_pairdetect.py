@@ -834,8 +834,10 @@ def _adversarial_columns(fmt, n, rng):
 
 @pytest.mark.parametrize("fmt", [
     pairdetect._ARCHIVE_ROW, pipeline._CANDIDATE_ROW,
-    "%.6g,%.6g,%.6g,%s\n", "%.12g,%.8g\n"],
-    ids=["archive", "candidates", "diagnostics", "tau_scan"])
+    "%.6g,%.6g,%.6g,%s\n", "%.12g,%.8g\n",
+    "%.6g,%.6g,%d,%.8g,%.8g,%.8g,%d,%.8g,%.8g,%.8g\n", "%d,%d,%.8g,%.6g\n"],
+    ids=["archive", "candidates", "diagnostics", "tau_scan", "stats",
+         "null_mc"])
 def test_write_rows_writes_percent_text(fmt):
     # every format the package writes, on ties, signed zeros, nan, inf,
     # values either side of the %g exponent limits, negative ints and tags
