@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, calib, kvconfig, pipeline, plotting
 from .errors import StageError, UsageError, ValidationError
-from .pairdetect import write_level1_archive
+from .pairdetect import write_csv, write_level1_archive
 from .skystats import peak_bin, read_stats_csv
 
 
@@ -143,8 +143,7 @@ def cmd_simulate(args) -> int:
         print(f"simulate: {len(events)} events -> {path}")
     else:
         path = os.path.join(args.out, "frames.npz")
-        pipeline.save_frames_npz(path, manifest.config,
-                                 pipeline.session_frames(manifest))
+        pipeline.save_frames_npz(path, pipeline.session_frames(manifest))
         print(f"simulate: {manifest.n_frames} frames -> {path}")
     return 0
 
@@ -223,7 +222,7 @@ def cmd_tune_tau(args) -> int:
     level1 = _archive(args, manifest)
     best_tau, best_stat, taus, stats = pipeline.run_tune_tau(manifest, level1)
     scan_path = os.path.join(args.out, "tau_scan.csv")
-    pipeline.write_tau_scan_csv(scan_path, taus, stats)
+    write_csv(scan_path, pipeline.TAU_SCAN_COLUMNS, [taus, stats])
     report = os.path.join(args.out, "tune_report.txt")
     kvconfig.write_kv_file(report, {
         "best_tau_int_s": f"{best_tau:.12g}",
@@ -242,7 +241,7 @@ def cmd_null_mc(args) -> int:
     rows, frac = pipeline.run_null_mc(manifest, args.n_seeds,
                                       args.significance)
     path = os.path.join(args.out, "null_mc.csv")
-    pipeline.write_null_mc_csv(path, rows)
+    write_csv(path, pipeline.NULL_MC_COLUMNS, list(zip(*rows)))
     summary = os.path.join(args.out, "null_summary.txt")
     kvconfig.write_kv_file(summary, {
         "n_seeds": str(args.n_seeds),

@@ -31,9 +31,9 @@ is computed from delta_f_hz when read, so pairing and filtering never take
 a per-pair logarithm.  Iterating a PairTable yields PairCandidate rows
 built from the columns, for inspection; no stage iterates them.
 
-The package writes its CSV rows with write_rows, and reads the ones it
-reads back (the archive, candidates.csv, stats.csv) as columns with
-read_columns.
+Each CSV the package writes is declared once, as a dict of its columns'
+write_rows conversions by name (ARCHIVE_COLUMNS, and one per artifact):
+write_csv writes its header and rows, and read_columns reads it back.
 
 The level-1 archive is the package's interchange format: one CSV row per
 event with fixed column order and fixed numeric formats, so identical inputs
@@ -63,11 +63,12 @@ from .channelizer import frame_bin_stats
 from .errors import ArchiveFormatError, ValidationError
 
 ARCHIVE_SCHEMA_VERSION = 1
+# level1.csv: each column's write_rows conversion, in order
 ARCHIVE_COLUMNS = {
-    "schema_version": int, "utc_s": float, "frame_index": int,
-    "bin_index": int, "rf_freq_hz": float, "snr_east_db": float,
-    "snr_west_db": float, "phase_east_rad": float, "phase_west_rad": float,
-    "polarization_tag": str, "ra_pointing_hr": float,
+    "schema_version": "%d", "utc_s": "%.3f", "frame_index": "%d",
+    "bin_index": "%d", "rf_freq_hz": "%.1f", "snr_east_db": "%.6g",
+    "snr_west_db": "%.6g", "phase_east_rad": "%.6g", "phase_west_rad": "%.6g",
+    "polarization_tag": "%s", "ra_pointing_hr": "%.6g",
 }
 # EventTable columns and their dtypes (pol_code codes the polarization tag).
 EVENT_DTYPES = {
@@ -751,8 +752,22 @@ def write_rows(fh, fmt: str, columns) -> None:
         fh.write(text)
 
 
-_ARCHIVE_ROW = (f"{ARCHIVE_SCHEMA_VERSION},%.3f,%d,%d,%.1f,%.6g,%.6g,%.6g,"
-                "%.6g,%s,%.6g\n")
+def _row_format(columns: dict) -> str:
+    return ",".join(columns.values()) + "\n"
+
+
+def write_csv(path, columns: dict, values, append: bool = False) -> None:
+    """Write the equal-length columns `values` as the CSV `columns` declares
+    (name -> write_rows conversion): its header, unless `append`, and rows."""
+    with open(path, "a" if append else "w", newline="\n") as fh:
+        if not append:
+            fh.write(",".join(columns) + "\n")
+        write_rows(fh, _row_format(columns), values)
+
+
+# the schema version is written as a literal, not rendered as a column
+_ARCHIVE_ROW = _row_format(
+    ARCHIVE_COLUMNS | {"schema_version": str(ARCHIVE_SCHEMA_VERSION)})
 
 
 # <archive>.cols, the column sidecar: the _SIDECAR header (magic, format
@@ -820,7 +835,7 @@ def write_level1_archive(path, events) -> None:
     check_tags(tags)
     n = len(stream)
     used = np.zeros(len(tags), dtype=bool)
-    floats = [name for name, kind in ARCHIVE_COLUMNS.items() if kind is float]
+    floats = [name for name, c in ARCHIVE_COLUMNS.items() if c[-1] in "fg"]
     text = "\n".join(tags).encode()
     offset = {name: _SIDECAR.size + len(text) + 8 * n * i
               for i, name in enumerate(EVENT_COLUMNS)}
@@ -903,17 +918,17 @@ def _open_sidecar(path):
     return None
 
 
-_DTYPES = {int: np.int64, float: np.float64, str: object}
+_DTYPES = {"d": np.int64, "f": np.float64, "g": np.float64, "s": object}
 
 
 def read_columns(path, columns: dict) -> dict:
-    """Read a CSV such as write_rows writes: one array per column.
+    """Read a CSV such as write_csv writes: one array per column.
 
-    `columns` maps each header name, in order, to int, float or str, read
-    as int64, float64 and object arrays of str.  np.loadtxt parses the
-    body in one pass: fields may be quoted with '"', blank lines are
-    skipped, and a number must be an ASCII numeral without '_'.  A
-    schema_version column must hold ARCHIVE_SCHEMA_VERSION.  A file that
+    `columns` declares it, as for write_csv: a %d column is read as int64,
+    %f and %g as float64, and %s as an object array of str.  np.loadtxt
+    parses the body in one pass: fields may be quoted with '"', blank
+    lines are skipped, and a number must be an ASCII numeral without '_'.
+    A schema_version column must hold ARCHIVE_SCHEMA_VERSION.  A file that
     breaks a rule raises ArchiveFormatError, with the number of the first
     bad line where _raise_at_bad_line finds one.
     """
@@ -930,8 +945,8 @@ def read_columns(path, columns: dict) -> dict:
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                                   quotechar='"',
-                                  dtype=[(name, _DTYPES[kind])
-                                         for name, kind in columns.items()])
+                                  dtype=[(name, _DTYPES[conv[-1]])
+                                         for name, conv in columns.items()])
         except ValueError as exc:
             _raise_at_bad_line(path, columns, str(exc))
     cols = {name: np.ascontiguousarray(data[name]) for name in columns}
@@ -947,7 +962,7 @@ def _raise_at_bad_line(path, columns: dict, error: str) -> NoReturn:
     read_columns rejects, walked row by row with the csv module: a wrong
     column count, a value that is no int64 or float numeral, or an unknown
     schema_version.  With no such line, raise `error` without a line."""
-    kinds = list(columns.values())
+    kinds = [_DTYPES[conv[-1]] for conv in columns.values()]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -972,11 +987,11 @@ def _raise_at_bad_line(path, columns: dict, error: str) -> NoReturn:
 
 
 def _value(kind, text: str):
-    """text as a value of kind, by np.loadtxt's rules: a number is an
-    ASCII numeral without '_', and an int fits int64."""
-    if kind is not str and (not text.isascii() or "_" in text):
+    """text as a value of kind, a _DTYPES dtype, by np.loadtxt's rules: a
+    number is an ASCII numeral without '_', and an int fits int64."""
+    if kind is not object and (not text.isascii() or "_" in text):
         raise ValueError(f"not an ASCII numeral without '_': {text!r}")
-    return np.int64(text) if kind is int else kind(text)
+    return text if kind is object else kind(text)
 
 
 def read_level1_archive(path, transit_of=None,

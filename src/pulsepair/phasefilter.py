@@ -38,10 +38,13 @@ import numpy as np
 
 from .channelizer import wrap_phase
 from .errors import ValidationError
-from .pairdetect import PairTable, write_rows
+from .pairdetect import PairTable, write_csv
 from .skystats import peak_cohens_d, ra_bin_index
 
 TWO_PI = 2.0 * math.pi
+# metric_diagnostics.csv: each column's write_rows conversion, in order
+DIAGNOSTIC_COLUMNS = {"delta_f_hz": "%.6g", "log10_delta_f_mhz": "%.6g",
+                      "phase_metric_rad": "%.6g", "verdict": "%s"}
 
 
 @dataclass
@@ -206,7 +209,7 @@ def _tally_chunk(pairs: PairTable, params: PhaseMetricParams, taus,
     k1 = np.floor((ends.max(axis=0) + reach) / TWO_PI)
     # the pairs that can pass at some tap, of those in an RA bin
     near = np.flatnonzero(k0 <= k1)
-    bins = ra_bin_index(pairs.take(win[near]).ra_pointing_hr, bin_edges)
+    bins = ra_bin_index(pairs.ra_pointing_hr[win[near]], bin_edges)
     near, bins = near[bins >= 0], bins[bins >= 0]
     diff, slope, k0, k1 = (x[near] for x in (diff, slope, k0, k1))
     every = ~(k1 - k0 < n) | (reach + band >= math.pi)
@@ -306,14 +309,8 @@ def write_metric_diagnostics_csv(path, candidates: PairTable, verdicts,
 
     `verdicts` are the reasons second_level_filter(..., explain=True)
     returned for `candidates`, whose phase_metric_rad that call filled in.
-    With append, the rows go on at the end of the file, without a header,
-    so a table's chunks can be written one after another.
+    `append` is write_csv's, so a table's chunks can be written in turn.
     """
-    with open(path, "a" if append else "w", newline="\n") as fh:
-        if not append:
-            fh.write("delta_f_hz,log10_delta_f_mhz,phase_metric_rad,"
-                     "verdict\n")
-        write_rows(fh, "%.6g,%.6g,%.6g,%s\n", [
-            candidates.delta_f_hz, candidates.log10_delta_f_mhz,
-            candidates.phase_metric_rad,
-            np.asarray(verdicts, dtype=object)])
+    write_csv(path, DIAGNOSTIC_COLUMNS, [
+        candidates.delta_f_hz, candidates.log10_delta_f_mhz,
+        candidates.phase_metric_rad, np.asarray(verdicts, object)], append)

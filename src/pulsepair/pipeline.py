@@ -9,8 +9,8 @@ recorded in `manifest.txt` together with a hash of exactly the parameters
 that can change that artifact's bytes; a rerun in the same output directory
 skips any stage whose parameter hash, input hashes, and output hashes all
 still match.  A failed stage records `status = failed:<stage>`.  Thread
-count and output location are deliberately excluded from the hashes: they
-must never change results.
+count and output location are neither hashed nor recorded: they must never
+change results, so manifest.txt has the same bytes at any thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
                          PairTable, chunk_events, first_level_filter_frame,
                          form_pairs, read_columns, read_level1_archive,
-                         sha256_file, write_level1_archive, write_rows)
+                         sha256_file, write_csv, write_level1_archive)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
@@ -43,14 +43,16 @@ from .skystats import (AnalysisResult, analyze, bin_counts,
 
 # candidates.csv: enough of each pair to re-run the statistics
 CANDIDATE_COLUMNS = {
-    "utc_a_s": float, "utc_b_s": float, "frame_a": int, "frame_b": int,
-    "bin_a": int, "bin_b": int, "rf_a_hz": float, "rf_b_hz": float,
-    "polarization_a": str, "polarization_b": str, "delta_t_s": float,
-    "delta_f_hz": float, "log10_delta_f_mhz": float,
-    "phase_metric_rad": float, "ra_pointing_hr": float,
+    "utc_a_s": "%.3f", "utc_b_s": "%.3f", "frame_a": "%d", "frame_b": "%d",
+    "bin_a": "%d", "bin_b": "%d", "rf_a_hz": "%.1f", "rf_b_hz": "%.1f",
+    "polarization_a": "%s", "polarization_b": "%s", "delta_t_s": "%.3f",
+    "delta_f_hz": "%.6g", "log10_delta_f_mhz": "%.6g",
+    "phase_metric_rad": "%.6g", "ra_pointing_hr": "%.6g",
 }
-_CANDIDATE_ROW = ("%.3f,%.3f,%d,%d,%d,%d,%.1f,%.1f,%s,%s,%.3f,%.6g,%.6g,"
-                  "%.6g,%.6g\n")
+# null_mc.csv, a row per seed (run_null_mc), and tau_scan.csv, a row per tap
+NULL_MC_COLUMNS = {"seed": "%d", "n_trials": "%d", "max_cohens_d": "%.8g",
+                   "peak_ra_low_hr": "%.6g"}
+TAU_SCAN_COLUMNS = {"tau_int_s": "%.12g", "peak_cohens_d": "%.8g"}
 
 
 def _candidate_columns(candidates: PairTable) -> list:
@@ -69,16 +71,12 @@ def _candidate_columns(candidates: PairTable) -> list:
 def write_candidates_csv(path, candidates, append: bool = False) -> None:
     """Write candidates (typically second-level survivors) as CSV.
 
-    `candidates` is a PairTable or its _candidate_columns.  With append,
-    the rows go on at the end of the file, without a header, so a
-    session's candidates can be written a batch at a time.
+    `candidates` is a PairTable or its _candidate_columns.  `append` is
+    write_csv's, so a session's candidates can be written a batch at a time.
     """
     if isinstance(candidates, PairTable):
         candidates = _candidate_columns(candidates)
-    with open(path, "a" if append else "w", newline="\n") as fh:
-        if not append:
-            fh.write(",".join(CANDIDATE_COLUMNS) + "\n")
-        write_rows(fh, _CANDIDATE_ROW, candidates)
+    write_csv(path, CANDIDATE_COLUMNS, candidates, append)
 
 
 def read_candidates_csv(path) -> dict:
@@ -283,23 +281,26 @@ def manifest_from_file(path, overrides: dict | None = None) -> ExperimentManifes
 
 # -- frame store (simulate/detect handoff in frame modes) ------------------
 
-def save_frames_npz(path, config: ObservationConfig, frames) -> None:
+def save_frames_npz(path, frames) -> None:
     """Persist frames for the detect stage.
 
     frames is an iterable of (index, utc, pol, east, west, rf) tuples, as
-    simulate_frames yields them and load_frames_npz gives them back.
+    simulate_frames yields them and load_frames_npz gives them back; the
+    store holds one rf, so frames whose rf differ raise ValidationError.
     """
     frames = list(frames)
     if not frames:
         raise ValidationError("no frames to save")
-    index, utc, pols, east, west, _ = zip(*frames)
+    index, utc, pols, east, west, rfs = zip(*frames)
+    if any(not np.array_equal(rf, rfs[0]) for rf in rfs[1:]):
+        raise ValidationError("frames differ in their rf_freqs_hz")
     np.savez_compressed(
         path,
         frame_index=np.asarray(index, dtype=np.int64),
         utc_s=np.asarray(utc, dtype=float),
         polarization_tag=np.asarray(pols),
         east=np.asarray(east), west=np.asarray(west),
-        rf_freqs_hz=config.rf_freqs())
+        rf_freqs_hz=rfs[0])
 
 
 def load_frames_npz(path):
@@ -521,8 +522,6 @@ def run_experiment(manifest: ExperimentManifest) -> ExperimentResult:
     if os.path.exists(manifest_path):
         prior = kvconfig.read_kv_file(manifest_path)
     record = manifest.to_kv()
-    record["run.threads"] = str(manifest.threads)
-    record["run.out_dir"] = str(out)
     paths = {
         "level1": manifest.level1_in or os.path.join(out, "level1.csv"),
         "candidates": os.path.join(out, "candidates.csv"),
@@ -701,12 +700,6 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     return rows, clean / n_seeds
 
 
-def write_null_mc_csv(path, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("seed,n_trials,max_cohens_d,peak_ra_low_hr\n")
-        write_rows(fh, "%d,%d,%.8g,%.6g\n", list(zip(*rows)))
-
-
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
@@ -724,9 +717,3 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
     return tune_tau_int(session_pairs(manifest, tables), manifest.phase,
                         edges, lambda: bin_probabilities(
                             edges, manifest.p_mode, exposure))
-
-
-def write_tau_scan_csv(path, taus, stats) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("tau_int_s,peak_cohens_d\n")
-        write_rows(fh, "%.12g,%.8g\n", [taus, stats])

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-import typing
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .pairdetect import read_columns, write_rows
+from .pairdetect import read_columns, write_csv
 
 @dataclass
 class RABinStats:
@@ -42,8 +41,13 @@ class RABinStats:
         return 0.5 * (self.ra_low_hr + self.ra_high_hr)
 
 
-# stats.csv: name -> type of each RABinStats field, in field order
-STATS_COLUMNS = typing.get_type_hints(RABinStats)
+# stats.csv: each RABinStats field, in order, to its write_rows conversion
+STATS_COLUMNS = {
+    "ra_low_hr": "%.6g", "ra_high_hr": "%.6g", "trials_n": "%d",
+    "p_bin": "%.8g", "expected_mean": "%.8g", "sigma": "%.8g",
+    "observed_count": "%d", "cohens_d": "%.8g", "tail_prob_ge": "%.8g",
+    "tail_prob_gt": "%.8g",
+}
 
 
 @dataclass
@@ -243,12 +247,9 @@ def analyze(candidate_ra_hr, bin_edges, p_mode: str = "uniform",
 
 
 def write_stats_csv(path, stats) -> None:
-    """Write per-bin stats with the fixed column set and formats."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(STATS_COLUMNS) + "\n")
-        write_rows(fh, "%.6g,%.6g,%d,%.8g,%.8g,%.8g,%d,%.8g,%.8g,%.8g\n",
-                   [[getattr(s, name) for s in stats]
-                    for name in STATS_COLUMNS])
+    """Write per-bin stats as STATS_COLUMNS declares them."""
+    write_csv(path, STATS_COLUMNS, [[getattr(s, name) for s in stats]
+                                    for name in STATS_COLUMNS])
 
 
 def read_stats_csv(path) -> list:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pulsepair import pairdetect, pipeline, skystats
+from pulsepair import pairdetect, phasefilter, pipeline, skystats
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EVENT_COLUMNS,
                                   EventStream, EventTable,
@@ -832,14 +832,16 @@ def _adversarial_columns(fmt, n, rng):
     return columns
 
 
-@pytest.mark.parametrize("fmt", [
-    pairdetect._ARCHIVE_ROW, pipeline._CANDIDATE_ROW,
-    "%.6g,%.6g,%.6g,%s\n", "%.12g,%.8g\n",
-    "%.6g,%.6g,%d,%.8g,%.8g,%.8g,%d,%.8g,%.8g,%.8g\n", "%d,%d,%.8g,%.6g\n"],
+@pytest.mark.parametrize("fmt", [pairdetect._ARCHIVE_ROW] + [
+    pairdetect._row_format(columns) for columns in (
+        pipeline.CANDIDATE_COLUMNS, phasefilter.DIAGNOSTIC_COLUMNS,
+        pipeline.TAU_SCAN_COLUMNS, skystats.STATS_COLUMNS,
+        pipeline.NULL_MC_COLUMNS)],
     ids=["archive", "candidates", "diagnostics", "tau_scan", "stats",
          "null_mc"])
 def test_write_rows_writes_percent_text(fmt):
-    # every format the package writes, on ties, signed zeros, nan, inf,
+    # every format the package writes (the archive's row and the row of
+    # every declared CSV), on ties, signed zeros, nan, inf,
     # values either side of the %g exponent limits, negative ints and tags
     # of several lengths; rows the numpy kernel leaves to % sit on the
     # first and last row of every chunk

@@ -16,18 +16,18 @@ from pulsepair import cli, pairdetect
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
-from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
-                                  form_pairs, write_level1_archive)
-from pulsepair.pipeline import (CANDIDATE_COLUMNS, ExperimentManifest,
-                                analyze_candidates, detect_frames,
-                                load_frames_npz, manifest_from_file,
-                                read_candidates_csv, read_session, refilter,
-                                run_experiment, run_null_mc, run_tune_tau,
-                                sample_session, save_frames_npz,
-                                session_exposure, sha256_file,
-                                simulate_events, write_analysis,
-                                write_candidates_csv, write_figure,
-                                write_tau_scan_csv)
+from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
+                                  FirstLevelFilterParams, form_pairs,
+                                  write_csv, write_level1_archive)
+from pulsepair.pipeline import (CANDIDATE_COLUMNS, TAU_SCAN_COLUMNS,
+                                ExperimentManifest, analyze_candidates,
+                                detect_frames, load_frames_npz,
+                                manifest_from_file, read_candidates_csv,
+                                read_session, refilter, run_experiment,
+                                run_null_mc, run_tune_tau, sample_session,
+                                save_frames_npz, session_exposure,
+                                sha256_file, simulate_events, write_analysis,
+                                write_candidates_csv, write_figure)
 from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
                                    tune_tau_int, write_metric_diagnostics_csv)
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
@@ -424,7 +424,8 @@ def test_run_experiment_byte_stability_across_threads(tmp_path):
         run_experiment(_small_manifest(out, threads=threads))
         digests.append((sha256_file(out / "level1.csv"),
                         sha256_file(out / "stats.csv"),
-                        sha256_file(out / "figure.svg")))
+                        sha256_file(out / "figure.svg"),
+                        sha256_file(out / "manifest.txt")))
     assert digests[0] == digests[1]
 
 
@@ -592,7 +593,7 @@ def test_run_tune_tau(tmp_path):
     assert best_tau in taus
     assert best_stat == np.max(stats)
     scan_path = tmp_path / "tau_scan.csv"
-    write_tau_scan_csv(scan_path, taus, stats)
+    write_csv(scan_path, TAU_SCAN_COLUMNS, [taus, stats])
     lines = scan_path.read_text().splitlines()
     assert lines[0] == "tau_int_s,peak_cohens_d"
     assert len(lines) == 6
@@ -676,11 +677,10 @@ def test_no_pair_joins_two_transits(tmp_path, k):
         assert pairs.delta_t_s.max() <= (2 * k + 1) * hop
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_transits", [1, 3])
-def test_every_sampled_part_is_one_transit(tmp_path, n_transits, threads):
+def test_every_sampled_part_is_one_transit(tmp_path, n_transits):
     # null-mc pairs each sampled part on its own, never reading a transit
-    m = _small_manifest(tmp_path, n_transits=n_transits, threads=threads)
+    m = _small_manifest(tmp_path, n_transits=n_transits)
     parts = list(simulate_events(m))
     assert len(parts) == n_transits
     for i, events in enumerate(parts):
@@ -690,11 +690,8 @@ def test_every_sampled_part_is_one_transit(tmp_path, n_transits, threads):
 
 
 # the archive's text format of each float column (write_level1_archive)
-_ARCHIVE_FLOATS = {
-    "utc_s": "%.3f", "rf_freq_hz": "%.1f", "snr_east_db": "%.6g",
-    "snr_west_db": "%.6g", "phase_east_rad": "%.6g",
-    "phase_west_rad": "%.6g", "ra_pointing_hr": "%.6g",
-}
+_ARCHIVE_FLOATS = {name: conv for name, conv in ARCHIVE_COLUMNS.items()
+                   if conv[-1] in "fg"}
 
 
 def _assert_cut_alike(m, path):
@@ -866,7 +863,7 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
         polarization_tags=("LHCP",), seed=5)
     params = wide_band_params(snr_threshold_db=5.0)
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, config, simulate_frames(config, n_frames=16))
+    save_frames_npz(path, simulate_frames(config, n_frames=16))
     reads = Counter()
     getitem = np.lib.npyio.NpzFile.__getitem__
 
@@ -893,7 +890,7 @@ def test_simulated_frames_match_the_frame_store(tmp_path):
     for mode in ("freq", "time"):
         path = tmp_path / f"{mode}.npz"
         made = list(simulate_frames(config, n_frames=3, mode=mode))
-        save_frames_npz(path, config, made)
+        save_frames_npz(path, made)
         loaded = list(load_frames_npz(path))
         assert len(made) == len(loaded) == 6
         for want, got in zip(made, loaded):
@@ -901,6 +898,23 @@ def test_simulated_frames_match_the_frame_store(tmp_path):
             assert [type(v) for v in got[:3]] == [int, float, str]
             for a, b in zip(want[3:], got[3:]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_frame_store_keeps_the_frames_rf(tmp_path):
+    # the store holds the rf the frames carry, and refuses frames that
+    # disagree on it
+    config = ObservationConfig(
+        band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
+        polarization_tags=("LHCP",), seed=5)
+    made = list(simulate_frames(config, n_frames=2))
+    shifted = [frame[:5] + (frame[5] + 1.0e3,) for frame in made]
+    path = tmp_path / "frames.npz"
+    save_frames_npz(path, shifted)
+    (*_, rf), _ = load_frames_npz(path)
+    assert np.array_equal(rf, config.rf_freqs() + 1.0e3)
+    with pytest.raises(ValidationError, match="rf_freqs_hz"):
+        save_frames_npz(tmp_path / "mixed.npz", [made[0], shifted[1]])
+    assert not (tmp_path / "mixed.npz").exists()
 
 
 def test_stage_hashes_are_frozen():

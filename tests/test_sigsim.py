@@ -231,14 +231,14 @@ def test_sampler_injected_snr_follows_segment_rule(include_self):
     assert injected == pytest.approx(snr[17], abs=0.05)
 
 
-def test_sampler_deterministic_and_threaded():
+def test_sampler_is_deterministic():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52, seed=6)
     params = FirstLevelFilterParams(
         snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
         accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
         excision_high_hz=1445.0e6)
-    # transits are drawn on the consumer's thread whatever --threads says
+    # two draws of one session give the same events
     one, two = (EventTable.concat(simulate_level1_events(
         cfg, [], params, 3, 5.0, 5.5)) for _ in range(2))
     assert event_columns(one) == event_columns(two)
@@ -392,7 +392,7 @@ def test_sampler_holds_the_output_once():
     assert peak < 2 * max(sizes)
 
 
-def test_sampler_threads_keep_transits_in_order():
+def test_sampler_keeps_transits_in_order():
     # two tags, injected pairs in every transit: each transit is one block
     # of rows in (frame, tag, bin) order
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
