@@ -289,19 +289,24 @@ def read_drift_scan_csv(path, longitude_deg: float = -79.8398) -> DriftScan:
     A single non-numeric header row is tolerated and skipped.
     """
     utc, power = [], []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"{path}: line {i}: expected 2 columns")
-            try:
-                utc.append(float(row[0]))
-                power.append(float(row[1]))
-            except ValueError:
-                if i == 1:
-                    continue  # header
-                raise ValidationError(f"{path}: line {i}: non-numeric row") from None
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: {exc.reason}") from None
+    for i, row in enumerate(rows, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ValidationError(f"{path}: line {i}: expected 2 columns")
+        try:
+            utc.append(float(row[0]))
+            power.append(float(row[1]))
+        except ValueError:
+            if i == 1:
+                continue  # header
+            raise ValidationError(f"{path}: line {i}: non-numeric row") from None
     if not utc:
         raise ValidationError(f"{path}: no data rows")
     return DriftScan(np.array(utc), np.array(power), longitude_deg)

@@ -23,12 +23,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer of at least `lowest`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {lowest}, got {value}")
+        return value
+    return integer
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="key = value experiment config file")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_int_at_least(0), default=None,
                      help="override the config seed")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=_int_at_least(1), default=1,
                      help="null-mc seeds run at once; every other stage "
                      "runs on one thread (never changes results)")
 
@@ -98,15 +109,8 @@ def _load_manifest(args) -> pipeline.ExperimentManifest:
         raise UsageError(f"pulsepair {args.command}: --config is required")
     overrides = {}
     if args.seed is not None:
-        if args.seed < 0:
-            raise UsageError("--seed must be a non-negative integer")
         overrides["config.seed"] = str(args.seed)
-    if args.threads < 1:
-        raise UsageError("--threads must be a positive integer")
-    manifest = pipeline.manifest_from_file(args.config, overrides)
-    manifest.threads = args.threads
-    manifest.out_dir = args.out
-    return manifest
+    return pipeline.manifest_from_file(args.config, overrides)
 
 
 def _input(path, out: str, name: str, what: str) -> str:
@@ -239,7 +243,7 @@ def cmd_null_mc(args) -> int:
     manifest = _load_manifest(args)
     os.makedirs(args.out, exist_ok=True)
     rows, frac = pipeline.run_null_mc(manifest, args.n_seeds,
-                                      args.significance)
+                                      args.significance, args.threads)
     path = os.path.join(args.out, "null_mc.csv")
     write_csv(path, pipeline.NULL_MC_COLUMNS, list(zip(*rows)))
     summary = os.path.join(args.out, "null_summary.txt")

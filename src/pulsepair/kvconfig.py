@@ -33,8 +33,13 @@ def parse_kv(text: str, source: str = "<config>") -> dict:
 
 
 def read_kv_file(path) -> dict:
-    with open(path) as fh:
-        return parse_kv(fh.read(), source=str(path))
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: {exc.reason}") from None
+    return parse_kv(text, source=str(path))
 
 
 def format_kv(mapping: dict) -> str:

@@ -930,25 +930,29 @@ def read_columns(path, columns: dict) -> dict:
     lines are skipped, and a number must be an ASCII numeral without '_'.
     A schema_version column must hold ARCHIVE_SCHEMA_VERSION.  A file that
     breaks a rule raises ArchiveFormatError, with the number of the first
-    bad line where _raise_at_bad_line finds one.
+    bad line where _raise_at_bad_line finds one; so does a file that is
+    not UTF-8 text.
     """
-    with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ArchiveFormatError(f"{path}: empty file") from None
-        if header != list(columns):
-            raise ArchiveFormatError(f"{path}: bad header {header!r}")
-        try:
-            with warnings.catch_warnings():
-                # a header alone warns, and gives zero-length columns
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                                  quotechar='"',
-                                  dtype=[(name, _DTYPES[conv[-1]])
-                                         for name, conv in columns.items()])
-        except ValueError as exc:
-            _raise_at_bad_line(path, columns, str(exc))
+    dtype = [(name, _DTYPES[conv[-1]]) for name, conv in columns.items()]
+    try:
+        with open(path, newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ArchiveFormatError(f"{path}: empty file") from None
+            if header != list(columns):
+                raise ArchiveFormatError(f"{path}: bad header {header!r}")
+            try:
+                with warnings.catch_warnings():
+                    # a header alone warns, and gives zero-length columns
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None,
+                                      ndmin=1, quotechar='"', dtype=dtype)
+            except ValueError as exc:
+                _raise_at_bad_line(path, columns, str(exc))
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(
+            f"{path}: not UTF-8 text: {exc.reason}") from None
     cols = {name: np.ascontiguousarray(data[name]) for name in columns}
     del data
     if np.any(cols.get("schema_version", ARCHIVE_SCHEMA_VERSION)

@@ -8,9 +8,7 @@ Every artifact is written with fixed formats, hashed with sha256, and
 recorded in `manifest.txt` together with a hash of exactly the parameters
 that can change that artifact's bytes; a rerun in the same output directory
 skips any stage whose parameter hash, input hashes, and output hashes all
-still match.  A failed stage records `status = failed:<stage>`.  Thread
-count and output location are neither hashed nor recorded: they must never
-change results, so manifest.txt has the same bytes at any thread count.
+still match.  A failed stage records `status = failed:<stage>`.
 """
 
 from __future__ import annotations
@@ -108,8 +106,6 @@ class ExperimentManifest:
     fwhm_width_hr: float | None = None
     level1_in: str | None = None
     title: str = "RA-binned pair excess"
-    threads: int = 1                     # never hashed
-    out_dir: str = "."                   # never hashed
 
     def __post_init__(self):
         if self.mode not in ("events", "freq", "time"):
@@ -126,8 +122,6 @@ class ExperimentManifest:
         if self.mode in ("freq", "time") and self.level1_in is None:
             if self.n_frames is None or self.n_frames < 1:
                 raise ValidationError("frame modes need n_frames >= 1")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
         n_windows = (self.window_hi_hr - self.window_lo_hr) / self.ra_bin_hr
         if abs(n_windows - round(n_windows)) > 1e-9:
             raise ValidationError(
@@ -229,8 +223,7 @@ def _names(cls) -> tuple:
 
 def _run_keys() -> tuple:
     """The `run.` keys: every manifest field not serialized elsewhere."""
-    other = ("config", "sources", "rfi", "phase", "filter", "threads",
-             "out_dir")
+    other = ("config", "sources", "rfi", "phase", "filter")
     return tuple(name for name in _names(ExperimentManifest)
                  if name not in other)
 
@@ -348,7 +341,6 @@ def detect_frames(config: ObservationConfig, params: FirstLevelFilterParams,
 @dataclass
 class ExperimentResult:
     status: str
-    out_dir: str
     paths: dict
     skipped: list
     n_events: int = 0
@@ -506,8 +498,9 @@ def session_exposure(manifest: ExperimentManifest, tables) -> tuple:
     return exposure, counted()
 
 
-def run_experiment(manifest: ExperimentManifest) -> ExperimentResult:
-    """Run simulate -> refilter -> analyze -> report with hash-based resume.
+def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
+    """Run simulate -> refilter -> analyze -> report in out_dir, with
+    hash-based resume.
 
     Each stage runs the function its CLI subcommand calls.  A stage is
     skipped when its params hash, its `stage.<name>.inputs` line (one
@@ -515,23 +508,22 @@ def run_experiment(manifest: ExperimentManifest) -> ExperimentResult:
     all match the prior manifest.txt.  A failure records
     `status = failed:<stage>` before it propagates.
     """
-    out = manifest.out_dir
-    os.makedirs(out, exist_ok=True)
-    manifest_path = os.path.join(out, "manifest.txt")
+    os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.txt")
     prior = {}
     if os.path.exists(manifest_path):
         prior = kvconfig.read_kv_file(manifest_path)
     record = manifest.to_kv()
     paths = {
-        "level1": manifest.level1_in or os.path.join(out, "level1.csv"),
-        "candidates": os.path.join(out, "candidates.csv"),
-        "stats": os.path.join(out, "stats.csv"),
-        "report": os.path.join(out, "report.txt"),
-        "figure": os.path.join(out, "figure.svg"),
+        "level1": manifest.level1_in or os.path.join(out_dir, "level1.csv"),
+        "candidates": os.path.join(out_dir, "candidates.csv"),
+        "stats": os.path.join(out_dir, "stats.csv"),
+        "report": os.path.join(out_dir, "report.txt"),
+        "figure": os.path.join(out_dir, "figure.svg"),
     }
     level1, candidates, stats, report, figure = paths.values()
     skipped: list[str] = []
-    result = ExperimentResult("running", out, paths, skipped)
+    result = ExperimentResult("running", paths, skipped)
     counts = ("n_events", "n_candidates", "n_survivors")
 
     def refilter_stage():
@@ -655,7 +647,7 @@ def write_figure(manifest: ExperimentManifest, stats_path, figure_path) -> None:
 
 
 def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
-                significance_d: float = 3.5):
+                significance_d: float = 3.5, threads: int = 1):
     """Source-free reruns: the distribution of the peak bin's excess.
 
     Runs refilter's chain on a sampled session with no sources, for seeds
@@ -665,14 +657,16 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     row is (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the
     share of seeds whose peak stays below `significance_d`.
 
-    With manifest.threads > 1 the seeds run on a pool of up to that many
-    threads; the sampler draws each seed's transits on the thread that runs
-    it, so one seed runs on the calling thread alone.  Rows come in seed
+    With threads > 1 the seeds run on a pool of up to that many threads;
+    the sampler draws each seed's transits on the thread that runs it, so
+    one seed runs on the calling thread alone.  Rows come in seed
     order with the same bytes at any thread count; memory grows with the
     seeds in flight, each holding one transit plus one chunk.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     if manifest.mode != "events":
         raise ValidationError("null-mc runs on the events mode")
     edges = manifest.bin_edges()
@@ -691,8 +685,8 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
         return (seed, int(trials.sum()), max_d, float(edges[peak]))
 
     seeds = [manifest.config.seed + i for i in range(n_seeds)]
-    if manifest.threads > 1 and n_seeds > 1:
-        with thread_pool(min(manifest.threads, n_seeds)) as pool:
+    if threads > 1 and n_seeds > 1:
+        with thread_pool(min(threads, n_seeds)) as pool:
             rows = list(pool.map(one, seeds))
     else:
         rows = [one(seed) for seed in seeds]

@@ -12,13 +12,15 @@ import numpy as np
 
 from helpers import (OBS_LON, calibrator_frames, detect_events,
                      false_alarm_tail_check, scaled_survey_cohens_d)
+from pulsepair import cli
 from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, continuum_snr_db,
                              fit_gauss_flat, lst_hours, tau_int_scan,
                              utc_at_lst)
+from pulsepair.kvconfig import write_kv_file
 from pulsepair.pairdetect import EventTable, FirstLevelFilterParams, form_pairs
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int)
-from pulsepair.pipeline import ExperimentManifest, run_experiment, sha256_file
+from pulsepair.pipeline import ExperimentManifest, sha256_file
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_level1_events)
 from pulsepair.skystats import bin_probabilities, binomial_tail, cohens_d
@@ -268,23 +270,29 @@ def test_09_oracle_equivalence_and_filter_monotonicity():
 
 
 def test_10_thread_count_never_changes_bytes(tmp_path):
+    # the CLI chain and a 3-seed null-mc, which runs its seeds on a pool of
+    # up to --threads threads
+    cfg = tmp_path / "exp.cfg"
+    write_kv_file(cfg, ExperimentManifest(
+        config=ObservationConfig(
+            band_low_hz=1445.0e6, band_high_hz=1446.0e6, frame_seconds=0.52,
+            polarization_tags=("LHCP", "RHCP"), seed=0),
+        filter=FirstLevelFilterParams(
+            accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
+            excision_low_hz=1445.0e6, excision_high_hz=1445.0e6),
+        mode="events", n_transits=2, window_lo_hr=5.0, window_hi_hr=5.5,
+        ra_bin_hr=0.1).to_kv())
+    names = ("level1.csv", "candidates.csv", "stats.csv", "figure.svg",
+             "null_mc.csv")
     digests = []
     for threads in (1, 2, 8):
         out = tmp_path / f"t{threads}"
-        res = run_experiment(ExperimentManifest(
-            config=ObservationConfig(
-                band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-                frame_seconds=0.52, polarization_tags=("LHCP", "RHCP"),
-                seed=0),
-            filter=FirstLevelFilterParams(
-                accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
-                excision_low_hz=1445.0e6, excision_high_hz=1445.0e6),
-            mode="events", n_transits=2, window_lo_hr=5.0, window_hi_hr=5.5,
-            ra_bin_hr=0.1, threads=threads, out_dir=str(out)))
-        assert res.status == "ok"
-        digests.append(tuple(sha256_file(out / name) for name in (
-            "level1.csv", "candidates.csv", "stats.csv", "figure.svg")))
+        common = ["--config", str(cfg), "--out", str(out),
+                  "--threads", str(threads)]
+        for command in ("simulate", "refilter", "analyze", "report"):
+            assert cli.main([command] + common) == 0, command
+        assert cli.main(["null-mc", "--n-seeds", "3"] + common) == 0
+        digests.append(tuple(sha256_file(out / name) for name in names))
     ok = digests[0] == digests[1] == digests[2]
-    _check(10, ok, f"level1.csv + candidates.csv + stats.csv + figure.svg "
-                   f"sha256 identical across 1/2/8 threads "
-                   f"({', '.join(d[:12] + '...' for d in digests[0])})")
+    _check(10, ok, f"{' + '.join(names)} sha256 identical across 1/2/8 "
+                   f"threads ({', '.join(d[:12] + '...' for d in digests[0])})")

@@ -16,7 +16,8 @@ from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
 from pulsepair.phasefilter import PhaseMetricParams
 from pulsepair.pipeline import ExperimentManifest
 from pulsepair.sigsim import ObservationConfig, RfiSpec, SourceSpec
-from pulsepair.skystats import analyze, bin_counts, write_stats_csv
+from pulsepair.skystats import (STATS_COLUMNS, analyze, bin_counts,
+                                write_stats_csv)
 
 from helpers import archive_events
 from test_golden import SURVEY_CFG, WIDE_TAU_SCAN
@@ -354,6 +355,41 @@ def test_usage_errors(tmp_path, capsys):
     # calibrate reads no config, so it takes no --config, --seed or --threads
     assert cli.main(["calibrate", "--scan", "scan.csv", "--seed", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--seed", "-1")])
+def test_report_checks_the_flags_without_a_config(tmp_path, capsys, flag,
+                                                  value):
+    # the flags are checked where they are parsed, so a report without
+    # --config rejects them as every other subcommand does
+    assert cli.main(["report", "--out", str(tmp_path), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+
+
+_CANDIDATE_ROW = "1.0,2.0,3,4,5,6,7.0,8.0,LHCP,RHCP,1.0,8.0,-5.0,0.01,5.1\n"
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("simulate", "--config", "run.title = caf\u00e9\n"),
+    ("report", "--stats",
+     ",".join(STATS_COLUMNS) + "\n5.0,5.1,caf\u00e9\n"),
+    # past the first 8 kB that the header's read decodes: np.loadtxt meets
+    # the byte, and the row walk that looks for its line meets it again
+    ("analyze", "--candidates",
+     ",".join(pipeline.CANDIDATE_COLUMNS) + "\n" + _CANDIDATE_ROW * 200
+     + _CANDIDATE_ROW.replace("RHCP", "RHC\u00e9")),
+    ("calibrate", "--scan", "utc_s,power\n1.0,2.0\n2.0,caf\u00e9\n"),
+], ids=["config", "stats", "candidates", "scan"])
+def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys,
+                                                       command, flag, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))        # \u00e9 as byte 0xe9
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        argv += ["--config",
+                 _write_config(tmp_path / "exp.cfg", _events_manifest())]
+    assert cli.main(argv) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_validation_exit_codes(tmp_path, capsys):

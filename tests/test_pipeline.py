@@ -38,7 +38,7 @@ from helpers import (archive_events, detect_events, event_columns,
                      event_table, wide_band_params)
 
 
-def _small_manifest(out_dir, seed=0, n_transits=2, threads=1):
+def _small_manifest(seed=0, n_transits=2):
     # events mode over a half-hour window: fast but non-trivial
     return ExperimentManifest(
         config=ObservationConfig(
@@ -48,8 +48,7 @@ def _small_manifest(out_dir, seed=0, n_transits=2, threads=1):
             accept_band_low_hz=1445.0e6, accept_band_high_hz=1446.0e6,
             excision_low_hz=1445.0e6, excision_high_hz=1445.0e6),
         mode="events", n_transits=n_transits,
-        window_lo_hr=5.0, window_hi_hr=5.5, ra_bin_hr=0.1,
-        threads=threads, out_dir=str(out_dir))
+        window_lo_hr=5.0, window_hi_hr=5.5, ra_bin_hr=0.1)
 
 
 def test_manifest_kv_roundtrip():
@@ -58,6 +57,7 @@ def test_manifest_kv_roundtrip():
         pulse_rate_per_frame=0.01)])
     kv = m.to_kv()
     back = ExperimentManifest.from_kv(dict(kv))
+    assert back == m
     assert back.to_kv() == kv
     assert back.sources[0].name == "x"
     assert back.phase.tau_search_low_s is None
@@ -78,7 +78,7 @@ def test_manifest_rejects_bad_value():
 
 
 def test_manifest_file_overrides(tmp_path):
-    m = _small_manifest(tmp_path)
+    m = _small_manifest()
     path = tmp_path / "exp.cfg"
     with open(path, "w") as fh:
         fh.write("# comment\n\n")
@@ -90,18 +90,40 @@ def test_manifest_file_overrides(tmp_path):
 
 
 def test_stage_hashes_scope():
-    a = _small_manifest(".", seed=0)
-    b = _small_manifest(".", seed=0)
+    a = _small_manifest(seed=0)
+    b = _small_manifest(seed=0)
     b.phase = PhaseMetricParams(filter_halfwidth_rad=0.08)
     assert a.simulate_params_hash() == b.simulate_params_hash()
     assert a.refilter_params_hash() != b.refilter_params_hash()
-    c = _small_manifest(".", seed=1)
+    c = _small_manifest(seed=1)
     assert a.simulate_params_hash() != c.simulate_params_hash()
-    # thread count and output location must never invalidate artifacts
-    d = _small_manifest("/somewhere/else", seed=0, threads=8)
-    for h in ("simulate_params_hash", "refilter_params_hash",
-              "analyze_params_hash", "report_params_hash"):
-        assert getattr(a, h)() == getattr(d, h)()
+
+
+@pytest.mark.parametrize("key, value, n_seeds, threads, message, code", [
+    ("run.mode", "burst", 1, 1, "unknown mode", 3),
+    ("run.ra_bin_hr", "0.0", 1, 1, "ra_bin_hr must be > 0", 3),
+    ("run.p_mode", "flat", 1, 1, "unknown p_mode", 3),
+    ("run.n_transits", "0", 1, 1, "n_transits must be >= 1", 3),
+    ("run.window_hi_hr", "5.45", 1, 1, "integer number of RA bins", 3),
+    (None, None, 0, 1, "n_seeds must be >= 1", 3),
+    # --threads is checked where the CLI parses it: a usage error
+    (None, None, 1, 0, "threads", 1),
+], ids=["mode", "ra_bin_hr", "p_mode", "n_transits", "window", "n_seeds",
+        "threads"])
+def test_a_broken_rule_is_a_validation_error(tmp_path, capsys, key, value,
+                                             n_seeds, threads, message,
+                                             code):
+    kv = _small_manifest().to_kv()
+    if key is not None:
+        kv[key] = value
+    with pytest.raises(ValidationError, match=message):
+        run_null_mc(ExperimentManifest.from_kv(kv), n_seeds, threads=threads)
+    cfg = tmp_path / "exp.cfg"
+    write_kv_file(cfg, kv)
+    assert cli.main(["null-mc", "--config", str(cfg), "--out", str(tmp_path),
+                     "--n-seeds", str(n_seeds),
+                     "--threads", str(threads)]) == code
+    assert message.split()[0] in capsys.readouterr().err
 
 
 def _full_manifest() -> ExperimentManifest:
@@ -362,7 +384,7 @@ def test_every_simulate_key_changes_level1_bytes_or_is_rejected(tmp_path,
 
 
 def test_run_experiment_artifacts(tmp_path):
-    res = run_experiment(_small_manifest(tmp_path))
+    res = run_experiment(_small_manifest(), tmp_path)
     assert res.status == "ok"
     for name in ("level1.csv", "candidates.csv", "stats.csv", "report.txt",
                  "figure.svg", "manifest.txt"):
@@ -376,20 +398,20 @@ def test_run_experiment_artifacts(tmp_path):
 
 
 def test_run_experiment_resume_and_invalidate(tmp_path):
-    run_experiment(_small_manifest(tmp_path))
-    again = run_experiment(_small_manifest(tmp_path))
+    run_experiment(_small_manifest(), tmp_path)
+    again = run_experiment(_small_manifest(), tmp_path)
     assert again.skipped == ["simulate", "refilter", "analyze", "report"]
     # a refilter parameter change must redo refilter but keep the simulation
-    widened = _small_manifest(tmp_path)
+    widened = _small_manifest()
     widened.phase = PhaseMetricParams(filter_halfwidth_rad=0.08)
-    res = run_experiment(widened)
+    res = run_experiment(widened, tmp_path)
     assert res.skipped == ["simulate"]
     assert res.status == "ok"
 
 
 def test_resumed_run_reports_cold_run_counts(tmp_path):
-    cold = run_experiment(_small_manifest(tmp_path))
-    warm = run_experiment(_small_manifest(tmp_path))
+    cold = run_experiment(_small_manifest(), tmp_path)
+    warm = run_experiment(_small_manifest(), tmp_path)
     assert "refilter" in warm.skipped
     assert cold.n_survivors > 0
     assert ((warm.n_events, warm.n_candidates, warm.n_survivors)
@@ -397,13 +419,13 @@ def test_resumed_run_reports_cold_run_counts(tmp_path):
 
 
 def test_exposure_stats_follow_the_archive(tmp_path):
-    run_experiment(_small_manifest(tmp_path / "sim"))
+    run_experiment(_small_manifest(), tmp_path / "sim")
     archive = tmp_path / "level1.csv"
     shutil.copy(tmp_path / "sim" / "level1.csv", archive)
-    m = _small_manifest(tmp_path / "run")
+    m = _small_manifest()
     m.level1_in = str(archive)
     m.p_mode = "exposure"
-    run_experiment(m)
+    run_experiment(m, tmp_path / "run")
     candidates = sha256_file(tmp_path / "run" / "candidates.csv")
     stats = sha256_file(tmp_path / "run" / "stats.csv")
     # lone events in frames of their own form no pairs, so the candidates
@@ -411,30 +433,18 @@ def test_exposure_stats_follow_the_archive(tmp_path):
     write_level1_archive(archive, EventTable.concat([
         archive_events(archive),
         event_table(frame=10**6 + np.arange(500), rf=1445.0e6, ra=5.05)]))
-    res = run_experiment(m)
+    res = run_experiment(m, tmp_path / "run")
     assert sha256_file(tmp_path / "run" / "candidates.csv") == candidates
     assert "analyze" not in res.skipped
     assert sha256_file(tmp_path / "run" / "stats.csv") != stats
 
 
-def test_run_experiment_byte_stability_across_threads(tmp_path):
-    digests = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
-        run_experiment(_small_manifest(out, threads=threads))
-        digests.append((sha256_file(out / "level1.csv"),
-                        sha256_file(out / "stats.csv"),
-                        sha256_file(out / "figure.svg"),
-                        sha256_file(out / "manifest.txt")))
-    assert digests[0] == digests[1]
-
-
 def test_resume_without_counts_redoes_refilter(tmp_path):
-    cold = run_experiment(_small_manifest(tmp_path))
+    cold = run_experiment(_small_manifest(), tmp_path)
     path = tmp_path / "manifest.txt"
     write_kv_file(path, {k: v for k, v in read_kv_file(path).items()
                          if not k.startswith("stage.refilter.n_")})
-    warm = run_experiment(_small_manifest(tmp_path))
+    warm = run_experiment(_small_manifest(), tmp_path)
     # the candidates come out the same, so analyze and report still resume
     assert warm.skipped == ["simulate", "analyze", "report"]
     assert ((warm.n_events, warm.n_candidates, warm.n_survivors)
@@ -444,9 +454,9 @@ def test_resume_without_counts_redoes_refilter(tmp_path):
 def test_run_experiment_writes_the_cli_chain_bytes(tmp_path):
     # some bin edges of the default window do not survive stats.csv's %.6g,
     # so a figure drawn from the in-memory stats would differ from the CLI's
-    m = _small_manifest(tmp_path / "lib", n_transits=1)
+    m = _small_manifest(n_transits=1)
     m.window_lo_hr, m.window_hi_hr = 3.25, 7.25
-    run_experiment(m)
+    run_experiment(m, tmp_path / "lib")
     cfg = str(tmp_path / "exp.cfg")
     write_kv_file(cfg, m.to_kv())
     for command in ("simulate", "refilter", "analyze", "report"):
@@ -459,11 +469,11 @@ def test_run_experiment_writes_the_cli_chain_bytes(tmp_path):
 
 
 def test_run_experiment_external_archive_missing(tmp_path):
-    m = _small_manifest(tmp_path)
-    assert run_experiment(m).status == "ok"
+    m = _small_manifest()
+    assert run_experiment(m, tmp_path).status == "ok"
     m.level1_in = str(tmp_path / "nope.csv")
     with pytest.raises(ValidationError):
-        run_experiment(m)
+        run_experiment(m, tmp_path)
     # the failure replaces the good run's record
     record = read_kv_file(tmp_path / "manifest.txt")
     assert record["status"] == "failed:simulate"
@@ -471,18 +481,18 @@ def test_run_experiment_external_archive_missing(tmp_path):
 
 
 def test_run_experiment_corrupt_archive_fails_refilter(tmp_path):
-    m = _small_manifest(tmp_path)
+    m = _small_manifest()
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,valid,archive\n1,2,3,4\n")
     m.level1_in = str(bad)
     with pytest.raises(ValidationError):
-        run_experiment(m)
+        run_experiment(m, tmp_path)
     record = read_kv_file(tmp_path / "manifest.txt")
     assert record["status"] == "failed:refilter"
 
 
 def test_candidates_csv_reader(tmp_path):
-    res = run_experiment(_small_manifest(tmp_path))
+    res = run_experiment(_small_manifest(), tmp_path)
     cols = read_candidates_csv(tmp_path / "candidates.csv")
     assert list(cols) == list(CANDIDATE_COLUMNS)
     assert {len(c) for c in cols.values()} == {res.n_survivors}
@@ -517,8 +527,8 @@ def test_candidates_csv_reader_errors(tmp_path):
     assert err.value.line_no == 3
 
 
-def test_run_null_mc_deterministic(tmp_path):
-    m = _small_manifest(tmp_path, seed=40)
+def test_run_null_mc_deterministic():
+    m = _small_manifest(seed=40)
     rows_a, frac_a = run_null_mc(m, 3)
     rows_b, frac_b = run_null_mc(m, 3)
     assert rows_a == rows_b and frac_a == frac_b
@@ -530,14 +540,14 @@ def test_run_null_mc_deterministic(tmp_path):
         run_null_mc(m, 1)
 
 
-def test_run_null_mc_same_rows_at_any_thread_count(tmp_path):
-    serial = run_null_mc(_small_manifest(tmp_path, seed=40), 3)
+def test_run_null_mc_same_rows_at_any_thread_count():
+    m = _small_manifest(seed=40)
+    serial = run_null_mc(m, 3)
     for threads in (2, 3, 8):
-        assert run_null_mc(_small_manifest(tmp_path, seed=40,
-                                           threads=threads), 3) == serial
+        assert run_null_mc(m, 3, threads=threads) == serial
 
 
-def test_run_null_mc_threads_run_seeds_not_transits(tmp_path, monkeypatch):
+def test_run_null_mc_threads_run_seeds_not_transits(monkeypatch):
     # transits of one seed are never sampled in parallel: one seed runs on
     # the calling thread, and several share a pool of seeds
     def no_transit_pool(*args, **kwargs):
@@ -552,16 +562,16 @@ def test_run_null_mc_threads_run_seeds_not_transits(tmp_path, monkeypatch):
     monkeypatch.setattr(pulsepair.sigsim, "ThreadPoolExecutor",
                         no_transit_pool)
     monkeypatch.setattr(pulsepair.pipeline, "thread_pool", seed_pool)
-    rows, _ = run_null_mc(_small_manifest(tmp_path, threads=2), 1)
+    rows, _ = run_null_mc(_small_manifest(), 1, threads=2)
     assert len(rows) == 1 and pools == []
-    rows, _ = run_null_mc(_small_manifest(tmp_path, threads=4), 3)
+    rows, _ = run_null_mc(_small_manifest(), 3, threads=4)
     assert [r[0] for r in rows] == [0, 1, 2] and pools == [3]
 
 
-def test_run_null_mc_takes_no_per_pair_log10(tmp_path, monkeypatch):
+def test_run_null_mc_takes_no_per_pair_log10(monkeypatch):
     # math.log10 runs only for the pairs whose |delta_f| lies within a
     # relative 1e-9 of a window edge, not once per pair
-    m = _small_manifest(tmp_path)
+    m = _small_manifest()
     null = EventTable.concat(simulate_events(replace(m, sources=[])))
     pairs = form_pairs(null, m.pairing_window_frames, m.require_pol_match)
     mhz = np.abs(pairs.delta_f_hz) / 1e6
@@ -582,8 +592,8 @@ def test_run_null_mc_takes_no_per_pair_log10(tmp_path, monkeypatch):
 
 
 def test_run_tune_tau(tmp_path):
-    m = _small_manifest(tmp_path)
-    run_experiment(m)
+    m = _small_manifest()
+    run_experiment(m, tmp_path)
     m.phase = PhaseMetricParams(tau_search_low_s=-8e-9,
                                 tau_search_high_s=8e-9,
                                 tau_search_step_s=4e-9)
@@ -601,8 +611,8 @@ def test_run_tune_tau(tmp_path):
 
 @pytest.mark.parametrize("p_mode", ["uniform", "exposure"])
 def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
-    m = _small_manifest(tmp_path)
-    run_experiment(m)
+    m = _small_manifest()
+    run_experiment(m, tmp_path)
     m = replace(m, p_mode=p_mode, phase=PhaseMetricParams(
         tau_search_low_s=-8e-9, tau_search_high_s=8e-9,
         tau_search_step_s=4e-9))
@@ -631,9 +641,9 @@ def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
 
 
-def _wide_manifest(out_dir, band_mhz, window_hr, **kwargs):
+def _wide_manifest(band_mhz, window_hr, **kwargs):
     """_small_manifest over a wider band and window: more events."""
-    m = _small_manifest(out_dir, **kwargs)
+    m = _small_manifest(**kwargs)
     top = 1445.0e6 + band_mhz * 1.0e6
     m.config = replace(m.config, band_high_hz=top)
     m.filter = replace(m.filter, accept_band_high_hz=top)
@@ -657,7 +667,7 @@ def _transits(m, events):
 def test_no_pair_joins_two_transits(tmp_path, k):
     # 3,452 frames a transit, not a multiple of 2K + 1: a frame block spans
     # the gap between the transits unless each transit pairs on its own
-    m = _wide_manifest(tmp_path, 4, 0.5, seed=3)
+    m = _wide_manifest(4, 0.5, seed=3)
     m.pairing_window_frames = k
     path = tmp_path / "level1.csv"
     write_level1_archive(path, simulate_events(m))
@@ -678,9 +688,9 @@ def test_no_pair_joins_two_transits(tmp_path, k):
 
 
 @pytest.mark.parametrize("n_transits", [1, 3])
-def test_every_sampled_part_is_one_transit(tmp_path, n_transits):
+def test_every_sampled_part_is_one_transit(n_transits):
     # null-mc pairs each sampled part on its own, never reading a transit
-    m = _small_manifest(tmp_path, n_transits=n_transits)
+    m = _small_manifest(n_transits=n_transits)
     parts = list(simulate_events(m))
     assert len(parts) == n_transits
     for i, events in enumerate(parts):
@@ -713,7 +723,7 @@ def _assert_cut_alike(m, path):
 @pytest.mark.parametrize("k", [0, 1])
 def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, k):
     # null-mc pairs sample_session's chunks, refilter read_session's
-    m = replace(_small_manifest(tmp_path), pairing_window_frames=k)
+    m = replace(_small_manifest(), pairing_window_frames=k)
     path = tmp_path / "level1.csv"
     write_level1_archive(path, simulate_events(m))
     assert _assert_cut_alike(m, path) == m.n_transits
@@ -723,7 +733,7 @@ def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, k):
 def season(tmp_path_factory):
     """A 2-transit archive of 211,142 events: 14 pair chunks at K = 0."""
     out = tmp_path_factory.mktemp("season")
-    m = _wide_manifest(out, 6, 4.0)
+    m = _wide_manifest(6, 4.0)
     write_level1_archive(out / "level1.csv", simulate_events(m))
     return m, out / "level1.csv"
 
