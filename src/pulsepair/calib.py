@@ -286,11 +286,12 @@ def continuum_snr_db(fit: GaussFlatFit) -> float:
 def read_drift_scan_csv(path, longitude_deg: float = -79.8398) -> DriftScan:
     """Load a two-column CSV (utc_s, power) into a DriftScan.
 
-    A single non-numeric header row is tolerated and skipped.
+    A single non-numeric header row is tolerated and skipped, and a UTF-8
+    byte-order mark is dropped.
     """
     utc, power = [], []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ValidationError(

@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("null-mc",
                         help="source-free reruns: null distribution of the peak")
     _add_common(p)
-    p.add_argument("--n-seeds", type=int, default=20)
+    p.add_argument("--n-seeds", type=_int_at_least(1), default=20)
     p.add_argument("--significance", type=float, default=3.5)
 
     p = subs.add_parser("report",

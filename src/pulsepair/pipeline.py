@@ -82,6 +82,31 @@ def read_candidates_csv(path) -> dict:
     return read_columns(path, CANDIDATE_COLUMNS)
 
 
+# the manifest's sections, in key order: (key prefix, field, type, presence
+# key).  A list section keys its Nth entry `prefix N.` and ends at the first
+# N without its presence key; every other field is a `run.` key.
+_SECTIONS = (
+    ("config.", "config", ObservationConfig, None),
+    ("source.", "sources", SourceSpec, "name"),
+    ("rfi.", "rfi", RfiSpec, "kind"),
+    ("phase.", "phase", PhaseMetricParams, None),
+    ("filter.", "filter", FirstLevelFilterParams, None),
+)
+# each stage's params hash: the key prefixes that can change its outputs
+STAGE_KEYS = {
+    "simulate": ("config.", "source.", "rfi.", "filter.", "run.mode",
+                 "run.n_transits", "run.window_lo_hr", "run.window_hi_hr",
+                 "run.n_frames", "run.start_utc_s", "run.level1_in"),
+    # the geometry keys fix each event's transit (read_session)
+    "refilter": ("phase.", "run.pairing_window_frames",
+                 "run.require_pol_match", "run.mode", "config.longitude_deg",
+                 "run.window_lo_hr", "run.window_hi_hr", "run.start_utc_s"),
+    "analyze": ("run.ra_bin_hr", "run.p_mode", "run.window_lo_hr",
+                "run.window_hi_hr"),
+    "report": ("run.fwhm_center_hr", "run.fwhm_width_hr", "run.title"),
+}
+
+
 @dataclass
 class ExperimentManifest:
     """Full description of one experiment; serializes to key = value text."""
@@ -135,28 +160,26 @@ class ExperimentManifest:
     # -- serialization ----------------------------------------------------
 
     def to_kv(self) -> dict:
-        return {prefix + name: _fmt(getattr(obj, name))
-                for prefix, obj, names in self._sections() for name in names}
-
-    def _sections(self):
-        """(key prefix, object, field names) of every serialized section."""
-        yield "config.", self.config, _names(ObservationConfig)
-        for i, src in enumerate(self.sources):
-            yield f"source.{i}.", src, _names(SourceSpec)
-        for i, r in enumerate(self.rfi):
-            yield f"rfi.{i}.", r, _names(RfiSpec)
-        yield "phase.", self.phase, _names(PhaseMetricParams)
-        yield "filter.", self.filter, _names(FirstLevelFilterParams)
-        yield "run.", self, _run_keys()
+        kv = {}
+        for prefix, name, typ, presence in _SECTIONS:
+            value = getattr(self, name)
+            entries = ({f"{prefix}{i}.": v for i, v in enumerate(value)}
+                       if presence else {prefix: value})
+            for at, part in entries.items():
+                kv.update((at + key, _fmt(getattr(part, key)))
+                          for key in _names(typ))
+        kv.update(("run." + key, _fmt(getattr(self, key)))
+                  for key in _run_keys())
+        return kv
 
     @classmethod
     def from_kv(cls, kv: dict, source: str = "<config>") -> "ExperimentManifest":
         known = set()
 
-        def take(prefix, typ, names=None):
+        def take(prefix, typ, names):
             hints = typing.get_type_hints(typ)
             kwargs = {}
-            for name in names or _names(typ):
+            for name in names:
                 key = prefix + name
                 known.add(key)
                 if key in kv:
@@ -165,56 +188,30 @@ class ExperimentManifest:
 
         def build(prefix, typ):
             try:
-                return typ(**take(prefix, typ))
+                return typ(**take(prefix, typ, _names(typ)))
             except TypeError as exc:        # a required key is missing
                 raise ValidationError(f"{source}: {prefix}*: {exc}") from None
 
-        config = build("config.", ObservationConfig)
-        sources, rfi = [], []
-        while f"source.{len(sources)}.name" in kv:
-            sources.append(build(f"source.{len(sources)}.", SourceSpec))
-        while f"rfi.{len(rfi)}.kind" in kv:
-            rfi.append(build(f"rfi.{len(rfi)}.", RfiSpec))
-        phase = build("phase.", PhaseMetricParams)
-        filter_ = build("filter.", FirstLevelFilterParams)
-        top = take("run.", cls, _run_keys())
+        parts = {}
+        for prefix, name, typ, presence in _SECTIONS:
+            if presence is None:
+                parts[name] = build(prefix, typ)
+                continue
+            parts[name] = items = []
+            while f"{prefix}{len(items)}.{presence}" in kv:
+                items.append(build(f"{prefix}{len(items)}.", typ))
+        parts.update(take("run.", cls, _run_keys()))
         unknown = set(kv) - known
         if unknown:
             raise ValidationError(
                 f"{source}: unknown keys: {', '.join(sorted(unknown))}")
-        return cls(config=config, sources=sources, rfi=rfi, phase=phase,
-                   filter=filter_, **top)
+        return cls(**parts)
 
-    # -- hashing ----------------------------------------------------------
-
-    def _hash_subset(self, prefixes: tuple) -> str:
-        kv = self.to_kv()
-        subset = {k: v for k, v in kv.items()
-                  if any(k.startswith(p) for p in prefixes)}
-        text = kvconfig.format_kv(subset)
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def simulate_params_hash(self) -> str:
-        return self._hash_subset(("config.", "source.", "rfi.", "filter.",
-                                  "run.mode", "run.n_transits",
-                                  "run.window_lo_hr", "run.window_hi_hr",
-                                  "run.n_frames", "run.start_utc_s",
-                                  "run.level1_in"))
-
-    def refilter_params_hash(self) -> str:
-        # the geometry keys fix each event's transit (read_session)
-        return self._hash_subset(("phase.", "run.pairing_window_frames",
-                                  "run.require_pol_match", "run.mode",
-                                  "config.longitude_deg", "run.window_lo_hr",
-                                  "run.window_hi_hr", "run.start_utc_s"))
-
-    def analyze_params_hash(self) -> str:
-        return self._hash_subset(("run.ra_bin_hr", "run.p_mode",
-                                  "run.window_lo_hr", "run.window_hi_hr"))
-
-    def report_params_hash(self) -> str:
-        return self._hash_subset(("run.fwhm_center_hr", "run.fwhm_width_hr",
-                                  "run.title"))
+    def params_hash(self, stage: str) -> str:
+        """sha256 of the keys of STAGE_KEYS[stage], as format_kv writes them."""
+        subset = {k: v for k, v in self.to_kv().items()
+                  if k.startswith(STAGE_KEYS[stage])}
+        return hashlib.sha256(kvconfig.format_kv(subset).encode()).hexdigest()
 
 
 def _names(cls) -> tuple:
@@ -222,10 +219,10 @@ def _names(cls) -> tuple:
 
 
 def _run_keys() -> tuple:
-    """The `run.` keys: every manifest field not serialized elsewhere."""
-    other = ("config", "sources", "rfi", "phase", "filter")
+    """The `run.` keys: every manifest field no _SECTIONS row holds."""
+    held = {name for _, name, _, _ in _SECTIONS}
     return tuple(name for name in _names(ExperimentManifest)
-                 if name not in other)
+                 if name not in held)
 
 
 def _fmt(value) -> str:
@@ -344,7 +341,7 @@ class ExperimentResult:
     paths: dict
     skipped: list
     n_events: int = 0
-    n_candidates: int = 0
+    n_pairs: int = 0
     n_survivors: int = 0
     analysis: AnalysisResult | None = None
 
@@ -524,7 +521,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     level1, candidates, stats, report, figure = paths.values()
     skipped: list[str] = []
     result = ExperimentResult("running", paths, skipped)
-    counts = ("n_events", "n_candidates", "n_survivors")
+    counts = ("n_events", "n_pairs", "n_survivors")
 
     def refilter_stage():
         values = refilter(manifest, level1, candidates)
@@ -536,15 +533,14 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
                                          report)
 
     exposure = [level1] if manifest.p_mode == "exposure" else []
-    # (name, params hash, inputs, outputs, record lines, stage function)
+    # (name, inputs, outputs, record lines, stage function)
     stages = [
-        ("simulate", manifest.simulate_params_hash(), [], [level1], (),
+        ("simulate", [], [level1], (),
          lambda: write_level1_archive(level1, simulate_events(manifest))),
-        ("refilter", manifest.refilter_params_hash(), [level1], [candidates],
-         counts, refilter_stage),
-        ("analyze", manifest.analyze_params_hash(), [candidates] + exposure,
-         [stats, report], (), analyze_stage),
-        ("report", manifest.report_params_hash(), [stats], [figure], (),
+        ("refilter", [level1], [candidates], counts, refilter_stage),
+        ("analyze", [candidates] + exposure, [stats, report], (),
+         analyze_stage),
+        ("report", [stats], [figure], (),
          lambda: write_figure(manifest, stats, figure)),
     ]
     stage = "simulate"
@@ -552,9 +548,9 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
         if external_archive(manifest) is not None:
             skipped.append("simulate (external archive)")
             del stages[0]
-        for stage, params_hash, inputs, outputs, names, run in stages:
+        for stage, inputs, outputs, names, run in stages:
             lines = [f"stage.{stage}.{name}" for name in names]
-            marks = {f"stage.{stage}.params": params_hash,
+            marks = {f"stage.{stage}.params": manifest.params_hash(stage),
                      f"stage.{stage}.inputs": ",".join(
                          f"{os.path.basename(p)}={sha256_file(p)}"
                          for p in inputs) or "none"}

@@ -136,6 +136,24 @@ def test_drift_scan_csv(tmp_path):
     assert scan.power.tolist() == [1.5, 1.6]
 
 
+@pytest.mark.parametrize("header", ["", "utc_s,power\n"],
+                         ids=["headerless", "header"])
+def test_drift_scan_csv_drops_a_byte_order_mark(tmp_path, header):
+    # the mark is no part of the first cell, which would then not parse
+    text = header + "1.0,2.0\n2.0,3.0\n3.0,4.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    scan, expected = read_drift_scan_csv(marked), read_drift_scan_csv(plain)
+    assert scan.utc_s.tolist() == expected.utc_s.tolist() == [1.0, 2.0, 3.0]
+    assert scan.power.tolist() == expected.power.tolist() == [2.0, 3.0, 4.0]
+    # what follows the mark must still be UTF-8
+    marked.write_bytes(b"\xef\xbb\xbf" + (text + "4.0,caf\u00e9\n")
+                       .encode("latin-1"))
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        read_drift_scan_csv(marked)
+
+
 def test_tau_int_scan_recovers_delay():
     east, west, rf = calibrator_frames(64, 0.5, -96.0e-9, seed=3)
     best, step = tau_int_scan(east, west, rf,

@@ -1,4 +1,5 @@
 import math
+import re
 import shutil
 import tracemalloc
 import weakref
@@ -13,13 +14,15 @@ import pytest
 import pulsepair.pipeline
 import pulsepair.sigsim
 from pulsepair import cli, pairdetect
-from pulsepair.errors import ArchiveFormatError, ValidationError
+from pulsepair.errors import (ArchiveFormatError, StageError,
+                              ValidationError)
 from pulsepair.kvconfig import read_kv_file, write_kv_file
 from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
                                   FirstLevelFilterParams, form_pairs,
                                   write_csv, write_level1_archive)
-from pulsepair.pipeline import (CANDIDATE_COLUMNS, TAU_SCAN_COLUMNS,
+from pulsepair.pipeline import (CANDIDATE_COLUMNS, STAGE_KEYS,
+                                TAU_SCAN_COLUMNS,
                                 ExperimentManifest, analyze_candidates,
                                 detect_frames, load_frames_npz,
                                 manifest_from_file, read_candidates_csv,
@@ -93,10 +96,10 @@ def test_stage_hashes_scope():
     a = _small_manifest(seed=0)
     b = _small_manifest(seed=0)
     b.phase = PhaseMetricParams(filter_halfwidth_rad=0.08)
-    assert a.simulate_params_hash() == b.simulate_params_hash()
-    assert a.refilter_params_hash() != b.refilter_params_hash()
+    assert a.params_hash("simulate") == b.params_hash("simulate")
+    assert a.params_hash("refilter") != b.params_hash("refilter")
     c = _small_manifest(seed=1)
-    assert a.simulate_params_hash() != c.simulate_params_hash()
+    assert a.params_hash("simulate") != c.params_hash("simulate")
 
 
 @pytest.mark.parametrize("key, value, n_seeds, threads, message, code", [
@@ -105,8 +108,9 @@ def test_stage_hashes_scope():
     ("run.p_mode", "flat", 1, 1, "unknown p_mode", 3),
     ("run.n_transits", "0", 1, 1, "n_transits must be >= 1", 3),
     ("run.window_hi_hr", "5.45", 1, 1, "integer number of RA bins", 3),
-    (None, None, 0, 1, "n_seeds must be >= 1", 3),
-    # --threads is checked where the CLI parses it: a usage error
+    # --n-seeds and --threads are checked where the CLI parses them: usage
+    # errors, whose message names the flag
+    (None, None, 0, 1, "n.seeds.* >= 1", 1),
     (None, None, 1, 0, "threads", 1),
 ], ids=["mode", "ra_bin_hr", "p_mode", "n_transits", "window", "n_seeds",
         "threads"])
@@ -123,7 +127,7 @@ def test_a_broken_rule_is_a_validation_error(tmp_path, capsys, key, value,
     assert cli.main(["null-mc", "--config", str(cfg), "--out", str(tmp_path),
                      "--n-seeds", str(n_seeds),
                      "--threads", str(threads)]) == code
-    assert message.split()[0] in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
 
 
 def _full_manifest() -> ExperimentManifest:
@@ -230,8 +234,8 @@ def _mutated(kv, key, value) -> dict:
 
 def test_every_config_key_moves_a_stage_hash():
     def all_hashes(m):
-        return (m.simulate_params_hash(), m.refilter_params_hash(),
-                m.analyze_params_hash(), m.report_params_hash())
+        return (m.params_hash("simulate"), m.params_hash("refilter"),
+                m.params_hash("analyze"), m.params_hash("report"))
 
     base = _full_manifest()
     kv = base.to_kv()
@@ -267,7 +271,7 @@ def test_every_key_that_changes_refilter_moves_its_hash(tmp_path):
     mutations = {**_MUTATIONS, "run.pairing_window_frames": "0"}
     for key, value in mutations.items():
         m = ExperimentManifest.from_kv(_mutated(kv, key, value))
-        if m.refilter_params_hash() == base.refilter_params_hash():
+        if m.params_hash("refilter") == base.params_hash("refilter"):
             assert refiltered(m) == ref, key
 
 
@@ -289,7 +293,7 @@ def test_every_key_that_changes_analyze_or_report_moves_their_hash(tmp_path):
     refilter(base, archive, candidates)
 
     def hashes(m):
-        return m.analyze_params_hash(), m.report_params_hash()
+        return m.params_hash("analyze"), m.params_hash("report")
 
     def outputs_of(m):
         write_analysis(m, candidates, archive, *outputs[:2])
@@ -358,7 +362,7 @@ def test_every_simulate_key_changes_level1_bytes_or_is_rejected(tmp_path,
     simulate_keys = [
         key for key, value in _MUTATIONS.items()
         if ExperimentManifest.from_kv(_mutated(full_kv, key, value))
-        .simulate_params_hash() != full.simulate_params_hash()]
+        .params_hash("simulate") != full.params_hash("simulate")]
     inert = dict(_INERT_IN_SIMULATE)
     if mode != "events":
         inert.update(_INERT_IN_FRAME_MODES)
@@ -414,8 +418,8 @@ def test_resumed_run_reports_cold_run_counts(tmp_path):
     warm = run_experiment(_small_manifest(), tmp_path)
     assert "refilter" in warm.skipped
     assert cold.n_survivors > 0
-    assert ((warm.n_events, warm.n_candidates, warm.n_survivors)
-            == (cold.n_events, cold.n_candidates, cold.n_survivors))
+    assert ((warm.n_events, warm.n_pairs, warm.n_survivors)
+            == (cold.n_events, cold.n_pairs, cold.n_survivors))
 
 
 def test_exposure_stats_follow_the_archive(tmp_path):
@@ -447,8 +451,8 @@ def test_resume_without_counts_redoes_refilter(tmp_path):
     warm = run_experiment(_small_manifest(), tmp_path)
     # the candidates come out the same, so analyze and report still resume
     assert warm.skipped == ["simulate", "analyze", "report"]
-    assert ((warm.n_events, warm.n_candidates, warm.n_survivors)
-            == (cold.n_events, cold.n_candidates, cold.n_survivors))
+    assert ((warm.n_events, warm.n_pairs, warm.n_survivors)
+            == (cold.n_events, cold.n_pairs, cold.n_survivors))
 
 
 def test_run_experiment_writes_the_cli_chain_bytes(tmp_path):
@@ -489,6 +493,17 @@ def test_run_experiment_corrupt_archive_fails_refilter(tmp_path):
         run_experiment(m, tmp_path)
     record = read_kv_file(tmp_path / "manifest.txt")
     assert record["status"] == "failed:refilter"
+
+
+def test_run_experiment_io_failure_is_a_stage_error(tmp_path):
+    # an OSError in a stage is no validation error: it names the stage
+    (tmp_path / "figure.svg").mkdir()
+    with pytest.raises(StageError) as info:
+        run_experiment(_small_manifest(), tmp_path)
+    assert info.value.stage == "report"
+    record = read_kv_file(tmp_path / "manifest.txt")
+    assert record["status"] == "failed:report"
+    assert "figure.svg" in record["error"]
 
 
 def test_candidates_csv_reader(tmp_path):
@@ -927,6 +942,14 @@ def test_frame_store_keeps_the_frames_rf(tmp_path):
     assert not (tmp_path / "mixed.npz").exists()
 
 
+def test_every_stage_key_names_a_manifest_key():
+    # a prefix that matches no key (a typo, a renamed field) hashes nothing
+    keys = _full_manifest().to_kv()
+    for stage, prefixes in STAGE_KEYS.items():
+        for prefix in prefixes:
+            assert any(key.startswith(prefix) for key in keys), (stage, prefix)
+
+
 def test_stage_hashes_are_frozen():
     # frozen from an earlier schema implementation, so manifest.txt files
     # written by it keep resuming; the analyze hash moved when run.per_day
@@ -936,13 +959,13 @@ def test_stage_hashes_are_frozen():
     # refilter hash when it took in the keys that fix each event's transit,
     # so such a run redoes that stage once
     m = _full_manifest()
-    assert m.simulate_params_hash() == (
+    assert m.params_hash("simulate") == (
         "43eb90195fce1560d25e3330669a1bb7476eb20ccbdce440ed27bf4ceb754f2d")
-    assert m.refilter_params_hash() == (
+    assert m.params_hash("refilter") == (
         "8d3af3a69e63cf4170c857d72c50ded055ca0ed1f86fd8565ef65838204c51d0")
-    assert m.analyze_params_hash() == (
+    assert m.params_hash("analyze") == (
         "6847be0a021f6b43a8135fc296130fdd61f77bb81bf5ef9aee809d62720b6295")
-    assert m.report_params_hash() == (
+    assert m.params_hash("report") == (
         "419caca7ab3cce17ff2a253196f853d1e41b45db554b609901a89be4a4a28952")
 
 
