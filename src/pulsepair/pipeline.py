@@ -14,7 +14,9 @@ still match.  A failed stage records `status = failed:<stage>`.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
+import re
 import typing
 import zipfile
 import zlib
@@ -203,8 +205,17 @@ class ExperimentManifest:
         parts.update(take("run.", cls, _run_keys()))
         unknown = set(kv) - known
         if unknown:
-            raise ValidationError(
-                f"{source}: unknown keys: {', '.join(sorted(unknown))}")
+            message = f"{source}: unknown keys: {', '.join(sorted(unknown))}"
+            # a list entry's own key is unknown only past a gap in N or in
+            # an entry without its presence key: name that rule
+            for prefix, _, typ, presence in _SECTIONS:
+                entry_key = re.compile(
+                    rf"{re.escape(prefix)}\d+\.({'|'.join(_names(typ))})")
+                if presence and any(map(entry_key.fullmatch, unknown)):
+                    message += (f"; {prefix}N. entries count up from N = 0 "
+                                f"with no gap, and {prefix}N.{presence} "
+                                f"starts each one")
+            raise ValidationError(message)
         return cls(**parts)
 
     def params_hash(self, stage: str) -> str:
@@ -271,12 +282,20 @@ def manifest_from_file(path, overrides: dict | None = None) -> ExperimentManifes
 
 # -- frame store (simulate/detect handoff in frame modes) ------------------
 
+# the store's members, in the order np.savez_compressed would write them
+_FRAME_MEMBERS = ("frame_index", "utc_s", "polarization_tag", "east",
+                  "west", "rf_freqs_hz")
+
+
 def save_frames_npz(path, frames) -> None:
     """Persist frames for the detect stage.
 
     frames is an iterable of (index, utc, pol, east, west, rf) tuples, as
     simulate_frames yields them and load_frames_npz gives them back; the
     store holds one rf, so frames whose rf differ raise ValidationError.
+    The file is byte for byte the one np.savez_compressed writes for the six
+    members, but the members are deflated on two threads (zlib lets go of
+    the GIL), so the two spectra deflate at once.
     """
     frames = list(frames)
     if not frames:
@@ -284,35 +303,73 @@ def save_frames_npz(path, frames) -> None:
     index, utc, pols, east, west, rfs = zip(*frames)
     if any(not np.array_equal(rf, rfs[0]) for rf in rfs[1:]):
         raise ValidationError("frames differ in their rf_freqs_hz")
-    np.savez_compressed(
-        path,
-        frame_index=np.asarray(index, dtype=np.int64),
-        utc_s=np.asarray(utc, dtype=float),
-        polarization_tag=np.asarray(pols),
-        east=np.asarray(east), west=np.asarray(west),
-        rf_freqs_hz=rfs[0])
+    arrays = (np.asarray(index, dtype=np.int64), np.asarray(utc, dtype=float),
+              np.asarray(pols), np.asarray(east), np.asarray(west),
+              np.ascontiguousarray(rfs[0]))
+    del frames, east, west      # each frame's own spectra, before the deflate
+    with thread_pool(2) as pool:
+        members = list(pool.map(_deflated_member, _FRAME_MEMBERS, arrays))
+    with open(path, "wb") as fh:
+        for info, data in members:
+            info.header_offset = fh.tell()
+            fh.write(info.FileHeader(zip64=True))   # numpy forces zip64
+            fh.writelines(data)
+        with zipfile.ZipFile(fh, "w") as store:
+            # closing it writes the central directory of filelist's members
+            store.filelist.extend(info for info, _ in members)
+
+
+def _deflated_member(name, array):
+    """(ZipInfo, deflated pieces) of `array` as np.savez_compressed stores
+    it: its .npy header and data, deflated by the compressor zipfile uses
+    for ZIP_DEFLATED, with the ZipInfo fields zipfile gives the member."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array))
+    header = header.getvalue()
+    body = memoryview(array.reshape(-1).view(np.uint8))     # C order, no copy
+    deflate = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
+    # fed a MiB at a time, so no output larger than that is ever copied
+    data = [deflate.compress(header)]
+    data += [deflate.compress(body[at:at + 2 ** 20])
+             for at in range(0, body.nbytes, 2 ** 20)]
+    data.append(deflate.flush())
+    info = zipfile.ZipInfo(name + ".npy")        # dated 1980-01-01
+    info.compress_type = zipfile.ZIP_DEFLATED
+    info.external_attr = 0o600 << 16
+    info.file_size = len(header) + body.nbytes
+    info.compress_size = sum(map(len, data))
+    info.CRC = zlib.crc32(body, zlib.crc32(header))
+    return info, data
+
+
+def _read_member(path, name):
+    """Member `name` of the .npz at path, None if it has none.  Each call
+    opens the file itself, so calls on a pool's threads share no zip state."""
+    # np.load(path) would leave its file open when the zip is corrupt
+    with open(path, "rb") as fh, np.load(fh) as data:
+        return data[name] if name in data.files else None
 
 
 def load_frames_npz(path):
-    """Read the six members once; yield (index, utc, pol, east, west, rf)."""
-    names = ("frame_index", "utc_s", "polarization_tag", "east", "west",
-             "rf_freqs_hz")
+    """Read the six members once, inflating them on two threads; yield
+    (index, utc, pol, east, west, rf)."""
     try:
-        # np.load(path) would leave its file open when the zip is corrupt
-        with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = {name: data[name] for name in names if name in data.files}
+        with thread_pool(2) as pool:
+            arrays = dict(zip(_FRAME_MEMBERS, pool.map(
+                partial(_read_member, path), _FRAME_MEMBERS)))
     except (zipfile.BadZipFile, zlib.error, EOFError, TypeError,
             ValueError) as exc:
         raise ValidationError(
             f"{path}: not a readable frame store: {exc}") from None
-    missing = set(names) - set(arrays)
+    missing = sorted(name for name, arr in arrays.items() if arr is None)
     if missing:
-        raise ValidationError(
-            f"{path}: missing arrays: {', '.join(sorted(missing))}")
-    index, utc, pols, east, west, rf = (arrays[name] for name in names)
+        raise ValidationError(f"{path}: missing arrays: {', '.join(missing)}")
+    index, utc, pols, east, west, rf = arrays.values()
     n = index.size
     shapes = ((n,),) * 3 + ((n, rf.size),) * 2
-    for name, arr, shape in zip(names, (index, utc, pols, east, west), shapes):
+    for name, arr, shape in zip(_FRAME_MEMBERS, (index, utc, pols, east, west),
+                                shapes):
         if arr.shape != shape:
             raise ValidationError(
                 f"{path}: {name} has shape {arr.shape}, expected {shape}")

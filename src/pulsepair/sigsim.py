@@ -629,7 +629,7 @@ def _start_on_own_cpu(slots) -> None:
 
 def thread_pool(threads: int) -> ThreadPoolExecutor:
     """A pool of `threads` workers, each started on its own CPU: null-mc's
-    seed pool."""
+    seed pool, and the frame store's two-thread (de)compression pool."""
     return ThreadPoolExecutor(max_workers=threads,
                               initializer=_start_on_own_cpu,
                               initargs=(itertools.count(),))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import zipfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -172,6 +173,27 @@ def test_unreadable_frame_store_is_a_validation_error(tmp_path, capsys):
         assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
         assert str(store) in capsys.readouterr().err
         assert not (tmp_path / "out" / "level1.csv").exists()
+
+
+def test_corrupt_frame_store_member_is_a_validation_error(tmp_path, capsys):
+    # the zip directory stays intact, so the error comes from inflating the
+    # east member, on a thread of load_frames_npz's pool
+    cfg = _frames_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    store = tmp_path / "out" / "frames.npz"
+    with zipfile.ZipFile(store) as archive:
+        east = archive.getinfo("east.npy")
+    whole = bytearray(store.read_bytes())
+    middle = (east.header_offset + len(east.FileHeader(zip64=True))
+              + east.compress_size // 2)
+    whole[middle:middle + 4096] = bytes(4096)
+    store.write_bytes(whole)
+    capsys.readouterr()
+    assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert str(store) in err and "while decompressing data" in err
+    assert not (tmp_path / "out" / "level1.csv").exists()
 
 
 def test_refilter_diagnostics_filter_once(tmp_path, monkeypatch):

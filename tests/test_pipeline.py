@@ -942,6 +942,64 @@ def test_frame_store_keeps_the_frames_rf(tmp_path):
     assert not (tmp_path / "mixed.npz").exists()
 
 
+def _numpy_store(save, path, frames):
+    """Write frames as np.savez_compressed (or np.savez) would store the six
+    members; give the file's bytes."""
+    index, utc, pols, east, west, rfs = zip(*frames)
+    save(path, frame_index=np.asarray(index, dtype=np.int64),
+         utc_s=np.asarray(utc, dtype=float), polarization_tag=np.asarray(pols),
+         east=np.asarray(east), west=np.asarray(west), rf_freqs_hz=rfs[0])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("mode, tags, n_frames", [
+    ("freq", ("LHCP",), 1), ("freq", ("LHCP", "RHCP"), 3),
+    ("time", ("LHCP",), 3), ("time", ("LHCP", "RHCP"), 1)])
+def test_frame_store_is_savez_compressed_byte_for_byte(tmp_path, mode, tags,
+                                                       n_frames):
+    config = ObservationConfig(
+        band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
+        polarization_tags=tags, seed=5)
+    frames = list(simulate_frames(config, n_frames=n_frames, mode=mode))
+    save_frames_npz(tmp_path / "store.npz", frames)
+    assert (tmp_path / "store.npz").read_bytes() == _numpy_store(
+        np.savez_compressed, tmp_path / "numpy.npz", frames)
+
+
+def test_frame_store_member_past_numpys_write_chunk(tmp_path):
+    # np.savez_compressed hands a member to the deflater 16 MiB at a time,
+    # save_frames_npz 1 MiB at a time: the bytes agree only because
+    # deflate's output does not depend on how its input is split.  Spectra
+    # of a few distinct values deflate fast.
+    rng = np.random.default_rng(3)
+    n_channels = 1_100_000
+    rf = 1.4e9 + np.arange(n_channels, dtype=float)
+    east, west = (rng.integers(-4, 4, n_channels)
+                  + 1j * rng.integers(-4, 4, n_channels) for _ in range(2))
+    assert east.nbytes > 16 * 2 ** 20
+    frames = [(0, 0.0, "LHCP", east, west, rf)]
+    save_frames_npz(tmp_path / "store.npz", frames)
+    assert (tmp_path / "store.npz").read_bytes() == _numpy_store(
+        np.savez_compressed, tmp_path / "numpy.npz", frames)
+
+
+@pytest.mark.parametrize("save", [np.savez_compressed, np.savez],
+                         ids=["savez_compressed", "savez"])
+def test_frame_store_reads_numpy_stores(tmp_path, save):
+    # stores in older run directories, and stores written without deflate
+    config = ObservationConfig(
+        band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
+        polarization_tags=("LHCP", "RHCP"), seed=5)
+    made = list(simulate_frames(config, n_frames=2))
+    _numpy_store(save, tmp_path / "frames.npz", made)
+    loaded = list(load_frames_npz(tmp_path / "frames.npz"))
+    assert len(loaded) == len(made) == 4
+    for want, got in zip(made, loaded):
+        assert got[:3] == want[:3]
+        for a, b in zip(want[3:], got[3:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_every_stage_key_names_a_manifest_key():
     # a prefix that matches no key (a typo, a renamed field) hashes nothing
     keys = _full_manifest().to_kv()
@@ -1000,6 +1058,34 @@ def test_manifest_missing_required_source_key():
     del kv["source.0.ra_hr"]
     with pytest.raises(ValidationError, match="ra_hr"):
         ExperimentManifest.from_kv(kv)
+
+
+@pytest.mark.parametrize("section, n, drop", [
+    ("source", 2, None), ("source", 1, "name"), ("rfi", 1, "kind")],
+    ids=["gap", "no-name", "no-kind"])
+def test_list_section_misnumbering_names_the_rule(section, n, drop):
+    # a copy of entry 0 as entry n: past a gap in N, or without its presence
+    # key, it is outside the section, so its keys are unknown; the message
+    # says why
+    kv = _full_manifest().to_kv()
+    kv.update((key.replace(f"{section}.0.", f"{section}.{n}.", 1), value)
+              for key, value in list(kv.items())
+              if key.startswith(f"{section}.0.")
+              and key != f"{section}.0.{drop}")
+    presence = {"source": "name", "rfi": "kind"}[section]
+    with pytest.raises(ValidationError) as info:
+        ExperimentManifest.from_kv(kv)
+    message = str(info.value)
+    assert f"unknown keys: {section}.{n}." in message
+    assert (f"{section}.N. entries count up from N = 0 with no gap, "
+            f"and {section}.N.{presence} starts each one") in message
+
+
+def test_unknown_entry_key_names_no_numbering_rule():
+    kv = {**_full_manifest().to_kv(), "source.0.bogus": "1"}
+    with pytest.raises(ValidationError) as info:
+        ExperimentManifest.from_kv(kv)
+    assert str(info.value).endswith("unknown keys: source.0.bogus")
 
 
 def test_readme_config_reference_names_every_key():
