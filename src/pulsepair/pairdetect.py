@@ -41,7 +41,8 @@ produce byte-identical archives.  When every tag it declares is used,
 write_level1_archive also leaves a binary column sidecar beside it, a
 cache keyed to the archive's sha256 that read_level1_archive reads, a
 chunk at a time, in place of parsing the text; the tags in use are always
-those the text gives.
+those the text gives.  The writer lays out each chunk of rows on the
+calling thread while one thread (thread_pool) writes the chunk before.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -493,8 +495,11 @@ def chunk_events(events: EventTable, transit_of=None,
 
 
 # write_rows lays each chunk of rows out as one uint8 grid holding a row of
-# text per row, NUL where a row is shorter than the widest, and drops the
-# NULs with one boolean compress.  A column becomes "parts": a per-row byte
+# text per row, NUL where a row is shorter than the widest (_lay_out), and
+# drops the NULs with a boolean compress a slab of rows at a time
+# (_compact).  write_level1_archive lays out each chunk on the calling
+# thread while its one writer thread compacts the chunk before; write_rows
+# does both in turn.  A column becomes "parts": a per-row byte
 # (a sign or a '.'), a literal, a block of bytes (%s), or a uint32 word of
 # four digits from _WORDS, the ASCII of 0000..9999 in three layouts:
 # zero-padded, leading zeros as NUL (the top word of an integer), and
@@ -523,6 +528,9 @@ _POW10F = _POW10.astype(float)      # exact: so is every 10**k to 10**22
 # rows of an archive grid (~1.6 MB, fits a 2 MB L2), and events a pair chunk
 _CHUNK_ROWS = 1 << 14
 _MARGIN = 3                         # room for the spare bytes of a first word
+# grid rows _compact strips at a time (~100 KB of archive text): on the
+# archive's writer thread, whole-grid temporaries raised simulate's peak RSS
+_SLAB_ROWS = 1 << 10
 # %d, %s, %.Nf and %.Ng: the conversions write_rows renders.
 _CONVERSION = re.compile(r"%(\.\d+[fg]|[ds])")
 # Text the grid can hold: ASCII without NUL (padding) or \1 (row marker).
@@ -675,13 +683,8 @@ def _render(conv: str, col, bad) -> tuple:
 
 
 def _chunks(fmt: str, columns):
-    """Yield (text, backs) for each _CHUNK_ROWS rows of the columns.
-
-    text is `fmt % row` for every row, and backs holds one float64 array
-    per %f and %g conversion: the values that parsing its fields gives
-    back, bit for bit (the kernel's digits for most rows, float() of the
-    text for the rows % writes).
-    """
+    """Yield the _lay_out of each _CHUNK_ROWS rows of the columns, whose
+    _compact is `fmt % row` for every row."""
     pieces = _CONVERSION.split(fmt)
     literals, conversions = pieces[::2], pieces[1::2]
     # %.Nf keeps N <= 18 decimals in int64; %.Ng needs 1 <= N <= 15 for
@@ -697,43 +700,63 @@ def _chunks(fmt: str, columns):
         raise ValueError("write_rows: columns differ in length")
     lit = [(len(t), np.frombuffer(t.encode(), np.uint8)) for t in literals]
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns]
-        n = len(chunk[0])
-        bad = np.zeros(n, dtype=bool)
-        parts, values = lit[:1], []
-        with np.errstate(all="ignore"):
-            for conv, col, after in zip(conversions, chunk, lit[1:]):
-                col_parts, value = _render(conv, col, bad)
-                parts += col_parts + [after]
-                values.append(value)
-        at = _MARGIN + sum(width for width, _ in parts)
-        grid = np.empty((n, at), np.uint8)
-        for width, value in reversed(parts):
-            if value.dtype == np.uint32:
-                grid[:, at - 4:at].view(np.uint32)[:, 0] = value
-            elif width:
-                grid[:, at - width:at] = value.reshape(-1, width)
-            at -= width
-        grid[:, :_MARGIN] = 0
-        # a flagged row keeps one \1 byte to mark where its text goes
-        grid[bad] = 0
-        grid[bad, 0] = 1
-        text = str(grid[grid != 0], "ascii")
-        backs = []
-        for conv, col, value in zip(conversions, chunk, values):
-            if conv[-1] in "fg":
-                # a flagged row is written by %: read back from its text
-                value = np.empty(n) if value is None else value
-                value[bad] = [float(f"%{conv}" % v) for v in col[bad].tolist()]
-                backs.append(value)
-        if bad.any():
-            pieces, prev = [], 0
-            for row in zip(*[col[bad].tolist() for col in chunk]):
-                at = text.index("\1", prev)  # split("\1") takes ~1 ms a chunk
-                pieces += [text[prev:at], fmt % row]
-                prev = at + 1
-            text = "".join(pieces + [text[prev:]])
-        yield text, backs
+        yield _lay_out(conversions, lit, [
+            np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns])
+
+
+def _lay_out(conversions, lit, chunk) -> tuple:
+    """(grid, flagged, backs) of one chunk of columns.
+
+    grid holds each row's text, NUL-padded, or a \\1 byte for a row the
+    kernel leaves to %; flagged holds those rows' values, in order.  backs
+    holds one float64 array per %f and %g conversion: the values that
+    parsing its fields gives back, bit for bit (the kernel's digits for
+    most rows, float() of the text for the rows % writes).
+    """
+    n = len(chunk[0])
+    bad = np.zeros(n, dtype=bool)
+    parts, values = lit[:1], []
+    with np.errstate(all="ignore"):
+        for conv, col, after in zip(conversions, chunk, lit[1:]):
+            col_parts, value = _render(conv, col, bad)
+            parts += col_parts + [after]
+            values.append(value)
+    at = _MARGIN + sum(width for width, _ in parts)
+    grid = np.empty((n, at), np.uint8)
+    for width, value in reversed(parts):
+        if value.dtype == np.uint32:
+            grid[:, at - 4:at].view(np.uint32)[:, 0] = value
+        elif width:
+            grid[:, at - width:at] = value.reshape(-1, width)
+        at -= width
+    grid[:, :_MARGIN] = 0
+    # a flagged row keeps one \1 byte to mark where its text goes
+    grid[bad] = 0
+    grid[bad, 0] = 1
+    backs = []
+    for conv, col, value in zip(conversions, chunk, values):
+        if conv[-1] in "fg":
+            # a flagged row is written by %: read back from its text
+            value = np.empty(n) if value is None else value
+            value[bad] = [float(f"%{conv}" % v) for v in col[bad].tolist()]
+            backs.append(value)
+    flagged = list(zip(*[col[bad].tolist() for col in chunk]))
+    return grid, flagged, backs
+
+
+def _compact(fmt: str, grid, flagged) -> Iterator[bytes]:
+    """Yield the UTF-8 text of a _lay_out grid in pieces: its bytes without
+    the NULs, each \\1 replaced by `fmt % row` of the next flagged row.
+    It takes _SLAB_ROWS rows at a time, so its temporaries stay small."""
+    rows = iter(flagged)
+    for lo in range(0, len(grid), _SLAB_ROWS):
+        slab = grid[lo:lo + _SLAB_ROWS]
+        text, prev = slab[slab != 0].tobytes(), 0
+        while (at := text.find(b"\1", prev)) >= 0:
+            yield text[prev:at]
+            yield (fmt % next(rows)).encode()
+            prev = at + 1
+        yield text[prev:]
 
 
 def write_rows(fh, fmt: str, columns) -> None:
@@ -748,8 +771,8 @@ def write_rows(fh, fmt: str, columns) -> None:
     is formatted with `fmt % row` and spliced back in place, so the bytes
     are those of `fmt % row` for any input.
     """
-    for text, _ in _chunks(fmt, columns):
-        fh.write(text)
+    for grid, flagged, _ in _chunks(fmt, columns):
+        fh.write(b"".join(_compact(fmt, grid, flagged)).decode())
 
 
 def _row_format(columns: dict) -> str:
@@ -805,13 +828,46 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _start_on_own_cpu(slots) -> None:
+    """Pool initializer: move the new worker thread to the next CPU the
+    process may use, then give it back the whole set.
+
+    Some kernels leave a pool's new threads on the CPU that spawned them and
+    do not rebalance while they run: two null-mc seeds then take turns on
+    one core, as slow as one thread, while the other core idles.  Only
+    where the worker starts is chosen; the scheduler may still move it
+    later.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+        if len(allowed) > 1:
+            os.sched_setaffinity(0, {allowed[next(slots) % len(allowed)]})
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def thread_pool(threads: int):
+    """A pool of `threads` workers, each started on its own CPU: null-mc's
+    seed pool, the frame store's two-thread (de)compression pool, and the
+    level-1 archive's writer thread."""
+    # imported here: imported with this module, it raised the peak RSS of
+    # stages that start no pool (tune-tau's by 0.4 MB)
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=threads,
+                              initializer=_start_on_own_cpu,
+                              initargs=(itertools.count(),))
+
+
 def write_level1_archive(path, events) -> None:
     """Write events as a level-1 archive CSV (schema version 1), and its
     column sidecar when every tag of the events is used.
 
     `events` is an EventTable or an EventStream; a stream's parts are
     written in turn as they are made, so the writer holds one part plus
-    one chunk of rows, and a part whose tags are not the stream's raises
+    two chunks of rows, and a part whose tags are not the stream's raises
     ValueError, as does a row count other than the stream declared.
     Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
     digits) make the file a function of the data alone.  Every tag of the
@@ -822,12 +878,15 @@ def write_level1_archive(path, events) -> None:
     text's sha256 (see read_level1_archive).  The text's tags are the tags
     in use, so when some tag has no event no sidecar is kept (and an old
     one is removed): the archive is then read from its text.
-    Both are written in one pass to temporary files beside them: each
-    chunk's text goes to the CSV and the sha256, its read-back float
-    columns, and then each part's int columns, to their offsets in the
-    sidecar, and the header carrying the digest goes in last.  Only once
+    Both are written in one pass to temporary files beside them.  The
+    calling thread makes the parts and lays out each chunk (_lay_out);
+    one writer thread does all file work in order, one task at a time:
+    each chunk's text (_compact) to the CSV and the sha256, its read-back
+    float columns and each part's int columns to their offsets in the
+    sidecar.  The header carrying the digest goes in last.  Only once
     every row is written do they replace the old files, so a write that
-    raises leaves the old archive and sidecar as they were.
+    raises on either thread leaves the old archive and sidecar as they
+    were; the writer thread has ended when this returns or raises.
     """
     stream = (events if isinstance(events, EventStream)
               else EventStream.of(events))
@@ -843,11 +902,28 @@ def write_level1_archive(path, events) -> None:
     sidecar = _sidecar_path(path)
     tmp, side_tmp = (f"{name}.{os.getpid()}.tmp"
                      for name in (os.fspath(path), sidecar))
+
+    def put(start: int, columns: dict) -> None:
+        for name, column in columns.items():
+            side.seek(offset[name] + 8 * start)
+            side.write(np.ascontiguousarray(column, _SIDECAR_DTYPES[name]))
+
+    def add(rows: bytes) -> None:
+        fh.write(rows)
+        sha256.update(rows)
+
+    def write(start: int, grid, flagged, backs) -> None:
+        for rows in _compact(_ARCHIVE_ROW, grid, flagged):
+            add(rows)
+        put(start, dict(zip(floats, backs)))
+
     try:
-        with open(side_tmp, "w+b") as side, open(tmp, "wb") as fh:
-            header = (",".join(ARCHIVE_COLUMNS) + "\n").encode()
-            fh.write(header)
-            sha256.update(header)
+        # the pool's with nested in the files': a raise on either thread
+        # joins the writer before the files close
+        with (open(side_tmp, "w+b") as side, open(tmp, "wb") as fh,
+              thread_pool(1) as writer):
+            task = writer.submit(
+                add, (",".join(ARCHIVE_COLUMNS) + "\n").encode())
             start = 0
             for part in stream:
                 if part.tags != stream.tags:
@@ -855,23 +931,21 @@ def write_level1_archive(path, events) -> None:
                         f"write_level1_archive: a part has the tags "
                         f"{part.tags!r}, the stream {stream.tags!r}")
                 used[part.pol_code] = True
-                for name in ("frame_index", "bin_index", "pol_code"):
-                    side.seek(offset[name] + 8 * start)
-                    side.write(np.ascontiguousarray(
-                        getattr(part, name), _SIDECAR_DTYPES[name]))
+                task.result()
+                task = writer.submit(put, start, {
+                    name: getattr(part, name)
+                    for name in ("frame_index", "bin_index", "pol_code")})
                 chunks = _chunks(_ARCHIVE_ROW, [
                     getattr(part, name) for name in list(ARCHIVE_COLUMNS)[1:]])
                 # the next part is made only once this one is dropped
                 del part
-                for rows, backs in chunks:
-                    rows = rows.encode()
-                    fh.write(rows)
-                    sha256.update(rows)
-                    for name, back in zip(floats, backs):
-                        side.seek(offset[name] + 8 * start)
-                        side.write(np.ascontiguousarray(
-                            back, _SIDECAR_DTYPES[name]))
-                    start += len(backs[0])
+                for grid, flagged, backs in chunks:
+                    task.result()
+                    task = writer.submit(write, start, grid, flagged, backs)
+                    start += len(grid)
+                    # held by the task alone, so freed once written
+                    del grid, flagged, backs
+            task.result()
             if start != n:
                 raise ValueError(f"write_level1_archive: the stream declared "
                                  f"{n} rows and made {start}")

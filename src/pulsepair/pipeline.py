@@ -9,6 +9,9 @@ recorded in `manifest.txt` together with a hash of exactly the parameters
 that can change that artifact's bytes; a rerun in the same output directory
 skips any stage whose parameter hash, input hashes, and output hashes all
 still match.  A failed stage records `status = failed:<stage>`.
+Every pool of threads comes from pairdetect.thread_pool: the frame
+store's two deflate and inflate threads, null-mc's seed pool, and the one
+thread that writes the level-1 archive while the caller renders it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
                          PairTable, chunk_events, first_level_filter_frame,
                          form_pairs, read_columns, read_level1_archive,
-                         sha256_file, write_csv, write_level1_archive)
+                         sha256_file, thread_pool, write_csv,
+                         write_level1_archive)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
 from .sigsim import (ObservationConfig, RfiSpec, SourceSpec, simulate_frames,
-                     simulate_level1_events, thread_pool, transit_index)
+                     simulate_level1_events, transit_index)
 from .skystats import (AnalysisResult, analyze, bin_counts,
                        bin_probabilities, peak_cohens_d, read_stats_csv,
                        write_stats_csv)

@@ -36,11 +36,8 @@ can flip it and watch the delay scan land on -tau instead.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-import os
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -604,35 +601,6 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
     for i, name in ((5, "phase_east_rad"), (6, "phase_west_rad")):
         put(name, with_injected(rng.uniform(-math.pi, math.pi, count), i))
     return out
-
-
-def _start_on_own_cpu(slots) -> None:
-    """Pool initializer: move the new worker thread to the next CPU the
-    process may use, then give it back the whole set.
-
-    Some kernels leave a pool's new threads on the CPU that spawned them and
-    do not rebalance while they run: two null-mc seeds then take turns on
-    one core, as slow as one thread, while the other core idles.  Only
-    where the worker starts is chosen; the scheduler may still move it
-    later.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        allowed = sorted(os.sched_getaffinity(0))
-        if len(allowed) > 1:
-            os.sched_setaffinity(0, {allowed[next(slots) % len(allowed)]})
-            os.sched_setaffinity(0, allowed)
-    except OSError:
-        pass
-
-
-def thread_pool(threads: int) -> ThreadPoolExecutor:
-    """A pool of `threads` workers, each started on its own CPU: null-mc's
-    seed pool, and the frame store's two-thread (de)compression pool."""
-    return ThreadPoolExecutor(max_workers=threads,
-                              initializer=_start_on_own_cpu,
-                              initargs=(itertools.count(),))
 
 
 def _window_anchor(config: ObservationConfig, window_lo_hr: float,

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -313,21 +314,39 @@ def test_a_part_with_other_tags_than_its_stream_is_not_written(tmp_path,
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("fault", ["other tags", "fewer rows"])
-def test_a_write_that_raises_leaves_the_old_archive(tmp_path, fault):
-    # the first part is written before the fault shows: neither file is
-    # replaced until every row is in
+@pytest.mark.parametrize("fault", ["other tags", "fewer rows",
+                                   "writer thread"])
+def test_a_write_that_raises_leaves_the_old_archive(tmp_path, monkeypatch,
+                                                    fault):
+    # the first part is written before the fault shows, on the calling
+    # thread while a chunk is in flight or on the writer thread: neither
+    # file is replaced until every row is in, and the writer has ended
     path, sidecar = tmp_path / "level1.csv", tmp_path / "level1.csv.cols"
     write_level1_archive(path, event_table(k=[0, 3]))
     old = (path.read_bytes(), sidecar.read_bytes())
     first = event_table(k=[0, 1], pol=["LHCP", "RHCP"])
+    error = ValueError
     if fault == "other tags":
         stream = EventStream(first.tags, (2, 1),
                              iter([first, event_table(k=5, pol="X")]))
-    else:
+    elif fault == "fewer rows":
         stream = EventStream(first.tags, (2, 3), iter([first, first]))
-    with pytest.raises(ValueError):
+    else:
+        compact, calls = pairdetect._compact, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return compact(*args)
+
+        monkeypatch.setattr(pairdetect, "_compact", fail_second)
+        stream = EventStream(first.tags, (2, 2), iter([first, first]))
+        error = OSError
+    threads = threading.active_count()
+    with pytest.raises(error):
         write_level1_archive(path, stream)
+    assert threading.active_count() == threads
     assert (path.read_bytes(), sidecar.read_bytes()) == old
     assert sorted(os.listdir(tmp_path)) == ["level1.csv", "level1.csv.cols"]
 
@@ -851,6 +870,51 @@ def test_write_rows_writes_percent_text(fmt):
         fh = io.StringIO()
         write_rows(fh, fmt, [c[:n] for c in full])
         assert fh.getvalue() == "".join(rows[:n]), n
+
+
+def _hard_part(n, rng):
+    """n events whose float columns hold _HARD_FLOATS on the first and last
+    row of every chunk and on random rows, both tags in use."""
+    chunk = pairdetect._CHUNK_ROWS
+    edges = [i for c in range(0, n, chunk) for i in (c, min(c + chunk, n) - 1)]
+    columns = {}
+    for name, dtype in pairdetect.EVENT_DTYPES.items():
+        if dtype is np.int64:
+            columns[name] = rng.integers(-10**12, 10**12, n)
+            continue
+        col = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 7, n)
+        col[rng.integers(0, n, n // 16)] = rng.choice(_HARD_FLOATS, n // 16)
+        col[edges] = rng.choice(_HARD_FLOATS, len(edges))
+        columns[name] = col
+    columns["pol_code"] = rng.integers(0, 2, n)
+    return EventTable(tags=("LHCP", "RHCP"), **columns)
+
+
+def test_the_archive_writer_writes_percent_text(tmp_path, monkeypatch):
+    # parts of 0, 1, one chunk and one chunk and a row, written by the
+    # writer thread: the text is the header and `%` of every row, and each
+    # sidecar float column is float() of its text field, bit for bit
+    chunk = pairdetect._CHUNK_ROWS
+    rng = np.random.default_rng(12)
+    parts = [_hard_part(n, rng) for n in (0, 1, chunk, chunk + 1)]
+    names = list(ARCHIVE_COLUMNS)[1:]
+    rows = [pairdetect._ARCHIVE_ROW % row for part in parts for row in zip(
+        *[getattr(part, name).tolist() for name in names])]
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, EventStream(
+        parts[0].tags, [len(p) for p in parts], iter(parts)))
+    text = path.read_text()
+    assert text == ",".join(ARCHIVE_COLUMNS) + "\n" + "".join(rows)
+    # the columns come from the sidecar, not from parsing the text
+    monkeypatch.delattr(pairdetect, "_parse_level1_archive")
+    events = archive_events(path)
+    fields = list(zip(*[row[:-1].split(",") for row in rows]))
+    for name, conv in ARCHIVE_COLUMNS.items():
+        if conv[-1] in "fg":
+            want = np.array([float(v) for v in fields[
+                list(ARCHIVE_COLUMNS).index(name)]])
+            assert np.array_equal(getattr(events, name).view(np.int64),
+                                  want.view(np.int64)), name
 
 
 @pytest.mark.parametrize("fmt, columns", [

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import shutil
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 import pulsepair.pipeline
-import pulsepair.sigsim
 from pulsepair import cli, pairdetect
 from pulsepair.errors import (ArchiveFormatError, StageError,
                               ValidationError)
@@ -574,7 +574,9 @@ def test_run_null_mc_threads_run_seeds_not_transits(monkeypatch):
         pools.append(threads)
         return ThreadPoolExecutor(max_workers=threads)
 
-    monkeypatch.setattr(pulsepair.sigsim, "ThreadPoolExecutor",
+    # pairdetect.thread_pool, the package's one pool helper, looks the
+    # class up each time it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         no_transit_pool)
     monkeypatch.setattr(pulsepair.pipeline, "thread_pool", seed_pool)
     rows, _ = run_null_mc(_small_manifest(), 1, threads=2)

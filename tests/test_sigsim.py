@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (calibrator_frames, detect_events, event_columns,
                      wide_band_params)
-from pulsepair import sigsim
+from pulsepair import pairdetect, sigsim
 from pulsepair.calib import SIDEREAL_DAY_S, lst_hours
 from pulsepair.channelizer import frame_bin_stats, wrap_phase
 from pulsepair.errors import ValidationError
@@ -430,7 +430,7 @@ def test_pool_workers_keep_every_cpu(monkeypatch):
     seen = []
 
     def worker():
-        sigsim._start_on_own_cpu(itertools.count())
+        pairdetect._start_on_own_cpu(itertools.count())
         seen.append(os.sched_getaffinity(0))
 
     thread = threading.Thread(target=worker)
@@ -442,7 +442,7 @@ def test_pool_workers_keep_every_cpu(monkeypatch):
         raise PermissionError("affinity not allowed")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    sigsim._start_on_own_cpu(itertools.count())      # a hint, never an error
+    pairdetect._start_on_own_cpu(itertools.count())      # a hint, never an error
 
 
 def test_sampler_rejects_a_sort_key_beyond_int64():
