@@ -43,7 +43,6 @@ FIT_RTOL = 1e-9
 def lst_hours(utc_s, longitude_deg: float):
     """Local mean sidereal time in hours for Unix time(s) `utc_s`.
 
-    Array-aware: returns an ndarray for array input, a float for scalars.
     East longitudes are positive degrees.
     """
     if not -180.0 <= longitude_deg <= 180.0:
@@ -51,10 +50,7 @@ def lst_hours(utc_s, longitude_deg: float):
     utc = np.asarray(utc_s, dtype=float)
     days_from_j2000 = utc / 86400.0 + (UNIX_EPOCH_JD - J2000_JD)
     gmst = GMST_AT_J2000_HR + GMST_RATE_HR_PER_DAY * days_from_j2000
-    lst = np.mod(gmst + longitude_deg / 15.0, 24.0)
-    if np.isscalar(utc_s):
-        return float(lst)
-    return lst
+    return np.mod(gmst + longitude_deg / 15.0, 24.0)
 
 
 def utc_at_lst(lst_hr: float, longitude_deg: float,
@@ -66,11 +62,8 @@ def utc_at_lst(lst_hr: float, longitude_deg: float,
     offset_hr = GMST_AT_J2000_HR + GMST_RATE_HR_PER_DAY * (UNIX_EPOCH_JD - J2000_JD)
     target = lst_hr - longitude_deg / 15.0 - offset_hr
     utc = (target % 24.0) * 86400.0 / GMST_RATE_HR_PER_DAY
-    if utc < near_utc_s - 1e-6:
-        utc += math.ceil((near_utc_s - 1e-6 - utc) / SIDEREAL_DAY_S) * SIDEREAL_DAY_S
-    while utc - SIDEREAL_DAY_S >= near_utc_s - 1e-6:
-        utc -= SIDEREAL_DAY_S
-    return utc
+    return utc + math.ceil((near_utc_s - 1e-6 - utc)
+                           / SIDEREAL_DAY_S) * SIDEREAL_DAY_S
 
 
 def pointing_ra_hr(lst_hr, azimuth_deg: float, dec_deg: float,
@@ -92,11 +85,7 @@ def pointing_ra_hr(lst_hr, azimuth_deg: float, dec_deg: float,
     alt_deg = 90.0 - abs(latitude_deg - dec_deg)
     dha_hr = ((azimuth_deg - 180.0) * math.cos(math.radians(alt_deg))
               / (15.0 * math.cos(math.radians(dec_deg))))
-    lst = np.asarray(lst_hr, dtype=float)
-    ra = np.mod(lst + dha_hr, 24.0)
-    if np.isscalar(lst_hr):
-        return float(ra)
-    return ra
+    return np.mod(np.asarray(lst_hr, dtype=float) + dha_hr, 24.0)
 
 
 @dataclass
@@ -131,7 +120,6 @@ class DriftScan:
         0 hr would otherwise wrap and break the profile fit.
         """
         ra = lst_hours(self.utc_s, self.longitude_deg)
-        ra = np.asarray(ra, dtype=float)
         # Undo 24 hr wraps; RA increases monotonically during a drift scan.
         jumps = np.diff(ra) < -12.0
         ra[1:] += 24.0 * np.cumsum(jumps)

@@ -32,10 +32,7 @@ DEFAULT_BINS_PER_SEGMENT = 256
 def wrap_phase(phi):
     """Wrap angle(s) into (-pi, pi]."""
     arr = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
-    arr = np.where(arr > np.pi, arr - 2.0 * np.pi, arr)
-    if np.isscalar(phi):
-        return float(arr)
-    return arr
+    return np.where(arr > np.pi, arr - 2.0 * np.pi, arr)
 
 
 def fft_frame(samples, frame_seconds: float,
@@ -100,7 +97,7 @@ def frame_bin_stats(bins: np.ndarray,
     n = b.size
     m = bins_per_segment
     n_seg = n // m
-    power = (b.real * b.real + b.imag * b.imag).astype(float)
+    power = np.asarray(b.real * b.real + b.imag * b.imag, dtype=float)
     snr = np.full(n, -np.inf)
     scored = np.zeros(n, dtype=bool)
     if n_seg > 0:
@@ -111,14 +108,14 @@ def frame_bin_stats(bins: np.ndarray,
             denom = (head.sum(axis=1, keepdims=True) - head) / (m - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = head / denom
-            snr_head = 10.0 * np.log10(ratio, where=ratio > 0,
-                                       out=np.full_like(ratio, -np.inf))
-        snr[:n_seg * m] = snr_head.ravel()
+        # a ratio of 0 or nan keeps its bin's -inf
+        snr_head = snr[:n_seg * m].reshape(n_seg, m)
+        np.log10(ratio, where=ratio > 0, out=snr_head)
+        snr_head *= 10.0
         scored[:n_seg * m] = True
-    safe = np.where(b == 0, 1.0, b)
-    phase = np.angle(safe)
-    phase = np.where(phase <= -np.pi, phase + 2.0 * np.pi, phase)
-    phase = np.where(b == 0, np.nan, phase)
+    phase = np.angle(b)
+    phase[phase <= -np.pi] += 2.0 * np.pi
+    phase[b == 0] = np.nan
     return power, snr, phase, scored
 
 

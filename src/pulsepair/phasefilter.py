@@ -147,8 +147,8 @@ def second_level_filter(candidates: PairTable, params: PhaseMetricParams,
     Both windows are closed.  The phase_metric_rad column of `candidates`
     is filled in for every pair as a side effect (diagnostics plots use the
     rejected ones too).  Returns the surviving PairTable; with explain=True
-    returns (survivors, reasons) where reasons is a list aligned with the
-    input: "pass", "delta_f", "phase", or "delta_f+phase".
+    returns (survivors, reasons) where reasons is an object array of str
+    aligned with the input: "pass", "delta_f", "phase", or "delta_f+phase".
     """
     metric = phase_metrics(candidates, params.tau_int_s)
     candidates.phase_metric_rad = metric
@@ -156,7 +156,7 @@ def second_level_filter(candidates: PairTable, params: PhaseMetricParams,
     ph_ok = np.abs(metric) <= params.filter_halfwidth_rad
     survivors = candidates.take(np.flatnonzero(df_ok & ph_ok))
     if explain:
-        return survivors, _VERDICTS[2 * ~df_ok + ~ph_ok].tolist()
+        return survivors, _VERDICTS[2 * ~df_ok + ~ph_ok]
     return survivors
 
 
@@ -313,4 +313,4 @@ def write_metric_diagnostics_csv(path, candidates: PairTable, verdicts,
     """
     write_csv(path, DIAGNOSTIC_COLUMNS, [
         candidates.delta_f_hz, candidates.log10_delta_f_mhz,
-        candidates.phase_metric_rad, np.asarray(verdicts, object)], append)
+        candidates.phase_metric_rad, verdicts], append)

@@ -63,10 +63,8 @@ def geometric_delay(baseline_m: float, dec_deg: float, hour_angle_rad):
     if not -90.0 < dec_deg < 90.0:
         raise ValidationError(f"declination {dec_deg} outside (-90, 90)")
     ha = np.asarray(hour_angle_rad, dtype=float)
-    d = (baseline_m / C_LIGHT_M_S) * math.cos(math.radians(dec_deg)) * np.sin(ha)
-    if np.isscalar(hour_angle_rad):
-        return float(d)
-    return d
+    return (baseline_m / C_LIGHT_M_S * math.cos(math.radians(dec_deg))
+            * np.sin(ha))
 
 
 @dataclass
@@ -301,8 +299,8 @@ def _tones_for_frame(config: ObservationConfig, sources, frame_index: int,
         if src.polarization_tag != pol_tag:
             continue
         ha_now_hr = float(_hour_angle_hr(lst_hr, src.ra_hr))
-        tau_tot = (geometric_delay(config.baseline_m, src.dec_deg,
-                                   ha_now_hr * math.pi / 12.0)
+        tau_tot = (float(geometric_delay(config.baseline_m, src.dec_deg,
+                                         ha_now_hr * math.pi / 12.0))
                    + config.tau_int_true_s)
         amp = math.sqrt(10.0 ** (src.snr_db / 10.0)
                         * float(_beam_power_weight(config, ha_now_hr)))
@@ -511,7 +509,8 @@ def _injected_rows(config: ObservationConfig, sources, params,
                 lst_j = window_lo_hr + j * hop_hr
                 f = config.band_low_hz + k / config.frame_seconds
                 ha_rad = float(_hour_angle_hr(lst_j, src.ra_hr)) * math.pi / 12.0
-                tau = (geometric_delay(config.baseline_m, src.dec_deg, ha_rad)
+                tau = (float(geometric_delay(config.baseline_m, src.dec_deg,
+                                             ha_rad))
                        + config.tau_int_true_s)
                 base = float(rng_s.uniform(-math.pi, math.pi))
                 phi_e = float(wrap_phase(base + rng_s.normal(0.0, sigma_phi)))

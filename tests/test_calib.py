@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_utc_at_lst_roundtrip():
         assert utc < 1.7e9 + SIDEREAL_DAY_S + 1.0
         err = (float(lst_hours(utc, LON)) - target) % 24.0
         assert min(err, 24.0 - err) < 1e-8
+    # far before the epoch: one step back, not one sidereal day per loop
+    # turn, so it is quick and its LST does not drift; lst_hours itself
+    # resolves no finer than the spacing of its GMST hours there
+    for near in (-1e11, -1e15):
+        tol = max(1e-9, 2.0 * np.spacing(24.0 * abs(near) / SIDEREAL_DAY_S))
+        for target in (0.0, 3.25, 5.0, 12.0, 23.9):
+            start = time.perf_counter()
+            utc = utc_at_lst(target, LON, near_utc_s=near)
+            assert time.perf_counter() - start < 0.1
+            assert near - 1e-6 <= utc < near - 1e-6 + SIDEREAL_DAY_S
+            err = (float(lst_hours(utc, LON)) - target) % 24.0
+            assert min(err, 24.0 - err) < tol, (near, target)
 
 
 def test_pointing_ra_on_meridian():

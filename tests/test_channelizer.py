@@ -53,7 +53,8 @@ def test_frame_bin_stats_segment_mean():
     # to +pi; a zero bin has no phase
     bins[3] = complex(-1.0, -0.0)
     bins[4] = 0.0
-    _, _, phase, _ = frame_bin_stats(bins, bins_per_segment=256)
+    _, snr, phase, _ = frame_bin_stats(bins, bins_per_segment=256)
+    assert snr[4] == -math.inf
     assert np.angle(bins[3]) == -math.pi
     assert phase[3] == math.pi
     assert np.isnan(phase[4])

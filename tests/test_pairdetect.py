@@ -872,6 +872,23 @@ def test_write_rows_writes_percent_text(fmt):
         assert fh.getvalue() == "".join(rows[:n]), n
 
 
+@pytest.mark.parametrize("fmt,column", [
+    ("%s", np.array([1, None, b"ab", -7, "x"], dtype=object)),
+    ("%d", np.array([1.5, -2.0, 1e20, -0.0, 7.0])),
+    ("%d", np.array([0, 1, 2**63, 2**64 - 1, 5], dtype=np.uint64)),
+    ("%.3f", np.array([0.0005, 2, -1.5, 10**20, 0.125], dtype=object))],
+    ids=["s-not-str", "d-float64", "d-uint64", "f-object"])
+def test_write_rows_leaves_columns_it_cannot_render_to_percent(fmt, column):
+    # columns the numpy kernel has no renderer for go to `fmt % row` whole,
+    # beside a column it renders
+    fmt = f"%d,{fmt}\n"
+    columns = [np.arange(len(column)), column]
+    fh = io.StringIO()
+    write_rows(fh, fmt, columns)
+    assert fh.getvalue() == "".join(
+        fmt % row for row in zip(*[c.tolist() for c in columns]))
+
+
 def _hard_part(n, rng):
     """n events whose float columns hold _HARD_FLOATS on the first and last
     row of every chunk and on random rows, both tags in use."""

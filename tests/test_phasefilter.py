@@ -110,7 +110,7 @@ def test_second_level_filter_reasons():
         _pair(2.0, diff_b=0.30))                  # both
     survivors, reasons = second_level_filter(pairs, params, explain=True)
     assert list(survivors) == list(pairs)[:1]
-    assert reasons == ["pass", "phase", "delta_f", "delta_f+phase"]
+    assert reasons.tolist() == ["pass", "phase", "delta_f", "delta_f+phase"]
     # the metric is recorded on every candidate, survivor or not
     assert not np.isnan(pairs.phase_metric_rad).any()
     assert pairs.phase_metric_rad[1] == pytest.approx(0.30)

@@ -10,8 +10,9 @@ from pulsepair.pipeline import ExperimentManifest, _write_report
 from pulsepair.errors import ValidationError
 from pulsepair.plotting import caption_line
 from pulsepair.skystats import (analyze, bin_counts, bin_probabilities,
-                                binomial_tail, cohens_d, peak_cohens_d,
-                                ra_bin_index, read_stats_csv, write_stats_csv)
+                                binomial_tail, cohens_d, peak_bin,
+                                peak_cohens_d, ra_bin_index, read_stats_csv,
+                                write_stats_csv)
 
 from helpers import enumerate_tail, false_alarm_tail_check
 
@@ -175,6 +176,15 @@ def test_a_tied_maximum_count_goes_to_the_first_tied_bin(tmp_path, tied):
 def test_peak_cohens_d_empty():
     probs = bin_probabilities(np.array([3.0, 4.0]))
     assert peak_cohens_d(np.zeros(1, dtype=np.int64), probs) == (0.0, 0)
+    assert peak_bin([]) is None
+
+
+def test_every_trial_in_one_bin():
+    # no count can exceed the peak's; the caption writes that chance as 0
+    res = analyze(np.array([3.5, 3.6, 3.7]), np.array([3.0, 4.0, 5.0]))
+    assert res.peak is res.stats[0]
+    assert res.peak.tail_prob_gt == 0.0
+    assert caption_line(res.peak).endswith("= 0")
 
 
 def test_false_alarm_check_statistics():
