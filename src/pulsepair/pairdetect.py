@@ -43,6 +43,10 @@ cache keyed to the archive's sha256 that read_level1_archive reads, a
 chunk at a time, in place of parsing the text; the tags in use are always
 those the text gives.  The writer lays out each chunk of rows on the
 calling thread while one thread (thread_pool) writes the chunk before.
+read_level1_archive checks the key before its first chunk; the stages
+read through consume_level1_archive, which checks it on one thread while
+they take the chunks, and runs a stage once more on the text when the key
+is stale, so a stale sidecar costs one more pass and is never served.
 """
 
 from __future__ import annotations
@@ -821,10 +825,15 @@ def _sidecar_path(path) -> str:
 
 
 def sha256_file(path) -> str:
+    """The sha256 of path's bytes, in hex, read through one reused buffer:
+    128 KiB hash as fast as 1 MiB, and it is held beside a stage's chunk
+    while consume_level1_archive hashes."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 17)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -851,8 +860,9 @@ def _start_on_own_cpu(slots) -> None:
 
 def thread_pool(threads: int):
     """A pool of `threads` workers, each started on its own CPU: null-mc's
-    seed pool, the frame store's two-thread (de)compression pool, and the
-    level-1 archive's writer thread."""
+    seed pool, the frame store's two-thread (de)compression pool, the
+    level-1 archive's writer thread, and the thread that checks a
+    sidecar's key as a stage reads it (consume_level1_archive)."""
     # imported here: imported with this module, it raised the peak RSS of
     # stages that start no pool (tune-tau's by 0.4 MB)
     from concurrent.futures import ThreadPoolExecutor
@@ -968,24 +978,27 @@ def write_level1_archive(path, events) -> None:
 
 
 def _open_sidecar(path):
-    """(file, rows, tags) of path's sidecar, the file open at its first
-    column, or None unless the sidecar is in this format, holds as many
-    column bytes as its row count needs, and is keyed to the sha256 of
-    path's bytes."""
+    """(file, rows, tags, key) of path's sidecar, the file open at its
+    first column, or None unless the sidecar is in this format and holds as
+    many column bytes as its row count needs.  These checks read the
+    sidecar alone: key, the sha256 (hex, as bytes) of the archive the
+    sidecar was written with, is for the caller to compare with
+    sha256_file(path) before it keeps anything read from the columns
+    (read_level1_archive first, consume_level1_archive while it reads)."""
     try:
         fh = open(_sidecar_path(path), "rb")
     except OSError:
         return None
     try:
-        magic, version, rows, sha, size = _SIDECAR.unpack(
+        magic, version, rows, key, size = _SIDECAR.unpack(
             fh.read(_SIDECAR.size))
         text = fh.read(size)
         if ((magic, version) == (_SIDECAR_MAGIC, _SIDECAR_VERSION)
                 and len(text) == size
                 and os.fstat(fh.fileno()).st_size
-                == fh.tell() + 8 * len(EVENT_COLUMNS) * rows
-                and sha == sha256_file(path).encode()):
-            return fh, rows, text.decode("ascii").split("\n") if text else []
+                == fh.tell() + 8 * len(EVENT_COLUMNS) * rows):
+            return (fh, rows, text.decode("ascii").split("\n") if text else [],
+                    key)
     except (OSError, ValueError, struct.error):
         pass
     fh.close()
@@ -1072,59 +1085,109 @@ def _value(kind, text: str):
     return text if kind is object else kind(text)
 
 
-def read_level1_archive(path, transit_of=None,
-                        pairing_window_frames=None) -> Iterator[EventTable]:
+def read_level1_archive(path, transit_of=None, pairing_window_frames=None,
+                        *, sidecar=True) -> Iterator[EventTable]:
     """Yield a level-1 archive's events one pair chunk at a time, as
     chunk_events(events, transit_of, pairing_window_frames) cuts them; it
     writes no file.
 
     The events come from the archive's sidecar when write_level1_archive
-    left one keyed to the archive's bytes.  _chunk_cuts then finds the
-    cuts in one pass over its utc_s and frame_index columns, and each
-    chunk's rows are read as they are asked for, so a consumer that drops
-    each table before the next holds one pair chunk.  Otherwise (no
+    left one keyed to the archive's bytes: the key is checked against
+    sha256_file(path) before the first chunk is yielded.  _chunk_cuts then
+    finds the cuts in one pass over its utc_s and frame_index columns, and
+    each chunk's rows are read as they are asked for, so a consumer that
+    drops each table before the next holds one pair chunk.  Otherwise (no
     sidecar; a stale, cut or foreign one; an archive from elsewhere) the
     events are read whole by read_columns, which validates the header,
     width and every value; the tags it reads as str objects are coded into
     pol_code.  A table read whole, as is a sidecar's whose rows step back,
     is sorted and cut by chunk_events.  An archive without rows yields one
     empty table.
+
+    `sidecar` is for the stages consume_level1_archive runs, which checks
+    the key on a thread of its own while they read: the _open_sidecar tuple
+    it holds open, whose columns are then read with no key check, or None
+    to read the text.
     """
-    found = _open_sidecar(path)
-    if found is None:
-        yield from chunk_events(_parse_level1_archive(path), transit_of,
+    with contextlib.ExitStack() as owned:
+        if sidecar is True:
+            sidecar = _open_sidecar(path)
+            if sidecar is not None:
+                owned.enter_context(sidecar[0])
+                if sidecar[3] != sha256_file(path).encode():
+                    sidecar = None
+        if sidecar is None:
+            yield from chunk_events(_parse_level1_archive(path), transit_of,
+                                    pairing_window_frames)
+        else:
+            yield from _sidecar_chunks(path, *sidecar[:3], transit_of,
+                                       pairing_window_frames)
+
+
+def _sidecar_chunks(path, fh, rows: int, tags, transit_of,
+                    pairing_window_frames) -> Iterator[EventTable]:
+    """read_level1_archive's chunks from an open sidecar's columns."""
+    start = fh.tell()
+
+    def read(name: str, lo: int, out: np.ndarray) -> np.ndarray:
+        # rows lo.. of column `name`, into out
+        fh.seek(start + 8 * (EVENT_COLUMNS.index(name) * rows + lo))
+        if fh.readinto(out) != out.nbytes:
+            raise ArchiveFormatError(f"{path}: its sidecar was cut short")
+        return out
+
+    def table(lo: int, hi: int) -> EventTable:
+        # a function, so that no name here holds a table that the
+        # consumer dropped while the next one is read
+        columns = empty_event_columns(hi - lo)
+        return EventTable(tags=tags, **{
+            name: read(name, lo, col) for name, col in columns.items()})
+
+    cuts = _chunk_cuts(
+        None if transit_of is None else lambda lo, hi: transit_of(
+            read("utc_s", lo, np.empty(hi - lo))),
+        lambda lo, hi: read("frame_index", lo, np.empty(hi - lo, np.int64)),
+        rows, pairing_window_frames)
+    if cuts is None:
+        yield from chunk_events(table(0, rows), transit_of,
                                 pairing_window_frames)
         return
-    fh, rows, tags = found
-    with fh:
-        start = fh.tell()
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield table(lo, hi)
 
-        def read(name: str, lo: int, out: np.ndarray) -> np.ndarray:
-            # rows lo.. of column `name`, into out
-            fh.seek(start + 8 * (EVENT_COLUMNS.index(name) * rows + lo))
-            if fh.readinto(out) != out.nbytes:
-                raise ArchiveFormatError(f"{path}: its sidecar was cut short")
-            return out
 
-        def table(lo: int, hi: int) -> EventTable:
-            # a function, so that no name here holds a table that the
-            # consumer dropped while the next one is read
-            columns = empty_event_columns(hi - lo)
-            return EventTable(tags=tags, **{
-                name: read(name, lo, col) for name, col in columns.items()})
+def consume_level1_archive(path, consume, outputs=()):
+    """consume(sidecar): what a stage that reads the chunks of
+    read_level1_archive(path, ..., sidecar=sidecar) returns or raises, with
+    the key of path's sidecar checked while the stage reads its columns,
+    not before the first chunk.
 
-        cuts = _chunk_cuts(
-            None if transit_of is None else lambda lo, hi: transit_of(
-                read("utc_s", lo, np.empty(hi - lo))),
-            lambda lo, hi: read("frame_index", lo,
-                                np.empty(hi - lo, np.int64)),
-            rows, pairing_window_frames)
-        if cuts is None:
-            yield from chunk_events(table(0, rows), transit_of,
-                                    pairing_window_frames)
-            return
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield table(lo, hi)
+    Once _open_sidecar's checks pass, sha256_file(path) runs on one thread
+    (thread_pool) while consume reads the sidecar.  When consume returns or
+    raises, a key that matches keeps its result or error.  A key that does
+    not drops both, removes `outputs` (the files consume writes) and runs
+    consume(None), on the text, so nothing computed from a stale sidecar
+    is returned or left in a file; consume must therefore start its
+    outputs afresh on each run.  Without a sidecar that passes the checks,
+    consume(None) alone runs.  The thread has ended and the sidecar is
+    closed when this returns or raises.
+    """
+    sidecar = _open_sidecar(path)
+    if sidecar is not None:
+        with sidecar[0], thread_pool(1) as hasher:
+            key = hasher.submit(sha256_file, path)
+            try:
+                result = consume(sidecar)
+            except Exception:       # stale columns may break it anywhere
+                if key.result().encode() == sidecar[3]:
+                    raise
+            else:
+                if key.result().encode() == sidecar[3]:
+                    return result
+        for name in outputs:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+    return consume(None)
 
 
 def _parse_level1_archive(path) -> EventTable:

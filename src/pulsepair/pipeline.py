@@ -10,8 +10,10 @@ that can change that artifact's bytes; a rerun in the same output directory
 skips any stage whose parameter hash, input hashes, and output hashes all
 still match.  A failed stage records `status = failed:<stage>`.
 Every pool of threads comes from pairdetect.thread_pool: the frame
-store's two deflate and inflate threads, null-mc's seed pool, and the one
-thread that writes the level-1 archive while the caller renders it.
+store's two deflate and inflate threads, null-mc's seed pool, the one
+thread that writes the level-1 archive while the caller renders it, and
+the one thread that checks the sha256 key of the archive's sidecar while
+refilter, tune-tau or exposure-mode analyze reads it (consume_session).
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
-                         PairTable, chunk_events, first_level_filter_frame,
-                         form_pairs, read_columns, read_level1_archive,
-                         sha256_file, thread_pool, write_csv,
-                         write_level1_archive)
+                         PairTable, chunk_events, consume_level1_archive,
+                         first_level_filter_frame, form_pairs, read_columns,
+                         read_level1_archive, sha256_file, thread_pool,
+                         write_csv, write_level1_archive)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
@@ -450,9 +452,10 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
     return path
 
 
-def read_session(manifest: ExperimentManifest, level1_path):
+def read_session(manifest: ExperimentManifest, level1_path, sidecar=True):
     """An archive's events, a pair chunk at a time in (transit, block)
-    order, from any archive, by read_level1_archive.
+    order, from any archive, by read_level1_archive (whose internal
+    `sidecar` consume_session passes).
 
     In events mode each event's transit is sigsim.transit_index's; a
     frame-mode session is one run of consecutive frames, one transit.  The
@@ -466,7 +469,19 @@ def read_session(manifest: ExperimentManifest, level1_path):
                              window_hi_hr=manifest.window_hi_hr,
                              start_utc_s=manifest.start_utc_s)
     return read_level1_archive(level1_path, transit_of,
-                               manifest.pairing_window_frames)
+                               manifest.pairing_window_frames,
+                               sidecar=sidecar)
+
+
+def consume_session(manifest: ExperimentManifest, level1_path, consume,
+                    outputs=()):
+    """consume(read_session's chunks), with the sidecar's key checked on
+    one thread while consume reads them (pairdetect.consume_level1_archive):
+    a stale key drops consume's result or error, removes `outputs` and runs
+    consume again on the text."""
+    return consume_level1_archive(
+        level1_path, lambda sidecar: consume(
+            read_session(manifest, level1_path, sidecar)), outputs)
 
 
 def sample_session(manifest: ExperimentManifest):
@@ -503,39 +518,45 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
     """The refilter stage: pair an archive and write its level-2 survivors.
 
     The archive is read, paired and filtered one chunk at a time
-    (session_pairs of read_session).  Each chunk's survivors are kept as
-    their _candidate_columns, which hold none of its events, and written
-    to candidates_path together: once, at the end, or whenever
+    (session_pairs of consume_session's chunks).  Each chunk's survivors
+    are kept as their _candidate_columns, which hold none of its events,
+    and written to candidates_path together: once, at the end, or whenever
     _HELD_CANDIDATES of them are held.  With diagnostics_path, also write
-    every pair's metric and verdict, a chunk at a time.
+    every pair's metric and verdict, a chunk at a time.  The first write
+    of each file starts it afresh, so a second pass over the text after a
+    stale sidecar key rewrites both.
     Returns (n_events, n_pairs, n_survivors).
     """
-    n_events = n_pairs = n_survivors = n_held = 0
-    held, append = [], False
-    # a plain loop: enumerate would hold the last chunk while the next is
-    # read
-    for pairs in session_pairs(manifest, read_session(manifest,
-                                                      level1_path)):
-        if diagnostics_path is None:
-            survivors = second_level_filter(pairs, manifest.phase)
-        else:               # rows go on after the first chunk's
-            survivors, verdicts = second_level_filter(pairs, manifest.phase,
-                                                      explain=True)
-            write_metric_diagnostics_csv(diagnostics_path, pairs, verdicts,
-                                         n_events > 0)
-            del verdicts
-        held.append(_candidate_columns(survivors))
-        n_events += len(pairs.events)
-        n_pairs += len(pairs)
-        n_held += len(survivors)
-        del pairs, survivors        # before a write or the next chunk
-        if n_held >= _HELD_CANDIDATES:
+    def consume(tables) -> tuple:
+        n_events = n_pairs = n_survivors = n_held = 0
+        held, append = [], False
+        # a plain loop: enumerate would hold the last chunk while the next
+        # is read
+        for pairs in session_pairs(manifest, tables):
+            if diagnostics_path is None:
+                survivors = second_level_filter(pairs, manifest.phase)
+            else:               # rows go on after the first chunk's
+                survivors, verdicts = second_level_filter(
+                    pairs, manifest.phase, explain=True)
+                write_metric_diagnostics_csv(diagnostics_path, pairs,
+                                             verdicts, n_events > 0)
+                del verdicts
+            held.append(_candidate_columns(survivors))
+            n_events += len(pairs.events)
+            n_pairs += len(pairs)
+            n_held += len(survivors)
+            del pairs, survivors    # before a write or the next chunk
+            if n_held >= _HELD_CANDIDATES:
+                write_candidates_csv(candidates_path, _joined(held), append)
+                n_survivors += n_held
+                held, n_held, append = [], 0, True
+        if held:
             write_candidates_csv(candidates_path, _joined(held), append)
-            n_survivors += n_held
-            held, n_held, append = [], 0, True
-    if held:
-        write_candidates_csv(candidates_path, _joined(held), append)
-    return n_events, n_pairs, n_survivors + n_held
+        return n_events, n_pairs, n_survivors + n_held
+
+    outputs = [candidates_path] + ([] if diagnostics_path is None
+                                   else [diagnostics_path])
+    return consume_session(manifest, level1_path, consume, outputs)
 
 
 def session_exposure(manifest: ExperimentManifest, tables) -> tuple:
@@ -649,15 +670,19 @@ def analyze_candidates(manifest: ExperimentManifest, candidates_path,
                        level1_path) -> AnalysisResult:
     """RA-binned statistics of a candidates CSV, in memory.
 
-    The level-1 archive is read, a chunk at a time, only in exposure
-    mode, for the exposure.
+    The level-1 archive is read, a chunk at a time (consume_session),
+    only in exposure mode, for the exposure.
     """
-    ra = read_candidates_csv(candidates_path)["ra_pointing_hr"]
-    exposure, tables = session_exposure(manifest,
-                                        read_session(manifest, level1_path))
-    if exposure is not None:
+    def consume(tables):
+        exposure, tables = session_exposure(manifest, tables)
         for events in tables:
             del events              # before the next chunk is read
+        return exposure
+
+    ra = read_candidates_csv(candidates_path)["ra_pointing_hr"]
+    exposure = None
+    if manifest.p_mode == "exposure":
+        exposure = consume_session(manifest, level1_path, consume)
     return analyze(ra, manifest.bin_edges(), manifest.p_mode, exposure)
 
 
@@ -754,7 +779,8 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
 def run_tune_tau(manifest: ExperimentManifest, level1_path):
     """Scan assumed instrument delays against an existing archive.
 
-    The archive is read once, a chunk at a time (read_session), and
+    The archive is read a chunk at a time (consume_session: once, and
+    once more from the text when the sidecar's key is stale), and
     tune_tau_int adds each chunk's pairs (session_pairs) to its pass counts
     before the next chunk is read, so the scan holds one chunk (and the
     whole table from a text archive).  In exposure mode session_exposure
@@ -763,8 +789,10 @@ def run_tune_tau(manifest: ExperimentManifest, level1_path):
     Returns (best_tau_s, best_stat, taus, stats).
     """
     edges = manifest.bin_edges()
-    exposure, tables = session_exposure(manifest,
-                                        read_session(manifest, level1_path))
-    return tune_tau_int(session_pairs(manifest, tables), manifest.phase,
-                        edges, lambda: bin_probabilities(
-                            edges, manifest.p_mode, exposure))
+
+    def consume(tables):
+        exposure, tables = session_exposure(manifest, tables)
+        return tune_tau_int(session_pairs(manifest, tables), manifest.phase,
+                            edges, lambda: bin_probabilities(
+                                edges, manifest.p_mode, exposure))
+    return consume_session(manifest, level1_path, consume)
