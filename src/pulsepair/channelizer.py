@@ -27,12 +27,29 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_BINS_PER_SEGMENT = 256
+TWO_PI = 2.0 * math.pi
 
 
 def wrap_phase(phi):
-    """Wrap angle(s) into (-pi, pi]."""
-    arr = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
-    return np.where(arr > np.pi, arr - 2.0 * np.pi, arr)
+    """Wrap angle(s) into (-pi, pi]: m = np.mod(phi, 2 pi), less 2 pi
+    where m > pi, to the bit.
+
+    It takes np.mod's steps without its division: for |x| <= 4 pi,
+    fmod's result is x folded once by 2 pi, which is exact (Sterbenz); a
+    negative remainder then gets + 2 pi, rounded, as np.mod adds it, and
+    adding 0.0 elsewhere turns -0.0 into np.mod's +0.0.  Rows beyond
+    4 pi, and non-finite rows, take np.mod itself.  Masks are applied as
+    products, as a select on a random mask mispredicts its branches.
+    """
+    x = np.asarray(phi, dtype=float)
+    flat = x.reshape(-1)
+    far = np.flatnonzero(~(np.abs(flat) <= 2.0 * TWO_PI))
+    m = flat - TWO_PI * (flat >= TWO_PI)
+    m += TWO_PI * (m <= -TWO_PI)
+    m[far] = np.mod(flat[far], TWO_PI)
+    m += TWO_PI * (m < 0.0)
+    m -= TWO_PI * (m > math.pi)
+    return m.reshape(x.shape)
 
 
 def fft_frame(samples, frame_seconds: float,

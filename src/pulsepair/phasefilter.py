@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channelizer import wrap_phase
+from .channelizer import TWO_PI, wrap_phase
 from .errors import ValidationError
 from .pairdetect import PairTable, write_csv
 from .skystats import peak_cohens_d, ra_bin_index
 
-TWO_PI = 2.0 * math.pi
 # metric_diagnostics.csv: each column's write_rows conversion, in order
 DIAGNOSTIC_COLUMNS = {"delta_f_hz": "%.6g", "log10_delta_f_mhz": "%.6g",
                       "phase_metric_rad": "%.6g", "verdict": "%s"}

@@ -19,6 +19,59 @@ def test_wrap_phase_interval():
     assert np.all(arr > -math.pi) and np.all(arr <= math.pi)
 
 
+def _np_mod_wrap(phi):
+    """The np.mod and np.where formula wrap_phase must give to the bit."""
+    arr = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
+    return np.where(arr > np.pi, arr - 2.0 * np.pi, arr)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _edge_inputs():
+    """+-k pi for k <= 6 with three nextafter neighbours on each side,
+    signed zeros and subnormals, values at which np.mod rounds a tiny
+    negative remainder up to 2 pi, and nan, +-inf and huge values."""
+    values = []
+    for k in range(-6, 7):
+        v = below = above = k * math.pi
+        values.append(v)
+        for _ in range(3):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(
+                above, np.inf)
+            values += [below, above]
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, -1e-20,
+               1e-20, math.nan, -math.nan, math.inf, -math.inf, 1e300,
+               -1e300, 4.0 * math.pi + 1e-9, -4.0 * math.pi - 1e-9]
+    return np.array(values)
+
+
+def test_wrap_phase_is_np_mod_to_the_bit():
+    rng = np.random.default_rng(3)
+    edges = _edge_inputs()
+    arrays = {
+        "edges": edges,
+        # only some rows beyond 4 pi or non-finite take np.mod
+        "mixed": np.concatenate([rng.uniform(-13.0, 13.0, 5000), edges,
+                                 rng.uniform(-1e6, 1e6, 50)]),
+        "tiny": rng.uniform(-1e-15, 1e-15, 2000),
+        "2-d": rng.uniform(-20.0, 20.0, (30, 40))[:, ::3],
+        "empty": np.zeros(0),
+    }
+    with np.errstate(invalid="ignore"):
+        for name, x in arrays.items():
+            got = wrap_phase(x)
+            assert got.shape == x.shape, name
+            assert np.array_equal(_bits(got), _bits(_np_mod_wrap(x))), name
+        for v in edges.tolist():
+            expect = _bits(_np_mod_wrap(v))
+            got = wrap_phase(np.array(v))          # 0-d in, 0-d out
+            assert got.shape == () and _bits(got) == expect, v
+            for scalar in (v, np.float64(v)):      # Python's or numpy's
+                assert _bits(wrap_phase(scalar)) == expect, v
+
+
 def test_fft_frame_unit_tone_gain():
     # amplitude-A complex tone at bin k must come out with |X_k|^2 = A^2
     n = 1024

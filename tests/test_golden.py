@@ -12,14 +12,18 @@ give the golden bytes.  The frames chain is the README frames.cfg
 (seed 11) cut to 16 frames, run simulate -> detect -> refilter
 --diagnostics; every pair of it fails the phase cut, so it runs again at
 64 frames with a source transiting at the start (the LST at
-start_utc_s = 0 is 1.359 h), whose pairs give candidate rows.  The hashes
-were frozen from
-earlier implementations; any change to how events, pairs or frames are
-stored or read must reproduce every byte.
+start_utc_s = 0 is 1.359 h), whose pairs give candidate rows.  A small
+two-tag events session whose source rows tie with noise rows on (frame,
+tag, bin) pins the sampler's sort order (TIED_CFG), on both of its sort
+branches.  The hashes were frozen from earlier implementations; any change
+to how events, pairs or frames are stored or read must reproduce every
+byte.
 """
+import collections
+import csv
 import hashlib
 
-from pulsepair import cli
+from pulsepair import cli, sigsim
 
 SURVEY_CFG = """\
 config.seed = 42
@@ -123,6 +127,38 @@ FRAMES_SOURCE_GOLDEN = {
         "fc1b3eaeccc5e8aff1c2f36a708a71bf927c32127d70a4a3e7069cd6f59c4c8d",
 }
 
+# Two tags, 512 usable bins at a 3 dB threshold (~19 noise events a frame)
+# and a source injecting ~3 rows a frame into LHCP: over 2 transits of
+# 144 frames, injected and noise rows share a (frame, tag, bin) key, so the
+# sampler's sort must keep equal keys in draw order, noise rows first.
+TIED_CFG = """\
+config.seed = 5
+config.band_low_hz = 1420000000.0
+config.band_high_hz = 1420002048.0
+config.frame_seconds = 0.25
+config.polarization_tags = LHCP,RHCP
+filter.accept_band_low_hz = 1420000000.0
+filter.accept_band_high_hz = 1420002048.0
+filter.snr_threshold_db = 3.0
+run.mode = events
+run.n_transits = 2
+run.window_lo_hr = 5.2
+run.window_hi_hr = 5.21
+run.ra_bin_hr = 0.005
+source.0.name = tie-maker
+source.0.ra_hr = 5.205
+source.0.dec_deg = -8.0
+source.0.snr_db = 30.0
+source.0.pulse_rate_per_frame = 2.0
+"""
+
+TIED_GOLDEN = {
+    "level1.csv":
+        "95be9b434093e3ed0b0d890bbb5447162ad768dcfe3b65759400c675e5b04878",
+    "level1.csv.cols":
+        "0aa7b6292a3d357af15945bb352956e0f73af837b63b329a768c5ef5899c2117",
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -193,3 +229,38 @@ def test_tiny_frames_bytes_match_frozen_hashes(tmp_path):
         assert got == golden
     with open(out / "candidates.csv") as fh:
         assert len(fh.readlines()) > 1     # the source's pairs pass
+
+
+def test_tied_two_tag_session_bytes(tmp_path):
+    cfg = tmp_path / "tied.cfg"
+    cfg.write_text(TIED_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    got = {name: _sha256(out / name) for name in TIED_GOLDEN}
+    assert got == TIED_GOLDEN
+    # the source's rows (~23 dB measured) tie with noise rows (< 20 dB)
+    with open(out / "level1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    snr = collections.defaultdict(list)
+    for row in rows:
+        snr[row["frame_index"], row["polarization_tag"],
+            row["bin_index"]].append(float(row["snr_east_db"]))
+    tied = [v for v in snr.values() if min(v) < 20.0 < max(v)]
+    assert len(tied) >= 10
+    assert all(v[-1] > 20.0 for v in tied)     # drawn last, sorted last
+
+
+def test_tied_session_bytes_on_the_fallback_sort(tmp_path, monkeypatch):
+    # the same session with every transit's key sorted by _stable_argsort,
+    # the branch of keys too wide to pack beside their index
+    sort_key, argsort, calls = sigsim._sort_key, sigsim._stable_argsort, []
+    monkeypatch.setattr(sigsim, "_sort_key",
+                        lambda key, span: sort_key(key, 2 ** 64))
+    monkeypatch.setattr(sigsim, "_stable_argsort",
+                        lambda key: calls.append(key.size) or argsort(key))
+    cfg = tmp_path / "tied.cfg"
+    cfg.write_text(TIED_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 2                      # one per transit
+    assert {name: _sha256(out / name) for name in TIED_GOLDEN} == TIED_GOLDEN

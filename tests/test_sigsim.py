@@ -453,9 +453,21 @@ def test_sampler_rejects_a_sort_key_beyond_int64():
         simulate_level1_events(cfg, [], FirstLevelFilterParams(), 1, 5.0, 9.0)
 
 
+def _run_sort_key(monkeypatch, key, span):
+    """sigsim._sort_key's (order, sorted keys) on a copy of `key`, and
+    whether it packed the key rather than call _stable_argsort."""
+    real, calls = sigsim._stable_argsort, []
+    monkeypatch.setattr(sigsim, "_stable_argsort",
+                        lambda k: calls.append(k.size) or real(k))
+    order, out = sigsim._sort_key(key.copy(), span)
+    monkeypatch.undo()
+    return order, out, not calls
+
+
 @pytest.mark.parametrize("case", [
-    "all equal", "empty", "one row", "ties at the ends", "random"])
-def test_sampler_sort_is_the_stable_argsort(case):
+    "all equal", "empty", "one row", "ties at the ends",
+    "ties at the packing limit", "random"])
+def test_sampler_sort_is_the_stable_argsort(monkeypatch, case):
     rng = np.random.default_rng(15)
     if case == "all equal":
         key = np.full(5000, 7, dtype=np.int64)
@@ -463,20 +475,48 @@ def test_sampler_sort_is_the_stable_argsort(case):
         key = np.zeros(0, dtype=np.int64)
     elif case == "one row":
         key = np.array([3], dtype=np.int64)
-    elif case == "ties at the ends":
+    elif case.startswith("ties"):
         # the smallest and the largest key each drawn several times, at
-        # the first and the last position among others
+        # the first and the last position among others; at the packing
+        # limit the largest is the last key that packs beside a 12-bit
+        # index
         key = rng.integers(10, 1000, 3000)
         key[[0, 5, 2999]] = 0
-        key[[1, 17, 2998]] = 2 ** 62
+        key[[1, 17, 2998]] = (2 ** 62 if case == "ties at the ends"
+                              else 2 ** 51 - 1)
     else:
         # a transit's worth of packed keys, with 2,000 rows forced to repeat
         # another row's key
         key = rng.integers(0, 2 ** 40, 424_000)
         key[rng.choice(key.size, 2000, replace=False)] = key[
             rng.choice(key.size, 2000, replace=False)]
-    assert np.array_equal(sigsim._stable_argsort(key),
-                          np.argsort(key, kind="stable"))
+    b = max(key.size - 1, 0).bit_length()
+    expect = np.argsort(key, kind="stable")
+    # the widest span that packs beside the index, where the keys fit in
+    # it, and one that never packs
+    spans = [(2 ** 64, False)]
+    if key.size == 0 or key.max() < 2 ** (63 - b):
+        spans.insert(0, (2 ** (63 - b), True))
+    for span, packed in spans:
+        order, out, got = _run_sort_key(monkeypatch, key, span)
+        assert got == packed, span
+        assert np.array_equal(order, expect), span
+        assert np.array_equal(out, key[expect]), span
+
+
+def test_sampler_sort_packs_while_the_key_fits_beside_its_index(monkeypatch):
+    # 3,000 keys take a 12-bit index: 2**51 - 1 is the last value that
+    # packs beside it, and 2**51 the first that does not
+    rng = np.random.default_rng(16)
+    key = rng.integers(0, 50, 3000)
+    for top, packed in ((2 ** 51 - 1, True), (2 ** 51, False)):
+        key[[3, 40, 2999]] = top
+        key[[0, 41]] = top - 1
+        order, out, got = _run_sort_key(monkeypatch, key, top + 1)
+        assert got == packed, top
+        expect = np.argsort(key, kind="stable")
+        assert np.array_equal(order, expect), top
+        assert np.array_equal(out, key[expect]), top
 
 
 def test_correlator_frames_phase():
