@@ -97,6 +97,49 @@ def snr_db(bin_power: float, segment_powers, include_self: bool = True) -> float
     return 10.0 * math.log10(bin_power / mean)
 
 
+def segment_power(bins, bins_per_segment: int = DEFAULT_BINS_PER_SEGMENT):
+    """(power, segments, sums) of spectra along their last axis: each bin's
+    power, re * re + im * im as float; its complete segments, shape
+    [..., n_seg, m] (trailing bins of a partial segment left out); and each
+    segment's power sum, shape [..., n_seg, 1]."""
+    b = np.asarray(bins)
+    power = b.real * b.real
+    power += b.imag * b.imag
+    power = np.asarray(power, dtype=float)
+    m = bins_per_segment
+    head = power[..., :power.shape[-1] // m * m]
+    segments = head.reshape(*head.shape[:-1], -1, m)
+    return power, segments, segments.sum(axis=-1, keepdims=True)
+
+
+def segment_ratio(power, sums, bins_per_segment: int = DEFAULT_BINS_PER_SEGMENT,
+                  include_self: bool = True) -> np.ndarray:
+    """Each bin's power over the mean power of its segment, whose power sum
+    is `sums` (broadcast against power): sums / m with the bin in the mean,
+    (sums - power) / (m - 1) without it.
+
+    Elementwise, so a few bins taken out of a spectrum get the bits the
+    whole spectrum gives them.  An all-zero segment gives nan.
+    """
+    m = bins_per_segment
+    if include_self:
+        denom = sums / m
+    else:
+        denom = sums - power
+        denom /= m - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return power / denom
+
+
+def bin_phase(bins) -> np.ndarray:
+    """Each bin's phase in (-pi, pi], nan for a zero bin."""
+    b = np.asarray(bins)
+    phase = np.angle(b)
+    phase[phase <= -np.pi] += 2.0 * np.pi
+    phase[b == 0] = np.nan
+    return phase
+
+
 def frame_bin_stats(bins: np.ndarray,
                     bins_per_segment: int = DEFAULT_BINS_PER_SEGMENT,
                     include_self: bool = True):
@@ -111,29 +154,17 @@ def frame_bin_stats(bins: np.ndarray,
         raise ValidationError("bins must be 1-D")
     if bins_per_segment < 2:
         raise ValidationError("bins_per_segment must be >= 2")
-    n = b.size
-    m = bins_per_segment
-    n_seg = n // m
-    power = np.asarray(b.real * b.real + b.imag * b.imag, dtype=float)
-    snr = np.full(n, -np.inf)
-    scored = np.zeros(n, dtype=bool)
-    if n_seg > 0:
-        head = power[:n_seg * m].reshape(n_seg, m)
-        if include_self:
-            denom = head.mean(axis=1, keepdims=True)
-        else:
-            denom = (head.sum(axis=1, keepdims=True) - head) / (m - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = head / denom
-        # a ratio of 0 or nan keeps its bin's -inf
-        snr_head = snr[:n_seg * m].reshape(n_seg, m)
-        np.log10(ratio, where=ratio > 0, out=snr_head)
-        snr_head *= 10.0
-        scored[:n_seg * m] = True
-    phase = np.angle(b)
-    phase[phase <= -np.pi] += 2.0 * np.pi
-    phase[b == 0] = np.nan
-    return power, snr, phase, scored
+    power, segments, sums = segment_power(b, bins_per_segment)
+    ratio = segment_ratio(segments, sums, bins_per_segment,
+                          include_self).reshape(-1)
+    snr = np.full(b.size, -np.inf)
+    # a ratio of 0 or nan keeps its bin's -inf
+    snr_head = snr[:ratio.size]
+    np.log10(ratio, where=ratio > 0, out=snr_head)
+    snr_head *= 10.0
+    scored = np.zeros(b.size, dtype=bool)
+    scored[:ratio.size] = True
+    return power, snr, bin_phase(b), scored
 
 
 def single_element_crossing_prob(threshold_db: float) -> float:

@@ -65,7 +65,7 @@ from typing import Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
-from .channelizer import frame_bin_stats
+from .channelizer import bin_phase, segment_power, segment_ratio
 from .errors import ArchiveFormatError, ValidationError
 
 ARCHIVE_SCHEMA_VERSION = 1
@@ -310,39 +310,78 @@ class FirstLevelFilterParams:
         return inside & ~excised
 
 
-def first_level_filter_frame(frame_index: int, utc_s: float,
-                             polarization_tag: str,
-                             east_bins, west_bins, rf_freqs_hz,
-                             params: FirstLevelFilterParams,
-                             ra_pointing_hr: float) -> EventTable:
-    """Score one dual-element frame and return its surviving events.
+def first_level_filter_frames(frame_index, utc_s, polarization_tag,
+                              east_bins, west_bins, rf_freqs_hz,
+                              params: FirstLevelFilterParams,
+                              ra_pointing_hr) -> EventTable:
+    """Score a block of dual-element frames; return its surviving events
+    in (frame, bin) order.
 
-    Both elements' bins must be the same length as rf_freqs_hz and aligned
-    bin-for-bin; a frame where only one element crosses threshold yields
-    nothing (the dual requirement is what suppresses single-dish RFI).
+    east_bins and west_bins are [frames, bins] spectra aligned bin for bin
+    with rf_freqs_hz, which every frame of the block shares; frame_index,
+    utc_s, polarization_tag and ra_pointing_hr give one value per frame.  A
+    bin where only one element crosses threshold yields nothing (the dual
+    requirement is what suppresses single-dish RFI).  Each element's power
+    and segment sums are taken once over the block; only the bins whose two
+    ratios to their segment means can exceed 10**(thr/10), less a relative
+    1e-9, take their ratio (channelizer.segment_ratio), a log10 and the
+    exact `snr > thr` test, and only the kept bins a phase, so each event's
+    columns are frame_bin_stats' to the bit.
     """
     rf = np.asarray(rf_freqs_hz, dtype=float)
     east = np.asarray(east_bins)
     west = np.asarray(west_bins)
-    if east.size != rf.size or west.size != rf.size:
+    frames = np.asarray(frame_index, dtype=np.int64)
+    utc = np.asarray(utc_s, dtype=float)
+    ra = np.asarray(ra_pointing_hr, dtype=float)
+    if east.ndim != 2 or any(np.shape(column) != east.shape[:1] for column in
+                             (frames, utc, polarization_tag, ra)):
         raise ValidationError(
-            f"frame {frame_index}: element/frequency lengths differ "
-            f"({east.size}, {west.size}, {rf.size})")
-    # an unscored bin's snr is -inf, below any (finite) threshold
-    _, snr_e, ph_e, _ = frame_bin_stats(
-        east, params.bins_per_segment, params.segment_include_self)
-    _, snr_w, ph_w, _ = frame_bin_stats(
-        west, params.bins_per_segment, params.segment_include_self)
-    keep = np.flatnonzero((snr_e > params.snr_threshold_db)
-                          & (snr_w > params.snr_threshold_db)
-                          & params.rf_accepted(rf))
-    n = keep.size
+            "first_level_filter_frames: [frames, bins] spectra and one "
+            "frame_index, utc_s, polarization_tag and ra_pointing_hr a frame")
+    if east.shape != west.shape or east.shape[1] != rf.size:
+        raise ValidationError(
+            f"frame {frames[0]}: element/frequency lengths differ "
+            f"({east.shape[1]}, {west.shape[-1]}, {rf.size})")
+    tags = sorted(set(polarization_tag))
+    m, include_self = params.bins_per_segment, params.segment_include_self
+    with np.errstate(over="ignore"):
+        floor = np.float64(10.0) ** (params.snr_threshold_db / 10.0)
+    floor *= 1.0 - 1.0e-9
+    # a bin's ratio exceeds floor where its power exceeds reach * the sum
+    # of its segment's power: reach is floor / m with the bin in the mean,
+    # floor / (m - 1 + floor) without it
+    reach = floor / m if include_self else floor / (m - 1 + floor)
+    (_, seg_e, sums_e), (_, seg_w, sums_w) = (
+        segment_power(spectra, m) for spectra in (east, west))
+    # flat indices: np.nonzero of a 3-D mask takes ~8 times as long
+    at = np.flatnonzero((seg_e > reach * sums_e) & (seg_w > reach * sums_w))
+    rows, bins = np.divmod(at, seg_e.shape[-2] * m)
+    snr_e, snr_w = (10.0 * np.log10(segment_ratio(
+        seg.reshape(-1)[at], sums.reshape(-1)[at // m], m, include_self))
+        for seg, sums in ((seg_e, sums_e), (seg_w, sums_w)))
+    keep = ((snr_e > params.snr_threshold_db)
+            & (snr_w > params.snr_threshold_db)
+            & params.rf_accepted(rf[bins]))
+    rows, bins = rows[keep], bins[keep]
     return EventTable(
-        frame_index=np.full(n, frame_index), utc_s=np.full(n, utc_s),
-        bin_index=keep, rf_freq_hz=rf[keep], snr_east_db=snr_e[keep],
-        snr_west_db=snr_w[keep], phase_east_rad=ph_e[keep],
-        phase_west_rad=ph_w[keep], pol_code=np.zeros(n, dtype=np.int64),
-        ra_pointing_hr=np.full(n, ra_pointing_hr), tags=(polarization_tag,))
+        frame_index=frames[rows], utc_s=utc[rows], bin_index=bins,
+        rf_freq_hz=rf[bins], snr_east_db=snr_e[keep], snr_west_db=snr_w[keep],
+        phase_east_rad=bin_phase(east[rows, bins]),
+        phase_west_rad=bin_phase(west[rows, bins]),
+        pol_code=np.array([tags.index(g) for g in polarization_tag],
+                          dtype=np.int64)[rows],
+        ra_pointing_hr=ra[rows], tags=tags)
+
+
+def first_level_filter_frame(frame_index: int, utc_s: float,
+                             polarization_tag: str, east_bins, west_bins,
+                             rf_freqs_hz, params: FirstLevelFilterParams,
+                             ra_pointing_hr: float) -> EventTable:
+    """first_level_filter_frames of one frame, as a block of one."""
+    return first_level_filter_frames(
+        [frame_index], [utc_s], [polarization_tag], [east_bins], [west_bins],
+        rf_freqs_hz, params, [ra_pointing_hr])
 
 
 def _packed_key(fields) -> np.ndarray:

@@ -35,7 +35,7 @@ from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
                          PairTable, chunk_events, consume_level1_archive,
-                         first_level_filter_frame, form_pairs, read_columns,
+                         first_level_filter_frames, form_pairs, read_columns,
                          read_level1_archive, sha256_file, thread_pool,
                          write_csv, write_level1_archive)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
@@ -384,15 +384,51 @@ def load_frames_npz(path):
                rf)
 
 
+# bins of a block of frames scored at once (64 of the README frames.cfg's
+# 1,024-bin frames); a wider frame is a block by itself
+_BLOCK_BINS = 1 << 16
+
+
+def _joins(block: list, frame) -> bool:
+    """Whether frame can join the frames of block in one [frames, bins]
+    block: same east and west lengths, equal rf, at most _BLOCK_BINS bins."""
+    east, west, rf = frame[3:]
+    first = block[0]
+    return ((len(block) + 1) * east.size <= _BLOCK_BINS
+            and (east.size, west.size) == (first[3].size, first[4].size)
+            and (rf is first[5] or np.array_equal(rf, first[5])))
+
+
+def _detect_block(config: ObservationConfig, params: FirstLevelFilterParams,
+                  block: list) -> EventTable:
+    """first_level_filter_frames of a list of frames, which it empties, so
+    that only the stacked block holds their spectra."""
+    index, utc, pols, east, west, rfs = zip(*block)
+    block.clear()
+    ra = config.pointing_ra(lst_hours(utc, config.longitude_deg))
+    return first_level_filter_frames(index, utc, pols, _rows(east),
+                                     _rows(west), rfs[0], params, ra)
+
+
+def _rows(spectra) -> np.ndarray:
+    """Spectra of one length as the rows of one array (np.array, which
+    copies them in C, where np.stack takes a Python step a row); a lone
+    frame's spectrum, such as a frame wider than _BLOCK_BINS, is not
+    copied."""
+    return spectra[0][np.newaxis] if len(spectra) == 1 else np.array(spectra)
+
+
 def detect_frames(config: ObservationConfig, params: FirstLevelFilterParams,
                   frames) -> EventTable:
-    """First-level filter a stream of loaded frames into events."""
-    tables = []
-    for (frame_index, utc, pol, east, west, rf) in frames:
-        lst = float(lst_hours(utc, config.longitude_deg))
-        ra = float(config.pointing_ra(lst))
-        tables.append(first_level_filter_frame(
-            frame_index, utc, pol, east, west, rf, params, ra))
+    """First-level filter a stream of loaded frames into events, a block of
+    consecutive frames (at most _BLOCK_BINS bins) at a time."""
+    tables, block = [], []
+    for frame in frames:
+        if block and not _joins(block, frame):
+            tables.append(_detect_block(config, params, block))
+        block.append(frame)
+    if block:
+        tables.append(_detect_block(config, params, block))
     return EventTable.concat(tables)
 
 
@@ -625,6 +661,14 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
         ("report", [stats], [figure], (),
          lambda: write_figure(manifest, stats, figure)),
     ]
+    digests = {}
+
+    def digest(path):
+        """sha256_file(path), once per call until a stage rewrites path."""
+        if path not in digests:
+            digests[path] = sha256_file(path)
+        return digests[path]
+
     stage = "simulate"
     try:
         if external_archive(manifest) is not None:
@@ -634,20 +678,22 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
             lines = [f"stage.{stage}.{name}" for name in names]
             marks = {f"stage.{stage}.params": manifest.params_hash(stage),
                      f"stage.{stage}.inputs": ",".join(
-                         f"{os.path.basename(p)}={sha256_file(p)}"
+                         f"{os.path.basename(p)}={digest(p)}"
                          for p in inputs) or "none"}
             if (all(prior.get(k) == v for k, v in marks.items())
                     and all(k in prior for k in lines)
                     and all(os.path.exists(p)
                             and prior.get(f"artifact.{os.path.basename(p)}")
-                            == sha256_file(p) for p in outputs)):
+                            == digest(p) for p in outputs)):
                 skipped.append(stage)
                 record.update((k, prior[k]) for k in lines)
             else:
+                for p in outputs:
+                    digests.pop(p, None)
                 run()
             record.update(marks)
             for p in outputs:
-                record[f"artifact.{os.path.basename(p)}"] = sha256_file(p)
+                record[f"artifact.{os.path.basename(p)}"] = digest(p)
         stage = "analyze"
         if result.analysis is None:         # a resumed run still has a peak
             result.analysis = analyze_candidates(manifest, candidates, level1)

@@ -15,9 +15,11 @@ give the golden bytes.  The frames chain is the README frames.cfg
 start_utc_s = 0 is 1.359 h), whose pairs give candidate rows.  A small
 two-tag events session whose source rows tie with noise rows on (frame,
 tag, bin) pins the sampler's sort order (TIED_CFG), on both of its sort
-branches.  The hashes were frozen from earlier implementations; any change
-to how events, pairs or frames are stored or read must reproduce every
-byte.
+branches.  A two-tag session of the frames band in time mode pins
+detect's blocks of frames, each holding both tags' rows in turn
+(TWO_TAG_TIME_CFG).  The hashes were frozen from earlier implementations;
+any change to how events, pairs or frames are stored or read must
+reproduce every byte.
 """
 import collections
 import csv
@@ -160,6 +162,23 @@ TIED_GOLDEN = {
 }
 
 
+# The README frames band in time mode with two tags, RHCP first: each
+# frame gives an RHCP row and then an LHCP row, so detect scores 192 rows
+# of 1,024 bins in three blocks of 64 rows, each with the tags interleaved.
+TWO_TAG_TIME_CFG = FRAMES_CFG.replace("seed = 11", "seed = 5").replace(
+    "mode = freq", "mode = time").replace(
+    "n_frames = 16", "n_frames = 96") + """\
+config.polarization_tags = RHCP,LHCP
+"""
+
+TWO_TAG_TIME_GOLDEN = {
+    "level1.csv":
+        "63e907d249f11de891d32cd113d57bb9378ab7507aaaa79b4ab586131f9cf8af",
+    "level1.csv.cols":
+        "47fb5741604a411a50e7783c5e0d03fec35573770ca47a24f37467c19c8a8cf4",
+}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -264,3 +283,18 @@ def test_tied_session_bytes_on_the_fallback_sort(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(calls) == 2                      # one per transit
     assert {name: _sha256(out / name) for name in TIED_GOLDEN} == TIED_GOLDEN
+
+
+def test_two_tag_time_mode_session_bytes(tmp_path):
+    cfg = tmp_path / "two_tag.cfg"
+    cfg.write_text(TWO_TAG_TIME_CFG)
+    out = tmp_path / "out"
+    for command in ("simulate", "detect"):
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 0, command
+    assert {name: _sha256(out / name)
+            for name in TWO_TAG_TIME_GOLDEN} == TWO_TAG_TIME_GOLDEN
+    with open(out / "level1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 326
+    assert {row["polarization_tag"] for row in rows} == {"LHCP", "RHCP"}

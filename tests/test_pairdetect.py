@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from pulsepair import pairdetect, phasefilter, pipeline, skystats
+from pulsepair.channelizer import (frame_bin_stats, segment_power,
+                                   segment_ratio)
 from pulsepair.errors import ArchiveFormatError, ValidationError
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EVENT_COLUMNS,
                                   EventStream, EventTable,
                                   FirstLevelFilterParams, PairTable,
-                                  first_level_filter_frame, form_pairs,
+                                  first_level_filter_frame,
+                                  first_level_filter_frames, form_pairs,
                                   write_level1_archive, write_rows)
 from pulsepair.phasefilter import PhaseMetricParams, delta_f_window
 
@@ -41,15 +44,15 @@ def test_first_level_needs_both_elements():
     east = _frame([17])
     west_hot = _frame([17], phase=-0.5)
     west_cold = _frame([])
-    both = first_level_filter_frame(0, 0.0, "LHCP", east, west_hot, rf,
-                                    _params(), 5.0)
+    both = first_level_filter_frames([0], [0.0], ["LHCP"], [east],
+                                     [west_hot], rf, _params(), [5.0])
     assert both.bin_index.tolist() == [17]
     assert both.rf_freq_hz.tolist() == [rf[17]]
     assert both.phase_east_rad.tolist() == pytest.approx([0.3])
     assert both.phase_west_rad.tolist() == pytest.approx([-0.5])
     assert both.ra_pointing_hr.tolist() == [5.0]
-    only_east = first_level_filter_frame(0, 0.0, "LHCP", east, west_cold, rf,
-                                         _params(), 5.0)
+    only_east = first_level_filter_frames([0], [0.0], ["LHCP"], [east],
+                                          [west_cold], rf, _params(), [5.0])
     assert len(only_east) == 0
 
 
@@ -58,8 +61,8 @@ def test_first_level_excision_window():
     hot = [2, 20, 300]                         # 1423.92, 1424.1, 1426.9 MHz
     east = _frame(hot)
     west = _frame(hot)
-    events = first_level_filter_frame(0, 0.0, "LHCP", east, west, rf,
-                                      _params(), 5.0)
+    events = first_level_filter_frames([0], [0.0], ["LHCP"], [east], [west],
+                                       rf, _params(), [5.0])
     kept = sorted(events.bin_index.tolist())
     assert kept == [2, 300]                    # 1424.1 MHz is inside the notch
 
@@ -67,11 +70,129 @@ def test_first_level_excision_window():
 def test_first_level_band_edges_inclusive():
     rf = np.array([1404.999e6, 1405.0e6, 1455.0e6, 1455.001e6])
     bins = np.array([1.0, 30.0, 30.0, 1.0], dtype=complex)
-    events = first_level_filter_frame(
-        0, 0.0, "LHCP", bins, bins, rf,
-        _params(bins_per_segment=4, snr_threshold_db=0.1), 5.0)
+    events = first_level_filter_frames(
+        [0], [0.0], ["LHCP"], [bins], [bins], rf,
+        _params(bins_per_segment=4, snr_threshold_db=0.1), [5.0])
     kept = sorted(events.rf_freq_hz.tolist())
     assert kept == [1405.0e6, 1455.0e6]
+
+
+def per_frame_reference(frame_index, utc_s, polarization_tag, east, west,
+                        rf, params, ra_pointing_hr):
+    """The per-frame first-level filter: frame_bin_stats of both elements of
+    each frame, and the dB test on every bin."""
+    tables = []
+    for frame, utc, tag, e, w, ra in zip(frame_index, utc_s,
+                                         polarization_tag, east, west,
+                                         ra_pointing_hr):
+        _, snr_e, ph_e, _ = frame_bin_stats(e, params.bins_per_segment,
+                                            params.segment_include_self)
+        _, snr_w, ph_w, _ = frame_bin_stats(w, params.bins_per_segment,
+                                            params.segment_include_self)
+        keep = np.flatnonzero((snr_e > params.snr_threshold_db)
+                              & (snr_w > params.snr_threshold_db)
+                              & params.rf_accepted(rf))
+        n = keep.size
+        tables.append(EventTable(
+            frame_index=np.full(n, frame), utc_s=np.full(n, utc),
+            bin_index=keep, rf_freq_hz=rf[keep], snr_east_db=snr_e[keep],
+            snr_west_db=snr_w[keep], phase_east_rad=ph_e[keep],
+            phase_west_rad=ph_w[keep], pol_code=np.zeros(n, dtype=np.int64),
+            ra_pointing_hr=np.full(n, ra), tags=(tag,)))
+    return EventTable.concat(tables)
+
+
+def event_bits(events):
+    """Every column of an EventTable as a list, the float columns as their
+    int64 bit patterns (so nan and -0.0 compare too), and its tags."""
+    return ({name: (getattr(events, name).view(np.int64).tolist()
+                    if getattr(events, name).dtype == np.float64
+                    else getattr(events, name).tolist())
+             for name in EVENT_COLUMNS}, events.tags)
+
+
+# a segment whose first bin's ratio is exactly 2.25, with its own bin in
+# the mean (9 / (16 / 4)) and without it (9 / ((9 + 4) - 9))
+_EXACT_SEGMENT = {True: [3.0, 1 + 2j, 1 + 1j, 0.0], False: [3.0, 2.0]}
+
+
+def _thresholds_at(ratio):
+    """The dB thresholds whose 10**(thr/10) is one float below ratio, ratio
+    itself and one float above it, found within 64 steps of
+    10 log10(ratio)."""
+    thr = 10.0 * math.log10(ratio)
+    steps = [thr]
+    up = down = thr
+    for _ in range(64):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        steps += [up, down]
+    by_floor = {}
+    for thr in steps:
+        by_floor.setdefault(float(np.float64(10.0) ** (thr / 10.0)),
+                            float(thr))
+    return [by_floor[float(want)] for want in (
+        np.nextafter(ratio, 0.0), ratio, np.nextafter(ratio, np.inf))]
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_block_scorer_is_the_per_frame_filter_to_the_bit(include_self):
+    # ten frames of noise with hot bins, one of them in the partial tail
+    # segment; the exact-ratio segment in both elements of frames 0-3, and
+    # an all-zero segment and lone zero bins in frames 1-2; thresholds at
+    # the exact ratio, a float either side, and well below it
+    exact = np.array(_EXACT_SEGMENT[include_self])
+    m = exact.size
+    n = 6 * m + 1
+    rng = np.random.default_rng(8)
+    east, west = (rng.standard_normal((10, n))
+                  + 1j * rng.standard_normal((10, n)) for _ in range(2))
+    for spectra in (east, west):
+        spectra[:, [3, n - 1]] *= 5.0
+        spectra[:4, m:2 * m] = exact
+        spectra[1, 3 * m:4 * m] = 0.0
+        spectra[2, [0, 4 * m + 1]] = 0.0
+    assert segment_ratio(*segment_power(exact, m)[1:], m,
+                         include_self)[0, 0] == 2.25
+    rf = 1445.0e6 + np.arange(n) * 1.0e3
+    frames = (np.arange(10) + 7, np.arange(10) * 0.5, ["LHCP", "RHCP"] * 5)
+    ra = np.linspace(5.0, 5.1, 10)
+    for thr in _thresholds_at(2.25) + [1.0]:
+        params = FirstLevelFilterParams(
+            snr_threshold_db=thr, accept_band_low_hz=1445.0e6,
+            accept_band_high_hz=1445.0e6 + (n - 3) * 1.0e3,
+            excision_low_hz=1445.0e6 + 5.0e3,
+            excision_high_hz=1445.0e6 + 6.0e3, bins_per_segment=m,
+            segment_include_self=include_self)
+        got = first_level_filter_frames(*frames, east, west, rf, params, ra)
+        want = per_frame_reference(*frames, east, west, rf, params, ra)
+        assert event_bits(got) == event_bits(want), thr
+        assert len(got) > 0
+
+
+def test_one_frame_is_a_block_of_one():
+    rng = np.random.default_rng(9)
+    east, west = (rng.standard_normal(512) + 1j * rng.standard_normal(512)
+                  for _ in range(2))
+    rf = 1410.0e6 + np.arange(512) * 100.0
+    params = _params(snr_threshold_db=5.0)
+    got = first_level_filter_frame(3, 1.5, "RHCP", east, west, rf, params,
+                                   5.2)
+    assert len(got) > 0
+    assert event_bits(got) == event_bits(first_level_filter_frames(
+        [3], [1.5], ["RHCP"], [east], [west], rf, params, [5.2]))
+
+
+@pytest.mark.parametrize("shapes", [(512, 500, 512), (500, 512, 512),
+                                    (512, 512, 500)])
+def test_block_scorer_names_the_frame_of_mismatched_lengths(shapes):
+    n_east, n_west, n_rf = shapes
+    with pytest.raises(ValidationError, match=re.escape(
+            f"frame 4: element/frequency lengths differ ({n_east}, "
+            f"{n_west}, {n_rf})")):
+        first_level_filter_frames(
+            [4, 5], [0.0, 1.0], ["LHCP"] * 2, np.ones((2, n_east)),
+            np.ones((2, n_west)), np.arange(n_rf, dtype=float), _params(),
+            [5.0, 5.0])
 
 
 def test_form_pairs_chained_adjacency():

@@ -17,7 +17,7 @@ from pulsepair import cli, pairdetect
 from pulsepair.errors import (ArchiveFormatError, StageError,
                               ValidationError)
 from pulsepair.kvconfig import read_kv_file, write_kv_file
-from pulsepair.calib import SIDEREAL_DAY_S, utc_at_lst
+from pulsepair.calib import SIDEREAL_DAY_S, lst_hours, utc_at_lst
 from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
                                   FirstLevelFilterParams, form_pairs,
                                   write_csv, write_level1_archive)
@@ -39,6 +39,8 @@ from pulsepair.skystats import bin_counts, bin_probabilities, peak_cohens_d
 
 from helpers import (archive_events, detect_events, event_columns,
                      event_table, wide_band_params)
+from test_golden import SURVEY_CFG
+from test_pairdetect import event_bits, per_frame_reference
 
 
 def _small_manifest(seed=0, n_transits=2):
@@ -472,6 +474,72 @@ def test_run_experiment_writes_the_cli_chain_bytes(tmp_path):
                 == sha256_file(tmp_path / "cli" / name)), name
 
 
+def _hash_counts(monkeypatch):
+    """A Counter of sha256_file calls by file name, from run_experiment
+    (pipeline's name) and from the sidecar's key check (pairdetect's)."""
+    calls, sha256 = Counter(), pairdetect.sha256_file
+
+    def counted(path):
+        calls[Path(path).name] += 1
+        return sha256(path)
+
+    monkeypatch.setattr(pairdetect, "sha256_file", counted)
+    monkeypatch.setattr(pulsepair.pipeline, "sha256_file", counted)
+    return calls
+
+
+def _golden_survey(tmp_path):
+    cfg = tmp_path / "survey.cfg"
+    cfg.write_text(SURVEY_CFG)
+    return manifest_from_file(cfg)
+
+
+def test_run_experiment_hashes_each_file_once(tmp_path, monkeypatch):
+    m, out = _golden_survey(tmp_path), tmp_path / "run"
+    calls = _hash_counts(monkeypatch)
+    run_experiment(m, out)
+    # level1.csv once for the record, which refilter's inputs mark reuses,
+    # and once more for its sidecar's key, as refilter reads it
+    assert calls == {"level1.csv": 2, "candidates.csv": 1, "stats.csv": 1,
+                     "report.txt": 1, "figure.svg": 1}
+    calls.clear()
+    assert run_experiment(m, out).skipped == [
+        "simulate", "refilter", "analyze", "report"]
+    assert calls == {"level1.csv": 1, "candidates.csv": 1, "stats.csv": 1,
+                     "report.txt": 1, "figure.svg": 1}
+
+
+def test_an_edited_candidates_file_is_hashed_again(tmp_path, monkeypatch):
+    # the digest of the edited file is dropped once refilter rewrites it:
+    # the record and analyze's inputs mark name the bytes on disk
+    m, out = _golden_survey(tmp_path), tmp_path / "run"
+    run_experiment(m, out)
+    path = out / "candidates.csv"
+    written = path.read_bytes()
+    path.write_bytes(written[:written.rindex(b"\n", 0, -1) + 1])
+    calls = _hash_counts(monkeypatch)
+    assert run_experiment(m, out).skipped == ["simulate", "analyze", "report"]
+    assert path.read_bytes() == written
+    assert calls["candidates.csv"] == 2
+    record = read_kv_file(out / "manifest.txt")
+    digest = sha256_file(path)
+    assert record["artifact.candidates.csv"] == digest
+    assert record["stage.analyze.inputs"] == f"candidates.csv={digest}"
+    # an edited candidates.csv recorded as refilter's output is analyze's
+    # new input: refilter resumes and analyze runs on the edit
+    path.write_bytes(written[:written.rindex(b"\n", 0, -1) + 1])
+    record["artifact.candidates.csv"] = sha256_file(path)
+    write_kv_file(out / "manifest.txt", record)
+    calls.clear()
+    res = run_experiment(m, out)
+    assert res.skipped == ["simulate", "refilter"]
+    assert calls["candidates.csv"] == 1
+    assert res.analysis.n_trials == written.count(b"\n") - 2
+    record = read_kv_file(out / "manifest.txt")
+    assert record["stage.analyze.inputs"] == (
+        f"candidates.csv={sha256_file(path)}")
+
+
 def test_run_experiment_external_archive_missing(tmp_path):
     m = _small_manifest()
     assert run_experiment(m, tmp_path).status == "ok"
@@ -882,6 +950,93 @@ def test_chunked_stages_drop_each_table_before_the_next(season, tmp_path,
         live.clear()
         stage()
         assert len(live) > 2 and not any(live)
+
+
+def _noise_frames(n_frames, n_bins, tags, seed, low_hz=1445.0e6):
+    """Frames of unit complex noise over 1 kHz bins from low_hz, tags minor,
+    as simulate_frames yields them (one rf array for all)."""
+    rng = np.random.default_rng(seed)
+    rf = low_hz + np.arange(n_bins) * 1.0e3
+    return [(i, i * 0.25, tag, *(rng.standard_normal(n_bins)
+                                 + 1j * rng.standard_normal(n_bins)
+                                 for _ in range(2)), rf)
+            for i in range(n_frames) for tag in tags]
+
+
+def _noise_params(n_bins):
+    return FirstLevelFilterParams(
+        snr_threshold_db=5.0, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1445.0e6 + n_bins * 1.0e3,
+        excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
+
+
+def test_detect_frames_blocks_are_the_per_frame_filter(monkeypatch):
+    # 70 two-tag frames of 1,024 bins are 140 rows: blocks of 64, 64 and
+    # 12 rows, so both tags run across each block edge; three more frames
+    # of 1,024 bins 2 kHz higher, a block of their own; then two frames
+    # wider than _BLOCK_BINS, a block each
+    assert pulsepair.pipeline._BLOCK_BINS == 64 * 1024
+    frames = (_noise_frames(70, 1024, ("RHCP", "LHCP"), 3)
+              + _noise_frames(3, 1024, ("RHCP", "LHCP"), 7, 1445.002e6)
+              + _noise_frames(2, 70_000, ("LHCP",), 4))
+    config = ObservationConfig()
+    params = _noise_params(70_000)
+    blocks, score = [], pulsepair.pipeline.first_level_filter_frames
+
+    def counted(frame_index, *args):
+        blocks.append(len(frame_index))
+        return score(frame_index, *args)
+
+    monkeypatch.setattr(pulsepair.pipeline, "first_level_filter_frames",
+                        counted)
+    got = detect_frames(config, params, iter(frames))
+    assert blocks == [64, 64, 12, 6, 1, 1]
+    want = EventTable.concat([
+        per_frame_reference([i], [utc], [tag], [east], [west], rf, params, [
+            float(config.pointing_ra(lst_hours(utc, config.longitude_deg)))])
+        for i, utc, tag, east, west, rf in frames])
+    assert event_bits(got) == event_bits(want)
+    assert got.tags == ("LHCP", "RHCP") and len(got) > 100
+
+
+@pytest.mark.parametrize("short", [3, 4, 5])
+def test_detect_frames_names_the_frame_of_mismatched_lengths(short):
+    # frame 2 (its LHCP row) has one member 24 bins short: its block ends
+    # before it, so the error names it, not the first frame of its block
+    frames = _noise_frames(4, 1024, ("RHCP", "LHCP"), 5)
+    row = list(frames[5])
+    row[short] = row[short][:1000]
+    frames[5] = tuple(row)
+    lengths = [1000 if member == short else 1024 for member in (3, 4, 5)]
+    with pytest.raises(ValidationError, match=re.escape(
+            "frame 2: element/frequency lengths differ "
+            f"({lengths[0]}, {lengths[1]}, {lengths[2]})")):
+        detect_frames(ObservationConfig(), _noise_params(1024), iter(frames))
+
+
+@pytest.mark.parametrize("n_frames, n_bins, blocks", [
+    (256, 1024, 4.5), (1, 250_000, 2.5)])
+def test_detect_frames_holds_one_block_beside_the_store(tmp_path, n_frames,
+                                                        n_bins, blocks):
+    # in units of one block's complex spectrum: its east and west, stacked,
+    # take 2, and the two elements' power and masks about 1.7 more (a lone
+    # frame wider than _BLOCK_BINS is not stacked: ~2 in all).  Scoring the
+    # 256-frame store at once would take ~15, and stacking a lone frame ~4
+    frames = _noise_frames(n_frames, n_bins, ("LHCP",), 6)
+    path = tmp_path / "frames.npz"
+    save_frames_npz(path, frames)
+    store = sum(frame[3].nbytes + frame[4].nbytes for frame in frames)
+    del frames
+    block = 16 * max(64 * 1024, n_bins)     # bytes of a block's spectrum
+    tracemalloc.start()
+    try:
+        events = detect_frames(ObservationConfig(), _noise_params(n_bins),
+                               load_frames_npz(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 0
+    assert peak < store + blocks * block
 
 
 def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
