@@ -725,7 +725,7 @@ def _render(conv: str, col, bad) -> tuple:
     return [], None
 
 
-def _chunks(fmt: str, columns):
+def _chunks(fmt: str, columns, read_back: bool = False):
     """Yield the _lay_out of each _CHUNK_ROWS rows of the columns, whose
     _compact is `fmt % row` for every row."""
     pieces = _CONVERSION.split(fmt)
@@ -744,17 +744,19 @@ def _chunks(fmt: str, columns):
     lit = [(len(t), np.frombuffer(t.encode(), np.uint8)) for t in literals]
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         yield _lay_out(conversions, lit, [
-            np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns])
+            np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns],
+            read_back)
 
 
-def _lay_out(conversions, lit, chunk) -> tuple:
+def _lay_out(conversions, lit, chunk, read_back: bool) -> tuple:
     """(grid, flagged, backs) of one chunk of columns.
 
     grid holds each row's text, NUL-padded, or a \\1 byte for a row the
-    kernel leaves to %; flagged holds those rows' values, in order.  backs
-    holds one float64 array per %f and %g conversion: the values that
-    parsing its fields gives back, bit for bit (the kernel's digits for
-    most rows, float() of the text for the rows % writes).
+    kernel leaves to %; flagged holds those rows' values, in order.  With
+    read_back, backs holds one float64 array per %f and %g conversion: the
+    values that parsing its fields gives back, bit for bit (the kernel's
+    digits for most rows, float() of the text for the rows % writes);
+    else it is empty.
     """
     n = len(chunk[0])
     bad = np.zeros(n, dtype=bool)
@@ -778,7 +780,7 @@ def _lay_out(conversions, lit, chunk) -> tuple:
     grid[bad, 0] = 1
     backs = []
     for conv, col, value in zip(conversions, chunk, values):
-        if conv[-1] in "fg":
+        if read_back and conv[-1] in "fg":
             # a flagged row is written by %: read back from its text
             value = np.empty(n) if value is None else value
             value[bad] = [float(f"%{conv}" % v) for v in col[bad].tolist()]
@@ -876,9 +878,23 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _start_on_own_cpu(slots) -> None:
+def _caller_cpu():
+    """The CPU the calling thread runs on, from /proc/thread-self/stat
+    (Linux), or None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            stat = fh.read()
+        # field 39, counted after the command name, which may hold spaces
+        return int(stat.rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _start_on_own_cpu(slots, caller_cpu=None) -> None:
     """Pool initializer: move the new worker thread to the next CPU the
-    process may use, then give it back the whole set.
+    process may use, then give it back the whole set.  Slots are counted
+    from the CPU after `caller_cpu`, the pool's creator's, where it is one
+    of them, so the first worker starts beside its caller, not on it.
 
     Some kernels leave a pool's new threads on the CPU that spawned them and
     do not rebalance while they run: two null-mc seeds then take turns on
@@ -891,23 +907,27 @@ def _start_on_own_cpu(slots) -> None:
     try:
         allowed = sorted(os.sched_getaffinity(0))
         if len(allowed) > 1:
-            os.sched_setaffinity(0, {allowed[next(slots) % len(allowed)]})
+            slot = next(slots)
+            if caller_cpu in allowed:
+                slot += allowed.index(caller_cpu) + 1
+            os.sched_setaffinity(0, {allowed[slot % len(allowed)]})
             os.sched_setaffinity(0, allowed)
     except OSError:
         pass
 
 
 def thread_pool(threads: int):
-    """A pool of `threads` workers, each started on its own CPU: null-mc's
-    seed pool, the frame store's two-thread (de)compression pool, the
-    level-1 archive's writer thread, and the thread that checks a
-    sidecar's key as a stage reads it (consume_level1_archive)."""
+    """A pool of `threads` workers, each started on its own CPU, the first
+    on the CPU after the caller's: null-mc's seed pool, the frame store's
+    two-thread (de)compression pool, the level-1 archive's writer thread,
+    and the thread that checks a sidecar's key as a stage reads it
+    (consume_level1_archive)."""
     # imported here: imported with this module, it raised the peak RSS of
     # stages that start no pool (tune-tau's by 0.4 MB)
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=threads,
                               initializer=_start_on_own_cpu,
-                              initargs=(itertools.count(),))
+                              initargs=(itertools.count(), _caller_cpu()))
 
 
 def write_level1_archive(path, events) -> None:
@@ -985,7 +1005,8 @@ def write_level1_archive(path, events) -> None:
                     name: getattr(part, name)
                     for name in ("frame_index", "bin_index", "pol_code")})
                 chunks = _chunks(_ARCHIVE_ROW, [
-                    getattr(part, name) for name in list(ARCHIVE_COLUMNS)[1:]])
+                    getattr(part, name) for name in list(ARCHIVE_COLUMNS)[1:]],
+                    read_back=True)
                 # the next part is made only once this one is dropped
                 del part
                 for grid, flagged, backs in chunks:

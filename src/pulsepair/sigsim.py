@@ -451,12 +451,24 @@ def _usable_runs(config: ObservationConfig,
                  if start < stop)
 
 
+def _add_run_bins(total, runs, draws):
+    """total += the bin of each draw in [0, n_usable), the runs laid end to
+    end, in place and with no temporary of the draws' size; `draws` is
+    overwritten.  _usable_runs gives at most two runs."""
+    total += draws
+    total += runs[0][0]
+    if len(runs) > 1:
+        (start, stop), (next_start, _) = runs
+        # a draw past the first run's bins moves up by the gap after it
+        np.greater_equal(draws, stop - start, out=draws)
+        draws *= next_start - stop
+        total += draws
+    return total
+
+
 def _run_bins(runs, draws):
     """Bin of each draw in [0, n_usable), the runs laid end to end."""
-    bins = draws + runs[0][0]
-    for (_, stop), (start, _) in zip(runs, runs[1:]):
-        bins += (bins >= stop) * (start - stop)
-    return bins
+    return _add_run_bins(np.zeros_like(draws), runs, np.array(draws))
 
 
 def _in_runs(runs, k: int) -> bool:
@@ -552,10 +564,11 @@ def _sort_key(key: np.ndarray, span: int) -> tuple:
     if span > 1 << (63 - b):
         order = _stable_argsort(key)
         return order, key[order]
+    order = np.arange(key.size)
     key <<= b
-    key |= np.arange(key.size)
+    key |= order
     key.sort()
-    order = key & ((1 << b) - 1)
+    np.bitwise_and(key, (1 << b) - 1, out=order)
     key >>= b
     return order, key
 
@@ -569,43 +582,43 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
 
     The frame, tag and bin of each event are packed into one sort key as
     they are drawn, and unpacked from the sorted key into their columns;
-    the float columns are drawn after the sort, one at a time.  So a
-    transit's working arrays never outgrow a few columns beside its own.
+    the float columns are drawn after the sort, one at a time, into the
+    sorted key's buffer.  So a one-tag transit without sources allocates
+    its frame draw (the key), its bin draw, the sort's order and its own
+    columns, and no other array of its size.
     """
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     n_pol = len(config.polarization_tags)
     n_usable = sum(stop - start for start, stop in runs)
     r0 = 10.0 ** (params.snr_threshold_db / 10.0)
-    tags = tuple(sorted(config.polarization_tags))
-    tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
-    extra = [np.array(col) for col in zip(*injected)]
-
-    def with_injected(drawn, i):
-        return np.concatenate((drawn, extra[i])) if injected else drawn
 
     # one sort on the packed (frame, tag, bin) key, equal keys in draw
-    # order; simulate_level1_events checked that the key fits int64
-    key = with_injected(rng.integers(0, n_frames, count), 0)
-    key *= n_pol
-    key += with_injected(tag_rank[rng.integers(0, n_pol, count)], 2)
+    # order, the injected rows after the noise; simulate_level1_events
+    # checked that the key fits int64
+    key = rng.integers(0, n_frames, count)
+    # one tag: integers(0, 1) draws no bits, so its draw and code are skipped
+    if n_pol > 1:
+        tags = tuple(sorted(config.polarization_tags))
+        tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
+        key *= n_pol
+        key += tag_rank[rng.integers(0, n_pol, count)]
     key *= config.n_bins
-    key += with_injected(_run_bins(runs, rng.integers(0, n_usable, count)), 1)
+    _add_run_bins(key, runs, rng.integers(0, n_usable, count))
+    if injected:
+        key = np.concatenate((key, [(j * n_pol + code) * config.n_bins + k
+                                    for j, k, code, *_ in injected]))
     order, key = _sort_key(key, n_frames * n_pol * config.n_bins)
     # allocated once the sort's temporaries are freed: allocated before
     # the sort, the survey's peak RSS was more often ~3 MB higher
     out = empty_event_columns(order.size)
 
-    def put(name, column):
-        # order holds valid indices; with `out`, mode="raise" would gather
-        # through a temporary buffer
-        np.take(column, order, out=out[name], mode="clip")
-
     frame_index, utc_s, rf = (out["frame_index"], out["utc_s"],
                               out["rf_freq_hz"])
-    np.copyto(frame_index, key)
-    del key
-    np.divmod(frame_index, config.n_bins, out=(frame_index, out["bin_index"]))
-    np.divmod(frame_index, n_pol, out=(frame_index, out["pol_code"]))
+    np.divmod(key, config.n_bins, out=(frame_index, out["bin_index"]))
+    if n_pol > 1:
+        np.divmod(frame_index, n_pol, out=(frame_index, out["pol_code"]))
+    else:
+        out["pol_code"].fill(0)
     np.multiply(frame_index, config.hop_seconds, out=utc_s)
     utc_s += utc_start
     np.take(config.pointing_ra(window_lo_hr + np.arange(n_frames) * hop_hr),
@@ -613,15 +626,33 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
     frame_index += transit * n_frames
     np.divide(out["bin_index"], config.frame_seconds, out=rf)
     rf += config.band_low_hz
-    # SNR ratio conditioned on crossing: r0 + unit exponential, each element.
-    for i, name in ((3, "snr_east_db"), (4, "snr_west_db")):
-        snr = rng.exponential(1.0, count)
-        snr += r0
-        np.log10(snr, out=snr)
-        snr *= 10.0
-        put(name, with_injected(snr, i))
-    for i, name in ((5, "phase_east_rad"), (6, "phase_west_rad")):
-        put(name, with_injected(rng.uniform(-math.pi, math.pi, count), i))
+
+    # the sorted key is spent: its buffer takes each float column in turn,
+    # drawn into its head beside the injected values in its tail
+    scratch = key.view(np.float64)
+    head, tail = scratch[:count], scratch[count:]
+    extra = list(zip(*injected))[3:] or [()] * 4
+
+    def put(name, values):
+        tail[:] = values
+        # order holds valid indices; with `out`, mode="raise" would gather
+        # through a temporary buffer
+        np.take(scratch, order, out=out[name], mode="clip")
+
+    # SNR ratio conditioned on crossing: r0 + unit exponential, each
+    # element.  standard_exponential and random with `out` give the bits
+    # and the stream of exponential(1.0, count) and uniform(-pi, pi, count).
+    for name, values in zip(("snr_east_db", "snr_west_db"), extra[:2]):
+        rng.standard_exponential(out=head)
+        head += r0
+        np.log10(head, out=head)
+        head *= 10.0
+        put(name, values)
+    for name, values in zip(("phase_east_rad", "phase_west_rad"), extra[2:]):
+        rng.random(out=head)
+        head *= math.pi - -math.pi
+        head += -math.pi
+        put(name, values)
     return out
 
 
