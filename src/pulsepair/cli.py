@@ -147,7 +147,8 @@ def cmd_simulate(args) -> int:
         print(f"simulate: {len(events)} events -> {path}")
     else:
         path = os.path.join(args.out, "frames.npz")
-        pipeline.save_frames_npz(path, pipeline.session_frames(manifest))
+        pipeline.save_frames_npz(path, pipeline.stack_frames(
+            pipeline.session_frames(manifest)))
         print(f"simulate: {manifest.n_frames} frames -> {path}")
     return 0
 

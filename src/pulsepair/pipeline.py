@@ -9,6 +9,9 @@ recorded in `manifest.txt` together with a hash of exactly the parameters
 that can change that artifact's bytes; a rerun in the same output directory
 skips any stage whose parameter hash, input hashes, and output hashes all
 still match.  A failed stage records `status = failed:<stage>`.
+In the frame modes simulate hands detect a frame store, frames.npz's six
+arrays with a row a frame's polarization (stack_frames, load_frames_npz),
+which detect_frames scores a block of row views at a time.
 Every pool of threads comes from pairdetect.thread_pool: the frame
 store's two deflate and inflate threads, null-mc's seed pool, the one
 thread that writes the level-1 archive while the caller renders it, and
@@ -27,6 +30,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -288,41 +292,52 @@ def manifest_from_file(path, overrides: dict | None = None) -> ExperimentManifes
 
 # -- frame store (simulate/detect handoff in frame modes) ------------------
 
-# the store's members, in the order np.savez_compressed would write them
-_FRAME_MEMBERS = ("frame_index", "utc_s", "polarization_tag", "east",
-                  "west", "rf_freqs_hz")
+# the store's members, in the order np.savez_compressed would write them,
+# with the kind of dtype each takes: a value a row (a frame's
+# polarization), [rows, bins] spectra, and the one rf the rows share
+_FRAME_MEMBERS = {"frame_index": np.integer, "utc_s": np.floating,
+                  "polarization_tag": np.str_, "east": np.complexfloating,
+                  "west": np.complexfloating, "rf_freqs_hz": np.floating}
 
 
-def save_frames_npz(path, frames) -> None:
-    """Persist frames for the detect stage.
+def stack_frames(frames) -> tuple:
+    """The frame store (_FRAME_MEMBERS) of simulate_frames' (index, utc,
+    pol, east, west, rf) tuples.  It holds one rf: frames whose rf differ,
+    or a frame whose spectra and rf differ in length, raise ValidationError.
+    """
+    frames = list(frames)
+    if not frames:
+        raise ValidationError("no frames to stack")
+    index, utc, pols, east, west, rfs = zip(*frames)
+    for i, e, w, rf in zip(index, east, west, rfs):
+        lengths = (np.size(e), np.size(w), np.size(rf))
+        if lengths != lengths[2:] * 3:
+            raise ValidationError(
+                f"frame {i}: element/frequency lengths differ {lengths}")
+        if not np.array_equal(rf, rfs[0]):
+            raise ValidationError("frames differ in their rf_freqs_hz")
+    return (np.asarray(index, dtype=np.int64), np.asarray(utc, dtype=float),
+            np.asarray(pols), np.asarray(east), np.asarray(west),
+            np.ascontiguousarray(rfs[0]))
 
-    frames is an iterable of (index, utc, pol, east, west, rf) tuples, as
-    simulate_frames yields them and load_frames_npz gives them back; the
-    store holds one rf, so frames whose rf differ raise ValidationError.
+
+def save_frames_npz(path, store) -> None:
+    """Write a frame store (stack_frames) for the detect stage.
+
     The file is byte for byte the one np.savez_compressed writes for the six
     members, but the members are deflated on two threads (zlib lets go of
     the GIL), so the two spectra deflate at once.
     """
-    frames = list(frames)
-    if not frames:
-        raise ValidationError("no frames to save")
-    index, utc, pols, east, west, rfs = zip(*frames)
-    if any(not np.array_equal(rf, rfs[0]) for rf in rfs[1:]):
-        raise ValidationError("frames differ in their rf_freqs_hz")
-    arrays = (np.asarray(index, dtype=np.int64), np.asarray(utc, dtype=float),
-              np.asarray(pols), np.asarray(east), np.asarray(west),
-              np.ascontiguousarray(rfs[0]))
-    del frames, east, west      # each frame's own spectra, before the deflate
     with thread_pool(2) as pool:
-        members = list(pool.map(_deflated_member, _FRAME_MEMBERS, arrays))
+        members = list(pool.map(_deflated_member, _FRAME_MEMBERS, store))
     with open(path, "wb") as fh:
         for info, data in members:
             info.header_offset = fh.tell()
             fh.write(info.FileHeader(zip64=True))   # numpy forces zip64
             fh.writelines(data)
-        with zipfile.ZipFile(fh, "w") as store:
+        with zipfile.ZipFile(fh, "w") as archive:
             # closing it writes the central directory of filelist's members
-            store.filelist.extend(info for info, _ in members)
+            archive.filelist.extend(info for info, _ in members)
 
 
 def _deflated_member(name, array):
@@ -357,9 +372,10 @@ def _read_member(path, name):
         return data[name] if name in data.files else None
 
 
-def load_frames_npz(path):
-    """Read the six members once, inflating them on two threads; yield
-    (index, utc, pol, east, west, rf)."""
+def load_frames_npz(path) -> tuple:
+    """The frame store at path, its six members read once, inflating them
+    on two threads, and checked: a member of the wrong kind of dtype or
+    shape raises ValidationError naming it."""
     try:
         with thread_pool(2) as pool:
             arrays = dict(zip(_FRAME_MEMBERS, pool.map(
@@ -371,65 +387,39 @@ def load_frames_npz(path):
     missing = sorted(name for name, arr in arrays.items() if arr is None)
     if missing:
         raise ValidationError(f"{path}: missing arrays: {', '.join(missing)}")
-    index, utc, pols, east, west, rf = arrays.values()
-    n = index.size
-    shapes = ((n,),) * 3 + ((n, rf.size),) * 2
-    for name, arr, shape in zip(_FRAME_MEMBERS, (index, utc, pols, east, west),
-                                shapes):
-        if arr.shape != shape:
+    store = tuple(arrays.values())
+    n, rf = store[0].size, store[5]
+    if rf.ndim != 1 or rf.size == 0:    # a block's rows divide by its bins
+        raise ValidationError(f"{path}: rf_freqs_hz has shape {rf.shape}, "
+                              f"expected one axis of at least one bin")
+    shapes = ((n,),) * 3 + ((n, rf.size),) * 2 + (rf.shape,)
+    for (name, kind), arr, shape in zip(_FRAME_MEMBERS.items(), store,
+                                       shapes):
+        if arr.shape != shape or not np.issubdtype(arr.dtype, kind):
             raise ValidationError(
-                f"{path}: {name} has shape {arr.shape}, expected {shape}")
-    for i in range(n):
-        yield (int(index[i]), float(utc[i]), str(pols[i]), east[i], west[i],
-               rf)
+                f"{path}: {name} is {arr.dtype} of shape {arr.shape}, "
+                f"expected {kind.__name__} of shape {shape}")
+    return store
 
 
-# bins of a block of frames scored at once (64 of the README frames.cfg's
-# 1,024-bin frames); a wider frame is a block by itself
+# bins of a block of a store's rows scored at once (64 of the README
+# frames.cfg's 1,024-bin rows); a wider row is a block by itself
 _BLOCK_BINS = 1 << 16
 
 
-def _joins(block: list, frame) -> bool:
-    """Whether frame can join the frames of block in one [frames, bins]
-    block: same east and west lengths, equal rf, at most _BLOCK_BINS bins."""
-    east, west, rf = frame[3:]
-    first = block[0]
-    return ((len(block) + 1) * east.size <= _BLOCK_BINS
-            and (east.size, west.size) == (first[3].size, first[4].size)
-            and (rf is first[5] or np.array_equal(rf, first[5])))
-
-
-def _detect_block(config: ObservationConfig, params: FirstLevelFilterParams,
-                  block: list) -> EventTable:
-    """first_level_filter_frames of a list of frames, which it empties, so
-    that only the stacked block holds their spectra."""
-    index, utc, pols, east, west, rfs = zip(*block)
-    block.clear()
-    ra = config.pointing_ra(lst_hours(utc, config.longitude_deg))
-    return first_level_filter_frames(index, utc, pols, _rows(east),
-                                     _rows(west), rfs[0], params, ra)
-
-
-def _rows(spectra) -> np.ndarray:
-    """Spectra of one length as the rows of one array (np.array, which
-    copies them in C, where np.stack takes a Python step a row); a lone
-    frame's spectrum, such as a frame wider than _BLOCK_BINS, is not
-    copied."""
-    return spectra[0][np.newaxis] if len(spectra) == 1 else np.array(spectra)
-
-
 def detect_frames(config: ObservationConfig, params: FirstLevelFilterParams,
-                  frames) -> EventTable:
-    """First-level filter a stream of loaded frames into events, a block of
-    consecutive frames (at most _BLOCK_BINS bins) at a time."""
-    tables, block = [], []
-    for frame in frames:
-        if block and not _joins(block, frame):
-            tables.append(_detect_block(config, params, block))
-        block.append(frame)
-    if block:
-        tables.append(_detect_block(config, params, block))
-    return EventTable.concat(tables)
+                  store) -> EventTable:
+    """First-level filter a frame store (stack_frames, load_frames_npz) into
+    events: first_level_filter_frames of a block of consecutive rows at a
+    time, at most _BLOCK_BINS bins, each block a view of the store."""
+    index, utc, pols, east, west, rf = store
+    ra = config.pointing_ra(lst_hours(utc, config.longitude_deg))
+    # str tags: with np.str_ ones the archive writer renders row by row
+    rows = (index, utc, pols.tolist(), east, west)
+    step = max(1, _BLOCK_BINS // rf.size)
+    return EventTable.concat(first_level_filter_frames(
+        *(column[at:at + step] for column in rows), rf, params,
+        ra[at:at + step]) for at in range(0, index.size, step))
 
 
 # -- staged runner ----------------------------------------------------------
@@ -446,7 +436,7 @@ class ExperimentResult:
 
 
 def session_frames(manifest: ExperimentManifest):
-    """Simulate the frame modes' session as load_frames_npz's tuples."""
+    """Simulate the frame modes' session: simulate_frames' tuples."""
     if manifest.n_transits != 1:
         raise ValidationError(
             "run.n_transits: a frame-mode session is run.n_frames consecutive "
@@ -465,7 +455,7 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
 
     Events mode samples them directly, one transit at a time as the stream
     is consumed; the frame modes synthesize the frames and first-level
-    filter them into a one-part stream.
+    filter them into a one-part stream, a stacked block at a time.
     """
     if manifest.mode == "events":
         if manifest.n_frames is not None:
@@ -476,8 +466,13 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
             manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
             start_utc_s=manifest.start_utc_s, rfi=manifest.rfi)
-    return EventStream.of(detect_frames(manifest.config, manifest.filter,
-                                        session_frames(manifest)))
+    frames = session_frames(manifest)
+    rows = manifest.n_frames * len(manifest.config.polarization_tags)
+    step = max(1, _BLOCK_BINS // manifest.config.n_bins)
+    return EventStream.of(EventTable.concat(
+        detect_frames(manifest.config, manifest.filter,
+                      stack_frames(islice(frames, step)))
+        for _ in range(0, rows, step)))
 
 
 def external_archive(manifest: ExperimentManifest) -> str | None:

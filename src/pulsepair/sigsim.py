@@ -601,7 +601,9 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
         tags = tuple(sorted(config.polarization_tags))
         tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
         key *= n_pol
-        key += tag_rank[rng.integers(0, n_pol, count)]
+        draw = rng.integers(0, n_pol, count)    # ranks gathered in place
+        key += np.take(tag_rank, draw, out=draw, mode="clip")
+        del draw
     key *= config.n_bins
     _add_run_bins(key, runs, rng.integers(0, n_usable, count))
     if injected:

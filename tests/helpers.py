@@ -15,7 +15,7 @@ from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams, form_pairs,
                                   read_level1_archive)
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
-from pulsepair.pipeline import detect_frames
+from pulsepair.pipeline import ExperimentManifest, simulate_events
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
                               simulate_frames, simulate_level1_events)
 from pulsepair.skystats import _check_np, analyze
@@ -57,9 +57,12 @@ def event_columns(events):
 
 def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,
                   mode="freq"):
-    """Simulate frames and run the first-level filter on every one."""
-    return detect_frames(config, params, simulate_frames(
-        config, sources, rfi, n_frames, start_utc_s=start_utc_s, mode=mode))
+    """Simulate frames and run the first-level filter on every one: the
+    frame-mode simulate stage (simulate_events), as one table."""
+    (events,) = simulate_events(ExperimentManifest(
+        config=config, sources=list(sources), rfi=list(rfi), filter=params,
+        mode=mode, n_frames=n_frames, start_utc_s=start_utc_s))
+    return events
 
 
 def calibrator_frames(n_frames, power, delay_s, seed, band_hz=50.0e6,

@@ -196,6 +196,40 @@ def test_corrupt_frame_store_member_is_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "level1.csv").exists()
 
 
+# one malformed member of a good store: (member, its new value from the
+# good one, what the error expects); "no bins" drops every bin
+_MALFORMED = {
+    "frame_index": (lambda a: a + 0.5, "expected integer"),
+    "utc_s": (lambda a: a.astype(np.int64), "expected floating"),
+    "polarization_tag": (lambda a: np.arange(a.size), "expected str_"),
+    "east": (lambda a: a.real, "expected complexfloating"),
+    "west": (lambda a: np.abs(a), "expected complexfloating"),
+    "rf_freqs_hz": (lambda a: a[:, np.newaxis], "at least one bin"),
+    "no bins": (lambda a: a[..., :0], "at least one bin"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_frame_store_member_is_a_validation_error(tmp_path,
+                                                              capsys, case):
+    cfg = _frames_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    store = tmp_path / "out" / "frames.npz"
+    with np.load(store) as data:
+        members = {name: data[name] for name in data.files}
+    bad, says = _MALFORMED[case]
+    names = (["east", "west", "rf_freqs_hz"] if case == "no bins"
+             else [case])
+    members.update((name, bad(members[name])) for name in names)
+    np.savez_compressed(store, **members)
+    capsys.readouterr()
+    assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"{store}: {names[-1]} " in err and says in err
+    assert not (tmp_path / "out" / "level1.csv").exists()
+
+
 def test_refilter_diagnostics_filter_once(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
     out = str(tmp_path / "out")

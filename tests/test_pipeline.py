@@ -29,7 +29,8 @@ from pulsepair.pipeline import (CANDIDATE_COLUMNS, STAGE_KEYS,
                                 read_session, refilter, run_experiment,
                                 run_null_mc, run_tune_tau, sample_session,
                                 save_frames_npz, session_exposure,
-                                sha256_file, simulate_events, write_analysis,
+                                session_frames, sha256_file, simulate_events,
+                                stack_frames, write_analysis,
                                 write_candidates_csv, write_figure)
 from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
                                    tune_tau_int, write_metric_diagnostics_csv)
@@ -971,38 +972,46 @@ def _noise_params(n_bins):
 
 
 def test_detect_frames_blocks_are_the_per_frame_filter(monkeypatch):
-    # 70 two-tag frames of 1,024 bins are 140 rows: blocks of 64, 64 and
-    # 12 rows, so both tags run across each block edge; three more frames
-    # of 1,024 bins 2 kHz higher, a block of their own; then two frames
-    # wider than _BLOCK_BINS, a block each
+    # three stores: 70 two-tag frames of 1,024 bins are 140 rows, blocks of
+    # 64, 64 and 12 rows, so both tags run across each block edge; three
+    # more frames of 1,024 bins 2 kHz higher, one block; and two frames
+    # wider than _BLOCK_BINS, a block each.  Every block is a view of its
+    # store's rows
     assert pulsepair.pipeline._BLOCK_BINS == 64 * 1024
-    frames = (_noise_frames(70, 1024, ("RHCP", "LHCP"), 3)
-              + _noise_frames(3, 1024, ("RHCP", "LHCP"), 7, 1445.002e6)
-              + _noise_frames(2, 70_000, ("LHCP",), 4))
+    sessions = [_noise_frames(70, 1024, ("RHCP", "LHCP"), 3),
+                _noise_frames(3, 1024, ("RHCP", "LHCP"), 7, 1445.002e6),
+                _noise_frames(2, 70_000, ("LHCP",), 4)]
     config = ObservationConfig()
     params = _noise_params(70_000)
     blocks, score = [], pulsepair.pipeline.first_level_filter_frames
 
-    def counted(frame_index, *args):
+    def counted(frame_index, utc_s, tags, east, west, *args):
         blocks.append(len(frame_index))
-        return score(frame_index, *args)
+        assert all(map(np.shares_memory, (east, west), store[3:5]))
+        assert {type(tag) for tag in tags} == {str}
+        return score(frame_index, utc_s, tags, east, west, *args)
 
     monkeypatch.setattr(pulsepair.pipeline, "first_level_filter_frames",
                         counted)
-    got = detect_frames(config, params, iter(frames))
+    got = []
+    for frames in sessions:
+        store = stack_frames(frames)
+        got.append(detect_frames(config, params, store))
     assert blocks == [64, 64, 12, 6, 1, 1]
+    got = EventTable.concat(got)
     want = EventTable.concat([
         per_frame_reference([i], [utc], [tag], [east], [west], rf, params, [
             float(config.pointing_ra(lst_hours(utc, config.longitude_deg)))])
+        for frames in sessions
         for i, utc, tag, east, west, rf in frames])
     assert event_bits(got) == event_bits(want)
     assert got.tags == ("LHCP", "RHCP") and len(got) > 100
 
 
 @pytest.mark.parametrize("short", [3, 4, 5])
-def test_detect_frames_names_the_frame_of_mismatched_lengths(short):
-    # frame 2 (its LHCP row) has one member 24 bins short: its block ends
-    # before it, so the error names it, not the first frame of its block
+def test_stack_frames_names_the_frame_of_mismatched_lengths(short):
+    # frame 2 (its LHCP row) has one member 24 bins short: the error names
+    # it, not the first frame of the store
     frames = _noise_frames(4, 1024, ("RHCP", "LHCP"), 5)
     row = list(frames[5])
     row[short] = row[short][:1000]
@@ -1011,20 +1020,21 @@ def test_detect_frames_names_the_frame_of_mismatched_lengths(short):
     with pytest.raises(ValidationError, match=re.escape(
             "frame 2: element/frequency lengths differ "
             f"({lengths[0]}, {lengths[1]}, {lengths[2]})")):
-        detect_frames(ObservationConfig(), _noise_params(1024), iter(frames))
+        stack_frames(frames)
 
 
 @pytest.mark.parametrize("n_frames, n_bins, blocks", [
-    (256, 1024, 4.5), (1, 250_000, 2.5)])
+    (256, 1024, 2.5), (1, 250_000, 2.5)])
 def test_detect_frames_holds_one_block_beside_the_store(tmp_path, n_frames,
                                                         n_bins, blocks):
-    # in units of one block's complex spectrum: its east and west, stacked,
-    # take 2, and the two elements' power and masks about 1.7 more (a lone
-    # frame wider than _BLOCK_BINS is not stacked: ~2 in all).  Scoring the
-    # 256-frame store at once would take ~15, and stacking a lone frame ~4
+    # in units of one block's complex spectrum: the load holds the store,
+    # and each block's rows are views of it, so beside it only the two
+    # elements' power and masks (about 1.7) and the inflate's buffers
+    # stand.  Scoring the 256-frame store at once would take ~15, and a
+    # copy of each block ~3.6
     frames = _noise_frames(n_frames, n_bins, ("LHCP",), 6)
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, frames)
+    save_frames_npz(path, stack_frames(frames))
     store = sum(frame[3].nbytes + frame[4].nbytes for frame in frames)
     del frames
     block = 16 * max(64 * 1024, n_bins)     # bytes of a block's spectrum
@@ -1045,7 +1055,7 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
         polarization_tags=("LHCP",), seed=5)
     params = wide_band_params(snr_threshold_db=5.0)
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, simulate_frames(config, n_frames=16))
+    save_frames_npz(path, stack_frames(simulate_frames(config, n_frames=16)))
     reads = Counter()
     getitem = np.lib.npyio.NpzFile.__getitem__
 
@@ -1064,22 +1074,30 @@ def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
         detect_events(config, (), (), 16, params))
 
 
+def _assert_rows(store, frames):
+    """The store holds frames (simulate_frames' tuples) a row each, with
+    the dtypes stack_frames gives them."""
+    index, utc, pols, east, west, rf = store
+    assert [a.dtype.kind for a in store] == ["i", "f", "U", "c", "c", "f"]
+    assert len(frames) == index.size
+    assert [type(tag) for tag in pols.tolist()] == [str] * index.size
+    for row, (i, t, tag, e, w, frame_rf) in enumerate(frames):
+        assert (index[row], utc[row], pols[row]) == (i, t, tag)
+        for got, want in ((east[row], e), (west[row], w), (rf, frame_rf)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_simulated_frames_match_the_frame_store(tmp_path):
-    # simulate_frames yields the tuples load_frames_npz reads back
+    # load_frames_npz reads back the store of simulate_frames' tuples
     config = ObservationConfig(
         band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
         polarization_tags=("LHCP", "RHCP"), seed=5)
     for mode in ("freq", "time"):
         path = tmp_path / f"{mode}.npz"
         made = list(simulate_frames(config, n_frames=3, mode=mode))
-        save_frames_npz(path, made)
-        loaded = list(load_frames_npz(path))
-        assert len(made) == len(loaded) == 6
-        for want, got in zip(made, loaded):
-            assert got[:3] == want[:3]
-            assert [type(v) for v in got[:3]] == [int, float, str]
-            for a, b in zip(want[3:], got[3:]):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(made) == 6
+        save_frames_npz(path, stack_frames(made))
+        _assert_rows(load_frames_npz(path), made)
 
 
 def test_frame_store_keeps_the_frames_rf(tmp_path):
@@ -1091,12 +1109,18 @@ def test_frame_store_keeps_the_frames_rf(tmp_path):
     made = list(simulate_frames(config, n_frames=2))
     shifted = [frame[:5] + (frame[5] + 1.0e3,) for frame in made]
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, shifted)
-    (*_, rf), _ = load_frames_npz(path)
+    save_frames_npz(path, stack_frames(shifted))
+    *_, rf = load_frames_npz(path)
     assert np.array_equal(rf, config.rf_freqs() + 1.0e3)
     with pytest.raises(ValidationError, match="rf_freqs_hz"):
-        save_frames_npz(tmp_path / "mixed.npz", [made[0], shifted[1]])
+        save_frames_npz(tmp_path / "mixed.npz",
+                        stack_frames([made[0], shifted[1]]))
     assert not (tmp_path / "mixed.npz").exists()
+
+
+def test_stack_frames_needs_a_frame():
+    with pytest.raises(ValidationError, match="no frames"):
+        stack_frames(iter(()))
 
 
 def _numpy_store(save, path, frames):
@@ -1118,7 +1142,7 @@ def test_frame_store_is_savez_compressed_byte_for_byte(tmp_path, mode, tags,
         band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
         polarization_tags=tags, seed=5)
     frames = list(simulate_frames(config, n_frames=n_frames, mode=mode))
-    save_frames_npz(tmp_path / "store.npz", frames)
+    save_frames_npz(tmp_path / "store.npz", stack_frames(frames))
     assert (tmp_path / "store.npz").read_bytes() == _numpy_store(
         np.savez_compressed, tmp_path / "numpy.npz", frames)
 
@@ -1135,7 +1159,7 @@ def test_frame_store_member_past_numpys_write_chunk(tmp_path):
                   + 1j * rng.integers(-4, 4, n_channels) for _ in range(2))
     assert east.nbytes > 16 * 2 ** 20
     frames = [(0, 0.0, "LHCP", east, west, rf)]
-    save_frames_npz(tmp_path / "store.npz", frames)
+    save_frames_npz(tmp_path / "store.npz", stack_frames(frames))
     assert (tmp_path / "store.npz").read_bytes() == _numpy_store(
         np.savez_compressed, tmp_path / "numpy.npz", frames)
 
@@ -1148,13 +1172,58 @@ def test_frame_store_reads_numpy_stores(tmp_path, save):
         band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
         polarization_tags=("LHCP", "RHCP"), seed=5)
     made = list(simulate_frames(config, n_frames=2))
+    assert len(made) == 4
     _numpy_store(save, tmp_path / "frames.npz", made)
-    loaded = list(load_frames_npz(tmp_path / "frames.npz"))
-    assert len(loaded) == len(made) == 4
-    for want, got in zip(made, loaded):
-        assert got[:3] == want[:3]
-        for a, b in zip(want[3:], got[3:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    _assert_rows(load_frames_npz(tmp_path / "frames.npz"), made)
+
+
+def _two_tag_frames_manifest(frame_seconds, n_frames):
+    # a 1 MHz band of two tags, RHCP first, at a 5 dB threshold
+    return ExperimentManifest(
+        config=ObservationConfig(
+            band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+            frame_seconds=frame_seconds, polarization_tags=("RHCP", "LHCP"),
+            seed=8),
+        filter=FirstLevelFilterParams(
+            snr_threshold_db=5.0, accept_band_low_hz=1445.0e6,
+            accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+            excision_high_hz=1445.0e6),
+        mode="freq", n_frames=n_frames)
+
+
+@pytest.mark.parametrize("frame_seconds, n_frames", [
+    (0.001024, 40), (0.07, 2)], ids=["1024-bins", "70000-bins"])
+def test_simulate_events_is_the_detected_frame_store(tmp_path, frame_seconds,
+                                                     n_frames):
+    # the in-memory frame session, stacked and detected a block at a time,
+    # is the detect stage of its saved store: at 1,024 bins 80 rows are
+    # blocks of 64 and 16 with both tags across the edge; at 70,000 bins
+    # each row is a block
+    m = _two_tag_frames_manifest(frame_seconds, n_frames)
+    path = tmp_path / "frames.npz"
+    save_frames_npz(path, stack_frames(session_frames(m)))
+    (got,) = simulate_events(m)
+    want = detect_frames(m.config, m.filter, load_frames_npz(path))
+    assert event_bits(got) == event_bits(want)
+    assert got.tags == ("LHCP", "RHCP") and len(got) > 10
+
+
+def test_simulate_events_holds_a_block_not_the_frame_session():
+    # 256 two-tag frames of 1,024 bins: 512 rows, 8 blocks.  In units of
+    # one block's complex spectrum the session's spectra take 16, and
+    # stacking and scoring them whole ~32; the stage peaks (~4.7) while it
+    # stacks a block's frames, which it then drops for the scorer's power
+    # and masks
+    m = _two_tag_frames_manifest(0.001024, 256)
+    block = 16 * 64 * 1024
+    tracemalloc.start()
+    try:
+        (events,) = simulate_events(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 0
+    assert peak < 6 * block
 
 
 def test_every_stage_key_names_a_manifest_key():
