@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channelizer import fringe_phase
 from .errors import ValidationError
 from .kvconfig import write_kv_file
 
@@ -333,8 +334,8 @@ def tau_int_scan(east_frames, west_frames, rf_freqs_hz,
     (peak less than 5 robust sigma above the scan median), so a pure-noise
     input cannot silently return a bogus delay.
 
-    Assumes the west element lags the east one by the physical delay
-    (phase(W) - phase(E) = -2 pi f tau); this matches the simulator default.
+    Assumes the west element lags the east one by the physical delay:
+    phase(W) - phase(E) = channelizer.fringe_phase(f, tau), as simulated.
     The calibrator is a broadband_flat emitter reaching the west element
     sidelobe_delay_s late: simulate_frames(mode="freq") draws its frames.
     """
@@ -355,8 +356,7 @@ def tau_int_scan(east_frames, west_frames, rf_freqs_hz,
         raise ValidationError("no frames supplied")
 
     taps = np.arange(lo, hi + 0.5 * tap_step_s, tap_step_s)
-    # response[j] = |sum_k cross_k exp(-2j pi f_k tau_j)|
-    phase = np.exp(-2j * np.pi * np.outer(taps, freqs))
+    phase = np.exp(1j * fringe_phase(freqs, taps[:, None]))
     response = np.abs(phase @ cross)
     med = float(np.median(response))
     mad = float(np.median(np.abs(response - med)))

@@ -16,6 +16,8 @@ Conventions, fixed across the package:
   included in that mean, which biases strong bins down slightly; the
   estimator-corrected crossing probability below accounts for it exactly.
 * Phases are wrapped to the half-open interval (-pi, pi].
+* A tone reaching the west element tau late has phase(W) - phase(E) =
+  fringe_phase(f, tau) = -2 pi f tau: a delay is a phase lag.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ def wrap_phase(phi):
     m += TWO_PI * (m < 0.0)
     m -= TWO_PI * (m > math.pi)
     return m.reshape(x.shape)
+
+
+def fringe_phase(rf_hz, delay_s):
+    """phase(W) - phase(E) of a tone of rf_hz reaching W delay_s late."""
+    return -TWO_PI * rf_hz * delay_s
 
 
 def fft_frame(samples, frame_seconds: float,

@@ -676,13 +676,13 @@ def _render_g(x, prec: int, bad) -> tuple:
 
 
 def _render_s(col, bad) -> list:
-    """%s of a column of str.
+    """%s of a column of str or numpy.str_.
 
     Rows whose text the grid cannot hold are flagged in bad, and so is
-    every row of a column holding anything but str.
+    every row of a column holding anything else (its __str__ may differ).
     """
     values = col.tolist()
-    if set(map(type, values)) != {str}:
+    if not set(map(type, values)) <= {str, np.str_}:
         bad[:] = True
         return []
     distinct = list(set(values))

@@ -8,11 +8,11 @@ for the instrument delay tau_int:
               + 2 pi delta_f tau_int ]
 
 A genuine point source on the meridian imprints phi_W - phi_E =
--2 pi f (tau_geom + tau_int) on each event; the difference cancels the
-frequency-independent pieces and the +2 pi delta_f tau_int term removes the
-instrument delay, leaving m ~ -2 pi delta_f tau_geom, which is tiny near
-transit.  Uncorrelated noise pairs have m uniform on (-pi, pi], so a
-half-width of 0.04 rad keeps a fraction 0.04/pi ~ 1.27% of them.
+fringe_phase(f, tau_geom + tau_int) (channelizer) on each event; the
+difference cancels the frequency-independent pieces and the +2 pi delta_f
+tau_int term removes the instrument delay, leaving m ~ -2 pi delta_f
+tau_geom, which is tiny near transit.  Uncorrelated noise pairs have m
+uniform on (-pi, pi], so a half-width of 0.04 rad keeps 0.04/pi ~ 1.27%.
 
 Every function here works on a PairTable (see pairdetect) at once, be it a
 whole table's pairs or one chunk of them: the metric, the delta_f window
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channelizer import TWO_PI, wrap_phase
+from .channelizer import TWO_PI, fringe_phase, wrap_phase
 from .errors import ValidationError
 from .pairdetect import PairTable, write_csv
 from .skystats import peak_cohens_d, ra_bin_index
@@ -95,7 +95,7 @@ def _phase_differences(pairs: PairTable) -> np.ndarray:
 def phase_metrics(pairs: PairTable, tau_int_s: float) -> np.ndarray:
     """Differential-phase metric of every pair, wrapped to (-pi, pi]."""
     return wrap_phase(_phase_differences(pairs)
-                      + TWO_PI * pairs.delta_f_hz * tau_int_s)
+                      - fringe_phase(pairs.delta_f_hz, tau_int_s))
 
 
 def _pow10(x: float) -> float:

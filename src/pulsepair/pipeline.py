@@ -265,7 +265,7 @@ _BOOLS = {"true": True, "yes": True, "1": True,
 def _parse(text: str, hint, key: str):
     """Parse one value by its field's type: bool, int, float, str, tuple.
 
-    `none` is accepted only for an optional (`X | None`) field.
+    `none` is valid only for an optional (`X | None`) field; floats are finite.
     """
     types = typing.get_args(hint) or (hint,)
     if text == "none":
@@ -278,9 +278,12 @@ def _parse(text: str, hint, key: str):
             return _BOOLS[text.lower()]
         if kind is tuple:
             return tuple(t.strip() for t in text.split(",") if t.strip())
-        return kind(text)
+        value = kind(text)
     except (KeyError, ValueError):
         raise ValidationError(f"key {key!r}: cannot parse {text!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ValidationError(f"key {key!r}: {text!r} is not finite")
+    return value
 
 
 def manifest_from_file(path, overrides: dict | None = None) -> ExperimentManifest:
@@ -414,8 +417,7 @@ def detect_frames(config: ObservationConfig, params: FirstLevelFilterParams,
     time, at most _BLOCK_BINS bins, each block a view of the store."""
     index, utc, pols, east, west, rf = store
     ra = config.pointing_ra(lst_hours(utc, config.longitude_deg))
-    # str tags: with np.str_ ones the archive writer renders row by row
-    rows = (index, utc, pols.tolist(), east, west)
+    rows = (index, utc, pols, east, west)
     step = max(1, _BLOCK_BINS // rf.size)
     return EventTable.concat(first_level_filter_frames(
         *(column[at:at + step] for column in rows), rf, params,

@@ -27,10 +27,8 @@ phase an angle, so a scale on all powers alike would change no output; no
 setting scales them.
 
 Inter-element phase convention: a plane wave with total delay tau (geometry
-plus instrument) reaches the west element late, so
-phase(W) - phase(E) = phase_sign * 2 pi f tau with phase_sign = -1.0 by
-default (a delay is a phase lag).  The flag exists so convention experiments
-can flip it and watch the delay scan land on -tau instead.
+plus instrument) reaches the west element late, so every injected component
+has phase(W) - phase(E) = channelizer.fringe_phase(f, tau) = -2 pi f tau.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import numpy as np
 
 from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (TWO_PI, estimator_corrected_crossing_prob,
-                          fft_frame, wrap_phase)
+                          fft_frame, fringe_phase, wrap_phase)
 from .errors import ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
                          check_tags, empty_event_columns)
@@ -81,7 +79,6 @@ class ObservationConfig:
     azimuth_deg: float = 180.0
     tau_int_true_s: float = 0.0
     polarization_tags: tuple = ("LHCP",)
-    phase_sign: float = -1.0
     beam_fwhm_ra_deg: float | None = None
     seed: int = 0
 
@@ -104,8 +101,6 @@ class ObservationConfig:
         if len(set(self.polarization_tags)) != len(self.polarization_tags):
             raise ValidationError("duplicate polarization tags")
         check_tags(self.polarization_tags)
-        if self.phase_sign not in (-1.0, 1.0):
-            raise ValidationError("phase_sign must be -1.0 or +1.0")
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValidationError("latitude outside [-90, 90]")
         if not -180.0 <= self.longitude_deg <= 180.0:
@@ -319,12 +314,12 @@ def _tones_for_frame(config: ObservationConfig, sources, frame_index: int,
     return tones
 
 
-def _add_tone(east, west, k: int, amp: float, ph: float, shift: float,
-              mode: str) -> None:
-    """Add in place a bin-centred tone of bin k and amplitude amp to both
-    elements: phase ph in the east, ph + shift in the west.  In freq mode
-    it lands in bin k; in time mode it is a carrier over every sample."""
-    idx, base = k, ph
+def _add_tone(east, west, k: int, amp: float, ph: float, rf_k: float,
+              delay_s: float, mode: str) -> None:
+    """Add in place a tone centred on bin k (rf_k), of amplitude amp and east
+    phase ph, to both elements, reaching the west one delay_s late: in freq
+    mode in bin k, in time mode as a carrier over every sample."""
+    idx, base, shift = k, ph, fringe_phase(rf_k, delay_s)
     if mode == "time":
         n = east.size
         idx, base = slice(None), TWO_PI * k * np.arange(n) / n + ph
@@ -337,7 +332,6 @@ def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
                    mode: str) -> None:
     """Add active interferers in place to both elements' bins or samples."""
     n = config.n_bins
-    sign = config.phase_sign
     for r_idx, r in enumerate(rfi):
         rng = np.random.default_rng(
             [config.seed, 0xAF1, frame_index, pol_idx, r_idx])
@@ -348,14 +342,14 @@ def _rfi_for_frame(config: ObservationConfig, rfi, frame_index: int,
                           * config.frame_seconds))
             k = min(max(k, 0), n - 1)
             _add_tone(east, west, k, math.sqrt(r.power_rel_noise),
-                      float(rng.uniform(-math.pi, math.pi)),
-                      sign * TWO_PI * rf[k] * r.sidelobe_delay_s, mode)
+                      float(rng.uniform(-math.pi, math.pi)), rf[k],
+                      r.sidelobe_delay_s, mode)
         else:  # broadband_flat
             scale = math.sqrt(r.power_rel_noise / 2.0)
             if mode == "freq":
                 g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
                 east += g
-                west += g * np.exp(1j * sign * TWO_PI * rf * r.sidelobe_delay_s)
+                west += g * np.exp(1j * fringe_phase(rf, r.sidelobe_delay_s))
             else:
                 # zero delay only (validated); identical samples both sides
                 gt = (rng.standard_normal(n)
@@ -369,8 +363,8 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
                     mode: str = "freq"):
     """Generate channelized east/west frames for every polarization.
 
-    Yields (frame_index, utc_s, pol_tag, east, west, rf_freqs) tuples, as
-    pipeline.load_frames_npz does, frame-major and polarization-minor.
+    Yields (frame_index, utc_s, pol_tag, east, west, rf_freqs) tuples, the
+    rows of pipeline.stack_frames, frame-major and polarization-minor.
     RNG streams are keyed on (seed, frame, polarization[, source/interferer])
     so any frame is reproducible in isolation and resumed or parallel runs
     produce identical bytes.
@@ -400,7 +394,6 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
     n = config.n_bins
     band_width = config.band_high_hz - config.band_low_hz
     rf = config.rf_freqs()
-    sign = config.phase_sign
     # unit noise floor per bin; a time-mode frame's FFT sums n samples
     scale = math.sqrt((1 if mode == "freq" else n) / 2.0)
     for frame_index in range(n_frames):
@@ -416,8 +409,7 @@ def simulate_frames(config: ObservationConfig, sources=(), rfi=(),
 
             for (k, amp, ph, tau) in _tones_for_frame(
                     config, sources, frame_index, pol_idx, pol_tag, lst):
-                _add_tone(east, west, k, amp, ph,
-                          sign * TWO_PI * rf[k] * tau, mode)
+                _add_tone(east, west, k, amp, ph, rf[k], tau, mode)
             _rfi_for_frame(config, rfi, frame_index, pol_idx, east, west,
                            rf, mode)
 
@@ -525,9 +517,8 @@ def _injected_rows(config: ObservationConfig, sources, params,
                        + config.tau_int_true_s)
                 base = float(rng_s.uniform(-math.pi, math.pi))
                 phi_e = float(wrap_phase(base + rng_s.normal(0.0, sigma_phi)))
-                phi_w = float(wrap_phase(
-                    base + config.phase_sign * TWO_PI * f * tau
-                    + rng_s.normal(0.0, sigma_phi)))
+                phi_w = float(wrap_phase(base + fringe_phase(f, tau)
+                                         + rng_s.normal(0.0, sigma_phi)))
                 rows.append((j, k, code, snr_rec_db, snr_rec_db,
                              phi_e, phi_w))
     return rows

@@ -495,11 +495,12 @@ def test_validation_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("config.noise_floor", "1.0"), ("source.0.emission_window_hr", "0.1"),
-    ("rfi.0.direction", "sidelobe")])
+    ("rfi.0.direction", "sidelobe"), ("config.phase_sign", "-1.0")])
 def test_a_removed_key_is_a_validation_error(tmp_path, capsys, key, value):
     # noise_floor scaled every voltage alike, so no SNR or phase saw it;
     # an emission window was twice transit_halfwidth_hr; a direction only
-    # restated whether sidelobe_delay_s is zero
+    # restated whether sidelobe_delay_s is zero; phase_sign let the
+    # simulators flip the one convention the analysis hard-codes
     m = _events_manifest(
         sources=[SourceSpec(name="s", ra_hr=5.25, dec_deg=-8.0, snr_db=45.0,
                             pulse_rate_per_frame=0.01)],

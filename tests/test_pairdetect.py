@@ -1010,6 +1010,29 @@ def test_write_rows_leaves_columns_it_cannot_render_to_percent(fmt, column):
         fmt % row for row in zip(*[c.tolist() for c in columns]))
 
 
+class _Shout(str):
+    def __str__(self):
+        return self.upper()
+
+
+@pytest.mark.parametrize("tag, n_flagged", [(np.str_, 0), (_Shout, 70000)],
+                         ids=["numpy-str", "str-subclass"])
+def test_write_rows_renders_numpy_str_in_numpy(tag, n_flagged):
+    # tags taken from a numpy array are numpy.str_, whose text the kernel
+    # writes with no row left to %; another str subclass's __str__ may
+    # differ from its text, so its column goes to % whole
+    column = np.array([tag(t) for t in ("LHCP", "RHCP", "pol-long-tag")],
+                      dtype=object)[np.random.default_rng(3).integers(
+                          0, 3, 70000)]
+    fmt, columns = "%d,%s\n", [np.arange(column.size), column]
+    assert sum(len(flagged) for _, flagged, _ in
+               pairdetect._chunks(fmt, columns)) == n_flagged
+    fh = io.StringIO()
+    write_rows(fh, fmt, columns)
+    assert fh.getvalue() == "".join(
+        fmt % row for row in zip(*[c.tolist() for c in columns]))
+
+
 def _hard_part(n, rng):
     """n events whose float columns hold _HARD_FLOATS on the first and last
     row of every chunk and on random rows, both tags in use."""

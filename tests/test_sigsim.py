@@ -11,7 +11,7 @@ from helpers import (calibrator_frames, detect_events, event_columns,
                      wide_band_params)
 from pulsepair import pairdetect, sigsim
 from pulsepair.calib import SIDEREAL_DAY_S, lst_hours
-from pulsepair.channelizer import frame_bin_stats, wrap_phase
+from pulsepair.channelizer import frame_bin_stats, fringe_phase, wrap_phase
 from pulsepair.errors import ValidationError
 from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams)
@@ -82,7 +82,11 @@ def test_time_mode_matches_freq_mode_levels():
 
 
 def test_injected_tone_phase_convention():
-    # west lags east: wrap(phi_w - phi_e - sign*2*pi*f*tau) ~ 0 at high SNR
+    # west lags east on both simulators: at high SNR every injected
+    # component has wrap(phi_w - phi_e - fringe_phase(f, tau)) ~ 0, tau the
+    # geometric delay at its frame plus tau_int_true_s.  The per-bin path's
+    # events are all the source's; the sampler's injected rows are those
+    # above threshold + 6 dB, which no noise row reaches
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1447.5e6,
                             frame_seconds=0.1, tau_int_true_s=-144.0e-9,
                             seed=13)
@@ -90,20 +94,26 @@ def test_injected_tone_phase_convention():
     src = SourceSpec(name="s", ra_hr=lst0, dec_deg=-8.0, snr_db=60.0,
                      pulse_rate_per_frame=2.0, delta_f_low_hz=1.0e5,
                      delta_f_high_hz=2.0e6)
-    events = detect_events(cfg, [src], [], 20, wide_band_params())
-    assert len(events) > 20
-    for utc, rf, phase_e, phase_w, snr_e in zip(
-            events.utc_s.tolist(), events.rf_freq_hz.tolist(),
-            events.phase_east_rad.tolist(), events.phase_west_rad.tolist(),
-            events.snr_east_db.tolist()):
-        tau = geometric_delay(cfg.baseline_m, src.dec_deg,
-                              (float(lst_hours(utc, cfg.longitude_deg))
-                               - src.ra_hr) * math.pi / 12.0)
-        tau += cfg.tau_int_true_s
-        resid = wrap_phase(phase_w - phase_e
-                           - cfg.phase_sign * TWO_PI * rf * tau)
-        assert abs(resid) < 0.02                    # ~14 sigma at 60 dB
-        assert snr_e > 20.0
+    params = wide_band_params()
+    frames = detect_events(cfg, [src], [], 20, params)
+    sampled = EventTable.concat(simulate_level1_events(
+        cfg, [src], params, 1, lst0 - 0.002, lst0 + 0.002))
+    injected = sampled.snr_east_db > params.snr_threshold_db + 6.0
+    assert (sampled.snr_east_db[injected]
+            == sampled.snr_west_db[injected]).all()
+    sampled = sampled.take(np.flatnonzero(injected))
+    # the phase noise of phi_w - phi_e: 1 / sqrt(snr) of the tone
+    sigma = 10.0 ** (-src.snr_db / 20.0)
+    for events in (frames, sampled):
+        assert len(events) > 20
+        assert (events.snr_east_db > 20.0).all()
+        ha = ((lst_hours(events.utc_s, cfg.longitude_deg) - src.ra_hr)
+              * math.pi / 12.0)
+        tau = (geometric_delay(cfg.baseline_m, src.dec_deg, ha)
+               + cfg.tau_int_true_s)
+        resid = wrap_phase(events.phase_west_rad - events.phase_east_rad
+                           - fringe_phase(events.rf_freq_hz, tau))
+        assert np.abs(resid).max() < 6.0 * sigma
 
 
 def test_source_validation():
@@ -149,7 +159,7 @@ def test_rfi_common_mode_vs_sidelobe():
     assert len(ev_c) == 5 and len(ev_s) == 5
     diff_c = wrap_phase(ev_c.phase_west_rad - ev_c.phase_east_rad)
     assert (np.abs(diff_c) < 0.01).all()
-    shift = cfg.phase_sign * TWO_PI * 1445.05e6 * 100.0e-9
+    shift = fringe_phase(1445.05e6, 100.0e-9)
     diff_s = wrap_phase(ev_s.phase_west_rad - ev_s.phase_east_rad - shift)
     assert (np.abs(diff_s) < 0.01).all()
 
