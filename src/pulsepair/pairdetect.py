@@ -8,18 +8,18 @@ consecutive entries, so a pair's two members are adjacent in frequency-major
 order and at most 2K frames apart.  K = 0 pairs only within single frames.
 
 A session is paired one transit at a time, so no pair joins two transits:
-an EventStream knows each transit's row count and the tags up front and
-makes the transits' EventTables one after another, and
-write_level1_archive writes them as they come.  Pairing is local to a
-block, so chunk_events cuts a table at every transit edge and at the
-first block edge at least 16,384 rows after the last cut, once its rows
-are in (transit, block) order, and each such pair chunk is paired in
-turn.  One cutter, _chunk_cuts, built on one scan (_cuts) and one block
-key (_block_key), finds those edges in a table and in an archive's
-sidecar as read_level1_archive streams it, so every archive yields the
-same chunks.
-A stage that takes each chunk as it comes holds one chunk; one that reads
-a text archive, or samples a session, holds the table or one transit too.
+an EventStream knows its row count and the tags up front and makes its
+EventTables one after another, and write_level1_archive writes them as
+they come.  Pairing is local to a block, so chunk_events cuts a table at
+every transit edge and at the first block edge at least 16,384 rows after
+the last cut, once its rows are in (transit, block) order, and each such
+pair chunk is paired in turn.  One cutter, _chunk_cuts, built on one scan
+(_cuts) and one block key (_block_key), finds those edges in a table, in
+an archive's sidecar as read_level1_archive streams it, and in the event
+sampler's sorted key (sigsim), so every archive and sampled session
+yields the same chunks.  A stage that takes each chunk as it comes holds
+one chunk; one that reads a text archive holds the table too, and the
+sampler one transit's sort and float draws.
 
 Events and pairs move between stages as columns, not objects.  An
 EventTable holds one numpy array per archive column; the polarization tag is
@@ -188,24 +188,23 @@ def empty_event_columns(n: int) -> dict:
 @dataclass(eq=False)
 class EventStream:
     """A session's events as consecutive EventTables (parts), made one at a
-    time as they are consumed, such as one per transit.
+    time as they are consumed, such as one per pair chunk.
 
-    `lengths` holds each part's row count and `tags` every part's tags
+    `rows` is the parts' total row count and `tags` every part's tags
     (used or not), both known before the first part is made.
     A stream iterates once.  A consumer that holds one part at a time must
     drop it before it asks for the next.
     """
 
     tags: tuple
-    lengths: tuple
+    rows: int
     parts: Iterator[EventTable] | None
 
     def __post_init__(self):
         self.tags = tuple(self.tags)
-        self.lengths = tuple(self.lengths)
 
     def __len__(self) -> int:
-        return sum(self.lengths)
+        return self.rows
 
     def __iter__(self) -> Iterator[EventTable]:
         if self.parts is None:
@@ -216,7 +215,7 @@ class EventStream:
     @classmethod
     def of(cls, table: EventTable) -> EventStream:
         """The one-part stream of `table`, with all of the table's tags."""
-        return cls(table.tags, (len(table),), iter([table]))
+        return cls(table.tags, len(table), iter([table]))
 
 
 @dataclass(eq=False)
@@ -568,8 +567,10 @@ def _word_tables() -> np.ndarray:
 _WORDS = _word_tables()
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10F = _POW10.astype(float)      # exact: so is every 10**k to 10**22
-# rows of an archive grid (~1.6 MB, fits a 2 MB L2), and events a pair chunk
+# events a pair chunk, and rows _cuts scans at a time
 _CHUNK_ROWS = 1 << 14
+# bytes of a grid (~1.6 MB, fits a 2 MB L2): ~17,200 archive rows
+_GRID_BYTES = 100 * _CHUNK_ROWS
 _MARGIN = 3                         # room for the spare bytes of a first word
 # grid rows _compact strips at a time (~100 KB of archive text): on the
 # archive's writer thread, whole-grid temporaries raised simulate's peak RSS
@@ -675,20 +676,44 @@ def _render_g(x, prec: int, bad) -> tuple:
             np.copysign(digits / _POW10F[k], x))
 
 
+@dataclass(frozen=True)
+class _Coded:
+    """A str column as int codes into `values`, such as the archive's
+    polarization_tag (pol_code into the tags): write_rows renders it by
+    gathering each value's bytes by code, with no str made per row."""
+
+    codes: np.ndarray
+    values: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> _Coded:
+        return _Coded(self.codes[rows], self.values)
+
+    def tolist(self) -> list:
+        return [self.values[code] for code in self.codes.tolist()]
+
+
 def _render_s(col, bad) -> list:
-    """%s of a column of str or numpy.str_.
+    """%s of a _Coded column or a column, each of str or numpy.str_.
 
     Rows whose text the grid cannot hold are flagged in bad, and so is
     every row of a column holding anything else (its __str__ may differ).
     """
-    values = col.tolist()
+    coded = isinstance(col, _Coded)
+    values = list(col.values) if coded else col.tolist()
     if not set(map(type, values)) <= {str, np.str_}:
         bad[:] = True
         return []
-    distinct = list(set(values))
-    code = {v: i for i, v in enumerate(distinct)}
-    codes = (np.fromiter(map(code.__getitem__, values), np.intp, len(values))
-             if len(distinct) > 1 else np.zeros(len(values), np.intp))
+    if coded:
+        distinct, codes = values, col.codes
+    else:
+        distinct = list(set(values))
+        code = {v: i for i, v in enumerate(distinct)}
+        codes = (np.fromiter(map(code.__getitem__, values), np.intp,
+                             len(values))
+                 if len(distinct) > 1 else np.zeros(len(values), np.intp))
     ok = np.array([not _NOT_TEXT.search(v) for v in distinct])
     bad |= ~ok[codes]
     table = np.zeros((len(distinct), max(map(len, distinct))), np.uint8)
@@ -711,9 +736,9 @@ def _render(conv: str, col, bad) -> tuple:
     row not flagged in bad.  back is None for %d, %s and a column the
     kernel leaves to %.
     """
-    kind = col.dtype.kind
     if conv == "s":
         return _render_s(col, bad), None
+    kind = col.dtype.kind
     if conv == "d" and (kind == "i" or kind == "u" and col.dtype.itemsize < 8):
         v = col.astype(np.int64)
         bad |= v == np.iinfo(np.int64).min
@@ -725,9 +750,27 @@ def _render(conv: str, col, bad) -> tuple:
     return [], None
 
 
+def _grid_rows(fmt: str) -> int:
+    """Rows of fmt that fill _GRID_BYTES at an estimated row width: its
+    literals and 8 bytes a conversion, the width of the int64 or float64
+    it renders (95 bytes for an archive row, whose grid is 98 wide)."""
+    pieces = _CONVERSION.split(fmt)
+    width = _MARGIN + sum(map(len, pieces[::2])) + 8 * (len(pieces) // 2)
+    return max(1, _GRID_BYTES // width)
+
+
+def _grid_cuts(fmt: str, n: int) -> list:
+    """Row offsets [0, ..., n] of the grids _chunks lays n rows of fmt out
+    in: n // _grid_rows(fmt) grids of near equal size, or one.  So a wider
+    row takes fewer rows a grid, and rows shorter than two grids are one
+    grid."""
+    grids = min(n, max(1, n // _grid_rows(fmt)))
+    return [n * i // grids for i in range(grids + 1)] if grids else [0]
+
+
 def _chunks(fmt: str, columns, read_back: bool = False):
-    """Yield the _lay_out of each _CHUNK_ROWS rows of the columns, whose
-    _compact is `fmt % row` for every row."""
+    """Yield the _lay_out of each grid of the columns' rows (_grid_cuts),
+    whose _compact is `fmt % row` for every row."""
     pieces = _CONVERSION.split(fmt)
     literals, conversions = pieces[::2], pieces[1::2]
     # %.Nf keeps N <= 18 decimals in int64; %.Ng needs 1 <= N <= 15 for
@@ -742,10 +785,11 @@ def _chunks(fmt: str, columns, read_back: bool = False):
     if len({len(c) for c in columns}) > 1:
         raise ValueError("write_rows: columns differ in length")
     lit = [(len(t), np.frombuffer(t.encode(), np.uint8)) for t in literals]
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+    cuts = _grid_cuts(fmt, len(columns[0]))
+    for lo, hi in zip(cuts, cuts[1:]):
         yield _lay_out(conversions, lit, [
-            np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns],
-            read_back)
+            c[lo:hi] if isinstance(c, _Coded) else np.asarray(c[lo:hi])
+            for c in columns], read_back)
 
 
 def _lay_out(conversions, lit, chunk, read_back: bool) -> tuple:
@@ -807,7 +851,8 @@ def _compact(fmt: str, grid, flagged) -> Iterator[bytes]:
 def write_rows(fh, fmt: str, columns) -> None:
     """Write `fmt % row` for every row of equal-length array columns.
 
-    The text is rendered column by column in numpy, 16,384 rows at a time.
+    The text is rendered column by column in numpy, ~1.6 MB of text at a
+    time (_grid_cuts).
     fmt may hold only the conversions %d, %s, %.Nf (N <= 18) and %.Ng
     (1 <= N <= 15), one per column; any other format raises ValueError.
     A row whose text the numpy kernel cannot show to equal `fmt % row` (a
@@ -934,10 +979,11 @@ def write_level1_archive(path, events) -> None:
     """Write events as a level-1 archive CSV (schema version 1), and its
     column sidecar when every tag of the events is used.
 
-    `events` is an EventTable or an EventStream; a stream's parts are
-    written in turn as they are made, so the writer holds one part plus
-    two chunks of rows, and a part whose tags are not the stream's raises
-    ValueError, as does a row count other than the stream declared.
+    `events` is an EventTable or an EventStream; a stream's parts, such as
+    the sampler's pair chunks, are written in turn as they are made, so
+    the writer holds one part plus two grids of rows, and a part whose
+    tags are not the stream's raises ValueError, as does a row count other
+    than the stream declared.
     Fixed formats (utc to ms, rf to 0.1 Hz, SNR/phase/RA to 6 significant
     digits) make the file a function of the data alone.  Every tag of the
     events (a table's or a stream's tags, used or not) must be non-empty
@@ -948,11 +994,12 @@ def write_level1_archive(path, events) -> None:
     in use, so when some tag has no event no sidecar is kept (and an old
     one is removed): the archive is then read from its text.
     Both are written in one pass to temporary files beside them.  The
-    calling thread makes the parts and lays out each chunk (_lay_out);
-    one writer thread does all file work in order, one task at a time:
-    each chunk's text (_compact) to the CSV and the sha256, its read-back
-    float columns and each part's int columns to their offsets in the
-    sidecar.  The header carrying the digest goes in last.  Only once
+    calling thread makes the parts and lays out each grid (_lay_out), its
+    tags gathered by pol_code; one writer thread does all file work in
+    order, one task a grid, a grid behind the caller across parts: the
+    grid's text (_compact) to the CSV and the sha256, and its rows'
+    read-back float and int columns to their offsets in the sidecar.  The
+    header carrying the digest goes in last.  Only once
     every row is written do they replace the old files, so a write that
     raises on either thread leaves the old archive and sidecar as they
     were; the writer thread has ended when this returns or raises.
@@ -981,10 +1028,10 @@ def write_level1_archive(path, events) -> None:
         fh.write(rows)
         sha256.update(rows)
 
-    def write(start: int, grid, flagged, backs) -> None:
+    def write(start: int, grid, flagged, columns: dict) -> None:
         for rows in _compact(_ARCHIVE_ROW, grid, flagged):
             add(rows)
-        put(start, dict(zip(floats, backs)))
+        put(start, columns)
 
     try:
         # the pool's with nested in the files': a raise on either thread
@@ -1000,21 +1047,26 @@ def write_level1_archive(path, events) -> None:
                         f"write_level1_archive: a part has the tags "
                         f"{part.tags!r}, the stream {stream.tags!r}")
                 used[part.pol_code] = True
-                task.result()
-                task = writer.submit(put, start, {
-                    name: getattr(part, name)
-                    for name in ("frame_index", "bin_index", "pol_code")})
+                ints = {name: getattr(part, name)
+                        for name in ("frame_index", "bin_index", "pol_code")}
                 chunks = _chunks(_ARCHIVE_ROW, [
-                    getattr(part, name) for name in list(ARCHIVE_COLUMNS)[1:]],
-                    read_back=True)
+                    _Coded(part.pol_code, part.tags)
+                    if name == "polarization_tag" else getattr(part, name)
+                    for name in list(ARCHIVE_COLUMNS)[1:]], read_back=True)
                 # the next part is made only once this one is dropped
                 del part
+                lo = 0
                 for grid, flagged, backs in chunks:
+                    hi = lo + len(grid)
+                    columns = dict(zip(floats, backs)) | {
+                        name: column[lo:hi] for name, column in ints.items()}
                     task.result()
-                    task = writer.submit(write, start, grid, flagged, backs)
-                    start += len(grid)
+                    task = writer.submit(write, start, grid, flagged, columns)
+                    start += hi - lo
+                    lo = hi
                     # held by the task alone, so freed once written
-                    del grid, flagged, backs
+                    del grid, flagged, backs, columns
+                del ints, chunks
             task.result()
             if start != n:
                 raise ValueError(f"write_level1_archive: the stream declared "

@@ -452,12 +452,15 @@ def session_frames(manifest: ExperimentManifest):
                            mode=manifest.mode)
 
 
-def simulate_events(manifest: ExperimentManifest) -> EventStream:
+def simulate_events(manifest: ExperimentManifest,
+                    pairing_window_frames: int = 0) -> EventStream:
     """The simulate stage in memory: the session's level-1 events.
 
-    Events mode samples them directly, one transit at a time as the stream
-    is consumed; the frame modes synthesize the frames and first-level
-    filter them into a one-part stream, a stacked block at a time.
+    Events mode samples them directly, a pair chunk at pairing window
+    `pairing_window_frames` at a time as the stream is consumed (the
+    archive's bytes do not depend on it); the frame modes synthesize the
+    frames and first-level filter them into a one-part stream, a stacked
+    block at a time.
     """
     if manifest.mode == "events":
         if manifest.n_frames is not None:
@@ -467,7 +470,8 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
         return simulate_level1_events(
             manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
-            start_utc_s=manifest.start_utc_s, rfi=manifest.rfi)
+            start_utc_s=manifest.start_utc_s, rfi=manifest.rfi,
+            pairing_window_frames=pairing_window_frames)
     frames = session_frames(manifest)
     rows = manifest.n_frames * len(manifest.config.polarization_tags)
     step = max(1, _BLOCK_BINS // manifest.config.n_bins)
@@ -518,11 +522,15 @@ def consume_session(manifest: ExperimentManifest, level1_path, consume,
 
 
 def sample_session(manifest: ExperimentManifest):
-    """read_session's twin for a sampled session: each part (transit) of
-    simulate_events, cut as read_session cuts it (chunk_events)."""
-    for part in simulate_events(manifest):
-        yield from chunk_events(part, None, manifest.pairing_window_frames)
-        del part                    # before the next part is sampled
+    """read_session's twin for a sampled session: its pair chunks at
+    run.pairing_window_frames, as read_session cuts its archive.  In
+    events mode they are the sampler's own (simulate_events); a frame-mode
+    session's table is cut by chunk_events."""
+    k = manifest.pairing_window_frames
+    stream = simulate_events(manifest, k)
+    if manifest.mode == "events":
+        return iter(stream)
+    return (chunk for part in stream for chunk in chunk_events(part, None, k))
 
 
 def session_pairs(manifest: ExperimentManifest, tables):
@@ -786,7 +794,8 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     the sampler draws each seed's transits on the thread that runs it, so
     one seed runs on the calling thread alone.  Rows come in seed
     order with the same bytes at any thread count; memory grows with the
-    seeds in flight, each holding one transit plus one chunk.
+    seeds in flight, each holding one transit's sort and float draws plus
+    one chunk (sigsim.simulate_level1_events).
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")

@@ -12,13 +12,13 @@ Three generation paths, from most physical to most scalable:
   SURVIVORS directly from their exact statistics (Poisson dual-crossing
   counts at the estimator-corrected rate, uniform bins and phases,
   threshold-conditioned SNR tails) plus geometry-consistent injected pairs,
-  as an EventStream of one EventTable per transit, drawn on the consumer's
-  thread as it is consumed, whose noise columns are drawn as whole arrays.
-  The usable bins are held as [start, stop) runs, so its time scales with
-  the events drawn, not with the band's bin count, and its memory with one
-  transit's events.  This is what makes multi-transit full-band
-  experiments fit in seconds; it is calibrated against the per-bin path in
-  the test suite.
+  as an EventStream of one EventTable per pair chunk, drawn on the
+  consumer's thread as it is consumed, whose noise columns are drawn as
+  whole arrays a transit at a time.  The usable bins are held as
+  [start, stop) runs, so its time scales with the events drawn, not with
+  the band's bin count, and its memory with one transit's sort and draws.
+  This is what makes multi-transit full-band experiments fit in seconds;
+  it is calibrated against the per-bin path in the test suite.
 
 Noise normalization: the per-bin noise floor is the unit of power, 1.0
 under the package's unit-tone-gain FFT, i.e. time-domain per-sample variance
@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .channelizer import (TWO_PI, estimator_corrected_crossing_prob,
                           fft_frame, fringe_phase, wrap_phase)
 from .errors import ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
-                         check_tags, empty_event_columns)
+                         _chunk_cuts, check_tags, empty_event_columns)
 
 C_LIGHT_M_S = 299792458.0
 
@@ -566,20 +567,25 @@ def _sort_key(key: np.ndarray, span: int) -> tuple:
 
 def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
                   transit: int, n_frames: int, utc_start: float, runs: tuple,
-                  rng, count: int, injected: list) -> dict:
+                  rng, count: int, injected: list,
+                  pairing_window_frames: int) -> Iterator[EventTable]:
     """Draw one transit's `count` noise events (dual crossings, uniform over
-    frame, polarization and usable bin) and return them with its `injected`
-    rows, in (frame, tag, bin) order, as event columns by name.
+    frame, polarization and usable bin) and yield them with its `injected`
+    rows, in (frame, tag, bin) order, an EventTable a pair chunk: cut by
+    pairdetect._chunk_cuts with pairing window `pairing_window_frames`, as
+    chunk_events cuts the transit's table.
 
     The frame, tag and bin of each event are packed into one sort key as
-    they are drawn, and unpacked from the sorted key into their columns;
-    the float columns are drawn after the sort, one at a time, into the
-    sorted key's buffer.  So a one-tag transit without sources allocates
-    its frame draw (the key), its bin draw, the sort's order and its own
-    columns, and no other array of its size.
+    they are drawn, and the sort gives the sorted key and its order.  The
+    four float columns are then drawn whole, in draw order, each with the
+    injected values in its tail.  Only those six arrays are kept: each
+    chunk unpacks its frame, tag and bin from its slice of the sorted key
+    and gathers its float columns through its slice of the order, so no
+    array of the transit's ten columns is ever made.
     """
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     n_pol = len(config.polarization_tags)
+    tags = tuple(sorted(config.polarization_tags))
     n_usable = sum(stop - start for start, stop in runs)
     r0 = 10.0 ** (params.snr_threshold_db / 10.0)
 
@@ -589,7 +595,6 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
     key = rng.integers(0, n_frames, count)
     # one tag: integers(0, 1) draws no bits, so its draw and code are skipped
     if n_pol > 1:
-        tags = tuple(sorted(config.polarization_tags))
         tag_rank = np.array([tags.index(t) for t in config.polarization_tags])
         key *= n_pol
         draw = rng.integers(0, n_pol, count)    # ranks gathered in place
@@ -601,52 +606,54 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
         key = np.concatenate((key, [(j * n_pol + code) * config.n_bins + k
                                     for j, k, code, *_ in injected]))
     order, key = _sort_key(key, n_frames * n_pol * config.n_bins)
-    # allocated once the sort's temporaries are freed: allocated before
-    # the sort, the survey's peak RSS was more often ~3 MB higher
-    out = empty_event_columns(order.size)
 
-    frame_index, utc_s, rf = (out["frame_index"], out["utc_s"],
-                              out["rf_freq_hz"])
-    np.divmod(key, config.n_bins, out=(frame_index, out["bin_index"]))
-    if n_pol > 1:
-        np.divmod(frame_index, n_pol, out=(frame_index, out["pol_code"]))
-    else:
-        out["pol_code"].fill(0)
-    np.multiply(frame_index, config.hop_seconds, out=utc_s)
-    utc_s += utc_start
-    np.take(config.pointing_ra(window_lo_hr + np.arange(n_frames) * hop_hr),
-            frame_index, out=out["ra_pointing_hr"], mode="clip")
-    frame_index += transit * n_frames
-    np.divide(out["bin_index"], config.frame_seconds, out=rf)
-    rf += config.band_low_hz
-
-    # the sorted key is spent: its buffer takes each float column in turn,
-    # drawn into its head beside the injected values in its tail
-    scratch = key.view(np.float64)
-    head, tail = scratch[:count], scratch[count:]
-    extra = list(zip(*injected))[3:] or [()] * 4
-
-    def put(name, values):
-        tail[:] = values
-        # order holds valid indices; with `out`, mode="raise" would gather
-        # through a temporary buffer
-        np.take(scratch, order, out=out[name], mode="clip")
-
-    # SNR ratio conditioned on crossing: r0 + unit exponential, each
-    # element.  standard_exponential and random with `out` give the bits
-    # and the stream of exponential(1.0, count) and uniform(-pi, pi, count).
-    for name, values in zip(("snr_east_db", "snr_west_db"), extra[:2]):
+    # the float columns by name, in draw order: each drawn into its head
+    # beside the injected values in its tail.  SNR ratio conditioned on
+    # crossing: r0 + unit exponential, each element.  standard_exponential
+    # and random with `out` give the bits and the stream of
+    # exponential(1.0, count) and uniform(-pi, pi, count).
+    floats = ("snr_east_db", "snr_west_db", "phase_east_rad",
+              "phase_west_rad")
+    draws = np.empty((len(floats), order.size))
+    for draw, values in zip(draws, list(zip(*injected))[3:] or [()] * 4):
+        draw[count:] = values
+    for head in draws[:2, :count]:
         rng.standard_exponential(out=head)
         head += r0
         np.log10(head, out=head)
         head *= 10.0
-        put(name, values)
-    for name, values in zip(("phase_east_rad", "phase_west_rad"), extra[2:]):
+    for head in draws[2:, :count]:
         rng.random(out=head)
         head *= math.pi - -math.pi
         head += -math.pi
-        put(name, values)
-    return out
+
+    pointing = config.pointing_ra(window_lo_hr
+                                  + np.arange(n_frames) * hop_hr)
+    first_frame, per_frame = transit * n_frames, n_pol * config.n_bins
+    cuts = _chunk_cuts(None, lambda lo, hi: key[lo:hi] // per_frame
+                       + first_frame, key.size, pairing_window_frames)
+    for lo, hi in zip(cuts, cuts[1:]):
+        out = empty_event_columns(hi - lo)
+        frame_index, utc_s, rf = (out["frame_index"], out["utc_s"],
+                                  out["rf_freq_hz"])
+        np.divmod(key[lo:hi], config.n_bins,
+                  out=(frame_index, out["bin_index"]))
+        if n_pol > 1:
+            np.divmod(frame_index, n_pol, out=(frame_index, out["pol_code"]))
+        else:
+            out["pol_code"].fill(0)
+        np.multiply(frame_index, config.hop_seconds, out=utc_s)
+        utc_s += utc_start
+        np.take(pointing, frame_index, out=out["ra_pointing_hr"], mode="clip")
+        frame_index += first_frame
+        np.divide(out["bin_index"], config.frame_seconds, out=rf)
+        rf += config.band_low_hz
+        for name, draw in zip(floats, draws):
+            # order holds valid indices; with `out`, mode="raise" would
+            # gather through a temporary buffer
+            np.take(draw, order[lo:hi], out=out[name], mode="clip")
+        yield EventTable(tags=tags, **out)
+        del out, frame_index, utc_s, rf     # before the next chunk is made
 
 
 def _window_anchor(config: ObservationConfig, window_lo_hr: float,
@@ -677,8 +684,8 @@ def transit_index(utc_s, config: ObservationConfig, window_lo_hr: float,
 def simulate_level1_events(config: ObservationConfig, sources,
                            params: FirstLevelFilterParams, n_transits: int,
                            window_lo_hr: float, window_hi_hr: float,
-                           start_utc_s: float = 0.0,
-                           rfi=()) -> EventStream:
+                           start_utc_s: float = 0.0, rfi=(),
+                           pairing_window_frames: int = 0) -> EventStream:
     """Draw the level-1 survivor population directly (no per-bin synthesis).
 
     Noise events follow the exact survivor statistics of the per-bin path:
@@ -694,11 +701,14 @@ def simulate_level1_events(config: ObservationConfig, sources,
     window [window_lo_hr, window_hi_hr]; every pass revisits the same RA at
     the same frame offsets.  Time and memory scale with the events drawn,
     not with the band's bin count: the usable bins are held as runs.  The
-    session comes back as an EventStream of one EventTable per transit:
-    each transit's row count is known before any is drawn, and a transit
-    is drawn only when the stream is iterated, on the consumer's thread, so
-    the session holds one transit at a time.  A transit's bytes depend only
-    on its own seeded streams.
+    session comes back as an EventStream of one EventTable per pair chunk,
+    as pairdetect.chunk_events cuts each transit at pairing window
+    `pairing_window_frames`; the rows, and so the archive's bytes, do not
+    depend on it.  Each transit's row count is known before any is drawn,
+    and a transit is drawn only when the stream is iterated, on the
+    consumer's thread: the session holds one transit's sorted key, order
+    and float draws (6 of its 10 columns' bytes), and the chunk in hand.
+    A transit's bytes depend only on its own seeded streams.
     """
     if n_transits < 1:
         raise ValidationError("n_transits must be >= 1")
@@ -747,13 +757,13 @@ def simulate_level1_events(config: ObservationConfig, sources,
     injected = [_injected_rows(config, sources, params, window_lo_hr,
                                transit, n_frames, runs)
                 for transit in range(n_transits)]
-    lengths = [count + len(rows) for count, rows in zip(counts, injected)]
-    tags = tuple(sorted(config.polarization_tags))
 
-    def one(transit: int) -> EventTable:
-        return EventTable(tags=tags, **_draw_transit(
-            config, params, window_lo_hr, transit, n_frames,
-            utc0 + transit * SIDEREAL_DAY_S, runs, rngs[transit],
-            counts[transit], injected[transit]))
+    def chunks() -> Iterator[EventTable]:
+        for transit in range(n_transits):
+            yield from _draw_transit(
+                config, params, window_lo_hr, transit, n_frames,
+                utc0 + transit * SIDEREAL_DAY_S, runs, rngs[transit],
+                counts[transit], injected[transit], pairing_window_frames)
 
-    return EventStream(tags, lengths, map(one, range(n_transits)))
+    return EventStream(tuple(sorted(config.polarization_tags)),
+                       sum(counts) + sum(map(len, injected)), chunks())

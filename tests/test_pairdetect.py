@@ -429,7 +429,7 @@ def test_an_event_table_enforces_its_tag_contract(tags, pol_code):
 def test_a_part_with_other_tags_than_its_stream_is_not_written(tmp_path,
                                                                stream_tags):
     part = event_table(k=[0, 1], pol=["LHCP", "RHCP"])
-    stream = EventStream(stream_tags, (len(part),), iter([part]))
+    stream = EventStream(stream_tags, len(part), iter([part]))
     with pytest.raises(ValueError, match="tags"):
         write_level1_archive(tmp_path / "level1.csv", stream)
     assert os.listdir(tmp_path) == []
@@ -448,10 +448,10 @@ def test_a_write_that_raises_leaves_the_old_archive(tmp_path, monkeypatch,
     first = event_table(k=[0, 1], pol=["LHCP", "RHCP"])
     error = ValueError
     if fault == "other tags":
-        stream = EventStream(first.tags, (2, 1),
+        stream = EventStream(first.tags, 3,
                              iter([first, event_table(k=5, pol="X")]))
     elif fault == "fewer rows":
-        stream = EventStream(first.tags, (2, 3), iter([first, first]))
+        stream = EventStream(first.tags, 5, iter([first, first]))
     else:
         compact, calls = pairdetect._compact, []
 
@@ -462,7 +462,7 @@ def test_a_write_that_raises_leaves_the_old_archive(tmp_path, monkeypatch,
             return compact(*args)
 
         monkeypatch.setattr(pairdetect, "_compact", fail_second)
-        stream = EventStream(first.tags, (2, 2), iter([first, first]))
+        stream = EventStream(first.tags, 4, iter([first, first]))
         error = OSError
     threads = threading.active_count()
     with pytest.raises(error):
@@ -946,11 +946,15 @@ _HARD_FLOATS += [math.nextafter(v, d) for v in (1e-4, 1e6, 0.0625, 2.5)
                  for d in (0.0, math.inf)]
 
 
+def _grid_edges(fmt, n):
+    """The first and last row of each grid write_rows lays n rows out in."""
+    cuts = pairdetect._grid_cuts(fmt, n)
+    return [i for lo, hi in zip(cuts, cuts[1:]) for i in (lo, hi - 1)]
+
+
 def _adversarial_columns(fmt, n, rng):
-    """One column per conversion in fmt, hard values at chunk edges."""
-    chunk = pairdetect._CHUNK_ROWS
-    edges = [i for c in range(0, n, chunk) for i in (c, c + chunk - 1)
-             if i < n] + [n - 1]
+    """One column per conversion in fmt, hard values at grid edges."""
+    edges = _grid_edges(fmt, n)
     columns = []
     for conv in re.findall(r"%(\.\d+[fg]|[ds])", fmt):
         if conv == "s":
@@ -984,7 +988,7 @@ def test_write_rows_writes_percent_text(fmt):
     # every declared CSV), on ties, signed zeros, nan, inf,
     # values either side of the %g exponent limits, negative ints and tags
     # of several lengths; rows the numpy kernel leaves to % sit on the
-    # first and last row of every chunk
+    # first and last row of every grid
     full = _adversarial_columns(fmt, 65537, np.random.default_rng(10))
     rows = [fmt % row for row in zip(*[c.tolist() for c in full])]
     for n in (0, 1, 65535, 65536, 65537):
@@ -1033,11 +1037,66 @@ def test_write_rows_renders_numpy_str_in_numpy(tag, n_flagged):
         fmt % row for row in zip(*[c.tolist() for c in columns]))
 
 
+@pytest.mark.parametrize("fmt", [pairdetect._ARCHIVE_ROW, pairdetect._row_format(
+    pipeline.CANDIDATE_COLUMNS)], ids=["archive", "candidates"])
+def test_write_rows_sizes_its_grids_by_bytes(fmt):
+    # a grid holds ~_GRID_BYTES of text at any row width, rows shorter
+    # than two grids are one grid, and more are cut into near equal grids
+    # of at least a grid's rows
+    rows = pairdetect._grid_rows(fmt)
+    assert pairdetect._grid_cuts(fmt, 0) == [0]
+    assert pairdetect._grid_cuts(fmt, 1) == [0, 1]
+    assert pairdetect._grid_cuts(fmt, 2 * rows - 1) == [0, 2 * rows - 1]
+    for n in (2 * rows, 5 * rows + 7):
+        sizes = np.diff(pairdetect._grid_cuts(fmt, n))
+        assert sizes.size == n // rows and sizes.sum() == n
+        assert sizes.min() >= rows and sizes.max() - sizes.min() <= 1
+    # laid out, the grids of a sampled transit's archive rows, or of its
+    # pairs as candidates, hold rows within 10 % of the estimated width
+    kv = dict(line.split(" = ") for line in SURVEY_CFG.splitlines())
+    kv["run.window_hi_hr"] = "5.8"
+    events = EventTable.concat(pipeline.simulate_events(
+        pipeline.ExperimentManifest.from_kv(kv)))
+    if fmt == pairdetect._ARCHIVE_ROW:
+        columns = [pairdetect._Coded(events.pol_code, events.tags)
+                   if name == "polarization_tag" else getattr(events, name)
+                   for name in list(ARCHIVE_COLUMNS)[1:]]
+    else:
+        columns = pipeline._candidate_columns(form_pairs(events))
+    assert len(columns[0]) >= 3 * rows
+    for grid, _, _ in pairdetect._chunks(fmt, columns):
+        assert rows <= len(grid) < 2 * rows
+        assert 0.9 < grid.shape[1] * rows / pairdetect._GRID_BYTES < 1.1
+
+
+def test_the_archive_renders_tags_from_their_codes(tmp_path, monkeypatch):
+    # two tags gathered by pol_code, with no per-row tag array made; rows
+    # that another column leaves to % (hard floats) are written with the
+    # tag's str, so every row is `%` of its values
+    part = _hard_part(3 * pairdetect._CHUNK_ROWS, np.random.default_rng(4))
+    names = list(ARCHIVE_COLUMNS)[1:]
+    rows = [pairdetect._ARCHIVE_ROW % row for row in zip(
+        *[getattr(part, name).tolist() for name in names])]
+    columns = [pairdetect._Coded(part.pol_code, part.tags)
+               if name == "polarization_tag" else getattr(part, name)
+               for name in names]
+    flagged = [row for _, rows_left, _ in pairdetect._chunks(
+        pairdetect._ARCHIVE_ROW, columns) for row in rows_left]
+    tag = names.index("polarization_tag")
+    assert {row[tag] for row in flagged} == {"LHCP", "RHCP"}
+    assert {type(row[tag]) for row in flagged} == {str}
+    monkeypatch.setattr(EventTable, "polarization_tag", property(
+        lambda self: pytest.fail("a per-row tag array was made")))
+    path = tmp_path / "level1.csv"
+    write_level1_archive(path, part)
+    assert path.read_text() == ",".join(ARCHIVE_COLUMNS) + "\n" + "".join(
+        rows)
+
+
 def _hard_part(n, rng):
     """n events whose float columns hold _HARD_FLOATS on the first and last
-    row of every chunk and on random rows, both tags in use."""
-    chunk = pairdetect._CHUNK_ROWS
-    edges = [i for c in range(0, n, chunk) for i in (c, min(c + chunk, n) - 1)]
+    row of every grid and on random rows, both tags in use."""
+    edges = _grid_edges(pairdetect._ARCHIVE_ROW, n)
     columns = {}
     for name, dtype in pairdetect.EVENT_DTYPES.items():
         if dtype is np.int64:
@@ -1052,18 +1111,18 @@ def _hard_part(n, rng):
 
 
 def test_the_archive_writer_writes_percent_text(tmp_path, monkeypatch):
-    # parts of 0, 1, one chunk and one chunk and a row, written by the
+    # parts of 0, 1, one grid and a row, and two grids, written by the
     # writer thread: the text is the header and `%` of every row, and each
     # sidecar float column is float() of its text field, bit for bit
     chunk = pairdetect._CHUNK_ROWS
     rng = np.random.default_rng(12)
-    parts = [_hard_part(n, rng) for n in (0, 1, chunk, chunk + 1)]
+    parts = [_hard_part(n, rng) for n in (0, 1, chunk + 1, 3 * chunk)]
     names = list(ARCHIVE_COLUMNS)[1:]
     rows = [pairdetect._ARCHIVE_ROW % row for part in parts for row in zip(
         *[getattr(part, name).tolist() for name in names])]
     path = tmp_path / "level1.csv"
     write_level1_archive(path, EventStream(
-        parts[0].tags, [len(p) for p in parts], iter(parts)))
+        parts[0].tags, sum(map(len, parts)), iter(parts)))
     text = path.read_text()
     assert text == ",".join(ARCHIVE_COLUMNS) + "\n" + "".join(rows)
     # the columns come from the sidecar, not from parsing the text

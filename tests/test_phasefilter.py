@@ -8,8 +8,7 @@ import pytest
 from pulsepair import phasefilter
 from pulsepair.channelizer import wrap_phase
 from pulsepair.errors import ValidationError
-from pulsepair.pairdetect import (EventTable, PairTable, chunk_events,
-                                  form_pairs)
+from pulsepair.pairdetect import EventTable, PairTable, form_pairs
 from pulsepair.pipeline import ExperimentManifest, simulate_events
 from pulsepair.phasefilter import (PhaseMetricParams, phase_metrics,
                                    second_level_filter, tune_tau_int,
@@ -79,10 +78,10 @@ def test_phase_metrics_vectorized():
 
 
 def test_phase_differences_are_the_four_gather_values_bit_for_bit():
-    # the tiny survey's transit in pair chunks at K = 1
+    # the tiny survey's transit in the sampler's pair chunks at K = 1
     kv = dict(line.split(" = ") for line in SURVEY_CFG.splitlines())
-    (events,) = simulate_events(ExperimentManifest.from_kv(kv))
-    chunks = [form_pairs(c, 1) for c in chunk_events(events, None, 1)]
+    chunks = [form_pairs(c, 1)
+              for c in simulate_events(ExperimentManifest.from_kv(kv), 1)]
     assert len(chunks) == 2
     for pairs in chunks:
         west, east = pairs.events.phase_west_rad, pairs.events.phase_east_rad

@@ -791,7 +791,8 @@ def test_no_pair_joins_two_transits(tmp_path, k):
 
 @pytest.mark.parametrize("n_transits", [1, 3])
 def test_every_sampled_part_is_one_transit(n_transits):
-    # null-mc pairs each sampled part on its own, never reading a transit
+    # null-mc pairs each sampled part (a pair chunk) on its own, never
+    # reading a transit; this session's transits are a chunk each
     m = _small_manifest(n_transits=n_transits)
     parts = list(simulate_events(m))
     assert len(parts) == n_transits
@@ -823,12 +824,40 @@ def _assert_cut_alike(m, path):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, k):
-    # null-mc pairs sample_session's chunks, refilter read_session's
+def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, monkeypatch,
+                                                    k):
+    # null-mc pairs sample_session's chunks, refilter read_session's; the
+    # sampler cuts its own, with no chunk_events pass
     m = replace(_small_manifest(), pairing_window_frames=k)
     path = tmp_path / "level1.csv"
     write_level1_archive(path, simulate_events(m))
+    monkeypatch.setattr(pulsepair.pipeline, "chunk_events", None)
     assert _assert_cut_alike(m, path) == m.n_transits
+
+
+def test_the_archive_does_not_depend_on_the_pairing_window(tmp_path):
+    # simulate writes the same level1.csv and sidecar at K = 0 and K = 3
+    # (run.pairing_window_frames is not among its keys), and so does a
+    # write of the sampler's pair chunks at K = 3, eight parts
+    m = _wide_manifest(1, 0.3)
+    m.filter = replace(m.filter, snr_threshold_db=7.0)
+    m.sources = [SourceSpec(name="s", ra_hr=5.25, dec_deg=-8.0, snr_db=30.0,
+                            pulse_rate_per_frame=0.05,
+                            transit_halfwidth_hr=0.1,
+                            polarization_tag="RHCP")]
+    assert "run.pairing_window_frames" not in STAGE_KEYS["simulate"]
+    assert len(list(simulate_events(m, 3))) >= 8
+    files = []
+    for name, stream in (
+            ("k0", simulate_events(replace(m, pairing_window_frames=0))),
+            ("k3", simulate_events(replace(m, pairing_window_frames=3))),
+            ("chunks3", simulate_events(m, 3))):
+        path = tmp_path / name / "level1.csv"
+        path.parent.mkdir()
+        write_level1_archive(path, stream)
+        files.append((path.read_bytes(),
+                      Path(f"{path}.cols").read_bytes()))
+    assert files[0] == files[1] == files[2]
 
 
 @pytest.fixture(scope="module")

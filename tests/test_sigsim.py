@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -17,7 +18,7 @@ from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams)
 from pulsepair.sigsim import (C_LIGHT_M_S, ObservationConfig, RfiSpec,
                               SourceSpec, geometric_delay, simulate_frames,
-                              simulate_level1_events)
+                              simulate_level1_events, transit_index)
 
 TWO_PI = 2.0 * math.pi
 
@@ -380,29 +381,71 @@ def test_sampler_memory_scales_with_events_not_bins():
 
 
 def test_sampler_holds_the_output_once():
-    # each transit is drawn into its own columns, with no copy, and only
-    # when the stream is consumed: one transit is drawn or held at once,
-    # with its sort's working columns
+    # a transit is drawn only when the stream is consumed, and no array of
+    # its ten columns is made: it holds its sorted key, the sort's order and
+    # its four float draws (6 of 10 columns' bytes) while each pair chunk
+    # is made from them, into its own columns with no copy
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52, seed=6)
     params = _band(snr_threshold_db=7.0)
+    for _ in simulate_level1_events(cfg, [], params, 1, 5.0, 5.1):
+        pass                        # the imports made while sampling
     tracemalloc.start()
     try:
-        stream = simulate_level1_events(cfg, [], params, 3, 5.0, 5.5)
+        stream = simulate_level1_events(cfg, [], params, 1, 5.0, 7.0)
+        # nothing is drawn before the stream is consumed
+        assert tracemalloc.get_traced_memory()[0] < 64 * 1024
         sizes = []
         for events in stream:
             sizes.append(sum(getattr(events, name).nbytes
                              for name in EVENT_COLUMNS))
+            assert all(getattr(events, name).base is events.frame_index.base
+                       for name in EVENT_COLUMNS)
             del events
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(stream) > 150_000
-    assert sizes == [8 * len(EVENT_COLUMNS) * n for n in stream.lengths]
-    # a transit's draw peaks at its columns, its sort key and its order
-    # (1.22 x its columns); the rest is the imports made while sampling
-    # (1.33 x in a fresh process, 1.22 once imported)
-    assert peak < 1.4 * max(sizes)
+    assert len(stream) > 250_000 and len(sizes) > 10
+    columns = 8 * len(EVENT_COLUMNS) * len(stream)
+    assert sum(sizes) == columns
+    chunk = 8 * len(EVENT_COLUMNS) * pairdetect._CHUNK_ROWS
+    assert max(sizes) < 1.01 * chunk
+    # measured 0.609 x the columns beside the largest chunk (0.669 x in
+    # all); a transit drawn into its ten columns peaked at 1.22 x
+    assert peak < 0.6 * columns + 1.5 * chunk
+
+
+@pytest.mark.parametrize("tags", [("LHCP",), ("RHCP", "LHCP")],
+                         ids=["one-tag", "two-tags"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_sampler_chunks_are_chunk_events_of_the_session(tags, k):
+    # the sampler cuts each transit's sorted key as chunk_events cuts the
+    # whole session: the same cuts and the same rows, bit for bit, with an
+    # injected source's rows sorted in among the noise.  3,452 frames a
+    # transit, not a multiple of 2K + 1, so a frame block spans two transits
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.52, seed=9,
+                            polarization_tags=tags)
+    params = _band(snr_threshold_db=7.0)
+    src = SourceSpec(name="s", ra_hr=5.25, dec_deg=-8.0, snr_db=30.0,
+                     pulse_rate_per_frame=0.05, transit_halfwidth_hr=0.1)
+
+    def session(sources, window):
+        return simulate_level1_events(cfg, sources, params, 2, 5.0, 5.5,
+                                      pairing_window_frames=window)
+
+    chunks = list(session([src], k))
+    whole = EventTable.concat(session([src], 0))
+    assert len(whole) > len(session([], 0)) + 100       # injected rows
+    transit_of = functools.partial(transit_index, config=cfg,
+                                   window_lo_hr=5.0, window_hi_hr=5.5)
+    want = list(pairdetect.chunk_events(whole, transit_of, k))
+    assert len(chunks) == len(want) >= 2 * 4 * len(tags)
+    for got, expect in zip(chunks, want):
+        assert got.tags == expect.tags == tuple(sorted(tags))
+        for name in EVENT_COLUMNS:
+            assert np.array_equal(getattr(got, name).view(np.int64),
+                                  getattr(expect, name).view(np.int64)), name
 
 
 @pytest.mark.parametrize("seed", [0, 6, 42, 2 ** 40 + 3])
