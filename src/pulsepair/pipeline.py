@@ -452,12 +452,11 @@ def session_frames(manifest: ExperimentManifest):
                            mode=manifest.mode)
 
 
-def simulate_events(manifest: ExperimentManifest,
-                    pairing_window_frames: int = 0) -> EventStream:
+def simulate_events(manifest: ExperimentManifest) -> EventStream:
     """The simulate stage in memory: the session's level-1 events.
 
-    Events mode samples them directly, a pair chunk at pairing window
-    `pairing_window_frames` at a time as the stream is consumed (the
+    Events mode samples them directly, a pair chunk at
+    run.pairing_window_frames at a time as the stream is consumed (the
     archive's bytes do not depend on it); the frame modes synthesize the
     frames and first-level filter them into a one-part stream, a stacked
     block at a time.
@@ -471,7 +470,7 @@ def simulate_events(manifest: ExperimentManifest,
             manifest.config, manifest.sources, manifest.filter,
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
             start_utc_s=manifest.start_utc_s, rfi=manifest.rfi,
-            pairing_window_frames=pairing_window_frames)
+            pairing_window_frames=manifest.pairing_window_frames)
     frames = session_frames(manifest)
     rows = manifest.n_frames * len(manifest.config.polarization_tags)
     step = max(1, _BLOCK_BINS // manifest.config.n_bins)
@@ -526,11 +525,11 @@ def sample_session(manifest: ExperimentManifest):
     run.pairing_window_frames, as read_session cuts its archive.  In
     events mode they are the sampler's own (simulate_events); a frame-mode
     session's table is cut by chunk_events."""
-    k = manifest.pairing_window_frames
-    stream = simulate_events(manifest, k)
+    stream = simulate_events(manifest)
     if manifest.mode == "events":
         return iter(stream)
-    return (chunk for part in stream for chunk in chunk_events(part, None, k))
+    return (chunk for part in stream for chunk in chunk_events(
+        part, None, manifest.pairing_window_frames))
 
 
 def session_pairs(manifest: ExperimentManifest, tables):

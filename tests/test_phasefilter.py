@@ -80,8 +80,9 @@ def test_phase_metrics_vectorized():
 def test_phase_differences_are_the_four_gather_values_bit_for_bit():
     # the tiny survey's transit in the sampler's pair chunks at K = 1
     kv = dict(line.split(" = ") for line in SURVEY_CFG.splitlines())
+    kv["run.pairing_window_frames"] = "1"
     chunks = [form_pairs(c, 1)
-              for c in simulate_events(ExperimentManifest.from_kv(kv), 1)]
+              for c in simulate_events(ExperimentManifest.from_kv(kv))]
     assert len(chunks) == 2
     for pairs in chunks:
         west, east = pairs.events.phase_west_rad, pairs.events.phase_east_rad
