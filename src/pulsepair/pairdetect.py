@@ -149,11 +149,6 @@ class EventTable:
     def __len__(self) -> int:
         return self.frame_index.size
 
-    @property
-    def polarization_tag(self) -> np.ndarray:
-        """Per-event tag strings (an object array)."""
-        return np.asarray(self.tags, dtype=object)[self.pol_code]
-
     def take(self, idx) -> EventTable:
         return EventTable(tags=self.tags, **{
             n: getattr(self, n)[idx] for n in EVENT_COLUMNS})

@@ -198,7 +198,8 @@ def _tally_chunk(pairs: PairTable, params: PhaseMetricParams, taus,
     """
     diff = _phase_differences(pairs)
     win = np.flatnonzero(delta_f_window(pairs, params))
-    diff, slope = diff[win], TWO_PI * pairs.delta_f_hz[win]
+    # the metric's rate per second of tau
+    diff, slope = diff[win], -fringe_phase(pairs.delta_f_hz[win], 1.0)
     n, hw = taus.size, params.filter_halfwidth_rad
     ends = diff + slope * taus[[0, -1], None]
     band = _BAND * (np.abs(diff).max(initial=0.0) + np.abs(slope).max(
@@ -266,7 +267,7 @@ def tune_tau_int(chunks, params: PhaseMetricParams, bin_edges, probs):
     Of each chunk, the runs of taps at which each pair passes are added to
     a taps x bins table of pass counts (see _tally_chunk), and the chunk
     is dropped before the next is asked for, so chunks made as
-    read_session reads the archive hold one chunk of events.
+    pipeline.consume_session reads the archive hold one chunk of events.
     Every verdict is the one the per-tap filter gives.
     Returns (best_tau_s, best_stat, taus, stats).
 

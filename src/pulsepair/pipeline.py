@@ -38,7 +38,7 @@ from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
-                         PairTable, chunk_events, consume_level1_archive,
+                         PairTable, consume_level1_archive,
                          first_level_filter_frames, form_pairs, read_columns,
                          read_level1_archive, sha256_file, thread_pool,
                          write_csv, write_level1_archive)
@@ -109,7 +109,7 @@ STAGE_KEYS = {
     "simulate": ("config.", "source.", "rfi.", "filter.", "run.mode",
                  "run.n_transits", "run.window_lo_hr", "run.window_hi_hr",
                  "run.n_frames", "run.start_utc_s", "run.level1_in"),
-    # the geometry keys fix each event's transit (read_session)
+    # the geometry keys fix each event's transit (consume_session)
     "refilter": ("phase.", "run.pairing_window_frames",
                  "run.require_pol_match", "run.mode", "config.longitude_deg",
                  "run.window_lo_hr", "run.window_hi_hr", "run.start_utc_s"),
@@ -488,15 +488,18 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
     return path
 
 
-def read_session(manifest: ExperimentManifest, level1_path, sidecar=True):
-    """An archive's events, a pair chunk at a time in (transit, block)
-    order, from any archive, by read_level1_archive (whose internal
-    `sidecar` consume_session passes).
+def consume_session(manifest: ExperimentManifest, level1_path, consume,
+                    outputs=()):
+    """consume(an archive's pair chunks), with the sidecar's key checked on
+    one thread while consume reads them (pairdetect.consume_level1_archive):
+    a stale key drops consume's result or error, removes `outputs` and runs
+    consume again on the text.
 
+    The chunks are read_level1_archive's, in (transit, block) order and cut
+    at run.pairing_window_frames, as the sampler cuts an events-mode
+    session (simulate_events), so each pairs on its own (session_pairs).
     In events mode each event's transit is sigsim.transit_index's; a
-    frame-mode session is one run of consecutive frames, one transit.  The
-    chunks are cut at the blocks of run.pairing_window_frames
-    (pairdetect.chunk_events), so each pairs on its own (session_pairs).
+    frame-mode session is one transit.
     """
     transit_of = None
     if manifest.mode == "events":
@@ -504,38 +507,16 @@ def read_session(manifest: ExperimentManifest, level1_path, sidecar=True):
                              window_lo_hr=manifest.window_lo_hr,
                              window_hi_hr=manifest.window_hi_hr,
                              start_utc_s=manifest.start_utc_s)
-    return read_level1_archive(level1_path, transit_of,
-                               manifest.pairing_window_frames,
-                               sidecar=sidecar)
-
-
-def consume_session(manifest: ExperimentManifest, level1_path, consume,
-                    outputs=()):
-    """consume(read_session's chunks), with the sidecar's key checked on
-    one thread while consume reads them (pairdetect.consume_level1_archive):
-    a stale key drops consume's result or error, removes `outputs` and runs
-    consume again on the text."""
     return consume_level1_archive(
-        level1_path, lambda sidecar: consume(
-            read_session(manifest, level1_path, sidecar)), outputs)
-
-
-def sample_session(manifest: ExperimentManifest):
-    """read_session's twin for a sampled session: its pair chunks at
-    run.pairing_window_frames, as read_session cuts its archive.  In
-    events mode they are the sampler's own (simulate_events); a frame-mode
-    session's table is cut by chunk_events."""
-    stream = simulate_events(manifest)
-    if manifest.mode == "events":
-        return iter(stream)
-    return (chunk for part in stream for chunk in chunk_events(
-        part, None, manifest.pairing_window_frames))
+        level1_path, lambda sidecar: consume(read_level1_archive(
+            level1_path, transit_of, manifest.pairing_window_frames,
+            sidecar=sidecar)), outputs)
 
 
 def session_pairs(manifest: ExperimentManifest, tables):
-    """form_pairs of each pair chunk of `tables` (read_session or
-    sample_session), in turn.  A PairTable holds its chunk: drop it before
-    asking for the next."""
+    """form_pairs of each pair chunk of `tables` (simulate_events' or
+    consume_session's), in turn.  A PairTable holds its chunk: drop it
+    before asking for the next."""
     for events in tables:
         yield form_pairs(events, manifest.pairing_window_frames,
                          manifest.require_pol_match)
@@ -601,7 +582,7 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
 
 def session_exposure(manifest: ExperimentManifest, tables) -> tuple:
     """(exposure, tables): in exposure mode, the per-bin counts (bin_counts)
-    of the events of `tables`, such as read_session's chunks, summed as
+    of the events of `tables`, such as consume_session's chunks, summed as
     the passed-through tables go by, else None.  One read of the session
     gives both its exposure and its events."""
     if manifest.p_mode != "exposure":
@@ -783,7 +764,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     """Source-free reruns: the distribution of the peak bin's excess.
 
     Runs refilter's chain on a sampled session with no sources, for seeds
-    seed0 .. seed0+n_seeds-1: session_pairs of sample_session, each chunk's
+    seed0 .. seed0+n_seeds-1: session_pairs of simulate_events, each chunk's
     survivors' bin_counts summed into trials, and their peak_cohens_d (with
     session_exposure's exposure).  Returns (rows, fraction_clean) where each
     row is (seed, n_trials, max_d, peak_ra_low) and fraction_clean is the
@@ -807,7 +788,7 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     def one(seed: int):
         seeded = replace(manifest, config=replace(manifest.config, seed=seed),
                          sources=[])
-        exposure, tables = session_exposure(seeded, sample_session(seeded))
+        exposure, tables = session_exposure(seeded, simulate_events(seeded))
         trials = np.zeros(edges.size - 1, dtype=np.int64)
         for pairs in session_pairs(seeded, tables):
             survivors = second_level_filter(pairs, seeded.phase)

@@ -11,6 +11,7 @@ import pytest
 
 from pulsepair import cli, phasefilter, pipeline
 from pulsepair.calib import FWHM_PER_SIGMA, utc_at_lst
+from pulsepair.errors import ValidationError
 from pulsepair.kvconfig import read_kv_file
 from pulsepair.pairdetect import (EventTable, FirstLevelFilterParams,
                                   form_pairs)
@@ -556,6 +557,20 @@ def test_rfi_in_events_mode_is_a_validation_error(tmp_path, capsys):
     assert not (out / "level1.csv").exists()
     assert cli.main(["null-mc", "--config", cfg, "--out", str(out),
                      "--n-seeds", "1"]) == 3
+
+
+def test_null_mc_on_a_frame_mode_config_is_a_validation_error(tmp_path,
+                                                             capsys):
+    # null-mc samples the events mode's session only: a frame-mode config
+    # is refused before any seed runs, and no null_mc.csv is written
+    cfg = _frames_config(tmp_path)
+    with pytest.raises(ValidationError, match="runs on the events mode"):
+        pipeline.run_null_mc(pipeline.manifest_from_file(cfg), 1)
+    out = tmp_path / "out"
+    assert cli.main(["null-mc", "--config", cfg, "--out", str(out),
+                     "--n-seeds", "1"]) == 3
+    assert "runs on the events mode" in capsys.readouterr().err
+    assert not (out / "null_mc.csv").exists()
 
 
 def test_os_error_exit_codes(tmp_path, capsys):

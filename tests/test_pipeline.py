@@ -24,14 +24,14 @@ from pulsepair.pairdetect import (ARCHIVE_COLUMNS, EventTable,
 from pulsepair.pipeline import (CANDIDATE_COLUMNS, STAGE_KEYS,
                                 TAU_SCAN_COLUMNS,
                                 ExperimentManifest, analyze_candidates,
-                                detect_frames, load_frames_npz,
-                                manifest_from_file, read_candidates_csv,
-                                read_session, refilter, run_experiment,
-                                run_null_mc, run_tune_tau, sample_session,
-                                save_frames_npz, session_exposure,
-                                session_frames, sha256_file, simulate_events,
-                                stack_frames, write_analysis,
-                                write_candidates_csv, write_figure)
+                                consume_session, detect_frames,
+                                load_frames_npz, manifest_from_file,
+                                read_candidates_csv, refilter, run_experiment,
+                                run_null_mc, run_tune_tau, save_frames_npz,
+                                session_exposure, session_frames,
+                                sha256_file, simulate_events, stack_frames,
+                                write_analysis, write_candidates_csv,
+                                write_figure)
 from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
                                    tune_tau_int, write_metric_diagnostics_csv)
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
@@ -270,7 +270,7 @@ def test_every_config_key_moves_a_stage_hash():
 def test_every_key_that_changes_refilter_moves_its_hash(tmp_path):
     # a resumed run skips refilter when its hash holds; on an external
     # archive, a key that changes refilter's bytes or counts unhashed would
-    # serve stale candidates.  In events mode read_session splits the
+    # serve stale candidates.  In events mode consume_session splits the
     # archive by transit, so with a pairing window a freq-mode rerun, read
     # as one table, pairs across transits.
     archive, candidates = tmp_path / "level1.csv", tmp_path / "candidates.csv"
@@ -721,13 +721,13 @@ def test_run_tune_tau_reads_the_archive_once(tmp_path, monkeypatch, p_mode):
     path = tmp_path / "level1.csv"
     # the exposure read in a pass of its own, then the pairs
     edges = m.bin_edges()
-    exposure, tables = session_exposure(m, read_session(m, path))
+    exposure, tables = session_exposure(m, consume_session(m, path, list))
     for events in tables:
         pass
     assert (exposure is None) == (p_mode == "uniform")
     want = tune_tau_int(
         (form_pairs(events, m.pairing_window_frames, m.require_pol_match)
-         for events in read_session(m, path)),
+         for events in consume_session(m, path, list)),
         m.phase, edges, bin_probabilities(edges, p_mode, exposure))
     hashed = []
     sha256 = pairdetect.sha256_file
@@ -781,7 +781,7 @@ def test_no_pair_joins_two_transits(tmp_path, k):
     assert np.array_equal(transit_index(events.utc_s, m.config, 5.0, 5.5),
                           events.frame_index // n_frames)
     assert (form_pairs(events, k).delta_t_s > (2 * k + 1) * hop).any()
-    transits = list(read_session(m, path))
+    transits = consume_session(m, path, list)
     assert len(transits) == 2
     for events in transits:
         pairs = form_pairs(events, m.pairing_window_frames,
@@ -808,10 +808,15 @@ _ARCHIVE_FLOATS = {name: conv for name, conv in ARCHIVE_COLUMNS.items()
 
 
 def _assert_cut_alike(m, path):
-    """sample_session(m) and read_session of its archive at path give the
-    same chunks of the same events, but for the archive's text rounding."""
-    sampled = list(sample_session(m))
-    read = list(read_session(m, path))
+    """simulate_events(m) and consume_session of its archive at path give
+    the same chunks of the same events, but for the archive's text
+    rounding.  A frame-mode session is one table, cut by chunk_events."""
+    sampled = list(simulate_events(m))
+    if m.mode != "events":
+        (table,) = sampled
+        sampled = list(pairdetect.chunk_events(table, None,
+                                               m.pairing_window_frames))
+    read = consume_session(m, path, list)
     assert len(sampled) == len(read)
     for got, want in zip(sampled, read):
         assert len(got) == len(want)
@@ -823,16 +828,25 @@ def _assert_cut_alike(m, path):
     return len(read)
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("mode, k", [
+    ("events", 0), ("events", 1), ("freq", 0), ("freq", 2)],
+    ids=["0", "1", "freq-0", "freq-2"])
 def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, monkeypatch,
-                                                    k):
-    # null-mc pairs sample_session's chunks, refilter read_session's; the
-    # sampler cuts its own, with no chunk_events pass
-    m = replace(_small_manifest(), pairing_window_frames=k)
+                                                    mode, k):
+    # null-mc pairs simulate_events' chunks, refilter consume_session's;
+    # the sampler cuts its own, with no chunk_events pass.  A frame-mode
+    # session is one table: 512 two-tag rows at 2 dB, 22,217 events, read
+    # back in two chunks, cut as chunk_events cuts the table
+    m = _small_manifest()
+    if mode == "freq":
+        m = _two_tag_frames_manifest(0.001024, 256)
+        m.filter = replace(m.filter, snr_threshold_db=2.0)
+    m.pairing_window_frames = k
     path = tmp_path / "level1.csv"
     write_level1_archive(path, simulate_events(m))
-    monkeypatch.setattr(pulsepair.pipeline, "chunk_events", None)
-    assert _assert_cut_alike(m, path) == m.n_transits
+    if mode == "events":
+        monkeypatch.setattr(pairdetect, "chunk_events", None)
+    assert _assert_cut_alike(m, path) == 2
 
 
 def test_the_archive_does_not_depend_on_the_pairing_window(tmp_path):
@@ -969,8 +983,8 @@ def test_chunked_stages_drop_each_table_before_the_next(season, tmp_path,
     live = []
 
     def tracked(source):
-        def tables(*args):
-            parts, refs = iter(source(*args)), []
+        def tables(*args, **kwargs):
+            parts, refs = iter(source(*args, **kwargs)), []
             while True:
                 live.append(sum(ref() is not None for ref in refs))
                 table = next(parts, None)
@@ -981,7 +995,7 @@ def test_chunked_stages_drop_each_table_before_the_next(season, tmp_path,
                 del table
         return tables
 
-    for name in ("read_session", "simulate_events"):
+    for name in ("read_level1_archive", "simulate_events"):
         monkeypatch.setattr(pulsepair.pipeline, name,
                             tracked(getattr(pulsepair.pipeline, name)))
     candidates = tmp_path / "candidates.csv"

@@ -9,6 +9,7 @@ K = 1 with the exposure null.
 """
 import hashlib
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_streamed_stages_write_the_frozen_bytes(tmp_path, n_transits, k):
     transits = [np.unique(transit_index(
         events.utc_s, m.config, m.window_lo_hr, m.window_hi_hr,
         m.start_utc_s)).tolist()
-        for events in pipeline.read_session(m, out / "level1.csv")]
+        for events in pipeline.consume_session(m, out / "level1.csv", list)]
     assert all(len(t) == 1 for t in transits)
     transits = [t for (t,) in transits]
     assert transits == sorted(transits)
@@ -148,13 +149,13 @@ def test_the_same_bytes_at_any_thread_count(tmp_path, threads):
 
 
 def _assert_in_pair_chunks(m, path, rows):
-    """read_session yields rows (path's, in archive order) in pair chunks:
+    """consume_session reads rows (path's, in archive order) in pair chunks:
     each chunk in one transit, and all of them the rows stable-sorted by
     (transit, block)."""
     transit = transit_index(rows.utc_s, m.config, m.window_lo_hr,
                             m.window_hi_hr, m.start_utc_s)
     block = pairdetect._block_key(rows.frame_index, m.pairing_window_frames)
-    got = list(pipeline.read_session(m, path))
+    got = pipeline.consume_session(m, path, list)
     assert all(np.ptp(transit_index(
         events.utc_s, m.config, m.window_lo_hr, m.window_hi_hr,
         m.start_utc_s)) == 0 for events in got)
@@ -213,7 +214,8 @@ def test_an_archive_without_rows_is_one_empty_table(tmp_path):
     path = tmp_path / "level1.csv"
     path.write_text(",".join(pairdetect.ARCHIVE_COLUMNS) + "\n")
     m = pipeline.manifest_from_file(cfg)
-    assert [len(events) for events in pipeline.read_session(m, path)] == [0]
+    assert [len(events) for events in pipeline.consume_session(
+        m, path, list)] == [0]
     out = tmp_path / "out"
     assert cli.main(["refilter", "--config", cfg, "--out", str(out),
                      "--level1", str(path)]) == 0
@@ -308,7 +310,12 @@ def test_a_reader_stopped_early_closes_its_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pairdetect, "open", spy, raising=False)
     m = pipeline.manifest_from_file(cfg)
-    transits = pipeline.read_session(m, out / "level1.csv")
+    transit_of = partial(transit_index, config=m.config,
+                         window_lo_hr=m.window_lo_hr,
+                         window_hi_hr=m.window_hi_hr,
+                         start_utc_s=m.start_utc_s)
+    transits = pairdetect.read_level1_archive(out / "level1.csv", transit_of,
+                                              m.pairing_window_frames)
     assert len(next(transits)) > 0
     sidecar = [fh for fh in opened if fh.name.endswith(".cols")]
     assert len(sidecar) == 1 and not sidecar[0].closed
