@@ -127,6 +127,13 @@ def _archive(args, manifest) -> str:
                   args.out, "level1.csv", "archive")
 
 
+def _output(out: str, name: str) -> str:
+    """<out>/<name>, out made if missing: a handler asks for it only once
+    its inputs and checks have passed, so a refused run leaves no --out."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
 def _external(args, manifest) -> bool:
     """With run.level1_in set, simulate and detect have nothing to write."""
     path = pipeline.external_archive(manifest)
@@ -139,16 +146,15 @@ def cmd_simulate(args) -> int:
     manifest = _load_manifest(args)
     if _external(args, manifest):
         return 0
-    os.makedirs(args.out, exist_ok=True)
     if manifest.mode == "events":
         events = pipeline.simulate_events(manifest)
-        path = os.path.join(args.out, "level1.csv")
+        path = _output(args.out, "level1.csv")
         write_level1_archive(path, events)
         print(f"simulate: {len(events)} events -> {path}")
     else:
-        path = os.path.join(args.out, "frames.npz")
-        pipeline.save_frames_npz(path, pipeline.stack_frames(
-            pipeline.session_frames(manifest)))
+        store = pipeline.stack_frames(pipeline.session_frames(manifest))
+        path = _output(args.out, "frames.npz")
+        pipeline.save_frames_npz(path, store)
         print(f"simulate: {manifest.n_frames} frames -> {path}")
     return 0
 
@@ -157,11 +163,10 @@ def cmd_detect(args) -> int:
     manifest = _load_manifest(args)
     if _external(args, manifest):
         return 0
-    os.makedirs(args.out, exist_ok=True)
     frames_path = _input(args.frames, args.out, "frames.npz", "frames file")
     events = pipeline.detect_frames(manifest.config, manifest.filter,
                                     pipeline.load_frames_npz(frames_path))
-    path = os.path.join(args.out, "level1.csv")
+    path = _output(args.out, "level1.csv")
     write_level1_archive(path, events)
     print(f"detect: {len(events)} events -> {path}")
     return 0
@@ -169,9 +174,8 @@ def cmd_detect(args) -> int:
 
 def cmd_refilter(args) -> int:
     manifest = _load_manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     level1 = _archive(args, manifest)
-    path = os.path.join(args.out, "candidates.csv")
+    path = _output(args.out, "candidates.csv")
     diag = (os.path.join(args.out, "metric_diagnostics.csv")
             if args.diagnostics else None)
     n_events, n_pairs, n_survivors = pipeline.refilter(manifest, level1,
@@ -185,13 +189,12 @@ def cmd_refilter(args) -> int:
 
 def cmd_analyze(args) -> int:
     manifest = _load_manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     cand_path = _input(args.candidates, args.out, "candidates.csv",
                        "candidates file")
     level1 = None                   # read only for the exposure
     if manifest.p_mode == "exposure":
         level1 = _archive(args, manifest)
-    stats_path = os.path.join(args.out, "stats.csv")
+    stats_path = _output(args.out, "stats.csv")
     res = pipeline.write_analysis(manifest, cand_path, level1, stats_path,
                                   os.path.join(args.out, "report.txt"))
     peak = res.peak
@@ -206,11 +209,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     scan = calib.read_drift_scan_csv(args.scan, args.longitude_deg)
     fit = calib.fit_gauss_flat(scan)
     snr = calib.continuum_snr_db(fit)
-    path = os.path.join(args.out, "calib_report.txt")
+    path = _output(args.out, "calib_report.txt")
     calib.write_fit_report(path, fit, extra={
         "continuum_snr_db": f"{snr:.6g}",
         "source_name": args.source_name or "unnamed",
@@ -223,10 +225,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_tune_tau(args) -> int:
     manifest = _load_manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     level1 = _archive(args, manifest)
     best_tau, best_stat, taus, stats = pipeline.run_tune_tau(manifest, level1)
-    scan_path = os.path.join(args.out, "tau_scan.csv")
+    scan_path = _output(args.out, "tau_scan.csv")
     write_csv(scan_path, pipeline.TAU_SCAN_COLUMNS, [taus, stats])
     report = os.path.join(args.out, "tune_report.txt")
     kvconfig.write_kv_file(report, {
@@ -242,10 +243,9 @@ def cmd_tune_tau(args) -> int:
 
 def cmd_null_mc(args) -> int:
     manifest = _load_manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     rows, frac = pipeline.run_null_mc(manifest, args.n_seeds,
                                       args.significance, args.threads)
-    path = os.path.join(args.out, "null_mc.csv")
+    path = _output(args.out, "null_mc.csv")
     write_csv(path, pipeline.NULL_MC_COLUMNS, list(zip(*rows)))
     summary = os.path.join(args.out, "null_summary.txt")
     kvconfig.write_kv_file(summary, {
@@ -259,16 +259,15 @@ def cmd_null_mc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     stats_path = _input(args.stats, args.out, "stats.csv", "stats file")
     manifest = (_load_manifest(args) if args.config
                 else pipeline.ExperimentManifest())
     if args.format == "svg":
-        path = os.path.join(args.out, "figure.svg")
+        path = _output(args.out, "figure.svg")
         pipeline.write_figure(manifest, stats_path, path)
     else:
         stats = read_stats_csv(stats_path)
-        path = os.path.join(args.out, "figure_caption.csv")
+        path = _output(args.out, "figure_caption.csv")
         with open(path, "w", newline="\n") as fh:
             fh.write("caption\n")
             if stats:

@@ -43,10 +43,10 @@ cache keyed to the archive's sha256 that read_level1_archive reads, a
 chunk at a time, in place of parsing the text; the tags in use are always
 those the text gives.  The writer lays out each chunk of rows on the
 calling thread while one thread (thread_pool) writes the chunk before.
-read_level1_archive checks the key before its first chunk; the stages
-read through consume_level1_archive, which checks it on one thread while
-they take the chunks, and runs a stage once more on the text when the key
-is stale, so a stale sidecar costs one more pass and is never served.
+Every archive is read through consume_level1_archive, which checks the
+key on one thread while a stage takes the chunks, and runs the stage once
+more on the text when the key is stale, so a stale sidecar costs one more
+pass and is never served.
 """
 
 from __future__ import annotations
@@ -908,7 +908,8 @@ def _sidecar_path(path) -> str:
 def sha256_file(path) -> str:
     """The sha256 of path's bytes, in hex, read through one reused buffer:
     128 KiB hash as fast as 1 MiB, and it is held beside a stage's chunk
-    while consume_level1_archive hashes."""
+    while consume_level1_archive hashes an archive to check its sidecar's
+    key."""
     digest = hashlib.sha256()
     buffer = bytearray(1 << 17)
     view = memoryview(buffer)
@@ -1089,9 +1090,9 @@ def _open_sidecar(path):
     first column, or None unless the sidecar is in this format and holds as
     many column bytes as its row count needs.  These checks read the
     sidecar alone: key, the sha256 (hex, as bytes) of the archive the
-    sidecar was written with, is for the caller to compare with
-    sha256_file(path) before it keeps anything read from the columns
-    (read_level1_archive first, consume_level1_archive while it reads)."""
+    sidecar was written with, is for consume_level1_archive to compare
+    with sha256_file(path), hashed while a stage reads the columns, before
+    it keeps anything computed from them."""
     try:
         fh = open(_sidecar_path(path), "rb")
     except OSError:
@@ -1193,47 +1194,28 @@ def _value(kind, text: str):
 
 
 def read_level1_archive(path, transit_of=None, pairing_window_frames=None,
-                        *, sidecar=True) -> Iterator[EventTable]:
+                        *, sidecar) -> Iterator[EventTable]:
     """Yield a level-1 archive's events one pair chunk at a time, as
     chunk_events(events, transit_of, pairing_window_frames) cuts them; it
-    writes no file.
+    writes no file.  consume_level1_archive is the one caller, and checks
+    the sidecar's key.
 
-    The events come from the archive's sidecar when write_level1_archive
-    left one keyed to the archive's bytes: the key is checked against
-    sha256_file(path) before the first chunk is yielded.  _chunk_cuts then
-    finds the cuts in one pass over its utc_s and frame_index columns, and
-    each chunk's rows are read as they are asked for, so a consumer that
-    drops each table before the next holds one pair chunk.  Otherwise (no
-    sidecar; a stale, cut or foreign one; an archive from elsewhere) the
-    events are read whole by read_columns, which validates the header,
-    width and every value; the tags it reads as str objects are coded into
-    pol_code.  A table read whole, as is a sidecar's whose rows step back,
-    is sorted and cut by chunk_events.  An archive without rows yields one
-    empty table.
-
-    `sidecar` is for the stages consume_level1_archive runs, which checks
-    the key on a thread of its own while they read: the _open_sidecar tuple
-    it holds open, whose columns are then read with no key check, or None
-    to read the text.
+    `sidecar` is the _open_sidecar tuple of the archive's sidecar, held
+    open by the caller, or None to read the text.  From a sidecar,
+    _chunk_cuts finds the cuts in one pass over its utc_s and frame_index
+    columns, and each chunk's rows are read as they are asked for, so a
+    consumer that drops each table before the next holds one pair chunk.
+    From the text, the events are read whole by read_columns, which
+    validates the header, width and every value; the tags it reads as str
+    objects are coded into pol_code.  A table read whole, as is a
+    sidecar's whose rows step back, is sorted and cut by chunk_events.  An
+    archive without rows yields one empty table.
     """
-    with contextlib.ExitStack() as owned:
-        if sidecar is True:
-            sidecar = _open_sidecar(path)
-            if sidecar is not None:
-                owned.enter_context(sidecar[0])
-                if sidecar[3] != sha256_file(path).encode():
-                    sidecar = None
-        if sidecar is None:
-            yield from chunk_events(_parse_level1_archive(path), transit_of,
-                                    pairing_window_frames)
-        else:
-            yield from _sidecar_chunks(path, *sidecar[:3], transit_of,
-                                       pairing_window_frames)
-
-
-def _sidecar_chunks(path, fh, rows: int, tags, transit_of,
-                    pairing_window_frames) -> Iterator[EventTable]:
-    """read_level1_archive's chunks from an open sidecar's columns."""
+    if sidecar is None:
+        yield from chunk_events(_parse_level1_archive(path), transit_of,
+                                pairing_window_frames)
+        return
+    fh, rows, tags, _ = sidecar
     start = fh.tell()
 
     def read(name: str, lo: int, out: np.ndarray) -> np.ndarray:
@@ -1263,28 +1245,31 @@ def _sidecar_chunks(path, fh, rows: int, tags, transit_of,
         yield table(lo, hi)
 
 
-def consume_level1_archive(path, consume, outputs=()):
-    """consume(sidecar): what a stage that reads the chunks of
-    read_level1_archive(path, ..., sidecar=sidecar) returns or raises, with
-    the key of path's sidecar checked while the stage reads its columns,
-    not before the first chunk.
+def consume_level1_archive(path, consume, transit_of=None,
+                           pairing_window_frames=None, outputs=()):
+    """consume(chunks): what a stage that takes the chunks of
+    read_level1_archive(path, transit_of, pairing_window_frames) returns or
+    raises, the one way to read a level-1 archive.
 
-    Once _open_sidecar's checks pass, sha256_file(path) runs on one thread
-    (thread_pool) while consume reads the sidecar.  When consume returns or
-    raises, a key that matches keeps its result or error.  A key that does
-    not drops both, removes `outputs` (the files consume writes) and runs
-    consume(None), on the text, so nothing computed from a stale sidecar
-    is returned or left in a file; consume must therefore start its
-    outputs afresh on each run.  Without a sidecar that passes the checks,
-    consume(None) alone runs.  The thread has ended and the sidecar is
-    closed when this returns or raises.
+    When _open_sidecar's checks pass, consume takes the sidecar's chunks
+    while sha256_file(path) runs on one thread (thread_pool), so the key
+    is checked beside the read, not before the first chunk.  When consume
+    returns or raises, a key that matches keeps its result or error.  A
+    key that does not drops both, removes `outputs` (the files consume
+    writes) and runs consume once more on the text's chunks, so nothing
+    computed from a stale sidecar is returned or left in a file; consume
+    must therefore start its outputs afresh on each run.  Without a
+    sidecar that passes the checks, consume takes the text's chunks
+    alone.  The thread has ended and the sidecar is closed when this
+    returns or raises.
     """
     sidecar = _open_sidecar(path)
     if sidecar is not None:
         with sidecar[0], thread_pool(1) as hasher:
             key = hasher.submit(sha256_file, path)
             try:
-                result = consume(sidecar)
+                result = consume(read_level1_archive(
+                    path, transit_of, pairing_window_frames, sidecar=sidecar))
             except Exception:       # stale columns may break it anywhere
                 if key.result().encode() == sidecar[3]:
                     raise
@@ -1294,7 +1279,8 @@ def consume_level1_archive(path, consume, outputs=()):
         for name in outputs:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(name)
-    return consume(None)
+    return consume(read_level1_archive(path, transit_of,
+                                       pairing_window_frames, sidecar=None))
 
 
 def _parse_level1_archive(path) -> EventTable:

@@ -40,8 +40,8 @@ from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
                          PairTable, consume_level1_archive,
                          first_level_filter_frames, form_pairs, read_columns,
-                         read_level1_archive, sha256_file, thread_pool,
-                         write_csv, write_level1_archive)
+                         sha256_file, thread_pool, write_csv,
+                         write_level1_archive)
 from .phasefilter import (PhaseMetricParams, second_level_filter,
                           tune_tau_int, write_metric_diagnostics_csv)
 from .plotting import caption_line, save_stats_figure
@@ -490,12 +490,12 @@ def external_archive(manifest: ExperimentManifest) -> str | None:
 
 def consume_session(manifest: ExperimentManifest, level1_path, consume,
                     outputs=()):
-    """consume(an archive's pair chunks), with the sidecar's key checked on
-    one thread while consume reads them (pairdetect.consume_level1_archive):
-    a stale key drops consume's result or error, removes `outputs` and runs
-    consume again on the text.
+    """consume(an archive's pair chunks), through
+    pairdetect.consume_level1_archive: the sidecar's key is checked on one
+    thread while consume reads them, and a stale key drops consume's result
+    or error, removes `outputs` and runs consume again on the text.
 
-    The chunks are read_level1_archive's, in (transit, block) order and cut
+    The chunks come in (transit, block) order, cut
     at run.pairing_window_frames, as the sampler cuts an events-mode
     session (simulate_events), so each pairs on its own (session_pairs).
     In events mode each event's transit is sigsim.transit_index's; a
@@ -507,10 +507,8 @@ def consume_session(manifest: ExperimentManifest, level1_path, consume,
                              window_lo_hr=manifest.window_lo_hr,
                              window_hi_hr=manifest.window_hi_hr,
                              start_utc_s=manifest.start_utc_s)
-    return consume_level1_archive(
-        level1_path, lambda sidecar: consume(read_level1_archive(
-            level1_path, transit_of, manifest.pairing_window_frames,
-            sidecar=sidecar)), outputs)
+    return consume_level1_archive(level1_path, consume, transit_of,
+                                  manifest.pairing_window_frames, outputs)
 
 
 def session_pairs(manifest: ExperimentManifest, tables):

@@ -12,8 +12,8 @@ from pulsepair.channelizer import (estimator_corrected_crossing_prob,
                                    single_element_crossing_prob)
 from pulsepair.errors import ValidationError
 from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
-                                  FirstLevelFilterParams, form_pairs,
-                                  read_level1_archive)
+                                  FirstLevelFilterParams,
+                                  consume_level1_archive, form_pairs)
 from pulsepair.phasefilter import PhaseMetricParams, second_level_filter
 from pulsepair.pipeline import ExperimentManifest, simulate_events
 from pulsepair.sigsim import (ObservationConfig, RfiSpec, SourceSpec,
@@ -43,9 +43,9 @@ def event_table(frame=0, utc=0.0, k=0, rf=1410.0e6, pol="LHCP", ra=5.0,
 
 
 def archive_events(path):
-    """A level-1 archive's events as one table (read_level1_archive without
-    a transit map yields exactly one)."""
-    (events,) = read_level1_archive(path)
+    """A level-1 archive's events as one table (an archive read without a
+    transit map is exactly one chunk)."""
+    (events,) = consume_level1_archive(path, list)
     return events
 
 

@@ -529,7 +529,7 @@ def test_run_keys_a_mode_ignores_are_validation_errors(tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(out)]) == 3
         assert f"validation error: {key}: " in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_beam_taper_in_events_mode_is_a_validation_error(tmp_path, capsys):
@@ -571,6 +571,31 @@ def test_null_mc_on_a_frame_mode_config_is_a_validation_error(tmp_path,
                      "--n-seeds", "1"]) == 3
     assert "runs on the events mode" in capsys.readouterr().err
     assert not (out / "null_mc.csv").exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    ("simulate", 3), ("null-mc", 3), ("refilter", 3), ("tune-tau", 3),
+    ("analyze", 3), ("detect", 3), ("report", 3), ("calibrate", 2)])
+def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
+                                               code):
+    # a handler makes --out only once its inputs and checks pass: simulate
+    # refuses a beam taper in events mode, null-mc a frame-mode config, and
+    # the others a missing input file
+    taper = _events_manifest()
+    taper.config = replace(taper.config, beam_fwhm_ra_deg=9.0)
+    if command == "simulate":
+        cfg = _write_config(tmp_path / "taper.cfg", taper)
+    elif command in ("null-mc", "detect"):
+        cfg = _frames_config(tmp_path)
+    else:
+        cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
+    args = {"calibrate": ["--scan", str(tmp_path / "no.csv")],
+            "null-mc": ["--config", cfg, "--n-seeds", "1"]}
+    out = tmp_path / "out"
+    assert cli.main([command, *args.get(command, ["--config", cfg]),
+                     "--out", str(out)]) == code
+    capsys.readouterr()
+    assert not out.exists()
 
 
 def test_os_error_exit_codes(tmp_path, capsys):

@@ -882,8 +882,8 @@ def test_the_reader_yields_each_transit_in_pair_chunks(tmp_path,
         with monkeypatch.context() as m:
             if sidecar:
                 m.setattr(pairdetect, "read_columns", None)
-            chunks = list(pairdetect.read_level1_archive(path, _transit_of,
-                                                         k))
+            chunks = pairdetect.consume_level1_archive(path, list,
+                                                       _transit_of, k)
         # the chunks are the archive's rows in (transit, block) order, each
         # block's rows in archive order, every column bit for bit
         rows = archive_events(path)
@@ -906,7 +906,8 @@ def test_the_reader_yields_each_transit_in_pair_chunks(tmp_path,
         if sidecar:
             # the text alone gives the same chunks
             os.remove(f"{path}.cols")
-            text = list(pairdetect.read_level1_archive(path, _transit_of, k))
+            text = pairdetect.consume_level1_archive(path, list,
+                                                     _transit_of, k)
             assert len(text) == len(chunks)
             for got, table in zip(chunks, text):
                 _assert_same_events(got, table)
@@ -916,7 +917,8 @@ def test_the_reader_yields_each_transit_in_pair_chunks(tmp_path,
     assert (tmp_path / "level1.csv.cols").exists()
     with monkeypatch.context() as m:
         m.setattr(pairdetect, "read_columns", None)
-        (only,) = pairdetect.read_level1_archive(path, _transit_of, k)
+        (only,) = pairdetect.consume_level1_archive(path, list,
+                                                    _transit_of, k)
     _assert_same_events(only, empty)
 
 

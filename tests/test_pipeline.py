@@ -995,9 +995,9 @@ def test_chunked_stages_drop_each_table_before_the_next(season, tmp_path,
                 del table
         return tables
 
-    for name in ("read_level1_archive", "simulate_events"):
-        monkeypatch.setattr(pulsepair.pipeline, name,
-                            tracked(getattr(pulsepair.pipeline, name)))
+    for module, name in ((pairdetect, "read_level1_archive"),
+                         (pulsepair.pipeline, "simulate_events")):
+        monkeypatch.setattr(module, name, tracked(getattr(module, name)))
     candidates = tmp_path / "candidates.csv"
     exposure = replace(m, p_mode="exposure")
     for stage in (lambda: refilter(m, path, candidates),

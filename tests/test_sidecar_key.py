@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulsepair import pairdetect, pipeline
+from pulsepair import cli, pairdetect, pipeline
 from pulsepair.errors import ArchiveFormatError, ValidationError
+from pulsepair.kvconfig import write_kv_file
 from pulsepair.pairdetect import (EVENT_COLUMNS, EventTable,
                                   FirstLevelFilterParams, write_csv,
                                   write_level1_archive)
@@ -221,6 +222,35 @@ def test_a_stale_sidecar_beside_a_bad_text_leaves_no_output(
     assert not (tmp_path / "metric_diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("sidecar", [False, True])
+def test_an_empty_archive_is_refused(archives, tmp_path, monkeypatch, capsys,
+                                     sidecar):
+    # a zero-byte level1.csv exits 3 with "empty file" and leaves no
+    # candidates.csv; beside its old sidecar, the sidecar's pass writes one
+    # and the stale key's rerun on the text removes it before refusing
+    paths, _ = archives
+    path = tmp_path / "level1.csv"
+    path.write_bytes(b"")
+    if sidecar:
+        shutil.copyfile(f"{paths['good']}.cols", f"{path}.cols")
+    cfg = tmp_path / "exp.cfg"
+    write_kv_file(cfg, _manifest().to_kv())
+    writes = []
+    write = pipeline.write_candidates_csv
+
+    def counted(*args):
+        writes.append(args[0])
+        write(*args)
+
+    monkeypatch.setattr(pipeline, "write_candidates_csv", counted)
+    out = tmp_path / "out"
+    assert cli.main(["refilter", "--config", str(cfg), "--out", str(out),
+                     "--level1", str(path)]) == 3
+    assert "empty file" in capsys.readouterr().err
+    assert len(writes) == sidecar
+    assert not (out / "candidates.csv").exists()
+
+
 @pytest.mark.parametrize("diagnostics", [False, True])
 def test_refilter_hashes_the_archive_once(archives, tmp_path, monkeypatch,
                                           diagnostics):
@@ -257,11 +287,6 @@ def test_the_key_thread_and_the_files_end_with_the_stage(
 
     monkeypatch.setattr(pairdetect, "open", spy, raising=False)
 
-    def read(chunks_of):
-        # consume_level1_archive's consume, for a stage given by chunks_of
-        return lambda sidecar: chunks_of(pairdetect.read_level1_archive(
-            path, None, 0, sidecar=sidecar))
-
     def fails(chunks):
         next(chunks)
         raise RuntimeError("the stage failed")
@@ -275,10 +300,10 @@ def test_the_key_thread_and_the_files_end_with_the_stage(
     for name, (chunks_of, error) in consumers.items():
         opened.clear()
         if error is None:
-            assert pairdetect.consume_level1_archive(path, read(chunks_of)) > 0
+            assert pairdetect.consume_level1_archive(path, chunks_of) > 0
         else:
             with pytest.raises(error):
-                pairdetect.consume_level1_archive(path, read(chunks_of))
+                pairdetect.consume_level1_archive(path, chunks_of)
         assert threading.active_count() == threads, name
         assert opened and all(fh.closed for fh in opened), name
     # and the stages: one that returns, one that raises on the columns

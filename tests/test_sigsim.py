@@ -242,6 +242,73 @@ def test_sampler_injected_snr_follows_segment_rule(include_self):
     assert injected == pytest.approx(snr[17], abs=0.05)
 
 
+def _twins(pulses, delta_t, delta_k):
+    """Split a set of (transit, frame, bin) pulses into the first pulses
+    whose twin, delta_t frames later and delta_k bins up in the same
+    transit, is in the set, those twins, and the pulses left over."""
+    firsts = {(t, j, k) for t, j, k in pulses
+              if (t, j + delta_t, k + delta_k) in pulses}
+    seconds = {(t, j + delta_t, k + delta_k) for t, j, k in firsts}
+    return firsts, seconds, pulses - firsts - seconds
+
+
+def test_the_sampler_drops_a_pair_whose_second_pulse_is_past_the_transit():
+    # a pair's second pulse lands delta_t_frames after its first, delta_f
+    # up; a pair whose second pulse would fall past its transit's last
+    # frame is dropped whole, so every injected row (SNR > 20 dB, above
+    # any noise row) has its twin in its own transit
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.52, seed=3)
+    params = FirstLevelFilterParams(
+        snr_threshold_db=8.5, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
+    src = SourceSpec(name="b", ra_hr=5.25, dec_deg=-8.0, snr_db=45.0,
+                     pulse_rate_per_frame=0.5, delta_f_low_hz=100.0,
+                     delta_f_high_hz=100.0, delta_t_frames=3)
+    events = EventTable.concat(
+        simulate_level1_events(cfg, [src], params, 3, 5.24, 5.26))
+    n_frames = round(0.02 / 24.0 * SIDEREAL_DAY_S / cfg.hop_seconds)
+    injected = events.take(np.flatnonzero(events.snr_east_db > 20.0))
+    transit, frame = np.divmod(injected.frame_index, n_frames)
+    # each row's frame lies in the transit its time gives
+    assert (sigsim.transit_index(injected.utc_s, cfg, 5.24, 5.26)
+            == transit).all()
+    pulses = set(zip(transit.tolist(), frame.tolist(),
+                     injected.bin_index.tolist()))
+    assert len(pulses) == len(injected) > 200
+    firsts, seconds, lone = _twins(pulses, 3, 52)    # 100 Hz at 0.52 s
+    assert not lone and not firsts & seconds
+    assert {t for t, _, _ in firsts} == {0, 1, 2}
+
+
+def test_the_frame_simulator_keeps_a_first_pulse_past_the_session():
+    # the frame simulator draws a pair at its first pulse's frame: a first
+    # pulse whose twin would fall past the session's last frame is kept
+    # alone, and no second pulse lands in the first delta_t_frames frames,
+    # whose first pulse would precede frame 0
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.05, seed=3)
+    params = FirstLevelFilterParams(
+        snr_threshold_db=12.0, accept_band_low_hz=1445.0e6,
+        accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
+        excision_high_hz=1445.0e6)
+    lst0 = float(lst_hours(0.0, cfg.longitude_deg))
+    src = SourceSpec(name="b", ra_hr=lst0, dec_deg=-8.0, snr_db=45.0,
+                     pulse_rate_per_frame=0.5, delta_f_low_hz=1000.0,
+                     delta_f_high_hz=1000.0, delta_t_frames=3)
+    events = detect_events(cfg, [src], [], 40, params)
+    strong = events.snr_east_db > 20.0
+    pulses = set(zip([0] * int(strong.sum()),
+                     events.frame_index[strong].tolist(),
+                     events.bin_index[strong].tolist()))
+    assert len(pulses) == int(strong.sum()) > 20
+    firsts, seconds, lone = _twins(pulses, 3, 50)    # 1 kHz at 0.05 s
+    assert not firsts & seconds
+    assert lone and all(j >= 40 - 3 for _, j, _ in lone)
+    assert all(j >= 3 for _, j, _ in seconds)
+
+
 def test_sampler_is_deterministic():
     cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
                             frame_seconds=0.52, seed=6)

@@ -314,10 +314,13 @@ def test_a_reader_stopped_early_closes_its_file(tmp_path, monkeypatch):
                          window_lo_hr=m.window_lo_hr,
                          window_hi_hr=m.window_hi_hr,
                          start_utc_s=m.start_utc_s)
-    transits = pairdetect.read_level1_archive(out / "level1.csv", transit_of,
-                                              m.pairing_window_frames)
-    assert len(next(transits)) > 0
-    sidecar = [fh for fh in opened if fh.name.endswith(".cols")]
-    assert len(sidecar) == 1 and not sidecar[0].closed
-    transits.close()
+
+    def first(transits):
+        # takes one chunk and returns, the sidecar still open
+        sidecar = [fh for fh in opened if fh.name.endswith(".cols")]
+        assert len(sidecar) == 1 and not sidecar[0].closed
+        return len(next(transits))
+
+    assert pairdetect.consume_level1_archive(
+        out / "level1.csv", first, transit_of, m.pairing_window_frames) > 0
     assert all(fh.closed for fh in opened)
