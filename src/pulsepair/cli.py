@@ -129,7 +129,9 @@ def _archive(args, manifest) -> str:
 
 def _output(out: str, name: str) -> str:
     """<out>/<name>, out made if missing: a handler asks for it only once
-    its inputs and checks have passed, so a refused run leaves no --out."""
+    its inputs and checks have passed, so a refused run leaves no --out.
+    refilter, analyze and the svg report leave that to their pipeline
+    stage, which makes it once it has read its input."""
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
 
@@ -175,7 +177,7 @@ def cmd_detect(args) -> int:
 def cmd_refilter(args) -> int:
     manifest = _load_manifest(args)
     level1 = _archive(args, manifest)
-    path = _output(args.out, "candidates.csv")
+    path = os.path.join(args.out, "candidates.csv")
     diag = (os.path.join(args.out, "metric_diagnostics.csv")
             if args.diagnostics else None)
     n_events, n_pairs, n_survivors = pipeline.refilter(manifest, level1,
@@ -194,7 +196,7 @@ def cmd_analyze(args) -> int:
     level1 = None                   # read only for the exposure
     if manifest.p_mode == "exposure":
         level1 = _archive(args, manifest)
-    stats_path = _output(args.out, "stats.csv")
+    stats_path = os.path.join(args.out, "stats.csv")
     res = pipeline.write_analysis(manifest, cand_path, level1, stats_path,
                                   os.path.join(args.out, "report.txt"))
     peak = res.peak
@@ -263,7 +265,7 @@ def cmd_report(args) -> int:
     manifest = (_load_manifest(args) if args.config
                 else pipeline.ExperimentManifest())
     if args.format == "svg":
-        path = _output(args.out, "figure.svg")
+        path = os.path.join(args.out, "figure.svg")
         pipeline.write_figure(manifest, stats_path, path)
     else:
         stats = read_stats_csv(stats_path)

@@ -511,6 +511,14 @@ def consume_session(manifest: ExperimentManifest, level1_path, consume,
                                   manifest.pairing_window_frames, outputs)
 
 
+def _make_dirs(*paths) -> None:
+    """Make each path's directory if missing.  A stage calls this only once
+    it has read its input, so a run refused for the input's contents
+    leaves no directory."""
+    for path in paths:
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+
+
 def session_pairs(manifest: ExperimentManifest, tables):
     """form_pairs of each pair chunk of `tables` (simulate_events' or
     consume_session's), in turn.  A PairTable holds its chunk: drop it
@@ -543,15 +551,21 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
     _HELD_CANDIDATES of them are held.  With diagnostics_path, also write
     every pair's metric and verdict, a chunk at a time.  The first write
     of each file starts it afresh, so a second pass over the text after a
-    stale sidecar key rewrites both.
+    stale sidecar key rewrites both.  Their directories are made once the
+    first chunk is read.
     Returns (n_events, n_pairs, n_survivors).
     """
+    outputs = [candidates_path] + ([] if diagnostics_path is None
+                                   else [diagnostics_path])
+
     def consume(tables) -> tuple:
         n_events = n_pairs = n_survivors = n_held = 0
         held, append = [], False
         # a plain loop: enumerate would hold the last chunk while the next
         # is read
         for pairs in session_pairs(manifest, tables):
+            if not n_events:        # no event read before this chunk
+                _make_dirs(*outputs)
             if diagnostics_path is None:
                 survivors = second_level_filter(pairs, manifest.phase)
             else:               # rows go on after the first chunk's
@@ -573,8 +587,6 @@ def refilter(manifest: ExperimentManifest, level1_path, candidates_path,
             write_candidates_csv(candidates_path, _joined(held), append)
         return n_events, n_pairs, n_survivors + n_held
 
-    outputs = [candidates_path] + ([] if diagnostics_path is None
-                                   else [diagnostics_path])
     return consume_session(manifest, level1_path, consume, outputs)
 
 
@@ -743,18 +755,22 @@ def _write_report(path, manifest: ExperimentManifest,
 
 def write_analysis(manifest: ExperimentManifest, candidates_path, level1_path,
                    stats_path, report_path) -> AnalysisResult:
-    """The analyze stage: write stats.csv and report.txt of a candidates CSV."""
+    """The analyze stage: write stats.csv and report.txt of a candidates CSV,
+    their directories made once it has been read."""
     analysis = analyze_candidates(manifest, candidates_path, level1_path)
+    _make_dirs(stats_path, report_path)
     write_stats_csv(stats_path, analysis.stats)
     _write_report(report_path, manifest, analysis)
     return analysis
 
 
 def write_figure(manifest: ExperimentManifest, stats_path, figure_path) -> None:
-    """The report stage: draw the significance figure from a stats CSV."""
-    save_stats_figure(figure_path, read_stats_csv(stats_path),
-                      manifest.fwhm_center_hr, manifest.fwhm_width_hr,
-                      title=manifest.title)
+    """The report stage: draw the significance figure from a stats CSV,
+    its directory made once the CSV has been read."""
+    stats = read_stats_csv(stats_path)
+    _make_dirs(figure_path)
+    save_stats_figure(figure_path, stats, manifest.fwhm_center_hr,
+                      manifest.fwhm_width_hr, title=manifest.title)
 
 
 def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
@@ -772,8 +788,8 @@ def run_null_mc(manifest: ExperimentManifest, n_seeds: int,
     the sampler draws each seed's transits on the thread that runs it, so
     one seed runs on the calling thread alone.  Rows come in seed
     order with the same bytes at any thread count; memory grows with the
-    seeds in flight, each holding one transit's sort and float draws plus
-    one chunk (sigsim.simulate_level1_events).
+    seeds in flight, each holding one transit's packed, sorted words and
+    float draws plus one chunk (sigsim.simulate_level1_events).
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be >= 1")

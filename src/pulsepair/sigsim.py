@@ -16,7 +16,8 @@ Three generation paths, from most physical to most scalable:
   consumer's thread as it is consumed, whose noise columns are drawn as
   whole arrays a transit at a time.  The usable bins are held as
   [start, stop) runs, so its time scales with the events drawn, not with
-  the band's bin count, and its memory with one transit's sort and draws.
+  the band's bin count, and its memory with one transit's sorted words
+  and float draws.
   This is what makes multi-transit full-band experiments fit in seconds;
   it is calibrated against the per-bin path in the test suite.
 
@@ -44,8 +45,9 @@ from .calib import SIDEREAL_DAY_S, lst_hours, pointing_ra_hr, utc_at_lst
 from .channelizer import (TWO_PI, estimator_corrected_crossing_prob,
                           fft_frame, fringe_phase, wrap_phase)
 from .errors import ValidationError
-from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
-                         _chunk_cuts, check_tags, empty_event_columns)
+from .pairdetect import (_CHUNK_ROWS, EventStream, EventTable,
+                         FirstLevelFilterParams, _chunk_cuts, check_tags,
+                         empty_event_columns)
 
 C_LIGHT_M_S = 299792458.0
 
@@ -543,26 +545,26 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
 
 
 def _sort_key(key: np.ndarray, span: int) -> tuple:
-    """(np.argsort(key, kind="stable"), the sorted keys) for keys in
-    [0, span).  `key` is overwritten.
+    """(order, words, b): keys in [0, span) in np.argsort(key,
+    kind="stable") order.  `key` is overwritten.
 
     When span * 2**b <= 2**63, b = bit_length(n - 1) for n keys, each
     key takes its index in b low bits: the words are then distinct, so
     numpy's value sort (SIMD, unstable) sorts them in the stable order,
-    and the low bits give the order and the high bits the sorted keys,
-    with no gather.  Wider keys take _stable_argsort.
+    and they come back so, with order None: word >> b is a sorted key and
+    word & (2**b - 1) its index.  Wider keys take _stable_argsort and come
+    back as (order, key[order], 0).
     """
     b = max(key.size - 1, 0).bit_length()
     if span > 1 << (63 - b):
         order = _stable_argsort(key)
-        return order, key[order]
-    order = np.arange(key.size)
+        return order, key[order], 0
     key <<= b
-    key |= order
+    for lo in range(0, key.size, _CHUNK_ROWS):  # the index, a block at a time
+        block = key[lo:lo + _CHUNK_ROWS]
+        block |= np.arange(lo, lo + block.size)
     key.sort()
-    np.bitwise_and(key, (1 << b) - 1, out=order)
-    key >>= b
-    return order, key
+    return None, key, b
 
 
 def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
@@ -576,12 +578,14 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
     chunk_events cuts the transit's table.
 
     The frame, tag and bin of each event are packed into one sort key as
-    they are drawn, and the sort gives the sorted key and its order.  The
-    four float columns are then drawn whole, in draw order, each with the
-    injected values in its tail.  Only those six arrays are kept: each
-    chunk unpacks its frame, tag and bin from its slice of the sorted key
-    and gathers its float columns through its slice of the order, so no
-    array of the transit's ten columns is ever made.
+    they are drawn, and _sort_key sorts the keys with their draw indices
+    in the low bits.  The four float columns are then drawn whole, in draw
+    order, each with the injected values in its tail.  Only those five
+    arrays are kept (and the order, on _stable_argsort's branch): each
+    chunk gathers its float columns through the draw indices of its slice
+    of the sorted words, held in its own pol_code row, then unpacks its
+    frame, tag and bin from their high bits, so no other array of the
+    transit's size is made.
     """
     hop_hr = config.hop_seconds * 24.0 / SIDEREAL_DAY_S
     n_pol = len(config.polarization_tags)
@@ -605,7 +609,7 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
     if injected:
         key = np.concatenate((key, [(j * n_pol + code) * config.n_bins + k
                                     for j, k, code, *_ in injected]))
-    order, key = _sort_key(key, n_frames * n_pol * config.n_bins)
+    order, key, b = _sort_key(key, n_frames * n_pol * config.n_bins)
 
     # the float columns by name, in draw order: each drawn into its head
     # beside the injected values in its tail.  SNR ratio conditioned on
@@ -614,7 +618,7 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
     # exponential(1.0, count) and uniform(-pi, pi, count).
     floats = ("snr_east_db", "snr_west_db", "phase_east_rad",
               "phase_west_rad")
-    draws = np.empty((len(floats), order.size))
+    draws = np.empty((len(floats), key.size))
     for draw, values in zip(draws, list(zip(*injected))[3:] or [()] * 4):
         draw[count:] = values
     for head in draws[:2, :count]:
@@ -627,33 +631,46 @@ def _draw_transit(config: ObservationConfig, params, window_lo_hr: float,
         head *= math.pi - -math.pi
         head += -math.pi
 
-    pointing = config.pointing_ra(window_lo_hr
-                                  + np.arange(n_frames) * hop_hr)
     first_frame, per_frame = transit * n_frames, n_pol * config.n_bins
-    cuts = _chunk_cuts(None, lambda lo, hi: key[lo:hi] // per_frame
+    # not key // (per_frame << b): with one frame that divisor is 2**63
+    cuts = _chunk_cuts(None, lambda lo, hi: (key[lo:hi] >> b) // per_frame
                        + first_frame, key.size, pairing_window_frames)
     for lo, hi in zip(cuts, cuts[1:]):
         out = empty_event_columns(hi - lo)
-        frame_index, utc_s, rf = (out["frame_index"], out["utc_s"],
-                                  out["rf_freq_hz"])
-        np.divmod(key[lo:hi], config.n_bins,
+        frame_index, utc_s, rf, code = (out["frame_index"], out["utc_s"],
+                                        out["rf_freq_hz"], out["pol_code"])
+        # each row's draw index, held in its pol_code row until the divmods
+        # overwrite it
+        index = (order[lo:hi] if order is not None else
+                 np.bitwise_and(key[lo:hi], (1 << b) - 1, out=code))
+        for name, draw in zip(floats, draws):
+            # the indices are valid; with `out`, mode="raise" would gather
+            # through a temporary buffer
+            np.take(draw, index, out=out[name], mode="clip")
+        np.right_shift(key[lo:hi], b, out=frame_index)
+        np.divmod(frame_index, config.n_bins,
                   out=(frame_index, out["bin_index"]))
         if n_pol > 1:
-            np.divmod(frame_index, n_pol, out=(frame_index, out["pol_code"]))
+            np.divmod(frame_index, n_pol, out=(frame_index, code))
         else:
-            out["pol_code"].fill(0)
+            code.fill(0)
         np.multiply(frame_index, config.hop_seconds, out=utc_s)
         utc_s += utc_start
-        np.take(pointing, frame_index, out=out["ra_pointing_hr"], mode="clip")
-        frame_index += first_frame
+        if hi > lo:
+            # the pointing of the chunk's frames f0..f1, each bit as a table
+            # of the transit's frames would give it
+            f0, f1 = frame_index[0], frame_index[-1]
+            pointing = config.pointing_ra(window_lo_hr
+                                          + np.arange(f0, f1 + 1) * hop_hr)
+            frame_index -= f0
+            np.take(pointing, frame_index, out=out["ra_pointing_hr"],
+                    mode="clip")
+            frame_index += f0 + first_frame
         np.divide(out["bin_index"], config.frame_seconds, out=rf)
         rf += config.band_low_hz
-        for name, draw in zip(floats, draws):
-            # order holds valid indices; with `out`, mode="raise" would
-            # gather through a temporary buffer
-            np.take(draw, order[lo:hi], out=out[name], mode="clip")
         yield EventTable(tags=tags, **out)
-        del out, frame_index, utc_s, rf     # before the next chunk is made
+        # dropped before the next chunk is made
+        del out, frame_index, utc_s, rf, code, index
 
 
 def _window_anchor(config: ObservationConfig, window_lo_hr: float,
@@ -706,8 +723,9 @@ def simulate_level1_events(config: ObservationConfig, sources,
     `pairing_window_frames`; the rows, and so the archive's bytes, do not
     depend on it.  Each transit's row count is known before any is drawn,
     and a transit is drawn only when the stream is iterated, on the
-    consumer's thread: the session holds one transit's sorted key, order
-    and float draws (6 of its 10 columns' bytes), and the chunk in hand.
+    consumer's thread: the session holds one transit's packed, sorted
+    words and float draws (5 of its 10 columns' bytes), and the chunk in
+    hand.
     A transit's bytes depend only on its own seeded streams.
     """
     if n_transits < 1:

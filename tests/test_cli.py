@@ -573,14 +573,24 @@ def test_null_mc_on_a_frame_mode_config_is_a_validation_error(tmp_path,
     assert not (out / "null_mc.csv").exists()
 
 
-@pytest.mark.parametrize("command, code", [
-    ("simulate", 3), ("null-mc", 3), ("refilter", 3), ("tune-tau", 3),
-    ("analyze", 3), ("detect", 3), ("report", 3), ("calibrate", 2)])
+def _refusal(command, code, contents=None):
+    return pytest.param(command, code, contents,
+                        id=f"{command}-{contents or code}")
+
+
+@pytest.mark.parametrize("command, code, contents", [
+    _refusal("simulate", 3), _refusal("null-mc", 3), _refusal("refilter", 3),
+    _refusal("tune-tau", 3), _refusal("analyze", 3), _refusal("detect", 3),
+    _refusal("report", 3), _refusal("calibrate", 2),
+    _refusal("refilter", 3, "empty archive"),
+    _refusal("analyze", 3, "bad candidates header"),
+    _refusal("report", 3, "bad stats header")])
 def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
-                                               code):
+                                               code, contents):
     # a handler makes --out only once its inputs and checks pass: simulate
     # refuses a beam taper in events mode, null-mc a frame-mode config, and
-    # the others a missing input file
+    # the others a missing input file, or, with `contents`, an input file
+    # that exists but is refused once it is read
     taper = _events_manifest()
     taper.config = replace(taper.config, beam_fwhm_ra_deg=9.0)
     if command == "simulate":
@@ -589,12 +599,21 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
         cfg = _frames_config(tmp_path)
     else:
         cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
+    bad = tmp_path / "bad.csv"
+    bad.write_text("" if contents == "empty archive" else "not,a,header\n")
     args = {"calibrate": ["--scan", str(tmp_path / "no.csv")],
             "null-mc": ["--config", cfg, "--n-seeds", "1"]}
+    argv = args.get(command, ["--config", cfg])
+    if contents is not None:
+        flag = {"refilter": "--level1", "analyze": "--candidates",
+                "report": "--stats"}[command]
+        argv = [*argv, flag, str(bad)]
     out = tmp_path / "out"
-    assert cli.main([command, *args.get(command, ["--config", cfg]),
-                     "--out", str(out)]) == code
-    capsys.readouterr()
+    assert cli.main([command, *argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if contents is not None:
+        assert ("empty file" if contents == "empty archive"
+                else "bad header") in err
     assert not out.exists()
 
 

@@ -449,37 +449,43 @@ def test_sampler_memory_scales_with_events_not_bins():
 
 def test_sampler_holds_the_output_once():
     # a transit is drawn only when the stream is consumed, and no array of
-    # its ten columns is made: it holds its sorted key, the sort's order and
-    # its four float draws (6 of 10 columns' bytes) while each pair chunk
-    # is made from them, into its own columns with no copy
-    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
-                            frame_seconds=0.52, seed=6)
-    params = _band(snr_threshold_db=7.0)
-    for _ in simulate_level1_events(cfg, [], params, 1, 5.0, 5.1):
-        pass                        # the imports made while sampling
-    tracemalloc.start()
-    try:
-        stream = simulate_level1_events(cfg, [], params, 1, 5.0, 7.0)
-        # nothing is drawn before the stream is consumed
-        assert tracemalloc.get_traced_memory()[0] < 64 * 1024
-        sizes = []
-        for events in stream:
-            sizes.append(sum(getattr(events, name).nbytes
-                             for name in EVENT_COLUMNS))
-            assert all(getattr(events, name).base is events.frame_index.base
-                       for name in EVENT_COLUMNS)
-            del events
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(stream) > 250_000 and len(sizes) > 10
-    columns = 8 * len(EVENT_COLUMNS) * len(stream)
-    assert sum(sizes) == columns
-    chunk = 8 * len(EVENT_COLUMNS) * pairdetect._CHUNK_ROWS
-    assert max(sizes) < 1.01 * chunk
-    # measured 0.609 x the columns beside the largest chunk (0.669 x in
-    # all); a transit drawn into its ten columns peaked at 1.22 x
-    assert peak < 0.6 * columns + 1.5 * chunk
+    # its ten columns is made: it holds its packed, sorted words and its
+    # four float draws (5 of 10 columns' bytes) while each pair chunk is
+    # made from them, into its own columns with no copy; with one tag and
+    # with two, whose tag draw and unpacking take more steps
+    for tags in (("LHCP",), ("RHCP", "LHCP")):
+        cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                                frame_seconds=0.52, seed=6,
+                                polarization_tags=tags)
+        params = _band(snr_threshold_db=7.0)
+        for _ in simulate_level1_events(cfg, [], params, 1, 5.0, 5.1):
+            pass                    # the imports made while sampling
+        tracemalloc.start()
+        try:
+            stream = simulate_level1_events(cfg, [], params, 1, 5.0, 7.0)
+            # nothing is drawn before the stream is consumed
+            assert tracemalloc.get_traced_memory()[0] < 64 * 1024
+            sizes = []
+            for events in stream:
+                sizes.append(sum(getattr(events, name).nbytes
+                                 for name in EVENT_COLUMNS))
+                assert all(getattr(events, name).base
+                           is events.frame_index.base
+                           for name in EVENT_COLUMNS)
+                del events
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 250_000 and len(sizes) > 10, tags
+        columns = 8 * len(EVENT_COLUMNS) * len(stream)
+        assert sum(sizes) == columns, tags
+        chunk = 8 * len(EVENT_COLUMNS) * pairdetect._CHUNK_ROWS
+        assert max(sizes) < 1.01 * chunk, tags
+        # measured 0.504 x the columns beside the largest chunk with one
+        # tag and 0.502 x with two (0.564 x and 0.532 x in all); the sort's
+        # order kept beside them took 0.609 x, and a transit drawn into its
+        # ten columns peaked at 1.22 x
+        assert peak < 0.52 * columns + 1.5 * chunk, tags
 
 
 @pytest.mark.parametrize("tags", [("LHCP",), ("RHCP", "LHCP")],
@@ -576,6 +582,19 @@ def test_sampler_keeps_transits_in_order():
                        + in_transit * cfg.hop_seconds, rtol=0.0, atol=1e-6)
 
 
+def test_a_sampled_transit_without_events_is_one_empty_chunk():
+    # at a 40 dB threshold no noise event is drawn: each transit is one
+    # chunk of no rows, with the session's tags
+    cfg = ObservationConfig(band_low_hz=1445.0e6, band_high_hz=1446.0e6,
+                            frame_seconds=0.52, seed=1)
+    stream = simulate_level1_events(cfg, [], _band(snr_threshold_db=40.0),
+                                    2, 5.0, 5.01, pairing_window_frames=1)
+    assert stream.rows == 0
+    chunks = list(stream)
+    assert [len(events) for events in chunks] == [0, 0]
+    assert all(events.tags == ("LHCP",) for events in chunks)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity on this platform")
 def test_pool_workers_keep_every_cpu(monkeypatch):
@@ -637,13 +656,21 @@ def test_sampler_rejects_a_sort_key_beyond_int64():
 
 def _run_sort_key(monkeypatch, key, span):
     """sigsim._sort_key's (order, sorted keys) on a copy of `key`, and
-    whether it packed the key rather than call _stable_argsort."""
+    whether it packed the key rather than call _stable_argsort.  Packed
+    words come back with order None and decode as the order in their b low
+    bits and the sorted keys above them; _stable_argsort's branch returns
+    its order with b = 0."""
     real, calls = sigsim._stable_argsort, []
     monkeypatch.setattr(sigsim, "_stable_argsort",
                         lambda k: calls.append(k.size) or real(k))
-    order, out = sigsim._sort_key(key.copy(), span)
+    order, words, b = sigsim._sort_key(key.copy(), span)
     monkeypatch.undo()
-    return order, out, not calls
+    assert (order is None) == (not calls)
+    if order is None:
+        order = words & ((1 << b) - 1)
+    else:
+        assert b == 0
+    return order, words >> b, not calls
 
 
 @pytest.mark.parametrize("case", [
