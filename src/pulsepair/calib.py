@@ -15,7 +15,6 @@ in simulation, sigsim.simulate_frames with a delayed broadband_flat RfiSpec.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ import numpy as np
 from .channelizer import fringe_phase
 from .errors import ValidationError
 from .kvconfig import write_kv_file
+from .pairdetect import read_columns
 
 # Mean sidereal rate constants. GMST(D) = 18.697374558 + 24.06570982441908 D
 # with D in UT1 days from J2000 (JD 2451545.0); Unix epoch is JD 2440587.5.
@@ -39,6 +39,9 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # by more than FIT_RTOL of itself
 FIT_MAX_ITER = 200
 FIT_RTOL = 1e-9
+
+# a drift scan's CSV (calibrate --scan): each column's write_rows conversion
+DRIFT_SCAN_COLUMNS = {"utc_s": "%.3f", "power": "%.6f"}
 
 
 def lst_hours(utc_s, longitude_deg: float):
@@ -273,33 +276,11 @@ def continuum_snr_db(fit: GaussFlatFit) -> float:
 
 
 def read_drift_scan_csv(path, longitude_deg: float = -79.8398) -> DriftScan:
-    """Load a two-column CSV (utc_s, power) into a DriftScan.
-
-    A single non-numeric header row is tolerated and skipped, and a UTF-8
-    byte-order mark is dropped.
-    """
-    utc, power = [], []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"{path}: not UTF-8 text: {exc.reason}") from None
-    for i, row in enumerate(rows, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < 2:
-            raise ValidationError(f"{path}: line {i}: expected 2 columns")
-        try:
-            utc.append(float(row[0]))
-            power.append(float(row[1]))
-        except ValueError:
-            if i == 1:
-                continue  # header
-            raise ValidationError(f"{path}: line {i}: non-numeric row") from None
-    if not utc:
+    """Load a CSV of DRIFT_SCAN_COLUMNS (read_columns) into a DriftScan."""
+    cols = read_columns(path, DRIFT_SCAN_COLUMNS)
+    if not cols["utc_s"].size:
         raise ValidationError(f"{path}: no data rows")
-    return DriftScan(np.array(utc), np.array(power), longitude_deg)
+    return DriftScan(cols["utc_s"], cols["power"], longitude_deg)
 
 
 def write_fit_report(path, fit: GaussFlatFit, extra: dict | None = None) -> None:

@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("calibrate",
                         help="fit a drift scan (Gaussian + flat floor)")
     p.add_argument("--scan", required=True,
-                   help="two-column CSV of utc_s, power")
+                   help="CSV of the header utc_s,power and its rows")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--source-name", default="",
                    help="label for the report")
@@ -270,7 +270,7 @@ def cmd_report(args) -> int:
     else:
         stats = read_stats_csv(stats_path)
         path = _output(args.out, "figure_caption.csv")
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write("caption\n")
             if stats:
                 fh.write(f"\"{plotting.caption_line(peak_bin(stats))}\"\n")

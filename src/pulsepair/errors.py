@@ -10,14 +10,17 @@ class ValidationError(ValueError):
 
 
 class ArchiveFormatError(ValidationError):
-    """Malformed first-level archive or stats CSV.
+    """Malformed CSV: an archive, candidates, stats or drift-scan file.
 
-    Carries the 1-based line number of the offending row when known.
+    Carries the 1-based line number of the offending row when known.  The
+    message starts with the file's path and that line, when given.
     """
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None, path=None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_no = line_no
 

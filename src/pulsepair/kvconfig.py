@@ -34,7 +34,7 @@ def parse_kv(text: str, source: str = "<config>") -> dict:
 
 def read_kv_file(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(
@@ -51,6 +51,6 @@ def format_kv(mapping: dict) -> str:
 
 
 def write_kv_file(path, mapping: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(format_kv(mapping))
 

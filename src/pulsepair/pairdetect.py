@@ -207,11 +207,6 @@ class EventStream:
         parts, self.parts = self.parts, None
         return parts
 
-    @classmethod
-    def of(cls, table: EventTable) -> EventStream:
-        """The one-part stream of `table`, with all of the table's tags."""
-        return cls(table.tags, len(table), iter([table]))
-
 
 @dataclass(eq=False)
 class PairTable:
@@ -867,7 +862,8 @@ def _row_format(columns: dict) -> str:
 def write_csv(path, columns: dict, values, append: bool = False) -> None:
     """Write the equal-length columns `values` as the CSV `columns` declares
     (name -> write_rows conversion): its header, unless `append`, and rows."""
-    with open(path, "a" if append else "w", newline="\n") as fh:
+    with open(path, "a" if append else "w", newline="\n",
+              encoding="utf-8") as fh:
         if not append:
             fh.write(",".join(columns) + "\n")
         write_rows(fh, _row_format(columns), values)
@@ -1001,7 +997,7 @@ def write_level1_archive(path, events) -> None:
     were; the writer thread has ended when this returns or raises.
     """
     stream = (events if isinstance(events, EventStream)
-              else EventStream.of(events))
+              else EventStream(events.tags, len(events), iter([events])))
     tags = list(stream.tags)
     check_tags(tags)
     n = len(stream)
@@ -1123,14 +1119,15 @@ def read_columns(path, columns: dict) -> dict:
     %f and %g as float64, and %s as an object array of str.  np.loadtxt
     parses the body in one pass: fields may be quoted with '"', blank
     lines are skipped, and a number must be an ASCII numeral without '_'.
-    A schema_version column must hold ARCHIVE_SCHEMA_VERSION.  A file that
-    breaks a rule raises ArchiveFormatError, with the number of the first
-    bad line where _raise_at_bad_line finds one; so does a file that is
-    not UTF-8 text.
+    A leading UTF-8 byte-order mark is dropped.  A schema_version column
+    must hold ARCHIVE_SCHEMA_VERSION.  A file that breaks a rule raises
+    ArchiveFormatError naming it, with the number of the first bad line
+    where _raise_at_bad_line finds one; so does a file that is not UTF-8
+    text.
     """
     dtype = [(name, _DTYPES[conv[-1]]) for name, conv in columns.items()]
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -1162,7 +1159,7 @@ def _raise_at_bad_line(path, columns: dict, error: str) -> NoReturn:
     column count, a value that is no int64 or float numeral, or an unknown
     schema_version.  With no such line, raise `error` without a line."""
     kinds = [_DTYPES[conv[-1]] for conv in columns.values()]
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -1172,16 +1169,18 @@ def _raise_at_bad_line(path, columns: dict, error: str) -> NoReturn:
                 continue
             if len(row) != len(kinds):
                 raise ArchiveFormatError(
-                    f"expected {len(kinds)} columns, got {len(row)}", line_no)
+                    f"expected {len(kinds)} columns, got {len(row)}", line_no,
+                    path)
             try:
                 row = [_value(kind, text) for kind, text in zip(kinds, row)]
             except (ValueError, OverflowError) as exc:
-                raise ArchiveFormatError(f"bad value: {exc}", line_no) from None
+                raise ArchiveFormatError(f"bad value: {exc}", line_no,
+                                         path) from None
             version = dict(zip(columns, row)).get("schema_version",
                                                   ARCHIVE_SCHEMA_VERSION)
             if version != ARCHIVE_SCHEMA_VERSION:
                 raise ArchiveFormatError(
-                    f"unsupported schema_version {version}", line_no)
+                    f"unsupported schema_version {version}", line_no, path)
     raise ArchiveFormatError(f"{path}: {error}")
 
 

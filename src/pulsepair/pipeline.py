@@ -38,7 +38,7 @@ from . import kvconfig
 from .calib import lst_hours
 from .errors import StageError, ValidationError
 from .pairdetect import (EventStream, EventTable, FirstLevelFilterParams,
-                         PairTable, consume_level1_archive,
+                         PairTable, chunk_events, consume_level1_archive,
                          first_level_filter_frames, form_pairs, read_columns,
                          sha256_file, thread_pool, write_csv,
                          write_level1_archive)
@@ -458,8 +458,8 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
     Events mode samples them directly, a pair chunk at
     run.pairing_window_frames at a time as the stream is consumed (the
     archive's bytes do not depend on it); the frame modes synthesize the
-    frames and first-level filter them into a one-part stream, a stacked
-    block at a time.
+    frames and first-level filter them, a stacked block at a time, into
+    one table that chunk_events cuts into the archive's pair chunks.
     """
     if manifest.mode == "events":
         if manifest.n_frames is not None:
@@ -474,10 +474,12 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
     frames = session_frames(manifest)
     rows = manifest.n_frames * len(manifest.config.polarization_tags)
     step = max(1, _BLOCK_BINS // manifest.config.n_bins)
-    return EventStream.of(EventTable.concat(
+    events = EventTable.concat(
         detect_frames(manifest.config, manifest.filter,
                       stack_frames(islice(frames, step)))
-        for _ in range(0, rows, step)))
+        for _ in range(0, rows, step))
+    return EventStream(events.tags, len(events), chunk_events(
+        events, None, manifest.pairing_window_frames))
 
 
 def external_archive(manifest: ExperimentManifest) -> str | None:

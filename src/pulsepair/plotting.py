@@ -61,7 +61,7 @@ def save_stats_figure(path, stats, fwhm_center_hr: float | None,
     """
     stats = list(stats)
     if not stats:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write(_empty_svg(
                 "empty stats; no candidates in the analysis window"))
         return
@@ -148,5 +148,5 @@ def save_stats_figure(path, stats, fwhm_center_hr: float | None,
                  f'font-family="monospace" font-size="13" fill="#111111">'
                  f'{caption_line(peak_bin(stats))}</text>')
     parts.append('</svg>')
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -59,10 +59,9 @@ def detect_events(config, sources, rfi, n_frames, params, start_utc_s=0.0,
                   mode="freq"):
     """Simulate frames and run the first-level filter on every one: the
     frame-mode simulate stage (simulate_events), as one table."""
-    (events,) = simulate_events(ExperimentManifest(
+    return EventTable.concat(simulate_events(ExperimentManifest(
         config=config, sources=list(sources), rfi=list(rfi), filter=params,
-        mode=mode, n_frames=n_frames, start_utc_s=start_utc_s))
-    return events
+        mode=mode, n_frames=n_frames, start_utc_s=start_utc_s)))
 
 
 def calibrator_frames(n_frames, power, delay_s, seed, band_hz=50.0e6,

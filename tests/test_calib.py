@@ -4,12 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from pulsepair.calib import (DriftScan, FWHM_PER_SIGMA, SIDEREAL_DAY_S,
-                             continuum_snr_db, fit_gauss_flat, lst_hours,
-                             pointing_ra_hr, read_drift_scan_csv,
+from pulsepair.calib import (DRIFT_SCAN_COLUMNS, DriftScan, FWHM_PER_SIGMA,
+                             SIDEREAL_DAY_S, continuum_snr_db, fit_gauss_flat,
+                             lst_hours, pointing_ra_hr, read_drift_scan_csv,
                              tau_int_scan, utc_at_lst, write_fit_report)
 from helpers import calibrator_frames
-from pulsepair.errors import ValidationError
+from pulsepair.errors import ArchiveFormatError, ValidationError
+from pulsepair.pairdetect import write_csv
 
 LON = -79.8398
 LAT = 38.433
@@ -157,6 +158,12 @@ def test_drift_scan_csv_drops_a_byte_order_mark(tmp_path, header):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_text(text)
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    if not header:
+        # a scan starts with its header, marked or not
+        for path in (plain, marked):
+            with pytest.raises(ArchiveFormatError, match="bad header"):
+                read_drift_scan_csv(path)
+        return
     scan, expected = read_drift_scan_csv(marked), read_drift_scan_csv(plain)
     assert scan.utc_s.tolist() == expected.utc_s.tolist() == [1.0, 2.0, 3.0]
     assert scan.power.tolist() == expected.power.tolist() == [2.0, 3.0, 4.0]
@@ -165,6 +172,17 @@ def test_drift_scan_csv_drops_a_byte_order_mark(tmp_path, header):
                        .encode("latin-1"))
     with pytest.raises(ValidationError, match="not UTF-8"):
         read_drift_scan_csv(marked)
+
+
+def test_a_crlf_drift_scan_fits_as_its_lf_copy(tmp_path):
+    scan, _, _ = _make_scan(9.0, 3.0, 5, n=4000)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_csv(lf, DRIFT_SCAN_COLUMNS, [scan.utc_s, scan.power])
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    want = fit_gauss_flat(read_drift_scan_csv(lf))
+    assert fit_gauss_flat(read_drift_scan_csv(crlf)) == want
+    assert want.converged
 
 
 def test_tau_int_scan_recovers_delay():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ OBS_LON = -79.8398
 
 
 def _write_config(path, manifest) -> str:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for k, v in sorted(manifest.to_kv().items()):
             fh.write(f"{k} = {v}\n")
     return str(path)
@@ -312,7 +313,8 @@ def test_none_only_for_optional_keys(tmp_path, capsys):
         assert "none is not allowed" in capsys.readouterr().err
 
 
-def test_calibrate(tmp_path):
+def _write_drift_scan(path) -> str:
+    """A 3 hr scan of a 9 deg FWHM, 3 dB source at RA 5.25 hr."""
     fwhm_deg, snr_db, n = 9.0, 3.0, 4000
     sigma_hr = fwhm_deg / 15.0 / FWHM_PER_SIGMA
     amp = 10.0 ** (snr_db / 10.0) - 1.0
@@ -322,13 +324,17 @@ def test_calibrate(tmp_path):
     ra = 5.25 + (utc - utc0) * lst_rate
     power = 1.0 + amp * np.exp(-0.5 * ((ra - 5.25) / sigma_hr) ** 2)
     power += np.random.default_rng(5).normal(0.0, 0.01, n)
-    scan_path = tmp_path / "scan.csv"
-    with open(scan_path, "w") as fh:
+    with open(path, "w") as fh:
         fh.write("utc_s,power\n")
         for t, p in zip(utc, power):
             fh.write(f"{t:.3f},{p:.6f}\n")
+    return str(path)
+
+
+def test_calibrate(tmp_path):
+    scan_path = _write_drift_scan(tmp_path / "scan.csv")
     out = str(tmp_path / "out")
-    assert cli.main(["calibrate", "--scan", str(scan_path), "--out", out,
+    assert cli.main(["calibrate", "--scan", scan_path, "--out", out,
                      "--source-name", "calsrc"]) == 0
     report = read_kv_file(tmp_path / "out" / "calib_report.txt")
     assert report["source_name"] == "calsrc"
@@ -573,24 +579,30 @@ def test_null_mc_on_a_frame_mode_config_is_a_validation_error(tmp_path,
     assert not (out / "null_mc.csv").exists()
 
 
-def _refusal(command, code, contents=None):
-    return pytest.param(command, code, contents,
+def _refusal(command, code, contents=None, text="not,a,header\n",
+             error="bad header"):
+    return pytest.param(command, code, contents, text, error,
                         id=f"{command}-{contents or code}")
 
 
-@pytest.mark.parametrize("command, code, contents", [
+@pytest.mark.parametrize("command, code, contents, text, error", [
     _refusal("simulate", 3), _refusal("null-mc", 3), _refusal("refilter", 3),
     _refusal("tune-tau", 3), _refusal("analyze", 3), _refusal("detect", 3),
     _refusal("report", 3), _refusal("calibrate", 2),
-    _refusal("refilter", 3, "empty archive"),
+    _refusal("refilter", 3, "empty archive", "", "empty file"),
     _refusal("analyze", 3, "bad candidates header"),
-    _refusal("report", 3, "bad stats header")])
+    _refusal("report", 3, "bad stats header"),
+    _refusal("calibrate", 3, "headerless scan", "1.0,2.0\n2.0,3.0\n"),
+    _refusal("calibrate", 3, "three-column scan",
+             "utc_s,power,x\n1.0,2.0,0\n"),
+    _refusal("calibrate", 3, "non-numeric scan row",
+             "utc_s,power\n1.0,2.0\n2.0,n/a\n", "line 3: bad value")])
 def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
-                                               code, contents):
+                                               code, contents, text, error):
     # a handler makes --out only once its inputs and checks pass: simulate
     # refuses a beam taper in events mode, null-mc a frame-mode config, and
     # the others a missing input file, or, with `contents`, an input file
-    # that exists but is refused once it is read
+    # `text` that exists but is refused once it is read, naming the file
     taper = _events_manifest()
     taper.config = replace(taper.config, beam_fwhm_ra_deg=9.0)
     if command == "simulate":
@@ -600,11 +612,12 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
     else:
         cfg = _write_config(tmp_path / "exp.cfg", _events_manifest())
     bad = tmp_path / "bad.csv"
-    bad.write_text("" if contents == "empty archive" else "not,a,header\n")
-    args = {"calibrate": ["--scan", str(tmp_path / "no.csv")],
+    bad.write_text(text)
+    scan = bad if contents else tmp_path / "no.csv"
+    args = {"calibrate": ["--scan", str(scan)],
             "null-mc": ["--config", cfg, "--n-seeds", "1"]}
     argv = args.get(command, ["--config", cfg])
-    if contents is not None:
+    if contents is not None and command != "calibrate":
         flag = {"refilter": "--level1", "analyze": "--candidates",
                 "report": "--stats"}[command]
         argv = [*argv, flag, str(bad)]
@@ -612,8 +625,7 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
     assert cli.main([command, *argv, "--out", str(out)]) == code
     err = capsys.readouterr().err
     if contents is not None:
-        assert ("empty file" if contents == "empty archive"
-                else "bad header") in err
+        assert f"{bad}: {error}" in err
     assert not out.exists()
 
 
@@ -624,6 +636,53 @@ def test_os_error_exit_codes(tmp_path, capsys):
     assert cli.main(["calibrate", "--scan", str(tmp_path / "no.csv"),
                      "--out", out]) == 2
     capsys.readouterr()
+
+
+# each command, then run_experiment, in a process where opening a text file
+# without naming its encoding raises
+_UTF8_RUN = """
+import json, sys
+from pulsepair import cli
+from pulsepair.pipeline import manifest_from_file, run_experiment
+
+commands, runs = json.loads(sys.argv[1])
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+for cfg, out in runs:
+    assert run_experiment(manifest_from_file(cfg), out).status == "ok", cfg
+"""
+
+
+def test_every_text_file_is_opened_as_utf8(tmp_path):
+    # so no file's bytes, nor what a config reads as, depend on the locale:
+    # a non-ASCII title reaches figure.svg and manifest.txt
+    title = "caf\u00e9"
+    cfg = _write_config(tmp_path / "exp.cfg", _events_manifest(
+        title=title, phase=PhaseMetricParams(
+            tau_search_low_s=-4e-9, tau_search_high_s=4e-9,
+            tau_search_step_s=4e-9)))
+    frames_cfg = _frames_config(tmp_path)
+    out, fout = tmp_path / "out", tmp_path / "fout"
+    events = ["--config", cfg, "--out", str(out)]
+    frames = ["--config", frames_cfg, "--out", str(fout)]
+    commands = [
+        ["simulate", *events], ["refilter", *events], ["analyze", *events],
+        ["report", *events], ["report", *events, "--format", "csv"],
+        ["tune-tau", *events], ["null-mc", *events, "--n-seeds", "1"],
+        ["simulate", *frames], ["detect", *frames],
+        ["refilter", *frames, "--diagnostics"],
+        ["calibrate", "--scan", _write_drift_scan(tmp_path / "scan.csv"),
+         "--out", str(tmp_path / "cout")]]
+    runs = [(cfg, str(tmp_path / "run")), (frames_cfg, str(tmp_path / "frun"))]
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", _UTF8_RUN,
+         json.dumps([commands, runs])],
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    for path in (out / "figure.svg", tmp_path / "run" / "figure.svg",
+                 tmp_path / "run" / "manifest.txt"):
+        assert title in path.read_text(encoding="utf-8"), path
 
 
 def test_help_and_version(capsys):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pulsepair import pairdetect, phasefilter, pipeline, skystats
+from pulsepair import calib, pairdetect, phasefilter, pipeline, skystats
 from pulsepair.channelizer import (frame_bin_stats, segment_power,
                                    segment_ratio)
 from pulsepair.errors import ArchiveFormatError, ValidationError
@@ -687,6 +687,31 @@ def test_read_columns_reads_quotes_and_long_text_in_one_pass(
     empty = pairdetect.read_columns(path, columns)
     assert ({name: (c.dtype, c.size) for name, c in empty.items()}
             == {name: (c.dtype, 0) for name, c in plain.items()})
+
+
+def _write_scan(path):
+    pairdetect.write_csv(path, calib.DRIFT_SCAN_COLUMNS,
+                         [1.7e9 + np.arange(4.0), [1.0, 1.5, 1.25, 1.0]])
+    return calib.DRIFT_SCAN_COLUMNS
+
+
+@pytest.mark.parametrize("write", [
+    _write_level1, _write_candidates, _write_stats, _write_scan],
+    ids=["level1", "candidates", "stats", "scan"])
+def test_read_columns_drops_a_byte_order_mark(tmp_path, write):
+    path = tmp_path / "table.csv"
+    columns = write(path)
+    plain = pairdetect.read_columns(path, columns)
+    text = path.read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    _assert_same_columns(pairdetect.read_columns(path, columns), plain)
+    # a bad line after the mark is named with the file, at its number
+    header = text.split(b"\n")[0]
+    path.write_bytes(b"\xef\xbb\xbf" + header + b"\n" + header + b"\n")
+    with pytest.raises(ArchiveFormatError) as err:
+        pairdetect.read_columns(path, columns)
+    assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}: line 2: ")
 
 
 def test_archive_keeps_a_tag_as_long_as_the_str_field(tmp_path):

@@ -810,12 +810,8 @@ _ARCHIVE_FLOATS = {name: conv for name, conv in ARCHIVE_COLUMNS.items()
 def _assert_cut_alike(m, path):
     """simulate_events(m) and consume_session of its archive at path give
     the same chunks of the same events, but for the archive's text
-    rounding.  A frame-mode session is one table, cut by chunk_events."""
+    rounding."""
     sampled = list(simulate_events(m))
-    if m.mode != "events":
-        (table,) = sampled
-        sampled = list(pairdetect.chunk_events(table, None,
-                                               m.pairing_window_frames))
     read = consume_session(m, path, list)
     assert len(sampled) == len(read)
     for got, want in zip(sampled, read):
@@ -835,8 +831,8 @@ def test_a_sampled_session_is_cut_as_its_archive_is(tmp_path, monkeypatch,
                                                     mode, k):
     # null-mc pairs simulate_events' chunks, refilter consume_session's;
     # the sampler cuts its own, with no chunk_events pass.  A frame-mode
-    # session is one table: 512 two-tag rows at 2 dB, 22,217 events, read
-    # back in two chunks, cut as chunk_events cuts the table
+    # session, 512 two-tag rows at 2 dB and 22,217 events, is detected
+    # whole and cut by chunk_events: two chunks, as it is read back
     m = _small_manifest()
     if mode == "freq":
         m = _two_tag_frames_manifest(0.001024, 256)
@@ -1259,7 +1255,7 @@ def test_simulate_events_is_the_detected_frame_store(tmp_path, frame_seconds,
     m = _two_tag_frames_manifest(frame_seconds, n_frames)
     path = tmp_path / "frames.npz"
     save_frames_npz(path, stack_frames(session_frames(m)))
-    (got,) = simulate_events(m)
+    got = EventTable.concat(simulate_events(m))
     want = detect_frames(m.config, m.filter, load_frames_npz(path))
     assert event_bits(got) == event_bits(want)
     assert got.tags == ("LHCP", "RHCP") and len(got) > 10
@@ -1275,7 +1271,7 @@ def test_simulate_events_holds_a_block_not_the_frame_session():
     block = 16 * 64 * 1024
     tracemalloc.start()
     try:
-        (events,) = simulate_events(m)
+        events = EventTable.concat(simulate_events(m))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
