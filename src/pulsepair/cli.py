@@ -7,6 +7,7 @@ One subcommand per pipeline stage plus calibration utilities.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -154,9 +155,12 @@ def cmd_simulate(args) -> int:
         write_level1_archive(path, events)
         print(f"simulate: {len(events)} events -> {path}")
     else:
-        store = pipeline.stack_frames(pipeline.session_frames(manifest))
+        blocks = pipeline.frame_blocks(manifest)
+        # the session is checked as its first block is drawn, before --out
+        blocks = itertools.chain([next(blocks)], blocks)
         path = _output(args.out, "frames.npz")
-        pipeline.save_frames_npz(path, store)
+        rows = manifest.n_frames * len(manifest.config.polarization_tags)
+        pipeline.save_frames_npz(path, blocks, rows)
         print(f"simulate: {manifest.n_frames} frames -> {path}")
     return 0
 

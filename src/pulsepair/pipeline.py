@@ -10,8 +10,10 @@ that can change that artifact's bytes; a rerun in the same output directory
 skips any stage whose parameter hash, input hashes, and output hashes all
 still match.  A failed stage records `status = failed:<stage>`.
 In the frame modes simulate hands detect a frame store, frames.npz's six
-arrays with a row a frame's polarization (stack_frames, load_frames_npz),
-which detect_frames scores a block of row views at a time.
+arrays with a row a frame's polarization, and no stage holds a whole one:
+simulate writes the blocks of consecutive rows that frame_blocks makes as
+it synthesizes them (save_frames_npz), and detect_frames scores the blocks
+that load_frames_npz reads back, one at a time.
 Every pool of threads comes from pairdetect.thread_pool: the frame
 store's two deflate and inflate threads, null-mc's seed pool, the one
 thread that writes the level-1 archive while the caller renders it, and
@@ -21,16 +23,18 @@ refilter, tune-tau or exposure-mode analyze reads it (consume_session).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
 import re
+import tempfile
 import typing
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -301,6 +305,14 @@ def manifest_from_file(path, overrides: dict | None = None) -> ExperimentManifes
 _FRAME_MEMBERS = {"frame_index": np.integer, "utc_s": np.floating,
                   "polarization_tag": np.str_, "east": np.complexfloating,
                   "west": np.complexfloating, "rf_freqs_hz": np.floating}
+# the [rows, bins] members, written and read a block of rows at a time
+_SPECTRA = ("east", "west")
+# bins of a block of a store's rows (64 of the README frames.cfg's 1,024-bin
+# rows); a wider row is a block by itself
+_BLOCK_BINS = 1 << 16
+# bytes of a spectra member inflated at once: a whole block read through
+# zipfile takes ~4 times the block in buffers
+_READ_BYTES = 1 << 17
 
 
 def stack_frames(frames) -> tuple:
@@ -324,104 +336,230 @@ def stack_frames(frames) -> tuple:
             np.ascontiguousarray(rfs[0]))
 
 
-def save_frames_npz(path, store) -> None:
-    """Write a frame store (stack_frames) for the detect stage.
+class _DeflatedMember:
+    """A .npy member as np.savez_compressed stores it, deflated as its data
+    comes, by the compressor zipfile uses for ZIP_DEFLATED: its header, for
+    `dtype` and `shape` in C order, then each array `add` is given.  The
+    deflated pieces go to `write`; `finish` gives the member's ZipInfo."""
 
-    The file is byte for byte the one np.savez_compressed writes for the six
-    members, but the members are deflated on two threads (zlib lets go of
-    the GIL), so the two spectra deflate at once.
-    """
-    with thread_pool(2) as pool:
-        members = list(pool.map(_deflated_member, _FRAME_MEMBERS, store))
-    with open(path, "wb") as fh:
-        for info, data in members:
-            info.header_offset = fh.tell()
-            fh.write(info.FileHeader(zip64=True))   # numpy forces zip64
-            fh.writelines(data)
-        with zipfile.ZipFile(fh, "w") as archive:
-            # closing it writes the central directory of filelist's members
-            archive.filelist.extend(info for info, _ in members)
+    def __init__(self, name, dtype, shape, write):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False, "shape": shape})
+        self.info = zipfile.ZipInfo(name + ".npy")      # dated 1980-01-01
+        self.info.compress_type = zipfile.ZIP_DEFLATED
+        self.info.external_attr = 0o600 << 16
+        self.info.CRC = 0
+        self._deflate = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION,
+                                         zlib.DEFLATED, -15)
+        self._write = write
+        self._feed(memoryview(header.getvalue()))
+
+    def add(self, array) -> None:
+        # C order, with no copy of a C-ordered array
+        self._feed(memoryview(
+            np.ascontiguousarray(array).reshape(-1).view(np.uint8)))
+
+    def _feed(self, data) -> None:
+        # 256 KiB at a time, so no output larger than that is ever copied
+        for at in range(0, data.nbytes, 1 << 18):
+            self._put(self._deflate.compress(data[at:at + (1 << 18)]))
+        self.info.file_size += data.nbytes
+        self.info.CRC = zlib.crc32(data, self.info.CRC)
+
+    def _put(self, piece) -> None:
+        self._write(piece)
+        self.info.compress_size += len(piece)
+
+    def finish(self) -> zipfile.ZipInfo:
+        self._put(self._deflate.flush())
+        return self.info
 
 
 def _deflated_member(name, array):
-    """(ZipInfo, deflated pieces) of `array` as np.savez_compressed stores
-    it: its .npy header and data, deflated by the compressor zipfile uses
-    for ZIP_DEFLATED, with the ZipInfo fields zipfile gives the member."""
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, np.lib.format.header_data_from_array_1_0(array))
-    header = header.getvalue()
-    body = memoryview(array.reshape(-1).view(np.uint8))     # C order, no copy
-    deflate = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
-    # fed a MiB at a time, so no output larger than that is ever copied
-    data = [deflate.compress(header)]
-    data += [deflate.compress(body[at:at + 2 ** 20])
-             for at in range(0, body.nbytes, 2 ** 20)]
-    data.append(deflate.flush())
-    info = zipfile.ZipInfo(name + ".npy")        # dated 1980-01-01
-    info.compress_type = zipfile.ZIP_DEFLATED
-    info.external_attr = 0o600 << 16
-    info.file_size = len(header) + body.nbytes
-    info.compress_size = sum(map(len, data))
-    info.CRC = zlib.crc32(body, zlib.crc32(header))
-    return info, data
+    """(ZipInfo, deflated pieces) of the whole of `array` (_DeflatedMember)."""
+    pieces = []
+    member = _DeflatedMember(name, array.dtype, array.shape, pieces.append)
+    member.add(array)
+    return member.finish(), pieces
 
 
-def _read_member(path, name):
-    """Member `name` of the .npz at path, None if it has none.  Each call
-    opens the file itself, so calls on a pool's threads share no zip state."""
-    # np.load(path) would leave its file open when the zip is corrupt
-    with open(path, "rb") as fh, np.load(fh) as data:
-        return data[name] if name in data.files else None
+def _spooled(spool):
+    """The deflated pieces written to `spool`, read back a MiB at a time."""
+    spool.seek(0)
+    return iter(partial(spool.read, 1 << 20), b"")
 
 
-def load_frames_npz(path) -> tuple:
-    """The frame store at path, its six members read once, inflating them
-    on two threads, and checked: a member of the wrong kind of dtype or
-    shape raises ValidationError naming it."""
+def save_frames_npz(path, blocks, rows: int) -> None:
+    """Write frame store blocks (frame_blocks, stack_frames), `rows` rows
+    in all, as the one frame store of their rows for the detect stage.
+
+    The file is byte for byte the one np.savez_compressed writes for the six
+    members of the blocks' rows joined, but two blocks at most are held:
+    each block's east and west deflate on a thread each (zlib lets go of
+    the GIL) into a temporary file beside path while the caller makes the
+    next block.  The per-row members, kept whole, and rf_freqs_hz deflate
+    at the end; then the file is put together in member order.  Blocks
+    whose rf, bins or spectra dtypes differ from the first's, or whose rows
+    do not add up to `rows`, raise ValidationError before path is opened;
+    the temporary files go on every path.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValidationError(f"{path}: no frames to save")
+    rf = first[5]
+    spectra = [(part.dtype, part.shape[1:]) for part in first[3:5]]
+    blocks = chain([first], blocks)
+    del first                   # held no longer than its deflate
+    directory = os.path.dirname(path) or os.curdir
+    columns, pending, seen = [], (), 0
+    with contextlib.ExitStack() as files:
+        spools = [files.enter_context(tempfile.TemporaryFile(dir=directory))
+                  for _ in _SPECTRA]
+        # closed before the spools, which its tasks write
+        pool = files.enter_context(thread_pool(2))
+        members = [_DeflatedMember(name, dtype, (rows, *bins), spool.write)
+                   for name, (dtype, bins), spool in zip(
+                       _SPECTRA, spectra, spools)]
+        for block in blocks:
+            *head, east, west, block_rf = block
+            if not np.array_equal(block_rf, rf):
+                raise ValidationError("frames differ in their rf_freqs_hz")
+            if [(part.dtype, part.shape[1:]) for part in (east, west)] \
+                    != spectra:
+                raise ValidationError(
+                    f"frame {head[0][0]}: spectra of another dtype or "
+                    f"width than the first block's")
+            seen += len(head[0])
+            columns.append(head)
+            for done in pending:            # the block before, in order
+                done.result()
+            pending = [pool.submit(member.add, part)
+                       for member, part in zip(members, (east, west))]
+        for done in pending:
+            done.result()
+        if seen != rows:
+            raise ValidationError(
+                f"{path}: the blocks hold {seen} rows, not {rows}")
+        stored = [_deflated_member(name, np.concatenate(column))
+                  for name, column in zip(_FRAME_MEMBERS, zip(*columns))]
+        stored += [(member.finish(), _spooled(spool))
+                   for member, spool in zip(members, spools)]
+        stored.append(_deflated_member("rf_freqs_hz", rf))
+        with open(path, "wb") as fh:
+            for info, pieces in stored:
+                info.header_offset = fh.tell()
+                fh.write(info.FileHeader(zip64=True))  # numpy forces zip64
+                fh.writelines(pieces)
+            with zipfile.ZipFile(fh, "w") as archive:
+                # closing it writes the central directory of its members
+                archive.filelist.extend(info for info, _ in stored)
+
+
+def _read_rows(stream, dtype, shape):
+    """An array of `dtype` and `shape` read from stream in C order, in
+    reads of at most _READ_BYTES."""
+    rows = np.empty(shape, dtype)
+    view = memoryview(rows.reshape(-1).view(np.uint8))
+    at = 0
+    while at < view.nbytes:
+        got = stream.readinto(view[at:at + _READ_BYTES])
+        if not got:
+            raise EOFError(f"{stream.name} ends inside its rows")
+        at += got
+    return rows
+
+
+def _open_member(files, path, name):
+    """(stream past its .npy header, dtype, shape, Fortran order) of member
+    `name` of the .npz at path, on a ZipFile and file handle of its own, so
+    calls on a pool's threads share no zip state; `files` closes both."""
+    archive = files.enter_context(zipfile.ZipFile(path))
+    stream = files.enter_context(archive.open(name + ".npy"))
+    version = np.lib.format.read_magic(stream)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, in_fortran_order, dtype = read_header(stream)
+    return stream, dtype, shape, in_fortran_order
+
+
+def load_frames_npz(path):
+    """The frame store at path as blocks of consecutive rows, each a
+    stack_frames tuple of at most _BLOCK_BINS bins (a wider row alone).
+
+    Before the first block it reads the per-row members and rf_freqs_hz
+    whole and checks them and the .npy headers of east and west: a member
+    missing, of the wrong kind of dtype or shape, or (east, west) not in C
+    order raises ValidationError naming it.  east and west are then
+    inflated a block at a time, each on a file handle and a thread of its
+    own, and read to their end, so zipfile checks their CRC-32.  A store
+    that is not a readable .npz (truncated, empty, or with a corrupt
+    member) raises ValidationError naming path, at the block where that
+    shows.
+    """
     try:
-        with thread_pool(2) as pool:
-            arrays = dict(zip(_FRAME_MEMBERS, pool.map(
-                partial(_read_member, path), _FRAME_MEMBERS)))
-    except (zipfile.BadZipFile, zlib.error, EOFError, TypeError,
-            ValueError) as exc:
+        with contextlib.ExitStack() as files:
+            archive = files.enter_context(zipfile.ZipFile(path))
+            missing = [name for name in _FRAME_MEMBERS
+                       if name + ".npy" not in archive.namelist()]
+            if missing:
+                raise ValidationError(
+                    f"{path}: missing arrays: {', '.join(sorted(missing))}")
+            index, utc, pols, rf = (
+                np.lib.format.read_array(files.enter_context(
+                    archive.open(name + ".npy")))
+                for name in _FRAME_MEMBERS if name not in _SPECTRA)
+            streams, dtypes, shapes, fortran = zip(*(
+                _open_member(files, path, name) for name in _SPECTRA))
+            if rf.ndim != 1 or rf.size == 0:    # a block's rows divide by it
+                raise ValidationError(
+                    f"{path}: rf_freqs_hz has shape {rf.shape}, expected "
+                    f"one axis of at least one bin")
+            n = index.size
+            found = [(a.dtype, a.shape) for a in (index, utc, pols)]
+            found += [*zip(dtypes, shapes), (rf.dtype, rf.shape)]
+            wanted = ((n,),) * 3 + ((n, rf.size),) * 2 + (rf.shape,)
+            for (name, kind), (dtype, shape), want in zip(
+                    _FRAME_MEMBERS.items(), found, wanted):
+                if shape != want or not np.issubdtype(dtype, kind):
+                    raise ValidationError(
+                        f"{path}: {name} is {dtype} of shape {shape}, "
+                        f"expected {kind.__name__} of shape {want}")
+            for name, in_fortran_order in zip(_SPECTRA, fortran):
+                if in_fortran_order:
+                    raise ValidationError(f"{path}: {name} is in Fortran "
+                                          f"order, expected C order")
+            step = max(1, _BLOCK_BINS // rf.size)
+            with thread_pool(2) as pool:
+                for at in range(0, n, step):
+                    rows = (min(step, n - at), rf.size)
+                    yield (index[at:at + step], utc[at:at + step],
+                           pols[at:at + step], *pool.map(
+                               partial(_read_rows, shape=rows), streams,
+                               dtypes), rf)
+            for stream in streams:
+                while stream.read(_READ_BYTES):     # to its end and CRC-32
+                    pass
+    except ValidationError:
+        raise
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise ValidationError(
             f"{path}: not a readable frame store: {exc}") from None
-    missing = sorted(name for name, arr in arrays.items() if arr is None)
-    if missing:
-        raise ValidationError(f"{path}: missing arrays: {', '.join(missing)}")
-    store = tuple(arrays.values())
-    n, rf = store[0].size, store[5]
-    if rf.ndim != 1 or rf.size == 0:    # a block's rows divide by its bins
-        raise ValidationError(f"{path}: rf_freqs_hz has shape {rf.shape}, "
-                              f"expected one axis of at least one bin")
-    shapes = ((n,),) * 3 + ((n, rf.size),) * 2 + (rf.shape,)
-    for (name, kind), arr, shape in zip(_FRAME_MEMBERS.items(), store,
-                                       shapes):
-        if arr.shape != shape or not np.issubdtype(arr.dtype, kind):
-            raise ValidationError(
-                f"{path}: {name} is {arr.dtype} of shape {arr.shape}, "
-                f"expected {kind.__name__} of shape {shape}")
-    return store
-
-
-# bins of a block of a store's rows scored at once (64 of the README
-# frames.cfg's 1,024-bin rows); a wider row is a block by itself
-_BLOCK_BINS = 1 << 16
 
 
 def detect_frames(config: ObservationConfig, params: FirstLevelFilterParams,
-                  store) -> EventTable:
-    """First-level filter a frame store (stack_frames, load_frames_npz) into
-    events: first_level_filter_frames of a block of consecutive rows at a
-    time, at most _BLOCK_BINS bins, each block a view of the store."""
-    index, utc, pols, east, west, rf = store
-    ra = config.pointing_ra(lst_hours(utc, config.longitude_deg))
-    rows = (index, utc, pols, east, west)
-    step = max(1, _BLOCK_BINS // rf.size)
-    return EventTable.concat(first_level_filter_frames(
-        *(column[at:at + step] for column in rows), rf, params,
-        ra[at:at + step]) for at in range(0, index.size, step))
+                  blocks) -> EventTable:
+    """First-level filter frame store blocks (frame_blocks, load_frames_npz,
+    stack_frames) into events: first_level_filter_frames of each block in
+    turn, with its rows' pointing RA."""
+    def scored(block):
+        index, utc, pols, east, west, rf = block
+        ra = config.pointing_ra(lst_hours(utc, config.longitude_deg))
+        return first_level_filter_frames(index, utc, pols, east, west, rf,
+                                         params, ra)
+    return EventTable.concat(map(scored, blocks))
 
 
 # -- staged runner ----------------------------------------------------------
@@ -452,14 +590,25 @@ def session_frames(manifest: ExperimentManifest):
                            mode=manifest.mode)
 
 
+def frame_blocks(manifest: ExperimentManifest):
+    """The frame modes' session (session_frames) as frame stores of
+    consecutive rows (stack_frames) of at most _BLOCK_BINS bins each (a
+    wider row alone), made one at a time as they are consumed."""
+    frames = session_frames(manifest)
+    rows = manifest.n_frames * len(manifest.config.polarization_tags)
+    step = max(1, _BLOCK_BINS // manifest.config.n_bins)
+    for _ in range(0, rows, step):
+        yield stack_frames(islice(frames, step))
+
+
 def simulate_events(manifest: ExperimentManifest) -> EventStream:
     """The simulate stage in memory: the session's level-1 events.
 
     Events mode samples them directly, a pair chunk at
     run.pairing_window_frames at a time as the stream is consumed (the
-    archive's bytes do not depend on it); the frame modes synthesize the
-    frames and first-level filter them, a stacked block at a time, into
-    one table that chunk_events cuts into the archive's pair chunks.
+    archive's bytes do not depend on it); the frame modes first-level
+    filter the session's blocks (frame_blocks) as they are synthesized,
+    into one table that chunk_events cuts into the archive's pair chunks.
     """
     if manifest.mode == "events":
         if manifest.n_frames is not None:
@@ -471,13 +620,8 @@ def simulate_events(manifest: ExperimentManifest) -> EventStream:
             manifest.n_transits, manifest.window_lo_hr, manifest.window_hi_hr,
             start_utc_s=manifest.start_utc_s, rfi=manifest.rfi,
             pairing_window_frames=manifest.pairing_window_frames)
-    frames = session_frames(manifest)
-    rows = manifest.n_frames * len(manifest.config.polarization_tags)
-    step = max(1, _BLOCK_BINS // manifest.config.n_bins)
-    events = EventTable.concat(
-        detect_frames(manifest.config, manifest.filter,
-                      stack_frames(islice(frames, step)))
-        for _ in range(0, rows, step))
+    events = detect_frames(manifest.config, manifest.filter,
+                           frame_blocks(manifest))
     return EventStream(events.tags, len(events), chunk_events(
         events, None, manifest.pairing_window_frames))
 

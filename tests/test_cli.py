@@ -121,7 +121,7 @@ def test_seed_override_changes_archive(tmp_path):
     assert a != (tmp_path / "c" / "level1.csv").read_bytes()
 
 
-def _frames_config(tmp_path) -> str:
+def _frames_config(tmp_path, **kwargs) -> str:
     m = ExperimentManifest(
         config=ObservationConfig(
             band_low_hz=1445.0e6, band_high_hz=1446.0e6,
@@ -131,7 +131,7 @@ def _frames_config(tmp_path) -> str:
             snr_threshold_db=5.0, accept_band_low_hz=1445.0e6,
             accept_band_high_hz=1446.0e6, excision_low_hz=1445.0e6,
             excision_high_hz=1445.0e6),
-        mode="freq", n_frames=8)
+        mode="freq", n_frames=8, **kwargs)
     return _write_config(tmp_path / "frames.cfg", m)
 
 
@@ -198,16 +198,48 @@ def test_corrupt_frame_store_member_is_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "level1.csv").exists()
 
 
-# one malformed member of a good store: (member, its new value from the
-# good one, what the error expects); "no bins" drops every bin
+def test_a_frame_store_member_failing_its_crc_is_a_validation_error(
+        tmp_path, capsys):
+    # np.savez stores its members, so one byte of east's data flipped still
+    # reads cleanly: only the CRC-32 that zipfile checks at the member's
+    # end finds it
+    cfg = _frames_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    store = tmp_path / "out" / "frames.npz"
+    with np.load(store) as data:
+        np.savez(store, **{name: data[name] for name in data.files})
+    with zipfile.ZipFile(store) as archive:
+        east = archive.getinfo("east.npy")
+    assert east.compress_type == zipfile.ZIP_STORED
+    whole = bytearray(store.read_bytes())
+    middle = (east.header_offset + len(east.FileHeader(zip64=True))
+              + east.compress_size // 2)
+    whole[middle] ^= 0xFF
+    store.write_bytes(whole)
+    capsys.readouterr()
+    assert cli.main(["detect", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert str(store) in err and "CRC-32" in err
+    assert not (tmp_path / "out" / "level1.csv").exists()
+
+
+# one malformed member of a good store: (the members changed, their new
+# value from the good one, what the error expects); "no bins" drops every
+# bin
 _MALFORMED = {
-    "frame_index": (lambda a: a + 0.5, "expected integer"),
-    "utc_s": (lambda a: a.astype(np.int64), "expected floating"),
-    "polarization_tag": (lambda a: np.arange(a.size), "expected str_"),
-    "east": (lambda a: a.real, "expected complexfloating"),
-    "west": (lambda a: np.abs(a), "expected complexfloating"),
-    "rf_freqs_hz": (lambda a: a[:, np.newaxis], "at least one bin"),
-    "no bins": (lambda a: a[..., :0], "at least one bin"),
+    "frame_index": (["frame_index"], lambda a: a + 0.5, "expected integer"),
+    "utc_s": (["utc_s"], lambda a: a.astype(np.int64), "expected floating"),
+    "polarization_tag": (["polarization_tag"], lambda a: np.arange(a.size),
+                         "expected str_"),
+    "east": (["east"], lambda a: a.real, "expected complexfloating"),
+    "west": (["west"], lambda a: np.abs(a), "expected complexfloating"),
+    "rf_freqs_hz": (["rf_freqs_hz"], lambda a: a[:, np.newaxis],
+                    "at least one bin"),
+    "no bins": (["east", "west", "rf_freqs_hz"], lambda a: a[..., :0],
+                "at least one bin"),
+    "Fortran east": (["east"], np.asfortranarray,
+                     "in Fortran order, expected C order"),
 }
 
 
@@ -220,9 +252,7 @@ def test_a_malformed_frame_store_member_is_a_validation_error(tmp_path,
     store = tmp_path / "out" / "frames.npz"
     with np.load(store) as data:
         members = {name: data[name] for name in data.files}
-    bad, says = _MALFORMED[case]
-    names = (["east", "west", "rf_freqs_hz"] if case == "no bins"
-             else [case])
+    names, bad, says = _MALFORMED[case]
     members.update((name, bad(members[name])) for name in names)
     np.savez_compressed(store, **members)
     capsys.readouterr()
@@ -587,6 +617,8 @@ def _refusal(command, code, contents=None, text="not,a,header\n",
 
 @pytest.mark.parametrize("command, code, contents, text, error", [
     _refusal("simulate", 3), _refusal("null-mc", 3), _refusal("refilter", 3),
+    _refusal("simulate", 3, "frame-mode carrier outside the band",
+             error="outside the band"),
     _refusal("tune-tau", 3), _refusal("analyze", 3), _refusal("detect", 3),
     _refusal("report", 3), _refusal("calibrate", 2),
     _refusal("refilter", 3, "empty archive", "", "empty file"),
@@ -602,10 +634,16 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
     # a handler makes --out only once its inputs and checks pass: simulate
     # refuses a beam taper in events mode, null-mc a frame-mode config, and
     # the others a missing input file, or, with `contents`, an input file
-    # `text` that exists but is refused once it is read, naming the file
+    # `text` that exists but is refused once it is read, naming the file.
+    # A frame-mode simulate's session is checked as its first frame is
+    # drawn: an interferer's carrier outside the band is refused then
     taper = _events_manifest()
     taper.config = replace(taper.config, beam_fwhm_ra_deg=9.0)
-    if command == "simulate":
+    if command == "simulate" and contents:
+        cfg = _frames_config(tmp_path, rfi=[RfiSpec(
+            kind="narrowband_carrier", power_rel_noise=1.0,
+            rf_freq_hz=1.0e9)])
+    elif command == "simulate":
         cfg = _write_config(tmp_path / "taper.cfg", taper)
     elif command in ("null-mc", "detect"):
         cfg = _frames_config(tmp_path)
@@ -617,7 +655,7 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
     args = {"calibrate": ["--scan", str(scan)],
             "null-mc": ["--config", cfg, "--n-seeds", "1"]}
     argv = args.get(command, ["--config", cfg])
-    if contents is not None and command != "calibrate":
+    if contents is not None and command not in ("calibrate", "simulate"):
         flag = {"refilter": "--level1", "analyze": "--candidates",
                 "report": "--stats"}[command]
         argv = [*argv, flag, str(bad)]
@@ -625,7 +663,7 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, command,
     assert cli.main([command, *argv, "--out", str(out)]) == code
     err = capsys.readouterr().err
     if contents is not None:
-        assert f"{bad}: {error}" in err
+        assert (error if command == "simulate" else f"{bad}: {error}") in err
     assert not out.exists()
 
 

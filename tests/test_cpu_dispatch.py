@@ -31,15 +31,14 @@ try:
     from numpy._core import _multiarray_umath as m
 except ImportError:
     from numpy.core import _multiarray_umath as m
-from pulsepair.pipeline import (manifest_from_file, run_experiment,
-                                save_frames_npz, session_frames,
-                                stack_frames)
+from pulsepair.pipeline import (frame_blocks, manifest_from_file,
+                                run_experiment, save_frames_npz)
 cfg, out = sys.argv[1:]
 manifest = manifest_from_file(cfg)
 assert run_experiment(manifest, out).status == "ok"
 if manifest.mode != "events":
-    save_frames_npz(os.path.join(out, "frames.npz"),
-                    stack_frames(session_frames(manifest)))
+    save_frames_npz(os.path.join(out, "frames.npz"), frame_blocks(manifest),
+                    manifest.n_frames * len(manifest.config.polarization_tags))
 print(json.dumps([f for f in m.__cpu_dispatch__ if m.__cpu_features__[f]]))
 """
 

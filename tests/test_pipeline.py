@@ -4,6 +4,7 @@ import re
 import shutil
 import tracemalloc
 import weakref
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -25,11 +26,12 @@ from pulsepair.pipeline import (CANDIDATE_COLUMNS, STAGE_KEYS,
                                 TAU_SCAN_COLUMNS,
                                 ExperimentManifest, analyze_candidates,
                                 consume_session, detect_frames,
-                                load_frames_npz, manifest_from_file,
-                                read_candidates_csv, refilter, run_experiment,
-                                run_null_mc, run_tune_tau, save_frames_npz,
-                                session_exposure, session_frames,
-                                sha256_file, simulate_events, stack_frames,
+                                frame_blocks, load_frames_npz,
+                                manifest_from_file, read_candidates_csv,
+                                refilter, run_experiment, run_null_mc,
+                                run_tune_tau, save_frames_npz,
+                                session_exposure, sha256_file,
+                                simulate_events, stack_frames,
                                 write_analysis, write_candidates_csv,
                                 write_figure)
 from pulsepair.phasefilter import (PhaseMetricParams, second_level_filter,
@@ -1024,38 +1026,61 @@ def _noise_params(n_bins):
         excision_low_hz=1445.0e6, excision_high_hz=1445.0e6)
 
 
-def test_detect_frames_blocks_are_the_per_frame_filter(monkeypatch):
-    # three stores: 70 two-tag frames of 1,024 bins are 140 rows, blocks of
-    # 64, 64 and 12 rows, so both tags run across each block edge; three
-    # more frames of 1,024 bins 2 kHz higher, one block; and two frames
-    # wider than _BLOCK_BINS, a block each.  Every block is a view of its
-    # store's rows
+def _blocks(frames, n_bins):
+    """frames stacked in blocks of at most _BLOCK_BINS bins, as
+    frame_blocks cuts a session."""
+    step = max(1, pulsepair.pipeline._BLOCK_BINS // n_bins)
+    return [stack_frames(frames[at:at + step])
+            for at in range(0, len(frames), step)]
+
+
+def _whole(blocks) -> tuple:
+    """The one store of frame store blocks' rows; they share one rf."""
+    *rows, rfs = zip(*blocks)
+    assert all(rf is rfs[0] for rf in rfs)
+    return (*map(np.concatenate, rows), rfs[0])
+
+
+def test_detect_frames_blocks_are_the_per_frame_filter(tmp_path,
+                                                       monkeypatch):
+    # three stores, saved in blocks and detected in the blocks read back:
+    # 70 two-tag frames of 1,024 bins are 140 rows, blocks of 64, 64 and 12
+    # rows, so both tags run across each block edge; three more frames of
+    # 1,024 bins 2 kHz higher, one block; and two frames wider than
+    # _BLOCK_BINS, a block each.  Each block is scored as it is read
     assert pulsepair.pipeline._BLOCK_BINS == 64 * 1024
-    sessions = [_noise_frames(70, 1024, ("RHCP", "LHCP"), 3),
-                _noise_frames(3, 1024, ("RHCP", "LHCP"), 7, 1445.002e6),
-                _noise_frames(2, 70_000, ("LHCP",), 4)]
+    sessions = [(_noise_frames(70, 1024, ("RHCP", "LHCP"), 3), 1024),
+                (_noise_frames(3, 1024, ("RHCP", "LHCP"), 7, 1445.002e6),
+                 1024),
+                (_noise_frames(2, 70_000, ("LHCP",), 4), 70_000)]
     config = ObservationConfig()
     params = _noise_params(70_000)
-    blocks, score = [], pulsepair.pipeline.first_level_filter_frames
+    blocks, read, score = [], [], pulsepair.pipeline.first_level_filter_frames
 
     def counted(frame_index, utc_s, tags, east, west, *args):
         blocks.append(len(frame_index))
-        assert all(map(np.shares_memory, (east, west), store[3:5]))
-        assert np.shares_memory(tags, store[2])
+        assert east is read[-1][3] and west is read[-1][4]
         return score(frame_index, utc_s, tags, east, west, *args)
+
+    def recorded(store):
+        for block in store:
+            read.append(block)
+            yield block
 
     monkeypatch.setattr(pulsepair.pipeline, "first_level_filter_frames",
                         counted)
     got = []
-    for frames in sessions:
-        store = stack_frames(frames)
-        got.append(detect_frames(config, params, store))
+    for i, (frames, n_bins) in enumerate(sessions):
+        path = tmp_path / f"{i}.npz"
+        save_frames_npz(path, _blocks(frames, n_bins), len(frames))
+        got.append(detect_frames(config, params,
+                                 recorded(load_frames_npz(path))))
     assert blocks == [64, 64, 12, 6, 1, 1]
     got = EventTable.concat(got)
     want = EventTable.concat([
         per_frame_reference([i], [utc], [tag], [east], [west], rf, params, [
             float(config.pointing_ra(lst_hours(utc, config.longitude_deg)))])
-        for frames in sessions
+        for frames, _ in sessions
         for i, utc, tag, east, west, rf in frames])
     assert event_bits(got) == event_bits(want)
     assert got.tags == ("LHCP", "RHCP") and len(got) > 100
@@ -1080,15 +1105,14 @@ def test_stack_frames_names_the_frame_of_mismatched_lengths(short):
     (256, 1024, 2.5), (1, 250_000, 2.5)])
 def test_detect_frames_holds_one_block_beside_the_store(tmp_path, n_frames,
                                                         n_bins, blocks):
-    # in units of one block's complex spectrum: the load holds the store,
-    # and each block's rows are views of it, so beside it only the two
-    # elements' power and masks (about 1.7) and the inflate's buffers
-    # stand.  Scoring the 256-frame store at once would take ~15, and a
-    # copy of each block ~3.6
+    # in units of one block's complex spectrum: the reader holds one
+    # block's two elements (2), and beside them only the two elements'
+    # power and masks (about 1.7) and the inflate's reads stand (3.7 and
+    # 4.0 in all).  The 256-frame store alone is 8, and scoring it at once
+    # would take ~15
     frames = _noise_frames(n_frames, n_bins, ("LHCP",), 6)
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, stack_frames(frames))
-    store = sum(frame[3].nbytes + frame[4].nbytes for frame in frames)
+    save_frames_npz(path, [stack_frames(frames)], len(frames))
     del frames
     block = 16 * max(64 * 1024, n_bins)     # bytes of a block's spectrum
     tracemalloc.start()
@@ -1099,27 +1123,28 @@ def test_detect_frames_holds_one_block_beside_the_store(tmp_path, n_frames,
     finally:
         tracemalloc.stop()
     assert len(events) > 0
-    assert peak < store + blocks * block
+    assert peak < (2 + blocks) * block
 
 
 def test_frame_store_members_are_read_once(tmp_path, monkeypatch):
+    # 16 frames at 512 bins are one block; each member is opened once
     config = ObservationConfig(
         band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
         polarization_tags=("LHCP",), seed=5)
     params = wide_band_params(snr_threshold_db=5.0)
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, stack_frames(simulate_frames(config, n_frames=16)))
-    reads = Counter()
-    getitem = np.lib.npyio.NpzFile.__getitem__
+    frames = list(simulate_frames(config, n_frames=16))
+    save_frames_npz(path, [stack_frames(frames)], len(frames))
+    opens = Counter()
+    member_open = zipfile.ZipFile.open
 
-    def counting_getitem(self, key):
-        reads[key] += 1
-        return getitem(self, key)
+    def counting_open(self, name, *args, **kwargs):
+        opens[getattr(name, "filename", name)] += 1
+        return member_open(self, name, *args, **kwargs)
 
-    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
-                        counting_getitem)
+    monkeypatch.setattr(zipfile.ZipFile, "open", counting_open)
     events = detect_frames(config, params, load_frames_npz(path))
-    assert reads == {name: 1 for name in (
+    assert opens == {name + ".npy": 1 for name in (
         "frame_index", "utc_s", "polarization_tag", "east", "west",
         "rf_freqs_hz")}
     assert len(events) > 0
@@ -1149,8 +1174,8 @@ def test_simulated_frames_match_the_frame_store(tmp_path):
         path = tmp_path / f"{mode}.npz"
         made = list(simulate_frames(config, n_frames=3, mode=mode))
         assert len(made) == 6
-        save_frames_npz(path, stack_frames(made))
-        _assert_rows(load_frames_npz(path), made)
+        save_frames_npz(path, [stack_frames(made)], len(made))
+        _assert_rows(_whole(load_frames_npz(path)), made)
 
 
 def test_frame_store_keeps_the_frames_rf(tmp_path):
@@ -1162,13 +1187,36 @@ def test_frame_store_keeps_the_frames_rf(tmp_path):
     made = list(simulate_frames(config, n_frames=2))
     shifted = [frame[:5] + (frame[5] + 1.0e3,) for frame in made]
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, stack_frames(shifted))
-    *_, rf = load_frames_npz(path)
+    save_frames_npz(path, [stack_frames(shifted)], 2)
+    *_, rf = _whole(load_frames_npz(path))
     assert np.array_equal(rf, config.rf_freqs() + 1.0e3)
+    # frames of two rf in one block, and blocks of two rf, the second
+    # seen once the first block has been deflated into its spool files
     with pytest.raises(ValidationError, match="rf_freqs_hz"):
-        save_frames_npz(tmp_path / "mixed.npz",
-                        stack_frames([made[0], shifted[1]]))
-    assert not (tmp_path / "mixed.npz").exists()
+        stack_frames([made[0], shifted[1]])
+    with pytest.raises(ValidationError, match="rf_freqs_hz"):
+        save_frames_npz(tmp_path / "mixed.npz", [
+            stack_frames([made[0]]), stack_frames([shifted[1]])], 2)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("rows, narrow, says", [
+    (3, False, "the blocks hold 4 rows, not 3"),
+    (5, False, "the blocks hold 4 rows, not 5"),
+    (4, True, "frame 1: spectra of another dtype or width")])
+def test_save_frames_npz_refuses_blocks_unlike_their_declaration(
+        tmp_path, rows, narrow, says):
+    # rows that do not add up to the declared count, or a block whose
+    # spectra are complex64 where the first block's were complex128, leave
+    # neither the store nor a spooled member behind
+    blocks = _blocks(_noise_frames(4, 70_000, ("LHCP",), 2), 70_000)
+    if narrow:
+        blocks[1] = (*blocks[1][:3], *(part.astype(np.complex64)
+                                       for part in blocks[1][3:5]),
+                     blocks[1][5])
+    with pytest.raises(ValidationError, match=re.escape(says)):
+        save_frames_npz(tmp_path / "frames.npz", blocks, rows)
+    assert not any(tmp_path.iterdir())
 
 
 def test_stack_frames_needs_a_frame():
@@ -1186,23 +1234,38 @@ def _numpy_store(save, path, frames):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("mode, tags, n_frames", [
-    ("freq", ("LHCP",), 1), ("freq", ("LHCP", "RHCP"), 3),
-    ("time", ("LHCP",), 3), ("time", ("LHCP", "RHCP"), 1)])
-def test_frame_store_is_savez_compressed_byte_for_byte(tmp_path, mode, tags,
-                                                       n_frames):
+def _simulated(mode, tags, n_frames):
     config = ObservationConfig(
         band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
         polarization_tags=tags, seed=5)
-    frames = list(simulate_frames(config, n_frames=n_frames, mode=mode))
-    save_frames_npz(tmp_path / "store.npz", stack_frames(frames))
+    return list(simulate_frames(config, n_frames=n_frames, mode=mode)), 512
+
+
+@pytest.mark.parametrize("session", [
+    pytest.param(lambda: _simulated("freq", ("LHCP",), 1), id="freq-tags0-1"),
+    pytest.param(lambda: _simulated("freq", ("LHCP", "RHCP"), 3),
+                 id="freq-tags1-3"),
+    pytest.param(lambda: _simulated("time", ("LHCP",), 3), id="time-tags2-3"),
+    pytest.param(lambda: _simulated("time", ("LHCP", "RHCP"), 1),
+                 id="time-tags3-1"),
+    # blocks of 64, 64 and 12 rows, both tags across each block edge
+    pytest.param(lambda: (_noise_frames(70, 1024, ("RHCP", "LHCP"), 9),
+                          1024), id="blocks-64-64-12"),
+    # a row a block, whose tags alone are <U1 and <U4: the member takes
+    # the session's <U4
+    pytest.param(lambda: (_noise_frames(2, 70_000, ("X", "LHCP"), 9),
+                          70_000), id="a-row-a-block")])
+def test_frame_store_is_savez_compressed_byte_for_byte(tmp_path, session):
+    frames, n_bins = session()
+    blocks = _blocks(frames, n_bins)
+    save_frames_npz(tmp_path / "store.npz", iter(blocks), len(frames))
     assert (tmp_path / "store.npz").read_bytes() == _numpy_store(
         np.savez_compressed, tmp_path / "numpy.npz", frames)
 
 
 def test_frame_store_member_past_numpys_write_chunk(tmp_path):
     # np.savez_compressed hands a member to the deflater 16 MiB at a time,
-    # save_frames_npz 1 MiB at a time: the bytes agree only because
+    # save_frames_npz 256 KiB at a time: the bytes agree only because
     # deflate's output does not depend on how its input is split.  Spectra
     # of a few distinct values deflate fast.
     rng = np.random.default_rng(3)
@@ -1212,7 +1275,7 @@ def test_frame_store_member_past_numpys_write_chunk(tmp_path):
                   + 1j * rng.integers(-4, 4, n_channels) for _ in range(2))
     assert east.nbytes > 16 * 2 ** 20
     frames = [(0, 0.0, "LHCP", east, west, rf)]
-    save_frames_npz(tmp_path / "store.npz", stack_frames(frames))
+    save_frames_npz(tmp_path / "store.npz", [stack_frames(frames)], 1)
     assert (tmp_path / "store.npz").read_bytes() == _numpy_store(
         np.savez_compressed, tmp_path / "numpy.npz", frames)
 
@@ -1227,7 +1290,30 @@ def test_frame_store_reads_numpy_stores(tmp_path, save):
     made = list(simulate_frames(config, n_frames=2))
     assert len(made) == 4
     _numpy_store(save, tmp_path / "frames.npz", made)
-    _assert_rows(load_frames_npz(tmp_path / "frames.npz"), made)
+    _assert_rows(_whole(load_frames_npz(tmp_path / "frames.npz")), made)
+
+
+def test_frame_store_member_is_read_to_its_end(tmp_path):
+    # bytes past the rows of east, and a CRC-32 that does not match them:
+    # the reader reads the member to its end, where zipfile checks it
+    config = ObservationConfig(
+        band_low_hz=1445.0e6, band_high_hz=1445.5e6, frame_seconds=0.001024,
+        polarization_tags=("LHCP",), seed=5)
+    path = tmp_path / "frames.npz"
+    save_frames_npz(path, [stack_frames(simulate_frames(config))], 1)
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info)
+                   for info in archive.infolist()}
+    members["east.npy"] += bytes(16)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+        crc = archive.getinfo("east.npy").CRC.to_bytes(4, "little")
+    whole = path.read_bytes()
+    assert whole.count(crc) == 2        # its local header and directory
+    path.write_bytes(whole.replace(crc, bytes(b ^ 1 for b in crc)))
+    with pytest.raises(ValidationError, match="CRC-32"):
+        list(load_frames_npz(path))
 
 
 def _two_tag_frames_manifest(frame_seconds, n_frames):
@@ -1254,7 +1340,7 @@ def test_simulate_events_is_the_detected_frame_store(tmp_path, frame_seconds,
     # each row is a block
     m = _two_tag_frames_manifest(frame_seconds, n_frames)
     path = tmp_path / "frames.npz"
-    save_frames_npz(path, stack_frames(session_frames(m)))
+    save_frames_npz(path, frame_blocks(m), 2 * n_frames)
     got = EventTable.concat(simulate_events(m))
     want = detect_frames(m.config, m.filter, load_frames_npz(path))
     assert event_bits(got) == event_bits(want)
@@ -1277,6 +1363,23 @@ def test_simulate_events_holds_a_block_not_the_frame_session():
         tracemalloc.stop()
     assert len(events) > 0
     assert peak < 6 * block
+
+
+def test_save_frames_npz_holds_a_few_blocks_not_the_session(tmp_path):
+    # the session of the test above, saved as it is synthesized: its
+    # spectra take 16 of these units.  The writer peaks (9.8-10.1) as it
+    # stacks a block's frames (4) while the block before deflates (2),
+    # beside the two deflaters' state and output (~2.5) and the small
+    # members whole; stacking the session first would take ~32
+    m = _two_tag_frames_manifest(0.001024, 256)
+    block = 16 * 64 * 1024
+    tracemalloc.start()
+    try:
+        save_frames_npz(tmp_path / "frames.npz", frame_blocks(m), 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * block
 
 
 def test_every_stage_key_names_a_manifest_key():
